@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test verify chaos crash guard serve-drill bench bench-kernel bench-obs bench-serve bench-store bench-sweep bench-verbose examples results clean
+.PHONY: install test verify import-report chaos crash guard serve-drill bench bench-kernel bench-obs bench-serve bench-store bench-sweep bench-verbose examples results clean
 
 results: bench
 	$(PYTHON) tools/collect_results.py
@@ -18,6 +18,11 @@ verify:
 	$(MAKE) bench-sweep
 	$(MAKE) crash
 	$(MAKE) serve-drill
+
+# what a cold `import repro.cli` costs, by package and by module
+# (informational; tests/test_import_surface.py is the gate)
+import-report:
+	PYTHONPATH=src $(PYTHON) tools/import_report.py
 
 # chaos smoke: fault injection, worker kills, cache corruption
 chaos:

@@ -24,70 +24,33 @@ Quickstart::
     print(report.summary())
 """
 
-from repro.core import (
-    EstimateCurve,
-    ExternalTieringMnemo,
-    Mnemo,
-    MnemoReport,
-    MnemoT,
-    PerformanceBaselines,
-    SizingChoice,
-    WorkloadDescriptor,
-)
-from repro.cost import CostModel, cost_reduction_factor
-from repro.guard import (
-    DriftDetector,
-    ErrorBudget,
-    GuardLoop,
-    MarginPolicy,
-    RecommendationValidator,
-    ValidationVerdict,
-)
-from repro.kvstore import (
-    DynamoLike,
-    HybridDeployment,
-    MemcachedLike,
-    RedisLike,
-)
-from repro.memsim import HybridMemorySystem
-from repro.ycsb import (
-    TABLE_III_WORKLOADS,
-    Trace,
-    WorkloadSpec,
-    YCSBClient,
-    generate_trace,
-    workload_by_name,
-)
+from repro._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Mnemo",
-    "MnemoT",
-    "ExternalTieringMnemo",
-    "MnemoReport",
-    "EstimateCurve",
-    "SizingChoice",
-    "PerformanceBaselines",
-    "WorkloadDescriptor",
-    "HybridMemorySystem",
-    "RedisLike",
-    "MemcachedLike",
-    "DynamoLike",
-    "HybridDeployment",
-    "YCSBClient",
-    "Trace",
-    "WorkloadSpec",
-    "generate_trace",
-    "workload_by_name",
-    "TABLE_III_WORKLOADS",
-    "CostModel",
-    "cost_reduction_factor",
-    "GuardLoop",
-    "RecommendationValidator",
-    "ValidationVerdict",
-    "ErrorBudget",
-    "DriftDetector",
-    "MarginPolicy",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "core.mnemo": ["Mnemo", "ExternalTieringMnemo"],
+    "core.mnemot": ["MnemoT"],
+    "core.report": ["MnemoReport"],
+    "core.estimate": ["EstimateCurve"],
+    "core.slo": ["SizingChoice"],
+    "core.sensitivity": ["PerformanceBaselines"],
+    "core.descriptor": ["WorkloadDescriptor"],
+    "memsim.system": ["HybridMemorySystem"],
+    "kvstore.redislike": ["RedisLike"],
+    "kvstore.memcachedlike": ["MemcachedLike"],
+    "kvstore.dynamolike": ["DynamoLike"],
+    "kvstore.server": ["HybridDeployment"],
+    "ycsb.client": ["YCSBClient"],
+    "ycsb.workload": ["Trace", "WorkloadSpec"],
+    "ycsb.generator": ["generate_trace"],
+    "ycsb.presets": ["workload_by_name", "TABLE_III_WORKLOADS"],
+    "cost.model": ["CostModel", "cost_reduction_factor"],
+    "guard.loop": ["GuardLoop"],
+    "guard.validator": [
+        "RecommendationValidator", "ValidationVerdict", "ErrorBudget",
+    ],
+    "guard.drift": ["DriftDetector"],
+    "guard.margin": ["MarginPolicy"],
+})
+__all__.append("__version__")

@@ -1,26 +1,12 @@
 """Analysis utilities: CDFs, error statistics, latency percentiles, curves."""
 
-from repro.analysis.asciiplot import render_curve, render_estimate
-from repro.analysis.bootstrap import BootstrapCI, bootstrap_ci
-from repro.analysis.cdf import empirical_cdf, key_space_cdf, size_cdf
-from repro.analysis.curves import curve_knee, interpolate_curve, relative_curve
-from repro.analysis.errors import BoxplotStats, boxplot_stats, percentage_error
-from repro.analysis.latency import latency_summary, tail_percentiles
+from repro._lazy import attach
 
-__all__ = [
-    "empirical_cdf",
-    "key_space_cdf",
-    "size_cdf",
-    "percentage_error",
-    "BoxplotStats",
-    "boxplot_stats",
-    "tail_percentiles",
-    "latency_summary",
-    "curve_knee",
-    "interpolate_curve",
-    "relative_curve",
-    "render_curve",
-    "render_estimate",
-    "BootstrapCI",
-    "bootstrap_ci",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "asciiplot": ["render_curve", "render_estimate"],
+    "bootstrap": ["BootstrapCI", "bootstrap_ci"],
+    "cdf": ["empirical_cdf", "key_space_cdf", "size_cdf"],
+    "curves": ["curve_knee", "interpolate_curve", "relative_curve"],
+    "errors": ["BoxplotStats", "boxplot_stats", "percentage_error"],
+    "latency": ["latency_summary", "tail_percentiles"],
+})

@@ -14,14 +14,10 @@ input, obtain performance baselines, and calculate tiering weights:
   fixed-capacity tiering used by several existing solutions.
 """
 
-from repro.baselines.instrumented import InstrumentedProfiler, ProfilingCost
-from repro.baselines.knapsack import knapsack_tiering
-from repro.baselines.mlmodel import MLBaselineProfiler, train_fast_baseline_model
+from repro._lazy import attach
 
-__all__ = [
-    "InstrumentedProfiler",
-    "ProfilingCost",
-    "MLBaselineProfiler",
-    "train_fast_baseline_model",
-    "knapsack_tiering",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "instrumented": ["InstrumentedProfiler", "ProfilingCost"],
+    "knapsack": ["knapsack_tiering"],
+    "mlmodel": ["MLBaselineProfiler", "train_fast_baseline_model"],
+})

@@ -24,36 +24,50 @@ line to stderr and exit 2.  The ``guard`` subcommand additionally uses
 1 (warnings) and 3 (action needed) so CI and cron jobs can react.
 ``sweep`` and ``serve`` install SIGTERM/SIGINT handlers so a kill
 releases shared memory, pools and store handles on the way out and
-exits ``128 + signum``.
+exits ``128 + signum``; a closed stdout (``... | head -1``) ends any
+command quietly with 141, the same convention for SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
-from contextlib import nullcontext
-from pathlib import Path
-from typing import Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Sequence
 
-from repro import telemetry
-from repro.analysis.asciiplot import render_estimate
-from repro.core import Mnemo, MnemoT, WorkloadDescriptor
 from repro.errors import ConfigurationError, ReproError, UsageError
-from repro.kvstore import DynamoLike, MemcachedLike, RedisLike
-from repro.ycsb import (
-    TABLE_III_WORKLOADS,
-    YCSBClient,
-    downsample,
-    generate_trace,
-    workload_by_name,
-)
 
+if TYPE_CHECKING:
+    from repro.core.descriptor import WorkloadDescriptor
+
+# Importing this module costs argparse, logging and repro.errors only:
+# each ``_cmd_*`` imports what it runs, so a cold ``profile`` never pays
+# for the pool, the daemon or the guard (DESIGN.md, "Import layering").
+
+#: ``--engine`` name -> (leaf module, class), in the order ``compare``
+#: prints them; :func:`_engine` imports the one a command asked for.
 ENGINES = {
-    "redis": RedisLike,
-    "memcached": MemcachedLike,
-    "dynamodb": DynamoLike,
+    "redis": ("repro.kvstore.redislike", "RedisLike"),
+    "memcached": ("repro.kvstore.memcachedlike", "MemcachedLike"),
+    "dynamodb": ("repro.kvstore.dynamolike", "DynamoLike"),
 }
+
+
+def _engine(name: str):
+    """The engine class behind one ``--engine`` name."""
+    module, cls = ENGINES[name]
+    return getattr(import_module(module), cls)
+
+
+def _builtin_trace(name: str):
+    """Generate the trace of one built-in workload."""
+    from repro.ycsb.generator import generate_trace
+    from repro.ycsb.presets import workload_by_name
+
+    return generate_trace(workload_by_name(name))
+
 
 #: CLI diagnostics go through here (``-v``/``-q`` set the level);
 #: operator-facing reports and tables still ``print`` to stdout.
@@ -122,7 +136,7 @@ def _parse_faults_arg(text: str | None):
     becomes a :class:`~repro.errors.UsageError` tagged with the option
     name so the operator sees exactly which token to fix.
     """
-    from repro.faults import parse_faults
+    from repro.faults.models import parse_faults
 
     try:
         return parse_faults(text) if text else None
@@ -378,21 +392,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_workload(args) -> WorkloadDescriptor:
+    from repro.core.descriptor import WorkloadDescriptor
+
     if args.workload and (args.requests or args.dataset):
         raise UsageError("give either --workload or --requests/--dataset")
     if args.workload:
-        trace = generate_trace(workload_by_name(args.workload))
+        trace = _builtin_trace(args.workload)
     elif args.requests and args.dataset:
         return WorkloadDescriptor.from_csv(args.requests, args.dataset)
     else:
         raise UsageError("need --workload or both --requests and --dataset")
     _check_range("--downsample", args.downsample, lo=0.0)
     if args.downsample and args.downsample > 1:
+        from repro.ycsb.sampling import downsample
+
         trace = downsample(trace, factor=args.downsample, seed=args.seed)
     return WorkloadDescriptor.from_trace(trace)
 
 
 def _cmd_workloads(_args) -> int:
+    from repro.ycsb.presets import TABLE_III_WORKLOADS
+
     print(f"{'name':<18} {'distribution':<18} {'R:W':>6} {'sizes':<14} "
           f"{'keys':>7} {'requests':>9}")
     for w in TABLE_III_WORKLOADS:
@@ -409,9 +429,14 @@ def _cmd_profile(args) -> int:
     log.info("profiling %r on %s (mode=%s, cache=%s)",
              descriptor.name, args.engine, args.mode,
              args.cache_dir or "off")
-    cls = MnemoT if args.mode == "weight" else Mnemo
+    if args.mode == "weight":
+        from repro.core.mnemot import MnemoT as cls
+    else:
+        from repro.core.mnemo import Mnemo as cls
+    from repro.ycsb.client import YCSBClient
+
     mnemo = cls(
-        engine_factory=ENGINES[args.engine],
+        engine_factory=_engine(args.engine),
         client=YCSBClient(repeats=args.repeats, seed=args.seed),
         p=args.p,
         cache=args.cache_dir,
@@ -429,18 +454,22 @@ def _cmd_profile(args) -> int:
         path = report.write_csv(args.csv)
         print(f"wrote estimate curve: {path}")
     if args.plot:
+        from repro.analysis.asciiplot import render_estimate
+
         print()
         print(render_estimate(report.curve))
     return 0
 
 
 def _cmd_compare(args) -> int:
+    from repro.core.mnemo import Mnemo
+
     _check_range("--slo", args.slo, lo=0.0, hi=1.0, hi_open=True)
-    trace = generate_trace(workload_by_name(args.workload))
+    trace = _builtin_trace(args.workload)
     print(f"{'engine':<12} {'Fast ops/s':>12} {'Slow ops/s':>12} "
           f"{'gap':>7} {'cost @SLO':>10}")
-    for name, factory in ENGINES.items():
-        report = Mnemo(engine_factory=factory).profile(trace)
+    for name in ENGINES:
+        report = Mnemo(engine_factory=_engine(name)).profile(trace)
         b = report.baselines
         choice = report.choose(args.slo)
         print(f"{name:<12} {b.fast.throughput_ops_s:>12,.0f} "
@@ -450,10 +479,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_pricing(_args) -> int:
-    from repro.pricing import (
-        catalog_for,
-        memory_fraction_summary,
-    )
+    from repro.pricing.catalog import catalog_for
+    from repro.pricing.vmcost import memory_fraction_summary
 
     summary = memory_fraction_summary()
     print(f"{'family':<26} {'instance':<20} {'mem share':>10}")
@@ -467,7 +494,7 @@ def _cmd_pricing(_args) -> int:
 def _cmd_drift(args) -> int:
     from repro.core.drift import analyze_drift
 
-    trace = generate_trace(workload_by_name(args.workload))
+    trace = _builtin_trace(args.workload)
     report = analyze_drift(trace, capacity_fraction=args.capacity,
                            n_windows=args.windows)
     print(f"workload : {report.workload}")
@@ -481,11 +508,11 @@ def _cmd_drift(args) -> int:
 
 
 def _cmd_retier(args) -> int:
-    from repro.core import Mnemo
     from repro.core.dynamic import simulate_periodic_retiering
+    from repro.core.mnemo import Mnemo
 
-    trace = generate_trace(workload_by_name(args.workload))
-    report = Mnemo(engine_factory=ENGINES[args.engine]).profile(trace)
+    trace = _builtin_trace(args.workload)
+    report = Mnemo(engine_factory=_engine(args.engine)).profile(trace)
     out = simulate_periodic_retiering(
         trace, report.baselines,
         capacity_fraction=args.capacity, n_windows=args.windows,
@@ -506,9 +533,10 @@ def _cmd_multitier(args) -> int:
     import numpy as np
 
     from repro.kvstore.profiles import profile_for
-    from repro.multitier import MultiTierAdvisor, TieredMemorySystem
+    from repro.multitier.advisor import MultiTierAdvisor
+    from repro.multitier.system import TieredMemorySystem
 
-    trace = generate_trace(workload_by_name(args.workload))
+    trace = _builtin_trace(args.workload)
     total = int(trace.record_sizes.sum())
     advisor = MultiTierAdvisor(
         TieredMemorySystem.dram_nvm_far(), profile_for("redis")
@@ -537,7 +565,8 @@ def _cmd_multitier(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.runner import ClientConfig, ExperimentRunner, RetryPolicy
+    from repro.runner.grid import ClientConfig, ExperimentRunner, RetryPolicy
+    from repro.ycsb.presets import TABLE_III_WORKLOADS, workload_by_name
 
     _check_range("--split", args.split, lo=0.0, hi=1.0)
 
@@ -566,7 +595,8 @@ def _cmd_sweep(args) -> int:
     journal = None
     cache = args.cache_dir
     if args.store:
-        from repro.store import SQLiteStore, SweepJournal
+        from repro.store.journal import SweepJournal
+        from repro.store.store import SQLiteStore
 
         cache = SQLiteStore(args.store)
         if run_id:
@@ -630,12 +660,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.runner import DEFAULT_CACHE_DIR
-    from repro.runner.cache import ensure_cache
+    from repro.runner.cache import DEFAULT_CACHE_DIR, ensure_cache
 
     if args.action == "migrate":
-        from repro.runner.cache import ResultCache
-        from repro.store import DEFAULT_STORE_PATH, SQLiteStore, migrate_cache
+        from repro.store.migrate import migrate_cache
+        from repro.store.store import DEFAULT_STORE_PATH, SQLiteStore
 
         src = ensure_cache(args.cache_dir or DEFAULT_CACHE_DIR)
         if isinstance(src, SQLiteStore):
@@ -673,21 +702,24 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_guard(args) -> int:
-    from repro.guard import ErrorBudget
+    from repro.core.mnemo import Mnemo
     from repro.guard.drift import rotate_hot_set
-    from repro.ycsb import downsample as downsample_trace
+    from repro.guard.validator import ErrorBudget
+    from repro.ycsb.client import YCSBClient
 
     _check_range("--slo", args.slo, lo=0.0, hi=1.0, hi_open=True)
     _check_range("--budget", args.budget, lo=0.0, lo_open=True)
     _check_range("--downsample", args.downsample, lo=0.0)
 
-    planning = generate_trace(workload_by_name(args.workload))
+    planning = _builtin_trace(args.workload)
     if args.downsample and args.downsample > 1:
-        planning = downsample_trace(
+        from repro.ycsb.sampling import downsample
+
+        planning = downsample(
             planning, factor=args.downsample, seed=args.seed
         )
     if args.live_workload:
-        live = generate_trace(workload_by_name(args.live_workload))
+        live = _builtin_trace(args.live_workload)
     else:
         live = planning
     if args.live_rotate:
@@ -695,7 +727,7 @@ def _cmd_guard(args) -> int:
         live = rotate_hot_set(live, args.live_rotate)
 
     mnemo = Mnemo(
-        engine_factory=ENGINES[args.engine],
+        engine_factory=_engine(args.engine),
         client=YCSBClient(repeats=args.repeats, seed=args.seed),
         cache=args.cache_dir,
     )
@@ -743,6 +775,7 @@ def _parse_set_fields(pairs) -> dict:
 def _control_request(args) -> dict:
     """Assemble the request fields for one ``--control`` op."""
     import json as _json
+    from pathlib import Path
 
     request = _parse_set_fields(args.set_fields)
     if args.deadline is not None:
@@ -780,16 +813,15 @@ def _cmd_serve(args) -> int:
     import json as _json
 
     from repro.errors import ServiceError
-    from repro.service import (
+    from repro.service.client import ServiceClient, diagnose_unreachable
+    from repro.service.serve import (
         DEFAULT_RUNDIR,
-        RestartPolicy,
         ServeConfig,
-        ServiceClient,
-        Supervisor,
-        diagnose_unreachable,
+        _service_child,
         run_service,
     )
-    from repro.service.serve import _service_child
+    from repro.service.supervisor import RestartPolicy, Supervisor
+    from repro.ycsb.presets import TABLE_III_WORKLOADS
 
     _check_range("--slo", args.slo, lo=0.0, hi=1.0, hi_open=True)
     _check_range("--interval", args.interval, lo=0.0, lo_open=True)
@@ -929,33 +961,49 @@ def main(argv: Sequence[str] | None = None) -> int:
     never a traceback), and for ``guard`` additionally 1 = warnings and
     3 = action needed.
     """
-    from repro.service.signals import TerminationSignal, handle_termination
-
     args = _build_parser().parse_args(argv)
     _configure_logging(args.verbose, args.quiet)
-    graceful = (
-        handle_termination() if args.command in _GRACEFUL_COMMANDS
-        else nullcontext()
-    )
     try:
-        with graceful:
-            sink = getattr(args, "obs", None)
-            if sink and args.command != "obs":
-                with telemetry.session(sink=sink) as tel:
-                    tel.run_attrs["command"] = args.command
-                    code = _COMMANDS[args.command](args)
-                log.info("telemetry written: %s", sink)
-                return code
-            return _COMMANDS[args.command](args)
-    except TerminationSignal as sig:
-        log.info("terminated by signal %d; resources released", sig.signum)
-        return sig.exit_code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if args.command in _GRACEFUL_COMMANDS:
+            code = _run_graceful(args)
+        else:
+            code = _run(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (``... | head -1``): point stdout
+        # at devnull so the interpreter's exit flush cannot raise again
+        sys.stdout = open(os.devnull, "w")
+        return 128 + 13  # SIGPIPE, by the 128 + signum convention
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _run(args) -> int:
+    """Run the subcommand, under a telemetry session when ``--obs`` asks."""
+    sink = getattr(args, "obs", None)
+    if not sink or args.command == "obs":
+        return _COMMANDS[args.command](args)
+    from repro import telemetry
+
+    with telemetry.session(sink=sink) as tel:
+        tel.run_attrs["command"] = args.command
+        code = _COMMANDS[args.command](args)
+    log.info("telemetry written: %s", sink)
+    return code
+
+
+def _run_graceful(args) -> int:
+    """:func:`_run` with SIGTERM/SIGINT unwinding to ``128 + signum``."""
+    from repro.service.signals import TerminationSignal, handle_termination
+
+    try:
+        with handle_termination():
+            return _run(args)
+    except TerminationSignal as sig:
+        log.info("terminated by signal %d; resources released", sig.signum)
+        return sig.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

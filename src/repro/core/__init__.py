@@ -15,74 +15,33 @@ Facades: :class:`~repro.core.mnemo.Mnemo` (stand-alone, Fig 2a),
 :class:`~repro.core.mnemot.MnemoT` (Fig 2c).
 """
 
-from repro.core.descriptor import WorkloadDescriptor
-from repro.core.drift import (
-    DriftReport,
-    analyze_drift,
-    drift_score,
-    static_placement_regret,
-)
-from repro.core.dynamic import RetieringOutcome, simulate_periodic_retiering
-from repro.core.estimate import EstimateCurve, EstimateEngine
-from repro.core.mnemo import ExternalTieringMnemo, Mnemo
-from repro.core.mnemot import MnemoT
-from repro.core.pattern import KeyAccessPattern, PatternEngine
-from repro.core.placement import PlacementEngine
-from repro.core.report import MnemoReport
-from repro.core.sensitivity import (
-    PerformanceBaselines,
-    SensitivityEngine,
-    estimate_counterpart,
-)
-from repro.core.slo import (
-    DEFAULT_MAX_SLOWDOWN,
-    SizingChoice,
-    choice_at,
-    min_cost_for_slowdown,
-)
-from repro.core.validate import (
-    MeasuredPoint,
-    estimate_errors,
-    measure_curve,
-    prefix_counts,
-)
-from repro.core.whatif import (
-    DeviceScenario,
-    device_sensitivity,
-    price_sensitivity,
-    recost_curve,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "WorkloadDescriptor",
-    "SensitivityEngine",
-    "PerformanceBaselines",
-    "estimate_counterpart",
-    "PatternEngine",
-    "KeyAccessPattern",
-    "EstimateEngine",
-    "EstimateCurve",
-    "PlacementEngine",
-    "MnemoReport",
-    "Mnemo",
-    "ExternalTieringMnemo",
-    "MnemoT",
-    "SizingChoice",
-    "choice_at",
-    "min_cost_for_slowdown",
-    "DEFAULT_MAX_SLOWDOWN",
-    "MeasuredPoint",
-    "measure_curve",
-    "estimate_errors",
-    "prefix_counts",
-    "DriftReport",
-    "analyze_drift",
-    "drift_score",
-    "static_placement_regret",
-    "DeviceScenario",
-    "device_sensitivity",
-    "price_sensitivity",
-    "recost_curve",
-    "RetieringOutcome",
-    "simulate_periodic_retiering",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "descriptor": ["WorkloadDescriptor"],
+    "drift": [
+        "DriftReport", "analyze_drift", "drift_score",
+        "static_placement_regret",
+    ],
+    "dynamic": ["RetieringOutcome", "simulate_periodic_retiering"],
+    "estimate": ["EstimateCurve", "EstimateEngine"],
+    "mnemo": ["ExternalTieringMnemo", "Mnemo"],
+    "mnemot": ["MnemoT"],
+    "pattern": ["KeyAccessPattern", "PatternEngine"],
+    "placement": ["PlacementEngine"],
+    "report": ["MnemoReport"],
+    "sensitivity": [
+        "PerformanceBaselines", "SensitivityEngine", "estimate_counterpart",
+    ],
+    "slo": [
+        "DEFAULT_MAX_SLOWDOWN", "SizingChoice", "choice_at",
+        "min_cost_for_slowdown",
+    ],
+    "validate": [
+        "MeasuredPoint", "estimate_errors", "measure_curve", "prefix_counts",
+    ],
+    "whatif": [
+        "DeviceScenario", "device_sensitivity", "price_sensitivity",
+        "recost_curve",
+    ],
+})

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ycsb.trace_io import load_trace_csv
 from repro.ycsb.workload import Trace
 
 
@@ -60,6 +59,8 @@ class WorkloadDescriptor:
         name: str | None = None,
     ) -> "WorkloadDescriptor":
         """Load the CSV pair written by :func:`repro.ycsb.trace_io.save_trace_csv`."""
+        from repro.ycsb.trace_io import load_trace_csv
+
         return cls.from_trace(load_trace_csv(requests_path, dataset_path, name))
 
     # -- views ----------------------------------------------------------------------

@@ -24,7 +24,6 @@ is three cumulative sums.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,6 +117,8 @@ class EstimateCurve:
         Row *i* holds key ``order[i]`` and describes the configuration
         where FastMem serves all keys up to and including that row.
         """
+        import csv
+
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         thr = self.throughput_ops_s

@@ -1,15 +1,10 @@
 """Memory-system cost model (paper Section II, Table II)."""
 
-from repro.cost.model import (
-    DEFAULT_PRICE_FACTOR,
-    CostModel,
-    capacity_for_cost,
-    cost_reduction_factor,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "CostModel",
-    "cost_reduction_factor",
-    "capacity_for_cost",
-    "DEFAULT_PRICE_FACTOR",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "model": [
+        "DEFAULT_PRICE_FACTOR", "CostModel", "capacity_for_cost",
+        "cost_reduction_factor",
+    ],
+})

@@ -13,38 +13,15 @@ Two halves (see ``docs/FAULTS.md``):
   checksum quarantine, and the served advisor's request plane.
 """
 
-from repro.faults.chaos import (
-    CHAOS_MODES,
-    ChaosPlan,
-    corrupt_cache_entries,
-    corrupt_store_rows,
-    request_flood,
-    slowloris_probe,
-)
-from repro.faults.models import (
-    FAULT_KINDS,
-    BandwidthDegradation,
-    FaultSpec,
-    FaultTimeline,
-    JitterBursts,
-    LatencySpikes,
-    NodeOffline,
-    parse_faults,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "CHAOS_MODES",
-    "ChaosPlan",
-    "corrupt_cache_entries",
-    "corrupt_store_rows",
-    "request_flood",
-    "slowloris_probe",
-    "FAULT_KINDS",
-    "BandwidthDegradation",
-    "FaultSpec",
-    "FaultTimeline",
-    "JitterBursts",
-    "LatencySpikes",
-    "NodeOffline",
-    "parse_faults",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "chaos": [
+        "CHAOS_MODES", "ChaosPlan", "corrupt_cache_entries",
+        "corrupt_store_rows", "request_flood", "slowloris_probe",
+    ],
+    "models": [
+        "FAULT_KINDS", "BandwidthDegradation", "FaultSpec", "FaultTimeline",
+        "JitterBursts", "LatencySpikes", "NodeOffline", "parse_faults",
+    ],
+})

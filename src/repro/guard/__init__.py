@@ -18,48 +18,18 @@ layers (see ``docs/GUARD.md``):
   emits CI-friendly exit codes (the ``mnemo guard`` subcommand).
 """
 
-from repro.guard.drift import (
-    DriftDetector,
-    DriftSignal,
-    DriftThresholds,
-    ReplanAdvice,
-    WorkloadDriftReport,
-    detect_drift,
-    hot_set_churn,
-    js_divergence,
-    kl_divergence,
-    rotate_hot_set,
-    size_shift,
-)
-from repro.guard.loop import GuardLoop, GuardOutcome
-from repro.guard.margin import DEFAULT_MARGIN_POLICY, MarginPolicy
-from repro.guard.validator import (
-    ErrorBudget,
-    FallbackResult,
-    PointCheck,
-    RecommendationValidator,
-    ValidationVerdict,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "DriftDetector",
-    "DriftSignal",
-    "DriftThresholds",
-    "ReplanAdvice",
-    "WorkloadDriftReport",
-    "detect_drift",
-    "hot_set_churn",
-    "js_divergence",
-    "kl_divergence",
-    "rotate_hot_set",
-    "size_shift",
-    "GuardLoop",
-    "GuardOutcome",
-    "MarginPolicy",
-    "DEFAULT_MARGIN_POLICY",
-    "ErrorBudget",
-    "FallbackResult",
-    "PointCheck",
-    "RecommendationValidator",
-    "ValidationVerdict",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "drift": [
+        "DriftDetector", "DriftSignal", "DriftThresholds", "ReplanAdvice",
+        "WorkloadDriftReport", "detect_drift", "hot_set_churn",
+        "js_divergence", "kl_divergence", "rotate_hot_set", "size_shift",
+    ],
+    "loop": ["GuardLoop", "GuardOutcome"],
+    "margin": ["DEFAULT_MARGIN_POLICY", "MarginPolicy"],
+    "validator": [
+        "ErrorBudget", "FallbackResult", "PointCheck",
+        "RecommendationValidator", "ValidationVerdict",
+    ],
+})

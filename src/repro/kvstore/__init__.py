@@ -19,38 +19,19 @@ SlowMem server instance behind a key router, mirroring the paper's
 two-server setup driven by a modified YCSB core.
 """
 
-from repro.kvstore.base import KVEngine, OpResult
-from repro.kvstore.btree import BTree
-from repro.kvstore.server import HybridDeployment
-from repro.kvstore.dynamolike import DynamoLike
-from repro.kvstore.hashindex import HashIndex
-from repro.kvstore.memcachedlike import MemcachedLike
-from repro.kvstore.profiles import (
-    DYNAMO_PROFILE,
-    MEMCACHED_PROFILE,
-    REDIS_PROFILE,
-    EngineProfile,
-    profile_for,
-)
-from repro.kvstore.redislike import RedisLike
-from repro.kvstore.server import ServerInstance  # noqa: F401  (HybridDeployment above)
-from repro.kvstore.slab import SlabAllocator, SlabClass
+from repro._lazy import attach
 
-__all__ = [
-    "KVEngine",
-    "OpResult",
-    "BTree",
-    "HashIndex",
-    "SlabAllocator",
-    "SlabClass",
-    "RedisLike",
-    "MemcachedLike",
-    "DynamoLike",
-    "ServerInstance",
-    "HybridDeployment",
-    "EngineProfile",
-    "REDIS_PROFILE",
-    "MEMCACHED_PROFILE",
-    "DYNAMO_PROFILE",
-    "profile_for",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "base": ["KVEngine", "OpResult"],
+    "btree": ["BTree"],
+    "server": ["HybridDeployment", "ServerInstance"],
+    "dynamolike": ["DynamoLike"],
+    "hashindex": ["HashIndex"],
+    "memcachedlike": ["MemcachedLike"],
+    "profiles": [
+        "DYNAMO_PROFILE", "MEMCACHED_PROFILE", "REDIS_PROFILE",
+        "EngineProfile", "profile_for",
+    ],
+    "redislike": ["RedisLike"],
+    "slab": ["SlabAllocator", "SlabClass"],
+})

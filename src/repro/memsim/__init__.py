@@ -14,31 +14,16 @@ This package stands in for the paper's throttled dual-socket testbed
   with ``numactl``-style binding and the Table I preset.
 """
 
-from repro.memsim.allocator import AddressSpaceAllocator, Allocation
-from repro.memsim.cache import LLCModel
-from repro.memsim.emulation import (
-    TABLE_I_FAST,
-    TABLE_I_SLOW,
-    ThrottleFactors,
-    emulated_slow_node,
-    table_i_factors,
-)
-from repro.memsim.node import MemoryNode, NodeKind
-from repro.memsim.system import HybridMemorySystem
-from repro.memsim.timing import AccessTimer, NoiseModel
+from repro._lazy import attach
 
-__all__ = [
-    "AddressSpaceAllocator",
-    "Allocation",
-    "LLCModel",
-    "MemoryNode",
-    "NodeKind",
-    "HybridMemorySystem",
-    "AccessTimer",
-    "NoiseModel",
-    "ThrottleFactors",
-    "emulated_slow_node",
-    "table_i_factors",
-    "TABLE_I_FAST",
-    "TABLE_I_SLOW",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "allocator": ["AddressSpaceAllocator", "Allocation"],
+    "cache": ["LLCModel"],
+    "emulation": [
+        "TABLE_I_FAST", "TABLE_I_SLOW", "ThrottleFactors",
+        "emulated_slow_node", "table_i_factors",
+    ],
+    "node": ["MemoryNode", "NodeKind"],
+    "system": ["HybridMemorySystem"],
+    "timing": ["AccessTimer", "NoiseModel"],
+})

@@ -19,19 +19,10 @@ DRAM + NVM + a far tier (e.g. CXL-attached or borrowed remote memory):
   SLO queries.
 """
 
-from repro.multitier.advisor import (
-    MultiTierAdvisor,
-    MultiTierBaselines,
-    TieredPlan,
-)
-from repro.multitier.client import MultiTierClient
-from repro.multitier.system import TieredMemorySystem, TierSpec
+from repro._lazy import attach
 
-__all__ = [
-    "TierSpec",
-    "TieredMemorySystem",
-    "MultiTierClient",
-    "MultiTierAdvisor",
-    "MultiTierBaselines",
-    "TieredPlan",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "advisor": ["MultiTierAdvisor", "MultiTierBaselines", "TieredPlan"],
+    "client": ["MultiTierClient"],
+    "system": ["TieredMemorySystem", "TierSpec"],
+})

@@ -1,27 +1,12 @@
 """Cloud VM pricing analysis (paper Section I, Figure 1)."""
 
-from repro.pricing.catalog import (
-    CATALOGS,
-    MEMORY_OPTIMIZED_FAMILIES,
-    VMInstance,
-    catalog_for,
-    provider_catalog,
-    provider_families,
-    providers,
-)
-from repro.pricing.regression import FitResult, fit_unit_costs
-from repro.pricing.vmcost import memory_cost_fractions, memory_fraction_summary
+from repro._lazy import attach
 
-__all__ = [
-    "VMInstance",
-    "CATALOGS",
-    "MEMORY_OPTIMIZED_FAMILIES",
-    "catalog_for",
-    "provider_catalog",
-    "provider_families",
-    "providers",
-    "FitResult",
-    "fit_unit_costs",
-    "memory_cost_fractions",
-    "memory_fraction_summary",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "catalog": [
+        "CATALOGS", "MEMORY_OPTIMIZED_FAMILIES", "VMInstance", "catalog_for",
+        "provider_catalog", "provider_families", "providers",
+    ],
+    "regression": ["FitResult", "fit_unit_costs"],
+    "vmcost": ["memory_cost_fractions", "memory_fraction_summary"],
+})

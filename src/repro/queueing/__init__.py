@@ -9,14 +9,8 @@ average latency stays analytically predictable while the tail blows up
 non-linearly as load approaches saturation.
 """
 
-from repro.queueing.openloop import (
-    OpenLoopResult,
-    simulate_open_loop,
-    tail_blowup_ratio,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "OpenLoopResult",
-    "simulate_open_loop",
-    "tail_blowup_ratio",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "openloop": ["OpenLoopResult", "simulate_open_loop", "tail_blowup_ratio"],
+})

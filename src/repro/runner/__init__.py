@@ -16,75 +16,23 @@ See ``docs/RUNNER.md`` for the fingerprint scheme, cache layout and the
 determinism guarantees.
 """
 
-from repro.runner.cache import (
-    DEFAULT_CACHE_DIR,
-    SCHEMA_VERSION,
-    CacheStats,
-    CacheVerifyReport,
-    ResultCache,
-    ensure_cache,
-)
-from repro.runner.caching import (
-    CachingClient,
-    PlacementBatch,
-    hitmask_fingerprint,
-)
-from repro.runner.fingerprint import (
-    array_digest,
-    canonicalize,
-    digest,
-    experiment_fingerprint,
-    trace_fingerprint,
-    workload_fingerprint,
-)
-from repro.runner.grid import (
-    ENGINE_FACTORIES,
-    NON_RETRYABLE,
-    PLACEMENTS,
-    PLANS,
-    ClientConfig,
-    ExperimentFailure,
-    ExperimentMeta,
-    ExperimentRunner,
-    ExperimentSpec,
-    FailureReport,
-    GridOutcome,
-    RetryPolicy,
-    default_workers,
-    split_fast_keys,
-)
-from repro.runner.shm import SharedTraceHandle, TracePlane
+from repro._lazy import attach
 
-__all__ = [
-    "DEFAULT_CACHE_DIR",
-    "SCHEMA_VERSION",
-    "CacheStats",
-    "CacheVerifyReport",
-    "ResultCache",
-    "ensure_cache",
-    "CachingClient",
-    "PlacementBatch",
-    "hitmask_fingerprint",
-    "array_digest",
-    "canonicalize",
-    "digest",
-    "experiment_fingerprint",
-    "trace_fingerprint",
-    "workload_fingerprint",
-    "ENGINE_FACTORIES",
-    "NON_RETRYABLE",
-    "PLACEMENTS",
-    "PLANS",
-    "ClientConfig",
-    "ExperimentFailure",
-    "ExperimentMeta",
-    "ExperimentRunner",
-    "ExperimentSpec",
-    "FailureReport",
-    "GridOutcome",
-    "RetryPolicy",
-    "SharedTraceHandle",
-    "TracePlane",
-    "default_workers",
-    "split_fast_keys",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "cache": [
+        "DEFAULT_CACHE_DIR", "SCHEMA_VERSION", "CacheStats",
+        "CacheVerifyReport", "ResultCache", "ensure_cache",
+    ],
+    "caching": ["CachingClient", "PlacementBatch", "hitmask_fingerprint"],
+    "fingerprint": [
+        "array_digest", "canonicalize", "digest", "experiment_fingerprint",
+        "trace_fingerprint", "workload_fingerprint",
+    ],
+    "grid": [
+        "ENGINE_FACTORIES", "NON_RETRYABLE", "PLACEMENTS", "PLANS",
+        "ClientConfig", "ExperimentFailure", "ExperimentMeta",
+        "ExperimentRunner", "ExperimentSpec", "FailureReport", "GridOutcome",
+        "RetryPolicy", "default_workers", "split_fast_keys",
+    ],
+    "shm": ["SharedTraceHandle", "TracePlane"],
+})

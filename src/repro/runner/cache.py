@@ -37,16 +37,13 @@ import hashlib
 import io
 import json
 import os
-import shutil
-import tempfile
-import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro import telemetry
-from repro.errors import CacheCorruptionError
+from repro.errors import CacheCorruptionError, ConfigurationError
 from repro.runner.fingerprint import array_digest, trace_fingerprint
 from repro.ycsb.client import RunResult
 from repro.ycsb.workload import Trace
@@ -61,11 +58,17 @@ DEFAULT_CACHE_DIR = ".mnemo-cache"
 
 _KINDS = ("results", "traces", "hitmasks", "verdicts")
 
-#: Errors ``np.load`` raises on truncated or mangled NPZ files.
-_NPZ_ERRORS = (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile)
+
+def _npz_errors() -> tuple:
+    """Errors ``np.load`` raises on truncated or mangled NPZ files."""
+    import zipfile  # np.load has imported it by the time this is asked
+
+    return (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile)
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
+    import tempfile  # file-tree writes only; a SQLite store never gets here
+
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -187,7 +190,7 @@ def decode_trace(data: bytes) -> "tuple[Trace | None, str | None]":
                 record_sizes=npz["record_sizes"],
             )
             checksum = str(npz["checksum"])
-    except _NPZ_ERRORS:
+    except _npz_errors():
         return None, "truncated or unparseable NPZ"
     if trace_fingerprint(trace) != checksum:
         return None, "checksum mismatch"
@@ -210,7 +213,7 @@ def decode_hitmask(data: bytes) -> "tuple[np.ndarray | None, str | None]":
         with np.load(io.BytesIO(data), allow_pickle=False) as npz:
             mask = npz["mask"]
             checksum = str(npz["checksum"])
-    except _NPZ_ERRORS:
+    except _npz_errors():
         return None, "truncated or unparseable NPZ"
     if array_digest(mask) != checksum:
         return None, "checksum mismatch"
@@ -566,6 +569,8 @@ class ResultCache:
         """Delete every cached entry; returns the number removed."""
         n = self.stats().total_entries
         if self.root.is_dir():
+            import shutil
+
             shutil.rmtree(self.root)
         return n
 
@@ -598,12 +603,18 @@ def ensure_cache(cache: "ResultCache | str | Path | None") -> ResultCache | None
     :class:`~repro.store.SQLiteStore`; anything else builds the v2
     file-tree cache.  The detection is what lets pool workers rebuild
     the coordinator's store from the bare path in the task payload.
+    A path that cannot be opened or created is a
+    :class:`~repro.errors.ConfigurationError` naming it.
     """
     if cache is None or isinstance(cache, ResultCache):
         return cache
     path = Path(cache)
     if is_sqlite_path(path):
-        from repro.store import SQLiteStore
+        from repro.store.store import SQLiteStore
 
         return SQLiteStore(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot open cache {path}: {exc}") from exc
     return ResultCache(path)

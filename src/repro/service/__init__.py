@@ -23,56 +23,18 @@
   crash-restart wrapper with exponential backoff and a restart budget.
 """
 
-from repro.service.advisor import ServedAdvisor
-from repro.service.client import (
-    ClientPolicy,
-    ServiceClient,
-    diagnose_unreachable,
-)
-from repro.service.requests import (
-    AuthRegistry,
-    Deadline,
-    RequestPlane,
-    token_digest,
-)
-from repro.service.serve import (
-    ADVICE_OPS,
-    DEFAULT_RUNDIR,
-    RELOADABLE_FIELDS,
-    GuardService,
-    ServeConfig,
-    control_call,
-    default_tick,
-    run_service,
-)
-from repro.service.signals import (
-    TERMINATION_SIGNALS,
-    TerminationSignal,
-    handle_termination,
-)
-from repro.service.supervisor import STOP_GRACE_S, RestartPolicy, Supervisor
+from repro._lazy import attach
 
-__all__ = [
-    "ADVICE_OPS",
-    "AuthRegistry",
-    "ClientPolicy",
-    "DEFAULT_RUNDIR",
-    "Deadline",
-    "GuardService",
-    "RELOADABLE_FIELDS",
-    "RequestPlane",
-    "RestartPolicy",
-    "STOP_GRACE_S",
-    "ServeConfig",
-    "ServedAdvisor",
-    "ServiceClient",
-    "Supervisor",
-    "TERMINATION_SIGNALS",
-    "TerminationSignal",
-    "control_call",
-    "default_tick",
-    "diagnose_unreachable",
-    "handle_termination",
-    "run_service",
-    "token_digest",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "advisor": ["ServedAdvisor"],
+    "client": ["ClientPolicy", "ServiceClient", "diagnose_unreachable"],
+    "requests": ["AuthRegistry", "Deadline", "RequestPlane", "token_digest"],
+    "serve": [
+        "ADVICE_OPS", "DEFAULT_RUNDIR", "RELOADABLE_FIELDS", "GuardService",
+        "ServeConfig", "control_call", "default_tick", "run_service",
+    ],
+    "signals": [
+        "TERMINATION_SIGNALS", "TerminationSignal", "handle_termination",
+    ],
+    "supervisor": ["STOP_GRACE_S", "RestartPolicy", "Supervisor"],
+})

@@ -83,7 +83,9 @@ class ServedAdvisor:
 
     @staticmethod
     def _engine_table() -> dict:
-        from repro.kvstore import DynamoLike, MemcachedLike, RedisLike
+        from repro.kvstore.dynamolike import DynamoLike
+        from repro.kvstore.memcachedlike import MemcachedLike
+        from repro.kvstore.redislike import RedisLike
 
         return {
             "redis": RedisLike,
@@ -100,7 +102,9 @@ class ServedAdvisor:
 
     def _build_trace(self, workload: str):
         """The CLI's planning-trace path: generate, then downsample."""
-        from repro.ycsb import downsample, generate_trace, workload_by_name
+        from repro.ycsb.generator import generate_trace
+        from repro.ycsb.presets import workload_by_name
+        from repro.ycsb.sampling import downsample
 
         trace = generate_trace(workload_by_name(workload))
         if self.config.downsample and self.config.downsample > 1:
@@ -111,8 +115,8 @@ class ServedAdvisor:
 
     def _build_mnemo(self, engine: str):
         """One advisor stack with the daemon's measurement settings."""
-        from repro.core import Mnemo
-        from repro.ycsb import YCSBClient
+        from repro.core.mnemo import Mnemo
+        from repro.ycsb.client import YCSBClient
 
         if engine not in self._engines:
             raise ConfigurationError(
@@ -134,8 +138,8 @@ class ServedAdvisor:
         tick or advice request pays for the profile, every later one
         reads the memo (or, across restarts, the shared store cache).
         """
-        from repro.core import WorkloadDescriptor
-        from repro.guard import ErrorBudget
+        from repro.core.descriptor import WorkloadDescriptor
+        from repro.guard.validator import ErrorBudget
 
         with self._load_lock:
             if self._report is not None:
@@ -231,7 +235,7 @@ class ServedAdvisor:
             return report
         if deadline is not None:
             deadline.check(CHECKPOINT_TRACE)
-        from repro.core import WorkloadDescriptor
+        from repro.core.descriptor import WorkloadDescriptor
 
         trace = self._build_trace(workload)
         descriptor = WorkloadDescriptor.from_trace(trace)
@@ -252,7 +256,7 @@ class ServedAdvisor:
         ``budget_pct`` tightens/loosens both error-budget axes.
         """
         from repro.core.slo import choice_at
-        from repro.guard import ErrorBudget
+        from repro.guard.validator import ErrorBudget
 
         self.ensure_loaded(deadline)
         if budget_pct is not None and budget_pct <= 0:
@@ -292,7 +296,7 @@ class ServedAdvisor:
         """Score a live key-stream sample for drift (the ``drift`` op)."""
         import numpy as np
 
-        from repro.guard import DriftDetector
+        from repro.guard.drift import DriftDetector
 
         self.ensure_loaded(deadline)
         try:

@@ -674,7 +674,7 @@ class GuardService:
         """
         Path(self.config.rundir).mkdir(parents=True, exist_ok=True)
         if self.store is None and self.config.store is not None:
-            from repro.store import SQLiteStore
+            from repro.store.store import SQLiteStore
             self.store = SQLiteStore(self.config.store)
         if self.store is not None:
             self._auth = AuthRegistry.replay(

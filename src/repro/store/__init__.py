@@ -17,34 +17,16 @@ The pipeline's durability layer (``docs/STORE.md``):
   from a v2 file tree (``mnemo cache migrate``).
 """
 
-from repro.store.db import DEFAULT_BUSY_TIMEOUT_MS, Database
-from repro.store.journal import SweepJournal
-from repro.store.migrate import MigrationReport, migrate_cache
-from repro.store.oplog import (
-    KIND_CONFIG_RELOADED,
-    KIND_REQUEST_SERVED,
-    KIND_TOKEN_REGISTERED,
-    KIND_TOKEN_REVOKED,
-    SERVICE_REQUEST_KINDS,
-    Oplog,
-    OplogEntry,
-)
-from repro.store.store import DEFAULT_STORE_PATH, SQLiteStore, ensure_store
+from repro._lazy import attach
 
-__all__ = [
-    "DEFAULT_BUSY_TIMEOUT_MS",
-    "DEFAULT_STORE_PATH",
-    "Database",
-    "KIND_CONFIG_RELOADED",
-    "KIND_REQUEST_SERVED",
-    "KIND_TOKEN_REGISTERED",
-    "KIND_TOKEN_REVOKED",
-    "MigrationReport",
-    "Oplog",
-    "OplogEntry",
-    "SERVICE_REQUEST_KINDS",
-    "SQLiteStore",
-    "SweepJournal",
-    "ensure_store",
-    "migrate_cache",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "db": ["DEFAULT_BUSY_TIMEOUT_MS", "Database"],
+    "journal": ["SweepJournal"],
+    "migrate": ["MigrationReport", "migrate_cache"],
+    "oplog": [
+        "KIND_CONFIG_RELOADED", "KIND_REQUEST_SERVED",
+        "KIND_TOKEN_REGISTERED", "KIND_TOKEN_REVOKED",
+        "SERVICE_REQUEST_KINDS", "Oplog", "OplogEntry",
+    ],
+    "store": ["DEFAULT_STORE_PATH", "SQLiteStore", "ensure_store"],
+})

@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 
 from repro import telemetry
-from repro.errors import StoreError
+from repro.errors import ConfigurationError, StoreError
 from repro.rng import derive_seed
 
 #: Default SQLite busy timeout (milliseconds) before a lock attempt
@@ -43,7 +43,7 @@ DEFAULT_BUSY_TIMEOUT_MS = 5_000
 _LOCKED_MARKERS = ("database is locked", "database is busy")
 
 
-def _is_locked(exc: sqlite3.OperationalError) -> bool:
+def _is_locked(exc: sqlite3.Error) -> bool:
     msg = str(exc).lower()
     return any(marker in msg for marker in _LOCKED_MARKERS)
 
@@ -81,7 +81,12 @@ class Database:
         self.backoff_factor = float(backoff_factor)
         self._local = threading.local()
         if self.path.parent and not self.path.parent.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigurationError(
+                    f"cannot open store {self.path}: {exc}"
+                ) from exc
 
     # -- connections ----------------------------------------------------------
 
@@ -95,10 +100,19 @@ class Database:
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open store {self.path}: {exc}") from exc
         conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute(f"PRAGMA busy_timeout={self.busy_timeout_ms}")
-        conn.execute("PRAGMA foreign_keys=ON")
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute(f"PRAGMA busy_timeout={self.busy_timeout_ms}")
+            conn.execute("PRAGMA foreign_keys=ON")
+        except sqlite3.DatabaseError as exc:
+            conn.close()
+            if _is_locked(exc):
+                raise
+            # the first statement to read the file: it is not a database
+            raise ConfigurationError(
+                f"cannot open store {self.path}: {exc}"
+            ) from exc
         return conn
 
     def connection(self) -> sqlite3.Connection:

@@ -40,25 +40,31 @@ from __future__ import annotations
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.telemetry.events import (
-    EVENT_SCHEMA_VERSION,
-    read_jsonl,
-    validate_record,
-    write_jsonl,
-)
-from repro.telemetry.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.session import (
-    TelemetrySession,
-    TelemetrySnapshot,
-    WorkerTelemetry,
-)
-from repro.telemetry.spans import NULL_SPAN, SpanRecord, Tracer, build_tree
+from repro._lazy import attach
+
+# eager on purpose: the submodule shares its name with the ``session()``
+# context manager below, and a first import of it after that ``def``
+# would rebind ``repro.telemetry.session`` to the module
+from repro.telemetry.session import TelemetrySession
+from repro.telemetry.spans import NULL_SPAN
+
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "events": [
+        "EVENT_SCHEMA_VERSION", "read_jsonl", "validate_record",
+        "write_jsonl",
+    ],
+    "metrics": [
+        "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram",
+        "MetricsRegistry",
+    ],
+    "session": ["TelemetrySession", "TelemetrySnapshot", "WorkerTelemetry"],
+    "spans": ["NULL_SPAN", "SpanRecord", "Tracer", "build_tree"],
+})
+__all__ += [
+    "absorb", "activate", "activate_worker", "count", "deactivate",
+    "drain_worker", "enabled", "event", "gauge", "get", "observe",
+    "session", "span", "worker_config",
+]
 
 #: The process-wide active session (None = telemetry disabled).
 _ACTIVE: TelemetrySession | None = None
@@ -172,37 +178,3 @@ def absorb(snapshot: TelemetrySnapshot | None) -> None:
     """Fold a worker snapshot into the active session (no-op otherwise)."""
     if _ACTIVE is not None and snapshot is not None:
         _ACTIVE.absorb(snapshot)
-
-
-__all__ = [
-    "EVENT_SCHEMA_VERSION",
-    "DEFAULT_BUCKETS",
-    "NULL_SPAN",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "SpanRecord",
-    "TelemetrySession",
-    "TelemetrySnapshot",
-    "Tracer",
-    "WorkerTelemetry",
-    "absorb",
-    "activate",
-    "activate_worker",
-    "build_tree",
-    "count",
-    "deactivate",
-    "drain_worker",
-    "enabled",
-    "event",
-    "gauge",
-    "get",
-    "observe",
-    "read_jsonl",
-    "session",
-    "span",
-    "validate_record",
-    "worker_config",
-    "write_jsonl",
-]

@@ -15,48 +15,20 @@ uses (Section II, "Client Configuration" / "Workloads"):
   (:mod:`~repro.ycsb.sampling`).
 """
 
-from repro.ycsb.adapters import from_requests, load_keyed_csv
-from repro.ycsb.client import RunResult, YCSBClient
-from repro.ycsb.distributions import (
-    DistributionSpec,
-    key_probabilities,
-    sample_keys,
-)
-from repro.ycsb.generator import generate_trace
-from repro.ycsb.presets import TABLE_III_WORKLOADS, workload_by_name
-from repro.ycsb.sampling import downsample
-from repro.ycsb.sizes import SIZE_MODELS, SizeModel, record_sizes
-from repro.ycsb.synthesis import TraceCharacterisation, fit_trace, synthesize
-from repro.ycsb.trace_io import (
-    load_trace_csv,
-    load_trace_npz,
-    save_trace_csv,
-    save_trace_npz,
-)
-from repro.ycsb.workload import Trace, WorkloadSpec
+from repro._lazy import attach
 
-__all__ = [
-    "DistributionSpec",
-    "key_probabilities",
-    "sample_keys",
-    "SizeModel",
-    "SIZE_MODELS",
-    "record_sizes",
-    "WorkloadSpec",
-    "Trace",
-    "generate_trace",
-    "TABLE_III_WORKLOADS",
-    "workload_by_name",
-    "YCSBClient",
-    "RunResult",
-    "downsample",
-    "save_trace_csv",
-    "load_trace_csv",
-    "save_trace_npz",
-    "load_trace_npz",
-    "fit_trace",
-    "synthesize",
-    "TraceCharacterisation",
-    "from_requests",
-    "load_keyed_csv",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "adapters": ["from_requests", "load_keyed_csv"],
+    "client": ["RunResult", "YCSBClient"],
+    "distributions": ["DistributionSpec", "key_probabilities", "sample_keys"],
+    "generator": ["generate_trace"],
+    "presets": ["TABLE_III_WORKLOADS", "workload_by_name"],
+    "sampling": ["downsample"],
+    "sizes": ["SIZE_MODELS", "SizeModel", "record_sizes"],
+    "synthesis": ["TraceCharacterisation", "fit_trace", "synthesize"],
+    "trace_io": [
+        "load_trace_csv", "load_trace_npz", "save_trace_csv",
+        "save_trace_npz",
+    ],
+    "workload": ["Trace", "WorkloadSpec"],
+})

@@ -17,17 +17,12 @@ non-retryable instead of burning retry attempts on them.
 from __future__ import annotations
 
 import csv
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import WorkloadError
 from repro.ycsb.workload import Trace
-
-#: Errors ``np.load`` raises on truncated or mangled NPZ archives.
-_NPZ_ERRORS = (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile)
-
 
 def save_trace_csv(trace: Trace, directory: str | Path) -> tuple[Path, Path]:
     """Write ``<name>.requests.csv`` and ``<name>.dataset.csv``.
@@ -162,6 +157,8 @@ def load_trace_npz(path: str | Path) -> Trace:
     Raises :class:`~repro.errors.WorkloadError` when the archive is
     missing, truncated, missing arrays, or fails its checksum.
     """
+    import zipfile  # np.load needs it for any archive; nothing else here does
+
     from repro.runner.fingerprint import trace_fingerprint
 
     path = Path(path)
@@ -182,7 +179,8 @@ def load_trace_npz(path: str | Path) -> Trace:
                 record_sizes=npz["record_sizes"],
             )
             stored = str(npz["checksum"]) if "checksum" in npz else None
-    except _NPZ_ERRORS as exc:
+    except (OSError, KeyError, ValueError, EOFError,
+            zipfile.BadZipFile) as exc:
         raise WorkloadError(
             f"{path}: truncated or unreadable trace archive ({exc})"
         ) from exc

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.runner.cache import (
     SCHEMA_VERSION,
     ResultCache,
@@ -144,3 +145,10 @@ class TestEnsureCache:
         assert ensure_cache(cache) is cache
         built = ensure_cache(tmp_path / "other")
         assert isinstance(built, ResultCache)
+
+    def test_uncreatable_directory_is_a_configuration_error(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("a file, not a directory")
+        for bad in (plain, plain / "sub"):
+            with pytest.raises(ConfigurationError, match=str(bad)):
+                ensure_cache(bad)

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import CacheCorruptionError, StoreError
+from repro.errors import CacheCorruptionError, ConfigurationError, StoreError
 from repro.faults import corrupt_store_rows
 from repro.runner.cache import (
     SCHEMA_VERSION,
@@ -258,6 +258,17 @@ class TestEnsure:
         built = ensure_cache(tmp_path / "x.db")
         assert isinstance(built, SQLiteStore)
         built.close()
+
+    def test_unopenable_store_path_is_a_configuration_error(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("a file, not a directory")
+        uncreatable = plain / "deep" / "x.db"
+        with pytest.raises(ConfigurationError, match=str(uncreatable)):
+            ensure_cache(uncreatable)
+        not_a_database = tmp_path / "notes.db"
+        not_a_database.write_text("forty bytes of text, not a SQLite header\n")
+        with pytest.raises(ConfigurationError, match="not a database"):
+            ensure_cache(not_a_database)
 
     def test_ensure_store_passthrough(self, store, tmp_path):
         assert ensure_store(None) is None

@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
 from repro.ycsb import generate_trace, save_trace_csv, workload_by_name
 
@@ -77,14 +83,15 @@ class TestProfile:
 class TestCompare:
     def test_compare_lists_engines(self, capsys, monkeypatch):
         # shrink the workload for test speed by monkeypatching the lookup
-        import repro.cli as cli_mod
+        # the CLI looks generate_trace up in its leaf module per call
+        import repro.ycsb.generator as generator_mod
 
-        original = cli_mod.generate_trace
+        original = generator_mod.generate_trace
 
         def small_generate(spec):
             return original(spec.scaled(n_keys=100, n_requests=1_000))
 
-        monkeypatch.setattr(cli_mod, "generate_trace", small_generate)
+        monkeypatch.setattr(generator_mod, "generate_trace", small_generate)
         rc = main(["compare", "--workload", "trending"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -104,14 +111,15 @@ class TestPricing:
 @pytest.fixture
 def small_workloads(monkeypatch):
     """Shrink built-in workloads so CLI runs finish in milliseconds."""
-    import repro.cli as cli_mod
+    # the CLI looks generate_trace up in its leaf module per call
+    import repro.ycsb.generator as generator_mod
 
-    original = cli_mod.generate_trace
+    original = generator_mod.generate_trace
 
     def small_generate(spec):
         return original(spec.scaled(n_keys=150, n_requests=2_000))
 
-    monkeypatch.setattr(cli_mod, "generate_trace", small_generate)
+    monkeypatch.setattr(generator_mod, "generate_trace", small_generate)
 
 
 class TestGuard:
@@ -230,3 +238,44 @@ class TestUsageErrors:
             ["sweep", "--engines", "sqlite"],
             "'sqlite'",
         )
+
+    @pytest.mark.parametrize("leaf", ["cache-dir", "store.db"])
+    def test_unopenable_cache_path_names_it(self, capsys, tmp_path, leaf):
+        plain = tmp_path / "plain"
+        plain.write_text("a file, not a directory")
+        self.assert_clean_usage_error(
+            capsys,
+            ["profile", "--workload", "trending", "--downsample", "20",
+             "--repeats", "1", "--cache-dir", str(plain / "sub" / leaf)],
+            str(plain / "sub" / leaf),
+        )
+
+    def test_unopenable_sweep_store_names_it(self, capsys, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("a file, not a directory")
+        self.assert_clean_usage_error(
+            capsys,
+            ["sweep", "--store", str(plain / "sub" / "x.db")],
+            str(plain / "sub" / "x.db"),
+        )
+
+
+class TestClosedStdout:
+    """A reader that went away ends the run quietly with 128 + SIGPIPE."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_broken_pipe_exits_141_without_traceback(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(repro.__file__).resolve().parent.parent
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "workloads"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(src),
+                     "PYTHONUNBUFFERED": unbuffered},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141

@@ -8,14 +8,15 @@ from repro.cli import main
 @pytest.fixture(autouse=True)
 def small_workloads(monkeypatch):
     """Shrink the built-in workloads so CLI tests stay fast."""
-    import repro.cli as cli_mod
+    # the CLI looks generate_trace up in its leaf module per call
+    import repro.ycsb.generator as generator_mod
 
-    original = cli_mod.generate_trace
+    original = generator_mod.generate_trace
 
     def small_generate(spec):
         return original(spec.scaled(n_keys=200, n_requests=4_000))
 
-    monkeypatch.setattr(cli_mod, "generate_trace", small_generate)
+    monkeypatch.setattr(generator_mod, "generate_trace", small_generate)
 
 
 class TestDriftCommand:

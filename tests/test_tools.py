@@ -1,4 +1,4 @@
-"""Tests for the results collation tool."""
+"""Tests for the scripts under ``tools/``."""
 
 import sys
 from pathlib import Path
@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import collect_results  # noqa: E402
+import import_report  # noqa: E402
 
 
 class TestCollect:
@@ -32,3 +33,26 @@ class TestCollect:
         assert collect_results.main(["prog", str(target)]) == 0
         assert target.exists()
         assert "fig1" in target.read_text()
+
+
+class TestImportReport:
+    def test_rolls_self_time_up_by_package(self):
+        text = import_report.render(
+            "pkg.cli", {"pkg": 1_000, "pkg.cli": 3_000, "numpy": 6_000},
+        )
+        assert "10.0 ms self time over 3 modules" in text
+        lines = text.splitlines()
+        assert lines.index("       6.0 ms  60.0%  numpy") \
+            < lines.index("       4.0 ms  40.0%  pkg")
+        assert "       3.0 ms  pkg.cli" in lines
+
+    def test_measures_a_fresh_interpreter(self, monkeypatch):
+        src = Path(__file__).resolve().parent.parent / "src"
+        monkeypatch.setenv("PYTHONPATH", str(src))
+        times = import_report.self_times_us("repro")
+        assert {"repro", "repro._lazy"} <= set(times)
+        assert not any(name.startswith("numpy") for name in times)
+
+    def test_unknown_module_exits_with_the_import_error(self):
+        with pytest.raises(SystemExit, match="no_such_module"):
+            import_report.self_times_us("no_such_module")
