@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test verify import-report chaos crash guard serve-drill bench bench-kernel bench-obs bench-serve bench-store bench-sweep bench-verbose examples results clean
+.PHONY: install test verify import-report chaos crash guard serve-drill bench bench-kernel bench-obs bench-perf bench-perf-selftest bench-serve bench-store bench-sweep bench-verbose examples results clean
 
 results: bench
 	$(PYTHON) tools/collect_results.py
@@ -87,6 +87,19 @@ bench-serve:
 bench-obs:
 	MNEMO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/bench_obs_overhead.py --benchmark-only -s
+
+# the repo's own benchmark (BENCHMARK.json, benchmarks/perf/README.md):
+# one workload for the driver's 20 s, last stdout line = the metrics;
+# W is any workload name, e.g. `make bench-perf W=cli_profile`
+W ?= sweep_cold
+SEED ?= 1
+bench-perf:
+	python3 benchmarks/perf/run.py --workload $(W) --seed $(SEED) \
+		--seconds 20 --trace 0
+
+# the harness's own tests (~4 s): contract line, layer table, probes
+bench-perf-selftest:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/perf -q
 
 bench-verbose:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

@@ -7,9 +7,9 @@ of few workloads, a warm pool — two ways on the *same* runner settings:
   task rebuilds a serial runner in the worker, re-reads the trace from
   the cache, builds a fresh deployment and measures through the
   per-deployment path;
-- ``plan="grouped"``: the planner batches each (workload, engine)
-  group into one task, workers attach the trace zero-copy from the
-  shared-memory plane and execute the whole batch through the batch
+- ``plan="grouped"``: the planner cuts each (workload, engine) group
+  into a batch per worker, workers attach the trace zero-copy from the
+  shared-memory plane and execute a whole batch through the batch
   kernel.
 
 Both runners are warmed first on a disjoint set of split fractions, so
@@ -126,7 +126,7 @@ def test_sweep_planner(benchmark):
              f"{r['n_specs']} pool tasks"),
             ("grouped", f"{r['grouped_s']:.2f}s",
              f"{r['speedup']:.1f}x, bit-identical, "
-             f"{r['n_workloads']} batches"),
+             f"{r['n_workloads']} groups"),
         ],
     ))
 

@@ -25,9 +25,12 @@ Pooled sweeps are *planned*, not scattered: specs sharing a (workload,
 engine) pair — one trace, one engine profile, one batch kernel — are
 dispatched as whole placement batches to workers, which execute them
 through the batch kernel (:class:`~repro.runner.caching.PlacementBatch`
-with the ``grouped_batch`` telemetry path label).  Traces travel once
-per sweep through a shared-memory plane (:mod:`repro.runner.shm`)
-instead of once per task through pickles or the disk cache, the worker
+with the ``grouped_batch`` telemetry path label), in batches small
+enough that every worker gets a share of every group.  Traces travel
+once per sweep through a shared-memory plane (:mod:`repro.runner.shm`)
+instead of once per task through pickles or the disk cache — each one
+published as its group's first batch is submitted, so the coordinator
+prepares the next trace while the workers compute on this one — the worker
 pool persists across retry rounds *and* across sweeps (the guard loop
 and repeated CLI sweeps stop paying pool spin-up), and per-spec failure
 attribution survives batching: worker replies are per-spec, and
@@ -54,7 +57,7 @@ import os
 import time
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -102,6 +105,9 @@ PLACEMENTS = ("fast", "slow", "split")
 #: on the pool path (the fast default); ``"grouped"`` forces it;
 #: ``"cell"`` restores one task per grid cell.
 PLANS = ("auto", "grouped", "cell")
+
+#: Traces a runner keeps decoded (:meth:`ExperimentRunner.trace_for`).
+TRACE_MEMO_SIZE = 8
 
 #: Errors that retrying cannot fix (bad inputs, not transient faults).
 NON_RETRYABLE = (ConfigurationError, WorkloadError)
@@ -384,6 +390,17 @@ def split_fast_keys(trace: Trace, fraction: float) -> np.ndarray:
     return order[within]
 
 
+def _shutdown_pool(pool, kill: bool = False) -> None:
+    """Shut *pool* down; *kill* terminates its workers instead of waiting."""
+    if kill:
+        for proc in getattr(pool, "_processes", {}).values():
+            try:
+                proc.terminate()
+            except OSError:  # pragma: no cover - already gone
+                pass
+    pool.shutdown(wait=not kill, cancel_futures=True)
+
+
 class _Resources:
     """Mutable holder of a runner's persistent pool and trace plane.
 
@@ -401,13 +418,7 @@ class _Resources:
     def release(self, kill: bool = False) -> None:
         pool, self.pool = self.pool, None
         if pool is not None:
-            if kill:
-                for proc in getattr(pool, "_processes", {}).values():
-                    try:
-                        proc.terminate()
-                    except OSError:  # pragma: no cover - already gone
-                        pass
-            pool.shutdown(wait=not kill, cancel_futures=True)
+            _shutdown_pool(pool, kill)
         plane, self.plane = self.plane, None
         if plane is not None:
             plane.close()
@@ -479,6 +490,7 @@ class ExperimentRunner:
         self._res = _Resources()
         self._pool_workers = 0
         self._shm_handles: dict[str, SharedTraceHandle] = {}
+        self._traces: "OrderedDict[str, Trace]" = OrderedDict()
         self._finalizer = weakref.finalize(self, _Resources.release, self._res)
 
     # -- persistent resources ----------------------------------------------------
@@ -521,15 +533,8 @@ class ExperimentRunner:
         """Drop the persistent pool (terminating its workers if *kill*)."""
         pool, self._res.pool = self._res.pool, None
         self._pool_workers = 0
-        if pool is None:
-            return
-        if kill:
-            for proc in getattr(pool, "_processes", {}).values():
-                try:
-                    proc.terminate()
-                except OSError:  # pragma: no cover - already gone
-                    pass
-        pool.shutdown(wait=not kill, cancel_futures=True)
+        if pool is not None:
+            _shutdown_pool(pool, kill)
 
     def _trace_plane(self) -> TracePlane:
         if self._res.plane is None:
@@ -549,14 +554,25 @@ class ExperimentRunner:
     # -- building blocks ---------------------------------------------------------
 
     def trace_for(self, workload: WorkloadSpec) -> Trace:
-        """Materialise a workload's trace, via the trace cache if present."""
-        if self.cache is None:
-            return generate_trace(workload)
+        """Materialise a workload's trace, via the trace cache if present.
+
+        The last :data:`TRACE_MEMO_SIZE` traces stay memoized on the
+        runner, so a sweep decodes (or generates) each workload's trace
+        once, not once per spec.
+        """
         fp = workload_fingerprint(workload)
-        trace = self.cache.get_trace(fp)
+        trace = self._traces.get(fp)
+        if trace is not None:
+            return trace
+        if self.cache is not None:
+            trace = self.cache.get_trace(fp)
         if trace is None:
             trace = generate_trace(workload)
-            self.cache.put_trace(fp, trace)
+            if self.cache is not None:
+                self.cache.put_trace(fp, trace)
+        self._traces[fp] = trace
+        while len(self._traces) > TRACE_MEMO_SIZE:
+            self._traces.popitem(last=False)
         return trace
 
     def deployment_for(
@@ -769,17 +785,8 @@ class ExperimentRunner:
             "runner.sweep", n_specs=n, workers=workers, pooled=use_pool,
             plan="grouped" if grouped else ("cell" if use_pool else "serial"),
         ):
-            handles = None
-            if grouped and use_shm:
-                handles = {}
-                try:
-                    for spec in specs:
-                        fp = workload_fingerprint(spec.workload)
-                        if fp not in handles:
-                            handles[fp] = self._publish_trace(spec.workload)
-                except Exception:  # shm unavailable: workers materialise
-                    handles = None
-                    telemetry.count("runner.shm", op="publish_failed")
+            # filled by _batch_payload as each group is first submitted
+            handles = {} if grouped and use_shm else None
             while pending:
                 if grouped:
                     failed, broke = self._grouped_round(
@@ -956,16 +963,19 @@ class ExperimentRunner:
 
     # -- grouped dispatch --------------------------------------------------------
 
-    def _plan_batches(self, specs, order, splits):
+    def _plan_batches(self, specs, order, splits, workers):
         """Group pending specs into placement batches.
 
         Specs sharing a (workload, engine) pair — one trace, one engine
         profile, one batch kernel — form a group, in first-appearance
-        order.  A group's current *split level* (from *splits*, bumped
-        by :meth:`_split_group` on unattributable batch failures)
-        divides it into ``2**level`` contiguous chunks, down to
-        singletons; the deterministic chunking is what makes failure
-        attribution converge.
+        order.  A group is divided into ``2**level`` contiguous chunks,
+        down to singletons.  The level starts at the smallest one whose
+        chunks are at most 1/*workers* of the group and 1/(2 x *workers*)
+        of the round — every worker gets a piece of every group and the
+        pool's queue has enough batches to balance — and
+        :meth:`_split_group` bumps it from there (via *splits*) on
+        unattributable batch failures; the deterministic chunking is
+        what makes failure attribution converge.
         """
         groups: "OrderedDict[tuple, list[int]]" = OrderedDict()
         for i in order:
@@ -973,7 +983,11 @@ class ExperimentRunner:
             groups.setdefault(key, []).append(i)
         batches: list[tuple[tuple, list[int]]] = []
         for key, members in groups.items():
-            chunks = 1 << splits.get(key, 0)
+            bound = -(-min(2 * len(members), len(order)) // (2 * workers))
+            chunks = 1
+            while -(-len(members) // chunks) > bound:
+                chunks *= 2
+            chunks <<= splits.get(key, 0)
             if chunks >= len(members):
                 batches.extend((key, [i]) for i in members)
             else:
@@ -994,8 +1008,27 @@ class ExperimentRunner:
         )
 
     def _batch_payload(self, specs, batch, handles):
+        """One batch's worker payload, publishing its trace on first use.
+
+        Publishing here, at submit time, rather than up front is what
+        overlaps the coordinator's trace work for group *k+1* with the
+        workers' compute on group *k*.  A workload whose publish fails
+        keeps ``None`` in *handles*: its batches (this round and later)
+        have their workers materialise the trace, other groups are
+        unaffected.
+        """
         key, members = batch
-        handle = None if handles is None else handles.get(key[0])
+        handle = None
+        if handles is not None:
+            if key[0] not in handles:
+                try:
+                    handles[key[0]] = self._publish_trace(
+                        specs[members[0]].workload
+                    )
+                except Exception:  # shm unavailable: workers materialise
+                    handles[key[0]] = None
+                    telemetry.count("runner.shm", op="publish_failed")
+            handle = handles[key[0]]
         root = None if self.cache is None else str(self.cache.root)
         return (
             tuple(specs[i] for i in members), handle, self.client_config,
@@ -1056,14 +1089,22 @@ class ExperimentRunner:
 
         failed = {}
         broke = False
-        batches = self._plan_batches(specs, order, splits)
+        batches = self._plan_batches(specs, order, splits, workers)
         pool = self._ensure_pool(workers)
-        futs = {
-            b: pool.submit(
-                _worker_run_batch, self._batch_payload(specs, batch, handles)
-            )
-            for b, batch in enumerate(batches)
-        }
+        futs = {}
+        try:
+            for b, batch in enumerate(batches):
+                futs[b] = pool.submit(
+                    _worker_run_batch,
+                    self._batch_payload(specs, batch, handles),
+                )
+        except BrokenProcessPool as exc:
+            # a worker died while later groups were still being published:
+            # the unsubmitted batches are lost like the in-flight ones
+            lost = Future()
+            lost.set_exception(exc)
+            for b in range(len(futs), len(batches)):
+                futs[b] = lost
         collected: set[int] = set()
         terminate = False
         try:
@@ -1175,13 +1216,7 @@ class ExperimentRunner:
         except Exception as exc:
             failed[i] = exc
         finally:
-            if kill:
-                for proc in getattr(pool, "_processes", {}).values():
-                    try:
-                        proc.terminate()
-                    except OSError:  # pragma: no cover - already gone
-                        pass
-            pool.shutdown(wait=not kill, cancel_futures=True)
+            _shutdown_pool(pool, kill)
         return failed
 
     @staticmethod
@@ -1302,10 +1337,6 @@ def _worker_run(payload) -> tuple[RunResult, ExperimentMeta]:
 #: interleave configurations within a worker's lifetime.
 _WORKER_RUNNERS: dict = {}
 
-#: Per-worker fallback trace memo (workload fingerprint -> trace) for
-#: batches arriving without an attachable shm segment.
-_WORKER_TRACES: "OrderedDict[str, Trace]" = OrderedDict()
-
 
 def _worker_runner(client_config, cache_root, system_factory):
     key = (client_config, cache_root, system_factory)
@@ -1327,23 +1358,12 @@ def _worker_runner(client_config, cache_root, system_factory):
     return runner
 
 
-def _worker_trace(runner, workload: WorkloadSpec) -> Trace:
-    fp = workload_fingerprint(workload)
-    trace = _WORKER_TRACES.get(fp)
-    if trace is None:
-        trace = runner.trace_for(workload)
-        _WORKER_TRACES[fp] = trace
-        while len(_WORKER_TRACES) > 8:
-            _WORKER_TRACES.popitem(last=False)
-    return trace
-
-
 def _worker_run_batch(payload):
     """Process-pool entry point for one placement batch.
 
     All specs in the batch share a trace (attached zero-copy from the
-    shared-memory plane when a handle is present, else materialised and
-    memoized per worker), an engine profile and one
+    shared-memory plane when a handle is present, else materialised by
+    the memoized runner's ``trace_for``), an engine profile and one
     :class:`~repro.runner.caching.PlacementBatch` — the worker-side half
     of the grouped sweep plan.
 
@@ -1371,7 +1391,7 @@ def _worker_run_batch(payload):
                 trace = None
                 telemetry.count("runner.shm", op="fallback")
         if trace is None:
-            trace = _worker_trace(runner, specs[0].workload)
+            trace = runner.trace_for(specs[0].workload)
         profile = profile_for(specs[0].engine)
         system = runner.system_factory()
         batch = PlacementBatch(

@@ -6,6 +6,8 @@ whole suite runs in seconds; the benchmarks exercise paper scale.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,23 @@ def small_spec() -> WorkloadSpec:
 def small_trace(small_spec):
     """The generated trace of ``small_spec``."""
     return generate_trace(small_spec)
+
+
+@pytest.fixture
+def savez_compressed_blob():
+    """The NPZ bytes the trace / hit-mask codecs wrote before PR 13.
+
+    Old stores hold blobs from ``np.savez_compressed`` (deflate 6); the
+    codecs must keep reading them.
+    """
+    def pack(**arrays) -> bytes:
+        buf = io.BytesIO()
+        np.savez_compressed(
+            buf, **{k: np.asarray(v) for k, v in arrays.items()}
+        )
+        return buf.getvalue()
+
+    return pack
 
 
 @pytest.fixture

@@ -7,8 +7,13 @@ failures to individual specs even when they arrive batched, and never
 leak a shared-memory segment — including on the failure paths.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from multiprocessing import shared_memory
 
 from repro import telemetry
@@ -22,9 +27,10 @@ from repro.runner import (
     RetryPolicy,
     TracePlane,
 )
+from repro.runner.fingerprint import workload_fingerprint
 from repro.runner.grid import _worker_run_batch
-from repro.runner.shm import attach_trace
-from repro.ycsb import generate_trace
+from repro.store import SweepJournal
+from repro.ycsb import TABLE_III_WORKLOADS, workload_by_name
 
 #: Retries that keep test wall-clock low.
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01)
@@ -34,6 +40,16 @@ def _runner(tmp_path, sub, **kwargs):
     kwargs.setdefault("client", ClientConfig(repeats=2, seed=7))
     kwargs.setdefault("retry", FAST_RETRY)
     return ExperimentRunner(cache=str(tmp_path / sub), **kwargs)
+
+
+def _metric_total(tel, name, **labels):
+    """Sum of a session's counter *name* over records matching *labels*."""
+    return sum(
+        rec["value"] for rec in tel.metrics.snapshot()
+        if rec["name"] == name and all(
+            rec["labels"].get(k) == v for k, v in labels.items()
+        )
+    )
 
 
 def _segment_exists(name: str) -> bool:
@@ -139,21 +155,113 @@ class TestPlanner:
     ):
         with _runner(tmp_path, "plan") as runner:
             batches = runner._plan_batches(
-                grid_specs, list(range(len(grid_specs))), {},
+                grid_specs, list(range(len(grid_specs))), {}, workers=1,
             )
             assert [m for _, m in batches] == [[0, 1, 2], [3, 4, 5]]
+
+    def test_groups_are_cut_so_every_worker_gets_a_share(self):
+        # the paper-scale shape: 5 workloads x 12 splits on 2 workers
+        specs = ExperimentRunner.grid(
+            list(TABLE_III_WORKLOADS),
+            placements=("split",),
+            fast_fractions=tuple(i / 13 for i in range(1, 13)),
+        )
+        batches = ExperimentRunner()._plan_batches(
+            specs, list(range(60)), {}, workers=2,
+        )
+        assert [m for _, m in batches] == [
+            list(range(s, s + 6)) for s in range(0, 60, 6)
+        ]
 
     def test_split_levels_chunk_deterministically(
         self, grid_specs, tmp_path,
     ):
         with _runner(tmp_path, "plan") as runner:
             order = list(range(len(grid_specs)))
-            level_0 = runner._plan_batches(grid_specs, order, {})
+            level_0 = runner._plan_batches(grid_specs, order, {}, workers=1)
             key = level_0[0][0]
-            level_1 = runner._plan_batches(grid_specs, order, {key: 1})
-            level_2 = runner._plan_batches(grid_specs, order, {key: 2})
+            level_1 = runner._plan_batches(
+                grid_specs, order, {key: 1}, workers=1,
+            )
+            level_2 = runner._plan_batches(
+                grid_specs, order, {key: 2}, workers=1,
+            )
         assert [m for _, m in level_1] == [[0, 1], [2], [3, 4, 5]]
         assert [m for _, m in level_2] == [[0], [1], [2], [3, 4, 5]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        group_of=st.lists(st.integers(0, 3), min_size=1, max_size=48),
+        workers=st.integers(1, 6),
+    )
+    def test_level_0_batches_partition_the_round_within_the_bound(
+        self, group_of, workers,
+    ):
+        # group_of[i] names the (workload, engine) group of pending spec
+        # i, so groups interleave arbitrarily in spec order
+        pairs = [
+            (workload_by_name(w), e)
+            for w in ("trending", "timeline") for e in ("redis", "memcached")
+        ]
+        specs = [
+            ExperimentSpec(
+                workload=pairs[g][0], engine=pairs[g][1],
+                placement="split", fast_fraction=i / 48,
+            )
+            for i, g in enumerate(group_of)
+        ]
+        order = list(range(len(specs)))
+        runner = ExperimentRunner()
+        splits: dict = {}
+        batches = runner._plan_batches(specs, order, splits, workers)
+
+        def ceil_div(a, b):
+            return -(-a // b)
+
+        members_of: dict = {}
+        for i, g in enumerate(group_of):
+            key = (workload_fingerprint(pairs[g][0]), pairs[g][1])
+            members_of.setdefault(key, []).append(i)
+        # groups in first-appearance order, each one's chunks adjacent,
+        # contiguous and in member order; every index exactly once
+        assert list(dict.fromkeys(k for k, _ in batches)) == list(members_of)
+        for key, members in members_of.items():
+            chunks = [m for k, m in batches if k == key]
+            assert sum(chunks, []) == members
+            size = len(chunks[0])
+            assert all(len(c) == size for c in chunks[:-1])
+            assert 1 <= len(chunks[-1]) <= size
+            # the bound: a share of the group for every worker, and at
+            # least 2 x workers batches in the round ...
+            bound = min(
+                ceil_div(len(members), workers),
+                ceil_div(len(order), 2 * workers),
+            )
+            assert size <= bound
+            # ... reached at the smallest level that respects it
+            level = next(
+                lv for lv in range(8)
+                if ceil_div(len(members), 1 << lv) == size
+            )
+            assert all(
+                ceil_div(len(members), 1 << lv) > bound
+                for lv in range(level)
+            )
+            # failure attribution halves from there down to singletons
+            for bumps in range(1, 8):
+                runner._split_group(specs, (key, chunks[0]), splits)
+                finer = [
+                    m for k, m in runner._plan_batches(
+                        specs, order, splits, workers,
+                    ) if k == key
+                ]
+                assert sum(finer, []) == members
+                widest = max(map(len, finer))
+                assert widest == ceil_div(len(members), 1 << (level + bumps))
+                if widest == 1:
+                    break
+            else:  # pragma: no cover - would mean no convergence
+                raise AssertionError("group never reached singletons")
 
     def test_bad_plan_rejected(self, tmp_path, grid_specs):
         with pytest.raises(ConfigurationError):
@@ -180,6 +288,141 @@ class TestPlanner:
         text = outcome.summary()
         assert "compute:" in text and "aggregate" in text
         assert "wall clock:" in text and "elapsed" in text
+
+
+class TestPipeline:
+    """Traces are published as their group is submitted, not up front."""
+
+    @staticmethod
+    def _record(runner, monkeypatch, fail=(), break_at=None):
+        """Log ``_publish_trace`` and pool ``submit`` calls in order.
+
+        Publishing any workload named in *fail* raises; the submit with
+        0-based index *break_at* finds the pool broken.
+        """
+        events = []
+        publish, submit = runner._publish_trace, ProcessPoolExecutor.submit
+
+        def recording_publish(workload):
+            events.append(("publish", workload.name))
+            if workload.name in fail:
+                raise OSError("no shared memory for you")
+            return publish(workload)
+
+        def recording_submit(pool, fn, *args, **kwargs):
+            events.append(("submit", args[0][0][0].workload.name))
+            if [k for k, _ in events].count("submit") - 1 == break_at:
+                raise BrokenProcessPool("a worker died mid-submit")
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "_publish_trace", recording_publish)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+        return events
+
+    def test_first_batch_submitted_before_last_trace_published(
+        self, grid_specs, reference, tmp_path, monkeypatch,
+    ):
+        with telemetry.session() as tel:
+            with _runner(tmp_path, "pipe") as runner:
+                events = self._record(runner, monkeypatch)
+                first = runner.sweep(grid_specs, workers=2)
+                n_first = len(events)
+                second = runner.sweep(grid_specs, workers=2)
+        assert first.results == second.results == reference.results
+        kinds = [kind for kind, _ in events[:n_first]]
+        last_publish = n_first - 1 - kinds[::-1].index("publish")
+        assert kinds.index("submit") < last_publish
+        # each group's publish sits right before its own first submit
+        assert events[:n_first] == [
+            ("publish", "small_hotspot"),
+            ("submit", "small_hotspot"), ("submit", "small_hotspot"),
+            ("publish", "small_mixed"),
+            ("submit", "small_mixed"), ("submit", "small_mixed"),
+        ]
+        # the warm runner reuses its segments: nothing is published again
+        assert _metric_total(tel, "runner.shm", op="publish") == 2
+        assert _metric_total(tel, "runner.shm", op="publish_failed") == 0
+
+    def test_failed_publish_degrades_only_its_group(
+        self, grid_specs, reference, tmp_path, monkeypatch,
+    ):
+        with telemetry.session() as tel:
+            with _runner(tmp_path, "nopub") as runner:
+                events = self._record(
+                    runner, monkeypatch, fail=("small_mixed",),
+                )
+                outcome = runner.sweep(grid_specs, workers=2)
+                assert len(runner._res.plane.segment_names) == 1
+        assert outcome.ok
+        assert outcome.results == reference.results
+        # tried once for the failing workload, though it has two batches
+        assert events.count(("publish", "small_mixed")) == 1
+        assert events.count(("submit", "small_mixed")) == 2
+        assert _metric_total(tel, "runner.shm", op="publish_failed") == 1
+        assert _metric_total(tel, "runner.shm", op="publish") == 1
+
+
+    def test_pool_breaking_between_submits_is_an_uncharged_retry(
+        self, grid_specs, reference, tmp_path, monkeypatch,
+    ):
+        # publishing stretches the submit loop out, so a worker can die
+        # with later batches not yet submitted: they are lost with the
+        # in-flight ones and retried, and nobody's budget is charged
+        retry = RetryPolicy(max_attempts=1, backoff_base_s=0.01)
+        with _runner(tmp_path, "midsubmit", retry=retry) as runner:
+            events = self._record(runner, monkeypatch, break_at=2)
+            outcome = runner.sweep(grid_specs, workers=2)
+        assert outcome.ok
+        assert outcome.results == reference.results
+        assert events.count(("publish", "small_mixed")) == 1
+
+
+class TestTraceMemo:
+    @staticmethod
+    def _count_get_trace(runner, monkeypatch):
+        calls = []
+        get_trace = runner.cache.get_trace
+
+        def recording_get_trace(fingerprint):
+            calls.append(fingerprint)
+            return get_trace(fingerprint)
+
+        monkeypatch.setattr(runner.cache, "get_trace", recording_get_trace)
+        return calls
+
+    def test_journaled_and_serial_sweeps_decode_once_per_workload(
+        self, grid_specs, reference, tmp_path, monkeypatch,
+    ):
+        wanted = sorted(
+            {workload_fingerprint(s.workload) for s in grid_specs}
+        )
+        db = str(tmp_path / "memo.db")
+        for journaled in (True, False):  # cold store, then warm store
+            runner = ExperimentRunner(
+                cache=db, client=ClientConfig(repeats=2, seed=7),
+            )
+            try:
+                calls = self._count_get_trace(runner, monkeypatch)
+                journal = (
+                    SweepJournal(runner.cache, "memo") if journaled else None
+                )
+                outcome = runner.sweep(grid_specs, journal=journal)
+            finally:
+                runner.close()
+                runner.cache.close()
+            assert outcome.results == reference.results
+            assert sorted(calls) == wanted
+
+    def test_memo_is_bounded(self, tmp_path):
+        from repro.runner.grid import TRACE_MEMO_SIZE
+
+        runner = ExperimentRunner()
+        base = workload_by_name("trending").scaled(64)
+        for seed in range(TRACE_MEMO_SIZE + 3):
+            runner.trace_for(base.with_seed(seed))
+        assert len(runner._traces) == TRACE_MEMO_SIZE
+        newest = base.with_seed(TRACE_MEMO_SIZE + 2)
+        assert runner.trace_for(newest) is runner.trace_for(newest)
 
 
 class TestGroupedChaos:
@@ -317,19 +560,10 @@ class TestPlannerTelemetry:
             with _runner(tmp_path, "tele") as runner:
                 outcome = runner.sweep(grid_specs, workers=2)
         assert outcome.ok
-
-        def total(name, **labels):
-            return sum(
-                rec["value"] for rec in tel.metrics.snapshot()
-                if rec["name"] == name and all(
-                    rec["labels"].get(k) == v for k, v in labels.items()
-                )
-            )
-
-        assert total("memsim.path", path="grouped_batch") >= 2
-        assert total("memsim.path", path="batch_kernel") == 0
-        assert total("runner.shm", op="publish") == 2
-        assert total("runner.shm", op="attach") >= 1
+        assert _metric_total(tel, "memsim.path", path="grouped_batch") >= 2
+        assert _metric_total(tel, "memsim.path", path="batch_kernel") == 0
+        assert _metric_total(tel, "runner.shm", op="publish") == 2
+        assert _metric_total(tel, "runner.shm", op="attach") >= 1
         sweeps = [
             s for s in tel.all_spans() if s.name == "runner.sweep"
         ]

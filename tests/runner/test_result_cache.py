@@ -9,8 +9,13 @@ from repro.errors import ConfigurationError
 from repro.runner.cache import (
     SCHEMA_VERSION,
     ResultCache,
+    decode_hitmask,
+    decode_trace,
+    encode_hitmask,
+    encode_trace,
     ensure_cache,
 )
+from repro.runner.fingerprint import array_digest, trace_fingerprint
 from repro.ycsb.client import RunResult
 from repro.ycsb.workload import Trace
 
@@ -57,6 +62,91 @@ class TestResults:
         path = cache.put_result("fp1", result)
         path.write_text("{not json")
         assert cache.get_result("fp1") is None
+
+
+def assert_traces_equal(got, want):
+    assert got.name == want.name
+    for field in ("keys", "is_read", "record_sizes"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestNpzCodec:
+    """The deflate-1 writer changes bytes on disk, never what is read."""
+
+    def test_savez_compressed_trace_blob_still_decodes(
+        self, cache, small_trace, savez_compressed_blob,
+    ):
+        old = savez_compressed_blob(
+            name=small_trace.name, keys=small_trace.keys,
+            is_read=small_trace.is_read,
+            record_sizes=small_trace.record_sizes,
+            checksum=trace_fingerprint(small_trace),
+        )
+        assert old != encode_trace(small_trace)
+        got, reason = decode_trace(old)
+        assert reason is None
+        assert_traces_equal(got, small_trace)
+        # ... and as an entry an older build left in the cache directory
+        cache.put_trace("t1", small_trace)
+        cache._path("traces", "t1", ".npz").write_bytes(old)
+        assert_traces_equal(cache.get_trace("t1"), small_trace)
+
+    def test_savez_compressed_hitmask_blob_still_decodes(
+        self, savez_compressed_blob,
+    ):
+        mask = np.random.default_rng(3).random(5_000) < 0.3
+        old = savez_compressed_blob(mask=mask, checksum=array_digest(mask))
+        got, reason = decode_hitmask(old)
+        assert reason is None
+        assert got.dtype == np.bool_ and np.array_equal(got, mask)
+
+    def test_new_blobs_decode_to_what_the_old_ones_did(self, small_trace):
+        got, reason = decode_trace(encode_trace(small_trace))
+        assert reason is None
+        assert_traces_equal(got, small_trace)
+        assert trace_fingerprint(got) == trace_fingerprint(small_trace)
+        mask = np.random.default_rng(3).random(5_000) < 0.3
+        got, reason = decode_hitmask(encode_hitmask(mask))
+        assert reason is None
+        assert got.dtype == np.bool_ and np.array_equal(got, mask)
+
+    @pytest.mark.parametrize("kind", ["trace", "hitmask"])
+    def test_any_flipped_byte_is_corruption_or_harmless(
+        self, kind, small_trace,
+    ):
+        # never an exception, never a different value: a flip either
+        # fails the parse / CRC / checksum or sits in zip metadata
+        # nothing reads
+        if kind == "trace":
+            value, encode, decode = small_trace, encode_trace, decode_trace
+            digest = trace_fingerprint
+        else:
+            value = np.random.default_rng(3).random(5_000) < 0.3
+            encode, decode = encode_hitmask, decode_hitmask
+            digest = array_digest
+        blob = encode(value)
+        reasons = set()
+        for pos in range(0, len(blob), 7):
+            bad = blob[:pos] + bytes([blob[pos] ^ 0xFF]) + blob[pos + 1:]
+            got, reason = decode(bad)
+            assert (got is None) != (reason is None)
+            assert got is None or digest(got) == digest(value)
+            reasons.add(reason)
+        assert "truncated or unparseable NPZ" in reasons
+
+    def test_flipped_byte_in_cache_entry_is_quarantined(
+        self, cache, small_trace,
+    ):
+        path = cache.put_trace("t1", small_trace)
+        blob = path.read_bytes()
+        mid = len(blob) // 2
+        path.write_bytes(
+            blob[:mid] + bytes([blob[mid] ^ 0xFF]) + blob[mid + 1:]
+        )
+        assert cache.get_trace("t1") is None
+        assert cache.stats().quarantined["traces"] == 1
+        assert cache.stats().entries["traces"] == 0
 
 
 class TestTraces:

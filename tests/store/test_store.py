@@ -20,6 +20,7 @@ from repro.runner.cache import (
     ensure_cache,
     is_sqlite_path,
 )
+from repro.runner.fingerprint import array_digest, trace_fingerprint
 from repro.store import SQLiteStore, SweepJournal, ensure_store
 from repro.ycsb.client import RunResult
 
@@ -117,6 +118,42 @@ class TestCorruption:
         corrupt_store_rows(store, kinds=("traces",), mode="truncate")
         assert store.get_trace("t1") is None
         assert store.stats().quarantined["traces"] == 1
+
+    def test_flipped_byte_in_trace_and_hitmask_blobs_quarantined(
+        self, store, small_trace,
+    ):
+        # the deflate-1 NPZ blobs keep the quarantine-and-miss contract
+        store.put_trace("t1", small_trace)
+        store.put_hitmask("h1", np.arange(4_000) % 3 == 0)
+        assert corrupt_store_rows(
+            store, kinds=("traces", "hitmasks"), mode="flip",
+        ) == ["t1", "h1"]
+        assert store.get_trace("t1") is None
+        assert store.get_hitmask("h1") is None
+        stats = store.stats()
+        assert stats.quarantined["traces"] == 1
+        assert stats.quarantined["hitmasks"] == 1
+        assert stats.entries["traces"] == stats.entries["hitmasks"] == 0
+
+    def test_rows_written_by_the_savez_compressed_codec_still_read(
+        self, store, small_trace, savez_compressed_blob,
+    ):
+        # a store file written before the codec had its own NPZ writer
+        mask = np.arange(4_000) % 3 == 0
+        store._put("traces", "t1", savez_compressed_blob(
+            name=small_trace.name, keys=small_trace.keys,
+            is_read=small_trace.is_read,
+            record_sizes=small_trace.record_sizes,
+            checksum=trace_fingerprint(small_trace),
+        ))
+        store._put("hitmasks", "h1", savez_compressed_blob(
+            mask=mask, checksum=array_digest(mask),
+        ))
+        got = store.get_trace("t1")
+        assert trace_fingerprint(got) == trace_fingerprint(small_trace)
+        assert got.name == small_trace.name
+        assert np.array_equal(store.get_hitmask("h1"), mask)
+        assert store.verify().ok
 
     def test_verify_reports_and_repairs(self, store, result):
         store.put_result("good", result)
