@@ -12,7 +12,9 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # the tier-1 gate: exactly what CI runs (tests + planner speedup smoke
-# + the kill -9 drills)
+# + the kill -9 drills); leaves `git status` clean — smoke benchmarks
+# write benchmarks/out/ only, a full-mode run (`make bench`, or a gate
+# without MNEMO_BENCH_SMOKE) is what refreshes a root BENCH_*.json
 verify:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(MAKE) bench-sweep
@@ -57,33 +59,36 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # kernel speedup smoke: downsized sweep, fails below the speedup floor
-# and outside the analytic error envelope; refreshes BENCH_kernel.json
+# and outside the analytic error envelope (smoke runs never touch the
+# committed BENCH_kernel.json; only a full-mode run refreshes it)
 bench-kernel:
 	MNEMO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/bench_kernel_speedup.py --benchmark-only -s
 
 # sweep planner smoke: grouped dispatch vs per-cell pool tasks on a
 # warm pool; fails below the speedup floor or on any bitwise
-# divergence; refreshes BENCH_sweep.json
+# divergence (BENCH_sweep.json: full-mode runs only)
 bench-sweep:
 	MNEMO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/bench_sweep_planner.py --benchmark-only -s
 
 # store overhead smoke: warm reads from the SQLite store vs the file
-# cache must stay within the committed ratio; refreshes BENCH_store.json
+# cache must stay within the committed ratio (BENCH_store.json:
+# full-mode runs only)
 bench-store:
 	MNEMO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/bench_store.py --benchmark-only -s
 
 # request-plane smoke: warm `size` p50/p99 over the socket and the
 # shed rate under flood; fails over the p99 ceiling or on any
-# transport failure; refreshes BENCH_serve.json
+# transport failure (BENCH_serve.json: full-mode runs only)
 bench-serve:
 	MNEMO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/bench_serve.py --benchmark-only -s
 
 # telemetry overhead smoke: sweeps with a session on vs off must be
-# bit-identical and within the ceiling; refreshes BENCH_obs.json
+# bit-identical and within the ceiling (BENCH_obs.json: full-mode runs
+# only)
 bench-obs:
 	MNEMO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/bench_obs_overhead.py --benchmark-only -s

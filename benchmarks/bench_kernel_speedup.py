@@ -17,12 +17,12 @@ being hidden under raw timing work shared by both paths.
 
 Batch results must be *bit-identical* to the legacy path; the analytic
 path must stay inside the 5% runtime envelope on every Table III
-preset.  Wall-clocks are best-of-N and the summary JSON is written both
-to ``benchmarks/out/`` and to ``BENCH_kernel.json`` at the repo root,
-where the committed copy records the speedup floor ``make bench-kernel``
-enforces.  ``MNEMO_BENCH_SMOKE=1`` shrinks the sweep for the smoke
-target; the floor scales down with it (the relative overhead shrinks
-with the trace, and single-core CI boxes are noisy).
+preset.  Wall-clocks are best-of-N and the summary JSON is written
+to ``benchmarks/out/`` and — full mode only — to ``BENCH_kernel.json``
+at the repo root, where the committed copy records the speedup floor
+``make bench-kernel`` enforces.  ``MNEMO_BENCH_SMOKE=1`` shrinks the
+sweep for the smoke target; the floor scales down with it (the relative
+overhead shrinks with the trace, and single-core CI boxes are noisy).
 
 The mixed-size vectorized LRU is timed in the regime its capacity-fit
 gate engages in (working set fits the cache, no evictions) and gated at
@@ -32,14 +32,13 @@ An eviction-regime parity point (both sides on the dict replay) is
 recorded alongside to document the gate's cost when it says no.
 """
 
-import json
 import os
 import time
 from pathlib import Path
 
 import numpy as np
 
-from common import OUT_DIR, emit, table
+from common import emit, table, write_summary
 
 import repro.memsim.cache as cache_mod
 from repro.kvstore.redislike import RedisLike
@@ -242,10 +241,7 @@ def test_kernel_speedup(benchmark):
     r = benchmark.pedantic(run, rounds=1, iterations=1)
     b, a, m = r["batch_kernel"], r["analytic"], r["mixed_size_lru"]
 
-    payload = json.dumps(r, indent=2)
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "kernel_speedup.json").write_text(payload)
-    RESULT_PATH.write_text(payload + "\n")
+    write_summary("kernel_speedup", r, RESULT_PATH)
 
     emit("kernel_speedup", table(
         ["path", "wall-clock", "notes"],
@@ -263,7 +259,10 @@ def test_kernel_speedup(benchmark):
              f"{m['speedup']:.1f}x vs sequential"),
         ],
         fmt="{:>18}",
-    ) + [f"summary JSON at BENCH_kernel.json (mode={r['mode']})"])
+    ) + [
+        f"summary JSON at benchmarks/out/kernel_speedup.json "
+        f"(mode={r['mode']})"
+    ])
 
     assert b["speedup"] >= SPEEDUP_FLOOR, (
         f"batch kernel speedup {b['speedup']}x fell below the "

@@ -16,13 +16,13 @@ are bit-identical both ways, and gates the relative overhead against
 ``OVERHEAD_CEILING``.  The disabled-hook cost is recorded too (ns per
 call) but not gated — it is a constant-time guard clause.
 
-Wall-clocks are best-of-N and the summary JSON is written both to
-``benchmarks/out/`` and to ``BENCH_obs.json`` at the repo root, where
-the committed copy records the ceiling ``make bench-obs`` enforces.
-``MNEMO_BENCH_SMOKE=1`` shrinks the sweeps for the smoke target.
+Wall-clocks are best-of-N and the summary JSON is written to
+``benchmarks/out/`` and — full mode only — to ``BENCH_obs.json`` at the
+repo root, where the committed copy records the ceiling ``make
+bench-obs`` enforces.  ``MNEMO_BENCH_SMOKE=1`` shrinks the sweeps for
+the smoke target.
 """
 
-import json
 import os
 import tempfile
 import time
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from common import OUT_DIR, emit, table
+from common import emit, table, write_summary
 
 from repro import telemetry
 from repro.kvstore.redislike import RedisLike
@@ -174,10 +174,7 @@ def test_obs_overhead(benchmark):
     r = benchmark.pedantic(run, rounds=1, iterations=1)
     b, rs, d = r["batch_sweep"], r["runner_sweep"], r["disabled_hook"]
 
-    payload = json.dumps(r, indent=2)
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "obs_overhead.json").write_text(payload)
-    RESULT_PATH.write_text(payload + "\n")
+    write_summary("obs_overhead", r, RESULT_PATH)
 
     emit("obs_overhead", table(
         ["sweep", "telemetry off", "telemetry on", "overhead"],
@@ -190,7 +187,7 @@ def test_obs_overhead(benchmark):
         fmt="{:>14}",
     ) + [
         f"disabled hook: {d['ns_per_call']:.0f} ns/call",
-        f"summary JSON at BENCH_obs.json (mode={r['mode']})",
+        f"summary JSON at benchmarks/out/obs_overhead.json (mode={r['mode']})",
     ])
 
     assert r["worst_overhead"] <= OVERHEAD_CEILING, (

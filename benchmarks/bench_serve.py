@@ -11,18 +11,17 @@ Two measurements against live daemons on real unix sockets:
   request plane must answer or shed *every* request with structured
   errors (zero transport failures) while still serving some.
 
-The summary JSON lands in ``benchmarks/out/`` and at
-``BENCH_serve.json`` in the repo root.  ``MNEMO_BENCH_SMOKE=1`` shrinks
-the request train for the ``make bench-serve`` smoke target.
+The summary JSON lands in ``benchmarks/out/`` and — full mode only —
+at ``BENCH_serve.json`` in the repo root.  ``MNEMO_BENCH_SMOKE=1``
+shrinks the request train for the ``make bench-serve`` smoke target.
 """
 
-import json
 import os
 import threading
 import time
 from pathlib import Path
 
-from common import OUT_DIR, emit, table
+from common import emit, table, write_summary
 
 from repro.faults import request_flood
 from repro.service import GuardService, ServeConfig, control_call
@@ -149,10 +148,7 @@ def run():
 def test_serve_latency_and_shedding(benchmark):
     r = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    payload = json.dumps(r, indent=2)
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "serve.json").write_text(payload)
-    RESULT_PATH.write_text(payload + "\n")
+    write_summary("serve", r, RESULT_PATH)
 
     warm, flood = r["warm_size"], r["flood"]
     emit("serve", table(
@@ -168,7 +164,7 @@ def test_serve_latency_and_shedding(benchmark):
         fmt="{:>12}",
     ) + [
         f"p99 ceiling: {P99_CEILING_S * 1e3:.0f}ms",
-        f"summary JSON at BENCH_serve.json (mode={r['mode']})",
+        f"summary JSON at benchmarks/out/serve.json (mode={r['mode']})",
     ])
 
     assert warm["p99_s"] <= P99_CEILING_S, (

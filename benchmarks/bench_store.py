@@ -13,17 +13,17 @@ and dominated by measurement time.
 
 Wall-clocks are best-of-N with read rounds interleaved between the
 backends (same machine-drift exposure), and the summary JSON lands in
-``benchmarks/out/`` and at ``BENCH_store.json`` in the repo root.
-``MNEMO_BENCH_SMOKE=1`` shrinks the corpus for the smoke target.
+``benchmarks/out/`` and — full mode only — at ``BENCH_store.json`` in
+the repo root.  ``MNEMO_BENCH_SMOKE=1`` shrinks the corpus for the
+smoke target.
 """
 
-import json
 import os
 import tempfile
 import time
 from pathlib import Path
 
-from common import OUT_DIR, emit, table
+from common import emit, table, write_summary
 
 from repro.runner.cache import ResultCache
 from repro.store import SQLiteStore
@@ -128,10 +128,7 @@ def run():
 def test_store_read_overhead(benchmark):
     r = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    payload = json.dumps(r, indent=2)
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "store.json").write_text(payload)
-    RESULT_PATH.write_text(payload + "\n")
+    write_summary("store", r, RESULT_PATH)
 
     w, rd = r["write_s"], r["warm_read_s"]
     emit("store", table(
@@ -147,7 +144,7 @@ def test_store_read_overhead(benchmark):
         f"warm-read ratio: {r['warm_read_ratio']:.2f}x "
         f"(ceiling {READ_RATIO_CEILING:.1f}x)",
         f"cold sqlite read sweep: {r['cold_read_sqlite_s']:.3f}s",
-        f"summary JSON at BENCH_store.json (mode={r['mode']})",
+        f"summary JSON at benchmarks/out/store.json (mode={r['mode']})",
     ])
 
     assert r["warm_read_ratio"] <= READ_RATIO_CEILING, (

@@ -18,14 +18,14 @@ published/cached — the timed sweeps then measure steady-state dispatch,
 not cold-start costs, and every timed result is computed fresh (cache
 misses on both sides).  Results must be *bit-identical* across plans.
 
-The summary JSON lands in ``benchmarks/out/`` and at the repo root as
-``BENCH_sweep.json``, whose committed copy records the speedup floor
-``make bench-sweep`` enforces.  ``MNEMO_BENCH_SMOKE=1`` shrinks the
-sweep (fewer/downscaled workloads, fewer splits) for the smoke target
-wired into ``make verify``; the floor scales down accordingly.
+The summary JSON lands in ``benchmarks/out/`` and — full mode only —
+at the repo root as ``BENCH_sweep.json``, whose committed copy records
+the speedup floor ``make bench-sweep`` enforces.
+``MNEMO_BENCH_SMOKE=1`` shrinks the sweep (fewer/downscaled workloads,
+fewer splits) for the smoke target wired into ``make verify``; the
+floor scales down accordingly.
 """
 
-import json
 import os
 import shutil
 import time
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from common import OUT_DIR, emit, table
+from common import OUT_DIR, emit, table, write_summary
 
 from repro.runner import ClientConfig, ExperimentRunner
 from repro.ycsb.presets import TABLE_III_WORKLOADS
@@ -114,10 +114,7 @@ def run():
 def test_sweep_planner(benchmark):
     r = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    payload = json.dumps(r, indent=2)
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "sweep_planner.json").write_text(payload)
-    RESULT_PATH.write_text(payload + "\n")
+    write_summary("sweep_planner", r, RESULT_PATH)
 
     emit("sweep_planner", table(
         ["plan", "wall-clock", "notes"],

@@ -7,6 +7,7 @@ tables inline); the same text is also written to ``benchmarks/out/``.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,6 +34,22 @@ def emit(experiment_id: str, lines: Iterable[str]) -> str:
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / f"{experiment_id}.txt").write_text(text)
     return text
+
+
+def write_summary(stem: str, summary: dict, committed: Path) -> None:
+    """Persist a speed gate's summary JSON.
+
+    Every run writes ``benchmarks/out/<stem>.json``; only a full-mode
+    run refreshes *committed*, the ``BENCH_*.json`` at the repo root — a
+    smoke run (``MNEMO_BENCH_SMOKE=1``, what ``make verify`` and the
+    ``make bench-*`` targets do) checks its floors and leaves the
+    committed full-mode numbers alone.
+    """
+    payload = json.dumps(summary, indent=2)
+    OUT_DIR.mkdir(exist_ok=True)
+    (OUT_DIR / f"{stem}.json").write_text(payload)
+    if summary["mode"] == "full":
+        committed.write_text(payload + "\n")
 
 
 def table(headers: Sequence[str], rows: Iterable[Sequence[object]],

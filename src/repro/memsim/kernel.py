@@ -12,8 +12,9 @@ over noise repeats.
 placement-independent arrays (request sizes, passes, CPU costs, the LLC
 hit mask, the trace digest) are gathered **once**; each placement then
 costs only a fancy-indexed node-parameter gather, a fingerprint over the
-placement mask, and one vectorized (repeats x requests) timing pass.  No
-deployment objects are built at all.
+placement mask, and one row-at-a-time timing pass over a reusable
+buffer (:func:`measure_repeats`).  No deployment objects are built at
+all.
 
 Equivalence is exact, not approximate: the kernel derives each
 placement's noise streams from the same experiment fingerprint the
@@ -33,74 +34,120 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import WorkloadError
-from repro.memsim.timing import NoiseModel, service_times_ns
-from repro.rng import SeedLike, derive_seed, ensure_rng
+from repro.memsim.timing import service_times_ns
+from repro.rng import derive_seed, ensure_rng
 
 
-def realisation_matrix(
-    base_ns: np.ndarray,
-    noise: NoiseModel,
-    seed: SeedLike,
-    label: str,
-    repeats: int,
-    noise_scale: np.ndarray | None = None,
-) -> np.ndarray:
-    """(repeats x requests) noisy service times from one base-time pass.
+def _quantile_plan(n: int, percentiles: tuple[float, ...]):
+    """Which order statistics ``np.percentile`` would read, and its weights.
 
-    Row ``r`` is bit-identical to what an
-    :class:`~repro.memsim.timing.AccessTimer` seeded with
-    ``derive_seed(seed, f"{label}/run{r}")`` would produce from the same
-    base times: the per-repeat ``standard_normal`` draws come from the
-    same derived generators, and the noise arithmetic is elementwise, so
-    broadcasting it over rows changes nothing.  With ``sigma == 0`` the
-    rows are the base times themselves (returned as a read-only
-    broadcast view — no copies needed to summarize).
+    Returns ``(ranks, lo, hi, gamma)``: the ascending distinct sorted
+    positions needed, each percentile's two neighbours as indices into
+    ``ranks``, and the interpolation weights as a column — NumPy's
+    ``method="linear"`` virtual index ``(n - 1) * q / 100`` split into
+    floor and fraction, with ``q == 100`` reading the maximum twice.
     """
-    n = base_ns.size
-    if noise.sigma == 0.0:
-        return np.broadcast_to(base_ns, (repeats, n))
-    z = np.empty((repeats, n))
-    for r in range(repeats):
-        rng = ensure_rng(derive_seed(seed, f"{label}/run{r}"))
-        z[r] = rng.standard_normal(n)
-    if noise_scale is not None:
-        z *= noise_scale
-    factors = 1.0 + noise.sigma * z
-    np.maximum(factors, 1e-3, out=factors)
-    return base_ns[None, :] * factors
+    virtual = (n - 1) * np.true_divide(percentiles, 100)
+    below = np.floor(virtual).astype(np.intp)
+    above = np.minimum(below + 1, n - 1)
+    ranks = np.unique(np.concatenate((below, above)))
+    return (
+        ranks,
+        np.searchsorted(ranks, below),
+        np.searchsorted(ranks, above),
+        (virtual - below)[:, None],
+    )
 
 
-def summarize(
+def _order_statistics(row: np.ndarray, ranks: np.ndarray, out: np.ndarray):
+    """Write *row*'s order statistics at ascending *ranks* into *out*.
+
+    Reorders *row*.  Each rank costs one single-``kth`` ``partition`` of
+    what lies right of the previous one (everything there is already
+    >= it), or just a ``min`` when the rank is the next position —
+    single-``kth`` partitions take NumPy's vectorized quickselect, while
+    one multi-``kth`` call falls back to a scalar introselect that is
+    ~10x slower per row (docs/KERNEL.md §2).
+    """
+    start = 0
+    for j, k in enumerate(ranks):
+        tail = row[start:]
+        if k == start:
+            out[j] = tail.min()
+        else:
+            tail.partition(k - start)
+            out[j] = row[k]
+            start = k + 1
+
+
+def measure_repeats(
+    client,
     trace,
     engine: str,
-    times_ns: np.ndarray,
-    concurrency: int,
-    percentiles: tuple[float, ...],
+    base_ns: np.ndarray,
+    label: str,
+    noise_scale: np.ndarray | None = None,
 ):
-    """Fold a (repeats x requests) time matrix into a ``RunResult``.
+    """Realise *client*'s noise repeats over *base_ns* as one ``RunResult``.
 
-    Matches the per-repeat loop bit-for-bit: full-row sums and the
-    percentile reduction are computed along ``axis=1`` (verified
-    bitwise-equal to the row-at-a-time calls), while the read-masked
-    sums use a per-row slice — a 2-D fancy-indexed sum reassociates and
-    is *not* bit-identical, and the loop is over repeats (tiny), not
-    requests.
+    The one timing pass behind both :meth:`BatchKernel.run` and
+    ``YCSBClient.execute``; *base_ns* are the noise-free service times,
+    *label* roots the noise streams, *noise_scale* optionally widens
+    sigma per request (jitter faults).
+
+    One ``requests``-long buffer serves every repeat.  Repeat ``r``
+    fills it with exactly what an
+    :class:`~repro.memsim.timing.AccessTimer` seeded with
+    ``derive_seed(seed, f"{label}/run{r}")`` would produce — the same
+    draws, the same elementwise arithmetic in
+    :meth:`~repro.memsim.timing.NoiseModel.apply`'s order — takes the
+    row's sums, then partitions it for its order statistics.  Those go
+    through ``np.percentile``'s own linear interpolation, so the result
+    is bit-identical to reducing the full (repeats x requests) matrix
+    with ``np.percentile(axis=1)`` (the oracle in
+    ``tests/memsim/test_kernel.py``) without ever building it.
     """
     from repro.ycsb.client import RunResult  # lazy: import cycle
 
-    repeats = times_ns.shape[0]
+    repeats, sigma = client.repeats, client.noise.sigma
+    percentiles = client.percentiles
     is_read = trace.is_read
+    n = base_ns.size
     n_reads = int(is_read.sum())
-    n_writes = trace.n_requests - n_reads
-    row_sums = np.array([times_ns[r].sum() for r in range(repeats)])
-    runtimes = row_sums / concurrency
-    read_sums = np.array(
-        [times_ns[r][is_read].sum() for r in range(repeats)]
-    )
+    n_writes = n - n_reads
+    row = np.empty(n)
+    row_sums = np.empty(repeats)
+    read_sums = np.empty(repeats)
+    if percentiles:
+        ranks, lo, hi, gamma = _quantile_plan(n, percentiles)
+        stats = np.empty((ranks.size, repeats))
+    for r in range(repeats):
+        if sigma == 0.0:
+            row[:] = base_ns
+        else:
+            rng = ensure_rng(derive_seed(client.seed, f"{label}/run{r}"))
+            rng.standard_normal(n, out=row)
+            if noise_scale is not None:
+                row *= noise_scale
+            row *= sigma
+            row += 1.0
+            np.maximum(row, 1e-3, out=row)
+            row *= base_ns
+        # sums before the partitions reorder the row: float addition
+        # does not reassociate
+        row_sums[r] = row.sum()
+        read_sums[r] = row[is_read].sum()
+        if percentiles:
+            _order_statistics(row, ranks, stats[:, r])
+    runtimes = row_sums / client.concurrency
     write_sums = row_sums - read_sums
     pct: dict[float, float] = {}
     if percentiles:
-        qs = np.percentile(times_ns, percentiles, axis=1)
+        # np.percentile's _lerp, operation for operation
+        below, above = stats[lo], stats[hi]
+        diff = above - below
+        qs = below + diff * gamma
+        np.subtract(above, diff * (1 - gamma), out=qs, where=gamma >= 0.5)
         pct = {q: float(qs[i].mean()) for i, q in enumerate(percentiles)}
     return RunResult(
         workload=trace.name,
@@ -114,7 +161,7 @@ def summarize(
         latency_percentiles_ns=pct,
         repeats=repeats,
         runtime_std_ns=float(runtimes.std()),
-        concurrency=concurrency,
+        concurrency=client.concurrency,
     )
 
 
@@ -241,13 +288,8 @@ class BatchKernel:
             self.sizes, latency, bpns, self.passes, cpu,
             cached=self._cached, cache_latency_ns=self._cache_lat,
         )
-        times = realisation_matrix(
-            base, client.noise, client.seed, label, client.repeats,
-            noise_scale=noise_scale,
-        )
-        return summarize(
-            trace, self.profile.name, times, client.concurrency,
-            client.percentiles,
+        return measure_repeats(
+            client, trace, self.profile.name, base, label, noise_scale
         )
 
     def run_all(self, fast_masks) -> list:

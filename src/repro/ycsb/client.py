@@ -159,12 +159,19 @@ class YCSBClient:
             raise ConfigurationError(
                 f"contention must be >= 0, got {contention}"
             )
+        percentiles = tuple(percentiles)
+        for q in percentiles:
+            # `not (0 <= q <= 100)` is also true for NaN
+            if not 0.0 <= q <= 100.0:
+                raise ConfigurationError(
+                    f"percentiles must lie in [0, 100], got {q}"
+                )
         self.concurrency = concurrency
         self.contention = contention
         self.repeats = repeats
         self.noise = NoiseModel(sigma=noise_sigma)
         self.use_llc = use_llc
-        self.percentiles = tuple(percentiles)
+        self.percentiles = percentiles
         self._seed = seed
         self.faults = faults
         # hit masks are a pure function of (trace, LLC capacity); memoize
@@ -351,13 +358,13 @@ class YCSBClient:
     def execute(self, trace: Trace, deployment: HybridDeployment) -> RunResult:
         """Run *trace* against *deployment*; return averaged measurements.
 
-        The noise repeats are realised as one (repeats x requests)
-        matrix from a single base-time pass rather than re-running the
-        timer per repeat; each row comes from the same
-        ``derive_seed(seed, f"{label}/run{r}")`` generator the
+        The noise repeats are realised a row at a time over a single
+        base-time pass (:func:`~repro.memsim.kernel.measure_repeats`)
+        rather than re-running the timer per repeat; each row comes from
+        the same ``derive_seed(seed, f"{label}/run{r}")`` generator the
         per-repeat loop used, so results are bit-identical to it.
         """
-        from repro.memsim.kernel import realisation_matrix, summarize
+        from repro.memsim.kernel import measure_repeats
 
         telemetry.count("memsim.path", path="per_deployment")
         sizes, latency, bpns, passes, cpu, on_fast = self._gather(
@@ -371,13 +378,8 @@ class YCSBClient:
             sizes, latency, bpns, passes, cpu,
             cached=cached, cache_latency_ns=cache_lat,
         )
-        times = realisation_matrix(
-            base, self.noise, self._seed, label, self.repeats,
-            noise_scale=noise_scale,
-        )
-        return summarize(
-            trace, deployment.profile.name, times, self.concurrency,
-            self.percentiles,
+        return measure_repeats(
+            self, trace, deployment.profile.name, base, label, noise_scale
         )
 
     def execute_placements(

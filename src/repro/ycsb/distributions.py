@@ -23,7 +23,7 @@ space ``0 .. n_keys-1``:
 
 Sampling is fully vectorized: popularity weights are materialised once
 per (distribution, n_keys) and requests are drawn with inverse-CDF
-searchsorted in a single pass.
+searchsorted in a single pass, probing in sorted order.
 """
 
 from __future__ import annotations
@@ -153,6 +153,21 @@ def key_probabilities(spec: DistributionSpec, n_keys: int) -> np.ndarray:
     return w / w.sum()
 
 
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of the CDF step each uniform draw in *u* falls on (int64).
+
+    Probing in sorted order walks *cdf* once instead of bisecting it
+    cold per draw; the integers are the same.  The last step is pinned
+    to 1.0 (in place) so rounding in the cumulative sum can never push
+    a draw past the end.
+    """
+    cdf[-1] = 1.0
+    order = np.argsort(u)
+    out = np.empty(u.size, dtype=np.int64)
+    out[order] = np.searchsorted(cdf, u[order], side="right")
+    return out
+
+
 def sample_keys(
     spec: DistributionSpec,
     n_keys: int,
@@ -167,11 +182,8 @@ def sample_keys(
         return np.arange(n_requests, dtype=np.int64) % n_keys
     if spec.name == "latest":
         return _sample_latest(spec, n_keys, n_requests, rng)
-    p = key_probabilities(spec, n_keys)
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0
-    u = rng.random(n_requests)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    cdf = np.cumsum(key_probabilities(spec, n_keys))
+    return _inverse_cdf(cdf, rng.random(n_requests))
 
 
 def _sample_latest(
@@ -190,9 +202,7 @@ def _sample_latest(
     window = max(1, int(round(spec.window_fraction * n_keys)))
     heads = np.linspace(window - 1, n_keys - 1, n_requests)
     w = zipfian_weights(window, spec.theta)
-    cdf = np.cumsum(w / w.sum())
-    cdf[-1] = 1.0
-    offsets = np.searchsorted(cdf, rng.random(n_requests), side="right")
+    offsets = _inverse_cdf(np.cumsum(w / w.sum()), rng.random(n_requests))
     keys = np.floor(heads).astype(np.int64) - offsets
     return np.clip(keys, 0, n_keys - 1)
 

@@ -192,10 +192,14 @@ class Trace:
         ("with the keys as they get accessed (touched) by the workload
         access pattern", Fig 2a).
         """
-        _, first_pos = np.unique(self.keys, return_index=True)
-        touched = self.keys[np.sort(first_pos)]
-        untouched = np.setdiff1d(
-            np.arange(self.n_keys, dtype=self.keys.dtype), touched,
-            assume_unique=False,
-        )
-        return np.concatenate([touched, untouched])
+        n = self.n_requests
+        # first[k] = position of key k's first request (n if never
+        # requested); minimum.at, because fancy assignment does not
+        # promise which of several writes to one slot wins
+        first = np.full(self.n_keys, n)
+        np.minimum.at(first, self.keys, np.arange(n))
+        touched = first < n
+        return np.concatenate([
+            self.keys[np.sort(first[touched])],
+            np.flatnonzero(~touched).astype(self.keys.dtype),
+        ])

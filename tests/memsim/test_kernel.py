@@ -4,24 +4,29 @@ The kernel's contract is *bit-identity*: every `RunResult` it produces
 must equal — field for field, bit for bit — what the per-deployment
 path measures, because both derive their noise streams from the same
 experiment fingerprints.  These tests also pin the vectorized-repeats
-`execute` against a verbatim copy of the old per-repeat loop.
+`execute` against a verbatim copy of the old per-repeat loop, and the
+row-at-a-time `measure_repeats` against the (repeats x requests) matrix
+formulation it replaced, which lives on here as the oracle.
 """
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import WorkloadError
 from repro.kvstore.redislike import RedisLike
 from repro.kvstore.server import HybridDeployment
-from repro.memsim.kernel import BatchKernel, realisation_matrix, summarize
+from repro.memsim.kernel import BatchKernel, measure_repeats
 from repro.memsim.system import HybridMemorySystem
 from repro.memsim.timing import AccessTimer, NoiseModel
-from repro.rng import derive_seed
+from repro.rng import derive_seed, ensure_rng
 from repro.runner.cache import ResultCache
 from repro.runner.caching import CachingClient
-from repro.ycsb.client import YCSBClient
+from repro.ycsb.client import RunResult, YCSBClient
 from repro.ycsb.generator import generate_trace
 from repro.ycsb.presets import workload_by_name
+from repro.ycsb.workload import Trace
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +52,67 @@ def _deployments(trace, masks):
         )
         for m in masks
     ]
+
+
+def realisation_matrix(base_ns, noise, seed, label, repeats,
+                       noise_scale=None):
+    """Oracle: the (repeats x requests) noisy-time matrix, as shipped
+    before `measure_repeats` (verbatim)."""
+    n = base_ns.size
+    if noise.sigma == 0.0:
+        return np.broadcast_to(base_ns, (repeats, n))
+    z = np.empty((repeats, n))
+    for r in range(repeats):
+        rng = ensure_rng(derive_seed(seed, f"{label}/run{r}"))
+        z[r] = rng.standard_normal(n)
+    if noise_scale is not None:
+        z *= noise_scale
+    factors = 1.0 + noise.sigma * z
+    np.maximum(factors, 1e-3, out=factors)
+    return base_ns[None, :] * factors
+
+
+def summarize(trace, engine, times_ns, concurrency, percentiles):
+    """Oracle: the matrix folded to a `RunResult` through
+    `np.percentile(axis=1)`, as shipped before `measure_repeats`."""
+    repeats = times_ns.shape[0]
+    is_read = trace.is_read
+    n_reads = int(is_read.sum())
+    n_writes = trace.n_requests - n_reads
+    row_sums = np.array([times_ns[r].sum() for r in range(repeats)])
+    runtimes = row_sums / concurrency
+    read_sums = np.array(
+        [times_ns[r][is_read].sum() for r in range(repeats)]
+    )
+    write_sums = row_sums - read_sums
+    pct = {}
+    if percentiles:
+        qs = np.percentile(times_ns, percentiles, axis=1)
+        pct = {q: float(qs[i].mean()) for i, q in enumerate(percentiles)}
+    return RunResult(
+        workload=trace.name,
+        engine=engine,
+        n_requests=trace.n_requests,
+        n_reads=n_reads,
+        n_writes=n_writes,
+        runtime_ns=float(runtimes.mean()),
+        avg_read_ns=float(read_sums.mean() / n_reads) if n_reads else 0.0,
+        avg_write_ns=float(write_sums.mean() / n_writes) if n_writes else 0.0,
+        latency_percentiles_ns=pct,
+        repeats=repeats,
+        runtime_std_ns=float(runtimes.std()),
+        concurrency=concurrency,
+    )
+
+
+def oracle_measure(client, trace, engine, base, label, noise_scale=None):
+    times = realisation_matrix(
+        base, client.noise, client.seed, label, client.repeats,
+        noise_scale=noise_scale,
+    )
+    return summarize(
+        trace, engine, times, client.concurrency, client.percentiles
+    )
 
 
 def legacy_execute(client, trace, deployment):
@@ -274,7 +340,87 @@ class TestFingerprintMemo:
 class TestSummarize:
     def test_empty_percentiles(self, trace):
         base = np.linspace(10, 20, trace.n_requests)
-        mat = realisation_matrix(base, NoiseModel(sigma=0.0), 0, "x", 2)
-        result = summarize(trace, "redis-like", mat, 1, ())
+        client = YCSBClient(
+            repeats=2, seed=0, noise_sigma=0.0, percentiles=()
+        )
+        result = measure_repeats(client, trace, "redis-like", base, "x")
         assert result.latency_percentiles_ns == {}
         assert result.repeats == 2
+        assert result == oracle_measure(client, trace, "redis-like", base, "x")
+
+
+PERCENTILE_SETS = [
+    (), (0,), (100,), (50.0, 95.0, 99.0), (99.0, 5.0, 50.0),
+    (95.0, 95.0, 50, 100.0), (0.0, 0.001, 33.3, 99.999),
+]
+
+
+class TestMeasureRepeats:
+    """`measure_repeats` ≡ matrix + `np.percentile(axis=1)`, field for field."""
+
+    @given(
+        n=st.integers(1, 3000),
+        repeats=st.integers(1, 4),
+        sigma=st.sampled_from([0.0, 0.01, 0.5]),
+        scaled=st.booleans(),
+        read_fraction=st.sampled_from([0.0, 0.25, 0.5, 0.95, 1.0]),
+        ties=st.booleans(),
+        percentiles=st.sampled_from(PERCENTILE_SETS),
+        concurrency=st.sampled_from([1, 4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_bit_identical_to_matrix_oracle(
+        self, n, repeats, sigma, scaled, read_fraction, ties, percentiles,
+        concurrency, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        if ties:
+            base = rng.choice([12.5, 300.0, 300.0, 9e4], n)
+        else:
+            base = rng.random(n) * 1e4 + 10.0
+        n_reads = int(round(read_fraction * n))
+        trace = Trace(
+            name="synthetic",
+            keys=np.zeros(n, dtype=np.int64),
+            is_read=rng.permutation(np.arange(n) < n_reads),
+            record_sizes=np.array([64], dtype=np.int64),
+        )
+        noise_scale = 1.0 + 3.0 * (rng.random(n) < 0.1) if scaled else None
+        client = YCSBClient(
+            repeats=repeats, noise_sigma=sigma, percentiles=percentiles,
+            seed=seed, concurrency=concurrency,
+        )
+        args = (client, trace, "redis-like", base, "lbl", noise_scale)
+        pristine = base.copy()
+        assert measure_repeats(*args) == oracle_measure(*args)
+        assert np.array_equal(base, pristine)  # the buffer is its own
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("percentiles", PERCENTILE_SETS[1:])
+    def test_tiny_rows(self, n, percentiles):
+        base = np.arange(n, 0.0, -1.0) * 7.0
+        trace = Trace(
+            name="tiny", keys=np.zeros(n, dtype=np.int64),
+            is_read=np.arange(n) % 2 == 0,
+            record_sizes=np.array([8], dtype=np.int64),
+        )
+        client = YCSBClient(repeats=2, seed=3, percentiles=percentiles)
+        args = (client, trace, "redis-like", base, "lbl")
+        assert measure_repeats(*args) == oracle_measure(*args)
+
+    def test_live_generator_draws_the_same_streams(self):
+        base = np.random.default_rng(1).random(700) * 100 + 5
+        trace = Trace(
+            name="t", keys=np.zeros(700, dtype=np.int64),
+            is_read=np.arange(700) % 3 > 0,
+            record_sizes=np.array([8], dtype=np.int64),
+        )
+        results = [
+            measure(
+                YCSBClient(repeats=3, seed=np.random.default_rng(12)),
+                trace, "redis-like", base, "lbl",
+            )
+            for measure in (measure_repeats, oracle_measure)
+        ]
+        assert results[0] == results[1]

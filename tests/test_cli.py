@@ -79,6 +79,22 @@ class TestProfile:
         rc = main(["profile", "--workload", "nope"])
         assert rc == 2
 
+    def test_bad_percentile_is_a_config_error(self, monkeypatch, capsys):
+        # `profile` has no percentile flag; a client default gone wrong
+        # must still surface as exit 2 at construction, not as a bare
+        # ValueError out of the first measurement
+        from functools import partialmethod
+
+        from repro.ycsb.client import YCSBClient
+
+        monkeypatch.setattr(YCSBClient, "__init__", partialmethod(
+            YCSBClient.__init__, percentiles=(50.0, 101.0),
+        ))
+        rc = main(["profile", "--workload", "trending", "--repeats", "1"])
+        assert rc == 2
+        assert "error: percentiles must lie in [0, 100]" in \
+            capsys.readouterr().err
+
 
 class TestCompare:
     def test_compare_lists_engines(self, capsys, monkeypatch):

@@ -56,3 +56,32 @@ class TestImportReport:
     def test_unknown_module_exits_with_the_import_error(self):
         with pytest.raises(SystemExit, match="no_such_module"):
             import_report.self_times_us("no_such_module")
+
+
+class TestBenchSummary:
+    """`benchmarks/common.write_summary`: smoke runs leave BENCH_*.json alone."""
+
+    @pytest.fixture
+    def common(self, tmp_path, monkeypatch):
+        from importlib.util import module_from_spec, spec_from_file_location
+
+        path = Path(__file__).resolve().parent.parent / "benchmarks/common.py"
+        spec = spec_from_file_location("bench_common_under_test", path)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(module, "OUT_DIR", tmp_path / "out")
+        return module
+
+    def test_smoke_run_writes_out_dir_only(self, common, tmp_path):
+        committed = tmp_path / "BENCH_x.json"
+        committed.write_text("committed\n")
+        common.write_summary("x", {"mode": "smoke", "speedup": 2.5}, committed)
+        assert committed.read_text() == "committed\n"
+        assert '"speedup": 2.5' in (tmp_path / "out" / "x.json").read_text()
+
+    def test_full_run_refreshes_committed_copy(self, common, tmp_path):
+        committed = tmp_path / "BENCH_x.json"
+        common.write_summary("x", {"mode": "full", "speedup": 4.0}, committed)
+        assert committed.read_text() == \
+            (tmp_path / "out" / "x.json").read_text() + "\n"
+

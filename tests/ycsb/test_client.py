@@ -31,6 +31,14 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             YCSBClient(repeats=0)
 
+    @pytest.mark.parametrize("bad", [-0.5, 100.5, float("nan"), float("inf")])
+    def test_percentile_outside_0_100_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="percentiles"):
+            YCSBClient(percentiles=(50.0, bad))
+
+    def test_percentile_bounds_accepted(self):
+        assert YCSBClient(percentiles=[0, 100]).percentiles == (0, 100)
+
     def test_key_space_mismatch_rejected(self, quiet_client):
         t = trace_of([0], [True], [100, 200])
         with pytest.raises(WorkloadError):

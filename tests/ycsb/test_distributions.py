@@ -144,6 +144,20 @@ class TestSampling:
 
     def test_zero_requests_ok(self):
         assert sample_keys(spec("latest"), 10, 0).size == 0
+        assert sample_keys(spec("zipfian"), 10, 0).size == 0
+
+    @pytest.mark.parametrize("name", [
+        "zipfian", "scrambled_zipfian", "hotspot", "exponential", "uniform",
+    ])
+    def test_sorted_probes_match_direct_searchsorted(self, name):
+        # the draw-order bisection `sample_keys` used before it probed
+        # the CDF in sorted order
+        cdf = np.cumsum(key_probabilities(spec(name), N_KEYS))
+        cdf[-1] = 1.0
+        u = np.random.default_rng(9).random(5000)
+        expect = np.searchsorted(cdf, u, side="right").astype(np.int64)
+        got = sample_keys(spec(name), N_KEYS, 5000, seed=9)
+        assert np.array_equal(got, expect) and got.dtype == expect.dtype
 
 
 class TestEmpiricalCdf:

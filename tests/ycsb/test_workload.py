@@ -1,7 +1,9 @@
 """Tests for WorkloadSpec and Trace."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import ConfigurationError, WorkloadError
 from repro.ycsb.distributions import DistributionSpec
@@ -118,3 +120,31 @@ class TestFirstTouchOrder:
         t = make_trace(rng.integers(0, 50, 500), n_keys=50)
         order = t.first_touch_order()
         assert np.array_equal(np.sort(order), np.arange(50))
+
+    @staticmethod
+    def reference(trace):
+        """The sort-based formulation `first_touch_order` replaced."""
+        _, first_pos = np.unique(trace.keys, return_index=True)
+        touched = trace.keys[np.sort(first_pos)]
+        untouched = np.setdiff1d(
+            np.arange(trace.n_keys, dtype=trace.keys.dtype), touched,
+        )
+        return np.concatenate([touched, untouched])
+
+    @given(
+        n_keys=st.integers(1, 40),
+        keys=st.lists(st.integers(0, 39), max_size=200),
+        shape=st.sampled_from(["any", "one_key", "all_touched"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sort_based_reference(self, n_keys, keys, shape):
+        keys = np.asarray(keys, dtype=np.int64) % n_keys
+        if shape == "one_key":  # all untouched but one
+            keys = np.full(keys.size + 1, keys[:1].sum(), dtype=np.int64)
+        elif shape == "all_touched":  # no untouched keys
+            keys = np.concatenate([keys, np.arange(n_keys)[::-1]])
+        t = make_trace(keys, n_keys=n_keys)
+        order = t.first_touch_order()
+        expect = self.reference(t)
+        assert np.array_equal(order, expect)
+        assert order.dtype == expect.dtype
