@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test verify import-report chaos crash guard serve-drill bench bench-kernel bench-obs bench-perf bench-perf-selftest bench-serve bench-store bench-sweep bench-verbose examples results clean
+.PHONY: install test verify import-report chaos crash guard serve-drill bench bench-kernel bench-obs bench-perf bench-perf-selftest bench-serve bench-store bench-verbose examples results clean
 
 results: bench
 	$(PYTHON) tools/collect_results.py
@@ -11,13 +11,12 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# the tier-1 gate: exactly what CI runs (tests + planner speedup smoke
-# + the kill -9 drills); leaves `git status` clean — smoke benchmarks
+# the tier-1 gate: exactly what CI runs (tests + the kill -9 and
+# request-plane drills); leaves `git status` clean — smoke benchmarks
 # write benchmarks/out/ only, a full-mode run (`make bench`, or a gate
 # without MNEMO_BENCH_SMOKE) is what refreshes a root BENCH_*.json
 verify:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
-	$(MAKE) bench-sweep
 	$(MAKE) crash
 	$(MAKE) serve-drill
 
@@ -58,19 +57,12 @@ guard:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# kernel speedup smoke: downsized sweep, fails below the speedup floor
+# kernel smoke: downsized sweep, fails below the mixed-size-LRU floor
 # and outside the analytic error envelope (smoke runs never touch the
 # committed BENCH_kernel.json; only a full-mode run refreshes it)
 bench-kernel:
 	MNEMO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/bench_kernel_speedup.py --benchmark-only -s
-
-# sweep planner smoke: grouped dispatch vs per-cell pool tasks on a
-# warm pool; fails below the speedup floor or on any bitwise
-# divergence (BENCH_sweep.json: full-mode runs only)
-bench-sweep:
-	MNEMO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
-		benchmarks/bench_sweep_planner.py --benchmark-only -s
 
 # store overhead smoke: warm reads from the SQLite store vs the file
 # cache must stay within the committed ratio (BENCH_store.json:

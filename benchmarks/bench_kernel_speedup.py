@@ -1,28 +1,20 @@
-"""Batch-kernel and analytic fast-path speedups over the legacy sweep.
+"""Analytic fast-path and mixed-size-LRU gates.
 
-Times a multi-split placement sweep — the shape every sensitivity
-sweep, validation replay and drift drill has — three ways:
+Times a multi-split placement sweep over every Table III preset — the
+shape every sensitivity sweep, validation replay and drift drill has —
+two ways:
 
-- legacy per-deployment path: one :class:`HybridDeployment` built (and
-  one fresh memory system allocated) per split, then ``execute``;
-- batch kernel: one ``execute_placements`` call over all splits;
+- simulate: one ``execute_placements`` call over all splits;
 - analytic: closed-form :func:`predict_placement` per split (approximate
   by design; its runtime error against the simulator is recorded).
 
-The sweep runs on a downsampled trace over the full key space — the
-regime the recommendation validator actually replays in — so the
-per-placement Python overhead the kernel amortises (deployment
-construction, re-gathering, re-hashing) dominates honestly rather than
-being hidden under raw timing work shared by both paths.
-
-Batch results must be *bit-identical* to the legacy path; the analytic
-path must stay inside the 5% runtime envelope on every Table III
-preset.  Wall-clocks are best-of-N and the summary JSON is written
-to ``benchmarks/out/`` and — full mode only — to ``BENCH_kernel.json``
-at the repo root, where the committed copy records the speedup floor
+The analytic path must stay inside the 5% runtime envelope on every
+preset.  Wall-clocks are best-of-N and the summary JSON is written to
+``benchmarks/out/`` and — full mode only — to ``BENCH_kernel.json`` at
+the repo root, where the committed copy records the floors
 ``make bench-kernel`` enforces.  ``MNEMO_BENCH_SMOKE=1`` shrinks the
-sweep for the smoke target; the floor scales down with it (the relative
-overhead shrinks with the trace, and single-core CI boxes are noisy).
+sweep for the smoke target.  (The batch kernel's own cost is tracked by
+``benchmarks/perf``: ``memsim.kernel.ns_per_sim_request``.)
 
 The mixed-size vectorized LRU is timed in the regime its capacity-fit
 gate engages in (working set fits the cache, no evictions) and gated at
@@ -42,7 +34,6 @@ from common import emit, table, write_summary
 
 import repro.memsim.cache as cache_mod
 from repro.kvstore.redislike import RedisLike
-from repro.kvstore.server import HybridDeployment
 from repro.memsim.analytic import predict_placement
 from repro.memsim.cache import LLCModel
 from repro.memsim.system import HybridMemorySystem
@@ -52,11 +43,6 @@ from repro.ycsb.presets import TABLE_III_WORKLOADS, workload_by_name
 
 SMOKE = os.environ.get("MNEMO_BENCH_SMOKE", "") not in ("", "0")
 
-#: Sweep shape: full-scale key space, downsampled requests (validator regime).
-N_PLACEMENTS = 8 if SMOKE else 24
-N_REQUESTS = 5_000 if SMOKE else 20_000
-#: Accepted minimum batch-kernel speedup over the legacy path.
-SPEEDUP_FLOOR = 4.0 if SMOKE else 10.0
 #: Accepted maximum analytic runtime error vs the simulator.
 ANALYTIC_ERR_CEILING = 0.05
 #: Accepted minimum mixed-size LRU speedup where the fit gate engages.
@@ -82,42 +68,6 @@ def _sweep_masks(n_keys, n_placements, seed=0):
         n_fast = (i * n_keys) // n_placements
         masks[i, rng.choice(n_keys, n_fast, replace=False)] = True
     return masks
-
-
-def _bench_batch():
-    spec = workload_by_name("trending").scaled(n_requests=N_REQUESTS)
-    trace = generate_trace(spec.with_seed(1))
-    system = HybridMemorySystem.testbed()
-    profile = RedisLike(system.fast, system.slow).profile
-    masks = _sweep_masks(trace.n_keys, N_PLACEMENTS)
-    client = YCSBClient(repeats=3, seed=7)
-
-    def legacy():
-        # fresh system per deployment: loading allocates real node
-        # capacity, so a sweep cannot reuse one system across splits
-        return [
-            client.execute(trace, HybridDeployment(
-                RedisLike, HybridMemorySystem.testbed(),
-                trace.record_sizes, fast_keys=np.nonzero(m)[0],
-            ))
-            for m in masks
-        ]
-
-    legacy_results, t_legacy = _best_of(legacy, 2)
-    batch_results, t_batch = _best_of(
-        lambda: client.execute_placements(trace, masks, profile, system), 3
-    )
-    assert batch_results == legacy_results, (
-        "batch kernel diverged from the per-deployment path"
-    )
-    return {
-        "n_keys": trace.n_keys,
-        "n_requests": trace.n_requests,
-        "n_placements": N_PLACEMENTS,
-        "legacy_s": round(t_legacy, 3),
-        "batch_s": round(t_batch, 3),
-        "speedup": round(t_legacy / t_batch, 1),
-    }
 
 
 def _bench_analytic():
@@ -226,11 +176,9 @@ def _bench_mixed_lru():
 def run():
     return {
         "mode": "smoke" if SMOKE else "full",
-        "batch_kernel": _bench_batch(),
         "analytic": _bench_analytic(),
         "mixed_size_lru": _bench_mixed_lru(),
         "floors": {
-            "batch_speedup": SPEEDUP_FLOOR,
             "analytic_runtime_error": ANALYTIC_ERR_CEILING,
             "mixed_lru_speedup": MIXED_LRU_FLOOR,
         },
@@ -239,17 +187,13 @@ def run():
 
 def test_kernel_speedup(benchmark):
     r = benchmark.pedantic(run, rounds=1, iterations=1)
-    b, a, m = r["batch_kernel"], r["analytic"], r["mixed_size_lru"]
+    a, m = r["analytic"], r["mixed_size_lru"]
 
     write_summary("kernel_speedup", r, RESULT_PATH)
 
     emit("kernel_speedup", table(
         ["path", "wall-clock", "notes"],
         [
-            ("legacy sweep", f"{b['legacy_s']:.2f}s",
-             f"{b['n_placements']} deployments"),
-            ("batch kernel", f"{b['batch_s']:.2f}s",
-             f"{b['speedup']:.1f}x, bit-identical"),
             ("simulate presets", f"{a['simulate_s']:.2f}s",
              f"{a['presets']}x{a['splits_per_preset']} sweeps, LLC on"),
             ("analytic presets", f"{a['analytic_s']:.2f}s",
@@ -264,10 +208,6 @@ def test_kernel_speedup(benchmark):
         f"(mode={r['mode']})"
     ])
 
-    assert b["speedup"] >= SPEEDUP_FLOOR, (
-        f"batch kernel speedup {b['speedup']}x fell below the "
-        f"{SPEEDUP_FLOOR}x floor"
-    )
     assert a["worst_runtime_error"] <= ANALYTIC_ERR_CEILING, (
         f"analytic runtime error {a['worst_runtime_error']:.2%} exceeds "
         f"the {ANALYTIC_ERR_CEILING:.0%} envelope"

@@ -244,13 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-attempts", type=int, default=3,
                        help="attempts per experiment before giving up "
                             "(default 3)")
-    sweep.add_argument("--plan", choices=["auto", "grouped", "cell"],
-                       default="auto",
-                       help="pooled dispatch plan: grouped placement "
-                            "batches (default) or one task per grid cell")
-    sweep.add_argument("--no-shm", action="store_true",
-                       help="disable the shared-memory trace plane "
-                            "(workers materialise traces themselves)")
     sweep.add_argument("--obs", metavar="PATH",
                        help="write a telemetry event log (JSONL) here; "
                             "inspect it with 'obs PATH'")
@@ -565,7 +558,9 @@ def _cmd_multitier(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.runner.grid import ClientConfig, ExperimentRunner, RetryPolicy
+    from repro.runner.grid import ExperimentRunner
+    from repro.runner.outcome import RetryPolicy
+    from repro.runner.spec import ClientConfig
     from repro.ycsb.presets import TABLE_III_WORKLOADS, workload_by_name
 
     _check_range("--split", args.split, lo=0.0, hi=1.0)
@@ -618,8 +613,6 @@ def _cmd_sweep(args) -> int:
         retry=RetryPolicy(
             max_attempts=args.max_attempts, timeout_s=args.timeout,
         ),
-        plan=args.plan,
-        use_shm=not args.no_shm,
     )
     specs = ExperimentRunner.grid(
         [workload_by_name(n) for n in workload_names],

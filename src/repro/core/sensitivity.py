@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import FaultError, ReproError
 from repro.kvstore.profiles import EngineProfile
-from repro.kvstore.server import EngineFactory, HybridDeployment
+from repro.kvstore.server import EngineFactory
 from repro.memsim.system import HybridMemorySystem
 from repro.ycsb.client import RunResult, YCSBClient
 from repro.core.descriptor import WorkloadDescriptor
@@ -210,88 +210,68 @@ class SensitivityEngine:
     ) -> PerformanceBaselines:
         """Execute the workload in both extreme configurations.
 
+        The all-FastMem and all-SlowMem masks go through
+        :meth:`~repro.ycsb.client.YCSBClient.execute_placements` — no
+        record is loaded into any engine.  Sides measured under active
+        fault injection are flagged ``"<side>:faulty"``.
+
         With ``allow_partial=True`` the engine degrades gracefully: if
         one extreme measurement fails (a :class:`~repro.errors.ReproError`
         — e.g. an injected fault or a corrupt cached trace), the missing
         baseline is synthesised from the surviving one via
-        :func:`estimate_counterpart` and flagged ``"<side>:estimated"``;
-        sides measured under active fault injection are flagged
-        ``"<side>:faulty"``.  Both failing still raises.  Without
-        ``allow_partial`` any failure propagates unchanged.
+        :func:`estimate_counterpart` and flagged ``"<side>:estimated"``.
+        Both failing still raises.  Without ``allow_partial`` any
+        failure propagates unchanged.
         """
         trace = descriptor.to_trace()
-        if not allow_partial:
-            return self._measure_batch(trace)
-        fast_dep = HybridDeployment.all_fast(
-            self.engine_factory, self.system_factory(), trace.record_sizes
+        system = self.system_factory()
+        profile = self.engine_factory(system.fast, system.slow).profile
+        masks = {
+            "fast": np.ones(trace.n_keys, dtype=bool),
+            "slow": np.zeros(trace.n_keys, dtype=bool),
+        }
+        # one batch shares one kernel between the sides; a failure is only
+        # survivable if it can be pinned to a side, so partial mode
+        # measures them apart
+        batches = (
+            [("fast",), ("slow",)] if allow_partial else [("fast", "slow")]
         )
-        slow_dep = HybridDeployment.all_slow(
-            self.engine_factory, self.system_factory(), trace.record_sizes
-        )
+        measured: dict[str, RunResult] = {}
         errors: dict[str, ReproError] = {}
-        fast = slow = None
-        try:
-            fast = self.client.execute(trace, fast_dep)
-        except ReproError as exc:
-            if not allow_partial:
-                raise
-            errors["fast"] = exc
-        try:
-            slow = self.client.execute(trace, slow_dep)
-        except ReproError as exc:
-            if not allow_partial:
-                raise
-            errors["slow"] = exc
-        if fast is None and slow is None:
+        for sides in batches:
+            try:
+                results = self.client.execute_placements(
+                    trace, [masks[side] for side in sides], profile, system,
+                    record_sizes=trace.record_sizes,
+                )
+            except ReproError as exc:
+                if not allow_partial:
+                    raise
+                errors[sides[0]] = exc
+            else:
+                measured.update(zip(sides, results))
+        if not measured:
             raise FaultError(
                 "both extreme baselines failed: "
                 f"fast: {errors['fast']}; slow: {errors['slow']}"
             ) from errors["slow"]
 
-        flags = []
-        faults = getattr(self.client, "faults", None)
-        faults_active = faults is not None and getattr(faults, "active", False)
-        for side, result in (("fast", fast), ("slow", slow)):
-            if result is not None and faults_active:
-                flags.append(f"{side}:faulty")
-        if fast is None:
-            fast = estimate_counterpart(
-                slow, slow_dep.profile, slow_dep.system, target="fast"
-            )
-            flags.append("fast:estimated")
-        if slow is None:
-            slow = estimate_counterpart(
-                fast, fast_dep.profile, fast_dep.system, target="slow"
-            )
-            flags.append("slow:estimated")
-        return PerformanceBaselines(
-            fast=fast, slow=slow, flags=tuple(sorted(flags)),
-        )
-
-    def _measure_batch(self, trace) -> PerformanceBaselines:
-        """Both extreme baselines in one batch-kernel pass.
-
-        The all-FastMem / all-SlowMem masks go through
-        :meth:`~repro.ycsb.client.YCSBClient.execute_placements`, whose
-        per-placement fingerprints (and therefore noise streams and any
-        cache entries) match the per-deployment path exactly — so the
-        baselines are bit-identical to building the two extreme
-        deployments and executing each, without loading a single record.
-        """
-        system = self.system_factory()
-        profile = self.engine_factory(system.fast, system.slow).profile
-        masks = np.zeros((2, trace.n_keys), dtype=bool)
-        masks[0] = True
-        fast, slow = self.client.execute_placements(
-            trace, masks, profile, system, record_sizes=trace.record_sizes
-        )
         faults = getattr(self.client, "faults", None)
         flags = (
-            ("fast:faulty", "slow:faulty")
+            [f"{side}:faulty" for side in measured]
             if faults is not None and getattr(faults, "active", False)
-            else ()
+            else []
         )
-        return PerformanceBaselines(fast=fast, slow=slow, flags=flags)
+        for side, other in (("fast", "slow"), ("slow", "fast")):
+            if side not in measured:
+                measured[side] = estimate_counterpart(
+                    measured[other], profile, system, target=side
+                )
+                flags.append(f"{side}:estimated")
+        return PerformanceBaselines(
+            fast=measured["fast"], slow=measured["slow"],
+            flags=tuple(sorted(flags)),
+        )
 
     def drift_between(
         self,

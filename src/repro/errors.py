@@ -49,7 +49,7 @@ class FaultError(ReproError):
 
     Raised when an experiment could not be completed despite retries
     (worker death, injected chaos strikes, unrecoverable fault models)
-    and by :meth:`~repro.runner.grid.GridOutcome.raise_if_failed` when a
+    and by :meth:`~repro.runner.outcome.GridOutcome.raise_if_failed` when a
     sweep finished in degraded mode.
     """
 
@@ -60,7 +60,7 @@ class ExperimentTimeoutError(FaultError, TimeoutError):
     Also a :class:`TimeoutError` so generic timeout handling works; the
     resilient runner retries timed-out experiments up to the retry
     policy's attempt budget before recording them in the
-    :class:`~repro.runner.grid.FailureReport`.
+    :class:`~repro.runner.outcome.FailureReport`.
     """
 
 

@@ -8,7 +8,7 @@ acted on.
 
 :class:`RecommendationValidator` replays the chosen FastMem:SlowMem
 split — plus its ± one-increment neighbours — through the full simulator
-(real deployments, the real measuring client) and compares the curve's
+(the batch kernel, the real measuring client) and compares the curve's
 predicted throughput and latency against the simulated ground truth,
 point by point, against a configurable :class:`ErrorBudget`.  The result
 is a :class:`ValidationVerdict`:
@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ConfigurationError, GuardError
-from repro.kvstore.server import EngineFactory, HybridDeployment
+from repro.kvstore.server import EngineFactory
 from repro.memsim.system import HybridMemorySystem
 from repro.runner.cache import ResultCache, ensure_cache
 from repro.runner.fingerprint import (
@@ -288,11 +288,9 @@ class RecommendationValidator:
     ) -> list[PointCheck]:
         """Simulate every checked split in one batch-kernel pass.
 
-        The placement masks are exactly what the per-point deployments
-        would carry (the curve-order prefixes), so each simulated result
-        is bit-identical to a full per-deployment replay — at the cost
-        of one kernel gather instead of ``len(checked)`` deployment
-        constructions and executes.
+        The placement masks are the curve-order prefixes — exactly the
+        splits the curve predicts — and all of them share one kernel
+        gather; no deployment is constructed.
         """
         system = self.system_factory()
         masks = np.zeros((len(checked), trace.n_keys), dtype=bool)
@@ -306,17 +304,6 @@ class RecommendationValidator:
             self._compare(curve, n, simulated)
             for n, simulated in zip(checked, results)
         ]
-
-    def _replay(self, curve: EstimateCurve, trace: Trace, n: int) -> PointCheck:
-        """Simulate the split at prefix *n* and compare to the prediction."""
-        deployment = HybridDeployment(
-            self.engine_factory,
-            self.system_factory(),
-            trace.record_sizes,
-            fast_keys=curve.order[:n],
-        )
-        simulated = self.client.execute(trace, deployment)
-        return self._compare(curve, n, simulated)
 
     def _compare(
         self, curve: EstimateCurve, n: int, simulated,

@@ -1,31 +1,29 @@
 """Multi-placement batch simulation kernel.
 
 Every sweep, validation replay and drift drill evaluates the *same trace*
-against many FastMem:SlowMem placements.  The per-deployment path pays a
-stack of per-placement Python overhead for each one: constructing a
+against many FastMem:SlowMem placements, and a placement is fully
+described by a boolean mask over the key space — no
 :class:`~repro.kvstore.server.HybridDeployment` (which loads every record
-into both engine instances), re-hashing the full trace for the
-fingerprint, re-gathering the per-request parameter arrays, and looping
-over noise repeats.
+into both engine instances) is needed to measure one.
 
-:class:`BatchKernel` amortises all of it.  The trace-dependent,
-placement-independent arrays (request sizes, passes, CPU costs, the LLC
-hit mask, the trace digest) are gathered **once**; each placement then
-costs only a fancy-indexed node-parameter gather, a fingerprint over the
-placement mask, and one row-at-a-time timing pass over a reusable
-buffer (:func:`measure_repeats`).  No deployment objects are built at
-all.
+:class:`BatchKernel` is the one way a placement is measured.  The
+trace-dependent, placement-independent arrays (request sizes, passes,
+CPU costs, the LLC hit mask, the trace digest) are gathered **once**;
+each placement then costs only a fancy-indexed node-parameter gather, a
+fingerprint over the placement mask, and one row-at-a-time timing pass
+over a reusable buffer (:func:`measure_repeats`).
+``YCSBClient.execute`` is the one-mask case of the same call.
 
-Equivalence is exact, not approximate: the kernel derives each
-placement's noise streams from the same experiment fingerprint the
-per-deployment path uses (via
-:func:`~repro.runner.fingerprint.experiment_fingerprint_parts`), computes
-base times through the shared :func:`~repro.memsim.timing.service_times_ns`
-formula, and realises noise through the same per-repeat
-``derive_seed(seed, f"{label}/run{r}")`` generators — so every
-:class:`~repro.ycsb.client.RunResult` it returns is *bit-identical* to
-what ``YCSBClient.execute`` measures against a real deployment with the
-same placement (see ``tests/memsim/test_kernel.py``).
+Each placement's noise streams derive from its own experiment
+fingerprint
+(:func:`~repro.runner.fingerprint.experiment_fingerprint_parts`), base
+times come from the shared :func:`~repro.memsim.timing.service_times_ns`
+formula, and repeat ``r`` draws from
+``derive_seed(seed, f"{label}/run{r}")`` — so a placement measures the
+same :class:`~repro.ycsb.client.RunResult` alone, in any batch, in any
+process.  ``tests/memsim/test_kernel.py`` keeps the per-repeat
+:class:`~repro.memsim.timing.AccessTimer` loop as the reference the
+kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -90,10 +88,9 @@ def measure_repeats(
 ):
     """Realise *client*'s noise repeats over *base_ns* as one ``RunResult``.
 
-    The one timing pass behind both :meth:`BatchKernel.run` and
-    ``YCSBClient.execute``; *base_ns* are the noise-free service times,
-    *label* roots the noise streams, *noise_scale* optionally widens
-    sigma per request (jitter faults).
+    The timing pass behind :meth:`BatchKernel.run`; *base_ns* are the
+    noise-free service times, *label* roots the noise streams,
+    *noise_scale* optionally widens sigma per request (jitter faults).
 
     One ``requests``-long buffer serves every repeat.  Repeat ``r``
     fills it with exactly what an
@@ -173,8 +170,7 @@ class BatchKernel:
     client:
         The measuring :class:`~repro.ycsb.client.YCSBClient` whose
         settings (repeats, noise, seed, concurrency, contention, LLC,
-        faults) define the measurement.  Results are bit-identical to
-        ``client.execute`` against equivalent deployments.
+        faults) define the measurement.
     trace:
         The request trace shared by every placement.
     profile:
@@ -187,16 +183,9 @@ class BatchKernel:
         Dense per-key sizes defining the key space (defaults to
         ``trace.record_sizes``, which is what every deployment built
         from the trace uses).
-    path_label:
-        The ``memsim.path`` telemetry label :meth:`run` counts under.
-        The grouped sweep dispatcher sets ``"grouped_batch"`` so the
-        path mix distinguishes planner batches from direct kernel use.
     """
 
-    def __init__(
-        self, client, trace, profile, system, record_sizes=None,
-        path_label: str = "batch_kernel",
-    ):
+    def __init__(self, client, trace, profile, system, record_sizes=None):
         record_sizes = np.asarray(
             trace.record_sizes if record_sizes is None else record_sizes,
             dtype=np.int64,
@@ -211,9 +200,7 @@ class BatchKernel:
         self.profile = profile
         self.system = system
         self.record_sizes = record_sizes
-        self.path_label = path_label
-        # request-aligned, placement-independent arrays (gathered once;
-        # identical expressions to YCSBClient._gather)
+        # request-aligned, placement-independent arrays (gathered once)
         self.sizes = record_sizes[trace.keys] + profile.metadata_bytes
         passes = np.where(
             trace.is_read, profile.read_passes, profile.write_passes
@@ -259,37 +246,49 @@ class BatchKernel:
             )
         return mask
 
-    def run(self, fast_mask: np.ndarray, fingerprint: str | None = None):
-        """Measure one placement; returns a ``RunResult``.
+    def base_times(self, fast_mask: np.ndarray, fingerprint: str | None = None):
+        """The pre-noise half of :meth:`run`.
 
-        ``fingerprint`` may be passed when the caller already computed it
-        (e.g. for a cache probe) to avoid hashing the mask twice.
+        Returns ``(label, base_ns, noise_scale)``: the label rooting the
+        placement's noise streams, its noise-free per-request service
+        times (faults applied) and the per-request sigma scale (or None).
         """
-        telemetry.count("memsim.path", path=self.path_label)
         mask = self._check_mask(fast_mask)
         if self._live_seed:
-            # matches _experiment_context: live-generator clients are not
-            # fingerprintable; the static label still yields fresh streams
+            # live-generator clients are not fingerprintable; every
+            # derive_seed call draws from the generator, so a static
+            # label still yields fresh independent streams
             label = self.trace.name
         else:
             label = fingerprint or self.fingerprint(mask)
-        trace, client, system = self.trace, self.client, self.system
-        on_fast = mask[trace.keys]
+        system = self.system
+        on_fast = mask[self.trace.keys]
         latency = np.where(
             on_fast, system.fast.latency_ns, system.slow.latency_ns
         )
         bpns = np.where(
             on_fast, system.fast.bytes_per_ns, system.slow.bytes_per_ns
         )
-        latency, bpns, cpu, noise_scale = client._fault_arrays(
+        latency, bpns, cpu, noise_scale = self.client._fault_arrays(
             label, on_fast, latency, bpns, self.cpu
         )
         base = service_times_ns(
             self.sizes, latency, bpns, self.passes, cpu,
             cached=self._cached, cache_latency_ns=self._cache_lat,
         )
+        return label, base, noise_scale
+
+    def run(self, fast_mask: np.ndarray, fingerprint: str | None = None):
+        """Measure one placement; returns a ``RunResult``.
+
+        ``fingerprint`` may be passed when the caller already computed it
+        (e.g. for a cache probe) to avoid hashing the mask twice.
+        """
+        telemetry.count("memsim.path", path="batch_kernel")
+        label, base, noise_scale = self.base_times(fast_mask, fingerprint)
         return measure_repeats(
-            client, trace, self.profile.name, base, label, noise_scale
+            self.client, self.trace, self.profile.name, base, label,
+            noise_scale,
         )
 
     def run_all(self, fast_masks) -> list:

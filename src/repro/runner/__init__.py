@@ -9,8 +9,14 @@ already been measured and by fanning grids out over processes:
 - :mod:`repro.runner.cache` — the on-disk content-addressed store for
   results, generated traces and LLC hit masks (``.mnemo-cache/``);
 - :mod:`repro.runner.caching` — a drop-in caching YCSB client;
-- :mod:`repro.runner.grid` — workload x store x placement grids over a
-  process pool, bit-identical to serial execution.
+- :mod:`repro.runner.spec` / :mod:`repro.runner.outcome` — the value
+  types a sweep takes (specs, client config) and returns (outcome,
+  failure report, retry policy);
+- :mod:`repro.runner.executor` — the one batch executor, run in process
+  and in pool workers alike;
+- :mod:`repro.runner.grid` — the coordinator: workload x store x
+  placement grids over a process pool, bit-identical to serial
+  execution.
 
 See ``docs/RUNNER.md`` for the fingerprint scheme, cache layout and the
 determinism guarantees.
@@ -28,11 +34,13 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "array_digest", "canonicalize", "digest", "experiment_fingerprint",
         "trace_fingerprint", "workload_fingerprint",
     ],
-    "grid": [
-        "ENGINE_FACTORIES", "NON_RETRYABLE", "PLACEMENTS", "PLANS",
-        "ClientConfig", "ExperimentFailure", "ExperimentMeta",
-        "ExperimentRunner", "ExperimentSpec", "FailureReport", "GridOutcome",
-        "RetryPolicy", "default_workers", "split_fast_keys",
+    "grid": ["ExperimentRunner", "default_workers"],
+    "outcome": [
+        "NON_RETRYABLE", "ExperimentFailure", "ExperimentMeta",
+        "FailureReport", "GridOutcome", "RetryPolicy",
     ],
     "shm": ["SharedTraceHandle", "TracePlane"],
+    "spec": [
+        "PLACEMENTS", "ClientConfig", "ExperimentSpec", "split_fast_keys",
+    ],
 })

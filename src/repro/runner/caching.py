@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry
-from repro.kvstore.server import HybridDeployment
 from repro.runner.cache import ResultCache, ensure_cache
 from repro.runner.fingerprint import digest
 from repro.ycsb.client import DEFAULT_PERCENTILES, RunResult, YCSBClient
@@ -46,16 +45,12 @@ class PlacementBatch:
     live-generator seed, which is uncacheable) every placement measures
     fresh through the kernel with provenance ``"uncached"``.
 
-    This is also the unit of work the grouped sweep dispatcher executes
-    in pool workers — one ``PlacementBatch`` per (trace, engine) group,
-    with ``path_label="grouped_batch"`` so the telemetry path mix shows
-    planner batches distinctly.
+    This is also the unit of work the sweep runner executes, in process
+    and in pool workers — one ``PlacementBatch`` per (trace, engine)
+    batch (:func:`repro.runner.executor.run_batch`).
     """
 
-    def __init__(
-        self, client, trace, profile, system, record_sizes=None,
-        path_label: str = "batch_kernel",
-    ):
+    def __init__(self, client, trace, profile, system, record_sizes=None):
         self.client = client
         self.trace = trace
         self.profile = profile
@@ -71,7 +66,6 @@ class PlacementBatch:
                 f"trace key space ({trace.n_keys}) does not match the "
                 f"placement key space ({self.record_sizes.size})"
             )
-        self.path_label = path_label
         self._kernel = None
         self._live_seed = isinstance(client.seed, np.random.Generator)
         if self._live_seed:
@@ -86,8 +80,8 @@ class PlacementBatch:
     def fingerprint(self, fast_mask: np.ndarray) -> str | None:
         """One placement's experiment fingerprint, without a kernel.
 
-        Identical to what ``BatchKernel.fingerprint`` (and the
-        per-deployment path) computes; ``None`` for live-seeded clients.
+        Identical to what ``BatchKernel.fingerprint`` computes; ``None``
+        for live-seeded clients.
         """
         if self._live_seed:
             return None
@@ -112,7 +106,7 @@ class PlacementBatch:
 
             self._kernel = BatchKernel(
                 self.client, self.trace, self.profile, self.system,
-                record_sizes=self.record_sizes, path_label=self.path_label,
+                record_sizes=self.record_sizes,
             )
         return self._kernel
 
@@ -207,38 +201,17 @@ class CachingClient(YCSBClient):
             self._hitmask_memo[key] = hits
         return hits, llc.hit_latency_ns
 
-    def execute(self, trace: Trace, deployment: HybridDeployment) -> RunResult:
-        """Measure (or recall) *trace* against *deployment*.
-
-        On a cache hit the stored result is returned without touching
-        the simulator; on a miss the base client measures and the result
-        is persisted under its experiment fingerprint.
-        """
-        if isinstance(self._seed, np.random.Generator):
-            telemetry.count("memsim.fallback", reason="live_seed")
-            return super().execute(trace, deployment)
-        _, fp = self.experiment_fingerprint(trace, deployment)
-        result = self.cache.get_result(fp)
-        if result is not None:
-            self.cache_hits += 1
-            return result
-        self.cache_misses += 1
-        telemetry.count("cache.recompute", kind="results")
-        result = super().execute(trace, deployment)
-        self.cache.put_result(fp, result)
-        return result
-
     def execute_placements(
         self, trace, fast_masks, profile, system, record_sizes=None,
     ):
         """Batch measurement with batch-grained cache probes.
 
-        Each placement is looked up under the same experiment
-        fingerprint :meth:`execute` uses, so batch and per-deployment
-        measurements share one cache namespace; only the misses run
-        through the kernel — and the kernel itself (gather + LLC
-        replay) is only constructed if there *is* a miss, so fully warm
-        batches cost probes alone (see :class:`PlacementBatch`).
+        Each placement is looked up under its experiment fingerprint
+        (:meth:`~repro.ycsb.client.YCSBClient.execute` is the one-mask
+        case, so it shares the namespace); only the misses run through
+        the kernel — and the kernel itself (gather + LLC replay) is only
+        constructed if there *is* a miss, so fully warm batches cost
+        probes alone (see :class:`PlacementBatch`).
         """
         batch = PlacementBatch(
             self, trace, profile, system, record_sizes=record_sizes

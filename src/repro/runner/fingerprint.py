@@ -204,7 +204,7 @@ def experiment_fingerprint_parts(
 
     Identical to :func:`experiment_fingerprint` but usable before (or
     without) constructing a deployment — e.g. to probe the result cache
-    from an :class:`~repro.runner.grid.ExperimentSpec` alone, where the
+    from an :class:`~repro.runner.spec.ExperimentSpec` alone, where the
     profile, placement mask and system are all derivable cheaply.
     """
     body = {

@@ -1,9 +1,9 @@
 """Shared-memory trace plane for grouped sweep dispatch.
 
-A sweep evaluates many placements over *few* traces, yet the per-cell
-pool path re-materialises each trace in every worker for every task —
-either re-reading the compressed trace cache from disk or regenerating
-the trace outright.  The trace plane removes that cost: the coordinator
+A sweep evaluates many placements over *few* traces, and a worker that
+materialises a trace itself re-reads the compressed trace cache from
+disk or regenerates the trace outright.  The trace plane removes that
+cost: the coordinator
 publishes each distinct trace's arrays (``keys``, ``is_read``,
 ``record_sizes``) **once** into a :mod:`multiprocessing.shared_memory`
 segment, and workers attach zero-copy read-only views, memoized per
@@ -30,7 +30,7 @@ Ownership and cleanup are deliberately one-sided:
 A :class:`SharedTraceHandle` is a tiny picklable descriptor (segment
 name, dtypes, shapes, offsets, trace content digest) — the only thing
 that crosses the pool boundary.  Attach failures are non-fatal by
-design: the grouped worker falls back to materialising the trace from
+design: the batch executor falls back to materialising the trace from
 the workload spec, so a vanished segment degrades performance, never
 correctness.
 """

@@ -13,7 +13,7 @@ that are safe for this codebase's process model:
 - **``busy_timeout``** makes SQLite itself wait out short lock
   contention, and :meth:`Database.write_txn` adds a bounded exponential-backoff
   retry loop (with deterministic jitter, matching the runner's
-  :class:`~repro.runner.grid.RetryPolicy` idiom) around ``BEGIN
+  :class:`~repro.runner.outcome.RetryPolicy` idiom) around ``BEGIN
   IMMEDIATE`` transactions for the pathological cases — two sweeps
   hammering one store on a slow volume — before giving up with a
   :class:`~repro.errors.StoreError`.

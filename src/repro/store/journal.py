@@ -19,7 +19,7 @@ under the experiment fingerprint (content-addressed, bit-identical to
 what any rerun would measure), so resuming is exactly "skip every
 fingerprint the journal says is done, load its row, mark its
 provenance ``journal``".  A resumed sweep therefore reproduces the
-uninterrupted sweep's :class:`~repro.runner.grid.GridOutcome` results
+uninterrupted sweep's :class:`~repro.runner.outcome.GridOutcome` results
 bit for bit.
 """
 

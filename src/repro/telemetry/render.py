@@ -184,7 +184,7 @@ def render_cache_summary(view: RunView) -> list[str]:
 
 
 def render_path_mix(view: RunView, width: int = 40) -> list[str]:
-    """The memsim path mix (per-deployment / batch kernel / analytic)."""
+    """The memsim path mix (batch kernel / analytic)."""
     mix = view.counter_breakdown("memsim.path", "path")
     if not mix:
         return ["kernel paths: none recorded"]

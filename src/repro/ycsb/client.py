@@ -8,9 +8,10 @@ latency percentiles.  The mean over ``repeats`` noise realisations is
 reported, matching "reported values are the mean of multiple experiment
 runs" (Fig 5 caption).
 
-The hot path is fully vectorized: per-request node parameters are
-gathered with fancy indexing and all service times come out of one
-:class:`~repro.memsim.timing.AccessTimer` call.  The optional LLC model
+Every measurement — one deployment or many placements — runs through
+:class:`~repro.memsim.kernel.BatchKernel`: per-request node parameters
+are gathered with fancy indexing and all service times come out of one
+vectorized pass.  The optional LLC model
 (off by default — with 100 KB records against a 12 MB LLC its effect is
 second-order, see the cache ablation bench) uses the vectorized
 stack-distance path for uniform record sizes and memoizes hit masks per
@@ -32,11 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import ConfigurationError
 from repro.kvstore.server import HybridDeployment
 from repro.memsim.cache import LLCModel
-from repro.memsim.timing import AccessTimer, NoiseModel, service_times_ns
-from repro.rng import SeedLike, derive_seed
+from repro.memsim.timing import NoiseModel
+from repro.rng import SeedLike, derive_seed, ensure_rng
 from repro.units import NS_PER_S
 from repro.ycsb.workload import Trace
 
@@ -177,14 +178,11 @@ class YCSBClient:
         # hit masks are a pure function of (trace, LLC capacity); memoize
         # them so repeated measurements never replay the LRU
         self._hitmask_memo: dict[tuple[str, int], np.ndarray] = {}
-        # fingerprint memos: sweeps measure the same trace object against
-        # many deployments, and hashing the full trace every execute is
+        # trace-digest memo: sweeps measure the same trace object against
+        # many placements, and hashing the full trace every time is
         # pure overhead.  Keyed by object id with a weakref finalizer
-        # evicting dead entries, so a recycled id can never alias.  The
-        # memos assume client settings are fixed after construction (as
-        # everything else about reproducible measurement already does).
+        # evicting dead entries, so a recycled id can never alias.
         self._trace_digest_memo: dict[int, str] = {}
-        self._fp_memo: dict[tuple[str, int], str] = {}
 
     @property
     def seed(self) -> SeedLike:
@@ -192,28 +190,6 @@ class YCSBClient:
         return self._seed
 
     # -- internals ---------------------------------------------------------------
-
-    def _gather(self, trace: Trace, deployment: HybridDeployment):
-        """Per-request parameter arrays (sizes, node params, op params)."""
-        if trace.n_keys != deployment.n_keys:
-            raise WorkloadError(
-                f"trace key space ({trace.n_keys}) does not match the "
-                f"deployment ({deployment.n_keys})"
-            )
-        record_sizes, fast_mask = deployment.placement_arrays()
-        prof = deployment.profile
-        system = deployment.system
-
-        sizes = record_sizes[trace.keys] + prof.metadata_bytes
-        on_fast = fast_mask[trace.keys]
-        latency = np.where(on_fast, system.fast.latency_ns, system.slow.latency_ns)
-        bpns = np.where(on_fast, system.fast.bytes_per_ns, system.slow.bytes_per_ns)
-        passes = np.where(trace.is_read, prof.read_passes, prof.write_passes)
-        if self.concurrency > 1:
-            # bandwidth sharing: each in-flight peer slows the memory term
-            passes = passes * (1 + self.contention * (self.concurrency - 1))
-        cpu = np.where(trace.is_read, prof.read_cpu_ns, prof.write_cpu_ns)
-        return sizes, latency, bpns, passes, cpu, on_fast
 
     def _fault_arrays(self, label, on_fast, latency, bpns, cpu):
         """Apply the configured fault timeline to per-request arrays.
@@ -297,35 +273,11 @@ class YCSBClient:
         the content-addressed cache key and the root label of the noise
         streams.  Raises for clients seeded with a live generator, which
         are inherently non-reproducible.
-
-        Memoized per (trace digest, deployment object): a sweep calling
-        ``execute`` repeatedly on the same pair stops re-hashing the
-        placement and system on every measurement.
         """
+        from repro.runner.fingerprint import experiment_fingerprint
+
         digest = self.trace_digest(trace)
-        key = (digest, id(deployment))
-        fp = self._fp_memo.get(key)
-        if fp is None:
-            from repro.runner.fingerprint import experiment_fingerprint
-
-            fp = experiment_fingerprint(digest, deployment, self)
-            self._fp_memo[key] = fp
-            weakref.finalize(deployment, self._fp_memo.pop, key, None)
-        return digest, fp
-
-    def _experiment_context(self, trace: Trace, deployment: HybridDeployment):
-        """Noise-stream label, hit mask and hit latency for one measurement."""
-        if isinstance(self._seed, np.random.Generator):
-            # a live generator is drawn from on every derive_seed call, so
-            # a static label still yields fresh independent streams; such
-            # clients are not fingerprintable (or cacheable)
-            label, digest = trace.name, None
-        else:
-            digest, label = self.experiment_fingerprint(trace, deployment)
-        cached, cache_lat = self._cache_mask(
-            trace, deployment.system.llc, digest
-        )
-        return label, cached, cache_lat
+        return digest, experiment_fingerprint(digest, deployment, self)
 
     # -- execution --------------------------------------------------------------------
 
@@ -338,49 +290,29 @@ class YCSBClient:
         that need the raw service process rather than aggregated
         closed-loop measurements.
         """
-        sizes, latency, bpns, passes, cpu, on_fast = self._gather(
-            trace, deployment
+        from repro.memsim.kernel import BatchKernel
+
+        record_sizes, fast_mask = deployment.placement_arrays()
+        kernel = BatchKernel(
+            self, trace, deployment.profile, deployment.system,
+            record_sizes=record_sizes,
         )
-        label, cached, cache_lat = self._experiment_context(trace, deployment)
-        latency, bpns, cpu, noise_scale = self._fault_arrays(
-            label, on_fast, latency, bpns, cpu
-        )
-        timer = AccessTimer(
-            noise=self.noise,
-            seed=derive_seed(self._seed, f"{label}/svc"),
-        )
-        return timer.request_times_ns(
-            sizes, latency, bpns, passes, cpu,
-            cached=cached, cache_latency_ns=cache_lat,
-            noise_scale=noise_scale,
-        )
+        label, base, noise_scale = kernel.base_times(fast_mask)
+        rng = ensure_rng(derive_seed(self._seed, f"{label}/svc"))
+        return self.noise.apply(base, rng, scale=noise_scale)
 
     def execute(self, trace: Trace, deployment: HybridDeployment) -> RunResult:
         """Run *trace* against *deployment*; return averaged measurements.
 
-        The noise repeats are realised a row at a time over a single
-        base-time pass (:func:`~repro.memsim.kernel.measure_repeats`)
-        rather than re-running the timer per repeat; each row comes from
-        the same ``derive_seed(seed, f"{label}/run{r}")`` generator the
-        per-repeat loop used, so results are bit-identical to it.
+        A deployment is one placement: its mask, engine profile and
+        memory system go through :meth:`execute_placements`.
         """
-        from repro.memsim.kernel import measure_repeats
-
-        telemetry.count("memsim.path", path="per_deployment")
-        sizes, latency, bpns, passes, cpu, on_fast = self._gather(
-            trace, deployment
+        record_sizes, fast_mask = deployment.placement_arrays()
+        (result,) = self.execute_placements(
+            trace, [fast_mask], deployment.profile, deployment.system,
+            record_sizes=record_sizes,
         )
-        label, cached, cache_lat = self._experiment_context(trace, deployment)
-        latency, bpns, cpu, noise_scale = self._fault_arrays(
-            label, on_fast, latency, bpns, cpu
-        )
-        base = service_times_ns(
-            sizes, latency, bpns, passes, cpu,
-            cached=cached, cache_latency_ns=cache_lat,
-        )
-        return measure_repeats(
-            self, trace, deployment.profile.name, base, label, noise_scale
-        )
+        return result
 
     def execute_placements(
         self,
@@ -392,12 +324,11 @@ class YCSBClient:
     ) -> list[RunResult]:
         """Measure *trace* against many placements in one gathered pass.
 
-        Equivalent to building a :class:`HybridDeployment` per mask and
-        calling :meth:`execute` on each — bit-identically so, because the
-        noise streams derive from the same per-placement experiment
-        fingerprints — but the trace-dependent work (array gathering,
-        trace hashing, the LLC replay) happens once, and no deployments
-        are constructed at all.  See
+        Each placement's noise streams derive from its own experiment
+        fingerprint, so a placement measures the same numbers alone or
+        in any batch; the trace-dependent work (array gathering, trace
+        hashing, the LLC replay) happens once, and no deployments are
+        constructed at all.  See
         :class:`~repro.memsim.kernel.BatchKernel`.
 
         Parameters

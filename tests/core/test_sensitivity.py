@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import SensitivityEngine, WorkloadDescriptor
+from repro.core.sensitivity import ESTIMATED_PENALTY, estimate_counterpart
+from repro.errors import FaultError
 from repro.kvstore import MemcachedLike, RedisLike
 from repro.ycsb import YCSBClient
 
@@ -52,3 +54,68 @@ class TestEngineVariation:
     def test_default_client_created(self):
         engine = SensitivityEngine(RedisLike)
         assert isinstance(engine.client, YCSBClient)
+
+
+class TestAllowPartial:
+    """One side failing degrades to an estimate; both failing raises."""
+
+    @staticmethod
+    def _fail_sides(monkeypatch, *sides):
+        """Make measuring the named extreme(s) raise a FaultError."""
+        from repro.memsim.kernel import BatchKernel
+
+        run = BatchKernel.run
+
+        def faulty_run(kernel, fast_mask, fingerprint=None):
+            side = "fast" if fast_mask.all() else "slow"
+            if side in sides:
+                raise FaultError(f"{side} node offline")
+            return run(kernel, fast_mask, fingerprint)
+
+        monkeypatch.setattr(BatchKernel, "run", faulty_run)
+
+    @pytest.mark.parametrize("lost, kept", [("fast", "slow"), ("slow", "fast")])
+    def test_one_side_failing_is_estimated_and_flagged(
+        self, small_trace, quiet_client, monkeypatch, lost, kept,
+    ):
+        engine = SensitivityEngine(RedisLike, client=quiet_client)
+        descriptor = WorkloadDescriptor.from_trace(small_trace)
+        clean = engine.measure(descriptor)
+        self._fail_sides(monkeypatch, lost)
+        with pytest.raises(FaultError, match=f"{lost} node offline"):
+            engine.measure(descriptor)
+        partial = engine.measure(descriptor, allow_partial=True)
+        assert partial.flags == (f"{lost}:estimated",)
+        assert partial.confidence == ESTIMATED_PENALTY
+        assert getattr(partial, kept) == getattr(clean, kept)
+        system = engine.system_factory()
+        assert getattr(partial, lost) == estimate_counterpart(
+            getattr(clean, kept),
+            RedisLike(system.fast, system.slow).profile, system, target=lost,
+        )
+
+    def test_both_sides_failing_raises(
+        self, small_trace, quiet_client, monkeypatch,
+    ):
+        engine = SensitivityEngine(RedisLike, client=quiet_client)
+        self._fail_sides(monkeypatch, "fast", "slow")
+        with pytest.raises(FaultError, match="both extreme baselines failed"):
+            engine.measure(
+                WorkloadDescriptor.from_trace(small_trace), allow_partial=True,
+            )
+
+    def test_clean_partial_run_equals_strict_run(self, mixed_trace):
+        from repro.faults import FaultSpec, LatencySpikes
+
+        descriptor = WorkloadDescriptor.from_trace(mixed_trace)
+        for faults, flags in (
+            (None, ()),
+            (FaultSpec(latency_spikes=LatencySpikes()),
+             ("fast:faulty", "slow:faulty")),
+        ):
+            engine = SensitivityEngine(
+                RedisLike, client=YCSBClient(repeats=2, seed=5, faults=faults),
+            )
+            strict = engine.measure(descriptor)
+            assert engine.measure(descriptor, allow_partial=True) == strict
+            assert strict.flags == flags

@@ -1,12 +1,11 @@
-"""Equivalence tests for the multi-placement batch kernel.
+"""Reference tests for the multi-placement batch kernel.
 
-The kernel's contract is *bit-identity*: every `RunResult` it produces
-must equal — field for field, bit for bit — what the per-deployment
-path measures, because both derive their noise streams from the same
-experiment fingerprints.  These tests also pin the vectorized-repeats
-`execute` against a verbatim copy of the old per-repeat loop, and the
-row-at-a-time `measure_repeats` against the (repeats x requests) matrix
-formulation it replaced, which lives on here as the oracle.
+The kernel is the only way a placement is measured, so its references
+live here: `legacy_execute`, a verbatim copy of the per-deployment
+measurement it replaced (its own gather, one `AccessTimer` per repeat),
+which `execute` and `execute_placements` must match bit for bit; and
+the (repeats x requests) matrix formulation the row-at-a-time
+`measure_repeats` replaced.
 """
 
 import hypothesis.strategies as st
@@ -115,12 +114,31 @@ def oracle_measure(client, trace, engine, base, label, noise_scale=None):
     )
 
 
+def legacy_gather(client, trace, deployment):
+    """Verbatim copy of the per-deployment parameter gather."""
+    record_sizes, fast_mask = deployment.placement_arrays()
+    prof = deployment.profile
+    system = deployment.system
+    sizes = record_sizes[trace.keys] + prof.metadata_bytes
+    on_fast = fast_mask[trace.keys]
+    latency = np.where(on_fast, system.fast.latency_ns, system.slow.latency_ns)
+    bpns = np.where(on_fast, system.fast.bytes_per_ns, system.slow.bytes_per_ns)
+    passes = np.where(trace.is_read, prof.read_passes, prof.write_passes)
+    if client.concurrency > 1:
+        passes = passes * (1 + client.contention * (client.concurrency - 1))
+    cpu = np.where(trace.is_read, prof.read_cpu_ns, prof.write_cpu_ns)
+    return sizes, latency, bpns, passes, cpu, on_fast
+
+
 def legacy_execute(client, trace, deployment):
     """Verbatim copy of the pre-kernel per-repeat measurement loop."""
-    sizes, latency, bpns, passes, cpu, on_fast = client._gather(
-        trace, deployment
+    sizes, latency, bpns, passes, cpu, on_fast = legacy_gather(
+        client, trace, deployment
     )
-    label, cached, cache_lat = client._experiment_context(trace, deployment)
+    digest, label = client.experiment_fingerprint(trace, deployment)
+    cached, cache_lat = client._cache_mask(
+        trace, deployment.system.llc, digest
+    )
     latency, bpns, cpu, noise_scale = client._fault_arrays(
         label, on_fast, latency, bpns, cpu
     )
@@ -166,7 +184,7 @@ def assert_matches_legacy(result, legacy):
 
 
 class TestVectorizedRepeats:
-    """`execute` folded its per-repeat loop; results must not move a bit."""
+    """`execute` rides the kernel; the per-repeat loop is its reference."""
 
     @pytest.mark.parametrize("use_llc", [False, True])
     @pytest.mark.parametrize("concurrency", [1, 4])
@@ -221,6 +239,9 @@ class TestBatchKernel:
         for mask, deployment, got in zip(
             masks, _deployments(trace, masks), batch
         ):
+            assert_matches_legacy(
+                got, legacy_execute(client, trace, deployment)
+            )
             assert got == client.execute(trace, deployment)
 
     def test_fingerprints_match_deployment_path(self, trace):
@@ -250,6 +271,9 @@ class TestBatchKernel:
         for mask, deployment, got in zip(
             masks, _deployments(trace, masks), batch
         ):
+            assert_matches_legacy(
+                got, legacy_execute(client, trace, deployment)
+            )
             assert got == client.execute(trace, deployment)
 
     def test_key_space_mismatch_raises(self, trace):
@@ -293,7 +317,7 @@ class TestCachingBatch:
         batch = writer.execute_placements(trace, masks, profile, system)
         assert writer.cache_misses == len(masks)
 
-        # the per-deployment path must recall the batch's entries
+        # executing a deployment must recall the batch's entries
         reader = CachingClient(cache=cache, seed=6, repeats=2)
         for mask, deployment, expect in zip(
             masks, _deployments(trace, masks), batch
@@ -301,7 +325,7 @@ class TestCachingBatch:
             assert reader.execute(trace, deployment) == expect
         assert reader.cache_hits == len(masks)
 
-        # and the batch path recalls per-deployment entries
+        # and the batch recalls what execute stored
         again = CachingClient(cache=cache, seed=6, repeats=2)
         assert again.execute_placements(trace, masks, profile, system) == batch
         assert again.cache_hits == len(masks)
@@ -314,19 +338,20 @@ class TestFingerprintMemo:
         (deployment,) = _deployments(trace, _masks(trace.n_keys, (0.3,)))
         first = client.experiment_fingerprint(trace, deployment)
         assert client.experiment_fingerprint(trace, deployment) == first
-        # memo entries keyed by object identity, evicted on GC
-        assert (first[0], id(deployment)) in client._fp_memo
+        # the trace is hashed once: its digest is memoized by identity
+        assert client._trace_digest_memo[id(trace)] == first[0]
 
-    def test_memo_entries_evict_on_gc(self, trace):
+    def test_memo_entries_evict_on_gc(self):
         import gc
 
         client = YCSBClient(seed=2)
-        (deployment,) = _deployments(trace, _masks(trace.n_keys, (0.3,)))
-        client.experiment_fingerprint(trace, deployment)
-        assert len(client._fp_memo) == 1
-        del deployment
+        spec = workload_by_name("trending").scaled(n_keys=50, n_requests=500)
+        local = generate_trace(spec.with_seed(1))
+        client.trace_digest(local)
+        assert len(client._trace_digest_memo) == 1
+        del local
         gc.collect()
-        assert len(client._fp_memo) == 0
+        assert len(client._trace_digest_memo) == 0
 
     def test_distinct_deployments_distinct_fingerprints(self, trace):
         client = YCSBClient(seed=2)

@@ -2,9 +2,9 @@
 
 The planner's contract is strict: grouped-batch dispatch over the
 shared-memory trace plane must produce results, fingerprints and cache
-entries *bit-identical* to the serial and per-cell paths, attribute
-failures to individual specs even when they arrive batched, and never
-leak a shared-memory segment — including on the failure paths.
+entries *bit-identical* to the serial path, attribute failures to
+individual specs even when they arrive batched, and never leak a
+shared-memory segment — including on the failure paths.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from multiprocessing import shared_memory
 
 from repro import telemetry
-from repro.errors import ConfigurationError, FaultError
 from repro.faults import ChaosPlan
 from repro.runner import (
     ClientConfig,
@@ -89,19 +88,22 @@ class TestEquivalence:
         assert grouped.ok
         assert grouped.results == reference.results
 
-    def test_cell_plan_identical_to_grouped(
-        self, grid_specs, reference, tmp_path,
+    def test_no_shm_identical(
+        self, grid_specs, reference, tmp_path, monkeypatch,
     ):
-        with _runner(tmp_path, "cell", plan="cell") as runner:
-            cell = runner.sweep(grid_specs, workers=2)
-        assert cell.ok
-        assert cell.results == reference.results
+        # no shared memory at all: every publish fails, every worker
+        # materialises its trace, and nothing moves
+        def no_plane(workload):
+            raise OSError("no shared memory on this host")
 
-    def test_no_shm_identical(self, grid_specs, reference, tmp_path):
-        with _runner(tmp_path, "noshm", use_shm=False) as runner:
-            outcome = runner.sweep(grid_specs, workers=2)
+        with telemetry.session() as tel:
+            with _runner(tmp_path, "noshm") as runner:
+                monkeypatch.setattr(runner, "_publish_trace", no_plane)
+                outcome = runner.sweep(grid_specs, workers=2)
         assert outcome.ok
         assert outcome.results == reference.results
+        assert _metric_total(tel, "runner.shm", op="publish_failed") == 2
+        assert _metric_total(tel, "runner.shm", op="attach") == 0
 
     def test_cache_entries_identical_across_plans(
         self, grid_specs, tmp_path,
@@ -262,13 +264,6 @@ class TestPlanner:
                     break
             else:  # pragma: no cover - would mean no convergence
                 raise AssertionError("group never reached singletons")
-
-    def test_bad_plan_rejected(self, tmp_path, grid_specs):
-        with pytest.raises(ConfigurationError):
-            ExperimentRunner(plan="scattered")
-        with _runner(tmp_path, "bad") as runner:
-            with pytest.raises(ConfigurationError):
-                runner.sweep(grid_specs, workers=2, plan="scattered")
 
     def test_pool_persists_across_sweeps(self, grid_specs, tmp_path):
         with _runner(tmp_path, "pool") as runner:
@@ -560,13 +555,38 @@ class TestPlannerTelemetry:
             with _runner(tmp_path, "tele") as runner:
                 outcome = runner.sweep(grid_specs, workers=2)
         assert outcome.ok
-        assert _metric_total(tel, "memsim.path", path="grouped_batch") >= 2
-        assert _metric_total(tel, "memsim.path", path="batch_kernel") == 0
+        # one simulate path: every computed cell counts under the kernel
+        assert _metric_total(tel, "memsim.path") == len(grid_specs)
+        assert _metric_total(
+            tel, "memsim.path", path="batch_kernel",
+        ) == len(grid_specs)
         assert _metric_total(tel, "runner.shm", op="publish") == 2
         assert _metric_total(tel, "runner.shm", op="attach") >= 1
         sweeps = [
             s for s in tel.all_spans() if s.name == "runner.sweep"
         ]
         assert sweeps and all(
-            s.attrs.get("plan") == "grouped" for s in sweeps
+            s.attrs.get("pooled") is True and "plan" not in s.attrs
+            for s in sweeps
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cold_sweep_probes_the_store_once_per_cell(
+        self, grid_specs, tmp_path, workers,
+    ):
+        # serial or pooled, a cell's result is looked up exactly once
+        # (the executor's probe), then computed and stored
+        with telemetry.session() as tel:
+            with ExperimentRunner(
+                cache=str(tmp_path / "probe.db"),
+                client=ClientConfig(repeats=2, seed=7), retry=FAST_RETRY,
+            ) as runner:
+                outcome = runner.sweep(grid_specs, workers=workers)
+                runner.cache.close()
+        assert set(outcome.provenance) == {"computed"}
+        assert _metric_total(
+            tel, "cache.lookup", kind="results", outcome="miss",
+        ) == len(grid_specs)
+        assert _metric_total(tel, "cache.lookup", kind="results") == len(
+            grid_specs
         )

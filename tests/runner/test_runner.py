@@ -8,6 +8,7 @@ from repro.core.descriptor import WorkloadDescriptor
 from repro.errors import ConfigurationError
 from repro.kvstore import RedisLike
 from repro.memsim import HybridMemorySystem
+from repro.memsim.kernel import BatchKernel
 from repro.runner import (
     CachingClient,
     ClientConfig,
@@ -181,9 +182,9 @@ class TestExperimentRunner:
         warm_runner = ExperimentRunner(cache=tmp_path / "c", client=config)
 
         def boom(*a, **k):  # pragma: no cover - must not run
-            raise AssertionError("warm run rebuilt a deployment")
+            raise AssertionError("warm run built a batch kernel")
 
-        monkeypatch.setattr(warm_runner, "deployment_for", boom)
+        monkeypatch.setattr(BatchKernel, "__init__", boom)
         assert len(warm_runner.run_grid(specs)) == len(specs)
 
     def test_trace_cached_on_disk(self, tmp_path, small_spec):

@@ -45,7 +45,7 @@ class TestObsCapture:
         assert main(["obs", str(sink), "--prom"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE memsim_path counter" in out
-        assert 'memsim_path{path="per_deployment"}' in out
+        assert 'memsim_path{path="batch_kernel"}' in out
 
     def test_obs_top_must_be_positive(self, captured_run, capsys):
         _, sink = captured_run

@@ -181,6 +181,26 @@ class TestGuard:
         assert "advice:" in capsys.readouterr().out
 
 
+class TestSweep:
+    @pytest.mark.parametrize("flag", [["--plan", "cell"], ["--no-shm"]])
+    def test_dispatch_knobs_are_gone(self, capsys, flag):
+        # one pooled plan, automatic shm fallback: the flags that chose
+        # otherwise are argparse usage errors, not deprecated aliases
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--workloads", "trending", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_pooled_stdout_equals_serial(self, small_workloads, capsys):
+        argv = ["sweep", "--workloads", "trending,timeline",
+                "--placements", "fast,slow,split", "--seed", "5"]
+        assert main([*argv, "--workers", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main([*argv, "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert "timeline/redis/split0.20" in serial
+
+
 class TestUsageErrors:
     """Malformed input dies with one clean line, never a traceback."""
 
