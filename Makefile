@@ -57,9 +57,11 @@ guard:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# kernel smoke: downsized sweep, fails below the mixed-size-LRU floor
-# and outside the analytic error envelope (smoke runs never touch the
-# committed BENCH_kernel.json; only a full-mode run refreshes it)
+# kernel smoke: downsized sweep, fails when the LLC frontier pass is
+# under 2x the access loop under eviction or slower than it on the
+# cyclic worst case, and outside the analytic error envelope (smoke runs
+# never touch the committed BENCH_kernel.json; only a full-mode run
+# refreshes it)
 bench-kernel:
 	MNEMO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/bench_kernel_speedup.py --benchmark-only -s

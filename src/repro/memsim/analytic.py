@@ -142,14 +142,20 @@ def reuse_time_eviction_age(
     zeroes records larger than the capacity (they bypass the cache).
     Returns ``inf`` when the full working set fits — nothing ages out.
     """
-    from repro.memsim.cache import _next_occurrence, _previous_occurrence
+    from repro.memsim.cache import _occurrences
 
-    n = keys.size
-    if capacity_bytes <= 0 or n == 0:
+    if capacity_bytes <= 0 or keys.size == 0:
         return 0.0
+    _, nxt = _occurrences(np.ascontiguousarray(keys))
+    return _eviction_age(nxt, sizes, capacity_bytes)
+
+
+def _eviction_age(
+    nxt: np.ndarray, sizes: np.ndarray, capacity_bytes: int,
+) -> float:
+    """:func:`reuse_time_eviction_age` from the next-occurrence array."""
+    n = nxt.size
     eff = np.where(sizes <= capacity_bytes, sizes, 0).astype(np.float64)
-    prev = _previous_occurrence(np.ascontiguousarray(keys))
-    nxt = _next_occurrence(prev)
     fwd = np.where(nxt < n, nxt - np.arange(n), n).astype(np.float64)
     order = np.argsort(fwd, kind="stable")
     gaps = fwd[order]
@@ -179,14 +185,14 @@ def reuse_time_hit_counts(
     eviction age from :func:`reuse_time_eviction_age`; first touches
     always miss.  O(n log n), no LRU replay.
     """
-    from repro.memsim.cache import _previous_occurrence
+    from repro.memsim.cache import _occurrences
 
     keys = np.ascontiguousarray(keys)
     n = keys.size
     if n == 0 or capacity_bytes <= 0:
         return np.zeros(n_keys, dtype=np.int64)
-    age = reuse_time_eviction_age(keys, sizes, capacity_bytes)
-    prev = _previous_occurrence(keys)
+    prev, nxt = _occurrences(keys)
+    age = _eviction_age(nxt, sizes, capacity_bytes)
     gap = np.arange(n) - prev
     hit = (prev >= 0) & (sizes <= capacity_bytes) & (gap <= age)
     return np.bincount(keys[hit], minlength=n_keys)

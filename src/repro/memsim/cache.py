@@ -6,415 +6,285 @@ served again is (partially) resident, so a repeat access avoids the memory
 round trip.  We model this with an exact LRU over records, capped by
 capacity in bytes.  Records larger than the cache never hit.
 
-Two implementations back :meth:`LLCModel.process`:
+:meth:`LLCModel.access` is the model — a dict LRU (CPython's
+insertion-ordered dict: re-insertion == move-to-back) — and the
+reference every test compares against.  :meth:`LLCModel.process` replays
+a whole trace; on a cold cache with per-key-constant sizes (every
+generated trace) it runs no per-request Python but one vectorized pass
+over the LRU **eviction frontier**, bit-identical to the loop.
 
-- an exact dict LRU (CPython's insertion-ordered dict: re-insertion ==
-  move-to-back) — the general path for a warm cache or traces whose
-  per-key sizes vary between accesses;
-- a vectorized NumPy fast path for cold caches, based on stack-distance
-  reasoning.  With uniform sizes the byte-capped LRU degenerates to a
-  K-slot LRU stack (K = capacity // size), and an access hits iff the
-  number of *distinct* keys referenced since the previous access to the
-  same key is below K.  With mixed (per-key-constant) sizes the same
-  reasoning holds *byte-weighted*: an access to key k hits iff
-  ``size_k`` plus the bytes of the distinct other records touched since
-  k's previous access (counting only records that fit the cache) is at
-  most the capacity — see :func:`lru_hit_mask_mixed_size` for why.
-  Most requests are decided by two O(n) shortcuts (a reuse window whose
-  *raw* byte sum fits guarantees a hit; a sliding-window distinct byte
-  count exceeding the budget over a contained subwindow guarantees a
-  miss), and only the residue pays for an exact blocked reuse-distance
-  count.  The final resident set is reconstructed so the model's state
-  and statistics are bit-identical to the sequential path.
+The frontier
+------------
+Let ``prev[i]`` / ``nxt[i]`` be the previous / next request to request
+``i``'s key, ``eff[i]`` its size if it fits the capacity and 0 if not
+(oversized records are bypassed and displace nothing), and call position
+``j`` *live* at time ``t`` when ``j <= t < nxt[j]`` — the latest touch of
+its key.  The distinct records last touched in ``[x, t]`` then hold
+``F(x, t) = sum of eff[j] over live j in [x, t]`` bytes.  An LRU evicts
+only from the cold end of its recency order, so after request ``t`` the
+resident set is exactly the records last touched at or after
+``T(t) = min{x : F(x, t) <= capacity}``.  ``F(x, .)`` never decreases (a
+request re-touches a record already inside ``[x, t]`` or adds bytes), so
+neither does ``T``, and request ``i`` hits iff its record fits,
+``prev[i] >= 0`` and ``prev[i] >= T(i - 1)`` — the byte-weighted
+stack-distance rule ``F(prev[i], i - 1) <= capacity``, read from the
+eviction side.
 
-:meth:`LLCModel.process` only routes mixed-size traces to the vectorized
-path when a cheap upfront gate (:func:`cold_working_set_bytes`) says the
-touched working set fits the capacity — the no-eviction regime where the
-O(n) quick-hit rule decides every request and the vector path wins
-outright.  Eviction-heavy traces go straight to the dict replay, which
-measurement shows is the cheaper exact method there.
+The pass (:func:`lru_hit_mask`)
+-------------------------------
+1. One sort gives ``prev`` and ``nxt`` (:func:`_occurrences`).  First
+   touches accumulate the working set: if it fits, nothing is evicted
+   and every fitting repeat hits.  Otherwise the request at which it
+   first overflows seeds the *span* — how far the frontier may trail.
+2. The trace is cut into ``g``-request chunks, ``g`` the smallest power
+   of two (>= 32) with ``2 * g * g >= span``, so the band of
+   ``m = span / g + 2`` chunks keeps the table below within about
+   ``2 * n`` cells whatever the capacity.  One weighted ``bincount`` and
+   two cumsums (:func:`_band_table`) give
+   ``R[c, d] = F((c - d) * g, c * g - 1)``, the live bytes the last ``d``
+   chunks hold at chunk boundary ``c``.  If a row is still within the
+   capacity at the band's edge the span doubles and the table is rebuilt.
+3. ``R`` brackets ``T`` at every boundary to one chunk; a suffix sum over
+   that chunk's ``g`` positions gives it **exactly** (``n`` cells in all).
+4. ``T(i - 1)`` lies between its chunk's two boundary values: ``prev[i]``
+   at or above the upper one hits, below the lower one misses.  Only a
+   ``prev`` inside the chunk's own frontier advance is undecided (under
+   2 % of requests on the benchmark specs); each is settled exactly as
+   ``F(prev[i], i - 1) <= capacity`` from one table cell and two scans of
+   at most ``g`` cells — ``prev[i]`` up to its next grid point (what is
+   still live at the chunk start) and the chunk's own prefix (records
+   unseen since ``prev[i]``) — in fixed-size slabs.
+5. ``T(n - 1)`` is the end state: the live fitting positions at or after
+   it, in position order, are the resident records LRU -> MRU.
+
+One sort plus O(n) NumPy work, O(n * g) = O(n * sqrt(span)) when every
+request is undecided (a cyclic scan one record over capacity), O(n)
+scratch always; measurements in ``docs/KERNEL.md``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import ConfigurationError
 from repro.units import MB
 
+#: Smallest chunk length of the frontier pass, in requests.
+_GRID = 32
+#: Cells (requests x chunk columns) the residue settles per slab.
+_SLAB_CELLS = 1 << 16
 
-def _previous_occurrence(keys: np.ndarray) -> np.ndarray:
-    """Index of each request's previous access to the same key (-1 if none)."""
+
+def _occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(prev, nxt)``: each request's previous / next access to its key.
+
+    ``prev`` is -1 at a first touch, ``nxt`` is ``n`` at a last one (both
+    int64).  One in-place sort of ``(key - min) << bits | index`` words
+    orders requests by key, then position; keys that are not integers or
+    do not pack beside the index take a stable argsort instead.
+    """
     n = keys.size
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    prev_sorted = np.full(n, -1, dtype=np.int64)
-    same = sorted_keys[1:] == sorted_keys[:-1]
-    prev_sorted[1:][same] = order[:-1][same]
+    if n < 2:
+        return np.full(n, -1, dtype=np.int64), np.full(n, n, dtype=np.int64)
+    bits = (n - 1).bit_length()
+    packs = keys.dtype.kind in "iu" and np.can_cast(keys.dtype, np.int64)
+    low = int(keys.min()) if packs else 0
+    if packs and (int(keys.max()) - low) >> (62 - bits) == 0:
+        words = keys.astype(np.int64)
+        words -= low
+        words <<= bits
+        words |= np.arange(n, dtype=np.int64)
+        words.sort()
+        order = words & ((1 << bits) - 1)
+        words >>= bits
+        same = words[1:] == words[:-1]
+    else:
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        same = ranked[1:] == ranked[:-1]
+    # neighbours in the sorted order are consecutive accesses to one key
+    link = np.empty(n, dtype=np.int64)
+    link[0] = -1
+    link[1:] = np.where(same, order[:-1], -1)
     prev = np.empty(n, dtype=np.int64)
-    prev[order] = prev_sorted
-    return prev
+    prev[order] = link
+    link[-1] = n
+    link[:-1] = np.where(same, order[1:], n)
+    nxt = np.empty(n, dtype=np.int64)
+    nxt[order] = link
+    return prev, nxt
 
 
-def _next_occurrence(prev: np.ndarray) -> np.ndarray:
-    """Index of each request's next access to the same key (n if none)."""
-    n = prev.size
-    nxt = np.full(n, n, dtype=np.int64)
-    rep = np.nonzero(prev >= 0)[0]
-    nxt[prev[rep]] = rep
-    return nxt
+def _rows(flat: np.ndarray, chunks: int, g: int, fill) -> np.ndarray:
+    """*flat* as a ``(chunks, g)`` matrix, the last row padded with *fill*."""
+    pad = (0, chunks * g - flat.size)
+    return np.pad(flat, pad, constant_values=fill).reshape(chunks, g)
 
 
-def _sliding_distinct(
-    nxt: np.ndarray, width: int, weights: np.ndarray | None = None,
+def _band_table(
+    nxt: np.ndarray, eff: np.ndarray, g: int, m: int, chunks: int,
 ) -> np.ndarray:
-    """``S[i]`` = distinct-key weight among positions [i-width+1, i-1].
+    """``R[c, d] = F((c - d) * g, c * g - 1)`` for ``c <= chunks, d <= m``.
 
-    With *weights* None every key weighs 1 and ``S`` is the distinct
-    *count*; with per-position weights (byte sizes) ``S`` is the sum of
-    each distinct key's weight.  A position j is the *last* in-window
-    occurrence of its key for query i exactly when
-    ``j < i <= min(nxt[j], j + width - 1)``, so each j contributes its
-    weight to a contiguous range of queries.  Accumulating those ranges
-    with a difference array makes the whole computation O(n).
+    A position in chunk ``r`` whose next access is ``k`` boundaries away
+    (clipped to ``m``) is live at boundaries ``r + 1 .. r + k``.
+    ``bincount`` drops its bytes at row ``m + r``, column ``m - k``; a
+    cumsum along the row turns "exactly ``k``" into "at least ``d``" at
+    column ``m - d``.  What chunk ``c - d`` still holds at boundary ``c``
+    now sits one diagonal step per ``d`` apart, so a strided view reads
+    the diagonals as rows (the ``m`` empty rows on top keep it in bounds)
+    and a second cumsum adds them up.  Sums are float64: exact below 2**53.
     """
     n = nxt.size
-    j = np.arange(n, dtype=np.int64)
-    hi = np.minimum(nxt, j + width - 1)
-    ok = hi >= j + 1
-    # bincount beats np.add.at by a wide margin for scattered adds; its
-    # float64 weighted sums stay exact for integer weights below 2**53
-    w = None if weights is None else weights[ok].astype(np.float64)
-    diff = np.bincount(j[ok] + 1, weights=w, minlength=n + 2)
-    diff -= np.bincount(hi[ok] + 1, weights=w, minlength=n + 2)
-    return np.cumsum(diff)[:n].astype(np.int64)
+    cell = np.arange(n)
+    cell //= g
+    reach = nxt // g
+    reach += nxt == n  # a last touch outlives the final boundary too
+    reach -= cell
+    np.minimum(reach, m, out=reach)
+    cell *= m + 1
+    cell += m * (m + 2)
+    cell -= reach
+    table = np.bincount(
+        cell, weights=eff, minlength=(m + chunks + 1) * (m + 1),
+    ).reshape(-1, m + 1)
+    np.cumsum(table, axis=1, out=table)
+    table[:, m] = 0.0  # d = 0: an empty range
+    step, item = table.strides
+    skewed = as_strided(
+        table[m:, m:], shape=(chunks + 1, m + 1), strides=(step, -step - item),
+        writeable=False,
+    )
+    return np.cumsum(skewed, axis=1)
 
 
-def _dup_for_queries(
-    prev: np.ndarray, qidx: np.ndarray, weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """``Σ {w_j : j < i, prev[j] > prev[i]}`` for each query position i.
-
-    This sums the *duplicate* (repeat) accesses inside the reuse window
-    ``(prev[i], i)``: a position j in that window repeats an earlier
-    in-window key exactly when its own previous occurrence also falls
-    inside the window, i.e. ``prev[j] > prev[i]`` (``prev[j] < j`` and
-    ``j < i`` then place j inside the window automatically).  First
-    occurrences (``prev[j] == -1``) can never satisfy the inequality, so
-    only repeat positions act as counting points.  With *weights* None
-    every point weighs 1 (the duplicate *count*); with per-position
-    weights (byte sizes) the result is the duplicate byte sum.
-
-    Computed blockwise: a running sorted array of point values (with
-    weight prefix sums) answers queries against all *earlier* blocks via
-    ``searchsorted``, and a points-by-queries broadcast handles
-    same-block pairs.  The block size balances merge traffic
-    (``n^2 / B``) against broadcast work (``Q * B``), so sparse query
-    sets get large blocks and cheap sweeps.
-    """
+def _frontier_pass(
+    prev: np.ndarray, nxt: np.ndarray, sizes: np.ndarray, cap: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`lru_hit_mask` proper, on validated inputs with ``n >= 1``."""
     n = prev.size
-    dup = np.zeros(qidx.size, dtype=np.int64)
-    if qidx.size == 0:
-        return dup
-    pidx = np.nonzero(prev >= 0)[0]
-    wts = None if weights is None else np.asarray(weights, dtype=np.int64)
-    block = int(np.clip(n / np.sqrt(2 * qidx.size + 1), 256, 8192))
-    sorted_vals = np.empty(0, dtype=np.int64)
-    sorted_wts = np.empty(0, dtype=np.int64)
-    for start in range(0, n, block):
-        end = min(start + block, n)
-        qlo, qhi = np.searchsorted(qidx, [start, end])
-        plo, phi = np.searchsorted(pidx, [start, end])
-        qs = qidx[qlo:qhi]
-        ps = pidx[plo:phi]
-        if qs.size:
-            qv = prev[qs]
-            if sorted_vals.size:
-                rank = np.searchsorted(sorted_vals, qv, side="right")
-                if wts is None:
-                    dup[qlo:qhi] = sorted_vals.size - rank
-                else:
-                    # suffix weight sums over the sorted point values
-                    pref = np.concatenate(
-                        ([0], np.cumsum(sorted_wts, dtype=np.int64))
-                    )
-                    dup[qlo:qhi] = pref[-1] - pref[rank]
-            if ps.size:
-                pairs = (prev[ps][:, None] > qv[None, :]) \
-                    & (ps[:, None] < qs[None, :])
-                if wts is None:
-                    dup[qlo:qhi] += pairs.sum(axis=0)
-                else:
-                    dup[qlo:qhi] += (pairs * wts[ps][:, None]).sum(axis=0)
-        if ps.size:
-            order = np.argsort(prev[ps], kind="stable")
-            spv = prev[ps][order]
-            spw = None if wts is None else wts[ps][order]
-            if sorted_vals.size:
-                # vectorized two-sorted-array merge via rank placement
-                pos = np.searchsorted(sorted_vals, spv, side="right")
-                pos += np.arange(spv.size)
-                merged = np.empty(sorted_vals.size + spv.size, np.int64)
-                merged[pos] = spv
-                rest = np.ones(merged.size, dtype=bool)
-                rest[pos] = False
-                merged[rest] = sorted_vals
-                sorted_vals = merged
-                if wts is not None:
-                    mw = np.empty(sorted_vals.size, np.int64)
-                    mw[pos] = spw
-                    mw[rest] = sorted_wts
-                    sorted_wts = mw
-            else:
-                sorted_vals = spv
-                if wts is not None:
-                    sorted_wts = spw
-    return dup
+    fits = sizes <= cap
+    hits = fits & (prev >= 0)
+    eff = np.where(fits, sizes, 0.0)
+    first = np.flatnonzero(prev < 0)
+    touched = np.cumsum(eff[first])  # distinct bytes, at each first touch
+    if touched[-1] <= cap:
+        return hits, np.array([n - 1]), np.array([0])
+    # where the cache first overflows is about how far the frontier trails
+    # from then on; the loop widens the guess where locality drifts
+    span = int(first[np.searchsorted(touched, cap, side="right")]) * 5 // 4
+    while True:
+        g = _GRID
+        while 2 * g * g < span:
+            g *= 2
+        chunks = -(-n // g)
+        m = min(span // g + 2, chunks)
+        table = _band_table(nxt, eff, g, m, chunks)
+        # row c is nondecreasing in d; its last cell within the capacity
+        # brackets T(c * g - 1) inside chunk c - depth - 1
+        depth = np.count_nonzero(table <= cap, axis=1) - 1
+        bucket = np.arange(chunks + 1) - depth - 1
+        if not ((depth == m) & (bucket >= 0)).any():
+            break
+        span *= 2
+    eff_rows = _rows(eff, chunks, g, 0.0)
+    prev_rows = _rows(prev, chunks, g, -1)
+    nxt_rows = _rows(nxt, chunks, g, n)
+    bound = np.minimum(np.arange(chunks + 1) * g, n)  # boundary c: t + 1
+    # refine: walk the bracketing chunk from its right end while the
+    # bytes still live at the boundary fit beside the table cell; a
+    # boundary without a bucket still holds everything (T = 0)
+    frontier = np.zeros(chunks + 1, dtype=np.int64)
+    edge = np.flatnonzero(bucket >= 0)
+    b = bucket[edge]
+    live = eff_rows[b]
+    live *= nxt_rows[b] >= bound[edge, None]
+    tail = np.cumsum(live[:, ::-1], axis=1)
+    room = (cap - table[edge, depth[edge]])[:, None]
+    frontier[edge] = (b + 1) * g - np.count_nonzero(tail <= room, axis=1)
+    # decide by chunk: T(i - 1) lies in [frontier[c], frontier[c + 1]]
+    hit_rows = _rows(hits, chunks, g, False)
+    open_rows = hit_rows & (prev_rows < frontier[1:, None])
+    hit_rows &= ~open_rows
+    open_rows &= prev_rows >= frontier[:-1, None]
+    undecided = np.flatnonzero(open_rows)
+    hits = hit_rows.reshape(-1)[:n]
+    below = np.tri(g + 1, g, -1, dtype=bool)  # below[k] = (column < k)
+    slab = max(1, _SLAB_CELLS // g)
+    for lo in range(0, undecided.size, slab):
+        i = undecided[lo:lo + slab]
+        p = prev[i]
+        c = i // g
+        start = c * g
+        a = -(-p // g)  # p's next grid point is a * g
+        # the chunk's own prefix [max(start, p), i): records unseen since p
+        fresh = below[i - start] ^ below[np.maximum(p - start, 0)]
+        fresh &= prev_rows[c] < p[:, None]
+        held = np.einsum("ij,ij->i", eff_rows[c], fresh)
+        # p before the chunk: [p, a * g) still live at the chunk start,
+        # plus the table cell for [a * g, start)
+        kept = nxt_rows[a - 1] >= start[:, None]
+        kept &= ~below[p - (a - 1) * g]
+        older = np.einsum("ij,ij->i", eff_rows[a - 1], kept)
+        older += table[c, np.maximum(c - a, 0)]
+        held += np.where(a <= c, older, 0.0)
+        hits[i] = held <= cap
+    return hits, bound[1:] - 1, frontier[1:]
 
 
-def lru_hit_mask_fixed_size(
-    keys: np.ndarray, size: int, capacity_bytes: int,
-) -> np.ndarray:
-    """Exact LRU hit mask for a cold cache and uniform record size.
-
-    Equivalent (bit-for-bit) to replaying *keys* through an empty
-    byte-capped LRU where every record occupies *size* bytes: a request
-    hits iff its reuse distance — the number of distinct keys accessed
-    since the previous access to the same key — is below the slot count
-    ``K = capacity_bytes // size``.  Records larger than the cache never
-    hit.
-
-    Most requests never pay for an exact reuse-distance count:
-
-    - a reuse window shorter than K can hold at most K - 1 distinct keys,
-      so the access is a guaranteed *hit* (covers hot keys);
-    - if a subwindow contained in the reuse window already holds >= K
-      distinct keys, the access is a guaranteed *miss* (covers cold keys;
-      subwindow distinct counts come from the O(n) sliding sweep of
-      :func:`_sliding_distinct`, with the subwindow width escalating
-      geometrically until the undecided residue is small).
-
-    Only the residue goes through :func:`_dup_for_queries`.
-    """
-    keys = np.ascontiguousarray(keys)
-    n = keys.size
-    if size <= 0:
-        raise ConfigurationError(f"record size must be positive, got {size}")
-    slots = capacity_bytes // size
-    if slots == 0 or n == 0:
-        return np.zeros(n, dtype=bool)
-    prev = _previous_occurrence(keys)
-    idx = np.arange(n, dtype=np.int64)
-    window = idx - prev - 1
-    repeat = prev >= 0
-    hit = repeat & (window < slots)
-    undecided = repeat & (window >= slots)
-    if undecided.any():
-        nxt = _next_occurrence(prev)
-        width = min(4 * slots + 1, n)
-        while True:
-            sliding = _sliding_distinct(nxt, width)
-            quick_miss = undecided & (prev <= idx - width) & (sliding >= slots)
-            decided = int(quick_miss.sum())
-            undecided &= ~quick_miss
-            if (
-                width >= n
-                or decided == 0
-                or int(undecided.sum()) <= max(1024, n // 64)
-            ):
-                break
-            width = min(4 * width, n)
-        qidx = np.nonzero(undecided)[0]
-        if qidx.size:
-            dup = _dup_for_queries(prev, qidx)
-            hit[qidx] = (window[qidx] - dup) < slots
-    return hit
-
-
-#: Exact-gather work cap for the mixed-size residue, in multiples of n.
-_GATHER_CAP = 16
-#: Residue work estimate (multiples of n) beyond which a *guarded* call
-#: concedes that the sequential dict loop is the cheaper exact method.
-#: Tuned low: by the time the escalation loop is doing this much sliding
-#: work the dict replay has already won, so bail early rather than sink
-#: more prefix cost into a lost race.
-_BAIL_WORK = 16
-
-
-def cold_working_set_bytes(
+def lru_hit_mask(
     keys: np.ndarray, sizes: np.ndarray, capacity_bytes: int,
-) -> int:
-    """Effective distinct-record bytes a cold replay of *keys* touches.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact cold-cache LRU replay: ``(hits, times, frontier)``.
 
-    Records larger than the capacity are bypassed by the LRU (never
-    installed) and therefore contribute nothing.  When this total fits
-    the capacity a cold cache never evicts — every repeat access to a
-    fitting record is a hit — which is exactly the regime where the
-    vectorized mixed-size path wins by a wide margin (the O(n) quick-hit
-    rule decides every request).  Outside it, measurement says the
-    sequential dict replay is usually the cheaper exact method, so
-    :meth:`LLCModel.process` uses this as its cheap upfront viability
-    gate before paying for any vectorized prefix work.
+    ``hits`` equals, bit for bit, the mask of replaying ``(keys, sizes)``
+    through an empty :class:`LLCModel` one :meth:`~LLCModel.access` at a
+    time.  ``times`` / ``frontier`` are the eviction frontier at the chunk
+    boundaries the pass used: after request ``times[k]`` the residents are
+    exactly the records last touched at or after position ``frontier[k]``
+    (0 while nothing has been evicted); ``times[-1]`` is the last request.
 
-    With per-key *varying* sizes the scatter keeps each key's last
-    written size — good enough for a go/no-go heuristic (varying sizes
-    are rejected exactly, later, by the consistency check).
+    Raises :class:`~repro.errors.ConfigurationError` unless sizes are
+    positive and constant per key (a hit does not resize a record, so only
+    then is residency a function of recency alone) and ``n * capacity``
+    is below 2**53 (byte sums ride float64).
     """
-    n = keys.size
-    if n == 0:
-        return 0
-    cap = int(capacity_bytes)
-    kmax = int(keys.max())
-    if kmax <= max(4 * n, 1 << 20):
-        per_key = np.zeros(kmax + 1, dtype=np.int64)
-        per_key[keys] = sizes
-        touched = per_key[per_key > 0]
-    else:  # sparse key universe: avoid a giant scatter buffer
-        _, first = np.unique(keys, return_index=True)
-        touched = np.asarray(sizes, dtype=np.int64)[first]
-    return int(touched[touched <= cap].sum())
+    keys = np.asarray(keys)
+    sizes = _checked_sizes(keys, sizes)
+    if not 0 < capacity_bytes * max(keys.size, 1) < 2**53:
+        raise ConfigurationError(
+            f"capacity must be positive and n * capacity below 2**53, "
+            f"got {capacity_bytes} for {keys.size} requests"
+        )
+    if keys.size == 0:
+        nothing = np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=bool), nothing, nothing
+    prev, nxt = _occurrences(keys)
+    if not _constant_per_key(sizes, prev):
+        raise ConfigurationError("record sizes must be constant per key")
+    return _frontier_pass(prev, nxt, sizes, int(capacity_bytes))
 
 
-def lru_hit_mask_mixed_size(
-    keys: np.ndarray,
-    sizes: np.ndarray,
-    capacity_bytes: int,
-    prev: np.ndarray | None = None,
-    guarded: bool = False,
-) -> np.ndarray | None:
-    """Exact LRU hit mask for a cold cache and per-key-constant sizes.
-
-    Equivalent (bit-for-bit) to replaying ``(keys, sizes)`` through an
-    empty byte-capped LRU: an access to key k hits iff
-
-    - ``size_k <= capacity`` (larger records are bypassed), and
-    - ``size_k`` plus the *distinct-record* byte sum of the reuse window
-      ``(prev, i)`` is at most the capacity, counting each record's
-      *effective* size (0 when it exceeds the capacity, because bypassed
-      records are never installed and displace nothing).
-
-    Why: every record installed after k's previous access is more recent
-    than k, so it can only be evicted after k; the bytes pressing k
-    toward eviction are therefore exactly the distinct effective bytes
-    touched inside the window, and k survives iff they plus ``size_k``
-    fit.  With uniform sizes this degenerates to the slot-count
-    condition of :func:`lru_hit_mask_fixed_size`.
-
-    Sizes must be constant per key across the trace (a hit does not
-    resize the record in the sequential model); inconsistent sizes raise
-    :class:`~repro.errors.ConfigurationError`.
-
-    Most requests are decided by O(n) rules: a raw window byte sum
-    within budget is a guaranteed hit; a right-anchored subwindow whose
-    distinct byte sum exceeds the budget is a guaranteed miss (widths
-    escalate geometrically, and a subwindow that covers the whole reuse
-    window decides the request exactly either way).  The residue is
-    resolved exactly — short reuse windows by a ragged gather over their
-    positions, long ones by the blocked duplicate-byte count.
-
-    With ``guarded=True`` the function returns ``None`` instead of
-    paying for a residue whose exact resolution would cost more than the
-    sequential dict replay (borderline-locality traces where nearly
-    every window sits at the capacity boundary); the caller is expected
-    to fall back.  Unguarded calls always return the exact mask.
-    """
-    keys = np.ascontiguousarray(keys)
-    sizes = np.ascontiguousarray(sizes).astype(np.int64, copy=False)
-    n = keys.size
-    if sizes.size != n:
+def _checked_sizes(keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """*sizes* as an array aligned with *keys*, every entry positive."""
+    sizes = np.asarray(sizes)
+    if keys.shape != sizes.shape:
         raise ConfigurationError(
             f"keys and sizes must align: {keys.shape} vs {sizes.shape}"
         )
-    if n and int(sizes.min()) <= 0:
-        raise ConfigurationError("record sizes must be positive")
-    cap = int(capacity_bytes)
-    if n == 0 or cap <= 0:
-        return np.zeros(n, dtype=bool)
-    if prev is None:
-        prev = _previous_occurrence(keys)
-    repeat = prev >= 0
-    if not (sizes[repeat] == sizes[prev[repeat]]).all():
+    if sizes.size and sizes.min() <= 0:
         raise ConfigurationError(
-            "per-key record sizes vary within the trace; "
-            "the vectorized LRU requires constant size per key"
+            f"record sizes must be positive, got {sizes.min()}"
         )
-    eff = np.where(sizes <= cap, sizes, 0)
-    csum = np.concatenate(([0], np.cumsum(eff, dtype=np.int64)))
-    idx = np.arange(n, dtype=np.int64)
-    # raw byte sum of the reuse window (prev, i), duplicates included
-    raw = csum[idx] - csum[prev + 1]
-    budget = cap - sizes
-    cand = repeat & (sizes <= cap)
-    hit = cand & (raw <= budget)
-    undecided = cand & (raw > budget)
-    if not undecided.any():
-        return hit
-    nxt = _next_occurrence(prev)
-    window = idx - prev
-    # F(i) = distinct live bytes over the whole prefix j < i (each key
-    # counted at its last occurrence before i).  Two global bounds
-    # follow: the window's distinct sum is at most F - eff (the window
-    # cannot contain key i itself), and at least F(i) - F(prev+1)
-    # (everything live at i but already live just after prev is a
-    # conservative cut).  The first one alone decides every repeat
-    # whenever the touched working set still fits the cache.
-    live = _sliding_distinct(nxt, n, weights=eff)
-    quick_hit = undecided & ((live - eff + sizes) <= cap)
-    hit |= quick_hit
-    undecided &= ~quick_hit
-    if undecided.any():
-        live_at_prev = live[np.minimum(prev + 1, n - 1)]
-        quick_miss = undecided & ((live - live_at_prev + sizes) > cap)
-        undecided &= ~quick_miss
-    fitting = eff[eff > 0]
-    avg = int(fitting.mean()) if fitting.size else 1
-    width = min(2 * max(1, cap // max(avg, 1)) + 1, n)
-    while undecided.any():
-        sliding = _sliding_distinct(nxt, width, weights=eff)
-        # subwindow == whole reuse window: the sliding sum is the exact
-        # distinct byte sum, so the request is decided either way
-        exact = undecided & (window == width)
-        hit[exact] = sliding[exact] <= budget[exact]
-        undecided &= ~exact
-        quick_miss = undecided & (window > width) & (sliding > budget)
-        undecided &= ~quick_miss
-        und = int(undecided.sum())
-        if und == 0 or und <= max(256, n // 256) or width >= n:
-            break
-        work = int((window[undecided] - 1).sum())
-        if guarded and work > _BAIL_WORK * n:
-            break  # residue stage below will concede
-        wmax = int(window[undecided].max())
-        if width >= wmax:
-            break
-        width = min(2 * width, wmax)
-    qidx = np.nonzero(undecided)[0]
-    if qidx.size:
-        length = window[qidx] - 1
-        order = np.argsort(length, kind="stable")
-        cum = np.cumsum(length[order])
-        n_small = int(np.searchsorted(cum, _GATHER_CAP * n, side="right"))
-        small = np.sort(qidx[order[:n_small]])
-        big = np.sort(qidx[order[n_small:]])
-        if guarded and big.size > max(512, n // 64):
-            return None
-        if small.size:
-            p = prev[small]
-            seg_len = small - p - 1
-            seg_starts = np.concatenate(([0], np.cumsum(seg_len)[:-1]))
-            total = int(seg_len.sum())
-            # ragged gather of every in-window position; a position
-            # counts iff it is its key's first in-window occurrence
-            starts = np.repeat(p + 1, seg_len)
-            jj = np.arange(total, dtype=np.int64) \
-                - np.repeat(seg_starts, seg_len) + starts
-            contrib = np.where(prev[jj] < starts, eff[jj], 0)
-            dist = np.add.reduceat(contrib, seg_starts)
-            hit[small] = dist <= budget[small]
-        if big.size:
-            dup = _dup_for_queries(prev, big, weights=eff)
-            hit[big] = (raw[big] - dup) <= budget[big]
-    return hit
+    return sizes
+
+
+def _constant_per_key(sizes: np.ndarray, prev: np.ndarray) -> bool:
+    """True when every repeat access carries its key's earlier size."""
+    same = np.take(sizes, prev, mode="clip") == sizes
+    same |= prev < 0
+    return bool(same.all())
 
 
 class LLCModel:
@@ -479,8 +349,11 @@ class LLCModel:
 
         A hit refreshes recency.  A miss installs the record, evicting
         LRU entries until it fits; records larger than the cache are
-        bypassed (never installed, always a miss).
+        bypassed (never installed, always a miss).  A non-positive
+        *size* raises :class:`~repro.errors.ConfigurationError`.
         """
+        if size <= 0:
+            raise ConfigurationError(f"record size must be > 0, got {size}")
         entries = self._entries
         old = entries.pop(key, None)
         if old is not None:
@@ -508,44 +381,36 @@ class LLCModel:
     def process(self, keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """Run a whole trace through the cache; return the boolean hit mask.
 
-        This is the batch entry point the client uses.  When the cache is
-        cold, the vectorized stack-distance path runs with no per-request
-        Python loop: uniform record sizes take the slot-count fast path,
-        per-key-constant mixed sizes take the byte-weighted one.  Only a
-        warm cache or per-key-*varying* sizes fall back to the exact
-        sequential LRU.  All paths leave identical statistics and
-        residency state.
+        This is the batch entry point the client uses.  A cold cache and
+        per-key-constant sizes take the vectorized frontier pass
+        (:func:`lru_hit_mask`, no per-request Python); a warm cache or
+        sizes that vary per key replay :meth:`access` request by request.
+        Both leave identical statistics and residency state.  A size <= 0
+        raises :class:`~repro.errors.ConfigurationError`, state untouched.
         """
         keys = np.asarray(keys)
-        sizes = np.asarray(sizes)
-        if keys.shape != sizes.shape:
-            raise ConfigurationError(
-                f"keys and sizes must align: {keys.shape} vs {sizes.shape}"
-            )
-        if keys.size > 0 and not self._entries:
-            if (sizes == sizes.flat[0]).all():
-                return self._process_fixed_size(keys, int(sizes.flat[0]))
-            keys = np.ascontiguousarray(keys)
-            # Upfront viability gate: engage the vectorized mixed-size
-            # path only when the touched working set fits the capacity
-            # (no evictions — its quick-hit rule then decides every
-            # request).  Outside that regime the dict replay is the
-            # cheaper exact method, and going straight to it skips the
-            # _previous_occurrence + consistency-check prefix the old
-            # guarded bailout still paid for before conceding.
-            fits = cold_working_set_bytes(
-                keys, sizes, self.capacity_bytes
-            ) <= self.capacity_bytes
-            if fits and sizes.min() > 0:
-                prev = _previous_occurrence(keys)
-                rep = prev >= 0
-                if (sizes[rep] == sizes[prev[rep]]).all():
-                    hits = lru_hit_mask_mixed_size(
-                        keys, sizes, self.capacity_bytes,
-                        prev=prev, guarded=True,
-                    )
-                    if hits is not None:
-                        return self._finish_cold_mixed(keys, sizes, hits)
+        sizes = _checked_sizes(keys, sizes)
+        n = keys.size
+        # the pass sums bytes in float64: exact while n * capacity < 2**53
+        if n and not self._entries and n * self.capacity_bytes < 2**53:
+            prev, nxt = _occurrences(keys)
+            if _constant_per_key(sizes, prev):
+                cap = self.capacity_bytes
+                hits, _, frontier = _frontier_pass(prev, nxt, sizes, cap)
+                n_hits = int(np.count_nonzero(hits))
+                self.hits += n_hits
+                self.misses += n - n_hits
+                # end state: the live fitting positions from T(n - 1) on,
+                # in position order, are the residents LRU -> MRU
+                start = int(frontier[-1])
+                kept = start + np.flatnonzero(
+                    (nxt[start:] == n) & (sizes[start:] <= cap)
+                )
+                self._entries.update(
+                    zip(keys[kept].tolist(), sizes[kept].tolist())
+                )
+                self._used = sum(self._entries.values())
+                return hits
         out = np.empty(keys.shape[0], dtype=bool)
         access = self.access
         key_list = keys.tolist()
@@ -553,59 +418,3 @@ class LLCModel:
         for i in range(len(key_list)):
             out[i] = access(key_list[i], size_list[i])
         return out
-
-    def _process_fixed_size(self, keys: np.ndarray, size: int) -> np.ndarray:
-        """Vectorized cold-cache path for a uniform record size.
-
-        Computes the hit mask via :func:`lru_hit_mask_fixed_size`, then
-        reconstructs the statistics and the exact end-of-trace residency
-        (the most recently used ``capacity // size`` distinct keys, in
-        LRU order) so subsequent incremental :meth:`access` calls behave
-        as if the sequential path had run.
-        """
-        hits = lru_hit_mask_fixed_size(keys, size, self.capacity_bytes)
-        n = keys.size
-        n_hits = int(hits.sum())
-        self.hits += n_hits
-        self.misses += n - n_hits
-        slots = self.capacity_bytes // size
-        if slots:
-            # resident set = last `slots` distinct keys by last occurrence;
-            # dict order must be LRU -> MRU, i.e. ascending last occurrence
-            rev_first = np.unique(keys[::-1], return_index=True)[1]
-            last_pos = np.sort((n - 1) - rev_first)
-            for pos in last_pos[-slots:]:
-                self._entries[int(keys[pos])] = size
-            self._used = len(self._entries) * size
-        return hits
-
-    def _finish_cold_mixed(
-        self, keys: np.ndarray, sizes: np.ndarray, hits: np.ndarray,
-    ) -> np.ndarray:
-        """Finalize the vectorized cold-cache mixed-size path.
-
-        Given the hit mask from :func:`lru_hit_mask_mixed_size`,
-        reconstructs the statistics and the exact end-of-trace residency:
-        walking distinct keys from most- to least-recently used, a key
-        stays resident while its own size plus the effective bytes of
-        everything more recent still fits (records larger than the cache
-        are bypassed and contribute nothing).  Inserting the survivors in
-        ascending last-occurrence order reproduces the sequential dict's
-        LRU -> MRU iteration order bit-for-bit.
-        """
-        n = keys.size
-        n_hits = int(hits.sum())
-        self.hits += n_hits
-        self.misses += n - n_hits
-        cap = self.capacity_bytes
-        rev_first = np.unique(keys[::-1], return_index=True)[1]
-        last_pos = np.sort((n - 1) - rev_first)
-        ksz = np.asarray(sizes, dtype=np.int64)[last_pos]
-        keff = np.where(ksz <= cap, ksz, 0)
-        # inclusive suffix sums: each key's own bytes + everything newer
-        suffix = np.cumsum(keff[::-1], dtype=np.int64)[::-1]
-        resident = (ksz <= cap) & (suffix <= cap)
-        for pos, size in zip(last_pos[resident], ksz[resident]):
-            self._entries[int(keys[pos])] = int(size)
-        self._used = int(ksz[resident].sum())
-        return hits
