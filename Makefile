@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test verify import-report chaos crash guard serve-drill bench bench-kernel bench-obs bench-perf bench-perf-selftest bench-serve bench-store bench-verbose examples results clean
+.PHONY: install test verify import-report chaos crash guard serve-drill bench bench-kernel bench-obs bench-perf bench-perf-selftest bench-serve bench-verbose examples results clean
 
 results: bench
 	$(PYTHON) tools/collect_results.py
@@ -25,7 +25,7 @@ verify:
 import-report:
 	PYTHONPATH=src $(PYTHON) tools/import_report.py
 
-# chaos smoke: fault injection, worker kills, cache corruption
+# chaos smoke: fault injection, worker kills, store-row corruption
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/faults -x -q
 
@@ -66,13 +66,6 @@ bench-kernel:
 	MNEMO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/bench_kernel_speedup.py --benchmark-only -s
 
-# store overhead smoke: warm reads from the SQLite store vs the file
-# cache must stay within the committed ratio (BENCH_store.json:
-# full-mode runs only)
-bench-store:
-	MNEMO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
-		benchmarks/bench_store.py --benchmark-only -s
-
 # request-plane smoke: warm `size` p50/p99 over the socket and the
 # shed rate under flood; fails over the p99 ceiling or on any
 # transport failure (BENCH_serve.json: full-mode runs only)
@@ -112,5 +105,5 @@ examples:
 	$(PYTHON) examples/slo_guardrails.py
 
 clean:
-	rm -rf build dist src/repro.egg-info .pytest_cache .benchmarks .mnemo-cache
+	rm -rf build dist src/repro.egg-info .pytest_cache .benchmarks mnemo.db*
 	find . -name __pycache__ -type d -exec rm -rf {} +

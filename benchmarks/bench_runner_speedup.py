@@ -4,9 +4,9 @@ Times the Fig-9-style grid (5 Table III workloads x 3 stores, FastMem
 and SlowMem baselines each) four ways:
 
 - serial, uncached (the pre-runner baseline path);
-- cold cache, serial (adds fingerprinting + cache writes);
-- cold cache, parallel (``default_workers()`` processes);
-- warm cache (a rerun recalling every result).
+- cold store, serial (adds fingerprinting + store writes);
+- cold store, parallel (``default_workers()`` processes);
+- warm store (a rerun recalling every result).
 
 All four must produce bit-identical results — the runner's core
 guarantee — and the wall-clocks are written as JSON to
@@ -48,16 +48,17 @@ def run():
     specs = _grid()
     config = ClientConfig(repeats=3, noise_sigma=0.01, seed=2019)
     cache_dir = tempfile.mkdtemp(prefix="mnemo-bench-cache-")
+    store = os.path.join(cache_dir, "store.db")
     try:
         serial, t_serial = _timed(
             ExperimentRunner(cache=None, client=config), specs, 1
         )
         workers = min(GRID_WORKERS, default_workers())
         cold, t_cold = _timed(
-            ExperimentRunner(cache=cache_dir, client=config), specs, workers
+            ExperimentRunner(cache=store, client=config), specs, workers
         )
         warm, t_warm = _timed(
-            ExperimentRunner(cache=cache_dir, client=config), specs, 1
+            ExperimentRunner(cache=store, client=config), specs, 1
         )
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)

@@ -11,20 +11,20 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.runner import ResultCache
+from repro.store import SQLiteStore
 
 OUT_DIR = Path(__file__).parent / "out"
 
-#: Shared content-addressed result cache for the whole benchmark suite —
+#: Shared content-addressed result store for the whole benchmark suite —
 #: Fig 5/8/9 benches profile the same (workload, engine) baselines, so
 #: the first bench to measure one pays for it and the rest recall it
-#: bit-identically.  ``make clean`` removes the directory.
-CACHE_DIR = Path(__file__).resolve().parent.parent / ".mnemo-cache"
+#: bit-identically.  ``make clean`` removes the file.
+STORE_PATH = Path(__file__).resolve().parent.parent / "mnemo.db"
 
 
-def shared_cache() -> ResultCache:
-    """The benchmark suite's shared result cache."""
-    return ResultCache(CACHE_DIR)
+def shared_cache() -> SQLiteStore:
+    """The benchmark suite's shared result store."""
+    return SQLiteStore(STORE_PATH)
 
 
 def emit(experiment_id: str, lines: Iterable[str]) -> str:

@@ -13,8 +13,7 @@ the reproduction ships a CLI mirroring the paper's interface
     python -m repro sweep --workloads trending,timeline --workers 4
     python -m repro sweep --store mnemo.db --run-id nightly
     python -m repro sweep --store mnemo.db --resume nightly
-    python -m repro cache stats
-    python -m repro cache migrate --dir .mnemo-cache --store mnemo.db
+    python -m repro cache stats --dir mnemo.db
     python -m repro guard --workload trending --live-rotate 500
     python -m repro serve --workload trending --interval 60 \
         --store mnemo.db
@@ -144,6 +143,13 @@ def _parse_faults_arg(text: str | None):
         raise UsageError(f"--faults: {exc}") from exc
 
 
+def _add_store_option(parser, help: str) -> None:
+    """``--cache-dir`` / ``--store``: two spellings of the one store path."""
+    parser.add_argument("--cache-dir", "--store", dest="cache_dir",
+                        metavar="DB",
+                        help=help + " (a SQLite file, created on first use)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -176,8 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="profile a 1/N random sample of the workload")
     prof.add_argument("--repeats", type=int, default=3)
     prof.add_argument("--seed", type=int, default=None)
-    prof.add_argument("--cache-dir", metavar="DIR",
-                      help="memoize measurements in this result cache")
+    _add_store_option(prof, "memoize measurements in this result store")
     prof.add_argument("--obs", metavar="PATH",
                       help="write a telemetry event log (JSONL) here; "
                            "inspect it with 'obs PATH'")
@@ -232,8 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="FastMem payload fraction for 'split' cells")
     sweep.add_argument("--workers", type=int, default=1,
                        help="process count (1 = serial)")
-    sweep.add_argument("--cache-dir", metavar="DIR",
-                       help="memoize results in this cache directory")
+    _add_store_option(sweep, "memoize results in this result store")
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--faults", metavar="SPEC",
                        help="inject deterministic faults, e.g. "
@@ -247,27 +251,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--obs", metavar="PATH",
                        help="write a telemetry event log (JSONL) here; "
                             "inspect it with 'obs PATH'")
-    sweep.add_argument("--store", metavar="DB",
-                       help="memoize results in this durable SQLite "
-                            "store instead of a cache directory")
     sweep.add_argument("--run-id", metavar="ID",
                        help="journal checkpoints to the store under "
                             "this run id (the sweep becomes resumable)")
     sweep.add_argument("--resume", metavar="RUN_ID",
                        help="resume a journaled run: skip checkpointed "
                             "experiments, load their results from the "
-                            "store (requires --store)")
+                            "store")
 
-    cache = sub.add_parser("cache", help="inspect, verify, clear or "
-                                         "migrate the result cache")
-    cache.add_argument("action",
-                       choices=["stats", "verify", "clear", "migrate"])
-    cache.add_argument("--dir", dest="cache_dir", metavar="DIR",
-                       help="cache directory or store file "
-                            "(default .mnemo-cache)")
-    cache.add_argument("--store", metavar="DB",
-                       help="migrate: destination SQLite store "
-                            "(default mnemo.db)")
+    cache = sub.add_parser("cache", help="inspect, verify or clear "
+                                         "the result store")
+    cache.add_argument("action", choices=["stats", "verify", "clear"])
+    cache.add_argument("--dir", dest="cache_dir", metavar="DB",
+                       help="store file (default mnemo.db)")
 
     guard = sub.add_parser(
         "guard",
@@ -295,9 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     guard.add_argument("--seed", type=int, default=None)
     guard.add_argument("--downsample", type=float, default=0.0, metavar="N",
                        help="plan on a 1/N random sample of the workload")
-    guard.add_argument("--cache-dir", metavar="DIR",
-                       help="memoize measurements and verdicts in this "
-                            "result cache")
+    _add_store_option(guard, "memoize measurements and verdicts in this "
+                             "result store")
     guard.add_argument("--obs", metavar="PATH",
                        help="write a telemetry event log (JSONL) here; "
                             "inspect it with 'obs PATH'")
@@ -558,6 +553,7 @@ def _cmd_multitier(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from repro.runner.cache import ensure_cache
     from repro.runner.grid import ExperimentRunner
     from repro.runner.outcome import RetryPolicy
     from repro.runner.spec import ClientConfig
@@ -582,29 +578,24 @@ def _cmd_sweep(args) -> int:
     engines = pick(args.engines, sorted(ENGINES), "engine")
     placements = pick(args.placements, ["fast", "slow", "split"], "placement")
 
-    if args.store and args.cache_dir:
-        raise UsageError("give either --store or --cache-dir, not both")
     if args.run_id and args.resume:
         raise UsageError("give either --run-id or --resume, not both")
     run_id = args.resume or args.run_id
     journal = None
-    cache = args.cache_dir
-    if args.store:
+    cache = ensure_cache(args.cache_dir)
+    if run_id:
+        if cache is None:
+            raise UsageError("--run-id/--resume journal to the result "
+                             "store; add --store DB")
         from repro.store.journal import SweepJournal
-        from repro.store.store import SQLiteStore
 
-        cache = SQLiteStore(args.store)
-        if run_id:
-            journal = SweepJournal(cache, run_id)
-            if args.resume and not journal.started():
-                raise UsageError(
-                    f"--resume: no journaled run {args.resume!r} in "
-                    f"{args.store} (known runs: "
-                    f"{[r for r, _ in cache.oplog.runs()] or 'none'})"
-                )
-    elif run_id:
-        raise UsageError("--run-id/--resume journal to a durable store; "
-                         "add --store DB")
+        journal = SweepJournal(cache, run_id)
+        if args.resume and not journal.started():
+            raise UsageError(
+                f"--resume: no journaled run {args.resume!r} in "
+                f"{args.cache_dir} (known runs: "
+                f"{[r for r, _ in cache.oplog.runs()] or 'none'})"
+            )
 
     faults = _parse_faults_arg(args.faults)
     runner = ExperimentRunner(
@@ -624,7 +615,7 @@ def _cmd_sweep(args) -> int:
         log.info("fault injection: %s", faults.describe())
     if journal is not None:
         log.info("journaling sweep under run id %r in %s",
-                 run_id, args.store)
+                 run_id, args.cache_dir)
     log.info(
         "sweeping %d experiment(s) across %d worker(s)",
         len(specs), args.workers,
@@ -633,7 +624,7 @@ def _cmd_sweep(args) -> int:
         outcome = runner.sweep(specs, workers=args.workers, journal=journal)
     finally:
         runner.close()
-        if args.store:
+        if cache is not None:
             cache.close()
     for line in outcome.summary().splitlines():
         log.info("%s", line)
@@ -653,45 +644,31 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.runner.cache import DEFAULT_CACHE_DIR, ensure_cache
+    from repro.store.store import DEFAULT_STORE_PATH, SQLiteStore
 
-    if args.action == "migrate":
-        from repro.store.migrate import migrate_cache
-        from repro.store.store import DEFAULT_STORE_PATH, SQLiteStore
-
-        src = ensure_cache(args.cache_dir or DEFAULT_CACHE_DIR)
-        if isinstance(src, SQLiteStore):
-            raise UsageError(
-                f"--dir {src.root} is already a SQLite store; migrate "
-                "reads a v2 file-tree cache"
-            )
-        dst = SQLiteStore(args.store or DEFAULT_STORE_PATH)
-        try:
-            report = migrate_cache(src, dst, verify=True)
-        finally:
-            dst.close()
-        print(f"migrate: {src.root} -> {args.store or DEFAULT_STORE_PATH}")
-        for line in report.lines():
-            print(line)
-        return 0 if report.ok else 1
-
-    # stats/verify/clear work on either backend — ensure_cache detects
-    # SQLite files (suffix or magic) and file trees alike
-    cache = ensure_cache(args.cache_dir or DEFAULT_CACHE_DIR)
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cached entries from {cache.root}")
-        return 0
-    if args.action == "verify":
-        report = cache.verify()
+    path = args.cache_dir or DEFAULT_STORE_PATH
+    if not os.path.exists(path):
+        # opening would create it: a typo must not verify as "intact"
+        raise ConfigurationError(f"no store at {path}")
+    cache = SQLiteStore(path)
+    try:
+        if args.action == "clear":
+            removed = cache.clear()
+            print(f"removed {removed} cached entries from {cache.root}")
+            return 0
         print(f"cache: {cache.root}")
-        for line in report.lines():
+        if args.action == "verify":
+            structure = cache.integrity_check()
+            print(f"{'sqlite':<10} integrity_check: {structure}")
+            report = cache.verify()
+            for line in report.lines():
+                print(line)
+            return 0 if report.ok and structure == "ok" else 1
+        for line in cache.stats().lines():
             print(line)
-        return 0 if report.ok else 1
-    print(f"cache: {cache.root}")
-    for line in cache.stats().lines():
-        print(line)
-    return 0
+        return 0
+    finally:
+        cache.close()
 
 
 def _cmd_guard(args) -> int:

@@ -49,8 +49,8 @@ class Mnemo:
     p:
         SlowMem per-byte price as a fraction of FastMem's (paper: 0.2).
     cache:
-        Optional result cache (path or
-        :class:`~repro.runner.cache.ResultCache`).  Profiling the same
+        Optional result store (its path or a
+        :class:`~repro.store.SQLiteStore`).  Profiling the same
         workload twice — across runs, processes or tools — then recalls
         the baselines bit-identically instead of re-measuring them.
     pattern_mode:

@@ -182,8 +182,8 @@ class SensitivityEngine:
         The measuring client; defaults to 3 repeats at 1 % noise, as
         the paper reports means over multiple runs.
     cache:
-        Optional result cache (a
-        :class:`~repro.runner.cache.ResultCache` or a directory path).
+        Optional result store (a :class:`~repro.store.SQLiteStore` or
+        the path of its file).
         When given, the client is wrapped in a
         :class:`~repro.runner.caching.CachingClient`, so baselines
         already measured — by any process — are recalled bit-identically

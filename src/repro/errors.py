@@ -68,16 +68,9 @@ class StoreError(ReproError):
     """The durable SQLite store could not complete an operation.
 
     Raised when lock contention outlasts the bounded-backoff retry
-    budget, when the database file is unusable, or when a journaled
-    sweep references a run the oplog does not know.
-    """
-
-
-class CacheCorruptionError(ReproError):
-    """A cache entry failed its integrity check.
-
-    Only raised by strict-mode caches; the default behaviour is to
-    quarantine the corrupt entry and transparently recompute it.
+    budget, when the database file is unusable (a rotted page fails a
+    statement), or when a journaled sweep references a run the oplog
+    does not know.
     """
 
 

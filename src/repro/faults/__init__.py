@@ -17,8 +17,8 @@ from repro._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
     "chaos": [
-        "CHAOS_MODES", "ChaosPlan", "corrupt_cache_entries",
-        "corrupt_store_rows", "request_flood", "slowloris_probe",
+        "CHAOS_MODES", "ChaosPlan", "corrupt_store_rows",
+        "request_flood", "slowloris_probe",
     ],
     "models": [
         "FAULT_KINDS", "BandwidthDegradation", "FaultSpec", "FaultTimeline",

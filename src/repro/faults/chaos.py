@@ -10,10 +10,10 @@ runner's retry / quarantine machinery can be exercised under test:
   experiments therefore eventually succeed and — because all results
   are content-addressed — converge to numbers bit-identical to a clean
   run.
-- :func:`corrupt_cache_entries` flips bytes in (or truncates) on-disk
-  cache entries so the checksum walk in
-  :class:`~repro.runner.cache.ResultCache` can be shown to quarantine
-  and recompute them.
+- :func:`corrupt_store_rows` flips bytes in (or truncates) stored
+  entry bodies so the checksum walk in
+  :class:`~repro.store.SQLiteStore` can be shown to quarantine and
+  recompute them.
 - :func:`slowloris_probe` and :func:`request_flood` attack the served
   advisor's control socket — a client that stalls mid-request-line and
   a burst that overruns the admission queue — so the request plane's
@@ -237,58 +237,6 @@ def request_flood(
     return tally
 
 
-def corrupt_cache_entries(
-    cache,
-    kinds: tuple[str, ...] = ("results", "traces", "hitmasks"),
-    mode: str = "flip",
-    limit: int | None = None,
-) -> list[Path]:
-    """Corrupt on-disk cache entries in place; returns the paths touched.
-
-    Parameters
-    ----------
-    cache:
-        A :class:`~repro.runner.cache.ResultCache`.
-    kinds:
-        Which entry kinds to corrupt.
-    mode:
-        ``"flip"`` XORs a byte in the middle of the file (subtle
-        corruption only a checksum catches); ``"truncate"`` chops the
-        file in half (what a crashed writer without atomic renames
-        would leave behind).
-    limit:
-        Corrupt at most this many entries (None = all).
-
-    Deterministic: entries are walked in sorted order and mutated in
-    place, so a chaos test corrupts the same files every run.
-    """
-    if mode not in ("flip", "truncate"):
-        raise ConfigurationError(
-            f"unknown corruption mode {mode!r}; choose 'flip' or 'truncate'"
-        )
-    touched: list[Path] = []
-    for kind in kinds:
-        directory = cache._base / kind
-        if not directory.is_dir():
-            continue
-        for path in sorted(directory.iterdir()):
-            if path.name.startswith(".tmp-"):
-                continue
-            data = path.read_bytes()
-            if not data:
-                continue
-            if mode == "truncate":
-                path.write_bytes(data[: len(data) // 2])
-            else:
-                mid = len(data) // 2
-                data = data[:mid] + bytes([data[mid] ^ 0xFF]) + data[mid + 1:]
-                path.write_bytes(data)
-            touched.append(path)
-            if limit is not None and len(touched) >= limit:
-                return touched
-    return touched
-
-
 def corrupt_store_rows(
     store,
     kinds: tuple[str, ...] = ("results", "traces", "hitmasks"),
@@ -297,13 +245,13 @@ def corrupt_store_rows(
 ) -> list[str]:
     """Corrupt entry bodies inside a SQLite store; returns fingerprints hit.
 
-    The SQL analog of :func:`corrupt_cache_entries` for
-    :class:`~repro.store.SQLiteStore`: mutates row *bodies* directly
-    (below the codec layer), modelling storage-level rot rather than a
-    torn write — WAL transactions make torn writes impossible, but a
-    flipped bit on disk is still a flipped bit.  ``"flip"`` XORs the
-    middle byte; ``"truncate"`` halves the blob.  Deterministic walk in
-    (kind, fingerprint) order.
+    Mutates row *bodies* of a :class:`~repro.store.SQLiteStore`
+    directly (below the codec layer), modelling storage-level rot rather
+    than a torn write — WAL transactions make torn writes impossible,
+    but a flipped bit on disk is still a flipped bit.  ``"flip"`` XORs
+    the middle byte (subtle corruption only a checksum catches);
+    ``"truncate"`` halves the blob.  *limit* caps how many entries are
+    hit (None = all).  Deterministic walk in (kind, fingerprint) order.
     """
     if mode not in ("flip", "truncate"):
         raise ConfigurationError(

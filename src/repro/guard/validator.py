@@ -24,7 +24,7 @@ validate (always ending at the all-FastMem safe harbour).
 
 Verdicts are deterministic — the simulator's noise is a pure function of
 the experiment fingerprint — and cacheable: with a
-:class:`~repro.runner.cache.ResultCache` attached, a verdict is stored
+:class:`~repro.store.SQLiteStore` attached, a verdict is stored
 under a fingerprint covering the live trace, the curve, the probed
 splits, the budget, and the measuring client, so re-validating the same
 recommendation is a pure cache hit with a bit-identical verdict.
@@ -33,14 +33,14 @@ recommendation is a pure cache hit with a bit-identical verdict.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.errors import ConfigurationError, GuardError
 from repro.kvstore.server import EngineFactory
 from repro.memsim.system import HybridMemorySystem
-from repro.runner.cache import ResultCache, ensure_cache
+from repro.runner.cache import ensure_cache
 from repro.runner.fingerprint import (
     SHORT_DIGEST_LEN,
     array_digest,
@@ -54,6 +54,9 @@ from repro.ycsb.client import YCSBClient
 from repro.ycsb.workload import Trace
 from repro.core.estimate import EstimateCurve
 from repro.core.slo import SizingChoice, choice_at
+
+if TYPE_CHECKING:
+    from repro.store.store import SQLiteStore
 
 #: Default fraction of the key space one fallback increment spans.
 DEFAULT_STEP_FRACTION = 0.05
@@ -205,8 +208,8 @@ class RecommendationValidator:
     budget:
         The :class:`ErrorBudget` verdicts are judged against.
     cache:
-        Optional verdict cache (a
-        :class:`~repro.runner.cache.ResultCache` or directory path);
+        Optional verdict cache (a :class:`~repro.store.SQLiteStore`
+        or the path of its file);
         verdicts are stored under the existing content-addressed
         fingerprint scheme, so re-validation is a bit-identical replay.
     step_fraction:
@@ -220,7 +223,7 @@ class RecommendationValidator:
         system_factory: Callable[[], HybridMemorySystem] = HybridMemorySystem.testbed,
         client: YCSBClient | None = None,
         budget: ErrorBudget | None = None,
-        cache: ResultCache | str | None = None,
+        cache: SQLiteStore | str | None = None,
         step_fraction: float = DEFAULT_STEP_FRACTION,
     ):
         if not 0 < step_fraction <= 1:

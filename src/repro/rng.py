@@ -53,3 +53,23 @@ def derive_seed(seed: SeedLike, label: str) -> int:
         base = DEFAULT_SEED if seed is None else int(seed)
     mix = np.random.SeedSequence([base, *label.encode("utf-8")])
     return int(mix.generate_state(1, dtype=np.uint32)[0])
+
+
+def backoff_delay(
+    label: str,
+    attempt: int,
+    base_s: float,
+    factor: float,
+    jitter: float = 0.25,
+    cap_s: float = float("inf"),
+) -> float:
+    """Sleep before retry *attempt* (1-based) of whatever *label* names.
+
+    ``min(base_s * factor**(attempt - 1), cap_s) * (1 + jitter * u)`` with
+    ``u`` in [0, 1) hashed from *label* rather than drawn from wall-clock
+    entropy, so every retry schedule in the library (experiments, client
+    requests, daemon restarts, store locks) replays exactly.
+    """
+    delay = min(base_s * factor ** (attempt - 1), cap_s)
+    u = derive_seed(None, label) / 2.0**32
+    return delay * (1.0 + jitter * u)

@@ -6,8 +6,9 @@ already been measured and by fanning grids out over processes:
 
 - :mod:`repro.runner.fingerprint` — canonical SHA-256 fingerprints over
   everything that determines an experiment's outcome;
-- :mod:`repro.runner.cache` — the on-disk content-addressed store for
-  results, generated traces and LLC hit masks (``.mnemo-cache/``);
+- :mod:`repro.runner.cache` — the checksummed entry codecs of the
+  content-addressed store (:mod:`repro.store`) for results, generated
+  traces and LLC hit masks;
 - :mod:`repro.runner.caching` — a drop-in caching YCSB client;
 - :mod:`repro.runner.spec` / :mod:`repro.runner.outcome` — the value
   types a sweep takes (specs, client config) and returns (outcome,
@@ -26,8 +27,7 @@ from repro._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
     "cache": [
-        "DEFAULT_CACHE_DIR", "SCHEMA_VERSION", "CacheStats",
-        "CacheVerifyReport", "ResultCache", "ensure_cache",
+        "SCHEMA_VERSION", "CacheStats", "CacheVerifyReport", "ensure_cache",
     ],
     "caching": ["CachingClient", "PlacementBatch", "hitmask_fingerprint"],
     "fingerprint": [

@@ -1,7 +1,7 @@
 """A measuring client with content-addressed memoization.
 
 :class:`CachingClient` is a drop-in :class:`~repro.ycsb.client.YCSBClient`
-that consults a :class:`~repro.runner.cache.ResultCache` before measuring
+that consults a :class:`~repro.store.SQLiteStore` before measuring
 and persists what it measures.  Because the base client derives its noise
 streams from the experiment fingerprint, a cached result is *bit-identical*
 to the measurement it replaced — caching changes wall-clock time, never
@@ -14,13 +14,18 @@ fresh, exactly like the base class).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro import telemetry
-from repro.runner.cache import ResultCache, ensure_cache
+from repro.runner.cache import ensure_cache
 from repro.runner.fingerprint import digest
 from repro.ycsb.client import DEFAULT_PERCENTILES, RunResult, YCSBClient
 from repro.ycsb.workload import Trace
+
+if TYPE_CHECKING:
+    from repro.store.store import SQLiteStore
 
 
 def hitmask_fingerprint(trace_digest: str, capacity_bytes: int) -> str:
@@ -127,19 +132,19 @@ class PlacementBatch:
 
 
 class CachingClient(YCSBClient):
-    """YCSB client that memoizes measurements in an on-disk cache.
+    """YCSB client that memoizes measurements in the result store.
 
     Parameters
     ----------
     cache:
-        A :class:`~repro.runner.cache.ResultCache`, a cache directory
-        path, or None for a cache in the default location.  All other
-        parameters match :class:`~repro.ycsb.client.YCSBClient`.
+        A :class:`~repro.store.SQLiteStore`, the path of its file, or
+        None for a store in the default location (``mnemo.db``).  All
+        other parameters match :class:`~repro.ycsb.client.YCSBClient`.
     """
 
     def __init__(
         self,
-        cache: ResultCache | str | None = None,
+        cache: SQLiteStore | str | None = None,
         repeats: int = 3,
         noise_sigma: float = 0.01,
         use_llc: bool = False,
@@ -159,13 +164,17 @@ class CachingClient(YCSBClient):
             contention=contention,
             faults=faults,
         )
-        self.cache = ensure_cache(cache) or ResultCache()
+        if cache is None:
+            from repro.store.store import DEFAULT_STORE_PATH
+
+            cache = DEFAULT_STORE_PATH
+        self.cache = ensure_cache(cache)
         self.cache_hits = 0
         self.cache_misses = 0
 
     @classmethod
     def wrap(
-        cls, client: YCSBClient, cache: ResultCache | str | None,
+        cls, client: YCSBClient, cache: SQLiteStore | str | None,
     ) -> "CachingClient":
         """A caching client with the same settings as *client*.
 

@@ -9,7 +9,7 @@ Three properties make the parallel path safe:
 - noise seeds derive from the experiment fingerprint, so a task measures
   the same numbers no matter which process or schedule runs it —
   parallel grids are bit-identical to serial ones;
-- cache writes are atomic, so workers can share one cache directory.
+- store writes are transactions, so workers can share one store file.
 
 The same fingerprint-derived determinism makes the pipeline *crash
 tolerant for free*: a retried experiment measures exactly the numbers
@@ -53,6 +53,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from repro.errors import (
 )
 from repro.kvstore.profiles import profile_for
 from repro.memsim.system import HybridMemorySystem
-from repro.runner.cache import ResultCache, ensure_cache
+from repro.runner.cache import ensure_cache
 from repro.runner.executor import run_batch
 from repro.runner.fingerprint import (
     experiment_fingerprint_parts,
@@ -84,6 +85,9 @@ from repro.runner.spec import ClientConfig, ExperimentSpec, split_fast_keys
 from repro.ycsb.client import RunResult
 from repro.ycsb.generator import generate_trace
 from repro.ycsb.workload import Trace, WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.store.store import SQLiteStore
 
 #: Traces a runner keeps decoded (:meth:`ExperimentRunner.trace_for`).
 TRACE_MEMO_SIZE = 8
@@ -151,8 +155,8 @@ class ExperimentRunner:
     Parameters
     ----------
     cache:
-        Result cache (a :class:`~repro.runner.cache.ResultCache`, a
-        directory path, or None to disable caching).
+        Result store (a :class:`~repro.store.SQLiteStore`, the path of
+        its file, or None to disable caching).
     client:
         Client settings applied to every experiment.
     system_factory:
@@ -181,7 +185,7 @@ class ExperimentRunner:
 
     def __init__(
         self,
-        cache: ResultCache | str | None = None,
+        cache: SQLiteStore | str | None = None,
         client: ClientConfig = ClientConfig(),
         system_factory=HybridMemorySystem.testbed,
         workers: int | None = None,

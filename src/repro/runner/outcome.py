@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, FaultError, WorkloadError
-from repro.rng import derive_seed
+from repro.rng import backoff_delay
 from repro.ycsb.client import RunResult
 
 #: Errors that retrying cannot fix (bad inputs, not transient faults).
@@ -66,9 +66,10 @@ class RetryPolicy:
 
     def backoff_s(self, attempt: int, label: str = "") -> float:
         """Sleep before retry *attempt* (1-based), jittered."""
-        base = self.backoff_base_s * self.backoff_factor ** (attempt - 1)
-        u = derive_seed(None, f"{label}/backoff/{attempt}") / 2.0**32
-        return base * (1.0 + self.jitter * u)
+        return backoff_delay(
+            f"{label}/backoff/{attempt}", attempt,
+            self.backoff_base_s, self.backoff_factor, jitter=self.jitter,
+        )
 
 
 @dataclass(frozen=True)

@@ -20,15 +20,18 @@ Placements:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.kvstore.profiles import profile_for
-from repro.runner.cache import ResultCache
 from repro.runner.caching import CachingClient
 from repro.ycsb.client import DEFAULT_PERCENTILES, YCSBClient
 from repro.ycsb.workload import Trace, WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.store.store import SQLiteStore
 
 #: Placement modes an :class:`ExperimentSpec` may request.
 PLACEMENTS = ("fast", "slow", "split")
@@ -54,7 +57,7 @@ class ClientConfig:
     contention: float = 0.15
     faults: object | None = None
 
-    def build(self, cache: ResultCache | None = None) -> YCSBClient:
+    def build(self, cache: SQLiteStore | None = None) -> YCSBClient:
         """Construct the client (caching when a cache is supplied)."""
         kwargs = dict(
             repeats=self.repeats,

@@ -8,7 +8,7 @@ a connection error during the short window of a supervisor restart.
 
 - **bounded exponential backoff** — attempt *k* waits
   ``min(base * factor**(k-1), cap)`` seconds, scaled by deterministic
-  jitter (the same :func:`~repro.rng.derive_seed` discipline every
+  jitter (:func:`~repro.rng.backoff_delay`, the formula every
   backoff in this codebase uses, so two clients with different labels
   desynchronise but a given client retries reproducibly);
 - **server-directed pacing** — a shed response carries the daemon's
@@ -35,7 +35,7 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.errors import ConfigurationError, ServiceError
-from repro.rng import derive_seed
+from repro.rng import backoff_delay
 from repro.service.serve import control_call
 
 #: Response errors worth retrying: the daemon is alive but busy.
@@ -80,12 +80,11 @@ class ClientPolicy:
 
     def backoff_s(self, attempt: int, label: str = "") -> float:
         """Sleep before retrying after attempt *attempt* (1-based)."""
-        base = min(
-            self.backoff_base_s * self.backoff_factor ** (attempt - 1),
-            self.backoff_cap_s,
+        return backoff_delay(
+            f"{label}/attempt/{attempt}", attempt,
+            self.backoff_base_s, self.backoff_factor,
+            cap_s=self.backoff_cap_s,
         )
-        u = derive_seed(None, f"{label}/attempt/{attempt}") / 2.0**32
-        return base * (1.0 + 0.25 * u)
 
 
 class ServiceClient:

@@ -3,7 +3,7 @@
 :class:`Supervisor` runs a target callable in a child process and
 restarts it when it dies abnormally — the classic one-for-one
 supervision tree leaf.  Restarts back off exponentially (deterministic
-jitter, same :func:`~repro.rng.derive_seed` discipline as every other
+jitter, :func:`~repro.rng.backoff_delay` like every other
 backoff in the pipeline) so a crash-looping worker cannot busy-spin,
 and a child that stays up for ``healthy_s`` earns its restart budget
 back, so one bad patch a week does not slowly exhaust the allowance.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.rng import derive_seed
+from repro.rng import backoff_delay
 
 #: Grace period between SIGTERM and SIGKILL when stopping the child.
 STOP_GRACE_S = 5.0
@@ -72,12 +72,11 @@ class RestartPolicy:
 
     def backoff_s(self, restart: int, label: str = "") -> float:
         """Sleep before restart *restart* (1-based), jittered and capped."""
-        base = min(
-            self.backoff_base_s * self.backoff_factor ** (restart - 1),
-            self.backoff_cap_s,
+        return backoff_delay(
+            f"{label}/restart/{restart}", restart,
+            self.backoff_base_s, self.backoff_factor,
+            cap_s=self.backoff_cap_s,
         )
-        u = derive_seed(None, f"{label}/restart/{restart}") / 2.0**32
-        return base * (1.0 + 0.25 * u)
 
 
 class Supervisor:

@@ -1,20 +1,17 @@
-"""Durable experiment store: SQLite cache backend, oplog, sweep journal.
+"""Durable experiment store: SQLite result store, oplog, sweep journal.
 
 The pipeline's durability layer (``docs/STORE.md``):
 
 - :mod:`repro.store.db` — WAL-mode connections, single-writer
   transactions, busy-timeout + bounded-backoff lock retry;
-- :mod:`repro.store.store` — :class:`SQLiteStore`, the durable drop-in
-  for the v2 file-tree :class:`~repro.runner.cache.ResultCache`
-  (results, traces, hit masks, verdicts, quarantine — one queryable
-  file, torn-write-proof by transaction);
+- :mod:`repro.store.store` — :class:`SQLiteStore`, the one result
+  store (results, traces, hit masks, verdicts, quarantine — one
+  queryable file, torn-write-proof by transaction);
 - :mod:`repro.store.oplog` — the append-only event log sweeps and the
   guard service journal into;
 - :mod:`repro.store.journal` — per-experiment sweep checkpoints that
   make ``mnemo sweep --resume RUN_ID`` skip finished work after a
-  coordinator kill;
-- :mod:`repro.store.migrate` — one-shot, read-back-verified migration
-  from a v2 file tree (``mnemo cache migrate``).
+  coordinator kill.
 """
 
 from repro._lazy import attach
@@ -22,11 +19,10 @@ from repro._lazy import attach
 __getattr__, __dir__, __all__ = attach(__name__, {
     "db": ["DEFAULT_BUSY_TIMEOUT_MS", "Database"],
     "journal": ["SweepJournal"],
-    "migrate": ["MigrationReport", "migrate_cache"],
     "oplog": [
         "KIND_CONFIG_RELOADED", "KIND_REQUEST_SERVED",
         "KIND_TOKEN_REGISTERED", "KIND_TOKEN_REVOKED",
         "SERVICE_REQUEST_KINDS", "Oplog", "OplogEntry",
     ],
-    "store": ["DEFAULT_STORE_PATH", "SQLiteStore", "ensure_store"],
+    "store": ["DEFAULT_STORE_PATH", "SQLiteStore"],
 })

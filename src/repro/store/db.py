@@ -12,11 +12,15 @@ that are safe for this codebase's process model:
   pid or thread changes;
 - **``busy_timeout``** makes SQLite itself wait out short lock
   contention, and :meth:`Database.write_txn` adds a bounded exponential-backoff
-  retry loop (with deterministic jitter, matching the runner's
-  :class:`~repro.runner.outcome.RetryPolicy` idiom) around ``BEGIN
-  IMMEDIATE`` transactions for the pathological cases — two sweeps
-  hammering one store on a slow volume — before giving up with a
-  :class:`~repro.errors.StoreError`.
+  retry loop (deterministic jitter, :func:`~repro.rng.backoff_delay`)
+  around ``BEGIN IMMEDIATE`` transactions for the pathological cases —
+  two sweeps hammering one store on a slow volume — before giving up
+  with a :class:`~repro.errors.StoreError`;
+- **no raw ``sqlite3`` exception leaves this module** once a connection
+  is open: a statement that trips over a rotted page (``database disk
+  image is malformed``) raises :class:`~repro.errors.StoreError` naming
+  the file, from :meth:`Database.write_txn` and :meth:`Database.read`
+  alike.
 
 Writes always run inside a single ``BEGIN IMMEDIATE`` transaction:
 SQLite serialises writers, so every row is either fully present or
@@ -33,7 +37,7 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.errors import ConfigurationError, StoreError
-from repro.rng import derive_seed
+from repro.rng import backoff_delay
 
 #: Default SQLite busy timeout (milliseconds) before a lock attempt
 #: surfaces as ``OperationalError: database is locked``.
@@ -41,6 +45,10 @@ DEFAULT_BUSY_TIMEOUT_MS = 5_000
 
 #: ``OperationalError`` messages that mean transient lock contention.
 _LOCKED_MARKERS = ("database is locked", "database is busy")
+
+#: Primary result codes that mean the file itself is bad, not the
+#: statement: SQLITE_IOERR, SQLITE_CORRUPT, SQLITE_NOTADB.
+_DAMAGE_CODES = frozenset({10, 11, 26})
 
 
 def _is_locked(exc: sqlite3.Error) -> bool:
@@ -80,7 +88,14 @@ class Database:
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_factor = float(backoff_factor)
         self._local = threading.local()
-        if self.path.parent and not self.path.parent.exists():
+        if self.path.is_dir():
+            raise ConfigurationError(
+                f"cannot open store {self.path}: it is a directory, not a "
+                "SQLite file (a left-over v2 file-tree cache? those are no "
+                "longer read; remove it or name another path and the "
+                "entries are recomputed)"
+            )
+        if not self.path.parent.is_dir():
             try:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
@@ -142,15 +157,26 @@ class Database:
     # -- transactions ---------------------------------------------------------
 
     def _backoff_s(self, attempt: int) -> float:
-        base = self.backoff_base_s * self.backoff_factor ** (attempt - 1)
-        u = derive_seed(None, f"{self.path}/lock/{attempt}") / 2.0**32
-        return base * (1.0 + 0.25 * u)
+        return backoff_delay(
+            f"{self.path}/lock/{attempt}", attempt,
+            self.backoff_base_s, self.backoff_factor,
+        )
 
     def _rollback(self, conn: sqlite3.Connection) -> None:
         try:
             conn.execute("ROLLBACK")
-        except sqlite3.OperationalError:  # pragma: no cover - no txn open
+        except sqlite3.Error:  # no txn open, or the file is past saving
             pass
+
+    def _failed(self, exc: sqlite3.Error) -> StoreError:
+        """The structured form of a statement failure that is not a lock."""
+        msg = f"store {self.path} failed a statement: {exc}"
+        if getattr(exc, "sqlite_errorcode", 0) & 0xFF in _DAMAGE_CODES:
+            msg += (
+                " (entries are recomputable, so a damaged store can be "
+                "deleted)"
+            )
+        return StoreError(msg)
 
     def write_txn(self, fn):
         """Run ``fn(conn)`` in a single-writer transaction, retrying locks.
@@ -159,29 +185,30 @@ class Database:
         body either commits atomically or rolls back; lock contention
         that outlasts ``busy_timeout`` is retried with exponential
         backoff up to ``max_attempts`` times, then raised as
-        :class:`~repro.errors.StoreError`.  Returns ``fn``'s result.
+        :class:`~repro.errors.StoreError` — as is, at once, any other
+        database error.  Returns ``fn``'s result.
         """
         conn = self.connection()
-        last: sqlite3.OperationalError | None = None
+        last: sqlite3.DatabaseError | None = None
         for attempt in range(1, self.max_attempts + 1):
             if attempt > 1:
                 telemetry.count("store.lock_retry")
                 time.sleep(self._backoff_s(attempt - 1))
             try:
                 conn.execute("BEGIN IMMEDIATE")
-            except sqlite3.OperationalError as exc:
+            except sqlite3.DatabaseError as exc:
                 if not _is_locked(exc):
-                    raise
+                    raise self._failed(exc) from exc
                 last = exc
                 continue
             try:
                 out = fn(conn)
                 conn.execute("COMMIT")
                 return out
-            except sqlite3.OperationalError as exc:
+            except sqlite3.DatabaseError as exc:
                 self._rollback(conn)
                 if not _is_locked(exc):
-                    raise
+                    raise self._failed(exc) from exc
                 last = exc
             except BaseException:
                 self._rollback(conn)
@@ -191,11 +218,18 @@ class Database:
             f"{self.max_attempts} attempts: {last}"
         )
 
-    def read(self) -> sqlite3.Connection:
-        """The connection for plain reads (WAL readers never block)."""
-        return self.connection()
+    def read(self, sql: str, params=()) -> list[sqlite3.Row]:
+        """Every row of one plain read (WAL readers never block).
+
+        Fetched inside the call, so a rotted page met while stepping
+        through the result is a :class:`~repro.errors.StoreError` too.
+        """
+        try:
+            return self.connection().execute(sql, params).fetchall()
+        except sqlite3.DatabaseError as exc:
+            raise self._failed(exc) from exc
 
     def integrity_check(self) -> str:
-        """Run ``PRAGMA integrity_check``; returns SQLite's verdict."""
-        row = self.read().execute("PRAGMA integrity_check").fetchone()
-        return str(row[0]) if row is not None else "missing"
+        """Run ``PRAGMA integrity_check``; ``ok`` or SQLite's findings."""
+        rows = self.read("PRAGMA integrity_check(5)")
+        return "; ".join(str(row[0]) for row in rows) or "missing"

@@ -97,10 +97,10 @@ class Oplog:
             clauses.append("kind = ?")
             params.append(kind)
         where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
-        rows = self.db.read().execute(
+        rows = self.db.read(
             f"SELECT seq, run_id, kind, at, payload FROM oplog{where}"
             " ORDER BY seq", params,
-        ).fetchall()
+        )
         out = []
         for row in rows:
             try:
@@ -122,8 +122,8 @@ class Oplog:
 
     def runs(self) -> list[tuple[str, int]]:
         """Distinct run ids with entry counts, most recent first."""
-        rows = self.db.read().execute(
+        rows = self.db.read(
             "SELECT run_id, COUNT(*) AS n, MAX(seq) AS latest FROM oplog"
             " GROUP BY run_id ORDER BY latest DESC"
-        ).fetchall()
+        )
         return [(row["run_id"], row["n"]) for row in rows]

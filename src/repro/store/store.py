@@ -1,34 +1,38 @@
-"""Durable SQLite-backed experiment store behind the cache interface.
+"""The result store: content-addressed entries in one SQLite file.
 
-:class:`SQLiteStore` is a drop-in replacement for the v2 file-tree
-:class:`~repro.runner.cache.ResultCache`: same getters/setters, same
-checksummed entry envelopes (the codecs in :mod:`repro.runner.cache`
-are shared, so a migrated entry reads back bit-identically), same
-quarantine-and-recompute corruption policy, same telemetry metric
-names.  What changes is durability and queryability:
+:class:`SQLiteStore` memoizes what the pipeline measures — run results,
+generated traces, LLC hit masks, guard verdicts — as ``(kind,
+fingerprint) -> body`` rows with an upsert.  Fingerprints come from
+:mod:`repro.runner.fingerprint` and cover everything that determines an
+entry's content, so an entry is valid forever; invalidation reduces to
+three rules: bumping ``SCHEMA_VERSION`` orphans every old row (it reads
+as a miss), a changed input changes the fingerprint so the stale row is
+never looked up again, and ``clear()`` drops everything explicitly.
+
+Bodies are the checksummed envelopes of :mod:`repro.runner.cache`.  A
+read that fails to parse or fails its checksum (bit rot, a mangled
+copy) is *quarantined* — moved to the ``quarantine`` table with its
+reason and payload intact — and reported as a miss, so the caller
+transparently recomputes it.  ``verify()`` walks every entry up front
+(``python -m repro cache verify``) and ``stats()`` counts what
+quarantine holds.
 
 - every write is one WAL-mode ``BEGIN IMMEDIATE`` transaction
   (:mod:`repro.store.db`), so a SIGKILL mid-write can never leave a
   torn entry — the row is either fully there or absent;
-- concurrent runners on one volume contend on SQLite's write lock
-  instead of racing over loose files, with ``busy_timeout`` plus
-  bounded-backoff retry absorbing the contention;
+- concurrent runners on one volume contend on SQLite's write lock,
+  with ``busy_timeout`` plus bounded-backoff retry absorbing the
+  contention;
 - entries, quarantine and the append-only oplog
   (:mod:`repro.store.oplog`) live in one file that plain SQL can
-  census — provenance, cross-run comparisons, quarantine autopsies;
-- corrupt entries are not deleted: they move to the ``quarantine``
-  table with their reason and payload intact.
+  census — provenance, cross-run comparisons, quarantine autopsies.
 
-Schema (``SCHEMA_VERSION`` is shared with the file cache; stale-schema
-rows read as misses, exactly like stale files)::
+Schema::
 
     entries(kind, fingerprint, schema, body, created_at)   -- PK (kind, fingerprint)
     quarantine(kind, fingerprint, reason, body, quarantined_at)
     oplog(seq, run_id, kind, at, payload)                  -- append-only
     meta(key, value)
-
-``mnemo cache migrate`` (:mod:`repro.store.migrate`) moves a v2 file
-tree into a store with per-entry read-back verification.
 """
 
 from __future__ import annotations
@@ -42,10 +46,10 @@ import numpy as np
 from repro import telemetry
 from repro.errors import StoreError
 from repro.runner.cache import (
+    _KINDS,
     SCHEMA_VERSION,
     CacheStats,
     CacheVerifyReport,
-    ResultCache,
     decode_hitmask,
     decode_result,
     decode_trace,
@@ -62,8 +66,6 @@ from repro.ycsb.workload import Trace
 
 #: Default store filename (relative to the working directory).
 DEFAULT_STORE_PATH = "mnemo.db"
-
-_KINDS = ("results", "traces", "hitmasks", "verdicts")
 
 #: Schema DDL, one statement per element so creation can run inside a
 #: single retried write transaction (``executescript`` would implicitly
@@ -100,7 +102,7 @@ _SCHEMA_STATEMENTS = (
 )
 
 
-class SQLiteStore(ResultCache):
+class SQLiteStore:
     """Content-addressed experiment store in one SQLite file.
 
     Parameters
@@ -110,10 +112,6 @@ class SQLiteStore(ResultCache):
         :attr:`root` attribute is this path, so payloads that carry
         ``str(cache.root)`` across process boundaries rebuild a store
         (see :func:`~repro.runner.cache.ensure_cache`).
-    strict:
-        When True, reads of corrupt entries raise
-        :class:`~repro.errors.CacheCorruptionError` (after
-        quarantining) instead of reporting a miss.
     busy_timeout_ms / max_attempts:
         Lock-contention tolerance, forwarded to
         :class:`~repro.store.db.Database`.
@@ -122,12 +120,10 @@ class SQLiteStore(ResultCache):
     def __init__(
         self,
         path: str | Path = DEFAULT_STORE_PATH,
-        strict: bool = False,
         busy_timeout_ms: int | None = None,
         max_attempts: int | None = None,
     ):
         self.root = Path(path)
-        self.strict = strict
         kwargs = {}
         if busy_timeout_ms is not None:
             kwargs["busy_timeout_ms"] = busy_timeout_ms
@@ -149,10 +145,11 @@ class SQLiteStore(ResultCache):
         self.db.close()
 
     def _row(self, kind: str, fingerprint: str):
-        return self.db.read().execute(
+        rows = self.db.read(
             "SELECT body FROM entries WHERE kind = ? AND fingerprint = ?",
             (kind, fingerprint),
-        ).fetchone()
+        )
+        return rows[0] if rows else None
 
     def _put(self, kind: str, fingerprint: str, body: bytes) -> Path:
         telemetry.count("cache.write", kind=kind)
@@ -193,19 +190,12 @@ class SQLiteStore(ResultCache):
 
         self.db.write_txn(txn)
 
-    def _corrupt_row(self, kind: str, fingerprint: str, reason: str):
-        """Quarantine a corrupt row; raise in strict mode (else a miss)."""
-        telemetry.event(
-            "cache.corrupt", kind=kind, entry=fingerprint, reason=reason,
+    @staticmethod
+    def _lookup(kind: str, hit: bool) -> None:
+        """Count one cache probe's outcome (off-path telemetry)."""
+        telemetry.count(
+            "cache.lookup", kind=kind, outcome="hit" if hit else "miss",
         )
-        self._quarantine_row(kind, fingerprint, reason)
-        if self.strict:
-            from repro.errors import CacheCorruptionError
-
-            raise CacheCorruptionError(
-                f"{self.root}:{kind}/{fingerprint}: {reason}"
-            )
-        return None
 
     @staticmethod
     def _decode_json(data: bytes, decoder):
@@ -233,8 +223,13 @@ class SQLiteStore(ResultCache):
             return None
         value, reason = self._decode(kind, row["body"])
         if reason is not None:
+            # corrupt: set aside and report a miss, the caller recomputes
             self._lookup(kind, hit=False)
-            return self._corrupt_row(kind, fingerprint, reason)
+            telemetry.event(
+                "cache.corrupt", kind=kind, entry=fingerprint, reason=reason,
+            )
+            self._quarantine_row(kind, fingerprint, reason)
+            return None
         self._lookup(kind, hit=value is not None)
         return value
 
@@ -282,19 +277,18 @@ class SQLiteStore(ResultCache):
 
     def fingerprints(self, kind: str) -> list[str]:
         """Every stored fingerprint of *kind*, sorted (SQL census helper)."""
-        rows = self.db.read().execute(
+        rows = self.db.read(
             "SELECT fingerprint FROM entries WHERE kind = ?"
             " ORDER BY fingerprint", (kind,),
-        ).fetchall()
+        )
         return [row["fingerprint"] for row in rows]
 
     def stats(self) -> CacheStats:
         """Entry counts, byte totals and quarantine census (current schema)."""
-        conn = self.db.read()
         entries = {kind: 0 for kind in _KINDS}
         bytes_ = {kind: 0 for kind in _KINDS}
         quarantined = {kind: 0 for kind in _KINDS}
-        for row in conn.execute(
+        for row in self.db.read(
             "SELECT kind, COUNT(*) AS n, COALESCE(SUM(LENGTH(body)), 0)"
             " AS total FROM entries WHERE schema = ? GROUP BY kind",
             (SCHEMA_VERSION,),
@@ -302,7 +296,7 @@ class SQLiteStore(ResultCache):
             if row["kind"] in entries:
                 entries[row["kind"]] = row["n"]
                 bytes_[row["kind"]] = row["total"]
-        for row in conn.execute(
+        for row in self.db.read(
             "SELECT kind, COUNT(*) AS n FROM quarantine GROUP BY kind"
         ):
             if row["kind"] in quarantined:
@@ -320,10 +314,10 @@ class SQLiteStore(ResultCache):
         corrupt: dict[str, tuple[str, ...]] = {}
         for kind in _KINDS:
             bad = []
-            rows = self.db.read().execute(
+            rows = self.db.read(
                 "SELECT fingerprint, body FROM entries WHERE kind = ?"
                 " ORDER BY fingerprint", (kind,),
-            ).fetchall()
+            )
             checked[kind] = len(rows)
             for row in rows:
                 _, reason = self._decode(kind, row["body"])
@@ -350,10 +344,3 @@ class SQLiteStore(ResultCache):
     def integrity_check(self) -> str:
         """SQLite's own structural verdict (``ok`` when sound)."""
         return self.db.integrity_check()
-
-
-def ensure_store(store: "SQLiteStore | str | Path | None") -> SQLiteStore | None:
-    """Coerce a store argument: pass through, build from a path, or None."""
-    if store is None or isinstance(store, SQLiteStore):
-        return store
-    return SQLiteStore(store)

@@ -15,14 +15,14 @@ import time
 import pytest
 
 from repro.errors import FaultError
-from repro.faults import ChaosPlan, corrupt_cache_entries
+from repro.faults import ChaosPlan, corrupt_store_rows
 from repro.runner import (
     CachingClient,
     ClientConfig,
     ExperimentRunner,
-    ResultCache,
     RetryPolicy,
 )
+from repro.store import SQLiteStore
 
 #: Retries that keep test wall-clock low.
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01)
@@ -177,8 +177,8 @@ class TestCacheCorruption:
         runner = ExperimentRunner(cache=cache_dir, client=config)
         assert runner.run_grid(specs) == reference
 
-        cache = ResultCache(cache_dir)
-        touched = corrupt_cache_entries(cache, mode="flip")
+        cache = SQLiteStore(cache_dir)
+        touched = corrupt_store_rows(cache, mode="flip")
         assert touched
 
         recomputed = ExperimentRunner(
@@ -190,8 +190,8 @@ class TestCacheCorruption:
     def test_truncation_detected(self, tmp_path, specs, config, reference):
         cache_dir = tmp_path / "cache"
         ExperimentRunner(cache=cache_dir, client=config).run_grid(specs)
-        cache = ResultCache(cache_dir)
-        corrupt_cache_entries(cache, mode="truncate")
+        cache = SQLiteStore(cache_dir)
+        corrupt_store_rows(cache, mode="truncate")
         report = cache.verify()
         assert not report.ok
         assert report.total_corrupt == report.total_checked
@@ -203,7 +203,7 @@ class TestCacheCorruption:
     def test_verify_without_repair_leaves_entries(
         self, tmp_path, small_trace,
     ):
-        cache = ResultCache(tmp_path / "cache")
+        cache = SQLiteStore(tmp_path / "cache")
         client = CachingClient(cache=cache, repeats=1, seed=3)
         from repro.kvstore import RedisLike
         from repro.kvstore.server import HybridDeployment
@@ -212,7 +212,7 @@ class TestCacheCorruption:
             RedisLike, HybridMemorySystem.testbed(), small_trace.record_sizes
         )
         client.execute(small_trace, dep)
-        corrupt_cache_entries(cache, mode="flip")
+        corrupt_store_rows(cache, mode="flip")
         report = cache.verify(repair=False)
         assert not report.ok
         assert cache.stats().total_quarantined == 0

@@ -16,7 +16,7 @@ from repro.guard import GuardLoop
 from repro.guard.drift import rotate_hot_set
 from repro.guard.validator import ErrorBudget
 from repro.kvstore import RedisLike
-from repro.runner import ResultCache
+from repro.store import SQLiteStore
 from repro.ycsb import YCSBClient, generate_trace
 from repro.ycsb.distributions import DistributionSpec
 from repro.ycsb.sizes import THUMBNAIL
@@ -105,7 +105,7 @@ class TestAcceptanceScenario:
         self, zipf_trace, tmp_path,
     ):
         live = rotate_hot_set(zipf_trace, zipf_trace.n_keys // 2)
-        cache = ResultCache(tmp_path / "cache")
+        cache = SQLiteStore(tmp_path / "cache")
 
         mnemo1 = _mnemo(cache=cache)
         loop1 = mnemo1.guard_loop()
@@ -177,7 +177,7 @@ class TestAcceptanceScenario:
 
 class TestGuardLoopConstruction:
     def test_loop_inherits_mnemo_cache(self, zipf_trace, tmp_path):
-        mnemo = _mnemo(cache=ResultCache(tmp_path / "c"))
+        mnemo = _mnemo(cache=SQLiteStore(tmp_path / "c"))
         loop = mnemo.guard_loop()
         assert loop.validator.cache is mnemo.client.cache
 

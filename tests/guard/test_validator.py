@@ -11,7 +11,7 @@ from repro.guard.validator import (
     ValidationVerdict,
 )
 from repro.kvstore import RedisLike
-from repro.runner import ResultCache
+from repro.store import SQLiteStore
 from repro.ycsb import YCSBClient
 
 
@@ -126,7 +126,7 @@ class TestCaching:
     def test_rerun_is_a_cache_hit_with_identical_verdict(
         self, tmp_path, guard_client, guard_report, small_trace_module,
     ):
-        cache = ResultCache(tmp_path / "cache")
+        cache = SQLiteStore(tmp_path / "cache")
         choice = guard_report.choose(0.10)
 
         first = RecommendationValidator(
@@ -146,7 +146,7 @@ class TestCaching:
     def test_different_trace_changes_fingerprint(
         self, tmp_path, guard_client, guard_report, small_trace_module,
     ):
-        cache = ResultCache(tmp_path / "cache")
+        cache = SQLiteStore(tmp_path / "cache")
         validator = RecommendationValidator(
             RedisLike, client=guard_client, cache=cache
         )
@@ -163,7 +163,7 @@ class TestCaching:
     def test_generator_seeded_client_skips_cache(
         self, tmp_path, guard_report, small_trace_module,
     ):
-        cache = ResultCache(tmp_path / "cache")
+        cache = SQLiteStore(tmp_path / "cache")
         live_rng = YCSBClient(repeats=1, seed=np.random.default_rng(1))
         validator = RecommendationValidator(
             RedisLike, client=live_rng, cache=cache

@@ -20,8 +20,8 @@ from repro.memsim.kernel import BatchKernel, measure_repeats
 from repro.memsim.system import HybridMemorySystem
 from repro.memsim.timing import AccessTimer, NoiseModel
 from repro.rng import derive_seed, ensure_rng
-from repro.runner.cache import ResultCache
 from repro.runner.caching import CachingClient
+from repro.store import SQLiteStore
 from repro.ycsb.client import RunResult, YCSBClient
 from repro.ycsb.generator import generate_trace
 from repro.ycsb.presets import workload_by_name
@@ -311,7 +311,7 @@ class TestCachingBatch:
         system = HybridMemorySystem.testbed()
         profile = RedisLike(system.fast, system.slow).profile
         masks = _masks(trace.n_keys)
-        cache = ResultCache(tmp_path)
+        cache = SQLiteStore(tmp_path / "s.db")
 
         writer = CachingClient(cache=cache, seed=6, repeats=2)
         batch = writer.execute_placements(trace, masks, profile, system)

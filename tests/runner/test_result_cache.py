@@ -1,4 +1,4 @@
-"""Tests for the on-disk content-addressed cache."""
+"""Tests for the entry codecs, run through the one result store."""
 
 import json
 
@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.runner.cache import (
     SCHEMA_VERSION,
-    ResultCache,
     decode_hitmask,
     decode_trace,
     encode_hitmask,
@@ -16,14 +15,31 @@ from repro.runner.cache import (
     ensure_cache,
 )
 from repro.runner.fingerprint import array_digest, trace_fingerprint
+from repro.store import SQLiteStore
 from repro.ycsb.client import RunResult
-from repro.ycsb.workload import Trace
 
 
 @pytest.fixture
 def cache(tmp_path):
-    """A fresh cache rooted in a temp directory."""
-    return ResultCache(tmp_path / "cache")
+    """A fresh store in a temp file."""
+    store = SQLiteStore(tmp_path / "cache")
+    yield store
+    store.close()
+
+
+def stored(cache, kind, fingerprint) -> bytes:
+    """The encoded bytes one entry holds."""
+    return bytes(cache._row(kind, fingerprint)["body"])
+
+
+def overwrite(cache, kind, fingerprint, body) -> None:
+    """Replace one entry's bytes below the codec (rot, or an older build)."""
+    if isinstance(body, str):
+        body = body.encode()
+    cache.db.write_txn(lambda conn: conn.execute(
+        "UPDATE entries SET body = ? WHERE kind = ? AND fingerprint = ?",
+        (body, kind, fingerprint),
+    ))
 
 
 @pytest.fixture
@@ -52,15 +68,16 @@ class TestResults:
         assert cache.get_result("nope") is None
 
     def test_schema_mismatch_invalidates(self, cache, result):
-        path = cache.put_result("fp1", result)
-        payload = json.loads(path.read_text())
+        cache.put_result("fp1", result)
+        payload = json.loads(stored(cache, "results", "fp1"))
         payload["schema"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(payload))
+        overwrite(cache, "results", "fp1", json.dumps(payload))
         assert cache.get_result("fp1") is None
+        assert cache.stats().total_quarantined == 0  # stale, not corrupt
 
     def test_corrupt_json_returns_none(self, cache, result):
-        path = cache.put_result("fp1", result)
-        path.write_text("{not json")
+        cache.put_result("fp1", result)
+        overwrite(cache, "results", "fp1", "{not json")
         assert cache.get_result("fp1") is None
 
 
@@ -87,9 +104,9 @@ class TestNpzCodec:
         got, reason = decode_trace(old)
         assert reason is None
         assert_traces_equal(got, small_trace)
-        # ... and as an entry an older build left in the cache directory
+        # ... and as an entry an older build left in the store
         cache.put_trace("t1", small_trace)
-        cache._path("traces", "t1", ".npz").write_bytes(old)
+        overwrite(cache, "traces", "t1", old)
         assert_traces_equal(cache.get_trace("t1"), small_trace)
 
     def test_savez_compressed_hitmask_blob_still_decodes(
@@ -138,11 +155,12 @@ class TestNpzCodec:
     def test_flipped_byte_in_cache_entry_is_quarantined(
         self, cache, small_trace,
     ):
-        path = cache.put_trace("t1", small_trace)
-        blob = path.read_bytes()
+        cache.put_trace("t1", small_trace)
+        blob = stored(cache, "traces", "t1")
         mid = len(blob) // 2
-        path.write_bytes(
-            blob[:mid] + bytes([blob[mid] ^ 0xFF]) + blob[mid + 1:]
+        overwrite(
+            cache, "traces", "t1",
+            blob[:mid] + bytes([blob[mid] ^ 0xFF]) + blob[mid + 1:],
         )
         assert cache.get_trace("t1") is None
         assert cache.stats().quarantined["traces"] == 1
@@ -183,16 +201,18 @@ class TestVerdicts:
         assert cache.get_verdict("nope") is None
 
     def test_corrupt_json_quarantined(self, cache):
-        path = cache.put_verdict("v1", self.PAYLOAD)
-        path.write_text("{not json")
+        cache.put_verdict("v1", self.PAYLOAD)
+        overwrite(cache, "verdicts", "v1", "{not json")
         assert cache.get_verdict("v1") is None
-        assert not path.exists()  # quarantined, not left to rot
+        # quarantined, not left to rot
+        assert cache.stats().entries["verdicts"] == 0
+        assert cache.stats().quarantined["verdicts"] == 1
 
     def test_checksum_mismatch_rejected(self, cache):
-        path = cache.put_verdict("v1", self.PAYLOAD)
-        payload = json.loads(path.read_text())
+        cache.put_verdict("v1", self.PAYLOAD)
+        payload = json.loads(stored(cache, "verdicts", "v1"))
         payload["verdict"]["status"] = "reject"
-        path.write_text(json.dumps(payload))
+        overwrite(cache, "verdicts", "v1", json.dumps(payload))
         assert cache.get_verdict("v1") is None
 
     def test_counted_by_stats_and_verify(self, cache):
@@ -233,12 +253,25 @@ class TestEnsureCache:
     def test_passthrough_and_coercion(self, cache, tmp_path):
         assert ensure_cache(None) is None
         assert ensure_cache(cache) is cache
-        built = ensure_cache(tmp_path / "other")
-        assert isinstance(built, ResultCache)
+        # any path is the SQLite file, whatever its suffix
+        for name in ("other", "other.db"):
+            built = ensure_cache(tmp_path / name)
+            assert type(built) is SQLiteStore
+            assert built.root == tmp_path / name and built.root.is_file()
+            built.close()
 
     def test_uncreatable_directory_is_a_configuration_error(self, tmp_path):
         plain = tmp_path / "plain"
-        plain.write_text("a file, not a directory")
+        plain.write_text("a file, neither a directory nor a database")
         for bad in (plain, plain / "sub"):
             with pytest.raises(ConfigurationError, match=str(bad)):
                 ensure_cache(bad)
+
+    def test_existing_directory_is_a_configuration_error(self, tmp_path):
+        # what a left-over v2 file tree looks like to the one store
+        tree = tmp_path / ".mnemo-cache"
+        (tree / "v2" / "results").mkdir(parents=True)
+        with pytest.raises(ConfigurationError, match="v2 file-tree") as exc:
+            ensure_cache(tree)
+        assert str(tree) in str(exc.value)
+        assert sorted(p.name for p in tree.rglob("*")) == ["results", "v2"]

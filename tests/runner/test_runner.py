@@ -14,17 +14,17 @@ from repro.runner import (
     ClientConfig,
     ExperimentRunner,
     ExperimentSpec,
-    ResultCache,
     split_fast_keys,
 )
 from repro.kvstore.server import HybridDeployment
+from repro.store import SQLiteStore
 from repro.ycsb import YCSBClient
 
 
 @pytest.fixture
 def cache(tmp_path):
     """A fresh result cache."""
-    return ResultCache(tmp_path / "cache")
+    return SQLiteStore(tmp_path / "cache")
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.errors import StoreError
+from repro.errors import ConfigurationError, StoreError
 from repro.store import SQLiteStore
 from repro.store.db import Database
 
@@ -151,8 +151,8 @@ class TestLockRetry:
     def test_database_rejects_unopenable_path(self, tmp_path):
         target = tmp_path / "not-a-dir"
         target.write_text("plain file")
-        with pytest.raises(StoreError, match="cannot open"):
-            Database(target / "x.db").connection()
+        with pytest.raises(ConfigurationError, match="cannot open"):
+            Database(target / "x.db")
 
 
 def _fork_child(store):

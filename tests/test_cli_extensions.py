@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.store import SQLiteStore, SweepJournal
 
 
 @pytest.fixture(autouse=True)
@@ -91,6 +92,25 @@ class TestSweepCommand:
         assert main(["sweep", "--workloads", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
+    def test_run_id_and_resume_take_either_spelling(self, capsys, tmp_path):
+        # --cache-dir and --store are one option: a run journaled under
+        # one spelling resumes under the other, to the same table
+        argv = ["sweep", "--workloads", "trending", "--engines", "redis",
+                "--placements", "fast,slow", "--seed", "7"]
+        store = str(tmp_path / "x")
+        assert main(argv + ["--cache-dir", store, "--run-id", "r"]) == 0
+        first = capsys.readouterr().out
+        assert main(argv + ["--store", store, "--resume", "r"]) == 0
+        assert capsys.readouterr().out == first
+        journal = SweepJournal(SQLiteStore(store), "r")
+        starts = journal.entries(kind="sweep_started")
+        assert [e.payload["resumed"] for e in starts] == [False, True]
+        # both cells came from the journal: nothing was checkpointed twice
+        assert len(journal.entries(kind="experiment_done")) == 2
+        journal.store.close()
+        assert main(argv + ["--run-id", "r"]) == 2
+        assert "add --store" in capsys.readouterr().err
+
 
 class TestCacheCommand:
     def test_stats_and_clear(self, capsys, tmp_path):
@@ -106,3 +126,24 @@ class TestCacheCommand:
         assert "removed" in capsys.readouterr().out
         assert main(["cache", "stats", "--dir", cache_dir]) == 0
         assert " 0 entries" in capsys.readouterr().out
+
+    def test_verify_reports_sqlites_own_check_too(self, capsys, tmp_path):
+        store = str(tmp_path / "s.db")
+        assert main(["sweep", "--workloads", "trending", "--engines",
+                     "redis", "--placements", "slow", "--store", store]) == 0
+        capsys.readouterr()
+        assert main(["cache", "verify", "--dir", store]) == 0
+        out = capsys.readouterr().out
+        assert "integrity_check: ok" in out and "all entries intact" in out
+
+    @pytest.mark.parametrize("action", ["stats", "verify", "clear"])
+    def test_inspecting_a_missing_store_never_creates_one(
+        self, capsys, tmp_path, monkeypatch, action,
+    ):
+        # a typo must not come back as an empty store with "all intact"
+        monkeypatch.chdir(tmp_path)
+        for argv in (["--dir", str(tmp_path / "typo.db")], []):
+            assert main(["cache", action] + argv) == 2
+            named = argv[-1] if argv else "mnemo.db"
+            assert f"no store at {named}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -17,7 +17,6 @@ class TestHierarchy:
         errors.PricingError,
         errors.FaultError,
         errors.ExperimentTimeoutError,
-        errors.CacheCorruptionError,
     ])
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, errors.ReproError)
@@ -36,7 +35,6 @@ class TestHierarchy:
     @pytest.mark.parametrize("exc", [
         errors.FaultError,
         errors.ExperimentTimeoutError,
-        errors.CacheCorruptionError,
     ])
     def test_new_fault_errors_catchable_as_base(self, exc):
         with pytest.raises(errors.ReproError):
