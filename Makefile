@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test verify import-report chaos crash guard serve-drill bench bench-kernel bench-obs bench-perf bench-perf-selftest bench-serve bench-verbose examples results clean
+.PHONY: install test verify import-report chaos crash guard serve-drill bench bench-ab bench-kernel bench-obs bench-perf bench-perf-selftest bench-serve bench-verbose examples results clean
 
 results: bench
 	$(PYTHON) tools/collect_results.py
@@ -88,6 +88,16 @@ SEED ?= 1
 bench-perf:
 	python3 benchmarks/perf/run.py --workload $(W) --seed $(SEED) \
 		--seconds 20 --trace 0
+
+# the A/B behind a perf claim: PAIRS alternating runs of workload W at
+# PARENT (git archive, temp dir) and in this tree; prints medians,
+# quartiles, wins and the verdict per end-to-end metric, e.g.
+# `make bench-ab PARENT=HEAD~1 W=profile_cold`
+PAIRS ?= 10
+SECONDS ?= 20
+bench-ab:
+	$(PYTHON) tools/ab_bench.py --parent $(PARENT) --workload $(W) \
+		--pairs $(PAIRS) --seconds $(SECONDS)
 
 # the harness's own tests (~4 s): contract line, layer table, probes
 bench-perf-selftest:

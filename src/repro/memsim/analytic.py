@@ -45,6 +45,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import ConfigurationError
+from repro.memsim.timing import service_times_ns
 
 #: Bisection iterations for the characteristic time (halves the bracket
 #: each step; 100 steps resolve T far below float64 noise).
@@ -285,9 +286,13 @@ def predict_placement(trace, profile, system, fast_mask, client):
     scale = 1.0
     if client.concurrency > 1:
         scale = 1 + client.contention * (client.concurrency - 1)
-    mem = latency + touched / bpns
-    read_miss = profile.read_cpu_ns + profile.read_passes * scale * mem
-    write_miss = profile.write_cpu_ns + profile.write_passes * scale * mem
+    read_miss, write_miss = (
+        service_times_ns(
+            touched, latency, bpns, profile.passes(op) * scale,
+            profile.cpu_ns(op),
+        )
+        for op in (True, False)
+    )
 
     if client.use_llc:
         llc = system.llc
@@ -298,12 +303,12 @@ def predict_placement(trace, profile, system, fast_mask, client):
             out=np.zeros(counts.shape, dtype=np.float64),
             where=counts > 0,
         )
-        read_hit = np.full(mem.shape, profile.read_cpu_ns + llc.hit_latency_ns)
+        read_hit = np.full(mask.shape, profile.read_cpu_ns + llc.hit_latency_ns)
         write_hit = np.full(
-            mem.shape, profile.write_cpu_ns + llc.hit_latency_ns
+            mask.shape, profile.write_cpu_ns + llc.hit_latency_ns
         )
     else:
-        hit_frac = np.zeros(mem.shape)
+        hit_frac = np.zeros(mask.shape)
         read_hit, write_hit = read_miss, write_miss
 
     read_t = (1 - hit_frac) * read_miss + hit_frac * read_hit

@@ -7,11 +7,13 @@ described by a boolean mask over the key space — no
 into both engine instances) is needed to measure one.
 
 :class:`BatchKernel` is the one way a placement is measured.  The
-trace-dependent, placement-independent arrays (request sizes, passes,
-CPU costs, the LLC hit mask, the trace digest) are gathered **once**;
-each placement then costs only a fancy-indexed node-parameter gather, a
-fingerprint over the placement mask, and one row-at-a-time timing pass
-over a reusable buffer (:func:`measure_repeats`).
+cost law is a function of (key, op, tier), so it is evaluated **once**,
+as a ``(2, n_keys)`` service-time table per memory node (row 0 writes,
+row 1 reads); the request index into the tables, the LLC hit mask and
+the trace digest are placement-independent too.  Each placement then
+costs a key-long select between the tables, one gather into request
+order, a fingerprint over the placement mask, and one row-at-a-time
+timing pass over a reusable buffer (:func:`measure_repeats`).
 ``YCSBClient.execute`` is the one-mask case of the same call.
 
 Each placement's noise streams derive from its own experiment
@@ -27,6 +29,8 @@ kernel must match bit for bit.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -85,12 +89,14 @@ def measure_repeats(
     base_ns: np.ndarray,
     label: str,
     noise_scale: np.ndarray | None = None,
+    read_idx: np.ndarray | None = None,
 ):
     """Realise *client*'s noise repeats over *base_ns* as one ``RunResult``.
 
     The timing pass behind :meth:`BatchKernel.run`; *base_ns* are the
     noise-free service times, *label* roots the noise streams,
-    *noise_scale* optionally widens sigma per request (jitter faults).
+    *noise_scale* optionally widens sigma per request (jitter faults),
+    *read_idx* is ``flatnonzero(trace.is_read)`` if the caller holds it.
 
     One ``requests``-long buffer serves every repeat.  Repeat ``r``
     fills it with exactly what an
@@ -108,9 +114,10 @@ def measure_repeats(
 
     repeats, sigma = client.repeats, client.noise.sigma
     percentiles = client.percentiles
-    is_read = trace.is_read
+    if read_idx is None:
+        read_idx = np.flatnonzero(trace.is_read)
     n = base_ns.size
-    n_reads = int(is_read.sum())
+    n_reads = read_idx.size
     n_writes = n - n_reads
     row = np.empty(n)
     row_sums = np.empty(repeats)
@@ -131,9 +138,9 @@ def measure_repeats(
             np.maximum(row, 1e-3, out=row)
             row *= base_ns
         # sums before the partitions reorder the row: float addition
-        # does not reassociate
+        # does not reassociate (of a read-only trace, the reads are the row)
         row_sums[r] = row.sum()
-        read_sums[r] = row[is_read].sum()
+        read_sums[r] = row.take(read_idx).sum() if n_writes else row_sums[r]
         if percentiles:
             _order_statistics(row, ranks, stats[:, r])
     runtimes = row_sums / client.concurrency
@@ -195,22 +202,28 @@ class BatchKernel:
                 f"trace key space ({trace.n_keys}) does not match the "
                 f"placement key space ({record_sizes.size})"
             )
+        if trace.n_requests == 0:
+            raise WorkloadError(
+                f"trace {trace.name!r} has no requests: nothing to measure"
+            )
         self.client = client
         self.trace = trace
         self.profile = profile
         self.system = system
         self.record_sizes = record_sizes
-        # request-aligned, placement-independent arrays (gathered once)
-        self.sizes = record_sizes[trace.keys] + profile.metadata_bytes
-        passes = np.where(
-            trace.is_read, profile.read_passes, profile.write_passes
+        # the cost law over the key space, once: per node a (2, n_keys)
+        # table (row 0 writes, row 1 reads) that req_index gathers from
+        sizes, passes, cpu = self._operands(
+            slice(None), np.array([[False], [True]])
         )
-        if client.concurrency > 1:
-            passes = passes * (1 + client.contention * (client.concurrency - 1))
-        self.passes = passes
-        self.cpu = np.where(
-            trace.is_read, profile.read_cpu_ns, profile.write_cpu_ns
+        self.fast_tab, self.slow_tab = (
+            service_times_ns(
+                sizes, node.latency_ns, node.bytes_per_ns, passes, cpu
+            )
+            for node in (system.fast, system.slow)
         )
+        self.req_index = trace.keys + trace.is_read * record_sizes.size
+        self.read_idx = np.flatnonzero(trace.is_read)
         self._live_seed = isinstance(client.seed, np.random.Generator)
         self.trace_digest = (
             None if self._live_seed else client.trace_digest(trace)
@@ -220,6 +233,27 @@ class BatchKernel:
         self._cached, self._cache_lat = client._cache_mask(
             trace, system.llc, self.trace_digest
         )
+
+    def _operands(self, keys, is_read):
+        """``(sizes, passes, cpu_ns)`` of the cost law for *keys* x *is_read*."""
+        profile, client = self.profile, self.client
+        sizes = self.record_sizes[keys] + profile.metadata_bytes
+        passes = np.where(is_read, profile.read_passes, profile.write_passes)
+        if client.concurrency > 1:
+            passes = passes * (1 + client.contention * (client.concurrency - 1))
+        cpu = np.where(is_read, profile.read_cpu_ns, profile.write_cpu_ns)
+        return sizes, passes, cpu
+
+    @cached_property
+    def _request_operands(self):
+        return self._operands(self.trace.keys, self.trace.is_read)
+
+    @cached_property
+    def _hit_row(self) -> np.ndarray:
+        """Request-length service times of an LLC hit: cpu + hit latency."""
+        profile, is_read = self.profile, self.trace.is_read
+        cpu = np.where(is_read, profile.read_cpu_ns, profile.write_cpu_ns)
+        return cpu + self._cache_lat
 
     def fingerprint(self, fast_mask: np.ndarray) -> str | None:
         """The experiment fingerprint of one placement (None if unseeded).
@@ -261,19 +295,25 @@ class BatchKernel:
             label = self.trace.name
         else:
             label = fingerprint or self.fingerprint(mask)
-        system = self.system
+        faults = self.client.faults
+        if faults is None or not faults.active:
+            table = np.where(mask, self.fast_tab, self.slow_tab)
+            base = table.ravel().take(self.req_index)
+            if self._cached is not None:
+                base = np.where(self._cached, self._hit_row, base)
+            return label, base, None
+        # a fault timeline is indexed by time, not by key: the one
+        # request-length evaluation of the same law
+        fast, slow = self.system.fast, self.system.slow
         on_fast = mask[self.trace.keys]
-        latency = np.where(
-            on_fast, system.fast.latency_ns, system.slow.latency_ns
-        )
-        bpns = np.where(
-            on_fast, system.fast.bytes_per_ns, system.slow.bytes_per_ns
-        )
+        latency = np.where(on_fast, fast.latency_ns, slow.latency_ns)
+        bpns = np.where(on_fast, fast.bytes_per_ns, slow.bytes_per_ns)
+        sizes, passes, cpu = self._request_operands
         latency, bpns, cpu, noise_scale = self.client._fault_arrays(
-            label, on_fast, latency, bpns, self.cpu
+            label, on_fast, latency, bpns, cpu
         )
         base = service_times_ns(
-            self.sizes, latency, bpns, self.passes, cpu,
+            sizes, latency, bpns, passes, cpu,
             cached=self._cached, cache_latency_ns=self._cache_lat,
         )
         return label, base, noise_scale
@@ -288,7 +328,7 @@ class BatchKernel:
         label, base, noise_scale = self.base_times(fast_mask, fingerprint)
         return measure_repeats(
             self.client, self.trace, self.profile.name, base, label,
-            noise_scale,
+            noise_scale, self.read_idx,
         )
 
     def run_all(self, fast_masks) -> list:

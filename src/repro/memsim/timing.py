@@ -9,9 +9,13 @@ where ``cpu_ns`` and ``passes`` come from the engine's sensitivity profile
 multiplicative noise term reproduces run-to-run measurement variability
 (the paper reports the mean of multiple runs; our client does the same).
 
-Everything here is vectorized: the client hands over NumPy arrays of
-per-request sizes / node parameters and gets per-request times back in a
-single pass, per the project's HPC idioms.
+Everything here is vectorized and operands broadcast.  The law is
+evaluated in one place, :func:`service_times_ns`: by the batch kernel
+over the *key* space (``n_keys`` sizes, one node's scalar latency and
+bandwidth, per-op passes and CPU as ``(2, 1)`` columns — the tables
+every placement gathers from), by the same kernel over the *request*
+axis only under an active fault spec (its timeline is indexed by time),
+by the analytic predictor per key and op, and by :class:`AccessTimer`.
 """
 
 from __future__ import annotations
@@ -77,11 +81,10 @@ def service_times_ns(
 ) -> np.ndarray:
     """Noise-free per-request service times (ns), fully vectorized.
 
-    This is the one place the cost formula lives: :class:`AccessTimer`
-    applies noise on top of it, and the batch kernel
-    (:mod:`repro.memsim.kernel`) and analytic predictors
-    (:mod:`repro.memsim.analytic`) reuse it so every path computes
-    bit-identical base times.
+    This is the one place the cost formula lives (callers: module
+    docstring).  Each output element is one correctly rounded ÷, +, ×,
+    + of its operands whatever their shapes, so a key-space table
+    gathered into request order equals a request-length evaluation.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
     mem_ns = passes * (latency_ns + sizes / bytes_per_ns)

@@ -110,10 +110,9 @@ def split_fast_keys(trace: Trace, fraction: float) -> np.ndarray:
 
     Keys are ranked by access count (descending, ties by ascending key
     id) and taken greedily while the cumulative payload stays within the
-    byte budget — deterministic for a given trace.
+    byte budget — sizes are positive, so that is a prefix of the trace's
+    :attr:`~repro.ycsb.workload.Trace.hot_order`.
     """
-    counts = np.bincount(trace.keys, minlength=trace.record_sizes.size)
-    order = np.argsort(-counts, kind="stable")
-    budget = fraction * float(trace.record_sizes.sum())
-    within = np.cumsum(trace.record_sizes[order]) <= budget
-    return order[within]
+    order, cum_bytes = trace.hot_order
+    budget = fraction * float(cum_bytes[-1])
+    return order[:np.searchsorted(cum_bytes, budget, side="right")]

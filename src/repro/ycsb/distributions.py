@@ -23,7 +23,7 @@ space ``0 .. n_keys-1``:
 
 Sampling is fully vectorized: popularity weights are materialised once
 per (distribution, n_keys) and requests are drawn with inverse-CDF
-searchsorted in a single pass, probing in sorted order.
+searchsorted in a single pass, the CDF steps probing the sorted draws.
 """
 
 from __future__ import annotations
@@ -156,15 +156,17 @@ def key_probabilities(spec: DistributionSpec, n_keys: int) -> np.ndarray:
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Index of the CDF step each uniform draw in *u* falls on (int64).
 
-    Probing in sorted order walks *cdf* once instead of bisecting it
-    cold per draw; the integers are the same.  The last step is pinned
-    to 1.0 (in place) so rounding in the cumulative sum can never push
-    a draw past the end.
+    The steps are bisected into the sorted draws, not the draws into
+    the steps: consecutive step ends count the draws on each step — the
+    same comparisons and integers as ``searchsorted(cdf, u, "right")``.
+    The last step is pinned to 1.0 (in place) so rounding in the
+    cumulative sum can never push a draw past the end.
     """
     cdf[-1] = 1.0
     order = np.argsort(u)
+    ends = np.searchsorted(u[order], cdf, side="left")
     out = np.empty(u.size, dtype=np.int64)
-    out[order] = np.searchsorted(cdf, u[order], side="right")
+    out[order] = np.repeat(np.arange(cdf.size), np.diff(ends, prepend=0))
     return out
 
 

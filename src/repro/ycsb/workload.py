@@ -185,6 +185,17 @@ class Trace:
         """
         return self._per_key_counts
 
+    @cached_property
+    def hot_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys by access count, descending, ties by ascending id; their
+        cumulative payload bytes) — computed once, read-only."""
+        reads, writes = self._per_key_counts
+        order = np.argsort(-(reads + writes), kind="stable")
+        cum_bytes = np.cumsum(self.record_sizes[order])
+        order.flags.writeable = False
+        cum_bytes.flags.writeable = False
+        return order, cum_bytes
+
     def first_touch_order(self) -> np.ndarray:
         """Keys in order of first access; untouched keys appended by id.
 

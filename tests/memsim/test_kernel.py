@@ -5,7 +5,8 @@ live here: `legacy_execute`, a verbatim copy of the per-deployment
 measurement it replaced (its own gather, one `AccessTimer` per repeat),
 which `execute` and `execute_placements` must match bit for bit; and
 the (repeats x requests) matrix formulation the row-at-a-time
-`measure_repeats` replaced.
+`measure_repeats` replaced; and `request_space_base`, the cost law over
+the request axis, which the key-space tables must reproduce.
 """
 
 import hypothesis.strategies as st
@@ -14,6 +15,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.errors import WorkloadError
+from repro.faults import (
+    BandwidthDegradation, FaultSpec, JitterBursts, LatencySpikes, NodeOffline,
+)
+from repro.kvstore.dynamolike import DynamoLike
+from repro.kvstore.memcachedlike import MemcachedLike
+from repro.kvstore.profiles import builtin_profiles
 from repro.kvstore.redislike import RedisLike
 from repro.kvstore.server import HybridDeployment
 from repro.memsim.kernel import BatchKernel, measure_repeats
@@ -255,8 +262,6 @@ class TestBatchKernel:
                 client.experiment_fingerprint(trace, deployment)[1]
 
     def test_concurrency_and_faults(self, trace):
-        from repro.faults import FaultSpec, JitterBursts, LatencySpikes
-
         faults = FaultSpec(
             latency_spikes=LatencySpikes(),
             jitter_bursts=JitterBursts(),  # exercises noise_scale too
@@ -296,6 +301,21 @@ class TestBatchKernel:
         with pytest.raises(WorkloadError):
             kernel.run(np.ones(trace.n_keys - 1, dtype=bool))
 
+    def test_empty_trace_is_a_workload_error(self, trace):
+        empty = Trace(
+            name="hollow", keys=np.empty(0, dtype=np.int64),
+            is_read=np.empty(0, dtype=bool), record_sizes=trace.record_sizes,
+        )
+        client = YCSBClient(seed=1)
+        system = HybridMemorySystem.testbed()
+        profile = RedisLike(system.fast, system.slow).profile
+        with pytest.raises(WorkloadError, match="'hollow' has no requests"):
+            BatchKernel(client, empty, profile, system)
+        with pytest.raises(WorkloadError, match="'hollow' has no requests"):
+            client.execute_placements(
+                empty, _masks(trace.n_keys, (0.5,)), profile, system
+            )
+
     def test_live_generator_batch_runs(self, trace):
         client = YCSBClient(repeats=2, seed=np.random.default_rng(5))
         system = HybridMemorySystem.testbed()
@@ -304,6 +324,157 @@ class TestBatchKernel:
             trace, _masks(trace.n_keys, (0.5,)), profile, system
         )
         assert results[0].runtime_ns > 0
+
+
+def request_space_base(client, trace, profile, system, record_sizes, mask,
+                       label=None):
+    """Oracle: the cost law over the request axis, written out — the
+    gather `BatchKernel.base_times` did before the key-space tables."""
+    sizes = record_sizes[trace.keys] + profile.metadata_bytes
+    on_fast = mask[trace.keys]
+    latency = np.where(on_fast, system.fast.latency_ns, system.slow.latency_ns)
+    bpns = np.where(on_fast, system.fast.bytes_per_ns, system.slow.bytes_per_ns)
+    passes = np.where(trace.is_read, profile.read_passes, profile.write_passes)
+    if client.concurrency > 1:
+        passes = passes * (1 + client.contention * (client.concurrency - 1))
+    cpu = np.where(trace.is_read, profile.read_cpu_ns, profile.write_cpu_ns)
+    latency, bpns, cpu, noise_scale = client._fault_arrays(
+        label, on_fast, latency, bpns, cpu
+    )
+    mem = passes * (latency + sizes.astype(np.float64) / bpns)
+    if client.use_llc:
+        digest = client.trace_digest(trace)
+        hits, hit_ns = client._cache_mask(trace, system.llc, digest)
+        mem = np.where(hits, hit_ns, mem)
+    return cpu + mem, noise_scale
+
+
+def _synthetic_trace(rng, n_keys, n, read_fraction, mixed_sizes):
+    sizes = (
+        rng.choice([64, 1000, 4096, 100_000], n_keys) if mixed_sizes
+        else np.full(n_keys, 1024)
+    )
+    n_reads = int(round(read_fraction * n))
+    return Trace(
+        name="synthetic",
+        keys=rng.integers(0, n_keys, n),
+        is_read=rng.permutation(np.arange(n) < n_reads),
+        record_sizes=sizes.astype(np.int64),
+    )
+
+
+class TestKeySpaceTables:
+    """Key-space tables + one gather ≡ the request-space cost law."""
+
+    @given(
+        n_keys=st.integers(1, 300),
+        n=st.integers(1, 2000),
+        read_fraction=st.sampled_from([0.0, 0.25, 0.5, 0.95, 1.0]),
+        mixed_sizes=st.booleans(),
+        fast_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+        engine=st.sampled_from(sorted(builtin_profiles())),
+        concurrency=st.sampled_from([1, 4]),
+        use_llc=st.booleans(),
+        override=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_base_times_bit_identical_to_request_space(
+        self, n_keys, n, read_fraction, mixed_sizes, fast_fraction, engine,
+        concurrency, use_llc, override, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        trace = _synthetic_trace(rng, n_keys, n, read_fraction, mixed_sizes)
+        record_sizes = (
+            trace.record_sizes + rng.integers(0, 512, n_keys) if override
+            else trace.record_sizes
+        )
+        mask = rng.random(n_keys) < fast_fraction
+        client = YCSBClient(seed=seed, concurrency=concurrency, use_llc=use_llc)
+        # an LLC small enough that the synthetic traces evict
+        system = HybridMemorySystem.testbed(llc_bytes=64 * 1024)
+        profile = builtin_profiles()[engine]
+        kernel = BatchKernel(
+            client, trace, profile, system,
+            record_sizes=record_sizes if override else None,
+        )
+        _, base, noise_scale = kernel.base_times(mask)
+        expect, _ = request_space_base(
+            client, trace, profile, system, record_sizes, mask
+        )
+        assert noise_scale is None
+        assert base.dtype == expect.dtype and np.array_equal(base, expect)
+
+    @pytest.mark.parametrize("use_llc", [False, True])
+    def test_active_faults_take_the_request_space_branch(self, trace, use_llc):
+        faults = FaultSpec(
+            latency_spikes=LatencySpikes(),
+            bandwidth_degradation=BandwidthDegradation(),
+            node_offline=NodeOffline(width=500),
+            jitter_bursts=JitterBursts(),
+        )
+        client = YCSBClient(seed=8, concurrency=3, faults=faults,
+                            use_llc=use_llc)
+        system = HybridMemorySystem.testbed()
+        profile = builtin_profiles()["redis"]
+        kernel = BatchKernel(client, trace, profile, system)
+        for mask in _masks(trace.n_keys, (0.2, 0.9)):
+            label, base, noise_scale = kernel.base_times(mask)
+            expect, expect_scale = request_space_base(
+                client, trace, profile, system, trace.record_sizes, mask,
+                label=label,
+            )
+            assert np.array_equal(base, expect)
+            assert np.array_equal(noise_scale, expect_scale)
+
+    def test_an_inactive_spec_is_unfaulted(self, trace):
+        system = HybridMemorySystem.testbed()
+        profile = builtin_profiles()["redis"]
+        (mask,) = _masks(trace.n_keys, (0.4,))
+        bases = [
+            BatchKernel(
+                YCSBClient(seed=8, faults=faults), trace, profile, system
+            ).base_times(mask, "lbl")
+            for faults in (None, FaultSpec())
+        ]
+        assert np.array_equal(bases[0][1], bases[1][1])
+        assert bases[1][2] is None
+
+
+class TestEngineClock:
+    """The engines' scalar clock and the kernel evaluate one law
+    (ROADMAP item 5's prerequisite for folding the one onto the other)."""
+
+    @pytest.fixture(params=[RedisLike, MemcachedLike, DynamoLike])
+    def loaded(self, request):
+        rng = np.random.default_rng(2)
+        trace = _synthetic_trace(rng, 60, 400, 0.7, mixed_sizes=True)
+        mask = rng.random(trace.n_keys) < 0.4
+        system = HybridMemorySystem.testbed()
+        engine = request.param(system.fast, system.slow)
+        engine.load(enumerate(trace.record_sizes.tolist()),
+                    fast_keys=np.flatnonzero(mask).tolist())
+        kernel = BatchKernel(
+            YCSBClient(seed=1), trace, engine.profile, system
+        )
+        return engine, kernel, trace, mask
+
+    def test_scalar_ops_equal_table_entries(self, loaded):
+        engine, kernel, trace, mask = loaded
+        for key in range(trace.n_keys):
+            table = kernel.fast_tab if mask[key] else kernel.slow_tab
+            assert engine.put(key).service_time_ns == table[0, key]
+            assert engine.get(key).service_time_ns == table[1, key]
+
+    def test_clock_is_the_in_order_sum_of_base_times(self, loaded):
+        engine, kernel, trace, mask = loaded
+        for key, is_read in zip(trace.keys.tolist(), trace.is_read.tolist()):
+            engine.get(key) if is_read else engine.put(key)
+        _, base, _ = kernel.base_times(mask)
+        in_order = 0.0
+        for t in base.tolist():
+            in_order += t
+        assert engine.clock_ns == in_order
 
 
 class TestCachingBatch:
@@ -433,6 +604,17 @@ class TestMeasureRepeats:
         client = YCSBClient(repeats=2, seed=3, percentiles=percentiles)
         args = (client, trace, "redis-like", base, "lbl")
         assert measure_repeats(*args) == oracle_measure(*args)
+
+    @pytest.mark.parametrize("read_fraction", [0.0, 0.4, 1.0])
+    def test_read_idx_sums_match_the_boolean_index(self, read_fraction):
+        rng = np.random.default_rng(4)
+        trace = _synthetic_trace(rng, 1, 900, read_fraction, False)
+        base = rng.random(900) * 1e4 + 10.0
+        client = YCSBClient(repeats=3, seed=5)
+        args = (client, trace, "redis-like", base, "lbl", None)
+        assert measure_repeats(
+            *args, read_idx=np.flatnonzero(trace.is_read)
+        ) == oracle_measure(*args)
 
     def test_live_generator_draws_the_same_streams(self):
         base = np.random.default_rng(1).random(700) * 100 + 5

@@ -1,7 +1,9 @@
 """Tests for the caching client and the parallel experiment runner."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.sensitivity import PerformanceBaselines, SensitivityEngine
 from repro.core.descriptor import WorkloadDescriptor
@@ -19,6 +21,7 @@ from repro.runner import (
 from repro.kvstore.server import HybridDeployment
 from repro.store import SQLiteStore
 from repro.ycsb import YCSBClient
+from repro.ycsb.workload import Trace
 
 
 @pytest.fixture
@@ -145,6 +148,42 @@ class TestSplitFastKeys:
             np.arange(small_trace.record_sizes.size), keys
         )
         assert counts[keys].min() >= np.percentile(counts[cold], 50)
+
+
+    @given(
+        n_keys=st.integers(1, 60),
+        n=st.integers(0, 400),
+        tied=st.booleans(),
+        fractions=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+            min_size=1, max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_byte_equal_to_the_per_cell_ranking(
+        self, n_keys, n, tied, fractions, seed,
+    ):
+        def per_cell(trace, fraction):
+            # split_fast_keys before the ranking moved onto the trace
+            counts = np.bincount(trace.keys, minlength=trace.record_sizes.size)
+            order = np.argsort(-counts, kind="stable")
+            budget = fraction * float(trace.record_sizes.sum())
+            within = np.cumsum(trace.record_sizes[order]) <= budget
+            return order[within]
+
+        rng = np.random.default_rng(seed)
+        # few distinct keys requested -> many tied counts
+        keys = rng.integers(0, max(1, n_keys // 8) if tied else n_keys, n)
+        trace = Trace(
+            name="t", keys=keys, is_read=rng.random(n) < 0.7,
+            record_sizes=rng.choice([1, 64, 64, 5000], n_keys),
+        )
+        for fraction in fractions:
+            got = split_fast_keys(trace, fraction)
+            expect = per_cell(trace, fraction)
+            assert got.dtype == expect.dtype
+            assert got.tobytes() == expect.tobytes()
 
 
 class TestExperimentRunner:

@@ -79,6 +79,15 @@ class TestProfile:
         rc = main(["profile", "--workload", "nope"])
         assert rc == 2
 
+    def test_header_only_requests_is_a_workload_error(self, tmp_path, capsys):
+        req, data = tmp_path / "r.csv", tmp_path / "d.csv"
+        req.write_text("key,op\n")
+        data.write_text("key,size_bytes\n0,100\n1,200\n")
+        rc = main(["profile", "--requests", str(req), "--dataset", str(data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: trace 'r' has no requests: nothing to measure\n"
+
     def test_bad_percentile_is_a_config_error(self, monkeypatch, capsys):
         # `profile` has no percentile flag; a client default gone wrong
         # must still surface as exit 2 at construction, not as a bare

@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import ab_bench  # noqa: E402
 import collect_results  # noqa: E402
 import import_report  # noqa: E402
 
@@ -56,6 +57,78 @@ class TestImportReport:
     def test_unknown_module_exits_with_the_import_error(self):
         with pytest.raises(SystemExit, match="no_such_module"):
             import_report.self_times_us("no_such_module")
+
+
+class TestAbBench:
+    LOWER = [{"name": "op_p50_ms", "better": "lower"}]
+
+    @staticmethod
+    def result(ms, correct=True, failed=0):
+        return {"correct": correct, "attempted": 10, "failed": failed,
+                "metrics": {"op_p50_ms": {"value": ms, "unit": "ms"}}}
+
+    def test_sides_alternate_and_share_a_seed(self):
+        calls = []
+
+        def run(side, seed):
+            calls.append((side, seed))
+            return self.result(1.0)
+
+        results = ab_bench.run_pairs(run, 3)
+        assert calls == [
+            ("parent", 1), ("change", 1),
+            ("change", 2), ("parent", 2),
+            ("parent", 3), ("change", 3),
+        ]
+        assert [set(pair) for pair in results] == [{"parent", "change"}] * 3
+
+    def test_verdict_needs_nine_wins_in_ten_and_a_gap_over_the_spread(self):
+        parent = [30.0, 31.0, 32.0, 33.0, 34.0, 30.5, 31.5, 32.5, 33.5, 34.5]
+        faster = [p - 10.0 for p in parent]
+        v = ab_bench.verdict(parent, faster, "lower")
+        assert (v["wins"], v["losses"], v["verdict"]) == (10, 0, "better")
+        assert v["parent"] == ab_bench.quartiles(parent)
+        # the same numbers are a loss where higher is better
+        assert ab_bench.verdict(parent, faster, "higher")["verdict"] == "worse"
+        # eight wins: not enough, whatever the gap
+        mixed = faster[:8] + [p + 1.0 for p in parent[8:]]
+        assert ab_bench.verdict(parent, mixed, "lower")["verdict"] == \
+            "unresolved"
+        # ten wins inside the parent's own quartile spread: not resolved
+        nudged = [p - 0.1 for p in parent]
+        v = ab_bench.verdict(parent, nudged, "lower")
+        assert (v["wins"], v["verdict"]) == (10, "unresolved")
+        # ties count for neither side
+        v = ab_bench.verdict(parent, parent, "lower")
+        assert (v["wins"], v["losses"], v["verdict"]) == (0, 0, "unresolved")
+
+    def test_quartiles_interpolate(self):
+        assert ab_bench.quartiles([4.0, 1.0, 2.0, 3.0]) == (1.75, 2.5, 3.25)
+        assert ab_bench.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+    @pytest.mark.parametrize("broken, status", [
+        ({}, 0), ({"correct": False}, 1), ({"failed": 2}, 1),
+    ])
+    def test_exit_status_follows_the_runs(
+        self, monkeypatch, capsys, broken, status,
+    ):
+        def runner(roots, workload, seconds):
+            assert (workload, seconds) == ("profile_cold", 3.0)
+            return lambda side, seed: self.result(
+                20.0 if side == "change" else 30.0,
+                **(broken if (side, seed) == ("change", 2) else {}),
+            )
+
+        monkeypatch.setattr(ab_bench, "unpack", lambda rev, dest: None)
+        monkeypatch.setattr(ab_bench, "harness_runner", runner)
+        rc = ab_bench.main([
+            "--parent", "HEAD", "--workload", "profile_cold",
+            "--pairs", "2", "--seconds", "3",
+        ])
+        out = capsys.readouterr().out
+        assert rc == status
+        assert "op_p50_ms" in out and "2/2   better" in out
+        assert ("FAILED pair 2 change" in out) == bool(status)
 
 
 class TestBenchSummary:

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.ycsb.distributions import (
     DistributionSpec,
+    _inverse_cdf,
     empirical_cdf_over_keys,
     key_probabilities,
     sample_keys,
@@ -158,6 +159,21 @@ class TestSampling:
         expect = np.searchsorted(cdf, u, side="right").astype(np.int64)
         got = sample_keys(spec(name), N_KEYS, 5000, seed=9)
         assert np.array_equal(got, expect) and got.dtype == expect.dtype
+
+        # the edges: draws on a CDF step, u = 0, flat CDF segments
+        # (zero-probability keys), and zero or one draw
+        flat = cdf.copy()
+        flat[40:60] = flat[40]
+        flat[:3] = 0.0
+        rng = np.random.default_rng(10)
+        for steps in (cdf, flat):
+            on_steps = rng.choice(steps[:-1], 300)
+            edges = np.concatenate(([0.0, 0.0], on_steps, rng.random(300)))
+            for u in (rng.permutation(edges), edges[:1], edges[2:3], edges[:0]):
+                expect = np.searchsorted(steps, u, side="right")
+                got = _inverse_cdf(steps.copy(), u)
+                assert np.array_equal(got, expect)
+                assert got.dtype == np.int64
 
 
 class TestEmpiricalCdf:
