@@ -30,8 +30,11 @@ chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/faults -x -q
 
 # request-plane drills: slowloris, flood past the admission queue,
-# mid-request SIGKILL of the supervised daemon child, concurrent
-# clients with bit-identity vs the one-shot CLI path
+# mid-request SIGKILL of the supervised daemon child, unparseable
+# lines, the I/O-thread properties (TestIOThreads: no thread and no
+# store connection per request, stalled clients delay nobody, idle
+# threads retire, prompt stop), concurrent clients with bit-identity
+# vs the one-shot CLI path
 serve-drill:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/service/test_chaos_requests.py \
 		tests/service/test_serve_concurrency.py -x -q

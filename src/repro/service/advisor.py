@@ -37,6 +37,7 @@ from dataclasses import asdict
 
 from repro import telemetry
 from repro.errors import ConfigurationError
+from repro.service.requests import is_real, is_whole, require
 
 #: Deadline checkpoint labels (also the ``where`` field of structured
 #: ``deadline_exceeded`` responses).
@@ -190,13 +191,15 @@ class ServedAdvisor:
         workload or engine profiles it ad hoc through the same shared
         cache and memoizes the report for the daemon's lifetime.
         """
+        require(workload is None or isinstance(workload, str),
+                "workload", "a workload name", workload)
+        require(engine is None or isinstance(engine, str),
+                "engine", "an engine name", engine)
+        require(slo is None or (is_real(slo) and 0 < slo < 1),
+                "slo", "a number in (0, 1)", slo)
         workload = workload or self.config.workload
         engine = engine or self.config.engine
         slo = self.config.slo if slo is None else float(slo)
-        if not 0.0 < slo < 1.0:
-            raise ConfigurationError(
-                f"slo must be in (0, 1), got {slo}"
-            )
         watched = (
             workload == self.config.workload
             and engine == self.config.engine
@@ -258,18 +261,18 @@ class ServedAdvisor:
         from repro.core.slo import choice_at
         from repro.guard.validator import ErrorBudget
 
+        require(n_fast_keys is None or is_whole(n_fast_keys),
+                "n_fast_keys", "an integer", n_fast_keys)
+        require(budget_pct is None or (is_real(budget_pct) and budget_pct > 0),
+                "budget_pct", "a positive number", budget_pct)
         self.ensure_loaded(deadline)
-        if budget_pct is not None and budget_pct <= 0:
-            raise ConfigurationError(
-                f"budget_pct must be positive, got {budget_pct}"
-            )
         with self._sim_lock:
             if n_fast_keys is None:
                 choice = self._report.choose(self.config.slo)
             else:
-                n = int(n_fast_keys)
                 choice = choice_at(
-                    self._report.curve, n, max_slowdown=self.config.slo,
+                    self._report.curve, n_fast_keys,
+                    max_slowdown=self.config.slo,
                 )
             if budget_pct is None:
                 validator = self._loop.validator
@@ -300,8 +303,8 @@ class ServedAdvisor:
 
         self.ensure_loaded(deadline)
         try:
-            key_arr = np.asarray(keys, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
+            key_arr = np.asarray(keys)
+        except (TypeError, ValueError) as exc:  # a ragged list
             raise ConfigurationError(
                 f"drift keys must be integer key ids: {exc}"
             ) from exc
@@ -309,6 +312,10 @@ class ServedAdvisor:
             raise ConfigurationError(
                 "drift needs a non-empty flat list of key ids"
             )
+        # never cast: 1.5 would become key 1, "7" key 7, true key 1
+        require(key_arr.dtype.kind in "iu", "keys", "integer key ids",
+                keys)
+        key_arr = key_arr.astype(np.int64, copy=False)
         n_keys = self._planning.n_keys
         if key_arr.min() < 0 or key_arr.max() >= n_keys:
             raise ConfigurationError(
@@ -318,7 +325,7 @@ class ServedAdvisor:
         size_arr = None
         if sizes is not None:
             try:
-                size_arr = np.asarray(sizes, dtype=np.float64)
+                size_arr = np.asarray(sizes)
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(
                     f"drift sizes must be numeric: {exc}"
@@ -327,6 +334,10 @@ class ServedAdvisor:
                 raise ConfigurationError(
                     "sizes must align one-to-one with keys"
                 )
+            require(size_arr.dtype.kind in "iuf"
+                    and np.isfinite(size_arr).all() and (size_arr > 0).all(),
+                    "sizes", "positive object sizes in bytes", sizes)
+            size_arr = size_arr.astype(np.float64, copy=False)
         if deadline is not None:
             deadline.check(CHECKPOINT_VALIDATE)
         detector = DriftDetector(self._planning)

@@ -28,7 +28,11 @@ admission queue sheds with a structured ``overloaded`` error and a
 cooperative
 cancellation, and a client that sends a partial line and stalls
 (slowloris) is cut off by a read timeout instead of pinning a handler
-thread.  When the advisor or store errors mid-request the service
+thread.  The socket is served by I/O threads that live across requests
+and accept their own connections (:class:`_ControlServer`): no thread
+and no store connection is built per request, and every reply is sent
+only after its ``request_served`` oplog row is committed.  When the
+advisor or store errors mid-request the service
 degrades gracefully — the last good response for the same parameters
 is re-served flagged ``stale: true`` with its age — and a failing tick
 never kills the loop.  See ``docs/SERVE.md`` for the full schema.
@@ -43,6 +47,7 @@ import socketserver
 import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -55,7 +60,14 @@ from repro.errors import (
     StoreError,
     WorkloadError,
 )
-from repro.service.requests import AuthRegistry, Deadline, RequestPlane
+from repro.service.requests import (
+    AuthRegistry,
+    Deadline,
+    RequestPlane,
+    is_real,
+    is_whole,
+    require,
+)
 from repro.service.signals import TerminationSignal, handle_termination
 from repro.store.oplog import (
     KIND_CONFIG_RELOADED,
@@ -77,6 +89,12 @@ RELOADABLE_FIELDS = (
     "workload", "engine", "slo", "interval_s", "validate_every",
     "repeats", "seed", "downsample", "deadline_s",
 )
+
+#: Longest a journal append queues behind another one (seconds).
+JOURNAL_QUEUE_S = 0.002
+
+#: Engine names a daemon can watch (the advisor's engine table).
+ENGINES = ("redis", "memcached", "dynamodb")
 
 
 @dataclass(frozen=True)
@@ -131,14 +149,24 @@ class ServeConfig:
     max_request_bytes: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0:
-            raise ConfigurationError(
-                f"interval_s must be positive, got {self.interval_s}"
-            )
-        if self.validate_every < 0:
-            raise ConfigurationError(
-                f"validate_every must be >= 0, got {self.validate_every}"
-            )
+        # a reload installs whatever JSON a client sent, so the fields
+        # it may change are checked for type as well as range
+        require(isinstance(self.workload, str) and self.workload,
+                "workload", "a workload name", self.workload)
+        require(self.engine in ENGINES,
+                "engine", f"one of {', '.join(ENGINES)}", self.engine)
+        require(is_real(self.slo) and 0 < self.slo < 1,
+                "slo", "a number in (0, 1)", self.slo)
+        require(is_whole(self.repeats) and self.repeats >= 1,
+                "repeats", "an integer >= 1", self.repeats)
+        require(self.seed is None or is_whole(self.seed),
+                "seed", "an integer or null", self.seed)
+        require(is_real(self.downsample) and self.downsample >= 0,
+                "downsample", "a number >= 0", self.downsample)
+        require(is_real(self.interval_s) and self.interval_s > 0,
+                "interval_s", "positive", self.interval_s)
+        require(is_whole(self.validate_every) and self.validate_every >= 0,
+                "validate_every", "an integer >= 0", self.validate_every)
         if self.workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {self.workers}"
@@ -147,11 +175,10 @@ class ServeConfig:
             raise ConfigurationError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"
             )
-        if not 0 < self.deadline_s <= self.max_deadline_s:
-            raise ConfigurationError(
-                f"deadline_s must be in (0, {self.max_deadline_s}], "
-                f"got {self.deadline_s}"
-            )
+        require(is_real(self.deadline_s)
+                and 0 < self.deadline_s <= self.max_deadline_s,
+                "deadline_s", f"in (0, {self.max_deadline_s}]",
+                self.deadline_s)
         if self.read_timeout_s <= 0:
             raise ConfigurationError(
                 f"read_timeout_s must be positive, got {self.read_timeout_s}"
@@ -225,8 +252,8 @@ class _ControlHandler(socketserver.StreamRequestHandler):
         try:
             text = line.decode("utf-8").strip()
             request = json.loads(text) if text else {}
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            request = None
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+            request = None  # incl. a line nested deeper than the parser goes
         self._respond(service._control(request))
 
     def _respond(self, response: dict) -> None:
@@ -236,13 +263,99 @@ class _ControlHandler(socketserver.StreamRequestHandler):
             pass
 
 
-class _ControlServer(socketserver.ThreadingUnixStreamServer):
-    daemon_threads = True
-    allow_reuse_address = True
+class _ControlServer:
+    """The control socket and the I/O threads that accept on it.
+
+    Leader/followers (``docs/SERVE.md``, "Threads"): a thread that
+    accepts a connection leaves another waiting in ``accept()`` —
+    starting one only when none is — serves it and goes back to
+    ``accept()``, so nothing is built per request and a connection
+    never waits for a thread.  It retires when more than ``workers +
+    queue_depth`` already wait: the most advice in flight unshed.
+    """
+
     # A flood must shed in the request plane, not bounce off the kernel
     # accept backlog (whose default of 5 turns bursts of connects into
     # EAGAIN connection errors before the daemon even sees them).
     request_queue_size = 128
+
+    def __init__(self, path: str, service: "GuardService"):
+        self.service = service
+        self._keep = service.config.workers + service.config.queue_depth
+        self._lock = threading.Lock()
+        self._waiting = 0  # threads in accept()
+        self._closed = False
+        self.live = 0  # I/O threads alive now
+        self.started = 0  # ... and ever started
+        self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._sock.bind(path)
+        self._sock.listen(self.request_queue_size)
+        with self._lock:
+            self._start_thread()
+
+    def _start_thread(self) -> None:
+        """Put one more thread into ``accept()``; caller holds the lock."""
+        self._waiting += 1
+        self.live += 1
+        self.started += 1
+        telemetry.count("serve.io_threads_started")
+        telemetry.gauge("serve.io_threads", float(self.live))
+        threading.Thread(
+            target=self._io_loop, name=f"mnemo-serve-io-{self.started}",
+            daemon=True,
+        ).start()
+
+    def _io_loop(self) -> None:
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:  # close() below, or a connection that died
+                conn = None  # in the backlog
+            with self._lock:
+                if conn is None and not self._closed:
+                    continue
+                self._waiting -= 1
+                if conn is not None and not (self._waiting or self._closed):
+                    self._start_thread()
+            if conn is not None:
+                self._serve(conn)
+            with self._lock:
+                if self._closed or self._waiting > self._keep:
+                    self.live -= 1
+                    telemetry.gauge("serve.io_threads", float(self.live))
+                    return
+                self._waiting += 1
+
+    def _serve(self, conn: socket.socket) -> None:
+        try:
+            _ControlHandler(conn, None, self)
+        except Exception as exc:  # noqa: BLE001 - a handler that raises
+            # still owes its client an answer, not a dropped connection
+            traceback.print_exc()
+            telemetry.count("serve.handler_errors")
+            reply = {
+                "ok": False, "error": "internal_error", "detail": str(exc),
+            }
+            try:
+                conn.sendall(json.dumps(reply).encode("utf-8") + b"\n")
+            except OSError:
+                pass
+        finally:
+            try:
+                conn.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass
+            conn.close()
+
+    def close(self) -> None:
+        """Wake and retire every thread in ``accept()``."""
+        with self._lock:
+            self._closed = True
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._sock.close()
 
 
 def control_call(socket_path, request: dict, timeout: float = 5.0) -> dict:
@@ -294,6 +407,11 @@ class GuardService:
         self._server: _ControlServer | None = None
         self._advisor = None
         self._advisor_lock = threading.Lock()
+        # Journal writers queue here, not in SQLite: two connections that
+        # meet on its write lock cost the loser a busy-handler sleep of a
+        # millisecond or more (a whole warm request), and how often two
+        # I/O threads meet depends on how their clients happen to phase.
+        self._journal_lock = threading.Lock()
         self._plane = RequestPlane(
             workers=config.workers, queue_depth=config.queue_depth,
         )
@@ -334,6 +452,7 @@ class GuardService:
         """The heartbeat document (also served over the socket)."""
         now = time.time()
         advisor = self._advisor
+        server = self._server
         return {
             "pid": os.getpid(),
             "run_id": self.config.run_id,
@@ -357,6 +476,8 @@ class GuardService:
             "workers": self.config.workers,
             "queue_depth": self.config.queue_depth,
             "requests_served": self._requests_served,
+            "io_threads": 0 if server is None else server.live,
+            "io_threads_started": 0 if server is None else server.started,
         }
 
     def _control(self, request: dict | None) -> dict:
@@ -489,12 +610,10 @@ class GuardService:
     # -- advice ops ------------------------------------------------------------
 
     def _request_deadline(self, request: dict) -> Deadline:
-        budget = request.get("deadline_s", self.config.deadline_s)
-        try:
-            budget = float(budget)
-        except (TypeError, ValueError):
+        budget = request.get("deadline_s")
+        if not is_real(budget):  # absent, mistyped, NaN (never expires)
             budget = self.config.deadline_s
-        budget = min(max(budget, 1e-3), self.config.max_deadline_s)
+        budget = min(max(float(budget), 1e-3), self.config.max_deadline_s)
         return Deadline(budget)
 
     def _op_advice(self, op: str, request: dict) -> dict:
@@ -633,20 +752,11 @@ class GuardService:
                 )
             telemetry.event("serve.stale_socket_reclaimed", path=str(path))
             path.unlink()
-        self._server = _ControlServer(str(path), _ControlHandler)
-        self._server.service = self  # type: ignore[attr-defined]
-        thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="mnemo-serve-control",
-            daemon=True,
-        )
-        thread.start()
+        self._server = _ControlServer(str(path), self)
 
     def _close_socket(self) -> None:
         if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
+            self._server.close()
             self._server = None
         try:
             self.config.socket_path.unlink()
@@ -655,10 +765,17 @@ class GuardService:
 
     def _journal(self, kind: str, **payload) -> None:
         if self.store is not None:
+            # queue behind another writer's append (well under a
+            # millisecond), not behind the WAL checkpoint its commit may
+            # run into (two fsyncs): SQLite takes a second writer then
+            held = self._journal_lock.acquire(timeout=JOURNAL_QUEUE_S)
             try:
                 self.store.oplog.append(self.config.run_id, kind, **payload)
             except StoreError:  # pragma: no cover - contention exhausted
                 telemetry.count("serve.journal_failures")
+            finally:
+                if held:
+                    self._journal_lock.release()
 
     # -- the loop --------------------------------------------------------------
 

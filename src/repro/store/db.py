@@ -9,7 +9,11 @@ that are safe for this codebase's process model:
 - **per-(pid, thread) connections** — pool workers fork from the
   coordinator, and a forked child must never reuse the parent's
   connection object, so :meth:`connection` reopens lazily whenever the
-  pid or thread changes;
+  pid or thread changes.  A connection lives exactly as long as its
+  thread, so a thread that writes should outlive one write: in the
+  daemon the writers are the run loop, the request-plane workers and
+  the control socket's I/O threads, all of which live across requests
+  (``docs/STORE.md``);
 - **``busy_timeout``** makes SQLite itself wait out short lock
   contention, and :meth:`Database.write_txn` adds a bounded exponential-backoff
   retry loop (deterministic jitter, :func:`~repro.rng.backoff_delay`)
@@ -135,7 +139,8 @@ class Database:
 
         A connection created before a ``fork`` must not be used in the
         child — SQLite file locks and the connection's internal state
-        are per-process — so the memo is keyed on the current pid.
+        are per-process — so the memo is keyed on the current pid.  It
+        is closed when its thread ends (or by :meth:`close`).
         """
         pid = os.getpid()
         conn = getattr(self._local, "conn", None)

@@ -1,6 +1,6 @@
 """Chaos drills against the served advisor's request plane.
 
-Three attacks, all of which a robust daemon must survive without
+Four attacks, all of which a robust daemon must survive without
 corruption or crashes (``make serve-drill`` runs this file in CI):
 
 - **slowloris** — a client that stalls mid-request-line must get a
@@ -11,11 +11,18 @@ corruption or crashes (``make serve-drill`` runs this file in CI):
 - **mid-request SIGKILL** — killing the supervised daemon child while
   an advice request is in flight must end in an automatic restart, a
   working daemon, and a structurally sound store.
+- **unparseable / handler-breaking lines** — a 100 000-deep JSON line
+  or a handler that raises still gets a structured answer.
+
+``TestIOThreads`` holds the properties of the control socket's I/O
+threads against behaviour only: nothing is built per request, a stalled
+client delays nobody, idle threads retire, shutdown is prompt.
 """
 
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -28,6 +35,7 @@ from repro import telemetry
 from repro.faults import request_flood, slowloris_probe
 from repro.service import GuardService, ServeConfig, control_call
 from repro.store import SQLiteStore
+from repro.store.db import Database
 
 #: Cheap advisor settings (profile in seconds, memoized thereafter).
 FAST = dict(downsample=50.0, repeats=1, interval_s=0.1, validate_every=0)
@@ -66,6 +74,287 @@ class _Daemon:
         self.service.request_stop()
         self._thread.join(timeout=30)
         assert self._codes == [0]
+
+
+def _connect(path, payload: bytes = b"", timeout_s: float = 30.0):
+    """A raw client connection that has sent *payload* and nothing else."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(timeout_s)
+    sock.connect(str(path))
+    sock.sendall(payload)
+    return sock
+
+
+def _reply(sock) -> dict | None:
+    """The one response line on *sock* (None when the daemon hung up)."""
+    buf = b""
+    while not buf.endswith(b"\n"):
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        buf += chunk
+    sock.close()
+    return json.loads(buf) if buf else None
+
+
+def _io_threads_alive():
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith("mnemo-serve-io-")
+    ]
+
+
+class TestUnparseableLines:
+    @pytest.mark.parametrize("line", [
+        b"[" * 100_000,
+        b'{"op": "size", "slo": ' + b"[" * 100_000,
+        b'{"op": "size", "x": ' + b'{"a": ' * 50_000 + b"1" + b"}" * 50_001,
+    ], ids=["bare-arrays", "inside-a-size-field", "closed-objects"])
+    def test_deeply_nested_line_gets_an_answer(self, tmp_path, line):
+        """``json.loads`` raises RecursionError here: at PR 22 the client
+        saw a dropped connection and the daemon printed a traceback."""
+        with _Daemon(tmp_path) as daemon:
+            path = daemon.config.socket_path
+            reply = _reply(_connect(path, line + b"\n"))
+            assert reply is not None, "the daemon dropped the connection"
+            assert reply["ok"] is False
+            assert "JSON" in reply["error"]
+            assert control_call(path, {"op": "ping"})["ok"]
+
+    def test_handler_that_raises_still_answers(self, tmp_path):
+        with _Daemon(tmp_path) as daemon:
+            path = daemon.config.socket_path
+            real_control = daemon.service._control
+
+            def broken(request):
+                raise RuntimeError("handler bug")
+
+            daemon.service._control = broken
+            try:
+                reply = control_call(path, {"op": "ping"})
+            finally:
+                daemon.service._control = real_control
+            assert reply["ok"] is False
+            assert reply["error"] == "internal_error"
+            assert "handler bug" in reply["detail"]
+            assert control_call(path, {"op": "ping"})["ok"]
+
+
+class TestIOThreads:
+    def test_nothing_is_built_per_request(self, tmp_path, monkeypatch):
+        """300 sequential warm ``size`` calls: no thread, no connection.
+
+        At PR 22 (one thread per connection, one store connection per
+        thread) both counts below were >= 300.
+        """
+        store_path = tmp_path / "store.db"
+        with _Daemon(tmp_path, store=str(store_path)) as daemon:
+            path = daemon.config.socket_path
+            for _ in range(5):  # the profile, and the first few threads
+                assert control_call(
+                    path, {"op": "size"}, timeout=120.0,
+                )["ok"]
+            starts, opens = [], []
+            real_start, real_open = threading.Thread.start, Database._open
+
+            def counted_start(thread):
+                starts.append(thread.name)
+                return real_start(thread)
+
+            def counted_open(db):
+                opens.append(threading.current_thread().name)
+                return real_open(db)
+
+            monkeypatch.setattr(threading.Thread, "start", counted_start)
+            monkeypatch.setattr(Database, "_open", counted_open)
+            started_before = control_call(
+                path, {"op": "status"},
+            )["io_threads_started"]
+            for _ in range(300):
+                assert control_call(path, {"op": "size"})["ok"]
+            monkeypatch.undo()
+            # every served request was journaled before its reply left
+            client_view = SQLiteStore(store_path)
+            try:
+                rows = client_view.oplog.entries(
+                    daemon.config.run_id, kind="request_served",
+                )
+            finally:
+                client_view.close()
+            assert len(rows) == 305
+            status = control_call(path, {"op": "status"})
+            assert len(starts) <= 3, starts
+            assert len(opens) <= 3, opens
+            assert status["io_threads_started"] - started_before <= 3
+            assert 1 <= status["io_threads"] <= status["io_threads_started"]
+            metrics = control_call(path, {"op": "metrics"})["prometheus"]
+            assert "serve_io_threads_started" in metrics
+            assert "serve_io_threads " in metrics
+
+    def test_journal_writers_queue_outside_sqlite(self, tmp_path, monkeypatch):
+        """Four closed-loop clients: the ``request_served`` appends of
+        their I/O threads queue in the service, one at a time.  Two
+        connections meeting on SQLite's write lock cost the loser a
+        busy-handler sleep of a whole warm request, as often as the
+        clients happen to phase that way: with the threads kept but no
+        queue, 17 to 33 of these 240 appends started while another was
+        inside; with it, none.  The queue is bounded, so an append
+        held up by a WAL checkpoint or a descheduled thread may be
+        passed: a few overlaps are allowed."""
+        from repro.store.oplog import Oplog
+
+        store_path = tmp_path / "store.db"
+        gate = threading.Lock()
+        inside, met, failures = [0], [0], []
+        real_append = Oplog.append
+
+        def watched_append(oplog, *args, **kwargs):
+            with gate:
+                met[0] += inside[0] > 0
+                inside[0] += 1
+            try:
+                return real_append(oplog, *args, **kwargs)
+            finally:
+                with gate:
+                    inside[0] -= 1
+
+        def client(path):
+            try:
+                for _ in range(60):
+                    if not control_call(path, {"op": "size"})["ok"]:
+                        failures.append("not ok")
+            except (OSError, ValueError) as exc:
+                failures.append(repr(exc))
+
+        with _Daemon(tmp_path, store=str(store_path)) as daemon:
+            path = daemon.config.socket_path
+            assert control_call(path, {"op": "size"}, timeout=120.0)["ok"]
+            monkeypatch.setattr(Oplog, "append", watched_append)
+            clients = [
+                threading.Thread(target=client, args=(path,), daemon=True)
+                for _ in range(4)
+            ]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=120)
+            monkeypatch.undo()
+            assert not any(t.is_alive() for t in clients)
+            assert failures == []
+            assert met[0] <= 5, met  # of 240
+            client_view = SQLiteStore(store_path)
+            try:
+                rows = client_view.oplog.entries(
+                    daemon.config.run_id, kind="request_served",
+                )
+            finally:
+                client_view.close()
+            assert len(rows) == 241
+
+    def test_stalled_clients_delay_nobody(self, tmp_path):
+        with _Daemon(tmp_path, read_timeout_s=1.5) as daemon:
+            path = daemon.config.socket_path
+            stalled = [_connect(path, b'{"op": "statu') for _ in range(8)]
+            t0 = time.monotonic()
+            assert control_call(path, {"op": "ping"})["ok"]
+            assert time.monotonic() - t0 < 1.0
+            for sock in stalled:
+                reply = _reply(sock)
+                assert reply is not None and reply["error"] == "read_timeout"
+
+    def test_idle_threads_retire_after_a_burst(self, tmp_path):
+        with _Daemon(tmp_path, workers=1, queue_depth=2) as daemon:
+            path = daemon.config.socket_path
+            # 32 connections open at once: each pins one thread
+            burst = [_connect(path) for _ in range(32)]
+            assert _wait_for(lambda: control_call(
+                path, {"op": "status"},
+            )["io_threads"] >= 33, timeout_s=10.0)
+            for sock in burst:
+                sock.sendall(b'{"op": "status"}\n')
+            assert all(_reply(sock)["ok"] for sock in burst)
+            keep = daemon.config.workers + daemon.config.queue_depth
+            assert _wait_for(lambda: control_call(
+                path, {"op": "status"},
+            )["io_threads"] <= keep + 1, timeout_s=10.0)
+
+    def test_thread_counts_hold_under_contention(self, tmp_path):
+        """More clients than cores, a short switch interval: a lost
+        update to the waiting / live counts would strand the socket
+        with nobody in ``accept()`` or leave the counts off for good."""
+        failures = []
+
+        def client(path):
+            try:
+                for _ in range(40):
+                    if not control_call(path, {"op": "ping"})["ok"]:
+                        failures.append("not ok")
+            except (OSError, ValueError) as exc:
+                failures.append(repr(exc))
+
+        others = set(_io_threads_alive())
+        interval = sys.getswitchinterval()
+        with _Daemon(tmp_path, workers=1, queue_depth=1) as daemon:
+            path = daemon.config.socket_path
+            sys.setswitchinterval(1e-5)
+            try:
+                clients = [
+                    threading.Thread(target=client, args=(path,), daemon=True)
+                    for _ in range(12)
+                ]
+                for t in clients:
+                    t.start()
+                for t in clients:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in clients)
+            finally:
+                sys.setswitchinterval(interval)
+            assert failures == []
+            server = daemon.service._server
+
+            def settled():
+                with server._lock:
+                    counts = (server.live, server._waiting)
+                alive = len(set(_io_threads_alive()) - others)
+                return counts == (alive, alive)
+
+            assert _wait_for(settled, timeout_s=10.0)
+            assert 1 <= server.live <= 3  # workers + queue_depth + 1
+            assert control_call(path, {"op": "ping"})["ok"]
+
+    def test_stop_is_prompt_with_clients_connected(self, tmp_path):
+        others = set(_io_threads_alive())  # of a daemon not ours, if any
+        daemon = _Daemon(tmp_path)
+        with daemon:
+            path = daemon.config.socket_path
+            # leave a few threads idle in accept() and two pinned by
+            # clients that connected and never sent a byte
+            burst = [_connect(path) for _ in range(4)]
+            for sock in burst:
+                sock.sendall(b'{"op": "ping"}\n')
+            assert all(_reply(sock)["ok"] for sock in burst)
+            silent = [_connect(path) for _ in range(2)]
+            assert _wait_for(lambda: daemon.service.status()[
+                "io_threads"
+            ] >= 3, timeout_s=10.0)
+            t0 = time.monotonic()
+            daemon.service.request_stop()
+            daemon._thread.join(timeout=30)
+            assert not daemon._thread.is_alive()
+            assert time.monotonic() - t0 < 2.0
+            assert not path.exists()
+            # nobody is left blocked in accept(): only the two pinned
+            # threads may outlive run(), until their client goes away
+            assert _wait_for(
+                lambda: len(set(_io_threads_alive()) - others) <= 2,
+                timeout_s=5.0,
+            )
+            for sock in silent:
+                sock.close()
+            assert _wait_for(
+                lambda: not set(_io_threads_alive()) - others,
+                timeout_s=10.0,
+            )
 
 
 class TestSlowloris:

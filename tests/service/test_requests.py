@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -401,6 +402,66 @@ class TestAdviceOps:
         assert service._control(
             {"op": "size", "engine": "no-such-engine"}
         )["error"] == "bad_request"
+
+    @pytest.mark.parametrize("request_, field", [
+        ({"op": "size", "slo": "abc"}, "slo"),
+        ({"op": "size", "slo": [1]}, "slo"),
+        ({"op": "size", "slo": True}, "slo"),
+        ({"op": "size", "slo": float("nan")}, "slo"),
+        ({"op": "size", "workload": 5}, "workload"),
+        ({"op": "size", "engine": ["redis"]}, "engine"),
+        ({"op": "validate", "n_fast_keys": "x"}, "n_fast_keys"),
+        ({"op": "validate", "n_fast_keys": 1.5}, "n_fast_keys"),
+        ({"op": "validate", "n_fast_keys": -1}, "n_fast_keys"),
+        ({"op": "validate", "budget_pct": "x"}, "budget_pct"),
+        ({"op": "validate", "budget_pct": 0}, "budget_pct"),
+        ({"op": "drift", "keys": [1.5, 2.5]}, "keys"),
+        ({"op": "drift", "keys": ["1", "2"]}, "keys"),
+        ({"op": "drift", "keys": [True, False]}, "keys"),
+        ({"op": "drift", "keys": [[1, 2], [3]]}, "keys"),
+        ({"op": "drift", "keys": [1, 2], "sizes": [-1, 0]}, "sizes"),
+        ({"op": "drift", "keys": [1, 2], "sizes": ["8", "9"]}, "sizes"),
+        ({"op": "drift", "keys": [1, 2], "sizes": [8, float("inf")]},
+         "sizes"),
+    ])
+    def test_wrong_typed_params_are_bad_requests(
+        self, service, request_, field,
+    ):
+        """A mistyped field is the caller's error, named, and costs no
+        worker a traceback (at PR 22 most of these were
+        ``internal_error`` with a Python exception text, and the float
+        keys / negative sizes were answered ``ok``)."""
+
+        def worker_errors(tel):
+            return sum(
+                rec["value"] for rec in tel.metrics.snapshot()
+                if rec["name"] == "serve.worker_errors"
+            )
+
+        with telemetry.session(run_id="bad-params") as tel:
+            service._control({"op": "size"})  # load outside the count
+            before = worker_errors(tel)
+            reply = service._control(request_)
+            assert reply["ok"] is False, reply
+            assert reply["error"] == "bad_request", reply
+            assert field in reply["detail"], reply
+            assert worker_errors(tel) == before == 0
+
+    @pytest.mark.parametrize("asked", [
+        float("nan"), float("inf"), "soon", None, [1], True,
+    ])
+    def test_unusable_deadline_falls_back_to_the_default(
+        self, service, asked,
+    ):
+        """``NaN`` used to build a deadline that never expires."""
+        deadline = service._request_deadline({"deadline_s": asked})
+        assert deadline.budget_s == service.config.deadline_s
+        assert service._request_deadline(
+            {"deadline_s": 0.25}
+        ).budget_s == 0.25
+        assert service._request_deadline(
+            {"deadline_s": 1e9}
+        ).budget_s == service.config.max_deadline_s
 
     def test_validate_default_choice(self, service):
         reply = service._control({"op": "validate"})

@@ -55,6 +55,62 @@ class TestServeConfig:
         with pytest.raises(ConfigurationError, match="validate_every"):
             ServeConfig(validate_every=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("slo", "x"), ("slo", 0), ("slo", 1.5), ("slo", [0.1]),
+        ("slo", True), ("slo", float("nan")),
+        ("repeats", 0), ("repeats", "3"), ("repeats", 2.0),
+        ("downsample", -1), ("downsample", "20"),
+        ("seed", "7"), ("seed", 1.5),
+        ("workload", 5), ("workload", ""),
+        ("engine", "nope"), ("engine", ["redis"]),
+        ("interval_s", "1"), ("validate_every", 1.5), ("deadline_s", "30"),
+    ])
+    def test_mistyped_or_out_of_range_field_names_itself(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ServeConfig(**{field: value})
+
+    def test_engine_names_are_the_advisors_table(self):
+        from repro.service.advisor import ServedAdvisor
+        from repro.service.serve import ENGINES
+
+        assert set(ENGINES) == set(ServedAdvisor._engine_table())
+
+
+class TestReloadValidation:
+    """A reload that would install a broken config is refused whole."""
+
+    @pytest.fixture(scope="class")
+    def service(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("reload")
+        service = GuardService(
+            ServeConfig(
+                rundir=str(tmp_path / "run"), run_id="test-reload",
+                downsample=50.0, repeats=1, interval_s=0.1, validate_every=0,
+            ),
+            tick_fn=lambda: 0,
+        )
+        yield service
+        service._plane.close()
+
+    @pytest.mark.parametrize("override", [
+        {"slo": "x"}, {"slo": 0}, {"slo": 1.5}, {"slo": [0.1]},
+        {"repeats": 0}, {"repeats": "3"}, {"engine": "nope"},
+    ])
+    def test_bad_reload_moves_nothing(self, service, override):
+        """At PR 22 ``{"op": "reload", "slo": "x"}`` answered ``ok`` with
+        generation 1 and every later default ``size`` failed."""
+        before = service._control({"op": "size"})
+        assert before["ok"]
+        reply = service._control({"op": "reload", **override})
+        assert reply["ok"] is False, reply
+        assert reply["error"] == "reload_failed"
+        (field,) = override
+        assert field in reply["detail"]
+        assert service.generation == before["generation"] == 0
+        after = service._control({"op": "size"})
+        assert after["ok"] and after["choice"] == before["choice"]
+        assert after["slo"] == before["slo"]
+
 
 class TestGuardServiceLoop:
     def _config(self, tmp_path, **kwargs):
