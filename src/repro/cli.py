@@ -33,40 +33,16 @@ import argparse
 import logging
 import os
 import sys
-from importlib import import_module
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError, ReproError, UsageError
 
 if TYPE_CHECKING:
-    from repro.core.descriptor import WorkloadDescriptor
+    from repro.core.advice import AdviceRequest
 
 # Importing this module costs argparse, logging and repro.errors only:
 # each ``_cmd_*`` imports what it runs, so a cold ``profile`` never pays
 # for the pool, the daemon or the guard (DESIGN.md, "Import layering").
-
-#: ``--engine`` name -> (leaf module, class), in the order ``compare``
-#: prints them; :func:`_engine` imports the one a command asked for.
-ENGINES = {
-    "redis": ("repro.kvstore.redislike", "RedisLike"),
-    "memcached": ("repro.kvstore.memcachedlike", "MemcachedLike"),
-    "dynamodb": ("repro.kvstore.dynamolike", "DynamoLike"),
-}
-
-
-def _engine(name: str):
-    """The engine class behind one ``--engine`` name."""
-    module, cls = ENGINES[name]
-    return getattr(import_module(module), cls)
-
-
-def _builtin_trace(name: str):
-    """Generate the trace of one built-in workload."""
-    from repro.ycsb.generator import generate_trace
-    from repro.ycsb.presets import workload_by_name
-
-    return generate_trace(workload_by_name(name))
-
 
 #: CLI diagnostics go through here (``-v``/``-q`` set the level);
 #: operator-facing reports and tables still ``print`` to stdout.
@@ -97,36 +73,6 @@ def _configure_logging(verbose: int, quiet: bool) -> None:
     )
 
 
-def _check_range(
-    name: str,
-    value: float,
-    lo: float | None = None,
-    hi: float | None = None,
-    lo_open: bool = False,
-    hi_open: bool = False,
-) -> float:
-    """Validate a numeric CLI option against an interval.
-
-    Raises :class:`~repro.errors.UsageError` naming the option and the
-    offending value — so ``--split 1.5`` dies with a one-line message
-    instead of a deep traceback (or, worse, silent nonsense downstream).
-    """
-    bad = value != value  # NaN never belongs in a fraction
-    if lo is not None:
-        bad = bad or (value <= lo if lo_open else value < lo)
-    if hi is not None:
-        bad = bad or (value >= hi if hi_open else value > hi)
-    if bad:
-        left = "(" if lo_open else "["
-        right = ")" if hi_open else "]"
-        lo_s = "-inf" if lo is None else f"{lo:g}"
-        hi_s = "inf" if hi is None else f"{hi:g}"
-        raise UsageError(
-            f"{name} must be in {left}{lo_s}, {hi_s}{right}, got {value:g}"
-        )
-    return value
-
-
 def _parse_faults_arg(text: str | None):
     """Parse ``--faults`` and convert DSL errors into clean usage errors.
 
@@ -150,6 +96,54 @@ def _add_store_option(parser, help: str) -> None:
                         help=help + " (a SQLite file, created on first use)")
 
 
+def _add_request_flags(parser, *names: str, **overrides: dict) -> None:
+    """Declare ``--<field>`` for these ``AdviceRequest`` fields, here only,
+    with the dataclass default; *overrides* adds argparse keywords."""
+    from dataclasses import fields
+
+    from repro.core.advice import ENGINES, MODES, AdviceRequest
+
+    flags = {
+        "workload": dict(help="built-in workload name"),
+        "requests": dict(help="requests CSV (key,op)"),
+        "dataset": dict(help="dataset CSV (key,size_bytes)"),
+        "engine": dict(choices=sorted(ENGINES)),
+        "mode": dict(choices=MODES,
+                     help="tiering order: touch = Mnemo, weight = MnemoT"),
+        "p": dict(type=float,
+                  help="SlowMem price factor (default %(default)s)"),
+        "slo": dict(type=float,
+                    help="max slowdown vs FastMem-only (default %(default)s)"),
+        "repeats": dict(type=int),
+        "seed": dict(type=int),
+        "downsample": dict(type=float, metavar="N",
+                           help="profile a 1/N random sample of a built-in "
+                                "workload"),
+    }
+    defaults = {f.name: f.default for f in fields(AdviceRequest)}
+    for name in names:
+        parser.add_argument(f"--{name}", **{
+            "default": defaults[name], **flags[name], **overrides.get(name, {}),
+        })
+
+
+def _request(args, **given) -> AdviceRequest:
+    """The ``AdviceRequest`` this command line asks, plus *given* fields;
+    a bad field is a usage error naming its ``--<field>`` flag."""
+    from dataclasses import fields
+
+    from repro.core.advice import AdviceRequest
+
+    asked = {
+        f.name: getattr(args, f.name)
+        for f in fields(AdviceRequest) if hasattr(args, f.name)
+    }
+    try:
+        return AdviceRequest(**{**asked, **given})
+    except ConfigurationError as exc:
+        raise UsageError(f"--{exc}") from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -165,23 +159,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("workloads", help="list the built-in Table III workloads")
 
     prof = sub.add_parser("profile", help="profile a workload")
-    prof.add_argument("--workload", help="built-in workload name")
-    prof.add_argument("--requests", help="requests CSV (key,op)")
-    prof.add_argument("--dataset", help="dataset CSV (key,size_bytes)")
-    prof.add_argument("--engine", default="redis", choices=sorted(ENGINES))
-    prof.add_argument("--mode", default="touch", choices=["touch", "weight"],
-                      help="tiering order: touch = Mnemo, weight = MnemoT")
-    prof.add_argument("--p", type=float, default=0.2,
-                      help="SlowMem price factor (default 0.2)")
-    prof.add_argument("--slo", type=float, default=0.10,
-                      help="max slowdown vs FastMem-only (default 0.10)")
+    _add_request_flags(prof, "workload", "requests", "dataset", "engine",
+                       "mode", "p", "slo", "downsample", "repeats", "seed")
     prof.add_argument("--csv", help="write the 3-column estimate curve here")
     prof.add_argument("--plot", action="store_true",
                       help="render the estimate curve as ASCII art")
-    prof.add_argument("--downsample", type=float, default=0.0, metavar="N",
-                      help="profile a 1/N random sample of the workload")
-    prof.add_argument("--repeats", type=int, default=3)
-    prof.add_argument("--seed", type=int, default=None)
     _add_store_option(prof, "memoize measurements in this result store")
     prof.add_argument("--obs", metavar="PATH",
                       help="write a telemetry event log (JSONL) here; "
@@ -189,8 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser("compare",
                           help="compare all engines on one workload")
-    comp.add_argument("--workload", default="trending")
-    comp.add_argument("--slo", type=float, default=0.10)
+    _add_request_flags(comp, "workload", "slo",
+                       workload=dict(default="trending"))
 
     sub.add_parser("pricing",
                    help="Figure 1: memory share of Memory-Optimized VM cost")
@@ -198,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     drift = sub.add_parser(
         "drift", help="diagnose access-pattern drift (static-placement fit)"
     )
-    drift.add_argument("--workload", required=True)
+    _add_request_flags(drift, "workload", workload=dict(required=True))
     drift.add_argument("--capacity", type=float, default=0.2,
                        help="FastMem budget as a dataset fraction")
     drift.add_argument("--windows", type=int, default=10)
@@ -207,8 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "retier",
         help="estimate whether periodic re-tiering beats static placement",
     )
-    retier.add_argument("--workload", required=True)
-    retier.add_argument("--engine", default="redis", choices=sorted(ENGINES))
+    _add_request_flags(retier, "workload", "engine",
+                       workload=dict(required=True))
     retier.add_argument("--capacity", type=float, default=0.2)
     retier.add_argument("--windows", type=int, default=10)
 
@@ -216,8 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "multitier",
         help="sweep a DRAM+NVM+Far three-tier system (Pareto + SLO choice)",
     )
-    mt.add_argument("--workload", required=True)
-    mt.add_argument("--slo", type=float, default=0.10)
+    _add_request_flags(mt, "workload", "slo", workload=dict(required=True))
     mt.add_argument("--grid", type=int, default=15,
                     help="capacity grid resolution per tier")
 
@@ -238,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=1,
                        help="process count (1 = serial)")
     _add_store_option(sweep, "memoize results in this result store")
-    sweep.add_argument("--seed", type=int, default=None)
+    _add_request_flags(sweep, "seed")
     sweep.add_argument("--faults", metavar="SPEC",
                        help="inject deterministic faults, e.g. "
                             "'spikes,ramp(floor=0.4),jitter' "
@@ -270,11 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="validate a recommendation against the live workload "
              "(CI/cron guardrail; exit 0=clean, 1=warn, 3=act)",
     )
-    guard.add_argument("--workload", required=True,
-                       help="planning workload (built-in name)")
-    guard.add_argument("--engine", default="redis", choices=sorted(ENGINES))
-    guard.add_argument("--slo", type=float, default=0.10,
-                       help="max slowdown vs FastMem-only (default 0.10)")
+    _add_request_flags(guard, "workload", "engine", "slo", "downsample",
+                       "repeats", "seed", workload=dict(required=True))
     guard.add_argument("--live-workload", metavar="NAME",
                        help="built-in workload standing in for the live "
                             "stream (default: the planning workload)")
@@ -287,10 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     guard.add_argument("--no-validate", action="store_true",
                        help="drift + margin checks only; skip the "
                             "simulator replay")
-    guard.add_argument("--repeats", type=int, default=3)
-    guard.add_argument("--seed", type=int, default=None)
-    guard.add_argument("--downsample", type=float, default=0.0, metavar="N",
-                       help="plan on a 1/N random sample of the workload")
     _add_store_option(guard, "memoize measurements and verdicts in this "
                              "result store")
     guard.add_argument("--obs", metavar="PATH",
@@ -302,20 +276,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the guard loop as a supervised service "
              "(heartbeat file, control socket, crash-restart)",
     )
-    serve.add_argument("--workload", default="trending",
-                       help="planning workload (built-in name)")
-    serve.add_argument("--engine", default="redis", choices=sorted(ENGINES))
-    serve.add_argument("--slo", type=float, default=0.10,
-                       help="max slowdown vs FastMem-only (default 0.10)")
+    _add_request_flags(serve, "workload", "engine", "slo", "downsample",
+                       "repeats", "seed", workload=dict(default="trending"))
     serve.add_argument("--interval", type=float, default=60.0, metavar="S",
                        help="seconds between guard ticks (default 60)")
     serve.add_argument("--validate-every", type=int, default=1, metavar="N",
                        help="full simulator replay every Nth tick "
                             "(0 = drift + margin only; default 1)")
-    serve.add_argument("--repeats", type=int, default=3)
-    serve.add_argument("--seed", type=int, default=None)
-    serve.add_argument("--downsample", type=float, default=0.0, metavar="N",
-                       help="plan on a 1/N random sample of the workload")
     serve.add_argument("--store", metavar="DB",
                        help="journal service events (and memoize "
                             "measurements) in this SQLite store")
@@ -379,25 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_workload(args) -> WorkloadDescriptor:
-    from repro.core.descriptor import WorkloadDescriptor
-
-    if args.workload and (args.requests or args.dataset):
-        raise UsageError("give either --workload or --requests/--dataset")
-    if args.workload:
-        trace = _builtin_trace(args.workload)
-    elif args.requests and args.dataset:
-        return WorkloadDescriptor.from_csv(args.requests, args.dataset)
-    else:
-        raise UsageError("need --workload or both --requests and --dataset")
-    _check_range("--downsample", args.downsample, lo=0.0)
-    if args.downsample and args.downsample > 1:
-        from repro.ycsb.sampling import downsample
-
-        trace = downsample(trace, factor=args.downsample, seed=args.seed)
-    return WorkloadDescriptor.from_trace(trace)
-
-
 def _cmd_workloads(_args) -> int:
     from repro.ycsb.presets import TABLE_III_WORKLOADS
 
@@ -411,58 +359,35 @@ def _cmd_workloads(_args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    _check_range("--slo", args.slo, lo=0.0, hi=1.0, hi_open=True)
-    _check_range("--p", args.p, lo=0.0, lo_open=True)
-    descriptor = _load_workload(args)
-    log.info("profiling %r on %s (mode=%s, cache=%s)",
-             descriptor.name, args.engine, args.mode,
-             args.cache_dir or "off")
-    if args.mode == "weight":
-        from repro.core.mnemot import MnemoT as cls
-    else:
-        from repro.core.mnemo import Mnemo as cls
-    from repro.ycsb.client import YCSBClient
+    from repro.core.advice import advise
 
-    mnemo = cls(
-        engine_factory=_engine(args.engine),
-        client=YCSBClient(repeats=args.repeats, seed=args.seed),
-        p=args.p,
-        cache=args.cache_dir,
-    )
-    report = mnemo.profile(descriptor)
-    print(report.summary())
-    choice = report.choose(args.slo)
-    print(
-        f"\nat the {args.slo:.0%} slowdown SLO: place "
-        f"{choice.n_fast_keys:,} keys ({choice.fast_bytes / 1e6:.0f} MB, "
-        f"{choice.capacity_ratio:.0%} of data) in FastMem -> "
-        f"{choice.savings_percent:.0f}% memory-cost saving"
-    )
+    request = _request(args)
+    log.info("profiling %s (cache=%s)", request, args.cache_dir or "off")
+    advice = advise(request, cache=args.cache_dir)
+    print(advice.summary())
     if args.csv:
-        path = report.write_csv(args.csv)
+        path = advice.report.write_csv(args.csv)
         print(f"wrote estimate curve: {path}")
     if args.plot:
         from repro.analysis.asciiplot import render_estimate
 
         print()
-        print(render_estimate(report.curve))
+        print(render_estimate(advice.report.curve))
     return 0
 
 
 def _cmd_compare(args) -> int:
-    from repro.core.mnemo import Mnemo
+    from repro.core.advice import ENGINES, advise
 
-    _check_range("--slo", args.slo, lo=0.0, hi=1.0, hi_open=True)
-    trace = _builtin_trace(args.workload)
+    requests = [_request(args, engine=name) for name in ENGINES]
     print(f"{'engine':<12} {'Fast ops/s':>12} {'Slow ops/s':>12} "
           f"{'gap':>7} {'cost @SLO':>10}")
-    for name in ENGINES:
-        report = Mnemo(engine_factory=_engine(name)).profile(trace)
-        b = report.baselines
-        choice = report.choose(args.slo)
-        print(f"{name:<12} {b.fast.throughput_ops_s:>12,.0f} "
+    for request in requests:
+        advice = advise(request)
+        b = advice.report.baselines
+        print(f"{request.engine:<12} {b.fast.throughput_ops_s:>12,.0f} "
               f"{b.slow.throughput_ops_s:>12,.0f} "
-              f"{b.throughput_gap:>6.2f}x {choice.cost_factor:>9.0%}")
+              f"{b.throughput_gap:>6.2f}x {advice.choice.cost_factor:>9.0%}")
     return 0
 
 
@@ -480,9 +405,10 @@ def _cmd_pricing(_args) -> int:
 
 
 def _cmd_drift(args) -> int:
+    from repro.core.advice import builtin_trace
     from repro.core.drift import analyze_drift
 
-    trace = _builtin_trace(args.workload)
+    trace = builtin_trace(args.workload)
     report = analyze_drift(trace, capacity_fraction=args.capacity,
                            n_windows=args.windows)
     print(f"workload : {report.workload}")
@@ -496,13 +422,12 @@ def _cmd_drift(args) -> int:
 
 
 def _cmd_retier(args) -> int:
+    from repro.core.advice import advise
     from repro.core.dynamic import simulate_periodic_retiering
-    from repro.core.mnemo import Mnemo
 
-    trace = _builtin_trace(args.workload)
-    report = Mnemo(engine_factory=_engine(args.engine)).profile(trace)
+    advice = advise(_request(args))
     out = simulate_periodic_retiering(
-        trace, report.baselines,
+        advice.trace, advice.report.baselines,
         capacity_fraction=args.capacity, n_windows=args.windows,
     )
     print(f"workload        : {out.workload} ({args.engine})")
@@ -520,11 +445,12 @@ def _cmd_retier(args) -> int:
 def _cmd_multitier(args) -> int:
     import numpy as np
 
+    from repro.core.advice import builtin_trace
     from repro.kvstore.profiles import profile_for
     from repro.multitier.advisor import MultiTierAdvisor
     from repro.multitier.system import TieredMemorySystem
 
-    trace = _builtin_trace(args.workload)
+    trace = builtin_trace(args.workload)
     total = int(trace.record_sizes.sum())
     advisor = MultiTierAdvisor(
         TieredMemorySystem.dram_nvm_far(), profile_for("redis")
@@ -553,13 +479,14 @@ def _cmd_multitier(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from repro.core.advice import ENGINES, require
     from repro.runner.cache import ensure_cache
     from repro.runner.grid import ExperimentRunner
     from repro.runner.outcome import RetryPolicy
     from repro.runner.spec import ClientConfig
     from repro.ycsb.presets import TABLE_III_WORKLOADS, workload_by_name
 
-    _check_range("--split", args.split, lo=0.0, hi=1.0)
+    require(0 <= args.split <= 1, "--split", "in [0, 1]", args.split)
 
     def pick(raw: str, universe: list[str], what: str) -> list[str]:
         if raw == "all":
@@ -577,6 +504,8 @@ def _cmd_sweep(args) -> int:
     )
     engines = pick(args.engines, sorted(ENGINES), "engine")
     placements = pick(args.placements, ["fast", "slow", "split"], "placement")
+    faults = _parse_faults_arg(args.faults)
+    client = ClientConfig(seed=args.seed, faults=faults)
 
     if args.run_id and args.resume:
         raise UsageError("give either --run-id or --resume, not both")
@@ -597,10 +526,9 @@ def _cmd_sweep(args) -> int:
                 f"{[r for r, _ in cache.oplog.runs()] or 'none'})"
             )
 
-    faults = _parse_faults_arg(args.faults)
     runner = ExperimentRunner(
         cache=cache,
-        client=ClientConfig(seed=args.seed, faults=faults),
+        client=client,
         retry=RetryPolicy(
             max_attempts=args.max_attempts, timeout_s=args.timeout,
         ),
@@ -672,43 +600,29 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_guard(args) -> int:
-    from repro.core.mnemo import Mnemo
+    from repro.core.advice import advise, builtin_trace, require
     from repro.guard.drift import rotate_hot_set
     from repro.guard.validator import ErrorBudget
-    from repro.ycsb.client import YCSBClient
 
-    _check_range("--slo", args.slo, lo=0.0, hi=1.0, hi_open=True)
-    _check_range("--budget", args.budget, lo=0.0, lo_open=True)
-    _check_range("--downsample", args.downsample, lo=0.0)
+    request = _request(args)
+    require(args.budget > 0, "--budget", "positive", args.budget)
 
-    planning = _builtin_trace(args.workload)
-    if args.downsample and args.downsample > 1:
-        from repro.ycsb.sampling import downsample
-
-        planning = downsample(
-            planning, factor=args.downsample, seed=args.seed
-        )
-    if args.live_workload:
-        live = _builtin_trace(args.live_workload)
-    else:
+    live = builtin_trace(args.live_workload) if args.live_workload else None
+    advice = advise(request, cache=args.cache_dir)
+    planning = advice.trace
+    if live is None:
         live = planning
     if args.live_rotate:
         log.info("rotating the live hot set by %d keys", args.live_rotate)
         live = rotate_hot_set(live, args.live_rotate)
 
-    mnemo = Mnemo(
-        engine_factory=_engine(args.engine),
-        client=YCSBClient(repeats=args.repeats, seed=args.seed),
-        cache=args.cache_dir,
-    )
-    report = mnemo.profile(planning)
-    loop = mnemo.guard_loop(
+    loop = advice.consultant.guard_loop(
         budget=ErrorBudget(
             throughput_pct=args.budget, latency_pct=args.budget
         ),
     )
     outcome = loop.run(
-        report,
+        advice.report,
         planning,
         live_trace=live,
         max_slowdown=args.slo,
@@ -747,9 +661,11 @@ def _control_request(args) -> dict:
     import json as _json
     from pathlib import Path
 
+    from repro.core.advice import require
+
     request = _parse_set_fields(args.set_fields)
     if args.deadline is not None:
-        _check_range("--deadline", args.deadline, lo=0.0, lo_open=True)
+        require(args.deadline > 0, "--deadline", "positive", args.deadline)
         request["deadline_s"] = args.deadline
     if args.control == "register":
         if not args.new_token:
@@ -791,33 +707,18 @@ def _cmd_serve(args) -> int:
         run_service,
     )
     from repro.service.supervisor import RestartPolicy, Supervisor
-    from repro.ycsb.presets import TABLE_III_WORKLOADS
 
-    _check_range("--slo", args.slo, lo=0.0, hi=1.0, hi_open=True)
-    _check_range("--interval", args.interval, lo=0.0, lo_open=True)
-    _check_range("--downsample", args.downsample, lo=0.0)
-    if args.validate_every < 0:
-        raise UsageError(
-            f"--validate-every must be >= 0, got {args.validate_every}"
-        )
-    if args.workload not in {w.name for w in TABLE_III_WORKLOADS}:
-        raise UsageError(f"unknown workload {args.workload!r}")
-    if args.workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    if args.queue_depth < 1:
-        raise UsageError(
-            f"--queue-depth must be >= 1, got {args.queue_depth}"
-        )
-
+    # the request fields name their flags; ServeConfig checks the rest
+    watched = _request(args)
     config = ServeConfig(
-        workload=args.workload,
-        engine=args.engine,
-        slo=args.slo,
+        workload=watched.workload,
+        engine=watched.engine,
+        slo=watched.slo,
         interval_s=args.interval,
         validate_every=args.validate_every,
-        repeats=args.repeats,
-        seed=args.seed,
-        downsample=args.downsample,
+        repeats=watched.repeats,
+        seed=watched.seed,
+        downsample=watched.downsample,
         store=args.store,
         rundir=args.rundir or DEFAULT_RUNDIR,
         run_id=args.run_id,

@@ -18,6 +18,7 @@ Facades: :class:`~repro.core.mnemo.Mnemo` (stand-alone, Fig 2a),
 from repro._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
+    "advice": ["Advice", "AdviceRequest", "advise"],
     "descriptor": ["WorkloadDescriptor"],
     "drift": [
         "DriftReport", "analyze_drift", "drift_score",

@@ -13,6 +13,8 @@ from typing import Union
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 SeedLike = Union[int, np.random.Generator, None]
 
 #: Default seed used when a caller passes ``None``.  Fixed so that example
@@ -31,6 +33,14 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     if seed is None:
         seed = DEFAULT_SEED
     return np.random.default_rng(seed)
+
+
+def check_seed(seed: SeedLike) -> None:
+    """Refuse a negative seed when configured, not at NumPy's first draw."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigurationError(
+            f"seed must be a non-negative integer or None, got {seed}"
+        )
 
 
 def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.kvstore.profiles import profile_for
+from repro.rng import check_seed
 from repro.runner.caching import CachingClient
 from repro.ycsb.client import DEFAULT_PERCENTILES, YCSBClient
 from repro.ycsb.workload import Trace, WorkloadSpec
@@ -56,6 +57,11 @@ class ClientConfig:
     concurrency: int = 1
     contention: float = 0.15
     faults: object | None = None
+
+    def __post_init__(self) -> None:
+        # here, not in the worker's YCSBClient: a sweep must fail before
+        # its first attempt, not once per attempt per cell
+        check_seed(self.seed)
 
     def build(self, cache: SQLiteStore | None = None) -> YCSBClient:
         """Construct the client (caching when a cache is supplied)."""

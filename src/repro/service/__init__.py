@@ -31,7 +31,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "requests": ["AuthRegistry", "Deadline", "RequestPlane", "token_digest"],
     "serve": [
         "ADVICE_OPS", "DEFAULT_RUNDIR", "RELOADABLE_FIELDS", "GuardService",
-        "ServeConfig", "control_call", "default_tick", "run_service",
+        "ServeConfig", "control_call", "run_service",
     ],
     "signals": [
         "TERMINATION_SIGNALS", "TerminationSignal", "handle_termination",

@@ -3,23 +3,22 @@
 :class:`ServedAdvisor` owns everything one ``mnemo serve`` daemon knows
 about advice: the planning trace, the profiled
 :class:`~repro.core.report.MnemoReport` it watches, the guard loop that
-re-checks it every tick, and the ad-hoc profiles built for ``size``
-requests naming other workloads.  The service
-(:mod:`repro.service.serve`) stays a pure request router; this module
-is where sizing actually happens.
+re-checks it every tick, and the reports of every other ``size``
+request it has answered.  The service (:mod:`repro.service.serve`)
+stays a pure request router; this module is where sizing actually
+happens.
 
 Two invariants shape the code:
 
-- **Bit-identity with the CLI.**  A ``size`` request runs the exact
-  profiling path of ``mnemo profile`` — trace generation, optional
-  downsample, :meth:`WorkloadDescriptor.from_trace`, then
-  :meth:`Mnemo.profile` with the same client settings — so a response
-  served over the socket is numerically identical to the one-shot CLI
-  answer, and both hit the same content-addressed store entries.
+- **Bit-identity with the CLI, by construction.**  A ``size`` request
+  is the watched :class:`~repro.core.advice.AdviceRequest` with the
+  fields the caller named replaced, answered by ``mnemo profile``'s
+  :func:`~repro.core.advice.advise` through the same store entries;
+  reports are memoized by the request minus its SLO.
 - **One simulator, many threads.**  The watched ``Mnemo``'s measuring
   client memoizes per-trace state and is not thread-safe, so every use
   of it (ticks, validation replays, watched-profile reads) serialises
-  on one lock.  Ad-hoc profiles build their own engine/client stack and
+  on one lock.  Other requests build their own engine/client stack and
   only share the sqlite-backed result cache, which is fork- and
   thread-safe by design.
 
@@ -33,16 +32,14 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from repro import telemetry
+from repro.core.advice import CHECKPOINT_PROFILE, advise
 from repro.errors import ConfigurationError
 from repro.service.requests import is_real, is_whole, require
 
-#: Deadline checkpoint labels (also the ``where`` field of structured
-#: ``deadline_exceeded`` responses).
-CHECKPOINT_TRACE = "trace"
-CHECKPOINT_PROFILE = "profile"
+#: Deadline checkpoint label of the replays (``advise`` owns the rest).
 CHECKPOINT_VALIDATE = "validate"
 
 
@@ -76,23 +73,10 @@ class ServedAdvisor:
         self._load_lock = threading.Lock()
         self._mnemo = None
         self._planning = None
-        self._descriptor = None
         self._report = None
         self._loop = None
-        self._adhoc: dict[tuple[str, str], object] = {}
-        self._engines = self._engine_table()
-
-    @staticmethod
-    def _engine_table() -> dict:
-        from repro.kvstore.dynamolike import DynamoLike
-        from repro.kvstore.memcachedlike import MemcachedLike
-        from repro.kvstore.redislike import RedisLike
-
-        return {
-            "redis": RedisLike,
-            "memcached": MemcachedLike,
-            "dynamodb": DynamoLike,
-        }
+        #: report per AdviceRequest.profile_key (the request minus slo)
+        self._reports: dict[tuple, object] = {}
 
     # -- loading -------------------------------------------------------------
 
@@ -101,36 +85,13 @@ class ServedAdvisor:
         """True once the watched profile has been measured."""
         return self._report is not None
 
-    def _build_trace(self, workload: str):
-        """The CLI's planning-trace path: generate, then downsample."""
-        from repro.ycsb.generator import generate_trace
-        from repro.ycsb.presets import workload_by_name
-        from repro.ycsb.sampling import downsample
-
-        trace = generate_trace(workload_by_name(workload))
-        if self.config.downsample and self.config.downsample > 1:
-            trace = downsample(
-                trace, factor=self.config.downsample, seed=self.config.seed,
-            )
-        return trace
-
-    def _build_mnemo(self, engine: str):
-        """One advisor stack with the daemon's measurement settings."""
-        from repro.core.mnemo import Mnemo
-        from repro.ycsb.client import YCSBClient
-
-        if engine not in self._engines:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of "
-                f"{sorted(self._engines)}"
-            )
-        return Mnemo(
-            engine_factory=self._engines[engine],
-            client=YCSBClient(
-                repeats=self.config.repeats, seed=self.config.seed,
-            ),
-            cache=self.cache,
-        )
+    def _advise(self, request, deadline=None):
+        """Answer *request* through the shared cache and memoize its report."""
+        with telemetry.span("serve.advise", workload=request.workload,
+                            engine=request.engine):
+            advice = advise(request, cache=self.cache, deadline=deadline)
+        self._reports[request.profile_key] = advice.report
+        return advice
 
     def ensure_loaded(self, deadline=None) -> "ServedAdvisor":
         """Measure the watched profile once (idempotent, thread-safe).
@@ -138,32 +99,20 @@ class ServedAdvisor:
         Built lazily so constructing an advisor is cheap; the first
         tick or advice request pays for the profile, every later one
         reads the memo (or, across restarts, the shared store cache).
+        The watched advice keeps its trace and consultant: ticks,
+        ``validate`` and ``drift`` replay through them.
         """
-        from repro.core.descriptor import WorkloadDescriptor
         from repro.guard.validator import ErrorBudget
 
         with self._load_lock:
-            if self._report is not None:
-                return self
-            if deadline is not None:
-                deadline.check(CHECKPOINT_TRACE)
-            planning = self._build_trace(self.config.workload)
-            descriptor = WorkloadDescriptor.from_trace(planning)
-            if deadline is not None:
-                deadline.check(CHECKPOINT_PROFILE)
-            mnemo = self._build_mnemo(self.config.engine)
-            with telemetry.span(
-                "serve.load", workload=self.config.workload,
-                engine=self.config.engine,
-            ):
-                report = mnemo.profile(descriptor)
-            self._planning = planning
-            self._descriptor = descriptor
-            self._mnemo = mnemo
-            self._report = report
-            self._loop = mnemo.guard_loop(budget=ErrorBudget())
-            self.loaded_unix = time.time()
-            return self
+            if self._report is None:
+                advice = self._advise(self.config.request, deadline)
+                self._planning = advice.trace
+                self._mnemo = advice.consultant
+                self._loop = advice.consultant.guard_loop(budget=ErrorBudget())
+                self._report = advice.report
+                self.loaded_unix = time.time()
+        return self
 
     # -- the guard tick ------------------------------------------------------
 
@@ -187,37 +136,36 @@ class ServedAdvisor:
              slo: float | None = None, deadline=None) -> dict:
         """Serve a sizing recommendation (the ``size`` op).
 
-        Defaults to the watched workload/engine/SLO; naming another
-        workload or engine profiles it ad hoc through the same shared
-        cache and memoizes the report for the daemon's lifetime.
+        The request is the watched one with the fields the caller named
+        replaced (and validated); its report is profiled once through
+        the shared cache and memoized for the daemon's lifetime, so a
+        warm ``size`` is a memo lookup plus ``choose(slo)``.
         """
-        require(workload is None or isinstance(workload, str),
-                "workload", "a workload name", workload)
-        require(engine is None or isinstance(engine, str),
-                "engine", "an engine name", engine)
-        require(slo is None or (is_real(slo) and 0 < slo < 1),
-                "slo", "a number in (0, 1)", slo)
-        workload = workload or self.config.workload
-        engine = engine or self.config.engine
-        slo = self.config.slo if slo is None else float(slo)
-        watched = (
-            workload == self.config.workload
-            and engine == self.config.engine
-        )
-        if watched:
-            self.ensure_loaded(deadline)
-            report = self._report
+        asked = {
+            k: v for k, v in
+            (("workload", workload), ("engine", engine), ("slo", slo))
+            if v is not None
+        }
+        watched = self.config.request
+        request = replace(watched, **asked) if asked else watched
+        key = request.profile_key
+        is_watched = key == watched.profile_key
+        report = self._reports.get(key)
+        if report is not None:
+            telemetry.count("serve.size_memo_hits", workload=request.workload)
+        elif is_watched:
+            report = self.ensure_loaded(deadline)._report
         else:
-            report = self._adhoc_report(workload, engine, deadline)
+            report = self._advise(request, deadline).report
         if deadline is not None:
             deadline.check(CHECKPOINT_PROFILE)
         with self._sim_lock:
-            choice = report.choose(slo)
+            choice = report.choose(request.slo)
         return {
-            "workload": workload,
-            "engine": engine,
-            "slo": slo,
-            "watched": watched,
+            "workload": request.workload,
+            "engine": request.engine,
+            "slo": request.slo,
+            "watched": is_watched,
             "choice": choice_payload(choice),
             "confidence": float(report.confidence),
             "pattern_mode": report.pattern.mode,
@@ -228,28 +176,6 @@ class ServedAdvisor:
                 report.baselines.slow.throughput_ops_s
             ),
         }
-
-    def _adhoc_report(self, workload: str, engine: str, deadline=None):
-        """Profile (and memoize) a non-watched workload/engine pair."""
-        key = (workload, engine)
-        report = self._adhoc.get(key)
-        if report is not None:
-            telemetry.count("serve.size_memo_hits", workload=workload)
-            return report
-        if deadline is not None:
-            deadline.check(CHECKPOINT_TRACE)
-        from repro.core.descriptor import WorkloadDescriptor
-
-        trace = self._build_trace(workload)
-        descriptor = WorkloadDescriptor.from_trace(trace)
-        if deadline is not None:
-            deadline.check(CHECKPOINT_PROFILE)
-        mnemo = self._build_mnemo(engine)
-        with telemetry.span("serve.size_profile", workload=workload,
-                            engine=engine):
-            report = mnemo.profile(descriptor)
-        self._adhoc[key] = report
-        return report
 
     def validate(self, n_fast_keys: int | None = None,
                  budget_pct: float | None = None, deadline=None) -> dict:

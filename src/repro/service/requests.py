@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import math
 import queue
 import threading
 import time
 
 from repro import telemetry
+# the field checks live with the advice request they validate
+from repro.core.advice import is_real, is_whole, require  # noqa: F401
 from repro.errors import ConfigurationError, DeadlineExceededError
 
 #: Extra seconds an I/O thread waits past a request's deadline for the
@@ -51,25 +52,6 @@ MIN_TOKEN_LENGTH = 8
 
 #: Floor for the ``retry_after_s`` hint in shed responses.
 MIN_RETRY_AFTER_S = 0.05
-
-
-def is_real(value) -> bool:
-    """A finite JSON number (``true`` / ``false`` are not numbers)."""
-    return (
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-def is_whole(value) -> bool:
-    """A JSON integer (``true`` / ``false`` and ``1.0`` are not)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def require(ok, field: str, want: str, got) -> None:
-    """Raise the ``bad_request`` error naming a mistyped/out-of-range field."""
-    if not ok:
-        raise ConfigurationError(f"{field} must be {want}, got {got!r:.80}")
 
 
 class Deadline:

@@ -48,10 +48,11 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro import telemetry
+from repro.core.advice import AdviceRequest
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -93,9 +94,6 @@ RELOADABLE_FIELDS = (
 #: Longest a journal append queues behind another one (seconds).
 JOURNAL_QUEUE_S = 0.002
 
-#: Engine names a daemon can watch (the advisor's engine table).
-ENGINES = ("redis", "memcached", "dynamodb")
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -103,15 +101,16 @@ class ServeConfig:
 
     Parameters
     ----------
-    workload / engine / slo:
-        What the guard loop watches (mirrors ``mnemo guard``).
+    workload / engine / slo / repeats / seed / downsample:
+        What the guard loop watches and how it is measured (mirrors
+        ``mnemo guard``); together they are the watched
+        :class:`~repro.core.advice.AdviceRequest`, :attr:`request`,
+        which validates them.
     interval_s:
         Seconds between tick starts.
     validate_every:
         Run the full simulator replay every Nth tick (1 = every tick,
         0 = drift + margin only — the cheap mode for tight intervals).
-    repeats / seed / downsample:
-        Measurement settings forwarded to the profiling client.
     store:
         Optional path of the SQLite store that journals service events
         (and memoizes guard measurements).
@@ -147,42 +146,28 @@ class ServeConfig:
     max_deadline_s: float = 300.0
     read_timeout_s: float = 5.0
     max_request_bytes: int = 1_000_000
+    request: AdviceRequest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # a reload installs whatever JSON a client sent, so the fields
         # it may change are checked for type as well as range
-        require(isinstance(self.workload, str) and self.workload,
-                "workload", "a workload name", self.workload)
-        require(self.engine in ENGINES,
-                "engine", f"one of {', '.join(ENGINES)}", self.engine)
-        require(is_real(self.slo) and 0 < self.slo < 1,
-                "slo", "a number in (0, 1)", self.slo)
-        require(is_whole(self.repeats) and self.repeats >= 1,
-                "repeats", "an integer >= 1", self.repeats)
-        require(self.seed is None or is_whole(self.seed),
-                "seed", "an integer or null", self.seed)
-        require(is_real(self.downsample) and self.downsample >= 0,
-                "downsample", "a number >= 0", self.downsample)
+        object.__setattr__(self, "request", AdviceRequest(
+            workload=self.workload, engine=self.engine, slo=self.slo,
+            repeats=self.repeats, seed=self.seed, downsample=self.downsample,
+        ))
         require(is_real(self.interval_s) and self.interval_s > 0,
                 "interval_s", "positive", self.interval_s)
         require(is_whole(self.validate_every) and self.validate_every >= 0,
                 "validate_every", "an integer >= 0", self.validate_every)
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
-            )
-        if self.queue_depth < 1:
-            raise ConfigurationError(
-                f"queue_depth must be >= 1, got {self.queue_depth}"
-            )
+        require(self.workers >= 1, "workers", ">= 1", self.workers)
+        require(self.queue_depth >= 1, "queue_depth", ">= 1",
+                self.queue_depth)
         require(is_real(self.deadline_s)
                 and 0 < self.deadline_s <= self.max_deadline_s,
                 "deadline_s", f"in (0, {self.max_deadline_s}]",
                 self.deadline_s)
-        if self.read_timeout_s <= 0:
-            raise ConfigurationError(
-                f"read_timeout_s must be positive, got {self.read_timeout_s}"
-            )
+        require(self.read_timeout_s > 0, "read_timeout_s", "positive",
+                self.read_timeout_s)
 
     @property
     def heartbeat_path(self) -> Path:
@@ -193,28 +178,6 @@ class ServeConfig:
     def socket_path(self) -> Path:
         """Where the control socket lives."""
         return Path(self.rundir) / "control.sock"
-
-
-def default_tick(config: ServeConfig):
-    """Build the real guard tick: profile once, then guard per call.
-
-    Returns a zero-argument callable producing the tick's exit code
-    (the :class:`~repro.guard.loop.GuardOutcome` convention: 0 clean,
-    1 warnings, 3 action needed).  Kept as the stand-alone tick builder
-    for embedders; the service itself now ticks through its
-    :class:`~repro.service.advisor.ServedAdvisor`, which shares the
-    profile with the ``size``/``validate`` ops and supports ``reload``.
-    """
-    from repro.service.advisor import ServedAdvisor
-
-    advisor = ServedAdvisor(config)
-    ticks = {"n": 0}
-
-    def tick() -> int:
-        ticks["n"] += 1
-        return advisor.tick(ticks["n"])
-
-    return tick
 
 
 # -- control socket ------------------------------------------------------------

@@ -113,13 +113,6 @@ class Oplog:
             ))
         return out
 
-    def latest(
-        self, run_id: str | None = None, kind: str | None = None,
-    ) -> OplogEntry | None:
-        """The most recent matching entry, or None (liveness queries)."""
-        entries = self.entries(run_id=run_id, kind=kind)
-        return entries[-1] if entries else None
-
     def runs(self) -> list[tuple[str, int]]:
         """Distinct run ids with entry counts, most recent first."""
         rows = self.db.read(

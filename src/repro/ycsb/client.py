@@ -37,7 +37,7 @@ from repro.errors import ConfigurationError
 from repro.kvstore.server import HybridDeployment
 from repro.memsim.cache import LLCModel
 from repro.memsim.timing import NoiseModel
-from repro.rng import SeedLike, derive_seed, ensure_rng
+from repro.rng import SeedLike, check_seed, derive_seed, ensure_rng
 from repro.units import NS_PER_S
 from repro.ycsb.workload import Trace
 
@@ -152,6 +152,7 @@ class YCSBClient:
     ):
         if repeats <= 0:
             raise ConfigurationError(f"repeats must be positive, got {repeats}")
+        check_seed(seed)
         if concurrency <= 0:
             raise ConfigurationError(
                 f"concurrency must be positive, got {concurrency}"

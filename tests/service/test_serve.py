@@ -70,10 +70,12 @@ class TestServeConfig:
             ServeConfig(**{field: value})
 
     def test_engine_names_are_the_advisors_table(self):
-        from repro.service.advisor import ServedAdvisor
-        from repro.service.serve import ENGINES
+        from repro.core.advice import ENGINES
+        from repro.kvstore.profiles import builtin_profiles
 
-        assert set(ENGINES) == set(ServedAdvisor._engine_table())
+        assert set(ENGINES) == set(builtin_profiles())
+        for name in ENGINES:
+            assert ServeConfig(engine=name).request.engine == name
 
 
 class TestReloadValidation:
