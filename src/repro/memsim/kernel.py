@@ -23,14 +23,19 @@ times come from the shared :func:`~repro.memsim.timing.service_times_ns`
 formula, and repeat ``r`` draws from
 ``derive_seed(seed, f"{label}/run{r}")`` — so a placement measures the
 same :class:`~repro.ycsb.client.RunResult` alone, in any batch, in any
-process.  ``tests/memsim/test_kernel.py`` keeps the per-repeat
-:class:`~repro.memsim.timing.AccessTimer` loop as the reference the
-kernel must match bit for bit.
+process, on any thread.  ``tests/memsim/test_kernel.py`` keeps the
+per-repeat :class:`~repro.memsim.timing.AccessTimer` loop as the
+reference the kernel must match bit for bit.
+
+That purity is what lets :meth:`BatchKernel.run_all` spread a batch's
+placements over the usable cores: the draws, ufuncs and partitions of a
+placement release the GIL, and each thread writes only its own buffers.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+import os
+import threading
 
 import numpy as np
 
@@ -38,6 +43,14 @@ from repro import telemetry
 from repro.errors import WorkloadError
 from repro.memsim.timing import service_times_ns
 from repro.rng import derive_seed, ensure_rng
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def _quantile_plan(n: int, percentiles: tuple[float, ...]):
@@ -233,6 +246,19 @@ class BatchKernel:
         self._cached, self._cache_lat = client._cache_mask(
             trace, system.llc, self.trace_digest
         )
+        # the request-length rows a placement reads, built here so that
+        # run_all's threads only ever read shared state: the cost-law
+        # operands under an active fault (its timeline is indexed by
+        # time, not by key), else the service time of an LLC hit
+        faults = client.faults
+        self._faulty = faults is not None and faults.active
+        self._request_operands = self._hit_row = None
+        if self._faulty:
+            self._request_operands = self._operands(trace.keys, trace.is_read)
+        elif self._cached is not None:
+            self._hit_row = np.where(
+                trace.is_read, profile.read_cpu_ns, profile.write_cpu_ns
+            ) + self._cache_lat
 
     def _operands(self, keys, is_read):
         """``(sizes, passes, cpu_ns)`` of the cost law for *keys* x *is_read*."""
@@ -243,17 +269,6 @@ class BatchKernel:
             passes = passes * (1 + client.contention * (client.concurrency - 1))
         cpu = np.where(is_read, profile.read_cpu_ns, profile.write_cpu_ns)
         return sizes, passes, cpu
-
-    @cached_property
-    def _request_operands(self):
-        return self._operands(self.trace.keys, self.trace.is_read)
-
-    @cached_property
-    def _hit_row(self) -> np.ndarray:
-        """Request-length service times of an LLC hit: cpu + hit latency."""
-        profile, is_read = self.profile, self.trace.is_read
-        cpu = np.where(is_read, profile.read_cpu_ns, profile.write_cpu_ns)
-        return cpu + self._cache_lat
 
     def fingerprint(self, fast_mask: np.ndarray) -> str | None:
         """The experiment fingerprint of one placement (None if unseeded).
@@ -295,8 +310,7 @@ class BatchKernel:
             label = self.trace.name
         else:
             label = fingerprint or self.fingerprint(mask)
-        faults = self.client.faults
-        if faults is None or not faults.active:
+        if not self._faulty:
             table = np.where(mask, self.fast_tab, self.slow_tab)
             base = table.ravel().take(self.req_index)
             if self._cached is not None:
@@ -331,6 +345,53 @@ class BatchKernel:
             noise_scale, self.read_idx,
         )
 
-    def run_all(self, fast_masks) -> list:
-        """Measure every placement in *fast_masks* (rows or a sequence)."""
-        return [self.run(mask) for mask in fast_masks]
+    def run_all(self, fast_masks, fingerprints=None) -> list:
+        """Measure every placement in *fast_masks* (rows or a sequence).
+
+        ``fingerprints``, if given, holds each mask's precomputed
+        fingerprint (see :meth:`run`).  Results come back in mask order.
+
+        The placements are spread over ``min(len(masks), usable CPUs)``
+        threads started for this call: each runs a contiguous share
+        through :meth:`run` and the caller runs the last one, so with a
+        width of one (a single mask, a single CPU, or a live-generator
+        seed, whose ``derive_seed`` draws are shared state) nothing is
+        started.  Every placement is a pure function of its label and
+        the shared tables, so the numbers do not depend on the width.
+        If placements raise, every thread is joined first and the
+        exception of the lowest-index one is re-raised — the one the
+        sequential loop would have raised.
+        """
+        masks = list(fast_masks)
+        n = len(masks)
+        fps = [None] * n if fingerprints is None else list(fingerprints)
+        width = 1 if self._live_seed else min(n, _usable_cpus())
+        if width <= 1:
+            return [self.run(mask, fp) for mask, fp in zip(masks, fps)]
+        results: list = [None] * n
+        errors: list = [None] * n
+
+        def share(lo: int, hi: int) -> None:
+            for i in range(lo, hi):
+                try:
+                    results[i] = self.run(masks[i], fps[i])
+                except Exception as exc:  # re-raised by the caller
+                    errors[i] = exc
+                    return
+
+        bounds = [n * k // width for k in range(width + 1)]
+        helpers = [
+            threading.Thread(target=share, args=bounds[k:k + 2])
+            for k in range(width - 1)
+        ]
+        for thread in helpers:
+            thread.start()
+        try:
+            share(*bounds[-2:])
+        finally:
+            for thread in helpers:
+                thread.join()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        return results

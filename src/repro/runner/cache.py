@@ -118,8 +118,9 @@ def _npz_bytes(**arrays) -> bytes:
     """Pack arrays as the compressed NPZ byte string ``np.load`` reads.
 
     What ``np.savez_compressed`` writes, but at deflate level 1 instead
-    of 6: a quarter of the encode time for ~7 % more bytes, which is
-    what makes storing a trace cost no more than generating it.
+    of 6: a quarter of the encode time for ~7 % more bytes.  Even so a
+    paper-scale trace takes about twice as long to encode as to
+    generate, which is why the runner no longer stores traces.
     """
     import zipfile  # cold `profile` runs without a store never get here
 

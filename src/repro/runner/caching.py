@@ -115,20 +115,44 @@ class PlacementBatch:
             )
         return self._kernel
 
+    def run_all_cached(self, fast_masks) -> list[tuple[RunResult, str]]:
+        """Measure (or recall) placements; ``(result, provenance)`` each.
+
+        Every fingerprint is probed first; the misses (each distinct
+        fingerprint once) go to the kernel's
+        :meth:`~repro.memsim.kernel.BatchKernel.run_all` in one call, and
+        their results are stored after it returns.  Hit and miss counts
+        are those of probing the masks one at a time.
+        """
+        masks = list(fast_masks)
+        if self._cache is None:
+            return [(r, "uncached") for r in self.kernel().run_all(masks)]
+        fps = [self.fingerprint(mask) for mask in masks]
+        found: dict[str, tuple[RunResult, str]] = {}
+        misses: dict[str, np.ndarray] = {}
+        for fp, mask in zip(fps, masks):
+            if fp not in found and fp not in misses:
+                result = self._cache.get_result(fp)
+                if result is None:
+                    misses[fp] = mask
+                else:
+                    found[fp] = (result, "cache")
+        self.client.cache_hits += len(masks) - len(misses)
+        self.client.cache_misses += len(misses)
+        if misses:
+            telemetry.count("cache.recompute", len(misses), kind="results")
+            results = self.kernel().run_all(
+                list(misses.values()), list(misses),
+            )
+            for fp, result in zip(misses, results):
+                self._cache.put_result(fp, result)
+                found[fp] = (result, "computed")
+        return [found[fp] for fp in fps]
+
     def run_cached(self, fast_mask: np.ndarray) -> tuple[RunResult, str]:
         """Measure (or recall) one placement; returns (result, provenance)."""
-        if self._cache is None:
-            return self.kernel().run(fast_mask), "uncached"
-        fp = self.fingerprint(fast_mask)
-        result = self._cache.get_result(fp)
-        if result is not None:
-            self.client.cache_hits += 1
-            return result, "cache"
-        self.client.cache_misses += 1
-        telemetry.count("cache.recompute", kind="results")
-        result = self.kernel().run(fast_mask, fingerprint=fp)
-        self._cache.put_result(fp, result)
-        return result, "computed"
+        (entry,) = self.run_all_cached([fast_mask])
+        return entry
 
 
 class CachingClient(YCSBClient):
@@ -218,11 +242,11 @@ class CachingClient(YCSBClient):
         Each placement is looked up under its experiment fingerprint
         (:meth:`~repro.ycsb.client.YCSBClient.execute` is the one-mask
         case, so it shares the namespace); only the misses run through
-        the kernel — and the kernel itself (gather + LLC replay) is only
-        constructed if there *is* a miss, so fully warm batches cost
-        probes alone (see :class:`PlacementBatch`).
+        the kernel, side by side — and the kernel itself (gather + LLC
+        replay) is only constructed if there *is* a miss, so fully warm
+        batches cost probes alone (see :class:`PlacementBatch`).
         """
         batch = PlacementBatch(
             self, trace, profile, system, record_sizes=record_sizes
         )
-        return [batch.run_cached(mask)[0] for mask in fast_masks]
+        return [result for result, _ in batch.run_all_cached(fast_masks)]

@@ -29,7 +29,7 @@ A serial sweep runs singleton batches in process; a pooled sweep cuts
 each group into batches small enough that every worker gets a share of
 every group and ships them to workers.  Traces travel once per sweep
 through a shared-memory plane (:mod:`repro.runner.shm`) instead of once
-per task through pickles or the disk cache — each one published as its
+per task through pickles or regeneration — each one published as its
 group's first batch is submitted, so the coordinator prepares the next
 trace while the workers compute on this one; if a publish fails or a
 segment vanishes the worker materialises the trace itself.  The worker
@@ -89,7 +89,7 @@ from repro.ycsb.workload import Trace, WorkloadSpec
 if TYPE_CHECKING:
     from repro.store.store import SQLiteStore
 
-#: Traces a runner keeps decoded (:meth:`ExperimentRunner.trace_for`).
+#: Traces a runner keeps in memory (:meth:`ExperimentRunner.trace_for`).
 TRACE_MEMO_SIZE = 8
 
 
@@ -266,22 +266,18 @@ class ExperimentRunner:
     # -- building blocks ---------------------------------------------------------
 
     def trace_for(self, workload: WorkloadSpec) -> Trace:
-        """Materialise a workload's trace, via the trace cache if present.
+        """Materialise a workload's trace: the runner's memo, else generate.
 
         The last :data:`TRACE_MEMO_SIZE` traces stay memoized on the
-        runner, so a sweep decodes (or generates) each workload's trace
-        once, not once per spec.
+        runner, so a sweep generates each workload's trace once, not
+        once per spec.  Traces are not stored: generating one is cheaper
+        than encoding it, and about as cheap as decoding it.
         """
         fp = workload_fingerprint(workload)
         trace = self._traces.get(fp)
         if trace is not None:
             return trace
-        if self.cache is not None:
-            trace = self.cache.get_trace(fp)
-        if trace is None:
-            trace = generate_trace(workload)
-            if self.cache is not None:
-                self.cache.put_trace(fp, trace)
+        trace = generate_trace(workload)
         self._traces[fp] = trace
         while len(self._traces) > TRACE_MEMO_SIZE:
             self._traces.popitem(last=False)

@@ -1,9 +1,8 @@
 """Shared-memory trace plane for grouped sweep dispatch.
 
 A sweep evaluates many placements over *few* traces, and a worker that
-materialises a trace itself re-reads the compressed trace cache from
-disk or regenerates the trace outright.  The trace plane removes that
-cost: the coordinator
+materialises a trace itself regenerates it from the workload spec.  The
+trace plane removes that cost: the coordinator
 publishes each distinct trace's arrays (``keys``, ``is_read``,
 ``record_sizes``) **once** into a :mod:`multiprocessing.shared_memory`
 segment, and workers attach zero-copy read-only views, memoized per

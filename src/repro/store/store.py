@@ -1,8 +1,12 @@
 """The result store: content-addressed entries in one SQLite file.
 
 :class:`SQLiteStore` memoizes what the pipeline measures — run results,
-generated traces, LLC hit masks, guard verdicts — as ``(kind,
-fingerprint) -> body`` rows with an upsert.  Fingerprints come from
+LLC hit masks, guard verdicts — as ``(kind, fingerprint) -> body`` rows
+with an upsert.  The ``traces`` kind is still read and written by
+:meth:`~SQLiteStore.get_trace` / :meth:`~SQLiteStore.put_trace`, but
+nothing in the pipeline calls them any more (regenerating a trace costs
+less than encoding it); rows older builds wrote are counted, verified
+and cleared like any other.  Fingerprints come from
 :mod:`repro.runner.fingerprint` and cover everything that determines an
 entry's content, so an entry is valid forever; invalidation reduces to
 three rules: bumping ``SCHEMA_VERSION`` orphans every old row (it reads

@@ -145,9 +145,9 @@ class MetricsRegistry:
         key = (name, labels_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = cls(**kwargs)
-            self._metrics[key] = metric
-        elif not isinstance(metric, cls):
+            # one atomic insert: threads that race to create it share one
+            metric = self._metrics.setdefault(key, cls(**kwargs))
+        if not isinstance(metric, cls):
             raise ConfigurationError(
                 f"metric {name!r} already registered as {metric.kind}"
             )

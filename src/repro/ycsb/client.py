@@ -9,13 +9,15 @@ reported, matching "reported values are the mean of multiple experiment
 runs" (Fig 5 caption).
 
 Every measurement — one deployment or many placements — runs through
-:class:`~repro.memsim.kernel.BatchKernel`: per-request node parameters
-are gathered with fancy indexing and all service times come out of one
-vectorized pass.  The optional LLC model
-(off by default — with 100 KB records against a 12 MB LLC its effect is
-second-order, see the cache ablation bench) uses the vectorized
-stack-distance path for uniform record sizes and memoizes hit masks per
-(trace, capacity), so repeated measurements never replay the LRU.
+:class:`~repro.memsim.kernel.BatchKernel`: the cost law is tabled once
+over the key space, a placement's service times are one gather from
+those tables, and a batch's placements run side by side on the usable
+cores.  The optional LLC model (off by default — with 100 KB records
+against a 12 MB LLC its effect is second-order, see the cache ablation
+bench) computes a trace's hit mask in one vectorized pass over the LRU
+eviction frontier (:func:`~repro.memsim.cache.lru_hit_mask`, exact) and
+is memoized per (trace, capacity), so repeated measurements never
+replay the LRU.
 
 Noise seeding is *content-addressed*: every measurement derives its
 noise streams from the experiment fingerprint (trace, deployment,
@@ -114,7 +116,8 @@ class YCSBClient:
         Relative per-request noise (0 disables noise entirely).
     use_llc:
         Route the trace through the deployment's LLC model (exact LRU,
-        sequential) before timing.  Off by default; see module docstring.
+        one frontier pass per trace) before timing.  Off by default; see
+        module docstring.
     percentiles:
         Latency percentiles to record.
     seed:

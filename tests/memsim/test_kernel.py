@@ -9,11 +9,16 @@ the (repeats x requests) matrix formulation the row-at-a-time
 the request axis, which the key-space tables must reproduce.
 """
 
+import os
+import sys
+import threading
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.core.mnemo import Mnemo
 from repro.errors import WorkloadError
 from repro.faults import (
     BandwidthDegradation, FaultSpec, JitterBursts, LatencySpikes, NodeOffline,
@@ -475,6 +480,174 @@ class TestEngineClock:
         for t in base.tolist():
             in_order += t
         assert engine.clock_ns == in_order
+
+
+ALL_FAULTS = FaultSpec(
+    latency_spikes=LatencySpikes(),
+    bandwidth_degradation=BandwidthDegradation(),
+    node_offline=NodeOffline(width=500),
+    jitter_bursts=JitterBursts(),
+)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Report `n` usable CPUs; count the threads started meanwhile."""
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+
+    def with_cpus(n):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(n)), raising=False,
+        )
+        return started
+
+    return with_cpus
+
+
+class TestFanOut:
+    """`run_all` on any number of threads ≡ the per-mask `run` loop."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("use_llc", [False, True])
+    @pytest.mark.parametrize("faults", [None, ALL_FAULTS])
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_bit_identical_to_the_run_loop(
+        self, thread_starts, k, cpus, use_llc, faults, concurrency,
+    ):
+        rng = np.random.default_rng(k)
+        trace = _synthetic_trace(rng, 300, 4000, 0.7, mixed_sizes=True)
+        client = YCSBClient(
+            repeats=2, seed=9, use_llc=use_llc, faults=faults,
+            concurrency=concurrency,
+        )
+        # an LLC small enough that the synthetic trace evicts
+        system = HybridMemorySystem.testbed(llc_bytes=64 * 1024)
+        profile = builtin_profiles()["redis"]
+        masks = _masks(trace.n_keys, (0.0, 0.2, 0.5, 0.8, 1.0)[:k])
+        kernel = BatchKernel(client, trace, profile, system)
+        started = thread_starts(cpus)
+        got = kernel.run_all(masks)
+        assert len(started) == min(k, cpus) - 1
+        assert got == [kernel.run(mask) for mask in masks]
+
+    def test_fingerprints_are_passed_through(self, trace, thread_starts):
+        thread_starts(4)
+        client = YCSBClient(repeats=2, seed=3)
+        system = HybridMemorySystem.testbed()
+        profile = builtin_profiles()["memcached"]
+        kernel = BatchKernel(client, trace, profile, system)
+        masks = _masks(trace.n_keys)
+        fps = [kernel.fingerprint(mask) for mask in masks]
+        assert kernel.run_all(masks, fps) == kernel.run_all(masks)
+        # a label is the noise root: another one measures differently
+        assert kernel.run_all(masks, ["x", "y", "z"]) != kernel.run_all(masks)
+
+    def test_no_thread_for_a_live_generator(self, trace, thread_starts):
+        started = thread_starts(4)
+        client = YCSBClient(repeats=2, seed=np.random.default_rng(5))
+        system = HybridMemorySystem.testbed()
+        profile = builtin_profiles()["redis"]
+        results = client.execute_placements(
+            trace, _masks(trace.n_keys), profile, system,
+        )
+        assert len(results) == 3 and not started
+
+    @pytest.mark.parametrize("cpus, k", [(4, 1), (1, 3)])
+    def test_no_thread_for_one_mask_or_one_cpu(
+        self, trace, thread_starts, cpus, k,
+    ):
+        started = thread_starts(cpus)
+        client = YCSBClient(repeats=2, seed=5)
+        system = HybridMemorySystem.testbed()
+        profile = builtin_profiles()["redis"]
+        masks = _masks(trace.n_keys, (0.1, 0.5, 0.9)[:k])
+        client.execute_placements(trace, masks, profile, system)
+        assert not started
+
+    def test_no_affinity_api_falls_back_to_cpu_count(
+        self, trace, thread_starts, monkeypatch,
+    ):
+        started = thread_starts(4)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        client = YCSBClient(repeats=2, seed=5)
+        system = HybridMemorySystem.testbed()
+        kernel = BatchKernel(client, trace, builtin_profiles()["redis"], system)
+        masks = _masks(trace.n_keys)
+        assert kernel.run_all(masks) == [kernel.run(mask) for mask in masks]
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_helper_failure_surfaces_the_loop_exception(
+        self, trace, thread_starts, cpus,
+    ):
+        client = YCSBClient(repeats=2, seed=5)
+        system = HybridMemorySystem.testbed()
+        kernel = BatchKernel(client, trace, builtin_profiles()["redis"], system)
+        good = _masks(trace.n_keys, (0.3, 0.6))
+        # index 1 sits in a helper's share, index 3 in the caller's
+        masks = [
+            good[0], np.ones(trace.n_keys, dtype=np.int64),
+            good[1], np.ones(trace.n_keys - 1, dtype=bool),
+        ]
+        with pytest.raises(WorkloadError) as loop:
+            [kernel.run(mask) for mask in masks]
+        started = thread_starts(cpus)
+        with pytest.raises(WorkloadError) as fanned:
+            kernel.run_all(masks)
+        assert str(fanned.value) == str(loop.value)
+        assert "int64" in str(fanned.value)
+        assert len(started) == cpus - 1
+        assert not any(t.is_alive() for t in started)
+
+    def test_stress_counts_every_placement(self, trace, thread_starts):
+        # more threads than cores, switching every microsecond: a lost
+        # update on the shared telemetry registry would drop a count
+        from repro import telemetry
+
+        thread_starts(8)
+        client = YCSBClient(repeats=1, seed=2)
+        kernel = BatchKernel(
+            client, trace, builtin_profiles()["redis"],
+            HybridMemorySystem.testbed(),
+        )
+        masks = _masks(trace.n_keys, np.linspace(0.0, 1.0, 8))
+        expect = [kernel.run(mask) for mask in masks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with telemetry.session() as tel:
+                for _ in range(10):
+                    assert kernel.run_all(masks) == expect
+        finally:
+            sys.setswitchinterval(interval)
+        (count,) = [
+            rec["value"] for rec in tel.metrics.snapshot()
+            if rec["name"] == "memsim.path"
+        ]
+        assert count == 10 * len(masks)
+
+    def test_cold_cached_profile_equals_uncached(
+        self, trace, thread_starts, tmp_path,
+    ):
+        started = thread_starts(2)
+        reports = [
+            Mnemo(
+                engine_factory=RedisLike, client=YCSBClient(repeats=2, seed=4),
+                cache=cache,
+            ).profile(trace)
+            for cache in (None, SQLiteStore(tmp_path / "s.db"))
+        ]
+        assert reports[0].baselines == reports[1].baselines
+        assert len(started) == 2  # one helper per cold profile
 
 
 class TestCachingBatch:

@@ -370,39 +370,61 @@ class TestPipeline:
 
 class TestTraceMemo:
     @staticmethod
-    def _count_get_trace(runner, monkeypatch):
+    def _count_generate(monkeypatch):
+        import repro.runner.grid as grid
+
         calls = []
-        get_trace = runner.cache.get_trace
+        generate = grid.generate_trace
 
-        def recording_get_trace(fingerprint):
-            calls.append(fingerprint)
-            return get_trace(fingerprint)
+        def recording_generate(workload):
+            calls.append(workload_fingerprint(workload))
+            return generate(workload)
 
-        monkeypatch.setattr(runner.cache, "get_trace", recording_get_trace)
+        monkeypatch.setattr(grid, "generate_trace", recording_generate)
         return calls
 
-    def test_journaled_and_serial_sweeps_decode_once_per_workload(
+    def test_journaled_and_serial_sweeps_generate_once_per_workload(
         self, grid_specs, reference, tmp_path, monkeypatch,
     ):
         wanted = sorted(
             {workload_fingerprint(s.workload) for s in grid_specs}
         )
+        calls = self._count_generate(monkeypatch)
         db = str(tmp_path / "memo.db")
         for journaled in (True, False):  # cold store, then warm store
             runner = ExperimentRunner(
                 cache=db, client=ClientConfig(repeats=2, seed=7),
             )
+            calls.clear()
             try:
-                calls = self._count_get_trace(runner, monkeypatch)
                 journal = (
                     SweepJournal(runner.cache, "memo") if journaled else None
                 )
                 outcome = runner.sweep(grid_specs, journal=journal)
+                assert runner.cache.stats().entries["traces"] == 0
             finally:
                 runner.close()
                 runner.cache.close()
             assert outcome.results == reference.results
             assert sorted(calls) == wanted
+
+    def test_store_with_trace_rows_serves_a_warm_sweep(
+        self, grid_specs, reference, tmp_path,
+    ):
+        # a store older builds wrote holds a trace row per workload
+        # beside the results: the warm sweep recalls every result
+        with _runner(tmp_path, "old") as runner:
+            runner.sweep(grid_specs)
+            for spec in grid_specs:
+                runner.cache.put_trace(
+                    workload_fingerprint(spec.workload),
+                    runner.trace_for(spec.workload),
+                )
+        with _runner(tmp_path, "old") as runner:
+            warm = runner.sweep(grid_specs)
+            assert runner.cache.stats().entries["traces"] == 2
+        assert set(warm.provenance) == {"cache"}
+        assert warm.results == reference.results
 
     def test_memo_is_bounded(self, tmp_path):
         from repro.runner.grid import TRACE_MEMO_SIZE

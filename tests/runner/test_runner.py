@@ -226,12 +226,16 @@ class TestExperimentRunner:
         monkeypatch.setattr(BatchKernel, "__init__", boom)
         assert len(warm_runner.run_grid(specs)) == len(specs)
 
-    def test_trace_cached_on_disk(self, tmp_path, small_spec):
-        runner = ExperimentRunner(cache=tmp_path / "c")
-        t1 = runner.trace_for(small_spec)
-        assert runner.cache.stats().entries["traces"] == 1
-        t2 = runner.trace_for(small_spec)
-        assert np.array_equal(t1.keys, t2.keys)
+    def test_sweep_leaves_no_trace_row(self, tmp_path, specs):
+        runner = ExperimentRunner(
+            cache=tmp_path / "c", client=ClientConfig(repeats=2, seed=11),
+        )
+        runner.run_grid(specs)
+        stats = runner.cache.stats()
+        assert stats.entries["traces"] == 0
+        assert stats.entries["results"] == len(specs)
+        t1 = runner.trace_for(specs[0].workload)
+        assert runner.trace_for(specs[0].workload) is t1  # the runner's memo
 
     def test_baselines_match_sensitivity_engine(self, small_spec):
         runner = ExperimentRunner(
