@@ -23,7 +23,7 @@ def key_space_cdf(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (key ids 0..n-1, cumulative request probability).
     """
-    counts = np.bincount(trace.keys, minlength=trace.n_keys)
+    counts = trace.access_counts()
     cum = np.cumsum(counts) / trace.n_requests
     return np.arange(trace.n_keys), cum
 
@@ -38,7 +38,7 @@ def coverage_fraction(trace: Trace, request_share: float) -> float:
     of requests — e.g. 0.9 -> "the hottest X% of keys serve 90%"."""
     if not 0 < request_share <= 1:
         raise ConfigurationError("request_share must be in (0, 1]")
-    counts = np.bincount(trace.keys, minlength=trace.n_keys)
+    counts = trace.access_counts()
     hot_first = np.sort(counts)[::-1]
     cum = np.cumsum(hot_first) / trace.n_requests
     n_hot = int(np.searchsorted(cum, request_share, side="left")) + 1

@@ -30,7 +30,7 @@ from repro.kvstore.server import EngineFactory, HybridDeployment
 from repro.memsim.system import HybridMemorySystem
 from repro.ycsb.client import YCSBClient
 from repro.core.descriptor import WorkloadDescriptor
-from repro.core.pattern import KeyAccessPattern
+from repro.core.pattern import KeyAccessPattern, PatternEngine
 
 
 @dataclass(frozen=True)
@@ -154,17 +154,7 @@ class InstrumentedProfiler:
         # the instrumented run observes every access, so the resulting
         # ordering matches the accesses/size weights MnemoT computes
         # directly from the descriptor
-        trace = descriptor.to_trace()
-        reads, writes = trace.per_key_counts()
-        weights = (reads + writes) / trace.record_sizes
-        order = np.argsort(-weights, kind="stable").astype(np.int64)
-        pattern = KeyAccessPattern(
-            mode="weight",
-            order=order,
-            reads_per_key=reads.astype(np.int64),
-            writes_per_key=writes.astype(np.int64),
-            sizes=trace.record_sizes,
-        )
+        pattern = PatternEngine("weight").analyze(descriptor)
         cost = ProfilingCost(
             input_prep_ns=self.source_instrumentation_ns,
             baselines_ns=micro.microbench_ns,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pattern import weight_order
 from repro.errors import ConfigurationError
 
 
@@ -36,7 +37,7 @@ def greedy_knapsack(
     values = np.asarray(values, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.int64)
     _validate(values, sizes, capacity)
-    order = np.argsort(-(values / sizes), kind="stable")
+    order = weight_order(values, sizes)
     csum = np.cumsum(sizes[order])
     # take the longest prefix that fits, then try to squeeze later items
     # into the remaining slack (classic greedy refinement)

@@ -450,6 +450,8 @@ def _cmd_multitier(args) -> int:
     from repro.multitier.advisor import MultiTierAdvisor
     from repro.multitier.system import TieredMemorySystem
 
+    if args.grid < 1:
+        raise UsageError(f"--grid must be >= 1, got {args.grid}")
     trace = builtin_trace(args.workload)
     total = int(trace.record_sizes.sum())
     advisor = MultiTierAdvisor(

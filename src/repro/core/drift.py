@@ -9,8 +9,8 @@ This module quantifies that effect so the consultant can warn its user:
 
 - :func:`window_counts` splits a trace into time windows and counts
   per-key accesses per window;
-- :func:`drift_score` measures how much the hot set moves between
-  consecutive windows (1 − mean Jaccard overlap of the top keys);
+- :func:`drift_score` measures how much the request distribution moves
+  between consecutive windows (1 − mean histogram intersection);
 - :func:`static_placement_regret` compares the FastMem hit fraction of
   the best *static* placement against a per-window *oracle* placement
   at the same capacity — the headroom a dynamic tiering system could
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.core.pattern import budget_mask
 from repro.ycsb.workload import Trace
 
 
@@ -48,37 +49,16 @@ def window_counts(trace: Trace, n_windows: int = 10) -> np.ndarray:
     return out
 
 
-def _top_keys(counts: np.ndarray, k: int) -> np.ndarray:
-    """Ids of the k most-accessed keys (ties by key id)."""
-    return np.argsort(-counts, kind="stable")[:k]
-
-
-def drift_score(trace: Trace, n_windows: int = 10,
-                metric: str = "intersection",
-                top_fraction: float = 0.1) -> float:
+def drift_score(trace: Trace, n_windows: int = 10) -> float:
     """How much the request distribution moves between windows (0..1).
 
-    ``metric="intersection"`` (default): 1 − mean histogram
-    intersection of consecutive windows' key distributions — robust to
-    sampling noise inside a uniform hot set.  ``metric="jaccard"``:
-    1 − mean Jaccard overlap of the top-``top_fraction`` key sets
-    (sharper, but noisy when hot keys are near-equally popular).
+    1 − mean histogram intersection of consecutive windows' key
+    distributions — robust to sampling noise inside a uniform hot set.
     """
-    if metric not in ("intersection", "jaccard"):
-        raise ConfigurationError(f"unknown drift metric {metric!r}")
-    if not 0 < top_fraction <= 1:
-        raise ConfigurationError("top_fraction must be in (0, 1]")
     counts = window_counts(trace, n_windows)
-    if metric == "intersection":
-        probs = counts / counts.sum(axis=1, keepdims=True)
-        overlaps = np.minimum(probs[:-1], probs[1:]).sum(axis=1)
-        return float(1.0 - overlaps.mean())
-    k = max(1, int(round(top_fraction * trace.n_keys)))
-    tops = [set(_top_keys(c, k).tolist()) for c in counts]
-    overlaps = [
-        len(a & b) / len(a | b) for a, b in zip(tops, tops[1:])
-    ]
-    return float(1.0 - np.mean(overlaps))
+    probs = counts / counts.sum(axis=1, keepdims=True)
+    overlaps = np.minimum(probs[:-1], probs[1:]).sum(axis=1)
+    return float(1.0 - overlaps.mean())
 
 
 @dataclass(frozen=True)
@@ -119,23 +99,15 @@ def static_placement_regret(
     budget = int(capacity_fraction * sizes.sum())
     total_requests = trace.n_requests
 
-    def mask_for(placement_counts: np.ndarray) -> np.ndarray:
-        """Greedy weight-ordered FastMem mask under the byte budget."""
-        order = np.argsort(-(placement_counts / sizes), kind="stable")
-        csum = np.cumsum(sizes[order])
-        n_fit = int(np.searchsorted(csum, budget, side="right"))
-        mask = np.zeros(sizes.size, dtype=bool)
-        mask[order[:n_fit]] = True
-        return mask
-
     global_counts = counts.sum(axis=0)
-    static_mask = mask_for(global_counts)
+    static_mask = budget_mask(global_counts, sizes, budget)
     static_hits = int(global_counts[static_mask].sum())
     # the oracle migrator re-places per window but keeps the static
     # placement whenever the greedy window fill would do worse — an
     # ideal migrator never loses to staying put
     oracle_hits = sum(
-        max(int(c[mask_for(c)].sum()), int(c[static_mask].sum()))
+        max(int(c[budget_mask(c, sizes, budget)].sum()),
+            int(c[static_mask].sum()))
         for c in counts
     )
 

@@ -20,6 +20,7 @@ from repro.errors import ConfigurationError
 from repro.units import NS_PER_S
 from repro.ycsb.workload import Trace
 from repro.core.drift import window_counts
+from repro.core.pattern import budget_mask
 from repro.core.sensitivity import PerformanceBaselines
 
 
@@ -59,17 +60,6 @@ class RetieringOutcome:
     def worth_migrating(self) -> bool:
         """True when re-tiering wins even after paying for the copies."""
         return self.speedup > 1.0
-
-
-def _budgeted_placement(counts: np.ndarray, sizes: np.ndarray,
-                        budget: int) -> np.ndarray:
-    """Boolean FastMem mask: weight-ordered greedy fill of *budget*."""
-    order = np.argsort(-(counts / sizes), kind="stable")
-    csum = np.cumsum(sizes[order])
-    n_fit = int(np.searchsorted(csum, budget, side="right"))
-    mask = np.zeros(sizes.size, dtype=bool)
-    mask[order[:n_fit]] = True
-    return mask
 
 
 def simulate_periodic_retiering(
@@ -121,7 +111,7 @@ def simulate_periodic_retiering(
                                 + (1 - read_frac) * write_delta)
 
     # static: one placement from the global pattern
-    static_mask = _budgeted_placement(total_counts, sizes, budget)
+    static_mask = budget_mask(total_counts, sizes, budget)
     static_savings = sum(window_savings(static_mask, w) for w in counts)
     static_runtime = baselines.slow_runtime_ns - static_savings
 
@@ -130,7 +120,7 @@ def simulate_periodic_retiering(
     migrated_bytes = 0
     prev_mask = np.zeros(sizes.size, dtype=bool)
     for w in counts:
-        mask = _budgeted_placement(w, sizes, budget)
+        mask = budget_mask(w, sizes, budget)
         dynamic_savings += window_savings(mask, w)
         moved = mask & ~prev_mask  # promotions; demotions overlap the copy
         migrated_bytes += int(sizes[moved].sum())

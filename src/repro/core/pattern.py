@@ -27,6 +27,28 @@ from repro.core.descriptor import WorkloadDescriptor
 _MODES = ("touch", "weight", "external")
 
 
+def weight_order(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """MnemoT's tiering order: keys by descending accesses / size.
+
+    Ties keep ascending key id (a stable sort on the negated weights).
+    This converts any input distribution "to look like zipfian"
+    (Section V-A, "Estimate of MnemoT"): hot keys move to the front of
+    the allocation order regardless of where they sit in the key space.
+    """
+    return np.argsort(-(counts / sizes), kind="stable").astype(np.int64)
+
+
+def budget_mask(counts: np.ndarray, sizes: np.ndarray,
+                budget: int) -> np.ndarray:
+    """Boolean FastMem mask: the longest :func:`weight_order` prefix whose
+    bytes fit in *budget*."""
+    order = weight_order(counts, sizes)
+    n_fit = int(np.searchsorted(np.cumsum(sizes[order]), budget, side="right"))
+    mask = np.zeros(sizes.size, dtype=bool)
+    mask[order[:n_fit]] = True
+    return mask
+
+
 @dataclass(frozen=True)
 class KeyAccessPattern:
     """Req(keys): the per-key request profile plus a tiering order.
@@ -121,7 +143,7 @@ class PatternEngine:
         if self.mode == "touch":
             order = trace.first_touch_order()
         elif self.mode == "weight":
-            order = self._weight_order(reads + writes, sizes)
+            order = weight_order(trace.access_counts(), sizes)
         else:
             order = np.asarray(external_order, dtype=np.int64)
 
@@ -132,16 +154,3 @@ class PatternEngine:
             writes_per_key=writes.astype(np.int64),
             sizes=sizes,
         )
-
-    @staticmethod
-    def _weight_order(accesses: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """Descending accesses/size; ties broken by key id (stable).
-
-        This converts any input distribution "to look like zipfian"
-        (Section V-A, "Estimate of MnemoT"): hot keys move to the front
-        of the allocation order regardless of where they sit in the key
-        space.
-        """
-        weights = accesses / sizes
-        # stable sort on negated weights keeps key-id order within ties
-        return np.argsort(-weights, kind="stable").astype(np.int64)

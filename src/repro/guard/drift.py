@@ -322,9 +322,7 @@ class DriftDetector:
         self.workload = reference.name
         self.n_keys = reference.n_keys
         self._ref_sizes = reference.record_sizes
-        self._ref_mass = np.bincount(
-            reference.keys, minlength=self.n_keys
-        ).astype(np.float64)
+        self._ref_mass = reference.access_counts().astype(np.float64)
         self._ref_mean_size = float(
             reference.record_sizes[reference.keys].mean()
         )

@@ -24,6 +24,7 @@ import numpy as np
 from repro.errors import ConfigurationError, KeyNotFoundError
 from repro.kvstore.profiles import EngineProfile
 from repro.memsim.node import MemoryNode
+from repro.memsim.timing import service_times_ns
 
 #: Node codes used in the vectorized arrays.
 FAST, SLOW = 0, 1
@@ -122,8 +123,10 @@ class KVEngine(abc.ABC):
         code = self._nodes[key]
         node = self._node(code)
         prof = self.profile
-        touched = size + prof.metadata_bytes
-        t = prof.cpu_ns(is_read) + prof.passes(is_read) * node.access_time_ns(touched)
+        t = float(service_times_ns(
+            size + prof.metadata_bytes, node.latency_ns, node.bytes_per_ns,
+            prof.passes(is_read), prof.cpu_ns(is_read),
+        ))
         self.clock_ns += t
         self.op_count += 1
         return OpResult(key=key, op=op, node=node.name, service_time_ns=t, size=size)

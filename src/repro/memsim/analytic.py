@@ -45,7 +45,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.memsim.timing import service_times_ns
+from repro.memsim.timing import service_tables
 
 #: Bisection iterations for the characteristic time (halves the bracket
 #: each step; 100 steps resolve T far below float64 noise).
@@ -279,22 +279,15 @@ def predict_placement(trace, profile, system, fast_mask, client):
             f"got {mask.dtype} {mask.shape}"
         )
     reads, writes = trace.per_key_counts()
-    counts = reads + writes
-    touched = trace.record_sizes + profile.metadata_bytes
-    latency = np.where(mask, system.fast.latency_ns, system.slow.latency_ns)
-    bpns = np.where(mask, system.fast.bytes_per_ns, system.slow.bytes_per_ns)
-    scale = 1.0
-    if client.concurrency > 1:
-        scale = 1 + client.contention * (client.concurrency - 1)
-    read_miss, write_miss = (
-        service_times_ns(
-            touched, latency, bpns, profile.passes(op) * scale,
-            profile.cpu_ns(op),
-        )
-        for op in (True, False)
+    nodes = (system.fast, system.slow)
+    fast_tab, slow_tab = service_tables(
+        profile, trace.record_sizes, [n.latency_ns for n in nodes],
+        [n.bytes_per_ns for n in nodes], client.pass_scale,
     )
+    write_miss, read_miss = np.where(mask, fast_tab, slow_tab)
 
     if client.use_llc:
+        counts = trace.access_counts()
         llc = system.llc
         hit_counts = _cached_hit_counts(trace, llc.capacity_bytes)
         hit_frac = np.divide(

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import WorkloadError
-from repro.memsim.timing import service_times_ns
+from repro.memsim.timing import service_tables, service_times_ns
 from repro.rng import derive_seed, ensure_rng
 
 
@@ -226,14 +226,10 @@ class BatchKernel:
         self.record_sizes = record_sizes
         # the cost law over the key space, once: per node a (2, n_keys)
         # table (row 0 writes, row 1 reads) that req_index gathers from
-        sizes, passes, cpu = self._operands(
-            slice(None), np.array([[False], [True]])
-        )
-        self.fast_tab, self.slow_tab = (
-            service_times_ns(
-                sizes, node.latency_ns, node.bytes_per_ns, passes, cpu
-            )
-            for node in (system.fast, system.slow)
+        nodes = (system.fast, system.slow)
+        self.fast_tab, self.slow_tab = service_tables(
+            profile, record_sizes, [n.latency_ns for n in nodes],
+            [n.bytes_per_ns for n in nodes], client.pass_scale,
         )
         self.req_index = trace.keys + trace.is_read * record_sizes.size
         self.read_idx = np.flatnonzero(trace.is_read)
@@ -262,13 +258,11 @@ class BatchKernel:
 
     def _operands(self, keys, is_read):
         """``(sizes, passes, cpu_ns)`` of the cost law for *keys* x *is_read*."""
-        profile, client = self.profile, self.client
+        profile = self.profile
         sizes = self.record_sizes[keys] + profile.metadata_bytes
         passes = np.where(is_read, profile.read_passes, profile.write_passes)
-        if client.concurrency > 1:
-            passes = passes * (1 + client.contention * (client.concurrency - 1))
         cpu = np.where(is_read, profile.read_cpu_ns, profile.write_cpu_ns)
-        return sizes, passes, cpu
+        return sizes, passes * self.client.pass_scale, cpu
 
     def fingerprint(self, fast_mask: np.ndarray) -> str | None:
         """The experiment fingerprint of one placement (None if unseeded).

@@ -10,12 +10,14 @@ multiplicative noise term reproduces run-to-run measurement variability
 (the paper reports the mean of multiple runs; our client does the same).
 
 Everything here is vectorized and operands broadcast.  The law is
-evaluated in one place, :func:`service_times_ns`: by the batch kernel
-over the *key* space (``n_keys`` sizes, one node's scalar latency and
-bandwidth, per-op passes and CPU as ``(2, 1)`` columns — the tables
-every placement gathers from), by the same kernel over the *request*
-axis only under an active fault spec (its timeline is indexed by time),
-by the analytic predictor per key and op, and by :class:`AccessTimer`.
+evaluated in one place, :func:`service_times_ns`.  Over the *key*
+space it is :func:`service_tables` — one ``(2, n_keys)`` table per
+tier — which the batch kernel gathers every placement from, the
+analytic predictor selects per key, and the multi-tier client gathers
+per request.  The kernel calls it over the *request* axis only under an
+active fault spec (its timeline is indexed by time); the engines'
+scalar clock calls it on one request, and :class:`AccessTimer` wraps it
+with noise.
 """
 
 from __future__ import annotations
@@ -91,6 +93,26 @@ def service_times_ns(
     if cached is not None:
         mem_ns = np.where(cached, cache_latency_ns, mem_ns)
     return cpu_ns + mem_ns
+
+
+def service_tables(profile, record_sizes, latency_ns, bytes_per_ns,
+                   pass_scale: float) -> np.ndarray:
+    """The cost law over the key space: ``(n_tiers, 2, n_keys)`` ns.
+
+    One ``(2, n_keys)`` table per tier (row 0 writes, row 1 reads) for
+    *profile*'s engine over *record_sizes*; ``latency_ns`` and
+    ``bytes_per_ns`` hold one value per tier, and ``pass_scale`` is the
+    client's contention factor on the passes.
+    """
+    is_read = np.array([[False], [True]])
+    passes = np.where(is_read, profile.read_passes, profile.write_passes)
+    return service_times_ns(
+        np.asarray(record_sizes) + profile.metadata_bytes,
+        np.asarray(latency_ns, dtype=np.float64)[:, None, None],
+        np.asarray(bytes_per_ns, dtype=np.float64)[:, None, None],
+        passes * pass_scale,
+        np.where(is_read, profile.read_cpu_ns, profile.write_cpu_ns),
+    )
 
 
 class AccessTimer:

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.pattern import weight_order
 from repro.errors import ConfigurationError, EstimateError
 from repro.kvstore.profiles import EngineProfile
 from repro.rng import SeedLike
@@ -123,10 +124,9 @@ class MultiTierAdvisor:
             raise ConfigurationError(
                 f"need one capacity per tier ({len(self.system)})"
             )
-        counts = np.bincount(trace.keys, minlength=trace.n_keys)
-        order = np.argsort(-(counts / trace.record_sizes), kind="stable")
-        assignment = np.full(trace.n_keys, -1, dtype=np.int64)
         sizes = trace.record_sizes
+        order = weight_order(trace.access_counts(), sizes)
+        assignment = np.full(trace.n_keys, -1, dtype=np.int64)
 
         tier = 0
         used = 0

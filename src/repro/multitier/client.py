@@ -3,7 +3,10 @@
 The two-tier :class:`~repro.ycsb.client.YCSBClient` routes through a
 :class:`~repro.kvstore.server.HybridDeployment`; here placements are an
 assignment array instead (one server instance per tier would be the
-deployment analog), which keeps N-tier sweeps cheap.
+deployment analog), which keeps N-tier sweeps cheap.  A run gathers its
+service times from the per-tier tables of
+:func:`~repro.memsim.timing.service_tables` and realises noise through
+the batch kernel's :func:`~repro.memsim.kernel.measure_repeats`.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError, WorkloadError
 from repro.kvstore.profiles import EngineProfile
-from repro.memsim.timing import AccessTimer, NoiseModel
-from repro.rng import SeedLike, derive_seed
+from repro.memsim.kernel import measure_repeats
+from repro.memsim.timing import NoiseModel, service_tables
+from repro.rng import SeedLike
 from repro.ycsb.client import RunResult
 from repro.ycsb.workload import Trace
 from repro.multitier.system import TieredMemorySystem
@@ -22,8 +26,12 @@ from repro.multitier.system import TieredMemorySystem
 class MultiTierClient:
     """Closed-loop client over an N-tier placement.
 
-    Parameters mirror :class:`~repro.ycsb.client.YCSBClient`.
+    Parameters mirror :class:`~repro.ycsb.client.YCSBClient`; it records
+    no latency percentiles and runs one request at a time.
     """
+
+    percentiles: tuple[float, ...] = ()
+    concurrency = 1
 
     def __init__(
         self,
@@ -42,6 +50,11 @@ class MultiTierClient:
         self._seed = seed
         self._executions = 0
 
+    @property
+    def seed(self) -> SeedLike:
+        """The base seed for the noise streams (as passed to ``__init__``)."""
+        return self._seed
+
     def execute(self, trace: Trace, assignment: np.ndarray) -> RunResult:
         """Run *trace* with keys placed per *assignment* (key -> tier)."""
         assignment = np.asarray(assignment)
@@ -54,44 +67,14 @@ class MultiTierClient:
         if assignment.min() < 0 or assignment.max() >= n_tiers:
             raise WorkloadError(f"tier indices must be in [0, {n_tiers})")
 
-        prof = self.profile
-        req_tier = assignment[trace.keys]
-        sizes = trace.record_sizes[trace.keys] + prof.metadata_bytes
-        latency = self.system.latency_array()[req_tier]
-        bpns = self.system.bandwidth_array()[req_tier]
-        passes = np.where(trace.is_read, prof.read_passes, prof.write_passes)
-        cpu = np.where(trace.is_read, prof.read_cpu_ns, prof.write_cpu_ns)
-
+        tables = service_tables(
+            self.profile, trace.record_sizes, self.system.latency_array(),
+            self.system.bandwidth_array(), 1.0,
+        )
+        base = tables[assignment[trace.keys], trace.is_read.astype(np.intp),
+                      trace.keys]
         self._executions += 1
-        is_read = trace.is_read
-        n_reads = int(is_read.sum())
-        n_writes = trace.n_requests - n_reads
-        runtimes = np.empty(self.repeats)
-        read_sums = np.empty(self.repeats)
-        for r in range(self.repeats):
-            timer = AccessTimer(
-                noise=self.noise,
-                seed=derive_seed(
-                    self._seed,
-                    f"{trace.name}/mt-exec{self._executions}/run{r}",
-                ),
-            )
-            times = timer.request_times_ns(sizes, latency, bpns, passes, cpu)
-            runtimes[r] = times.sum()
-            read_sums[r] = times[is_read].sum()
-
-        runtime = float(runtimes.mean())
-        read_sum = float(read_sums.mean())
-        return RunResult(
-            workload=trace.name,
-            engine=prof.name,
-            n_requests=trace.n_requests,
-            n_reads=n_reads,
-            n_writes=n_writes,
-            runtime_ns=runtime,
-            avg_read_ns=read_sum / n_reads if n_reads else 0.0,
-            avg_write_ns=(runtime - read_sum) / n_writes if n_writes else 0.0,
-            latency_percentiles_ns={},
-            repeats=self.repeats,
-            runtime_std_ns=float(runtimes.std()),
+        return measure_repeats(
+            self, trace, self.profile.name, base,
+            f"{trace.name}/mt-exec{self._executions}",
         )

@@ -126,8 +126,8 @@ class YCSBClient:
         Concurrent client threads (closed loop each).  Requests overlap,
         so wall-clock runtime is the summed service time divided by the
         concurrency, while bandwidth sharing inflates each request's
-        memory term by ``1 + contention * (concurrency - 1)``.  The paper
-        notes that "server thread parallelism ... [is] incorporated into
+        memory term by :attr:`pass_scale`.  The paper notes that
+        "server thread parallelism ... [is] incorporated into
         the average request response time" the Sensitivity Engine
         extracts — measuring baselines at the deployment's concurrency
         keeps the analytic model exact (see the concurrency ablation).
@@ -192,6 +192,13 @@ class YCSBClient:
     def seed(self) -> SeedLike:
         """The base seed for the noise streams (as passed to ``__init__``)."""
         return self._seed
+
+    @property
+    def pass_scale(self) -> float:
+        """``1 + contention * (concurrency - 1)``: the factor bandwidth
+        sharing puts on every request's memory passes (exactly 1 for a
+        single thread)."""
+        return 1 + self.contention * (self.concurrency - 1)
 
     # -- internals ---------------------------------------------------------------
 

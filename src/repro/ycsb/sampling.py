@@ -51,6 +51,6 @@ def distribution_distance(a: Trace, b: Trace) -> float:
     key-request distributions over the same key space."""
     if a.n_keys != b.n_keys:
         raise ConfigurationError("traces cover different key spaces")
-    ca = np.cumsum(np.bincount(a.keys, minlength=a.n_keys) / a.n_requests)
-    cb = np.cumsum(np.bincount(b.keys, minlength=b.n_keys) / b.n_requests)
+    ca = np.cumsum(a.access_counts() / a.n_requests)
+    cb = np.cumsum(b.access_counts() / b.n_requests)
     return float(np.abs(ca - cb).max())

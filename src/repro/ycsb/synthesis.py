@@ -81,7 +81,7 @@ def _hot_set_knee(counts: np.ndarray) -> tuple[int, float, float]:
 
 def _classify(trace: Trace) -> DistributionSpec:
     """Pick the distribution family that best matches the trace."""
-    counts = np.bincount(trace.keys, minlength=trace.n_keys)
+    counts = trace.access_counts()
     n = trace.n_keys
 
     # temporal drift: latest-style workloads walk through the key space

@@ -185,12 +185,21 @@ class Trace:
         """
         return self._per_key_counts
 
+    def access_counts(self) -> np.ndarray:
+        """Requests per key id (reads + writes), a fresh array.
+
+        Built from the cached :meth:`per_key_counts` on every call
+        rather than cached itself, so a memoized trace pins no third
+        key-long array.
+        """
+        reads, writes = self._per_key_counts
+        return reads + writes
+
     @cached_property
     def hot_order(self) -> tuple[np.ndarray, np.ndarray]:
         """(keys by access count, descending, ties by ascending id; their
         cumulative payload bytes) — computed once, read-only."""
-        reads, writes = self._per_key_counts
-        order = np.argsort(-(reads + writes), kind="stable")
+        order = np.argsort(-self.access_counts(), kind="stable")
         cum_bytes = np.cumsum(self.record_sizes[order])
         order.flags.writeable = False
         cum_bytes.flags.writeable = False

@@ -58,7 +58,7 @@ class TestDriftScore:
 
     def test_validation(self, small_trace):
         with pytest.raises(ConfigurationError):
-            drift_score(small_trace, top_fraction=0.0)
+            drift_score(small_trace, n_windows=1)
 
 
 class TestRegret:

@@ -5,12 +5,47 @@ import pytest
 
 from repro.errors import ConfigurationError, EstimateError, WorkloadError
 from repro.kvstore.profiles import REDIS_PROFILE
+from repro.memsim.timing import AccessTimer
+from repro.rng import derive_seed
 from repro.multitier import (
     MultiTierAdvisor,
     MultiTierClient,
     TieredMemorySystem,
     TierSpec,
 )
+
+
+def access_timer_execute(client, trace, assignment, n):
+    """Oracle: ``MultiTierClient.execute`` as a per-repeat
+    ``AccessTimer`` loop over request-long operands, as it was written
+    before it gathered the shared service-time tables (its *n*-th call)."""
+    prof = client.profile
+    req_tier = assignment[trace.keys]
+    sizes = trace.record_sizes[trace.keys] + prof.metadata_bytes
+    latency = client.system.latency_array()[req_tier]
+    bpns = client.system.bandwidth_array()[req_tier]
+    passes = np.where(trace.is_read, prof.read_passes, prof.write_passes)
+    cpu = np.where(trace.is_read, prof.read_cpu_ns, prof.write_cpu_ns)
+    n_reads = int(trace.is_read.sum())
+    n_writes = trace.n_requests - n_reads
+    runtimes = np.empty(client.repeats)
+    read_sums = np.empty(client.repeats)
+    for r in range(client.repeats):
+        timer = AccessTimer(
+            noise=client.noise,
+            seed=derive_seed(client.seed, f"{trace.name}/mt-exec{n}/run{r}"),
+        )
+        times = timer.request_times_ns(sizes, latency, bpns, passes, cpu)
+        runtimes[r] = times.sum()
+        read_sums[r] = times[trace.is_read].sum()
+    runtime = float(runtimes.mean())
+    read_sum = float(read_sums.mean())
+    return dict(
+        runtime_ns=runtime,
+        avg_read_ns=read_sum / n_reads if n_reads else 0.0,
+        avg_write_ns=(runtime - read_sum) / n_writes if n_writes else 0.0,
+        runtime_std_ns=float(runtimes.std()),
+    )
 
 
 @pytest.fixture
@@ -106,26 +141,49 @@ class TestMultiTierClient:
                 small_trace, np.full(small_trace.n_keys, 9, dtype=np.int64)
             )
 
-    def test_matches_two_tier_client(self, small_trace):
+    def test_matches_two_tier_client(self, small_trace, mixed_trace):
         """The degenerate 2-tier system reproduces the paper pipeline's
-        numbers exactly (same formula, same noise model off)."""
+        numbers exactly (same table, same noise model off)."""
         from repro.kvstore import HybridDeployment, RedisLike
         from repro.memsim import HybridMemorySystem
         from repro.ycsb import YCSBClient
 
         two = TieredMemorySystem.paper_two_tier()
-        mt_client = MultiTierClient(two, REDIS_PROFILE, repeats=1,
-                                    noise_sigma=0.0)
-        mt = mt_client.execute(
-            small_trace, np.ones(small_trace.n_keys, dtype=np.int64)
-        )
-        dep = HybridDeployment.all_slow(
-            RedisLike, HybridMemorySystem.testbed(), small_trace.record_sizes
-        )
-        classic = YCSBClient(repeats=1, noise_sigma=0.0).execute(
-            small_trace, dep
-        )
-        assert mt.runtime_ns == pytest.approx(classic.runtime_ns, rel=1e-12)
+        rng = np.random.default_rng(3)
+        for trace in (small_trace, mixed_trace):
+            fast = rng.random(trace.n_keys) < 0.3
+            mt_client = MultiTierClient(two, REDIS_PROFILE, repeats=2,
+                                        noise_sigma=0.0)
+            mt = mt_client.execute(trace, np.where(fast, 0, 1))
+            dep = HybridDeployment(
+                RedisLike, HybridMemorySystem.testbed(), trace.record_sizes,
+                fast_keys=np.flatnonzero(fast),
+            )
+            classic = YCSBClient(repeats=2, noise_sigma=0.0,
+                                 percentiles=()).execute(trace, dep)
+            assert mt == classic
+
+    @pytest.mark.parametrize("engine", ["redis", "memcached", "dynamodb"])
+    @pytest.mark.parametrize("tiers", ["dram_nvm_far", "paper_two_tier"])
+    def test_noisy_run_matches_the_access_timer_loop(self, mixed_trace,
+                                                     engine, tiers):
+        from repro.kvstore.profiles import profile_for
+
+        system = getattr(TieredMemorySystem, tiers)()
+        client = MultiTierClient(system, profile_for(engine), repeats=3,
+                                 noise_sigma=0.01, seed=11)
+        rng = np.random.default_rng(5)
+        for n in (1, 2):
+            assignment = rng.integers(0, len(system), mixed_trace.n_keys)
+            got = client.execute(mixed_trace, assignment)
+            want = access_timer_execute(client, mixed_trace, assignment, n)
+            assert got.runtime_ns == want["runtime_ns"]
+            assert got.avg_read_ns == want["avg_read_ns"]
+            assert got.runtime_std_ns == want["runtime_std_ns"]
+            # the mean of differences, not the difference of means
+            assert abs(got.avg_write_ns - want["avg_write_ns"]) <= (
+                4 * np.spacing(want["avg_write_ns"])
+            )
 
 
 class TestWaterfall:

@@ -256,6 +256,14 @@ class TestUsageErrors:
             "--downsample",
         )
 
+    @pytest.mark.parametrize("grid", ["-3", "0"])
+    def test_nonpositive_multitier_grid(self, capsys, grid):
+        self.assert_clean_usage_error(
+            capsys,
+            ["multitier", "--workload", "trending", "--grid", grid],
+            f"--grid must be >= 1, got {grid}",
+        )
+
     def test_unknown_fault_names_offending_token(self, capsys):
         self.assert_clean_usage_error(
             capsys,
