@@ -95,12 +95,12 @@ bench-perf:
 # the A/B behind a perf claim: PAIRS alternating runs of workload W at
 # PARENT (git archive, temp dir) and in this tree; prints medians,
 # quartiles, wins and the verdict per end-to-end metric, e.g.
-# `make bench-ab PARENT=HEAD~1 W=profile_cold`
+# `make bench-ab PARENT=HEAD~1 W=profile_cold [LAYERS=1]`
 PAIRS ?= 10
 SECONDS ?= 20
 bench-ab:
 	$(PYTHON) tools/ab_bench.py --parent $(PARENT) --workload $(W) \
-		--pairs $(PAIRS) --seconds $(SECONDS)
+		--pairs $(PAIRS) --seconds $(SECONDS) $(if $(LAYERS),--layers)
 
 # the harness's own tests (~4 s): contract line, layer table, probes
 bench-perf-selftest:

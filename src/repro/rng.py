@@ -55,13 +55,19 @@ def derive_seed(seed: SeedLike, label: str) -> int:
 
     Used where a component needs a plain ``int`` seed (e.g. to store in a
     config dataclass) rather than a generator.  The derivation hashes the
-    label into the seed material so different labels give different streams.
+    label into the seed material so different labels give different streams
+    (one uint32 array of the words ``SeedSequence([base, *bytes])`` builds).
     """
     if isinstance(seed, np.random.Generator):
         base = int(seed.integers(0, 2**31 - 1))
     else:
         base = DEFAULT_SEED if seed is None else int(seed)
-    mix = np.random.SeedSequence([base, *label.encode("utf-8")])
+    if base < 0:
+        raise ValueError("expected non-negative integer")
+    head = base.to_bytes(4 * max(1, -(-base.bit_length() // 32)), "little")
+    mix = np.random.SeedSequence(np.concatenate((
+        np.frombuffer(head, "<u4"), np.frombuffer(label.encode(), np.uint8),
+    ), dtype=np.uint32))
     return int(mix.generate_state(1, dtype=np.uint32)[0])
 
 

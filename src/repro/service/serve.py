@@ -49,6 +49,7 @@ import sys
 import threading
 import time
 import traceback
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -94,6 +95,9 @@ RELOADABLE_FIELDS = (
 
 #: Longest a journal append queues behind another one (seconds).
 JOURNAL_QUEUE_S = 0.002
+
+#: Parameter sets whose last good reply is kept for degraded service (LRU).
+LAST_GOOD_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -221,6 +225,7 @@ class _ControlHandler(socketserver.StreamRequestHandler):
         self._respond(service._control(request))
 
     def _respond(self, response: dict) -> None:
+        self.server.replying()
         try:
             self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
         except (OSError, ValueError):  # client already gone
@@ -247,7 +252,8 @@ class _ControlServer:
         self.service = service
         self._keep = service.config.workers + service.config.queue_depth
         self._lock = threading.Lock()
-        self._waiting = 0  # threads in accept()
+        self._waiting = 0  # threads in accept(), or replying on the way back
+        self._replying: set[int] = set()
         self._closed = False
         self.live = 0  # I/O threads alive now
         self.started = 0  # ... and ever started
@@ -269,6 +275,14 @@ class _ControlServer:
             daemon=True,
         ).start()
 
+    def replying(self) -> None:
+        """Count the calling thread as waiting before its reply is written:
+        the client's next connection can beat it back to ``accept()``."""
+        with self._lock:
+            if threading.get_ident() not in self._replying:
+                self._replying.add(threading.get_ident())
+                self._waiting += 1
+
     def _io_loop(self) -> None:
         while True:
             try:
@@ -284,6 +298,9 @@ class _ControlServer:
             if conn is not None:
                 self._serve(conn)
             with self._lock:
+                if threading.get_ident() in self._replying:
+                    self._replying.remove(threading.get_ident())
+                    self._waiting -= 1
                 if self._closed or self._waiting > self._keep:
                     self.live -= 1
                     telemetry.gauge("serve.io_threads", float(self.live))
@@ -380,7 +397,8 @@ class GuardService:
             workers=config.workers, queue_depth=config.queue_depth,
         )
         self._auth = AuthRegistry()
-        self._last_good: dict = {}
+        self._last_good: OrderedDict = OrderedDict()
+        self._last_good_lock = threading.Lock()
         self._requests_served = 0
 
     # -- the advisor -----------------------------------------------------------
@@ -660,7 +678,11 @@ class GuardService:
             "ok": True, "op": op, "generation": generation,
             "stale": False, **body,
         }
-        self._last_good[key] = (time.time(), response)
+        with self._last_good_lock:
+            self._last_good[key] = (time.time(), response)
+            self._last_good.move_to_end(key)
+            if len(self._last_good) > LAST_GOOD_ENTRIES:
+                self._last_good.popitem(last=False)
         return response
 
     def _degrade(self, op: str, key: str, exc: ReproError) -> dict:

@@ -21,9 +21,13 @@ space ``0 .. n_keys-1``:
   the first 10 %).
 - ``uniform`` and ``sequential`` for completeness.
 
-Sampling is fully vectorized: popularity weights are materialised once
-per (distribution, n_keys) and requests are drawn with inverse-CDF
-searchsorted in a single pass, the CDF steps probing the sorted draws.
+Sampling sorts nothing and memoizes nothing.  ``searchsorted(cdf, u,
+"right")`` comes from ``m`` buckets of [0, 1), ``m`` the power of two at
+or above ``2·n``, so ``b = floor(u·m)`` and comparisons on ``u·m`` and
+``cdf·m`` are exact; ``first[b] = #(cdf <= b/m)`` is a ``bincount`` of
+``ceil(cdf·m)`` and its ``cumsum``.  A bucket with at most one step
+answers ``first[b] + (cdf[first[b]] <= u)``; a draw in a bucket of two
+or more (zero-mass runs, keys lighter than ``1/m``) bisects them.
 """
 
 from __future__ import annotations
@@ -156,17 +160,28 @@ def key_probabilities(spec: DistributionSpec, n_keys: int) -> np.ndarray:
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Index of the CDF step each uniform draw in *u* falls on (int64).
 
-    The steps are bisected into the sorted draws, not the draws into
-    the steps: consecutive step ends count the draws on each step — the
-    same comparisons and integers as ``searchsorted(cdf, u, "right")``.
-    The last step is pinned to 1.0 (in place) so rounding in the
-    cumulative sum can never push a draw past the end.
+    The last step is pinned to 1.0 (rounding in the cumulative sum can
+    never push a draw past the end) and *u* scaled by ``m``, in place.
     """
     cdf[-1] = 1.0
-    order = np.argsort(u)
-    ends = np.searchsorted(u[order], cdf, side="left")
-    out = np.empty(u.size, dtype=np.int64)
-    out[order] = np.repeat(np.arange(cdf.size), np.diff(ends, prepend=0))
+    m = 1 << (2 * cdf.size - 1).bit_length()
+    edges = cdf * m
+    # steps[c] = #(ceil(cdf·m) == c); a sum an ulp above 1.0 lands past m
+    steps = np.bincount(np.ceil(edges).astype(np.intp), minlength=m + 1)
+    crowded = steps[1:] > 1
+    first = np.cumsum(steps, out=steps)
+    u *= m
+    out = u.astype(np.intp)
+    slow = np.flatnonzero(crowded.take(out))
+    lo, hi = first.take(out[slow]), first.take(out[slow] + 1)
+    np.take(first, out, out=out)
+    out += edges.take(out) <= u
+    crowded_u = u[slow]
+    while (lo < hi).any():  # bisect each crowded bucket's own steps
+        mid = (lo + hi) >> 1
+        below = edges.take(mid) <= crowded_u
+        lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
+    out[slow] = lo
     return out
 
 

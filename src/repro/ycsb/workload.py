@@ -167,14 +167,14 @@ class Trace:
 
     @cached_property
     def _per_key_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        # one bincount: key k's writes in slot 2k, its reads in 2k + 1.
         # cached_property writes straight into __dict__, bypassing the
         # frozen-dataclass setattr guard; arrays are returned read-only
         # so the shared cache can never be mutated through a caller
-        n = self.n_keys
-        reads = np.bincount(self.keys[self.is_read], minlength=n)
-        writes = np.bincount(self.keys[~self.is_read], minlength=n)
-        reads.flags.writeable = False
-        writes.flags.writeable = False
+        table = np.bincount(self.keys * 2 + self.is_read,
+                            minlength=2 * self.n_keys).reshape(-1, 2).T.copy()
+        table.flags.writeable = False
+        writes, reads = table
         return reads, writes
 
     def per_key_counts(self) -> tuple[np.ndarray, np.ndarray]:

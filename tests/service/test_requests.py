@@ -733,6 +733,32 @@ class TestGracefulDegradation:
         finally:
             service._plane.close()
 
+    def test_last_good_keeps_a_bounded_number_of_parameter_sets(
+        self, tmp_path,
+    ):
+        from repro.service.serve import LAST_GOOD_ENTRIES
+
+        service = GuardService(_config(tmp_path), tick_fn=lambda: 0)
+        try:
+            service.advisor.size = lambda **kwargs: {"slo": kwargs["slo"]}
+            slos = [0.01 + i * 1e-6 for i in range(10_000)]
+            for slo in slos:
+                assert service._control({"op": "size", "slo": slo})["ok"]
+                assert len(service._last_good) <= LAST_GOOD_ENTRIES
+            assert len(service._last_good) == LAST_GOOD_ENTRIES
+
+            def broken(**kwargs):
+                raise StoreError("store on fire")
+
+            service.advisor.size = broken
+            # the newest answers are still there, the oldest went first
+            newest = service._control({"op": "size", "slo": slos[-1]})
+            assert newest["stale"] is True and newest["slo"] == slos[-1]
+            oldest = service._control({"op": "size", "slo": slos[0]})
+            assert oldest["error"] == "advisor_error"
+        finally:
+            service._plane.close()
+
     def test_advisor_error_without_memo_is_structured(self, tmp_path):
         service = GuardService(_config(tmp_path), tick_fn=lambda: 0)
         try:

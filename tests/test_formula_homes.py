@@ -7,6 +7,7 @@ function instead of deriving the formula again.
 """
 
 import ast
+import functools
 import io
 import re
 import tokenize
@@ -96,14 +97,21 @@ def enclosing(tree: ast.Module, lineno: int) -> str | None:
     return name
 
 
+@functools.cache
+def package_sources() -> tuple[tuple[str, str, ast.Module], ...]:
+    """``(module, code_only(source), tree)`` per file, parsed once a run."""
+    out = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        module = path.relative_to(PACKAGE).as_posix()
+        out.append((module, code_only(source), ast.parse(source)))
+    return tuple(out)
+
+
 def occurrences(rule: str):
     """``(module, qualname, line)`` of every spelling of *rule*."""
     pattern = re.compile(RULES[rule][0])
-    for path in sorted(PACKAGE.rglob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        code = code_only(source)
-        tree = ast.parse(source)
-        module = path.relative_to(PACKAGE).as_posix()
+    for module, code, tree in package_sources():
         for match in pattern.finditer(code):
             line = code.count("\n", 0, match.start()) + 1
             yield module, enclosing(tree, line), line

@@ -131,6 +131,82 @@ class TestAbBench:
         assert ("FAILED pair 2 change" in out) == bool(status)
 
 
+    LAYERS = [
+        {"name": "ycsb.generate_trace_ms", "unit": "ms", "better": "lower"},
+        {"name": "core.pattern.analyze_ms", "unit": "ms", "better": "lower"},
+        {"name": "memsim.kernel.baselines_ms", "unit": "ms",
+         "better": "lower"},
+        {"name": "memsim.cache.process_ms", "unit": "ms", "better": "lower"},
+        {"name": "store.open_ms", "unit": "ms", "better": "lower"},
+    ]
+
+    @staticmethod
+    def traced(**values):
+        return {"correct": True, "failed": 0, "metrics": {
+            name: {"value": v, "unit": "ms"} for name, v in values.items()
+        }}
+
+    def test_layers_show_only_what_moved(self):
+        text = ab_bench.render_layers(
+            self.traced(**{
+                "ycsb.generate_trace_ms": 6.0,
+                "core.pattern.analyze_ms": 2.0,
+                "memsim.kernel.baselines_ms": 12.0,
+                "memsim.cache.process_ms": 0.0,
+                "store.open_ms": 1.0,
+            }),
+            self.traced(**{
+                "ycsb.generate_trace_ms": 3.0,      # moved: -50 %
+                "core.pattern.analyze_ms": 2.2,     # moved: +10 %
+                "memsim.kernel.baselines_ms": 12.5,  # within 5 %
+                "memsim.cache.process_ms": 0.5,     # from zero
+            }),                                     # store.open_ms: absent
+            self.LAYERS,
+        )
+        lines = text.splitlines()
+        assert lines[0].startswith("layer")
+        rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+        assert rows == {
+            "ycsb.generate_trace_ms": ["6", "3", "-50.0%", "ms"],
+            "core.pattern.analyze_ms": ["2", "2.2", "+10.0%", "ms"],
+            "memsim.cache.process_ms": ["0", "0.5", "new", "ms"],
+        }
+
+    def test_layers_say_so_when_nothing_moved(self):
+        same = self.traced(**{"ycsb.generate_trace_ms": 6.0})
+        text = ab_bench.render_layers(same, same, self.LAYERS)
+        assert text.splitlines()[1] == \
+            "no per-layer metric moved by more than 5%"
+
+    def test_layers_flag_adds_one_traced_run_per_side(
+        self, monkeypatch, capsys,
+    ):
+        calls = []
+
+        def runner(roots, workload, seconds, trace=0):
+            def run(side, seed):
+                calls.append((side, seed, trace))
+                if trace:
+                    ms = 3.0 if side == "change" else 6.0
+                    return self.traced(**{"ycsb.generate_trace_ms": ms})
+                return self.result(20.0 if side == "change" else 30.0)
+            return run
+
+        monkeypatch.setattr(ab_bench, "unpack", lambda rev, dest: None)
+        monkeypatch.setattr(ab_bench, "harness_runner", runner)
+        rc = ab_bench.main([
+            "--parent", "HEAD", "--workload", "profile_cold",
+            "--pairs", "2", "--seconds", "3", "--layers",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert [c for c in calls if c[2]] == [
+            ("parent", 1, 1), ("change", 1, 1),
+        ]
+        assert out.index("2/2   better") < out.index("layer (one traced")
+        assert "ycsb.generate_trace_ms" in out and "-50.0%" in out
+
+
 class TestBenchSummary:
     """`benchmarks/common.write_summary`: smoke runs leave BENCH_*.json alone."""
 

@@ -2,6 +2,7 @@
 """A/B one benchmark workload between a parent revision and this tree.
 
     python tools/ab_bench.py --parent REV --workload W [--pairs 10] [--seconds 20]
+                             [--layers]
 
 ``git archive`` unpacks REV into a temporary directory; each pair then
 runs ``benchmarks/perf/run.py --workload W --seed i --seconds S
@@ -13,9 +14,14 @@ verdict: a gain (or loss) counts only when one side wins at least nine
 tenths of the pairs — ties count for neither — and the medians differ
 by more than the distance between the parent's quartiles.
 
+``--layers`` adds the other view: after the pairs, one ``--trace 1``
+run per side (seed 1), and under the verdict table every per-layer
+metric of ``BENCHMARK.json`` that moved by more than ``MOVED`` between
+them, parent -> change.  One run a side is a breakdown, not a verdict.
+
 This only *calls* the harness.  Exit status: 1 when any run reported
-``correct: false``, a failed op or a non-zero exit; 0 otherwise,
-whatever the verdicts.
+``correct: false``, a failed op or a non-zero exit (the traced runs
+count as one more pair); 0 otherwise, whatever the verdicts.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 WIN_SHARE = 0.9
+#: Relative change past which a per-layer metric counts as moved.
+MOVED = 0.05
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -111,6 +119,24 @@ def render(results: list[dict[str, dict]], end_to_end: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def render_layers(parent: dict, change: dict, per_layer: list[dict]) -> str:
+    """Per-layer metrics that moved between one traced run per side."""
+    lines = [f"{'layer (one traced run a side)':<36} {'parent':>11} "
+             f"{'change':>11} {'moved':>8}"]
+    for metric in per_layer:
+        name = metric["name"]
+        p, c = (side.get("metrics", {}).get(name, {}).get("value")
+                for side in (parent, change))
+        if p is None or c is None or abs(c - p) <= MOVED * abs(p):
+            continue
+        moved = f"{(c - p) / abs(p):+.1%}" if p else "new"
+        lines.append(f"{name:<36} {p:>11.4g} {c:>11.4g} {moved:>8} "
+                     f"{metric['unit']}")
+    if len(lines) == 1:
+        lines.append(f"no per-layer metric moved by more than {MOVED:.0%}")
+    return "\n".join(lines)
+
+
 def unpack(rev: str, dest: Path) -> None:
     """``git archive`` *rev* of this repository into *dest*."""
     archive = dest.with_suffix(".tar")
@@ -122,13 +148,14 @@ def unpack(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def harness_runner(roots: dict[str, Path], workload: str, seconds: float):
-    """``run(side, seed)``: one untraced harness run, its last stdout line."""
+def harness_runner(roots: dict[str, Path], workload: str, seconds: float,
+                   trace: int = 0):
+    """``run(side, seed)``: one harness run, its last stdout line."""
     def run(side: str, seed: int) -> dict:
         proc = subprocess.run(
             ["python3", str(roots[side] / "benchmarks/perf/run.py"),
              "--workload", workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", "0"],
+             "--seconds", str(seconds), "--trace", str(trace)],
             cwd=roots[side], capture_output=True, text=True,
         )
         lines = proc.stdout.strip().splitlines()
@@ -152,19 +179,29 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--layers", action="store_true",
+                        help="add one traced run per side and its layer moves")
     args = parser.parse_args(argv)
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    traced = {}
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
         parent = Path(tmp) / "parent"
         unpack(args.parent, parent)
-        run = harness_runner(
-            {"parent": parent, "change": ROOT}, args.workload, args.seconds
-        )
+        roots = {"parent": parent, "change": ROOT}
+        run = harness_runner(roots, args.workload, args.seconds)
         results = run_pairs(run, args.pairs)
+        if args.layers:
+            run = harness_runner(roots, args.workload, args.seconds, trace=1)
+            traced = {side: run(side, 1) for side in SIDES}
     print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
           f"parent = {args.parent}")
-    print(render(results, end_to_end))
-    bad = failed_runs(results)
+    print(render(results, contract["end_to_end"]))
+    if traced:
+        print()
+        print(render_layers(
+            traced["parent"], traced["change"], contract["per_layer"],
+        ))
+    bad = failed_runs(results + [traced] if traced else results)
     for line in bad:
         print(f"FAILED {line}")
     return 1 if bad else 0
