@@ -11,8 +11,11 @@ the best two-tier sizing outright.
 
 import numpy as np
 
+from repro.cost.model import DEFAULT_PRICE_FACTOR, FAR_PRICE_FACTOR
 from repro.kvstore.profiles import REDIS_PROFILE
-from repro.multitier import MultiTierAdvisor, TieredMemorySystem
+from repro.memsim.system import HybridMemorySystem
+from repro.multitier import MultiTierAdvisor
+from repro.ycsb.client import YCSBClient
 
 from common import emit, pct, table
 
@@ -21,8 +24,9 @@ def run(paper_traces):
     trace = paper_traces["timeline"]
     total = int(trace.record_sizes.sum())
     advisor = MultiTierAdvisor(
-        TieredMemorySystem.dram_nvm_far(), REDIS_PROFILE,
-        repeats=3, noise_sigma=0.01, seed=31,
+        HybridMemorySystem.dram_nvm_far(), REDIS_PROFILE,
+        (1.0, DEFAULT_PRICE_FACTOR, FAR_PRICE_FACTOR),
+        YCSBClient(repeats=3, noise_sigma=0.01, seed=31),
     )
     baselines = advisor.measure(trace)
 
@@ -37,8 +41,9 @@ def run(paper_traces):
 
     # the two-tier equivalent at the same SLO
     two_tier = MultiTierAdvisor(
-        TieredMemorySystem.paper_two_tier(), REDIS_PROFILE,
-        repeats=3, noise_sigma=0.01, seed=32,
+        HybridMemorySystem.testbed(), REDIS_PROFILE,
+        (1.0, DEFAULT_PRICE_FACTOR),
+        YCSBClient(repeats=3, noise_sigma=0.01, seed=32),
     )
     two_baselines = two_tier.measure(trace)
     two_grid = [[max(1, int(f * total)), None] for f in

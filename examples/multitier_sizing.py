@@ -11,8 +11,10 @@ Run:  python examples/multitier_sizing.py
 
 import numpy as np
 
+from repro.cost.model import DEFAULT_PRICE_FACTOR, FAR_PRICE_FACTOR
 from repro.kvstore.profiles import REDIS_PROFILE
-from repro.multitier import MultiTierAdvisor, TieredMemorySystem
+from repro.memsim.system import HybridMemorySystem
+from repro.multitier import MultiTierAdvisor
 from repro.ycsb import generate_trace, workload_by_name
 
 
@@ -20,17 +22,19 @@ def main() -> None:
     trace = generate_trace(workload_by_name("timeline"))
     total = int(trace.record_sizes.sum())
 
-    system = TieredMemorySystem.dram_nvm_far()
+    system = HybridMemorySystem.dram_nvm_far()
+    prices = (1.0, DEFAULT_PRICE_FACTOR, FAR_PRICE_FACTOR)
     print("tiers:", ", ".join(
-        f"{t.name} ({t.latency_ns:.0f} ns, {t.bandwidth_gbps:g} GB/s, "
-        f"price {t.price_factor:.0%})" for t in system.tiers
+        f"{node.name} ({node.latency_ns:.0f} ns, "
+        f"{node.bandwidth_gbps:g} GB/s, price {price:.0%})"
+        for node, price in zip(system.nodes, prices)
     ))
 
-    advisor = MultiTierAdvisor(system, REDIS_PROFILE)
+    advisor = MultiTierAdvisor(system, REDIS_PROFILE, prices)
     baselines = advisor.measure(trace)
     print("\nper-tier baselines (all data in one tier):")
-    for tier, run in zip(system.tiers, baselines.runs):
-        print(f"  {tier.name:<5}: {run.throughput_ops_s:>8,.0f} ops/s")
+    for node, run in zip(system.nodes, baselines.runs):
+        print(f"  {node.name:<7}: {run.throughput_ops_s:>8,.0f} ops/s")
 
     fracs = np.linspace(0.01, 1.0, 20)
     grid = [
@@ -54,8 +58,8 @@ def main() -> None:
           f"(DRAM {d:.0%} / NVM {nv:.0%} / Far {far:.0%})")
 
     # two-tier comparison (the paper's setting)
-    two = MultiTierAdvisor(TieredMemorySystem.paper_two_tier(),
-                           REDIS_PROFILE)
+    two = MultiTierAdvisor(HybridMemorySystem.testbed(), REDIS_PROFILE,
+                           prices[:2])
     two_baselines = two.measure(trace)
     two_grid = [[max(1, int(f * total)), None]
                 for f in np.linspace(0.005, 1.0, 200)]

@@ -446,16 +446,18 @@ def _cmd_multitier(args) -> int:
     import numpy as np
 
     from repro.core.advice import builtin_trace
+    from repro.cost.model import DEFAULT_PRICE_FACTOR, FAR_PRICE_FACTOR
     from repro.kvstore.profiles import profile_for
+    from repro.memsim.system import HybridMemorySystem
     from repro.multitier.advisor import MultiTierAdvisor
-    from repro.multitier.system import TieredMemorySystem
 
     if args.grid < 1:
         raise UsageError(f"--grid must be >= 1, got {args.grid}")
     trace = builtin_trace(args.workload)
     total = int(trace.record_sizes.sum())
     advisor = MultiTierAdvisor(
-        TieredMemorySystem.dram_nvm_far(), profile_for("redis")
+        HybridMemorySystem.dram_nvm_far(), profile_for("redis"),
+        (1.0, DEFAULT_PRICE_FACTOR, FAR_PRICE_FACTOR),
     )
     baselines = advisor.measure(trace)
     fracs = np.linspace(0.01, 1.0, args.grid)

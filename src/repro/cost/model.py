@@ -9,6 +9,11 @@ a fraction
 of the FastMem-only cost (paper Section II).  ``R`` runs from ``p``
 (SlowMem-only, maximum savings) to 1 (FastMem-only, no savings).  The
 paper fixes ``p = 0.2`` from NVDIMM price projections.
+
+With N tiers, fastest first, each at a price factor relative to tier 0,
+the law is the capacity-weighted price (:func:`tier_cost_factor`).  R
+is its two-tier case up to rounding: R weights before it divides, the
+N-tier law divides first.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from repro.errors import ConfigurationError
 
 #: The paper's price factor: SlowMem at 0.2x the per-byte FastMem cost.
 DEFAULT_PRICE_FACTOR = 0.2
+
+#: ``HybridMemorySystem.dram_nvm_far``'s far tier: 0.08x the FastMem cost.
+FAR_PRICE_FACTOR = 0.08
 
 
 def _validate_p(p: float) -> None:
@@ -54,6 +62,37 @@ def cost_reduction_factor(
         raise ConfigurationError("need 0 <= fast_bytes <= total_bytes")
     r = (fast + (total - fast) * p) / total
     return float(r) if r.ndim == 0 else r
+
+
+def check_tier_prices(prices) -> np.ndarray:
+    """Per-tier price factors, fastest first, as a float array.
+
+    Tier 0 is the price reference (1.0); the others lie in (0, 1] and
+    do not increase down the tiers.
+    """
+    prices = np.asarray(prices, dtype=np.float64)
+    if not (prices.ndim == 1 and prices.size >= 2 and prices[0] == 1.0
+            and prices[-1] > 0 and (np.diff(prices) <= 0).all()):
+        raise ConfigurationError(
+            "need one price factor per tier, fastest first: 1.0 for tier "
+            f"0, then non-increasing within (0, 1]; got {prices}"
+        )
+    return prices
+
+
+def tier_cost_factor(bytes_per_tier, prices) -> float:
+    """Capacity-weighted cost of *bytes_per_tier* relative to all-tier-0,
+    tier *k* at ``prices[k]`` (:func:`check_tier_prices`) per byte."""
+    prices = check_tier_prices(prices)
+    bytes_per_tier = np.asarray(bytes_per_tier, dtype=np.float64)
+    if bytes_per_tier.shape != prices.shape:
+        raise ConfigurationError(f"need one byte count per tier ({prices.size})")
+    total = bytes_per_tier.sum()
+    if total <= 0:
+        raise ConfigurationError("placement holds no bytes")
+    # Normalize before weighting: multiplying a subnormal byte count by a
+    # sub-unit price underflows to zero and drags the mean below min(price).
+    return float(((bytes_per_tier / total) * prices).sum())
 
 
 def capacity_for_cost(

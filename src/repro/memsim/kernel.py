@@ -1,8 +1,8 @@
 """Multi-placement batch simulation kernel.
 
 Every sweep, validation replay and drift drill evaluates the *same trace*
-against many FastMem:SlowMem placements, and a placement is fully
-described by a boolean mask over the key space — no
+against many placements, and a placement is fully described by one
+array over the key space (:func:`check_placement`) — no
 :class:`~repro.kvstore.server.HybridDeployment` (which loads every record
 into both engine instances) is needed to measure one.
 
@@ -12,7 +12,7 @@ as a ``(2, n_keys)`` service-time table per memory node (row 0 writes,
 row 1 reads); the request index into the tables, the LLC hit mask and
 the trace digest are placement-independent too.  Each placement then
 costs a key-long select between the tables, one gather into request
-order, a fingerprint over the placement mask, and one row-at-a-time
+order, a fingerprint over the placement, and one row-at-a-time
 timing pass over a reusable buffer (:func:`measure_repeats`).
 ``YCSBClient.execute`` is the one-mask case of the same call.
 
@@ -43,6 +43,53 @@ from repro import telemetry
 from repro.errors import WorkloadError
 from repro.memsim.timing import service_tables, service_times_ns
 from repro.rng import derive_seed, ensure_rng
+
+
+#: The dtype of an integer placement: one tier index per key.
+TIER_DTYPE = np.uint8
+
+
+def check_placement(placement, n_keys: int, n_tiers: int) -> np.ndarray:
+    """*placement* in its canonical form, or a ``WorkloadError``.
+
+    A placement is a bool FastMem mask or one :data:`TIER_DTYPE` tier
+    per key (0 = FastMem), of shape ``(n_keys,)``.  Its canonical form,
+    which the fingerprint hashes, is the mask on two tiers (``tier ==
+    0``) and tiers on more (a mask's other keys on SlowMem): one
+    placement, one fingerprint, however it is spelled.
+    """
+    p = np.asarray(placement)
+    if p.shape == (n_keys,) and p.dtype == np.bool_:
+        return p if n_tiers == 2 else (~p).view(TIER_DTYPE)
+    if p.shape == (n_keys,) and p.dtype == TIER_DTYPE and (
+        p.size == 0 or p.max() < n_tiers
+    ):
+        return p == 0 if n_tiers == 2 else p
+    raise WorkloadError(
+        f"placement must be a bool mask or {np.dtype(TIER_DTYPE)} tiers in "
+        f"[0, {n_tiers}) of shape ({n_keys},), got {p.dtype} {p.shape}"
+    )
+
+
+def placement_fingerprint(
+    trace_digest: str, profile, placement, n_keys: int, system, client,
+) -> str:
+    """The experiment fingerprint of one placement of an *n_keys* trace:
+    its canonical form (:func:`check_placement`), hashed."""
+    from repro.runner.fingerprint import experiment_fingerprint_parts
+
+    placement = check_placement(placement, n_keys, len(system.nodes))
+    return experiment_fingerprint_parts(
+        trace_digest, profile, placement, system, client,
+    )
+
+
+def _by_tier(masks, per_tier):
+    """``per_tier[k]`` where ``masks[k]`` holds, else the slowest tier's."""
+    out = per_tier[-1]
+    for mask, value in zip(masks[::-1], per_tier[-2::-1]):
+        out = np.where(mask, value, out)
+    return out
 
 
 def _usable_cpus() -> int:
@@ -198,7 +245,7 @@ class BatchKernel:
     system:
         The :class:`~repro.memsim.system.HybridMemorySystem` hosting
         every placement (placements share node parameters; only the
-        mask varies).
+        placement varies).
     record_sizes:
         Dense per-key sizes defining the key space (defaults to
         ``trace.record_sizes``, which is what every deployment built
@@ -226,8 +273,8 @@ class BatchKernel:
         self.record_sizes = record_sizes
         # the cost law over the key space, once: per node a (2, n_keys)
         # table (row 0 writes, row 1 reads) that req_index gathers from
-        nodes = (system.fast, system.slow)
-        self.fast_tab, self.slow_tab = service_tables(
+        nodes = system.nodes
+        self.tables = service_tables(
             profile, record_sizes, [n.latency_ns for n in nodes],
             [n.bytes_per_ns for n in nodes], client.pass_scale,
         )
@@ -264,61 +311,55 @@ class BatchKernel:
         cpu = np.where(is_read, profile.read_cpu_ns, profile.write_cpu_ns)
         return sizes, passes * self.client.pass_scale, cpu
 
-    def fingerprint(self, fast_mask: np.ndarray) -> str | None:
+    def fingerprint(self, placement: np.ndarray) -> str | None:
         """The experiment fingerprint of one placement (None if unseeded).
 
         Identical to ``client.experiment_fingerprint(trace, deployment)``
-        for a deployment carrying *fast_mask* — computed without building
+        for a deployment carrying *placement* — computed without building
         the deployment.
         """
         if self._live_seed:
             return None
-        from repro.runner.fingerprint import experiment_fingerprint_parts
-
-        return experiment_fingerprint_parts(
-            self.trace_digest, self.profile, self._check_mask(fast_mask),
-            self.system, self.client,
+        return placement_fingerprint(
+            self.trace_digest, self.profile, placement,
+            self.record_sizes.size, self.system, self.client,
         )
 
-    def _check_mask(self, fast_mask) -> np.ndarray:
-        mask = np.asarray(fast_mask)
-        if mask.dtype != np.bool_ or mask.shape != (self.record_sizes.size,):
-            raise WorkloadError(
-                f"placement mask must be bool of shape "
-                f"({self.record_sizes.size},), got {mask.dtype} {mask.shape}"
-            )
-        return mask
-
-    def base_times(self, fast_mask: np.ndarray, fingerprint: str | None = None):
+    def base_times(self, placement: np.ndarray, fingerprint: str | None = None):
         """The pre-noise half of :meth:`run`.
 
         Returns ``(label, base_ns, noise_scale)``: the label rooting the
         placement's noise streams, its noise-free per-request service
         times (faults applied) and the per-request sigma scale (or None).
         """
-        mask = self._check_mask(fast_mask)
+        n_tiers = len(self.tables)
+        placement = check_placement(placement, self.record_sizes.size, n_tiers)
         if self._live_seed:
             # live-generator clients are not fingerprintable; every
             # derive_seed call draws from the generator, so a static
             # label still yields fresh independent streams
             label = self.trace.name
         else:
-            label = fingerprint or self.fingerprint(mask)
+            label = fingerprint or self.fingerprint(placement)
+        # the keys each tier but the slowest holds
+        masks = ([placement] if n_tiers == 2
+                 else [placement == k for k in range(n_tiers - 1)])
         if not self._faulty:
-            table = np.where(mask, self.fast_tab, self.slow_tab)
+            table = _by_tier(masks, self.tables)
             base = table.ravel().take(self.req_index)
             if self._cached is not None:
                 base = np.where(self._cached, self._hit_row, base)
             return label, base, None
         # a fault timeline is indexed by time, not by key: the one
-        # request-length evaluation of the same law
-        fast, slow = self.system.fast, self.system.slow
-        on_fast = mask[self.trace.keys]
-        latency = np.where(on_fast, fast.latency_ns, slow.latency_ns)
-        bpns = np.where(on_fast, fast.bytes_per_ns, slow.bytes_per_ns)
+        # request-length evaluation of the same law; its slow-node
+        # multipliers apply to every tier below FastMem
+        masks = [mask[self.trace.keys] for mask in masks]
+        nodes = self.system.nodes
+        latency = _by_tier(masks, [n.latency_ns for n in nodes])
+        bpns = _by_tier(masks, [n.bytes_per_ns for n in nodes])
         sizes, passes, cpu = self._request_operands
         latency, bpns, cpu, noise_scale = self.client._fault_arrays(
-            label, on_fast, latency, bpns, cpu
+            label, masks[0], latency, bpns, cpu
         )
         base = service_times_ns(
             sizes, latency, bpns, passes, cpu,
@@ -326,24 +367,24 @@ class BatchKernel:
         )
         return label, base, noise_scale
 
-    def run(self, fast_mask: np.ndarray, fingerprint: str | None = None):
+    def run(self, placement: np.ndarray, fingerprint: str | None = None):
         """Measure one placement; returns a ``RunResult``.
 
         ``fingerprint`` may be passed when the caller already computed it
-        (e.g. for a cache probe) to avoid hashing the mask twice.
+        (e.g. for a cache probe) to avoid hashing the placement twice.
         """
         telemetry.count("memsim.path", path="batch_kernel")
-        label, base, noise_scale = self.base_times(fast_mask, fingerprint)
+        label, base, noise_scale = self.base_times(placement, fingerprint)
         return measure_repeats(
             self.client, self.trace, self.profile.name, base, label,
             noise_scale, self.read_idx,
         )
 
-    def run_all(self, fast_masks, fingerprints=None) -> list:
-        """Measure every placement in *fast_masks* (rows or a sequence).
+    def run_all(self, placements, fingerprints=None) -> list:
+        """Measure every placement in *placements* (rows or a sequence).
 
-        ``fingerprints``, if given, holds each mask's precomputed
-        fingerprint (see :meth:`run`).  Results come back in mask order.
+        ``fingerprints``, if given, holds each placement's precomputed
+        fingerprint (see :meth:`run`).  Results come back in input order.
 
         The placements are spread over ``min(len(masks), usable CPUs)``
         threads started for this call: each runs a contiguous share
@@ -356,7 +397,7 @@ class BatchKernel:
         exception of the lowest-index one is re-raised — the one the
         sequential loop would have raised.
         """
-        masks = list(fast_masks)
+        masks = list(placements)
         n = len(masks)
         fps = [None] * n if fingerprints is None else list(fingerprints)
         width = 1 if self._live_seed else min(n, _usable_cpus())

@@ -1,14 +1,16 @@
-"""The hybrid memory system: a FastMem/SlowMem node pair.
+"""The hybrid memory system: a FastMem/SlowMem node pair, and tiers below.
 
 Mirrors the paper's testbed (Section II): two memory nodes, a shared
 12 MB LLC, and ``numactl``-style binding of server processes to one node.
 SlowMem extends the flat address space; FastMem does not act as a cache
-for SlowMem (explicit assumption in the paper).
+for SlowMem (explicit assumption in the paper).  Further tiers (``far``:
+CXL-attached or borrowed remote memory) extend the same ordered list;
+the paper's pair is the two-tier case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
 from repro.memsim.cache import LLCModel
@@ -19,25 +21,30 @@ from repro.units import MB
 
 @dataclass
 class HybridMemorySystem:
-    """A two-node hybrid memory system with a shared LLC.
+    """An ordered list of memory tiers, fastest first, with a shared LLC.
 
     Use :meth:`testbed` for the paper's Table I configuration, or
     construct nodes directly for what-if studies (larger capacities,
-    different throttle factors, projected Optane parts, ...).
+    different throttle factors, projected Optane parts, ...).  ``far``
+    holds the tiers below SlowMem, fastest first (empty for the paper's
+    two-node system); :meth:`dram_nvm_far` is the three-tier preset.
     """
 
     fast: MemoryNode
     slow: MemoryNode
     llc: LLCModel = field(default_factory=lambda: LLCModel(capacity_bytes=12 * MB))
+    far: tuple[MemoryNode, ...] = ()
 
     def __post_init__(self) -> None:
         if self.fast.kind is not NodeKind.FAST:
             raise ConfigurationError("fast node must have kind NodeKind.FAST")
         if self.slow.kind is not NodeKind.SLOW:
             raise ConfigurationError("slow node must have kind NodeKind.SLOW")
-        if self.slow.latency_ns < self.fast.latency_ns:
+        latencies = [n.latency_ns for n in self.nodes]
+        if latencies != sorted(latencies):
             raise ConfigurationError(
-                "SlowMem latency is below FastMem latency; nodes are swapped?"
+                "node latencies must not decrease down the tiers "
+                f"(got {latencies}); nodes are swapped?"
             )
 
     # -- presets ---------------------------------------------------------------
@@ -70,6 +77,16 @@ class HybridMemorySystem:
         )
         return cls(fast=fast, slow=slow, llc=LLCModel(capacity_bytes=llc_bytes))
 
+    @classmethod
+    def dram_nvm_far(cls) -> "HybridMemorySystem":
+        """:meth:`testbed` plus a far tier (CXL-attached / borrowed remote
+        memory): 500 ns and 0.9 GB/s, about twice SlowMem's latency and
+        half its bandwidth."""
+        far = MemoryNode("Far", NodeKind.SLOW, latency_ns=500.0,
+                         bandwidth_gbps=0.9,
+                         capacity_bytes=TABLE_I_SLOW["capacity_bytes"])
+        return replace(cls.testbed(), far=(far,))
+
     def degraded(
         self,
         slow_latency_factor: float = 1.0,
@@ -83,7 +100,8 @@ class HybridMemorySystem:
         *transient* misbehaviour; this models a device that has settled
         into a worse operating point (worn NVM media, thermal
         throttling) — the scenario under which sizing decisions drift.
-        The LLC is shared hardware and carries over unchanged.
+        The LLC is shared hardware and carries over unchanged, as do
+        the ``far`` tiers.
         """
         return HybridMemorySystem(
             fast=self.fast.degraded(fast_latency_factor, fast_bandwidth_factor),
@@ -92,6 +110,7 @@ class HybridMemorySystem:
                 capacity_bytes=self.llc.capacity_bytes,
                 hit_latency_ns=self.llc.hit_latency_ns,
             ),
+            far=tuple(node.degraded() for node in self.far),
         )
 
     # -- numactl-style binding ---------------------------------------------------
@@ -111,35 +130,31 @@ class HybridMemorySystem:
         raise ConfigurationError(f"unknown memory node {node!r}")
 
     @property
-    def nodes(self) -> tuple[MemoryNode, MemoryNode]:
-        """Both nodes, fast first."""
-        return (self.fast, self.slow)
+    def nodes(self) -> tuple[MemoryNode, ...]:
+        """Every tier, fastest first: ``(fast, slow, *far)``."""
+        return (self.fast, self.slow, *self.far)
 
     @property
     def total_capacity_bytes(self) -> int:
-        """Combined capacity of both nodes (flat address space)."""
-        return self.fast.capacity_bytes + self.slow.capacity_bytes
+        """Combined capacity of every node (flat address space)."""
+        return sum(n.capacity_bytes for n in self.nodes)
 
     def reset(self) -> None:
         """Fresh deployment: drop occupancy and flush the LLC."""
-        self.fast.reset()
-        self.slow.reset()
+        for node in self.nodes:
+            node.reset()
         self.llc.reset()
 
     def describe(self) -> dict[str, dict[str, float]]:
-        """Table I-style summary: per-node latency, bandwidth and factors."""
-        bw_f, lat_f = self.slow.slowdown_factors(self.fast)
-        return {
-            "FastMem": {
-                "latency_ns": self.fast.latency_ns,
-                "bandwidth_gbps": self.fast.bandwidth_gbps,
-                "bandwidth_factor": 1.0,
-                "latency_factor": 1.0,
-            },
-            "SlowMem": {
-                "latency_ns": self.slow.latency_ns,
-                "bandwidth_gbps": self.slow.bandwidth_gbps,
+        """Table I-style summary: per-node latency, bandwidth and their
+        factors relative to FastMem, fastest first."""
+        out = {}
+        for node in self.nodes:
+            bw_f, lat_f = node.slowdown_factors(self.fast)
+            out[node.name] = {
+                "latency_ns": node.latency_ns,
+                "bandwidth_gbps": node.bandwidth_gbps,
                 "bandwidth_factor": bw_f,
                 "latency_factor": lat_f,
-            },
-        }
+            }
+        return out

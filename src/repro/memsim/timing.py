@@ -12,12 +12,11 @@ multiplicative noise term reproduces run-to-run measurement variability
 Everything here is vectorized and operands broadcast.  The law is
 evaluated in one place, :func:`service_times_ns`.  Over the *key*
 space it is :func:`service_tables` — one ``(2, n_keys)`` table per
-tier — which the batch kernel gathers every placement from, the
-analytic predictor selects per key, and the multi-tier client gathers
-per request.  The kernel calls it over the *request* axis only under an
-active fault spec (its timeline is indexed by time); the engines'
-scalar clock calls it on one request, and :class:`AccessTimer` wraps it
-with noise.
+tier — which the batch kernel gathers every placement from (on two
+tiers or N) and the analytic predictor selects per key.  The kernel
+calls it over the *request* axis only under an active fault spec (its
+timeline is indexed by time); the engines' scalar clock calls it on one
+request, and :class:`AccessTimer` wraps it with noise.
 """
 
 from __future__ import annotations

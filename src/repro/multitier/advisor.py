@@ -3,7 +3,7 @@
 Generalises Mnemo's pipeline to N tiers:
 
 1. *baselines*: execute the workload with all data in each tier
-   (N runs instead of 2);
+   (N placements of one batch instead of 2);
 2. *placement*: waterfall the MnemoT weight ordering into the tier
    capacities (hottest keys to the fastest tier until full, then the
    next tier, ...);
@@ -12,6 +12,10 @@ Generalises Mnemo's pipeline to N tiers:
    N-tier analog of the paper's telescoped two-tier model;
 4. *sweep*: evaluate a grid of capacity vectors, keep the Pareto
    frontier, answer SLO queries.
+
+Measurements are the client's ``execute_placements`` (the path of every
+two-tier number) of one tier per key on a
+:class:`~repro.memsim.system.HybridMemorySystem` with ``far`` tiers.
 """
 
 from __future__ import annotations
@@ -22,14 +26,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.pattern import weight_order
+from repro.cost.model import check_tier_prices, tier_cost_factor
 from repro.errors import ConfigurationError, EstimateError
 from repro.kvstore.profiles import EngineProfile
-from repro.rng import SeedLike
+from repro.memsim.kernel import TIER_DTYPE
+from repro.memsim.system import HybridMemorySystem
 from repro.units import NS_PER_S
-from repro.ycsb.client import RunResult
+from repro.ycsb.client import RunResult, YCSBClient
 from repro.ycsb.workload import Trace
-from repro.multitier.client import MultiTierClient
-from repro.multitier.system import TieredMemorySystem
 
 
 @dataclass(frozen=True)
@@ -48,12 +52,12 @@ class MultiTierBaselines:
         return self.runs[0].n_requests
 
     def read_times(self) -> np.ndarray:
-        """Per-tier average read service time."""
-        return np.array([r.avg_read_ns for r in self.runs])
+        """Per-tier runtime contribution of one read."""
+        return np.array([r.read_runtime_contrib_ns for r in self.runs])
 
     def write_times(self) -> np.ndarray:
-        """Per-tier average write service time."""
-        return np.array([r.avg_write_ns for r in self.runs])
+        """Per-tier runtime contribution of one write."""
+        return np.array([r.write_runtime_contrib_ns for r in self.runs])
 
 
 @dataclass(frozen=True)
@@ -78,37 +82,46 @@ class TieredPlan:
 
 
 class MultiTierAdvisor:
-    """N-tier capacity sizing consultant."""
+    """N-tier capacity sizing consultant.
+
+    *prices* holds one per-byte price factor per tier of *system*
+    (:func:`~repro.cost.model.check_tier_prices`).  *client* measures,
+    as it does for :class:`~repro.core.mnemo.Mnemo` (default: a fresh
+    :class:`~repro.ycsb.client.YCSBClient`; a caching client recalls).
+    """
 
     def __init__(
         self,
-        system: TieredMemorySystem,
+        system: HybridMemorySystem,
         profile: EngineProfile,
-        repeats: int = 3,
-        noise_sigma: float = 0.01,
-        seed: SeedLike = None,
+        prices: Sequence[float],
+        client: YCSBClient | None = None,
     ):
         self.system = system
         self.profile = profile
-        self.client = MultiTierClient(
-            system, profile, repeats=repeats, noise_sigma=noise_sigma,
-            seed=seed,
-        )
+        self.prices = check_tier_prices(prices)
+        if self.prices.size != len(system.nodes):
+            raise ConfigurationError(
+                f"need one price factor per tier ({len(system.nodes)})"
+            )
+        self.client = client if client is not None else YCSBClient()
 
     # -- baselines -----------------------------------------------------------
 
     def measure(self, trace: Trace) -> MultiTierBaselines:
-        """Execute the workload all-in-tier-k for every tier.
+        """Execute the workload all-in-tier-k for every tier, side by side.
 
         Capacity bounds are ignored during profiling (as in the paper,
         where total capacity is fixed to the dataset size); they only
         constrain the placements being evaluated.
         """
-        runs = []
-        for k in range(len(self.system)):
-            assignment = np.full(trace.n_keys, k, dtype=np.int64)
-            runs.append(self.client.execute(trace, assignment))
-        return MultiTierBaselines(runs=tuple(runs))
+        placements = [
+            np.full(trace.n_keys, k, dtype=TIER_DTYPE)
+            for k in range(self.prices.size)
+        ]
+        return MultiTierBaselines(runs=tuple(self.client.execute_placements(
+            trace, placements, self.profile, self.system,
+        )))
 
     # -- placement -----------------------------------------------------------
 
@@ -118,33 +131,33 @@ class MultiTierAdvisor:
         """Fill tiers in order with the accesses/size weight ordering.
 
         ``capacities[k] = None`` means unbounded; at least the last
-        tier must absorb whatever is left.
+        tier must absorb whatever is left.  Each tier takes the longest
+        run of the remaining keys, in weight order, that fits it: one
+        ``searchsorted`` on the running byte total per tier.
         """
-        if len(capacities) != len(self.system):
+        if len(capacities) != self.prices.size:
             raise ConfigurationError(
-                f"need one capacity per tier ({len(self.system)})"
+                f"need one capacity per tier ({self.prices.size})"
             )
         sizes = trace.record_sizes
         order = weight_order(trace.access_counts(), sizes)
-        assignment = np.full(trace.n_keys, -1, dtype=np.int64)
-
-        tier = 0
-        used = 0
-        for key in order:
-            size = int(sizes[key])
-            while tier < len(capacities) - 1:
-                cap = capacities[tier]
-                if cap is None or used + size <= cap:
-                    break
-                tier += 1
-                used = 0
-            cap = capacities[tier]
-            if cap is not None and used + size > cap:
-                raise EstimateError(
-                    "dataset does not fit the given tier capacities"
-                )
-            assignment[key] = tier
-            used += size
+        # filled[i]: bytes of the first i keys in weight order
+        filled = np.concatenate(([0], np.cumsum(sizes[order])))
+        n = order.size
+        ends = [0]  # tier k holds order[ends[k]:ends[k + 1]]
+        for cap in capacities[:-1]:
+            fit = n if cap is None else np.searchsorted(
+                filled, filled[ends[-1]] + cap, "right") - 1
+            ends.append(max(ends[-1], int(fit)))
+        cap, end = capacities[-1], ends[-1]
+        if cap is not None and end < n and filled[n] - filled[end] > cap:
+            raise EstimateError(
+                "dataset does not fit the given tier capacities"
+            )
+        assignment = np.empty(n, dtype=np.int64)
+        assignment[order] = np.repeat(
+            np.arange(self.prices.size), np.diff([*ends, n])
+        )
         return assignment
 
     # -- estimation -----------------------------------------------------------
@@ -166,7 +179,7 @@ class MultiTierAdvisor:
         assignment: np.ndarray,
     ) -> TieredPlan:
         """Predict runtime and cost of an explicit assignment."""
-        n_tiers = len(self.system)
+        n_tiers = self.prices.size
         reads, writes = trace.per_key_counts()
         reads_t = np.bincount(assignment, weights=reads, minlength=n_tiers)
         writes_t = np.bincount(assignment, weights=writes, minlength=n_tiers)
@@ -182,7 +195,7 @@ class MultiTierAdvisor:
             workload=trace.name,
             assignment=assignment,
             bytes_per_tier=bytes_t,
-            cost_factor=self.system.cost_factor(bytes_t),
+            cost_factor=tier_cost_factor(bytes_t, self.prices),
             est_runtime_ns=runtime,
             n_requests=trace.n_requests,
         )
@@ -239,4 +252,8 @@ class MultiTierAdvisor:
 
     def validate(self, trace: Trace, plan: TieredPlan) -> RunResult:
         """Measure the plan's placement for estimate-accuracy checks."""
-        return self.client.execute(trace, plan.assignment)
+        (run,) = self.client.execute_placements(
+            trace, [plan.assignment.astype(TIER_DTYPE)], self.profile,
+            self.system,
+        )
+        return run

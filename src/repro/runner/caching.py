@@ -60,17 +60,7 @@ class PlacementBatch:
         self.trace = trace
         self.profile = profile
         self.system = system
-        self.record_sizes = np.asarray(
-            trace.record_sizes if record_sizes is None else record_sizes,
-            dtype=np.int64,
-        )
-        if trace.n_keys != self.record_sizes.size:
-            from repro.errors import WorkloadError
-
-            raise WorkloadError(
-                f"trace key space ({trace.n_keys}) does not match the "
-                f"placement key space ({self.record_sizes.size})"
-            )
+        self.record_sizes = record_sizes
         self._kernel = None
         self._live_seed = isinstance(client.seed, np.random.Generator)
         if self._live_seed:
@@ -82,7 +72,7 @@ class PlacementBatch:
             None if self._live_seed else client.trace_digest(trace)
         )
 
-    def fingerprint(self, fast_mask: np.ndarray) -> str | None:
+    def fingerprint(self, placement: np.ndarray) -> str | None:
         """One placement's experiment fingerprint, without a kernel.
 
         Identical to what ``BatchKernel.fingerprint`` computes; ``None``
@@ -90,18 +80,11 @@ class PlacementBatch:
         """
         if self._live_seed:
             return None
-        from repro.runner.fingerprint import experiment_fingerprint_parts
+        from repro.memsim.kernel import placement_fingerprint
 
-        mask = np.asarray(fast_mask)
-        if mask.dtype != np.bool_ or mask.shape != (self.record_sizes.size,):
-            from repro.errors import WorkloadError
-
-            raise WorkloadError(
-                f"placement mask must be bool of shape "
-                f"({self.record_sizes.size},), got {mask.dtype} {mask.shape}"
-            )
-        return experiment_fingerprint_parts(
-            self._digest, self.profile, mask, self.system, self.client,
+        return placement_fingerprint(
+            self._digest, self.profile, placement, self.trace.n_keys,
+            self.system, self.client,
         )
 
     def kernel(self):
@@ -115,7 +98,7 @@ class PlacementBatch:
             )
         return self._kernel
 
-    def run_all_cached(self, fast_masks) -> list[tuple[RunResult, str]]:
+    def run_all_cached(self, placements) -> list[tuple[RunResult, str]]:
         """Measure (or recall) placements; ``(result, provenance)`` each.
 
         Every fingerprint is probed first; the misses (each distinct
@@ -124,7 +107,7 @@ class PlacementBatch:
         their results are stored after it returns.  Hit and miss counts
         are those of probing the masks one at a time.
         """
-        masks = list(fast_masks)
+        masks = list(placements)
         if self._cache is None:
             return [(r, "uncached") for r in self.kernel().run_all(masks)]
         fps = [self.fingerprint(mask) for mask in masks]
@@ -149,9 +132,9 @@ class PlacementBatch:
                 found[fp] = (result, "computed")
         return [found[fp] for fp in fps]
 
-    def run_cached(self, fast_mask: np.ndarray) -> tuple[RunResult, str]:
+    def run_cached(self, placement: np.ndarray) -> tuple[RunResult, str]:
         """Measure (or recall) one placement; returns (result, provenance)."""
-        (entry,) = self.run_all_cached([fast_mask])
+        (entry,) = self.run_all_cached([placement])
         return entry
 
 
@@ -235,7 +218,7 @@ class CachingClient(YCSBClient):
         return hits, llc.hit_latency_ns
 
     def execute_placements(
-        self, trace, fast_masks, profile, system, record_sizes=None,
+        self, trace, placements, profile, system, record_sizes=None,
     ):
         """Batch measurement with batch-grained cache probes.
 
@@ -249,4 +232,4 @@ class CachingClient(YCSBClient):
         batch = PlacementBatch(
             self, trace, profile, system, record_sizes=record_sizes
         )
-        return [result for result, _ in batch.run_all_cached(fast_masks)]
+        return [result for result, _ in batch.run_all_cached(placements)]

@@ -121,18 +121,24 @@ def workload_fingerprint(workload) -> str:
 
 def system_fingerprint(system) -> dict:
     """Canonical description of a hybrid memory system's parameters."""
-    return {
-        "fast": {
-            "latency_ns": system.fast.latency_ns,
-            "bandwidth_gbps": system.fast.bandwidth_gbps,
-            "capacity_bytes": system.fast.capacity_bytes,
-        },
-        "slow": {
-            "latency_ns": system.slow.latency_ns,
-            "bandwidth_gbps": system.slow.bandwidth_gbps,
-            "capacity_bytes": system.slow.capacity_bytes,
-        },
+    body = {
+        "fast": node_fingerprint(system.fast),
+        "slow": node_fingerprint(system.slow),
         "llc": llc_fingerprint(system.llc),
+    }
+    # only systems with tiers below SlowMem contribute a "far" key, so
+    # every two-tier fingerprint (and cache entry) stays valid
+    if system.far:
+        body["far"] = [node_fingerprint(node) for node in system.far]
+    return body
+
+
+def node_fingerprint(node) -> dict:
+    """Canonical description of one memory node's device parameters."""
+    return {
+        "latency_ns": node.latency_ns,
+        "bandwidth_gbps": node.bandwidth_gbps,
+        "capacity_bytes": node.capacity_bytes,
     }
 
 
@@ -198,7 +204,7 @@ def experiment_fingerprint(
 
 
 def experiment_fingerprint_parts(
-    trace_digest: str, profile, fast_mask, system, client,
+    trace_digest: str, profile, placement, system, client,
 ) -> str:
     """Experiment fingerprint from its separately known components.
 
@@ -206,11 +212,13 @@ def experiment_fingerprint_parts(
     without) constructing a deployment — e.g. to probe the result cache
     from an :class:`~repro.runner.spec.ExperimentSpec` alone, where the
     profile, placement mask and system are all derivable cheaply.
+    *placement* is hashed as given: its canonical form
+    (:func:`~repro.memsim.kernel.check_placement`).
     """
     body = {
         "trace": trace_digest,
         "engine": canonicalize(profile),
-        "placement": array_digest(np.asarray(fast_mask))[:SHORT_DIGEST_LEN],
+        "placement": array_digest(np.asarray(placement))[:SHORT_DIGEST_LEN],
         "system": system_fingerprint(system),
         "client": client_fingerprint(client),
     }

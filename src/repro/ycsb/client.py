@@ -328,7 +328,7 @@ class YCSBClient:
     def execute_placements(
         self,
         trace: Trace,
-        fast_masks,
+        placements,
         profile,
         system,
         record_sizes: np.ndarray | None = None,
@@ -346,12 +346,13 @@ class YCSBClient:
         ----------
         trace:
             The request trace shared by every placement.
-        fast_masks:
-            Boolean placement masks over the key space — a (placements
-            x n_keys) array or any sequence of masks.
+        placements:
+            Placements over the key space — a (placements x n_keys)
+            array or any sequence — each a boolean FastMem mask or one
+            tier per key (:func:`~repro.memsim.kernel.check_placement`).
         profile / system:
-            The engine cost profile and hybrid memory system every
-            placement shares.
+            The engine cost profile and memory system every placement
+            shares (two tiers, or more with ``system.far``).
         record_sizes:
             Dense per-key sizes (defaults to ``trace.record_sizes``).
         """
@@ -360,4 +361,4 @@ class YCSBClient:
         kernel = BatchKernel(
             self, trace, profile, system, record_sizes=record_sizes
         )
-        return kernel.run_all(fast_masks)
+        return kernel.run_all(placements)

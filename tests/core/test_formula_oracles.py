@@ -29,7 +29,7 @@ from repro.memsim.analytic import (
 )
 from repro.memsim.system import HybridMemorySystem
 from repro.memsim.timing import service_times_ns
-from repro.multitier import MultiTierAdvisor, TieredMemorySystem
+from repro.multitier import MultiTierAdvisor
 from repro.ycsb.client import RunResult, YCSBClient
 from repro.ycsb.generator import generate_trace
 from repro.ycsb.presets import TABLE_III_WORKLOADS
@@ -165,8 +165,8 @@ class TestWeightOrderCallers:
                                   np.array(sorted(chosen), dtype=np.int64))
 
     def test_waterfall_assignment(self, trace):
-        advisor = MultiTierAdvisor(TieredMemorySystem.dram_nvm_far(),
-                                   REDIS_PROFILE)
+        advisor = MultiTierAdvisor(HybridMemorySystem.dram_nvm_far(),
+                                   REDIS_PROFILE, (1.0, 0.2, 0.08))
         total = int(trace.record_sizes.sum())
         for caps in ([total // 4, total // 4, None],
                      [total // 10, total // 2, None],
@@ -175,6 +175,19 @@ class TestWeightOrderCallers:
                 got = advisor.waterfall_assignment(trace, caps)
             except EstimateError:
                 got = None
+            assert _equal_or_none(got, oracle_waterfall(trace, caps))
+
+    def test_waterfall_assignment_edges(self, trace):
+        advisor = MultiTierAdvisor(HybridMemorySystem.dram_nvm_far(),
+                                   REDIS_PROFILE, (1.0, 0.2, 0.08))
+        sizes = trace.record_sizes
+        hottest = int(sizes[weight_order(trace.access_counts(), sizes)[0]])
+        total = int(sizes.sum())
+        # tier 1 receives no key; the hottest key is larger than all of
+        # tier 0, which then receives none either
+        for caps in ([total // 4, 0, None], [hottest - 1, total // 2, None]):
+            got = advisor.waterfall_assignment(trace, caps)
+            assert np.bincount(got, minlength=3).min() == 0
             assert _equal_or_none(got, oracle_waterfall(trace, caps))
 
     def test_analyze_drift(self, trace):

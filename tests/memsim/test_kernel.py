@@ -467,7 +467,7 @@ class TestEngineClock:
     def test_scalar_ops_equal_table_entries(self, loaded):
         engine, kernel, trace, mask = loaded
         for key in range(trace.n_keys):
-            table = kernel.fast_tab if mask[key] else kernel.slow_tab
+            table = kernel.tables[0] if mask[key] else kernel.tables[1]
             assert engine.put(key).service_time_ns == table[0, key]
             assert engine.get(key).service_time_ns == table[1, key]
 

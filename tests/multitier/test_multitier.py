@@ -1,39 +1,52 @@
-"""Tests for the multi-tier extension."""
+"""Tests for the multi-tier extension.
+
+The tiered system is a :class:`HybridMemorySystem` with ``far`` tiers,
+its cost law is :func:`repro.cost.model.tier_cost_factor`, and its
+measurements are the batch kernel's, placement = one tier per key.
+"""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, EstimateError, WorkloadError
-from repro.kvstore.profiles import REDIS_PROFILE
-from repro.memsim.timing import AccessTimer
-from repro.rng import derive_seed
-from repro.multitier import (
-    MultiTierAdvisor,
-    MultiTierClient,
-    TieredMemorySystem,
-    TierSpec,
+from repro.cost.model import (
+    DEFAULT_PRICE_FACTOR,
+    FAR_PRICE_FACTOR,
+    check_tier_prices,
+    cost_reduction_factor,
+    tier_cost_factor,
 )
+from repro.errors import ConfigurationError, EstimateError, WorkloadError
+from repro.kvstore.profiles import REDIS_PROFILE, profile_for
+from repro.memsim.kernel import TIER_DTYPE, BatchKernel, check_placement
+from repro.memsim.node import MemoryNode, NodeKind
+from repro.memsim.system import HybridMemorySystem
+from repro.memsim.timing import AccessTimer
+from repro.multitier import MultiTierAdvisor
+from repro.rng import derive_seed
+from repro.runner.fingerprint import system_fingerprint
+from repro.ycsb.client import YCSBClient
+
+PRICES = (1.0, DEFAULT_PRICE_FACTOR, FAR_PRICE_FACTOR)
 
 
-def access_timer_execute(client, trace, assignment, n):
-    """Oracle: ``MultiTierClient.execute`` as a per-repeat
-    ``AccessTimer`` loop over request-long operands, as it was written
-    before it gathered the shared service-time tables (its *n*-th call)."""
-    prof = client.profile
-    req_tier = assignment[trace.keys]
-    sizes = trace.record_sizes[trace.keys] + prof.metadata_bytes
-    latency = client.system.latency_array()[req_tier]
-    bpns = client.system.bandwidth_array()[req_tier]
-    passes = np.where(trace.is_read, prof.read_passes, prof.write_passes)
-    cpu = np.where(trace.is_read, prof.read_cpu_ns, prof.write_cpu_ns)
+def access_timer_execute(client, trace, system, profile, placement, label):
+    """Oracle: one placement measured as a per-repeat ``AccessTimer``
+    loop over request-long operands, its noise rooted in *label* (the
+    placement's experiment fingerprint)."""
+    req_tier = placement[trace.keys]
+    sizes = trace.record_sizes[trace.keys] + profile.metadata_bytes
+    latency = np.array([n.latency_ns for n in system.nodes])[req_tier]
+    bpns = np.array([n.bytes_per_ns for n in system.nodes])[req_tier]
+    passes = np.where(trace.is_read, profile.read_passes,
+                      profile.write_passes)
+    cpu = np.where(trace.is_read, profile.read_cpu_ns, profile.write_cpu_ns)
     n_reads = int(trace.is_read.sum())
     n_writes = trace.n_requests - n_reads
     runtimes = np.empty(client.repeats)
     read_sums = np.empty(client.repeats)
     for r in range(client.repeats):
         timer = AccessTimer(
-            noise=client.noise,
-            seed=derive_seed(client.seed, f"{trace.name}/mt-exec{n}/run{r}"),
+            noise=client.noise, seed=derive_seed(client.seed, f"{label}/run{r}"),
         )
         times = timer.request_times_ns(sizes, latency, bpns, passes, cpu)
         runtimes[r] = times.sum()
@@ -48,15 +61,19 @@ def access_timer_execute(client, trace, assignment, n):
     )
 
 
+def tiers(n_keys, k):
+    return np.full(n_keys, k, dtype=TIER_DTYPE)
+
+
 @pytest.fixture
 def system():
-    return TieredMemorySystem.dram_nvm_far()
+    return HybridMemorySystem.dram_nvm_far()
 
 
 @pytest.fixture
 def advisor(system):
-    return MultiTierAdvisor(system, REDIS_PROFILE, repeats=1,
-                            noise_sigma=0.0)
+    return MultiTierAdvisor(system, REDIS_PROFILE, PRICES,
+                            YCSBClient(repeats=1, noise_sigma=0.0))
 
 
 @pytest.fixture
@@ -65,118 +82,187 @@ def baselines(advisor, small_trace):
 
 
 class TestTierSpec:
+    """A tier is a memory node plus its price factor."""
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            TierSpec("x", latency_ns=0, bandwidth_gbps=1, price_factor=1)
+            MemoryNode("x", NodeKind.SLOW, latency_ns=0, bandwidth_gbps=1,
+                       capacity_bytes=1)
         with pytest.raises(ConfigurationError):
-            TierSpec("x", latency_ns=1, bandwidth_gbps=1, price_factor=1.5)
+            check_tier_prices([1.0, 1.5])
         with pytest.raises(ConfigurationError):
-            TierSpec("x", latency_ns=1, bandwidth_gbps=1, price_factor=0.5,
-                     capacity_bytes=0)
+            check_tier_prices([1.0, 0.0])
+        with pytest.raises(ConfigurationError):
+            MemoryNode("x", NodeKind.SLOW, latency_ns=1, bandwidth_gbps=1,
+                       capacity_bytes=0)
 
 
 class TestTieredMemorySystem:
+    """The N-tier system (``HybridMemorySystem.far``) and its cost law."""
+
     def test_preset_ordering(self, system):
-        assert system.names == ["DRAM", "NVM", "Far"]
-        assert (np.diff(system.latency_array()) > 0).all()
-        assert (np.diff(system.price_array()) < 0).all()
+        assert [n.name for n in system.nodes] == ["FastMem", "SlowMem", "Far"]
+        assert (np.diff([n.latency_ns for n in system.nodes]) > 0).all()
+        assert (np.diff([n.bandwidth_gbps for n in system.nodes]) < 0).all()
+        assert (np.diff(check_tier_prices(PRICES)) < 0).all()
+        assert system.total_capacity_bytes == sum(
+            n.capacity_bytes for n in system.nodes
+        )
 
     def test_tier0_price_reference_required(self):
         with pytest.raises(ConfigurationError):
-            TieredMemorySystem([
-                TierSpec("a", 60, 10, 0.9),
-                TierSpec("b", 200, 2, 0.2),
-            ])
+            check_tier_prices([0.9, 0.2])
 
     def test_fast_first_required(self):
+        two = HybridMemorySystem.testbed()
+        too_quick = MemoryNode("far", NodeKind.SLOW, latency_ns=100.0,
+                               bandwidth_gbps=1.0, capacity_bytes=1)
+        with pytest.raises(ConfigurationError, match="must not decrease"):
+            HybridMemorySystem(fast=two.fast, slow=two.slow,
+                               far=(too_quick,))
         with pytest.raises(ConfigurationError):
-            TieredMemorySystem([
-                TierSpec("a", 200, 10, 1.0),
-                TierSpec("b", 60, 2, 0.2),
-            ])
+            check_tier_prices([1.0, 0.2, 0.5])
 
-    def test_needs_two_tiers(self):
-        with pytest.raises(ConfigurationError):
-            TieredMemorySystem([TierSpec("a", 60, 10, 1.0)])
+    def test_cost_factor_anchors(self):
+        assert tier_cost_factor([100, 0, 0], PRICES) == 1.0
+        assert tier_cost_factor([0, 100, 0], PRICES) == pytest.approx(0.2)
+        assert tier_cost_factor([0, 0, 100], PRICES) == pytest.approx(0.08)
 
-    def test_cost_factor_anchors(self, system):
-        assert system.cost_factor([100, 0, 0]) == 1.0
-        assert system.cost_factor([0, 100, 0]) == pytest.approx(0.2)
-        assert system.cost_factor([0, 0, 100]) == pytest.approx(0.08)
-
-    def test_cost_factor_mix(self, system):
+    def test_cost_factor_mix(self):
         # 50/30/20 split
-        r = system.cost_factor([50, 30, 20])
+        r = tier_cost_factor([50, 30, 20], PRICES)
         assert r == pytest.approx(0.5 + 0.3 * 0.2 + 0.2 * 0.08)
 
-    def test_cost_factor_validation(self, system):
+    def test_cost_factor_validation(self):
         with pytest.raises(ConfigurationError):
-            system.cost_factor([1, 2])
+            tier_cost_factor([1, 2], PRICES)
         with pytest.raises(ConfigurationError):
-            system.cost_factor([0, 0, 0])
+            tier_cost_factor([0, 0, 0], PRICES)
+        with pytest.raises(ConfigurationError):
+            tier_cost_factor([1, 2], [1.0, 1.2])
 
     def test_two_tier_degenerate_matches_paper(self):
-        two = TieredMemorySystem.paper_two_tier()
-        assert two.cost_factor([20, 80]) == pytest.approx(0.36)
+        two = (1.0, DEFAULT_PRICE_FACTOR)
+        assert tier_cost_factor([20, 80], two) == pytest.approx(0.36)
+        assert tier_cost_factor([20, 80], two) == pytest.approx(
+            cost_reduction_factor(20, 100), rel=1e-15
+        )
+
+    def test_far_tiers_in_the_fingerprint_only_when_present(self, system):
+        two = HybridMemorySystem.testbed()
+        assert "far" not in system_fingerprint(two)
+        assert system_fingerprint(system)["far"] == [{
+            "latency_ns": 500.0, "bandwidth_gbps": 0.9,
+            "capacity_bytes": system.far[0].capacity_bytes,
+        }]
+
+    def test_degraded_carries_the_far_tiers(self, system):
+        worn = system.degraded(slow_bandwidth_factor=0.5)
+        assert [n.name for n in worn.nodes] == ["FastMem", "SlowMem", "Far"]
+        assert system_fingerprint(worn)["far"] == system_fingerprint(
+            system
+        )["far"]
 
 
 class TestMultiTierClient:
-    def test_faster_tier_faster_run(self, system, small_trace):
-        client = MultiTierClient(system, REDIS_PROFILE, repeats=1,
-                                 noise_sigma=0.0)
-        runs = [
-            client.execute(small_trace,
-                           np.full(small_trace.n_keys, k, dtype=np.int64))
-            for k in range(3)
-        ]
+    """N-tier measurement: the client's batch kernel over tier placements."""
+
+    def test_faster_tier_faster_run(self, advisor, small_trace):
+        runs = advisor.measure(small_trace).runs
         assert (runs[0].runtime_ns < runs[1].runtime_ns
                 < runs[2].runtime_ns)
 
     def test_assignment_validation(self, system, small_trace):
-        client = MultiTierClient(system, REDIS_PROFILE, repeats=1)
-        with pytest.raises(WorkloadError):
-            client.execute(small_trace, np.zeros(3, dtype=np.int64))
-        with pytest.raises(WorkloadError):
-            client.execute(
-                small_trace, np.full(small_trace.n_keys, 9, dtype=np.int64)
-            )
+        n = small_trace.n_keys
+        kernel = BatchKernel(YCSBClient(repeats=1), small_trace,
+                             REDIS_PROFILE, system)
+        for bad in (np.zeros(3, dtype=TIER_DTYPE),   # not every key
+                    tiers(n, 9),                      # no tier 9
+                    np.zeros(n, dtype=np.int64),      # not a tier dtype
+                    np.zeros(n)):
+            with pytest.raises(WorkloadError):
+                kernel.run(bad)
+            with pytest.raises(WorkloadError):
+                check_placement(bad, n, 3)
+        # two tiers: a tier placement is the bool mask tier == 0; more:
+        # a bool mask puts every other key on SlowMem
+        placement = (np.arange(n) % 2).astype(TIER_DTYPE)
+        assert np.array_equal(check_placement(placement, n, 2),
+                              placement == 0)
+        mask = placement == 0
+        assert np.array_equal(check_placement(mask, n, 3),
+                              np.where(mask, 0, 1).astype(TIER_DTYPE))
+        assert kernel.fingerprint(mask) == kernel.fingerprint(
+            np.where(mask, 0, 1).astype(TIER_DTYPE)
+        )
+
+    def test_measurement_does_not_depend_on_call_order(self, system,
+                                                       mixed_trace):
+        """Measuring one placement alone, again, and inside a batch at
+        another position gives one result (fingerprint-rooted noise)."""
+        client = YCSBClient(repeats=2, seed=7)
+        rng = np.random.default_rng(4)
+        placement = rng.integers(0, 3, mixed_trace.n_keys).astype(TIER_DTYPE)
+        other = tiers(mixed_trace.n_keys, 1)
+        (first,) = client.execute_placements(
+            mixed_trace, [placement], REDIS_PROFILE, system)
+        (second,) = client.execute_placements(
+            mixed_trace, [placement], REDIS_PROFILE, system)
+        _, batched = client.execute_placements(
+            mixed_trace, [other, placement], REDIS_PROFILE, system)
+        assert first == second == batched
+
+    def test_measure_through_a_caching_client_recalls(self, system,
+                                                      mixed_trace, tmp_path):
+        from repro.runner.caching import CachingClient
+
+        client = CachingClient(tmp_path / "store.db", repeats=2, seed=7)
+        advisor = MultiTierAdvisor(system, REDIS_PROFILE, PRICES, client)
+        cold = advisor.measure(mixed_trace)
+        assert (client.cache_hits, client.cache_misses) == (0, 3)
+        warm = advisor.measure(mixed_trace)
+        assert (client.cache_hits, client.cache_misses) == (3, 3)
+        assert warm == cold
+        plain = MultiTierAdvisor(system, REDIS_PROFILE, PRICES,
+                                 YCSBClient(repeats=2, seed=7))
+        assert plain.measure(mixed_trace) == cold
 
     def test_matches_two_tier_client(self, small_trace, mixed_trace):
-        """The degenerate 2-tier system reproduces the paper pipeline's
-        numbers exactly (same table, same noise model off)."""
-        from repro.kvstore import HybridDeployment, RedisLike
-        from repro.memsim import HybridMemorySystem
-        from repro.ycsb import YCSBClient
+        """On the paper's two-tier system the N-tier baselines *are*
+        Mnemo's FastMem-only and SlowMem-only baselines, noise and all."""
+        from repro.core.mnemo import Mnemo
 
-        two = TieredMemorySystem.paper_two_tier()
-        rng = np.random.default_rng(3)
         for trace in (small_trace, mixed_trace):
-            fast = rng.random(trace.n_keys) < 0.3
-            mt_client = MultiTierClient(two, REDIS_PROFILE, repeats=2,
-                                        noise_sigma=0.0)
-            mt = mt_client.execute(trace, np.where(fast, 0, 1))
-            dep = HybridDeployment(
-                RedisLike, HybridMemorySystem.testbed(), trace.record_sizes,
-                fast_keys=np.flatnonzero(fast),
-            )
-            classic = YCSBClient(repeats=2, noise_sigma=0.0,
-                                 percentiles=()).execute(trace, dep)
-            assert mt == classic
+            client = YCSBClient(repeats=2, noise_sigma=0.01, seed=3)
+            runs = MultiTierAdvisor(
+                HybridMemorySystem.testbed(), REDIS_PROFILE,
+                PRICES[:2], client,
+            ).measure(trace).runs
+            baselines = Mnemo(client=client).profile(trace).baselines
+            assert runs == (baselines.fast, baselines.slow)
 
     @pytest.mark.parametrize("engine", ["redis", "memcached", "dynamodb"])
-    @pytest.mark.parametrize("tiers", ["dram_nvm_far", "paper_two_tier"])
+    @pytest.mark.parametrize(
+        "system", [HybridMemorySystem.dram_nvm_far, HybridMemorySystem.testbed],
+        ids=["dram_nvm_far", "paper_two_tier"],
+    )
     def test_noisy_run_matches_the_access_timer_loop(self, mixed_trace,
-                                                     engine, tiers):
-        from repro.kvstore.profiles import profile_for
-
-        system = getattr(TieredMemorySystem, tiers)()
-        client = MultiTierClient(system, profile_for(engine), repeats=3,
-                                 noise_sigma=0.01, seed=11)
+                                                     engine, system):
+        system = system()
+        profile = profile_for(engine)
+        client = YCSBClient(repeats=3, noise_sigma=0.01, seed=11,
+                            percentiles=())
+        kernel = BatchKernel(client, mixed_trace, profile, system)
         rng = np.random.default_rng(5)
-        for n in (1, 2):
-            assignment = rng.integers(0, len(system), mixed_trace.n_keys)
-            got = client.execute(mixed_trace, assignment)
-            want = access_timer_execute(client, mixed_trace, assignment, n)
+        for _ in range(2):
+            placement = rng.integers(
+                0, len(system.nodes), mixed_trace.n_keys
+            ).astype(TIER_DTYPE)
+            got = kernel.run(placement)
+            want = access_timer_execute(
+                client, mixed_trace, system, profile, placement,
+                kernel.fingerprint(placement),
+            )
             assert got.runtime_ns == want["runtime_ns"]
             assert got.avg_read_ns == want["avg_read_ns"]
             assert got.runtime_std_ns == want["runtime_std_ns"]
@@ -251,18 +337,6 @@ class TestEstimate:
 
 
 class TestSweepAndSlo:
-    def _grid(self, total):
-        fracs = [0.0, 0.1, 0.25, 0.5, 1.0]
-        grid = []
-        for f0 in fracs:
-            for f1 in fracs:
-                if f0 + f1 <= 1.0:
-                    grid.append([int(f0 * total) or None if f0 == 0 else
-                                 int(f0 * total),
-                                 int(f1 * total) if f1 else 1,
-                                 None])
-        return grid
-
     def test_sweep_and_pareto(self, advisor, baselines, small_trace):
         total = int(small_trace.record_sizes.sum())
         grid = [[int(f0 * total) + 1, int(f1 * total) + 1, None]

@@ -4,7 +4,10 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.multitier import MultiTierAdvisor, TieredMemorySystem
+from repro.cost.model import (
+    DEFAULT_PRICE_FACTOR, FAR_PRICE_FACTOR, tier_cost_factor,
+)
+from repro.multitier import MultiTierAdvisor
 from repro.multitier.advisor import TieredPlan
 
 
@@ -76,7 +79,6 @@ class TestCostFactorProperties:
     )
     @settings(max_examples=200, deadline=None)
     def test_cost_bounded_by_tier_prices(self, shares):
-        system = TieredMemorySystem.dram_nvm_far()
-        r = system.cost_factor(np.array(shares))
-        prices = system.price_array()
+        prices = np.array([1.0, DEFAULT_PRICE_FACTOR, FAR_PRICE_FACTOR])
+        r = tier_cost_factor(np.array(shares), prices)
         assert prices.min() - 1e-12 <= r <= prices.max() + 1e-12

@@ -28,6 +28,13 @@ RULES = {
     "per_key_count": (r"bincount\(\s*\w+\.keys\b", "ycsb/workload.py"),
     # the contention factor: YCSBClient.pass_scale
     "pass_scale": (r"\b1\s*\+\s*[\w.]*contention\b", "ycsb/client.py"),
+    # the cost law: R(p)'s (total - fast) * p and the N-tier price sum
+    # (shares * prices).sum(): cost.model
+    "cost_law": (
+        r"\(\s*\w*total\w*\s*-\s*\w*fast\w*\s*\)\s*\*"
+        r"|\*\s*[\w.]*price\w*(?:\(\))?\s*\)\s*\.sum\(",
+        "cost/model.py",
+    ),
     # latency + bytes / bandwidth: memsim.timing.service_times_ns
     "service_time": (
         r"\b\w*lat\w*\s*\+\s*(?:float\()?[\w.]+\)?\s*/\s*"

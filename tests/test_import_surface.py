@@ -127,8 +127,8 @@ class TestFreshInterpreter:
         "repro.runner.grid", "repro.guard", "repro.service.serve",
         "repro.service.requests", "repro.service.signals",
         "repro.analysis.bootstrap", "repro.analysis.asciiplot",
-        "repro.core.mnemot", "repro.baselines", "multiprocessing",
-        "concurrent.futures.process", "socket",
+        "repro.core.mnemot", "repro.baselines", "repro.multitier",
+        "multiprocessing", "concurrent.futures.process", "socket",
     )
 
     #: sha256 of that command's stdout at the commit before the lazy
