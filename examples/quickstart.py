@@ -42,9 +42,9 @@ def main() -> None:
     deployment = mnemo.place(report, choice)
     print(
         f"\ndeployed: {int(deployment.fast_mask.sum()):,} keys on "
-        f"{deployment.fast_server.name}, "
+        f"{deployment.profile.name}@{deployment.system.fast.name}, "
         f"{int((~deployment.fast_mask).sum()):,} keys on "
-        f"{deployment.slow_server.name}"
+        f"{deployment.profile.name}@{deployment.system.slow.name}"
     )
 
 

@@ -35,9 +35,9 @@ class PlacementEngine:
         Raises
         ------
         PlacementError
-            If the prefix does not fit the FastMem node (including
-            engine allocation overheads) or the suffix does not fit
-            SlowMem.
+            If the prefix's payload does not fit the FastMem node.
+        CapacityError
+            If the suffix's payload does not fit the SlowMem node.
         """
         record_sizes = np.asarray(record_sizes, dtype=np.int64)
         order = np.asarray(order, dtype=np.int64)

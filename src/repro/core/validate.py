@@ -52,30 +52,39 @@ def measure_curve(
 ) -> list[MeasuredPoint]:
     """Execute *trace* at each tiering prefix in *counts*.
 
-    Each point deploys a fresh system with the first ``counts[i]`` keys
-    of *order* on FastMem and runs the full workload against it.
+    Each point deploys the first ``counts[i]`` keys of *order* on FastMem
+    (a :class:`HybridDeployment`, so each prefix is capacity-checked) and
+    runs the full workload against it; the points' masks are measured
+    as one :meth:`~repro.ycsb.client.YCSBClient.execute_placements`
+    batch, which gives each the numbers it measures alone.
     """
     client = client if client is not None else YCSBClient()
     order = np.asarray(order, dtype=np.int64)
-    total = int(trace.record_sizes.sum())
-    points = []
+    system = system_factory()
+    deployments = []
     for n_fast in counts:
         if not 0 <= n_fast <= order.size:
             raise ConfigurationError(
                 f"prefix {n_fast} outside [0, {order.size}]"
             )
-        fast_keys = order[:n_fast]
-        deployment = HybridDeployment(
-            engine_factory, system_factory(), trace.record_sizes,
-            fast_keys=fast_keys,
-        )
-        fast_bytes = int(trace.record_sizes[fast_keys].sum())
+        deployments.append(HybridDeployment(
+            engine_factory, system, trace.record_sizes,
+            fast_keys=order[:n_fast],
+        ))
+    results = client.execute_placements(
+        trace, [d.fast_mask for d in deployments],
+        engine_factory(system.fast, system.slow).profile, system,
+    )
+    total = int(trace.record_sizes.sum())
+    points = []
+    for n_fast, deployment, result in zip(counts, deployments, results):
+        fast_bytes = deployment.fast_bytes()
         points.append(
             MeasuredPoint(
                 n_fast_keys=int(n_fast),
                 fast_bytes=fast_bytes,
                 cost_factor=float(cost_reduction_factor(fast_bytes, total, p)),
-                result=client.execute(trace, deployment),
+                result=result,
             )
         )
     return points

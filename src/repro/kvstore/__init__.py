@@ -1,37 +1,33 @@
-"""From-scratch in-memory key-value store engines.
+"""The three key-value store engines and the two-server deployment.
 
 The paper evaluates three unmodified stores — Redis, Memcached and
 DynamoDB (local) — deployed as two server instances bound to FastMem and
-SlowMem respectively.  This package provides simulator-native equivalents
-with genuinely different internals:
+SlowMem respectively.  Mnemo consumes only their end-to-end behaviour, so
+here an engine is its calibrated
+:class:`~repro.kvstore.profiles.EngineProfile` (docs/CALIBRATION.md):
 
-- :class:`~repro.kvstore.redislike.RedisLike` — single-threaded event
-  loop over an open-addressing hash index;
-- :class:`~repro.kvstore.memcachedlike.MemcachedLike` — slab-allocated
-  records, the least memory-sensitive engine;
-- :class:`~repro.kvstore.dynamolike.DynamoLike` — B-tree index with
+- :class:`~repro.kvstore.redislike.RedisLike` — one synchronous copy of
+  the value per read;
+- :class:`~repro.kvstore.memcachedlike.MemcachedLike` — the least
+  memory-sensitive engine;
+- :class:`~repro.kvstore.dynamolike.DynamoLike` — B-tree walk plus
   serialization/checksum passes, the most memory-sensitive engine.
 
-Per-request timing is governed by each engine's
-:class:`~repro.kvstore.profiles.EngineProfile`; the
-:class:`~repro.kvstore.cluster.HybridDeployment` pairs a FastMem and a
-SlowMem server instance behind a key router, mirroring the paper's
-two-server setup driven by a modified YCSB core.
+:class:`~repro.kvstore.server.HybridDeployment` is the two-server setup
+as the measurement sees it: record sizes and a FastMem mask, checked
+against each node's capacity.
 """
 
 from repro._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
-    "base": ["KVEngine", "OpResult"],
-    "btree": ["BTree"],
-    "server": ["HybridDeployment", "ServerInstance"],
+    "base": ["KVEngine"],
+    "server": ["HybridDeployment"],
     "dynamolike": ["DynamoLike"],
-    "hashindex": ["HashIndex"],
     "memcachedlike": ["MemcachedLike"],
     "profiles": [
         "DYNAMO_PROFILE", "MEMCACHED_PROFILE", "REDIS_PROFILE",
         "EngineProfile", "profile_for",
     ],
     "redislike": ["RedisLike"],
-    "slab": ["SlabAllocator", "SlabClass"],
 })

@@ -2,83 +2,17 @@
 
 DynamoDB's downloadable edition persists tables through SQLite; its
 read path walks a B-tree and deserializes/validates items, touching the
-value several times per request.  This engine mirrors that: a from-
-scratch B-tree index, extent-based record allocation with item metadata,
-and the most SlowMem-sensitive profile of the three (paper Fig 8b).
+value several times per request.  Its profile is the most
+SlowMem-sensitive of the three (paper Fig 8b).
 """
 
 from __future__ import annotations
 
 from repro.kvstore.base import KVEngine
-from repro.kvstore.btree import BTree
-from repro.kvstore.profiles import DYNAMO_PROFILE, EngineProfile
-from repro.memsim.allocator import AddressSpaceAllocator, Allocation
-from repro.memsim.node import MemoryNode
-
-#: Item envelope: attribute map, type tags, LSI bookkeeping.
-ITEM_OVERHEAD = 256
+from repro.kvstore.profiles import DYNAMO_PROFILE
 
 
 class DynamoLike(KVEngine):
     """The DynamoDB-local-shaped engine (see module docstring)."""
 
-    def __init__(
-        self,
-        fast: MemoryNode,
-        slow: MemoryNode,
-        profile: EngineProfile = DYNAMO_PROFILE,
-        btree_order: int = 64,
-    ):
-        super().__init__(profile, fast, slow)
-        self._tree = BTree(order=btree_order)
-        self._backing = {
-            0: AddressSpaceAllocator(fast.capacity_bytes),
-            1: AddressSpaceAllocator(slow.capacity_bytes),
-        }
-        self._allocs: dict[int, tuple[int, Allocation]] = {}
-
-    @property
-    def tree(self) -> BTree:
-        """The underlying B-tree (exposed for node-visit statistics)."""
-        return self._tree
-
-    def _index_insert(self, key: int, size: int, node_code: int) -> None:
-        alloc = self._backing[node_code].allocate(size + ITEM_OVERHEAD)
-        self._node(node_code).allocate(alloc.size)
-        self._tree.insert(key, size)
-        self._allocs[key] = (node_code, alloc)
-
-    def _index_lookup(self, key: int) -> int:
-        return self._tree.lookup(key)
-
-    def _index_remove(self, key: int) -> None:
-        self._tree.remove(key)
-        node_code, alloc = self._allocs.pop(key)
-        self._backing[node_code].release(alloc)
-        self._node(node_code).release(alloc.size)
-
-    def stored_bytes(self, node_code: int) -> int:
-        """Bytes reserved on a node (payload + item envelopes)."""
-        return self._backing[node_code].used_bytes
-
-    def scan(self, lo: int, hi: int | None = None):
-        """Ordered range scan (DynamoDB Query-style), as (key, size) pairs."""
-        return self._tree.range(lo, hi)
-
-    def query(self, lo: int, limit: int):
-        """Timed Query: read up to *limit* consecutive items from *lo*.
-
-        Returns the per-item :class:`~repro.kvstore.base.OpResult` list;
-        each item is charged as a full read on its resident node (the
-        B-tree walk is shared, folded into the per-item metadata cost).
-        """
-        if limit <= 0:
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(f"limit must be positive, got {limit}")
-        results = []
-        for key, _ in self._tree.range(lo):
-            if len(results) >= limit:
-                break
-            results.append(self.get(key))
-        return results
+    default_profile = DYNAMO_PROFILE

@@ -1,86 +1,18 @@
 """Memcached-like engine.
 
-Records live in slab chunks (geometric size classes over 1 MB pages);
-the index is the same open-addressing style table memcached's assoc
-uses.  The profile makes it the least SlowMem-sensitive engine: its
-access path overlaps memory traffic almost entirely (paper Figs 8b, 9
-show Memcached "barely gets influenced").
+Records live in slab chunks behind a hash index.  The profile makes it
+the least SlowMem-sensitive engine: its access path overlaps memory
+traffic almost entirely (paper Figs 8b, 9 show Memcached "barely gets
+influenced").
 """
 
 from __future__ import annotations
 
 from repro.kvstore.base import KVEngine
-from repro.kvstore.hashindex import HashIndex
-from repro.kvstore.profiles import MEMCACHED_PROFILE, EngineProfile
-from repro.kvstore.slab import SlabAllocator
-from repro.memsim.allocator import AddressSpaceAllocator
-from repro.memsim.node import MemoryNode
-
-#: memcached item header + CAS + key storage, roughly.
-ITEM_OVERHEAD = 56
+from repro.kvstore.profiles import MEMCACHED_PROFILE
 
 
 class MemcachedLike(KVEngine):
     """The memcached-shaped engine (see module docstring)."""
 
-    def __init__(
-        self,
-        fast: MemoryNode,
-        slow: MemoryNode,
-        profile: EngineProfile = MEMCACHED_PROFILE,
-        slab_growth: float = 1.25,
-    ):
-        super().__init__(profile, fast, slow)
-        self._index = HashIndex()
-        self._backing = {
-            0: AddressSpaceAllocator(fast.capacity_bytes),
-            1: AddressSpaceAllocator(slow.capacity_bytes),
-        }
-        self._slabs = {
-            code: SlabAllocator(backing, growth_factor=slab_growth)
-            for code, backing in self._backing.items()
-        }
-        self._chunks: dict[int, tuple[int, int]] = {}  # key -> (node, chunk offset)
-        self._backed_bytes = {0: 0, 1: 0}
-
-    @property
-    def index(self) -> HashIndex:
-        """The underlying hash index."""
-        return self._index
-
-    def slab_allocator(self, node_code: int) -> SlabAllocator:
-        """The slab allocator of one node (for stats/tests)."""
-        return self._slabs[node_code]
-
-    def _sync_node(self, node_code: int) -> None:
-        """Propagate new slab pages into node occupancy accounting."""
-        reserved = self._backing[node_code].used_bytes
-        delta = reserved - self._backed_bytes[node_code]
-        if delta > 0:
-            self._node(node_code).allocate(delta)
-        elif delta < 0:
-            self._node(node_code).release(-delta)
-        self._backed_bytes[node_code] = reserved
-
-    def _index_insert(self, key: int, size: int, node_code: int) -> None:
-        offset = self._slabs[node_code].allocate(size + ITEM_OVERHEAD)
-        self._sync_node(node_code)
-        self._index.insert(key, size)
-        self._chunks[key] = (node_code, offset)
-
-    def _index_lookup(self, key: int) -> int:
-        return self._index.lookup(key)
-
-    def _index_remove(self, key: int) -> None:
-        self._index.remove(key)
-        node_code, offset = self._chunks.pop(key)
-        self._slabs[node_code].release(offset)
-        self._sync_node(node_code)
-
-    def stored_bytes(self, node_code: int) -> int:
-        """Bytes reserved on a node, page-granular.
-
-        Pages stay reserved after item release — memcached never
-        returns slab pages to the OS.
-        """
-        return self._backing[node_code].used_bytes
+    default_profile = MEMCACHED_PROFILE

@@ -1,66 +1,17 @@
 """Redis-like engine.
 
-A single-threaded event-loop store: one open-addressing hash index over
-the whole key space, records allocated individually (jemalloc-style
-first fit per node) with a small per-record object header.  Reads copy
-the value once into the reply buffer (``read_passes = 1``); writes retire
+A single-threaded event-loop store over one hash index.  Reads copy the
+value once into the reply buffer (``read_passes = 1``); writes retire
 mostly off the critical path (``write_passes = 0.3``).
 """
 
 from __future__ import annotations
 
-from repro.kvstore.base import FAST, KVEngine
-from repro.kvstore.hashindex import HashIndex
-from repro.kvstore.profiles import REDIS_PROFILE, EngineProfile
-from repro.memsim.allocator import AddressSpaceAllocator, Allocation
-from repro.memsim.node import MemoryNode
-
-#: Per-record header: robj + sds header + dict entry, roughly.
-RECORD_OVERHEAD = 96
+from repro.kvstore.base import KVEngine
+from repro.kvstore.profiles import REDIS_PROFILE
 
 
 class RedisLike(KVEngine):
     """The Redis-shaped engine (see module docstring)."""
 
-    def __init__(
-        self,
-        fast: MemoryNode,
-        slow: MemoryNode,
-        profile: EngineProfile = REDIS_PROFILE,
-    ):
-        super().__init__(profile, fast, slow)
-        self._index = HashIndex()
-        self._backing = {
-            0: AddressSpaceAllocator(fast.capacity_bytes),
-            1: AddressSpaceAllocator(slow.capacity_bytes),
-        }
-        self._allocs: dict[int, tuple[int, Allocation]] = {}  # key -> (node, alloc)
-
-    @property
-    def index(self) -> HashIndex:
-        """The underlying hash index (exposed for probe statistics)."""
-        return self._index
-
-    def _index_insert(self, key: int, size: int, node_code: int) -> None:
-        alloc = self._backing[node_code].allocate(size + RECORD_OVERHEAD)
-        self._node(node_code).allocate(alloc.size)
-        self._index.insert(key, size)
-        self._allocs[key] = (node_code, alloc)
-
-    def _index_lookup(self, key: int) -> int:
-        return self._index.lookup(key)
-
-    def _index_remove(self, key: int) -> None:
-        self._index.remove(key)
-        node_code, alloc = self._allocs.pop(key)
-        self._backing[node_code].release(alloc)
-        self._node(node_code).release(alloc.size)
-
-    def stored_bytes(self, node_code: int) -> int:
-        """Bytes reserved on a node (payload + per-record headers)."""
-        return self._backing[node_code].used_bytes
-
-    def overhead_bytes(self) -> int:
-        """Total allocator/header overhead beyond record payloads."""
-        reserved = self.stored_bytes(FAST) + self.stored_bytes(1)
-        return reserved - self.dataset_bytes
+    default_profile = REDIS_PROFILE

@@ -1,98 +1,36 @@
-"""A server instance bound to one memory node.
+"""The paper's two-server deployment, as a FastMem mask.
 
-The paper deploys *two* unmodified server processes on the testbed and
-uses ``numactl`` to bind each one's allocations to a single node
-(Section II, "Server Configuration").  :class:`ServerInstance` mirrors
-that: it owns an engine whose records all land on the bound node.
+The paper deploys *two* unmodified server processes on the testbed,
+``numactl``-bound to FastMem and SlowMem, behind a YCSB core that routes
+each request to the instance holding its key (Section II, "Server
+Configuration").  What the measurement needs of that setup is which
+keys sit on FastMem: :class:`HybridDeployment` is the engine profile,
+the memory system, the record sizes and that mask, checked once against
+each node's capacity.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.errors import ConfigurationError, KeyNotFoundError
-from repro.kvstore.base import FAST, SLOW, KVEngine, OpResult
+from repro.errors import CapacityError, ConfigurationError
+from repro.kvstore.base import KVEngine
 from repro.memsim.system import HybridMemorySystem
 
 EngineFactory = Callable[..., KVEngine]
 
 
-class ServerInstance:
-    """One key-value store process ``numactl``-bound to a memory node.
-
-    Parameters
-    ----------
-    engine_factory:
-        Engine class (``RedisLike`` / ``MemcachedLike`` / ``DynamoLike``)
-        or any callable with the ``(fast, slow)`` signature.
-    system:
-        The hybrid memory system hosting the server.
-    bind:
-        ``"fast"`` or ``"slow"`` — the node all allocations go to.
-    """
-
-    def __init__(
-        self,
-        engine_factory: EngineFactory,
-        system: HybridMemorySystem,
-        bind: str,
-    ):
-        node = system.bind(bind)  # validates the binding target
-        self.system = system
-        self.bound_node = node
-        self._bind_code = FAST if node is system.fast else SLOW
-        self.engine = engine_factory(system.fast, system.slow)
-        self.name = f"{self.engine.profile.name}@{node.name}"
-
-    @property
-    def is_fast(self) -> bool:
-        """True when bound to FastMem."""
-        return self._bind_code == FAST
-
-    def load_records(
-        self, sizes: Mapping[int, int] | Iterable[tuple[int, int]]
-    ) -> None:
-        """Load records; every allocation lands on the bound node."""
-        pairs = sizes.items() if isinstance(sizes, Mapping) else sizes
-        pairs = list(pairs)
-        if self._bind_code == FAST:
-            self.engine.load(pairs, fast_keys=[k for k, _ in pairs])
-        else:
-            self.engine.load(pairs, fast_keys=())
-
-    def get(self, key: int) -> OpResult:
-        """Serve a read."""
-        return self.engine.get(key)
-
-    def put(self, key: int, size: int | None = None) -> OpResult:
-        """Serve an update."""
-        return self.engine.put(key, size)
-
-    def stored_bytes(self) -> int:
-        """Bytes reserved on the bound node (payload + overhead)."""
-        return self.engine.stored_bytes(self._bind_code)
-
-    def __len__(self) -> int:
-        return len(self.engine)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<ServerInstance {self.name} records={len(self)}>"
-
-
 class HybridDeployment:
-    """Two server instances (FastServer + SlowServer) behind a key router.
-
-    This is the paper's experimental configuration: the YCSB client's
-    core module is modified to redirect each request to the instance
-    holding the key.  The deployment also exposes the aligned NumPy
-    arrays the vectorized client path consumes.
+    """FastServer + SlowServer: record sizes and the FastMem mask.
 
     Parameters
     ----------
     engine_factory:
-        Engine class shared by both instances.
+        Engine class shared by both instances (``RedisLike`` /
+        ``MemcachedLike`` / ``DynamoLike``) or any callable with the
+        ``(fast, slow)`` signature whose result has a ``.profile``.
     system:
         The hybrid memory system.
     record_sizes:
@@ -101,6 +39,12 @@ class HybridDeployment:
     fast_keys:
         Iterable of keys placed on the FastMem instance (default: none,
         the SlowMem-only worst case).
+
+    Raises
+    ------
+    CapacityError
+        If the FastMem payload exceeds ``system.fast.capacity_bytes`` or
+        the rest exceeds ``system.slow.capacity_bytes``.
     """
 
     def __init__(
@@ -115,15 +59,24 @@ class HybridDeployment:
             raise ConfigurationError("record_sizes must be a non-empty 1-D array")
         if (record_sizes <= 0).any():
             raise ConfigurationError("all record sizes must be positive")
+        fast_keys = np.fromiter(fast_keys, dtype=np.int64, count=-1)
+        if fast_keys.size and (
+            fast_keys.min() < 0 or fast_keys.max() >= record_sizes.size
+        ):
+            raise ConfigurationError("fast_keys outside the key space")
         self.system = system
         self.record_sizes = record_sizes
-        self._engine_factory = engine_factory
-        self.fast_server = ServerInstance(engine_factory, system, "fast")
-        self.slow_server = ServerInstance(engine_factory, system, "slow")
         self.fast_mask = np.zeros(record_sizes.size, dtype=bool)
-        self._load(fast_keys)
-
-    # -- construction helpers -----------------------------------------------------
+        self.fast_mask[fast_keys] = True
+        fast = self.fast_bytes()
+        for node, payload in ((system.fast, fast),
+                              (system.slow, int(record_sizes.sum()) - fast)):
+            if payload > node.capacity_bytes:
+                raise CapacityError(
+                    f"{node.name}: placement needs {payload} B but the node "
+                    f"has {node.capacity_bytes} B"
+                )
+        self.profile = engine_factory(system.fast, system.slow).profile
 
     @classmethod
     def all_fast(
@@ -142,60 +95,10 @@ class HybridDeployment:
         """Worst-case baseline deployment: every record on SlowMem."""
         return cls(engine_factory, system, record_sizes, fast_keys=())
 
-    def _load(self, fast_keys: Iterable[int]) -> None:
-        fast_keys = np.fromiter(fast_keys, dtype=np.int64, count=-1)
-        if fast_keys.size:
-            if fast_keys.min() < 0 or fast_keys.max() >= self.record_sizes.size:
-                raise ConfigurationError("fast_keys outside the key space")
-            self.fast_mask[fast_keys] = True
-        fast_pairs = [(int(k), int(self.record_sizes[k])) for k in fast_keys]
-        slow_ids = np.nonzero(~self.fast_mask)[0]
-        slow_pairs = [(int(k), int(self.record_sizes[k])) for k in slow_ids]
-        self.fast_server.load_records(fast_pairs)
-        self.slow_server.load_records(slow_pairs)
-
-    # -- routing --------------------------------------------------------------------
-
-    @property
-    def profile(self):
-        """The engine cost profile (both instances share it)."""
-        return self.fast_server.engine.profile
-
     @property
     def n_keys(self) -> int:
         """Size of the key space."""
         return self.record_sizes.size
-
-    def route(self, key: int) -> ServerInstance:
-        """The server instance holding *key*.
-
-        Raises
-        ------
-        KeyNotFoundError
-            If *key* is outside the deployment's key space — the error
-            names the key and describes the deployment so a bad trace
-            or off-by-one in placement code fails loudly instead of
-            hitting numpy's wrap-around indexing.
-        """
-        k = int(key)
-        if not 0 <= k < self.record_sizes.size:
-            raise KeyNotFoundError(
-                f"key {k} not in deployment "
-                f"(engine {self.profile.name!r}, "
-                f"{self.record_sizes.size} keys, "
-                f"{int(self.fast_mask.sum())} on FastMem)"
-            )
-        return self.fast_server if self.fast_mask[k] else self.slow_server
-
-    def get(self, key: int) -> OpResult:
-        """Routed read."""
-        return self.route(key).get(key)
-
-    def put(self, key: int, size: int | None = None) -> OpResult:
-        """Routed update."""
-        return self.route(key).put(key, size)
-
-    # -- sizing ----------------------------------------------------------------------
 
     def fast_bytes(self) -> int:
         """Payload bytes placed on FastMem."""

@@ -3,8 +3,8 @@
 Every sweep, validation replay and drift drill evaluates the *same trace*
 against many placements, and a placement is fully described by one
 array over the key space (:func:`check_placement`) — no
-:class:`~repro.kvstore.server.HybridDeployment` (which loads every record
-into both engine instances) is needed to measure one.
+:class:`~repro.kvstore.server.HybridDeployment` is needed to measure
+one.
 
 :class:`BatchKernel` is the one way a placement is measured.  The
 cost law is a function of (key, op, tier), so it is evaluated **once**,

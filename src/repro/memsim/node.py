@@ -2,16 +2,18 @@
 
 A :class:`MemoryNode` is one memory component of the hybrid system — DRAM
 ("FastMem") or emulated NVM ("SlowMem").  It carries the device timing
-parameters used by the access cost model and tracks occupancy so that
-capacity sizing decisions are enforced rather than assumed.
+parameters used by the access cost model and its capacity.  A node is a
+value: it holds no occupancy, so one system can host any number of
+deployments (:class:`~repro.kvstore.server.HybridDeployment` checks a
+placement's payload against ``capacity_bytes``).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.units import gbps_to_bytes_per_ns
 
 
@@ -22,7 +24,7 @@ class NodeKind(enum.Enum):
     SLOW = "slow"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryNode:
     """One memory component of a hybrid memory system.
 
@@ -38,7 +40,7 @@ class MemoryNode:
     bandwidth_gbps:
         Sustained bandwidth in GB/s (Table I: 14.9 / 1.81).
     capacity_bytes:
-        Total capacity of the node.  ``allocate``/``release`` enforce it.
+        Total capacity of the node.
     """
 
     name: str
@@ -46,7 +48,6 @@ class MemoryNode:
     latency_ns: float
     bandwidth_gbps: float
     capacity_bytes: int
-    used_bytes: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.latency_ns <= 0:
@@ -60,50 +61,6 @@ class MemoryNode:
                 f"capacity must be positive, got {self.capacity_bytes}"
             )
 
-    # -- occupancy ---------------------------------------------------------
-
-    @property
-    def free_bytes(self) -> int:
-        """Remaining capacity."""
-        return self.capacity_bytes - self.used_bytes
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of capacity currently in use (0..1)."""
-        return self.used_bytes / self.capacity_bytes
-
-    def allocate(self, nbytes: int) -> None:
-        """Reserve *nbytes* on this node.
-
-        Raises
-        ------
-        CapacityError
-            If the node does not have *nbytes* free.
-        """
-        if nbytes < 0:
-            raise ConfigurationError(f"cannot allocate negative bytes: {nbytes}")
-        if nbytes > self.free_bytes:
-            raise CapacityError(
-                f"{self.name}: requested {nbytes} B but only "
-                f"{self.free_bytes} B free of {self.capacity_bytes} B"
-            )
-        self.used_bytes += nbytes
-
-    def release(self, nbytes: int) -> None:
-        """Return *nbytes* to the node."""
-        if nbytes < 0:
-            raise ConfigurationError(f"cannot release negative bytes: {nbytes}")
-        if nbytes > self.used_bytes:
-            raise CapacityError(
-                f"{self.name}: releasing {nbytes} B but only "
-                f"{self.used_bytes} B are allocated"
-            )
-        self.used_bytes -= nbytes
-
-    def reset(self) -> None:
-        """Drop all occupancy accounting (fresh server deployment)."""
-        self.used_bytes = 0
-
     # -- degradation ---------------------------------------------------------
 
     def degraded(
@@ -113,10 +70,9 @@ class MemoryNode:
 
         ``latency_factor`` multiplies latency (>= 1 makes it slower);
         ``bandwidth_factor`` multiplies bandwidth (<= 1 makes it
-        slower).  Occupancy accounting starts fresh — a degraded node
-        models a different steady state, not a live migration.  Used by
-        what-if studies and the fault layer's steady-state degradation
-        scenarios (:mod:`repro.faults`).
+        slower).  A degraded node models a different steady state, not
+        a live migration.  Used by what-if studies and the fault layer's
+        steady-state degradation scenarios (:mod:`repro.faults`).
         """
         if latency_factor <= 0 or bandwidth_factor <= 0:
             raise ConfigurationError(

@@ -1,8 +1,7 @@
 """The hybrid memory system: a FastMem/SlowMem node pair, and tiers below.
 
-Mirrors the paper's testbed (Section II): two memory nodes, a shared
-12 MB LLC, and ``numactl``-style binding of server processes to one node.
-SlowMem extends the flat address space; FastMem does not act as a cache
+Mirrors the paper's testbed (Section II): two memory nodes and a shared
+12 MB LLC.  SlowMem extends the flat address space; FastMem does not act as a cache
 for SlowMem (explicit assumption in the paper).  Further tiers (``far``:
 CXL-attached or borrowed remote memory) extend the same ordered list;
 the paper's pair is the two-tier case.
@@ -113,22 +112,6 @@ class HybridMemorySystem:
             far=tuple(node.degraded() for node in self.far),
         )
 
-    # -- numactl-style binding ---------------------------------------------------
-
-    def bind(self, node: str | NodeKind) -> MemoryNode:
-        """Resolve a binding target, as ``numactl --membind`` would.
-
-        Accepts ``"fast"``/``"slow"``, a node name, or a :class:`NodeKind`.
-        """
-        if isinstance(node, NodeKind):
-            return self.fast if node is NodeKind.FAST else self.slow
-        label = node.lower()
-        if label in ("fast", self.fast.name.lower()):
-            return self.fast
-        if label in ("slow", self.slow.name.lower()):
-            return self.slow
-        raise ConfigurationError(f"unknown memory node {node!r}")
-
     @property
     def nodes(self) -> tuple[MemoryNode, ...]:
         """Every tier, fastest first: ``(fast, slow, *far)``."""
@@ -138,12 +121,6 @@ class HybridMemorySystem:
     def total_capacity_bytes(self) -> int:
         """Combined capacity of every node (flat address space)."""
         return sum(n.capacity_bytes for n in self.nodes)
-
-    def reset(self) -> None:
-        """Fresh deployment: drop occupancy and flush the LLC."""
-        for node in self.nodes:
-            node.reset()
-        self.llc.reset()
 
     def describe(self) -> dict[str, dict[str, float]]:
         """Table I-style summary: per-node latency, bandwidth and their

@@ -1,12 +1,14 @@
 """Tests for the Placement Engine."""
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
 from repro.core import Mnemo, PlacementEngine
 from repro.errors import PlacementError
 from repro.kvstore import RedisLike
 from repro.memsim import HybridMemorySystem
+from repro.ycsb import generate_trace, workload_by_name
 
 
 @pytest.fixture
@@ -74,7 +76,6 @@ class TestRealize:
         assert dep.fast_bytes() == pytest.approx(choice.fast_bytes)
 
     def test_workload_mismatch_rejected(self, report, small_trace):
-        from dataclasses import replace
         choice = replace(report.choose(0.10), workload="other")
         engine = PlacementEngine(RedisLike)
         with pytest.raises(PlacementError):
@@ -86,3 +87,20 @@ class TestRealize:
         choice = report.choose(0.10)
         dep = mnemo.place(report, choice)
         assert dep.fast_mask.sum() == choice.n_fast_keys
+
+
+class TestRepeatedPlace:
+    def test_one_system_hosts_any_number_of_placements(self, quiet_client):
+        # trending's ~0.95 GiB dataset: ten placements on one 2 x 4 GiB
+        # testbed fit only if a dropped deployment holds no capacity
+        spec = replace(workload_by_name("trending"), n_requests=2_000)
+        trace = generate_trace(spec)
+        mnemo = Mnemo(engine_factory=RedisLike, client=quiet_client)
+        report = mnemo.profile(trace)
+        choice = report.choose(0.10)
+        system = HybridMemorySystem.testbed()
+        for _ in range(10):
+            dep = mnemo.place(report, choice, system)
+            assert dep.fast_mask.sum() == choice.n_fast_keys
+        fresh = HybridMemorySystem.testbed()
+        assert (system.fast, system.slow) == (fresh.fast, fresh.slow)

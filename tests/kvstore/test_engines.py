@@ -1,161 +1,33 @@
-"""Tests for the three store engines (shared behaviour, parametrised)."""
+"""Tests for the three store engines: each is its calibrated profile."""
 
+import numpy as np
 import pytest
 
-from repro.errors import (
-    AllocationError,
-    CapacityError,
-    ConfigurationError,
-    KeyNotFoundError,
+from repro.errors import CapacityError
+from repro.kvstore import (
+    DYNAMO_PROFILE,
+    DynamoLike,
+    HybridDeployment,
+    MemcachedLike,
+    RedisLike,
 )
-from repro.kvstore import DynamoLike, MemcachedLike, RedisLike
-from repro.kvstore.base import FAST, SLOW
 from repro.memsim import HybridMemorySystem
-
-
-@pytest.fixture
-def engine(engine_factory, system):
-    return engine_factory(system.fast, system.slow)
-
-
-class TestLoading:
-    def test_load_places_keys(self, engine):
-        engine.load({0: 100, 1: 200, 2: 300}, fast_keys=[0])
-        assert engine.node_of(0) == "FastMem"
-        assert engine.node_of(1) == "SlowMem"
-        assert len(engine) == 3
-
-    def test_duplicate_load_rejected(self, engine):
-        engine.load({0: 100})
-        with pytest.raises(ConfigurationError):
-            engine.load({0: 100})
-
-    def test_nonpositive_size_rejected(self, engine):
-        with pytest.raises(ConfigurationError):
-            engine.load({0: 0})
-
-    def test_node_of_missing_raises(self, engine):
-        with pytest.raises(KeyNotFoundError):
-            engine.node_of(7)
-
-    def test_dataset_bytes(self, engine):
-        engine.load({0: 100, 1: 200})
-        assert engine.dataset_bytes == 300
-
-    def test_fast_bytes(self, engine):
-        engine.load({0: 100, 1: 200}, fast_keys=[1])
-        assert engine.fast_bytes() == 200
-
-    def test_node_occupancy_reflects_load(self, engine, system):
-        engine.load({k: 10_000 for k in range(10)}, fast_keys=range(5))
-        assert system.fast.used_bytes >= 5 * 10_000
-        assert system.slow.used_bytes >= 5 * 10_000
-
-
-class TestOperations:
-    def test_get_returns_result(self, engine):
-        engine.load({0: 1_000}, fast_keys=[0])
-        r = engine.get(0)
-        assert r.op == "get"
-        assert r.node == "FastMem"
-        assert r.size == 1_000
-        assert r.service_time_ns > 0
-
-    def test_get_missing_raises(self, engine):
-        with pytest.raises(KeyNotFoundError):
-            engine.get(99)
-
-    def test_slow_get_costs_more_or_equal(self, engine_factory, system):
-        engine = engine_factory(system.fast, system.slow)
-        engine.load({0: 100_000, 1: 100_000}, fast_keys=[0])
-        fast_t = engine.get(0).service_time_ns
-        slow_t = engine.get(1).service_time_ns
-        assert slow_t >= fast_t
-
-    def test_put_keeps_size(self, engine):
-        engine.load({0: 1_000})
-        r = engine.put(0)
-        assert r.op == "put"
-        assert r.size == 1_000
-
-    def test_put_resize(self, engine):
-        engine.load({0: 1_000})
-        engine.put(0, size=2_000)
-        assert engine.get(0).size == 2_000
-        assert engine.dataset_bytes == 2_000
-
-    def test_delete_removes(self, engine):
-        engine.load({0: 1_000, 1: 500})
-        engine.delete(0)
-        assert len(engine) == 1
-        with pytest.raises(KeyNotFoundError):
-            engine.get(0)
-
-    def test_delete_releases_capacity(self, engine, system):
-        engine.load({0: 100_000})
-        used = system.slow.used_bytes
-        engine.delete(0)
-        if isinstance(engine, MemcachedLike):
-            # memcached keeps slab pages reserved after item eviction
-            assert system.slow.used_bytes == used
-        else:
-            assert system.slow.used_bytes < used
-
-    def test_clock_accumulates(self, engine):
-        engine.load({0: 1_000})
-        engine.get(0)
-        engine.get(0)
-        assert engine.op_count == 2
-        assert engine.clock_ns > 0
-
-
-class TestVectorViews:
-    def test_key_arrays_aligned(self, engine):
-        engine.load({0: 100, 1: 200, 2: 300}, fast_keys=[2])
-        keys, sizes, nodes = engine.key_arrays()
-        assert keys.tolist() == [0, 1, 2]
-        assert sizes.tolist() == [100, 200, 300]
-        assert nodes.tolist() == [SLOW, SLOW, FAST]
 
 
 class TestCapacityEnforcement:
     def test_fast_node_overflow_raises(self, engine_factory):
         system = HybridMemorySystem.testbed(fast_capacity_bytes=2_000_000)
-        engine = engine_factory(system.fast, system.slow)
-        with pytest.raises((CapacityError, AllocationError)):
-            engine.load({k: 1_000_000 for k in range(10)}, fast_keys=range(10))
+        sizes = np.full(10, 1_000_000, dtype=np.int64)
+        with pytest.raises(CapacityError):
+            HybridDeployment.all_fast(engine_factory, system, sizes)
 
 
 class TestEngineSpecifics:
-    def test_redis_overhead_accounting(self, system):
-        eng = RedisLike(system.fast, system.slow)
-        eng.load({0: 1_000})
-        assert eng.overhead_bytes() > 0
-
-    def test_memcached_slab_pages(self, system):
-        eng = MemcachedLike(system.fast, system.slow)
-        eng.load({k: 10_000 for k in range(5)})
-        slab = eng.slab_allocator(SLOW)
-        assert slab.allocated_bytes >= 1_000_000  # at least one page
-
-    def test_memcached_stored_bytes_page_granular(self, system):
-        eng = MemcachedLike(system.fast, system.slow)
-        eng.load({0: 100})
-        assert eng.stored_bytes(SLOW) == 1_048_576
-
-    def test_dynamo_btree_ordered_scan(self, system):
-        eng = DynamoLike(system.fast, system.slow)
-        eng.load({k: 100 for k in (5, 1, 3, 2, 4)})
-        assert [k for k, _ in eng.scan(2, 5)] == [2, 3, 4]
-
-    def test_dynamo_tree_invariants_after_churn(self, system):
-        eng = DynamoLike(system.fast, system.slow)
-        eng.load({k: 100 for k in range(200)})
-        for k in range(0, 200, 3):
-            eng.delete(k)
-        eng.tree.check_invariants()
-
     def test_profiles_attached(self, system):
         assert RedisLike(system.fast, system.slow).profile.name == "redis"
         assert MemcachedLike(system.fast, system.slow).profile.name == "memcached"
         assert DynamoLike(system.fast, system.slow).profile.name == "dynamodb"
+
+    def test_profile_override(self, system):
+        engine = RedisLike(system.fast, system.slow, DYNAMO_PROFILE)
+        assert engine.profile is DYNAMO_PROFILE

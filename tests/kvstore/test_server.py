@@ -1,55 +1,14 @@
-"""Tests for ServerInstance and HybridDeployment."""
+"""Tests for HybridDeployment: a FastMem mask with a capacity check."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, KeyNotFoundError
-from repro.kvstore import HybridDeployment, RedisLike, ServerInstance
-
-
-class TestServerInstance:
-    def test_bind_fast(self, system):
-        srv = ServerInstance(RedisLike, system, "fast")
-        assert srv.is_fast
-        assert srv.bound_node is system.fast
-
-    def test_bind_slow(self, system):
-        srv = ServerInstance(RedisLike, system, "slow")
-        assert not srv.is_fast
-
-    def test_bind_invalid(self, system):
-        with pytest.raises(ConfigurationError):
-            ServerInstance(RedisLike, system, "gpu")
-
-    def test_load_records_land_on_bound_node(self, system):
-        srv = ServerInstance(RedisLike, system, "fast")
-        srv.load_records({0: 1_000, 1: 2_000})
-        assert srv.engine.node_of(0) == "FastMem"
-        assert srv.engine.node_of(1) == "FastMem"
-        assert len(srv) == 2
-
-    def test_ops_route_through_engine(self, system):
-        srv = ServerInstance(RedisLike, system, "slow")
-        srv.load_records({0: 1_000})
-        assert srv.get(0).node == "SlowMem"
-        assert srv.put(0).node == "SlowMem"
-
-    def test_stored_bytes(self, system):
-        srv = ServerInstance(RedisLike, system, "fast")
-        srv.load_records({0: 1_000})
-        assert srv.stored_bytes() >= 1_000
-
-    def test_name_includes_engine_and_node(self, system):
-        srv = ServerInstance(RedisLike, system, "fast")
-        assert srv.name == "redis@FastMem"
+from repro.errors import CapacityError, ConfigurationError
+from repro.kvstore import HybridDeployment, RedisLike
+from repro.memsim import HybridMemorySystem
 
 
 class TestHybridDeployment:
-    def test_routing(self, system, tiny_sizes):
-        dep = HybridDeployment(RedisLike, system, tiny_sizes, fast_keys=[0, 1])
-        assert dep.route(0) is dep.fast_server
-        assert dep.route(5) is dep.slow_server
-
     def test_fast_mask(self, system, tiny_sizes):
         dep = HybridDeployment(RedisLike, system, tiny_sizes, fast_keys=[3, 7])
         assert dep.fast_mask.sum() == 2
@@ -69,35 +28,9 @@ class TestHybridDeployment:
         dep = HybridDeployment(RedisLike, system, tiny_sizes, fast_keys=[0, 9])
         assert dep.fast_bytes() == tiny_sizes[0] + tiny_sizes[9]
 
-    def test_get_put_route(self, system, tiny_sizes):
-        dep = HybridDeployment(RedisLike, system, tiny_sizes, fast_keys=[0])
-        assert dep.get(0).node == "FastMem"
-        assert dep.get(1).node == "SlowMem"
-        assert dep.put(1).node == "SlowMem"
-
     def test_out_of_range_fast_keys_rejected(self, system, tiny_sizes):
         with pytest.raises(ConfigurationError):
             HybridDeployment(RedisLike, system, tiny_sizes, fast_keys=[99])
-
-    def test_route_unknown_key_raises_descriptively(self, system, tiny_sizes):
-        dep = HybridDeployment(RedisLike, system, tiny_sizes, fast_keys=[0])
-        with pytest.raises(KeyNotFoundError) as exc_info:
-            dep.route(tiny_sizes.size + 5)
-        message = str(exc_info.value)
-        assert str(tiny_sizes.size + 5) in message  # the offending key
-        assert "redis" in message                   # the deployment profile
-        assert str(tiny_sizes.size) in message      # the key-space bound
-
-    def test_route_rejects_negative_key(self, system, tiny_sizes):
-        # numpy would silently wrap -1 to the last key; routing must not
-        dep = HybridDeployment(RedisLike, system, tiny_sizes, fast_keys=[0])
-        with pytest.raises(KeyNotFoundError):
-            dep.route(-1)
-
-    def test_route_error_is_also_a_keyerror(self, system, tiny_sizes):
-        dep = HybridDeployment(RedisLike, system, tiny_sizes)
-        with pytest.raises(KeyError):
-            dep.get(999)
 
     def test_empty_sizes_rejected(self, system):
         with pytest.raises(ConfigurationError):
@@ -117,3 +50,25 @@ class TestHybridDeployment:
         dep = HybridDeployment(RedisLike, system, tiny_sizes)
         assert dep.profile.name == "redis"
         assert dep.n_keys == tiny_sizes.size
+
+
+class TestCapacityCheck:
+    """One check per node: FastMem payload against FastMem's capacity,
+    the rest against SlowMem's; record headers are not counted."""
+
+    def test_fast_payload_over_capacity_raises(self, tiny_sizes):
+        system = HybridMemorySystem.testbed(fast_capacity_bytes=299)
+        with pytest.raises(CapacityError, match="FastMem"):
+            HybridDeployment(RedisLike, system, tiny_sizes, fast_keys=[0, 1])
+
+    def test_slow_payload_over_capacity_raises(self, tiny_sizes):
+        system = HybridMemorySystem.testbed(slow_capacity_bytes=5_199)
+        with pytest.raises(CapacityError, match="SlowMem"):
+            HybridDeployment(RedisLike, system, tiny_sizes, fast_keys=[0, 1])
+
+    def test_exact_fit_accepted(self, tiny_sizes):
+        system = HybridMemorySystem.testbed(
+            fast_capacity_bytes=300, slow_capacity_bytes=5_200,
+        )
+        dep = HybridDeployment(RedisLike, system, tiny_sizes, fast_keys=[0, 1])
+        assert dep.fast_bytes() == 300

@@ -30,7 +30,7 @@ from repro.kvstore.redislike import RedisLike
 from repro.kvstore.server import HybridDeployment
 from repro.memsim.kernel import BatchKernel, measure_repeats
 from repro.memsim.system import HybridMemorySystem
-from repro.memsim.timing import AccessTimer, NoiseModel
+from repro.memsim.timing import AccessTimer, NoiseModel, service_times_ns
 from repro.rng import derive_seed, ensure_rng
 from repro.runner.caching import CachingClient
 from repro.store import SQLiteStore
@@ -447,8 +447,9 @@ class TestKeySpaceTables:
 
 
 class TestEngineClock:
-    """The engines' scalar clock and the kernel evaluate one law
-    (ROADMAP item 5's prerequisite for folding the one onto the other)."""
+    """The scalar cost law and the kernel evaluate one law: each key's
+    table entry is one ``service_times_ns`` call on its node, and a
+    trace's in-order scalar sum is the sum of ``base_times``."""
 
     @pytest.fixture(params=[RedisLike, MemcachedLike, DynamoLike])
     def loaded(self, request):
@@ -456,30 +457,36 @@ class TestEngineClock:
         trace = _synthetic_trace(rng, 60, 400, 0.7, mixed_sizes=True)
         mask = rng.random(trace.n_keys) < 0.4
         system = HybridMemorySystem.testbed()
-        engine = request.param(system.fast, system.slow)
-        engine.load(enumerate(trace.record_sizes.tolist()),
-                    fast_keys=np.flatnonzero(mask).tolist())
-        kernel = BatchKernel(
-            YCSBClient(seed=1), trace, engine.profile, system
-        )
-        return engine, kernel, trace, mask
+        profile = request.param(system.fast, system.slow).profile
+        kernel = BatchKernel(YCSBClient(seed=1), trace, profile, system)
+
+        def scalar(key, is_read):
+            node = system.fast if mask[key] else system.slow
+            return float(service_times_ns(
+                int(trace.record_sizes[key]) + profile.metadata_bytes,
+                node.latency_ns, node.bytes_per_ns,
+                profile.passes(is_read), profile.cpu_ns(is_read),
+            ))
+
+        return scalar, kernel, trace, mask
 
     def test_scalar_ops_equal_table_entries(self, loaded):
-        engine, kernel, trace, mask = loaded
+        scalar, kernel, trace, mask = loaded
         for key in range(trace.n_keys):
             table = kernel.tables[0] if mask[key] else kernel.tables[1]
-            assert engine.put(key).service_time_ns == table[0, key]
-            assert engine.get(key).service_time_ns == table[1, key]
+            assert scalar(key, False) == table[0, key]
+            assert scalar(key, True) == table[1, key]
 
     def test_clock_is_the_in_order_sum_of_base_times(self, loaded):
-        engine, kernel, trace, mask = loaded
+        scalar, kernel, trace, mask = loaded
+        clock = 0.0
         for key, is_read in zip(trace.keys.tolist(), trace.is_read.tolist()):
-            engine.get(key) if is_read else engine.put(key)
+            clock += scalar(key, is_read)
         _, base, _ = kernel.base_times(mask)
         in_order = 0.0
         for t in base.tolist():
             in_order += t
-        assert engine.clock_ns == in_order
+        assert clock == in_order
 
 
 ALL_FAULTS = FaultSpec(

@@ -1,8 +1,10 @@
 """Tests for repro.memsim.node."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.memsim import MemoryNode, NodeKind
 from repro.units import GiB
 
@@ -19,8 +21,10 @@ def make_node(**kw):
 class TestConstruction:
     def test_basic(self):
         node = make_node()
-        assert node.used_bytes == 0
-        assert node.free_bytes == 4 * GiB
+        assert node.capacity_bytes == 4 * GiB
+        assert node == make_node()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.capacity_bytes = 0
 
     @pytest.mark.parametrize("field,value", [
         ("latency_ns", 0), ("latency_ns", -1),
@@ -30,49 +34,6 @@ class TestConstruction:
     def test_invalid_params_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
             make_node(**{field: value})
-
-
-class TestOccupancy:
-    def test_allocate_release_roundtrip(self):
-        node = make_node()
-        node.allocate(1000)
-        assert node.used_bytes == 1000
-        node.release(1000)
-        assert node.used_bytes == 0
-
-    def test_allocate_over_capacity_raises(self):
-        node = make_node(capacity_bytes=100)
-        with pytest.raises(CapacityError):
-            node.allocate(101)
-
-    def test_allocate_exact_capacity_ok(self):
-        node = make_node(capacity_bytes=100)
-        node.allocate(100)
-        assert node.free_bytes == 0
-
-    def test_release_more_than_used_raises(self):
-        node = make_node()
-        node.allocate(10)
-        with pytest.raises(CapacityError):
-            node.release(11)
-
-    def test_negative_amounts_rejected(self):
-        node = make_node()
-        with pytest.raises(ConfigurationError):
-            node.allocate(-1)
-        with pytest.raises(ConfigurationError):
-            node.release(-1)
-
-    def test_utilization(self):
-        node = make_node(capacity_bytes=1000)
-        node.allocate(250)
-        assert node.utilization == pytest.approx(0.25)
-
-    def test_reset(self):
-        node = make_node()
-        node.allocate(500)
-        node.reset()
-        assert node.used_bytes == 0
 
 
 class TestTiming:

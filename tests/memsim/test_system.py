@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.memsim import HybridMemorySystem, LLCModel, MemoryNode, NodeKind
+from repro.memsim import HybridMemorySystem, MemoryNode, NodeKind
 from repro.units import GiB, MB
 
 
@@ -36,24 +36,6 @@ class TestTestbedPreset:
         assert desc["FastMem"]["latency_factor"] == 1.0
 
 
-class TestBinding:
-    @pytest.mark.parametrize("label", ["fast", "FastMem", "FAST"])
-    def test_bind_fast(self, system, label):
-        assert system.bind(label) is system.fast
-
-    @pytest.mark.parametrize("label", ["slow", "SlowMem"])
-    def test_bind_slow(self, system, label):
-        assert system.bind(label) is system.slow
-
-    def test_bind_kind(self, system):
-        assert system.bind(NodeKind.FAST) is system.fast
-        assert system.bind(NodeKind.SLOW) is system.slow
-
-    def test_bind_unknown_raises(self, system):
-        with pytest.raises(ConfigurationError):
-            system.bind("numa9")
-
-
 class TestValidation:
     def _node(self, kind, lat):
         return MemoryNode(name="n", kind=kind, latency_ns=lat,
@@ -74,15 +56,6 @@ class TestValidation:
             )
 
 
-class TestReset:
-    def test_reset_clears_everything(self, system):
-        system.fast.allocate(100)
-        system.slow.allocate(200)
-        system.llc.access(1, 50)
-        system.reset()
-        assert system.fast.used_bytes == 0
-        assert system.slow.used_bytes == 0
-        assert system.llc.used_bytes == 0
-
+class TestNodes:
     def test_nodes_property(self, system):
         assert system.nodes == (system.fast, system.slow)
