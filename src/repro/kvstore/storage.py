@@ -25,11 +25,10 @@ import numpy as np
 from repro.errors import ConfigurationError, WorkloadError
 from repro.kvstore.profiles import EngineProfile
 from repro.memsim.cache import LLCModel
+from repro.memsim.kernel import measure_repeats
 from repro.memsim.system import HybridMemorySystem
-from repro.memsim.timing import AccessTimer, NoiseModel
-from repro.rng import SeedLike, derive_seed
-
-from repro.ycsb.client import RunResult
+from repro.rng import SeedLike
+from repro.ycsb.client import RunResult, YCSBClient
 from repro.ycsb.workload import Trace
 
 #: RocksDB-local-flavoured request costs: cheaper CPU path than the
@@ -105,9 +104,9 @@ class StorageBackedStore:
             raise WorkloadError(
                 f"fast_mask must cover every key ({trace.n_keys})"
             )
-        if repeats <= 0:
-            raise ConfigurationError("repeats must be positive")
-
+        # the measuring settings, validated before any work
+        client = YCSBClient(repeats=repeats, noise_sigma=noise_sigma,
+                            seed=seed, percentiles=())
         prof = self.profile
         cfg = self.config
         hits = self._cache_hits(trace)
@@ -132,34 +131,10 @@ class StorageBackedStore:
         cpu = np.where(is_read, prof.read_cpu_ns, prof.write_cpu_ns)
         base_times = cpu + np.where(is_read, read_ns, write_ns)
 
-        noise = NoiseModel(sigma=noise_sigma)
-        n_reads = int(is_read.sum())
-        n_writes = trace.n_requests - n_reads
-        runtimes = np.empty(repeats)
-        read_sums = np.empty(repeats)
-        for r in range(repeats):
-            timer = AccessTimer(
-                noise=noise,
-                seed=derive_seed(seed, f"{trace.name}/storage-run{r}"),
-            )
-            times = noise.apply(base_times, timer._rng)
-            runtimes[r] = times.sum()
-            read_sums[r] = times[is_read].sum()
-
-        runtime = float(runtimes.mean())
-        read_sum = float(read_sums.mean())
-        return RunResult(
-            workload=trace.name,
-            engine=prof.name,
-            n_requests=trace.n_requests,
-            n_reads=n_reads,
-            n_writes=n_writes,
-            runtime_ns=runtime,
-            avg_read_ns=read_sum / n_reads if n_reads else 0.0,
-            avg_write_ns=(runtime - read_sum) / n_writes if n_writes else 0.0,
-            latency_percentiles_ns={},
-            repeats=repeats,
-            runtime_std_ns=float(runtimes.std()),
+        return measure_repeats(
+            client, trace, prof.name,
+            np.broadcast_to(base_times, (2, trace.n_requests)),
+            np.stack((~is_read, is_read)), f"{trace.name}/storage",
         )
 
     def cache_hit_rate(self, trace: Trace) -> float:

@@ -29,10 +29,10 @@ question analytically, from *per-key* aggregates:
     whose temporal locality a popularity CDF cannot see — so it is
     what :func:`predict_placement` uses.
 
-The analytic path never draws noise, never touches per-request arrays
-and never replays the LRU, so it costs O(n_keys) per placement versus
-the simulator's O(repeats x n_requests) — the ``accuracy="analytic"``
-mode on the :class:`~repro.core.mnemo.Mnemo` facade.  Its error envelope
+The analytic path takes noise at its mean of 1 and predicts the LLC
+where the simulator solves the noise mixture and replays the exact hit
+mask — the ``accuracy="analytic"`` mode on the
+:class:`~repro.core.mnemo.Mnemo` facade.  Its error envelope
 is quantified against the simulator on the YCSB presets in
 ``tests/memsim/test_analytic.py`` and recorded in ``BENCH_kernel.json``.
 """
@@ -45,6 +45,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import ConfigurationError
+from repro.memsim.kernel import _weighted_percentiles
 from repro.memsim.timing import service_tables
 
 #: Bisection iterations for the characteristic time (halves the bracket
@@ -219,34 +220,6 @@ def _cached_hit_counts(trace, capacity_bytes: int) -> np.ndarray:
         _hit_counts_memo[key] = hits
         weakref.finalize(trace, _hit_counts_memo.pop, key, None)
     return hits
-
-
-def _weighted_percentiles(
-    values: np.ndarray, weights: np.ndarray, qs: tuple[float, ...],
-) -> dict[float, float]:
-    """np.percentile-style linear-interpolated quantiles of a weighted sample.
-
-    ``weights`` are (possibly fractional) multiplicities; the quantile
-    is taken over the implied expanded sample, matching what
-    ``np.percentile`` computes on the materialised per-request times —
-    up to the fractional-weight smoothing the LLC hit split introduces.
-    """
-    keep = weights > 0
-    v, w = values[keep], weights[keep]
-    order = np.argsort(v, kind="stable")
-    v, w = v[order], w[order]
-    cum = np.cumsum(w)
-    total = cum[-1]
-    out: dict[float, float] = {}
-    for q in qs:
-        pos = q / 100.0 * (total - 1.0)
-        pos = min(max(pos, 0.0), total - 1.0)
-        j0, j1 = np.floor(pos), np.ceil(pos)
-        frac = pos - j0
-        v0 = v[min(np.searchsorted(cum, j0, side="right"), v.size - 1)]
-        v1 = v[min(np.searchsorted(cum, j1, side="right"), v.size - 1)]
-        out[q] = float(v0 + frac * (v1 - v0))
-    return out
 
 
 def predict_placement(trace, profile, system, fast_mask, client):

@@ -6,36 +6,22 @@ array over the key space (:func:`check_placement`) — no
 :class:`~repro.kvstore.server.HybridDeployment` is needed to measure
 one.
 
-:class:`BatchKernel` is the one way a placement is measured.  The
-cost law is a function of (key, op, tier), so it is evaluated **once**,
-as a ``(2, n_keys)`` service-time table per memory node (row 0 writes,
-row 1 reads); the request index into the tables, the LLC hit mask and
-the trace digest are placement-independent too.  Each placement then
-costs a key-long select between the tables, one gather into request
-order, a fingerprint over the placement, and one row-at-a-time
-timing pass over a reusable buffer (:func:`measure_repeats`).
-``YCSBClient.execute`` is the one-mask case of the same call.
-
-Each placement's noise streams derive from its own experiment
-fingerprint
-(:func:`~repro.runner.fingerprint.experiment_fingerprint_parts`), base
-times come from the shared :func:`~repro.memsim.timing.service_times_ns`
-formula, and repeat ``r`` draws from
-``derive_seed(seed, f"{label}/run{r}")`` — so a placement measures the
-same :class:`~repro.ycsb.client.RunResult` alone, in any batch, in any
-process, on any thread.  ``tests/memsim/test_kernel.py`` keeps the
-per-repeat :class:`~repro.memsim.timing.AccessTimer` loop as the
-reference the kernel must match bit for bit.
-
-That purity is what lets :meth:`BatchKernel.run_all` spread a batch's
-placements over the usable cores: the draws, ufuncs and partitions of a
-placement release the GIL, and each thread writes only its own buffers.
+:class:`BatchKernel` is the one way a placement is measured.  The cost
+law is a function of (key, op, tier), tabled **once** per memory node
+(``(2, n_keys)``, row 0 writes, row 1 reads), beside the per-(key, op)
+request counts, the LLC hit mask and the trace digest.  A placement is
+then a key-long select, a fingerprint, and :func:`measure_repeats`: the
+per-request noise law in closed form over the (service time, request
+count) cells — nothing request-long, save under an active fault spec,
+whose timeline is indexed by time.  Repeat ``r`` of a placement draws
+from ``derive_seed(seed, f"{label}/run{r}")``, its label the experiment
+fingerprint, so it measures the same alone, in any batch, in any
+process.  ``tests/memsim/test_kernel.py`` keeps the per-request
+:class:`~repro.memsim.timing.AccessTimer` loop as its distributional
+oracle.
 """
 
 from __future__ import annotations
-
-import os
-import threading
 
 import numpy as np
 
@@ -92,127 +78,150 @@ def _by_tier(masks, per_tier):
     return out
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity set where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
+#: Cells go in bins 1/20 of the least sigma wide in log value; a solve
+#: reads the bins within 6 of their own sigmas of its start (Phi(6) =
+#: 1 - 1e-9) and stops on a Newton step under 1e-6 of x (the next is of
+#: its square) or after 60 steps.
+_WINDOW_SIGMAS = 6.0
+_BINS_PER_SIGMA = 20
+_SOLVE_TOLERANCE = 1e-6
+_SOLVE_STEPS = 60
 
 
-def _quantile_plan(n: int, percentiles: tuple[float, ...]):
-    """Which order statistics ``np.percentile`` would read, and its weights.
+def _solve_count(noise, values, weights, scales, below, target, x):
+    """The x where ``below + sum(weights P(values F <= x))`` is *target*:
+    Newton from *x*, bisecting when a step leaves the bracket
+    ``[0, max(values) (1 + 10 sigma)]``, whose ends straddle the root."""
+    lo = 0.0
+    hi = float(values.max() * (1.0 + 10.0 * noise.sigma * scales.max()))
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    for _ in range(_SOLVE_STEPS):
+        cdf, pdf = noise.cdf(x, values, scales)
+        excess = below + weights @ cdf - target
+        lo, hi = (x, hi) if excess < 0.0 else (lo, x)
+        slope = weights @ pdf
+        step = x - excess / slope if slope > 0.0 else lo
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - x) <= _SOLVE_TOLERANCE * x:
+            return float(step)
+        x = step
+    return float(x)
 
-    Returns ``(ranks, lo, hi, gamma)``: the ascending distinct sorted
-    positions needed, each percentile's two neighbours as indices into
-    ``ranks``, and the interpolation weights as a column — NumPy's
-    ``method="linear"`` virtual index ``(n - 1) * q / 100`` split into
-    floor and fraction, with ``q == 100`` reading the maximum twice.
+
+def _weighted_sample(values: np.ndarray, weights: np.ndarray):
+    """``(index, values, cumulative weights)`` of the cells of positive
+    weight, by value (ties are equal values: their order is moot)."""
+    index = np.flatnonzero(weights > 0)
+    index = index[np.argsort(values[index])]
+    return index, values[index], np.cumsum(weights[index])
+
+
+def _weighted_percentiles(
+    values: np.ndarray, weights: np.ndarray, qs: tuple[float, ...],
+    sample=None,
+) -> dict[float, float]:
+    """np.percentile-style linear-interpolated quantiles of a weighted sample.
+
+    ``weights`` are (possibly fractional) multiplicities; the quantile
+    is taken over the implied expanded sample, matching what
+    ``np.percentile`` computes on the materialised per-request times —
+    up to the fractional-weight smoothing the LLC hit split introduces.
+    *sample* is ``_weighted_sample(values, weights)``, if already made.
     """
-    virtual = (n - 1) * np.true_divide(percentiles, 100)
-    below = np.floor(virtual).astype(np.intp)
-    above = np.minimum(below + 1, n - 1)
-    ranks = np.unique(np.concatenate((below, above)))
-    return (
-        ranks,
-        np.searchsorted(ranks, below),
-        np.searchsorted(ranks, above),
-        (virtual - below)[:, None],
-    )
+    _, v, cum = _weighted_sample(values, weights) if sample is None else sample
+    total = cum[-1]
+    out: dict[float, float] = {}
+    for q in qs:
+        pos = q / 100.0 * (total - 1.0)
+        pos = min(max(pos, 0.0), total - 1.0)
+        j0, j1 = np.floor(pos), np.ceil(pos)
+        frac = pos - j0
+        v0 = v[min(np.searchsorted(cum, j0, side="right"), v.size - 1)]
+        v1 = v[min(np.searchsorted(cum, j1, side="right"), v.size - 1)]
+        out[q] = float(v0 + frac * (v1 - v0))
+    return out
 
 
-def _order_statistics(row: np.ndarray, ranks: np.ndarray, out: np.ndarray):
-    """Write *row*'s order statistics at ascending *ranks* into *out*.
+def mixture_percentiles(noise, values, weights, percentiles, scales=None):
+    """Percentiles of the requests, *weights* per cell of *values*, each
+    times an i.i.d. *noise* factor (sigma times ``kinds[kind[i]]`` if
+    *scales* is ``(kinds, kind)``).
 
-    Reorders *row*.  Each rank costs one single-``kth`` ``partition`` of
-    what lies right of the previous one (everything there is already
-    >= it), or just a ``min`` when the rank is the next position —
-    single-``kth`` partitions take NumPy's vectorized quickselect, while
-    one multi-``kth`` call falls back to a scalar introselect that is
-    ~10x slower per row (docs/KERNEL.md §2).
+    ``np.percentile`` reads order statistic ``h = (n - 1) q / 100``; it
+    sits where the expected count at or below x is ``h + 1/2``, solved
+    from the noise-free quantile over the cells binned by value.  A
+    percentile in a gap between cells wider than the noise keeps that
+    noise-free value.
     """
-    start = 0
-    for j, k in enumerate(ranks):
-        tail = row[start:]
-        if k == start:
-            out[j] = tail.min()
-        else:
-            tail.partition(k - start)
-            out[j] = row[k]
-            start = k + 1
+    sample = _weighted_sample(values, weights)
+    start = _weighted_percentiles(values, weights, percentiles, sample)
+    if noise.sigma == 0.0 or not percentiles:
+        return start
+    index, ordered, cum = sample
+    kinds, kind = scales or (np.ones(1), None)
+    # one bin per (log-value step, scale kind), at its weighted mean
+    step = np.floor(np.log(ordered / ordered[0]) * (
+        _BINS_PER_SIGMA / (noise.sigma * kinds[0])
+    )).astype(np.int64) * kinds.size
+    slot = step if kind is None else step + kind[index]
+    w = weights[index]
+    bin_w = np.bincount(slot, w)
+    full = np.flatnonzero(bin_w)
+    bin_w = bin_w[full]
+    bin_v = np.bincount(slot, w * ordered)[full] / bin_w
+    bin_s = kinds[full % kinds.size]
+    for q, x0 in start.items():
+        target = q / 100.0 * (cum[-1] - 1.0) + 0.5
+        # each bin's distance from x0 in its own noise sigmas
+        dist = np.log(bin_v / x0) / (noise.sigma * bin_s)
+        near = np.abs(dist) <= _WINDOW_SIGMAS
+        below = float(bin_w[dist < -_WINDOW_SIGMAS].sum())
+        if below < target <= below + float(bin_w[near].sum()):
+            start[q] = _solve_count(noise, bin_v[near], bin_w[near],
+                                    bin_s[near], below, target, x0)
+    return start
 
 
-def measure_repeats(
-    client,
-    trace,
-    engine: str,
-    base_ns: np.ndarray,
-    label: str,
-    noise_scale: np.ndarray | None = None,
-    read_idx: np.ndarray | None = None,
-):
-    """Realise *client*'s noise repeats over *base_ns* as one ``RunResult``.
+def measure_repeats(client, trace, engine, times, counts, label, scale=None):
+    """*client*'s noise repeats over cells of ``counts`` requests of
+    noise-free time ``times`` (``(2, cells)``: writes, reads), rooted in
+    *label*, sigma widened per cell by *scale* (jitter faults).
 
-    The timing pass behind :meth:`BatchKernel.run`; *base_ns* are the
-    noise-free service times, *label* roots the noise streams,
-    *noise_scale* optionally widens sigma per request (jitter faults),
-    *read_idx* is ``flatnonzero(trace.is_read)`` if the caller holds it.
-
-    One ``requests``-long buffer serves every repeat.  Repeat ``r``
-    fills it with exactly what an
-    :class:`~repro.memsim.timing.AccessTimer` seeded with
-    ``derive_seed(seed, f"{label}/run{r}")`` would produce — the same
-    draws, the same elementwise arithmetic in
-    :meth:`~repro.memsim.timing.NoiseModel.apply`'s order — takes the
-    row's sums, then partitions it for its order statistics.  Those go
-    through ``np.percentile``'s own linear interpolation, so the result
-    is bit-identical to reducing the full (repeats x requests) matrix
-    with ``np.percentile(axis=1)`` (the oracle in
-    ``tests/memsim/test_kernel.py``) without ever building it.
+    The noise is i.i.d. per request, so an op's total is normal with
+    mean ``S = sum(count t m)`` and variance ``Q = sum(count t^2 v)``,
+    ``(m, v)`` the factor's moments: repeat ``r`` draws two normals from
+    ``derive_seed(seed, f"{label}/run{r}")``, reads ``S_r + sqrt(Q_r)
+    z[0]``, writes ``S_w + sqrt(Q_w) z[1]``.  Percentiles are the noise
+    mixture's (:func:`mixture_percentiles`).
     """
     from repro.ycsb.client import RunResult  # lazy: import cycle
 
-    repeats, sigma = client.repeats, client.noise.sigma
-    percentiles = client.percentiles
-    if read_idx is None:
-        read_idx = np.flatnonzero(trace.is_read)
-    n = base_ns.size
-    n_reads = read_idx.size
-    n_writes = n - n_reads
-    row = np.empty(n)
-    row_sums = np.empty(repeats)
-    read_sums = np.empty(repeats)
-    if percentiles:
-        ranks, lo, hi, gamma = _quantile_plan(n, percentiles)
-        stats = np.empty((ranks.size, repeats))
-    for r in range(repeats):
-        if sigma == 0.0:
-            row[:] = base_ns
-        else:
-            rng = ensure_rng(derive_seed(client.seed, f"{label}/run{r}"))
-            rng.standard_normal(n, out=row)
-            if noise_scale is not None:
-                row *= noise_scale
-            row *= sigma
-            row += 1.0
-            np.maximum(row, 1e-3, out=row)
-            row *= base_ns
-        # sums before the partitions reorder the row: float addition
-        # does not reassociate (of a read-only trace, the reads are the row)
-        row_sums[r] = row.sum()
-        read_sums[r] = row.take(read_idx).sum() if n_writes else row_sums[r]
-        if percentiles:
-            _order_statistics(row, ranks, stats[:, r])
-    runtimes = row_sums / client.concurrency
-    write_sums = row_sums - read_sums
-    pct: dict[float, float] = {}
-    if percentiles:
-        # np.percentile's _lerp, operation for operation
-        below, above = stats[lo], stats[hi]
-        diff = above - below
-        qs = below + diff * gamma
-        np.subtract(above, diff * (1 - gamma), out=qs, where=gamma >= 0.5)
-        pct = {q: float(qs[i].mean()) for i, q in enumerate(percentiles)}
+    noise = client.noise
+    scales = None
+    if noise.sigma == 0.0:
+        mean, var = 1.0, 0.0
+    elif scale is None:
+        mean, var = noise.moments()
+    else:
+        kinds = np.unique(scale)
+        kind = np.searchsorted(kinds, scale)
+        mean, var = (m[kind] for m in noise.moments(kinds))
+        scales = kinds, np.broadcast_to(kind, times.shape).ravel()
+    weighted = counts * times
+    sums = (weighted * mean).sum(axis=1)
+    spread = np.sqrt((weighted * times * var).sum(axis=1))
+    z = np.array([
+        ensure_rng(derive_seed(client.seed, f"{label}/run{r}"))
+        .standard_normal(2)[::-1] for r in range(client.repeats)
+    ])
+    write_sums, read_sums = (sums + spread * z).T
+    runtimes = (read_sums + write_sums) / client.concurrency
+    n_writes, n_reads = (int(n) for n in counts.sum(axis=1))
+    pct = mixture_percentiles(
+        noise, times.ravel(), counts.ravel(), client.percentiles, scales,
+    )
     return RunResult(
         workload=trace.name,
         engine=engine,
@@ -223,14 +232,14 @@ def measure_repeats(
         avg_read_ns=float(read_sums.mean() / n_reads) if n_reads else 0.0,
         avg_write_ns=float(write_sums.mean() / n_writes) if n_writes else 0.0,
         latency_percentiles_ns=pct,
-        repeats=repeats,
+        repeats=client.repeats,
         runtime_std_ns=float(runtimes.std()),
         concurrency=client.concurrency,
     )
 
 
 class BatchKernel:
-    """Evaluates many placements of one trace in a single gathered pass.
+    """Evaluates many placements of one trace on the key axis.
 
     Parameters
     ----------
@@ -272,14 +281,12 @@ class BatchKernel:
         self.system = system
         self.record_sizes = record_sizes
         # the cost law over the key space, once: per node a (2, n_keys)
-        # table (row 0 writes, row 1 reads) that req_index gathers from
+        # table (row 0 writes, row 1 reads) a placement selects from
         nodes = system.nodes
         self.tables = service_tables(
             profile, record_sizes, [n.latency_ns for n in nodes],
             [n.bytes_per_ns for n in nodes], client.pass_scale,
         )
-        self.req_index = trace.keys + trace.is_read * record_sizes.size
-        self.read_idx = np.flatnonzero(trace.is_read)
         self._live_seed = isinstance(client.seed, np.random.Generator)
         self.trace_digest = (
             None if self._live_seed else client.trace_digest(trace)
@@ -289,27 +296,33 @@ class BatchKernel:
         self._cached, self._cache_lat = client._cache_mask(
             trace, system.llc, self.trace_digest
         )
-        # the request-length rows a placement reads, built here so that
-        # run_all's threads only ever read shared state: the cost-law
-        # operands under an active fault (its timeline is indexed by
-        # time, not by key), else the service time of an LLC hit
+        # a placement's cells: under an active fault, the requests (its
+        # timeline is indexed by time, not by key), each one request of
+        # its op; else the (op, key) table entries weighted by their
+        # request counts — LLC misses only, plus one LLC-hit cell per op
         faults = client.faults
         self._faulty = faults is not None and faults.active
-        self._request_operands = self._hit_row = None
+        self._hit_times = None
         if self._faulty:
-            self._request_operands = self._operands(trace.keys, trace.is_read)
-        elif self._cached is not None:
-            self._hit_row = np.where(
-                trace.is_read, profile.read_cpu_ns, profile.write_cpu_ns
-            ) + self._cache_lat
-
-    def _operands(self, keys, is_read):
-        """``(sizes, passes, cpu_ns)`` of the cost law for *keys* x *is_read*."""
-        profile = self.profile
-        sizes = self.record_sizes[keys] + profile.metadata_bytes
-        passes = np.where(is_read, profile.read_passes, profile.write_passes)
-        cpu = np.where(is_read, profile.read_cpu_ns, profile.write_cpu_ns)
-        return sizes, passes * self.client.pass_scale, cpu
+            is_read = trace.is_read
+            self._request_operands = (
+                record_sizes[trace.keys] + profile.metadata_bytes,
+                np.where(is_read, profile.read_passes, profile.write_passes)
+                * client.pass_scale,
+                np.where(is_read, profile.read_cpu_ns, profile.write_cpu_ns),
+            )
+            self._counts = np.stack((~is_read, is_read))
+        elif self._cached is None:
+            reads, writes = trace.per_key_counts()
+            self._counts = np.stack((writes, reads))
+        else:
+            reads, writes = trace.per_key_counts(where=~self._cached)
+            hits = [[trace.n_writes - writes.sum()],
+                    [trace.n_reads - reads.sum()]]
+            self._counts = np.hstack((np.stack((writes, reads)), hits))
+            self._hit_times = self._cache_lat + np.array(
+                [[profile.write_cpu_ns], [profile.read_cpu_ns]]
+            )
 
     def fingerprint(self, placement: np.ndarray) -> str | None:
         """The experiment fingerprint of one placement (None if unseeded).
@@ -325,13 +338,9 @@ class BatchKernel:
             self.record_sizes.size, self.system, self.client,
         )
 
-    def base_times(self, placement: np.ndarray, fingerprint: str | None = None):
-        """The pre-noise half of :meth:`run`.
-
-        Returns ``(label, base_ns, noise_scale)``: the label rooting the
-        placement's noise streams, its noise-free per-request service
-        times (faults applied) and the per-request sigma scale (or None).
-        """
+    def _cells(self, placement, fingerprint):
+        """``(noise label, noise-free times, sigma scale)`` of the
+        kernel's cells (``_counts`` requests each) under *placement*."""
         n_tiers = len(self.tables)
         placement = check_placement(placement, self.record_sizes.size, n_tiers)
         if self._live_seed:
@@ -345,11 +354,10 @@ class BatchKernel:
         masks = ([placement] if n_tiers == 2
                  else [placement == k for k in range(n_tiers - 1)])
         if not self._faulty:
-            table = _by_tier(masks, self.tables)
-            base = table.ravel().take(self.req_index)
-            if self._cached is not None:
-                base = np.where(self._cached, self._hit_row, base)
-            return label, base, None
+            times = _by_tier(masks, self.tables)
+            if self._hit_times is not None:
+                times = np.concatenate((times, self._hit_times), axis=1)
+            return label, times, None
         # a fault timeline is indexed by time, not by key: the one
         # request-length evaluation of the same law; its slow-node
         # multipliers apply to every tier below FastMem
@@ -365,7 +373,23 @@ class BatchKernel:
             sizes, latency, bpns, passes, cpu,
             cached=self._cached, cache_latency_ns=self._cache_lat,
         )
-        return label, base, noise_scale
+        return label, np.broadcast_to(base, self._counts.shape), noise_scale
+
+    def base_times(self, placement: np.ndarray, fingerprint: str | None = None):
+        """``(label, base_ns, noise_scale)``: a placement's noise-free
+        times in request order, for open-loop consumers that draw noise
+        per request (:meth:`~repro.ycsb.client.YCSBClient.sample_service_times`).
+        """
+        label, times, scale = self._cells(placement, fingerprint)
+        if self._faulty:
+            return label, times[0], scale
+        trace = self.trace
+        # each request's cell: its (op, key), or its op's LLC-hit cell
+        key = trace.keys if self._cached is None else np.where(
+            self._cached, trace.n_keys, trace.keys
+        )
+        cell = key + trace.is_read * times.shape[1]
+        return label, times.ravel().take(cell), None
 
     def run(self, placement: np.ndarray, fingerprint: str | None = None):
         """Measure one placement; returns a ``RunResult``.
@@ -374,59 +398,20 @@ class BatchKernel:
         (e.g. for a cache probe) to avoid hashing the placement twice.
         """
         telemetry.count("memsim.path", path="batch_kernel")
-        label, base, noise_scale = self.base_times(placement, fingerprint)
+        label, times, scale = self._cells(placement, fingerprint)
         return measure_repeats(
-            self.client, self.trace, self.profile.name, base, label,
-            noise_scale, self.read_idx,
+            self.client, self.trace, self.profile.name, times, self._counts,
+            label, scale,
         )
 
     def run_all(self, placements, fingerprints=None) -> list:
-        """Measure every placement in *placements* (rows or a sequence).
-
-        ``fingerprints``, if given, holds each placement's precomputed
-        fingerprint (see :meth:`run`).  Results come back in input order.
-
-        The placements are spread over ``min(len(masks), usable CPUs)``
-        threads started for this call: each runs a contiguous share
-        through :meth:`run` and the caller runs the last one, so with a
-        width of one (a single mask, a single CPU, or a live-generator
-        seed, whose ``derive_seed`` draws are shared state) nothing is
-        started.  Every placement is a pure function of its label and
-        the shared tables, so the numbers do not depend on the width.
-        If placements raise, every thread is joined first and the
-        exception of the lowest-index one is re-raised — the one the
-        sequential loop would have raised.
-        """
+        """Measure every placement in *placements* (rows or a sequence),
+        in order; ``fingerprints``, if given, holds each one's
+        precomputed fingerprint (see :meth:`run`)."""
         masks = list(placements)
-        n = len(masks)
-        fps = [None] * n if fingerprints is None else list(fingerprints)
-        width = 1 if self._live_seed else min(n, _usable_cpus())
-        if width <= 1:
-            return [self.run(mask, fp) for mask, fp in zip(masks, fps)]
-        results: list = [None] * n
-        errors: list = [None] * n
-
-        def share(lo: int, hi: int) -> None:
-            for i in range(lo, hi):
-                try:
-                    results[i] = self.run(masks[i], fps[i])
-                except Exception as exc:  # re-raised by the caller
-                    errors[i] = exc
-                    return
-
-        bounds = [n * k // width for k in range(width + 1)]
-        helpers = [
-            threading.Thread(target=share, args=bounds[k:k + 2])
-            for k in range(width - 1)
-        ]
-        for thread in helpers:
-            thread.start()
-        try:
-            share(*bounds[-2:])
-        finally:
-            for thread in helpers:
-                thread.join()
-        for exc in errors:
-            if exc is not None:
-                raise exc
-        return results
+        fps = [None] * len(masks) if fingerprints is None else list(fingerprints)
+        if len(fps) != len(masks):
+            raise WorkloadError(
+                f"{len(masks)} placements but {len(fps)} fingerprints"
+            )
+        return [self.run(mask, fp) for mask, fp in zip(masks, fps)]

@@ -17,10 +17,14 @@ tiers or N) and the analytic predictor selects per key.  The kernel
 calls it over the *request* axis only under an active fault spec (its
 timeline is indexed by time); the engines' scalar clock calls it on one
 request, and :class:`AccessTimer` wraps it with noise.
+
+:class:`NoiseModel` is the noise law's one home: ``apply`` draws it per
+request, ``moments`` and ``cdf`` are the closed form the kernel uses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +33,18 @@ from repro.errors import ConfigurationError
 from repro.rng import SeedLike, ensure_rng
 
 
+#: The noise factor's floor: no request runs under 1/1000 of its time.
+FACTOR_FLOOR = 1e-3
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Multiplicative Gaussian noise on per-request service times.
 
     ``sigma`` is the relative standard deviation; each request time is
-    multiplied by ``max(eps, 1 + sigma * z)`` with ``z ~ N(0, 1)``.
-    ``sigma = 0`` disables noise (useful in unit tests).
+    multiplied by ``max(FACTOR_FLOOR, 1 + sigma * z)`` with
+    ``z ~ N(0, 1)``, i.i.d. per request.  ``sigma = 0`` disables noise
+    (useful in unit tests).
     """
 
     sigma: float = 0.01
@@ -67,8 +76,42 @@ class NoiseModel:
         if scale is not None:
             z = z * scale
         factors = 1.0 + self.sigma * z
-        np.maximum(factors, 1e-3, out=factors)
+        np.maximum(factors, FACTOR_FLOOR, out=factors)
         return times_ns * factors
+
+    def moments(self, scale=1.0):
+        """Mean and variance of the factor at sigma times *scale* (> 0).
+
+        The factor is ``1 + s max(a, z)`` with ``a = (FACTOR_FLOOR - 1) / s``:
+        ``E max(a, z) = a Phi(a) + phi(a)``, ``E max(a, z)^2 = a^2 Phi(a)
+        + 1 - Phi(a) + a phi(a)``.  At sigma = 0.01 Phi and phi of -99.9
+        are 0.0 in float64, so the moments are exactly ``(1, sigma^2)``.
+        """
+        s = self.sigma * np.asarray(scale, dtype=np.float64)
+        a = (FACTOR_FLOOR - 1.0) / s
+        cdf, density = self.cdf(FACTOR_FLOOR, 1.0, scale)
+        pdf = density * s
+        m1 = a * cdf + pdf
+        m2 = a * a * cdf + (1.0 - cdf) + a * pdf
+        return 1.0 + s * m1, s * s * (m2 - m1 * m1)
+
+    def cdf(self, x: float, times_ns, scale=1.0):
+        """``P(t F <= x)`` and its density in *x*, per noise-free time *t*.
+
+        Both are 0 below ``FACTOR_FLOOR t``; above, ``t F <= x`` is
+        ``z <= (x / t - 1) / s``.  Phi is :func:`math.erfc` per point
+        (callers pass a few hundred): SciPy stays off the import path.
+        """
+        s = self.sigma * np.asarray(scale, dtype=np.float64)
+        z = np.asarray((x / times_ns - 1.0) / s)
+        cdf = 0.5 * np.fromiter(
+            map(math.erfc, (z * -math.sqrt(0.5)).ravel().tolist()),
+            np.float64, z.size,
+        ).reshape(z.shape)
+        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        live = x >= FACTOR_FLOOR * times_ns
+        density = np.where(live, pdf / times_ns / s, 0.0)
+        return np.where(live, cdf, 0.0), density
 
 
 def service_times_ns(

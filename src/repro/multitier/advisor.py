@@ -109,7 +109,7 @@ class MultiTierAdvisor:
     # -- baselines -----------------------------------------------------------
 
     def measure(self, trace: Trace) -> MultiTierBaselines:
-        """Execute the workload all-in-tier-k for every tier, side by side.
+        """Execute the workload all-in-tier-k for every tier, as one batch.
 
         Capacity bounds are ignored during profiling (as in the paper,
         where total capacity is fixed to the dataset size); they only

@@ -36,7 +36,7 @@ def hitmask_fingerprint(trace_digest: str, capacity_bytes: int) -> str:
 class PlacementBatch:
     """Batch-grained cached measurement of many placements of one trace.
 
-    The batch kernel's construction (array gather, trace hash, LLC
+    The batch kernel's construction (tables, counts, trace hash, LLC
     replay) is the only per-*batch* cost of ``execute_placements`` — and
     it is pure waste when every placement in the batch is already
     cached.  ``PlacementBatch`` probes the cache by fingerprint first
@@ -44,7 +44,7 @@ class PlacementBatch:
     :func:`~repro.runner.fingerprint.experiment_fingerprint_parts`, no
     kernel needed) and constructs the
     :class:`~repro.memsim.kernel.BatchKernel` lazily on the first miss,
-    so warm sweeps skip the gather and the LLC replay entirely.
+    so warm sweeps skip the tables and the LLC replay entirely.
 
     Works over a caching or a plain client: without a cache (or with a
     live-generator seed, which is uncacheable) every placement measures
@@ -225,7 +225,7 @@ class CachingClient(YCSBClient):
         Each placement is looked up under its experiment fingerprint
         (:meth:`~repro.ycsb.client.YCSBClient.execute` is the one-mask
         case, so it shares the namespace); only the misses run through
-        the kernel, side by side — and the kernel itself (gather + LLC
+        the kernel — and the kernel itself (tables, counts, LLC
         replay) is only constructed if there *is* a miss, so fully warm
         batches cost probes alone (see :class:`PlacementBatch`).
         """

@@ -10,9 +10,9 @@ runs" (Fig 5 caption).
 
 Every measurement — one deployment or many placements — runs through
 :class:`~repro.memsim.kernel.BatchKernel`: the cost law is tabled once
-over the key space, a placement's service times are one gather from
-those tables, and a batch's placements run side by side on the usable
-cores.  The optional LLC model (off by default — with 100 KB records
+over the key space, a placement is one select from those tables, and
+its noise is the per-request law in closed form (two normal draws per
+repeat).  The optional LLC model (off by default — with 100 KB records
 against a 12 MB LLC its effect is second-order, see the cache ablation
 bench) computes a trace's hit mask in one vectorized pass over the LRU
 eviction frontier (:func:`~repro.memsim.cache.lru_hit_mask`, exact) and
@@ -333,13 +333,13 @@ class YCSBClient:
         system,
         record_sizes: np.ndarray | None = None,
     ) -> list[RunResult]:
-        """Measure *trace* against many placements in one gathered pass.
+        """Measure *trace* against many placements in one batch.
 
         Each placement's noise streams derive from its own experiment
         fingerprint, so a placement measures the same numbers alone or
-        in any batch; the trace-dependent work (array gathering, trace
-        hashing, the LLC replay) happens once, and no deployments are
-        constructed at all.  See
+        in any batch; the trace-dependent work (service-time tables,
+        request counts, trace hashing, the LLC replay) happens once, and
+        no deployments are constructed at all.  See
         :class:`~repro.memsim.kernel.BatchKernel`.
 
         Parameters

@@ -165,25 +165,34 @@ class Trace:
         """Distinct keys referenced, ascending."""
         return np.unique(self.keys)
 
+    def _op_counts(self, where=None) -> tuple[np.ndarray, np.ndarray]:
+        # one bincount: key k's writes in slot 2k, its reads in 2k + 1
+        # (a bool *where* weighs each request 1 or 0)
+        table = np.bincount(self.keys * 2 + self.is_read, where,
+                            minlength=2 * self.n_keys)
+        writes, reads = table.astype(np.int64, copy=False).reshape(-1, 2).T
+        return reads.copy(), writes.copy()
+
     @cached_property
     def _per_key_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        # one bincount: key k's writes in slot 2k, its reads in 2k + 1.
         # cached_property writes straight into __dict__, bypassing the
         # frozen-dataclass setattr guard; arrays are returned read-only
         # so the shared cache can never be mutated through a caller
-        table = np.bincount(self.keys * 2 + self.is_read,
-                            minlength=2 * self.n_keys).reshape(-1, 2).T.copy()
-        table.flags.writeable = False
-        writes, reads = table
+        reads, writes = self._op_counts()
+        reads.flags.writeable = writes.flags.writeable = False
         return reads, writes
 
-    def per_key_counts(self) -> tuple[np.ndarray, np.ndarray]:
+    def per_key_counts(self, where=None) -> tuple[np.ndarray, np.ndarray]:
         """(reads, writes) per key id, each of length ``n_keys``.
 
-        Computed once per trace and cached; the returned arrays are
-        read-only views of the cache.
+        Over the whole trace, computed once per trace and cached; the
+        returned arrays are read-only views of the cache.  Over the
+        requests a per-request bool *where* selects (e.g. the LLC
+        misses), fresh arrays.
         """
-        return self._per_key_counts
+        if where is None:
+            return self._per_key_counts
+        return self._op_counts(where)
 
     def access_counts(self) -> np.ndarray:
         """Requests per key id (reads + writes), a fresh array.

@@ -9,8 +9,9 @@ it*; a change that moves results on purpose regenerates it in the same
 commit (``PYTHONPATH=src python tests/integration/test_golden_digests.py``)
 and says so.
 
-The file was generated at the commit *before* the row-at-a-time timing
-pass replaced ``realisation_matrix`` + ``summarize`` (PR 14).
+The file was last regenerated when the kernel's noise went to closed
+form (two normal draws per repeat, mixture percentiles): every
+``"trace"`` entry stayed byte-equal and every report entry moved.
 """
 
 import hashlib

@@ -1,5 +1,7 @@
 """Tests for the access-time model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,39 @@ class TestNoiseModel:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigurationError):
             NoiseModel(sigma=-0.1)
+
+
+class TestNoiseClosedForm:
+    """`moments` and `cdf` are the law `apply` draws from."""
+
+    def test_unclamped_moments_are_exact(self):
+        # Phi(-99.9) and phi(-99.9) underflow to 0.0: (1, sigma^2) exactly
+        assert NoiseModel(sigma=0.01).moments() == (1.0, 0.01 ** 2)
+        mean, var = NoiseModel(sigma=0.01).moments(np.array([1.0, 5.0]))
+        assert list(mean) == [1.0, 1.0]
+        assert list(var) == [0.01 ** 2, 0.05 ** 2]
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0])
+    def test_clamped_moments_match_draws(self, sigma):
+        noise = NoiseModel(sigma=sigma)
+        factors = noise.apply(np.ones(400_000), np.random.default_rng(3))
+        mean, var = noise.moments()
+        se = math.sqrt(var / factors.size)
+        assert mean > 1.0  # the floor lifts the mean once it binds
+        assert abs(factors.mean() - mean) < 4 * se
+        assert factors.var() == pytest.approx(var, rel=0.02)
+
+    def test_cdf_matches_draws(self):
+        noise = NoiseModel(sigma=0.5)
+        times = np.array([100.0, 250.0])
+        draws = noise.apply(np.repeat(times, 200_000),
+                            np.random.default_rng(4)).reshape(2, -1)
+        for x in (0.05, 50.0, 100.0, 180.0, 400.0):
+            cdf, density = noise.cdf(x, times)
+            assert cdf == pytest.approx((draws <= x).mean(axis=1), abs=0.005)
+            assert ((density > 0) == (x >= 1e-3 * times)).all()
+        # below the floor nothing runs: both are 0
+        assert noise.cdf(0.05, times)[0].tolist() == [0.0, 0.0]
 
 
 class TestAccessTimer:

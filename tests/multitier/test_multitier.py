@@ -20,7 +20,7 @@ from repro.kvstore.profiles import REDIS_PROFILE, profile_for
 from repro.memsim.kernel import TIER_DTYPE, BatchKernel, check_placement
 from repro.memsim.node import MemoryNode, NodeKind
 from repro.memsim.system import HybridMemorySystem
-from repro.memsim.timing import AccessTimer
+from repro.memsim.timing import AccessTimer, service_times_ns
 from repro.multitier import MultiTierAdvisor
 from repro.rng import derive_seed
 from repro.runner.fingerprint import system_fingerprint
@@ -32,7 +32,8 @@ PRICES = (1.0, DEFAULT_PRICE_FACTOR, FAR_PRICE_FACTOR)
 def access_timer_execute(client, trace, system, profile, placement, label):
     """Oracle: one placement measured as a per-repeat ``AccessTimer``
     loop over request-long operands, its noise rooted in *label* (the
-    placement's experiment fingerprint)."""
+    placement's experiment fingerprint).  ``run_sd`` is the sd of one
+    repeat's total under the per-request noise law."""
     req_tier = placement[trace.keys]
     sizes = trace.record_sizes[trace.keys] + profile.metadata_bytes
     latency = np.array([n.latency_ns for n in system.nodes])[req_tier]
@@ -53,11 +54,13 @@ def access_timer_execute(client, trace, system, profile, placement, label):
         read_sums[r] = times[trace.is_read].sum()
     runtime = float(runtimes.mean())
     read_sum = float(read_sums.mean())
+    base = service_times_ns(sizes, latency, bpns, passes, cpu)
     return dict(
         runtime_ns=runtime,
         avg_read_ns=read_sum / n_reads if n_reads else 0.0,
         avg_write_ns=(runtime - read_sum) / n_writes if n_writes else 0.0,
         runtime_std_ns=float(runtimes.std()),
+        run_sd=client.noise.sigma * float(np.sqrt((base * base).sum())),
     )
 
 
@@ -263,13 +266,16 @@ class TestMultiTierClient:
                 client, mixed_trace, system, profile, placement,
                 kernel.fingerprint(placement),
             )
-            assert got.runtime_ns == want["runtime_ns"]
-            assert got.avg_read_ns == want["avg_read_ns"]
-            assert got.runtime_std_ns == want["runtime_std_ns"]
-            # the mean of differences, not the difference of means
-            assert abs(got.avg_write_ns - want["avg_write_ns"]) <= (
-                4 * np.spacing(want["avg_write_ns"])
-            )
+            # two means of three runs each: within 4.5 sds of their
+            # difference (the closed form draws totals, not requests)
+            tol = 4.5 * want["run_sd"] * np.sqrt(2 / client.repeats)
+            assert abs(got.runtime_ns - want["runtime_ns"]) <= tol
+            assert abs(got.avg_read_ns - want["avg_read_ns"]) \
+                * got.n_reads <= tol
+            assert abs(got.avg_write_ns - want["avg_write_ns"]) \
+                * got.n_writes <= tol
+            for std in (got.runtime_std_ns, want["runtime_std_ns"]):
+                assert 0.0 < std < 4.5 * want["run_sd"]
 
 
 class TestWaterfall:

@@ -122,19 +122,21 @@ class TestFreshInterpreter:
         ]
 
     #: What a cold ``profile`` must not pay for: the pool, the daemon,
-    #: the guard, analysis extras.
+    #: the guard, analysis extras, and SciPy (the kernel's noise
+    #: closed form takes Phi from ``math.erfc``).
     NOT_ON_THE_PROFILE_PATH = (
         "repro.runner.grid", "repro.guard", "repro.service.serve",
         "repro.service.requests", "repro.service.signals",
         "repro.analysis.bootstrap", "repro.analysis.asciiplot",
         "repro.core.mnemot", "repro.baselines", "repro.multitier",
-        "multiprocessing", "concurrent.futures.process", "socket",
+        "multiprocessing", "concurrent.futures.process", "socket", "scipy",
     )
 
-    #: sha256 of that command's stdout at the commit before the lazy
-    #: surface (PR 11): lazy imports may not change a byte of advice.
+    #: sha256 of that command's stdout since the kernel measures noise
+    #: in closed form (the lazy surface before it did not change a
+    #: byte of advice; that digest was dd931508…).
     PROFILE_STDOUT_SHA256 = (
-        "dd931508156a91861d2217d6bcbf7b3322d6800d9d84662b9c588ac7486905cb"
+        "b2e1a187d045c2e595a5940fb6dc3d025ec7d0bed1177b8f1a305ac76e4bdb51"
     )
 
     def test_cold_profile_imports_only_what_it_runs(self, tmp_path):
