@@ -235,6 +235,10 @@ class ExperimentRunner:
             return pool
         if pool is not None:
             self._discard_pool()
+        # workers fork from this process: load the batch kernel (lazy
+        # everywhere else) once here, so no fresh worker compiles it
+        import repro.memsim.kernel  # noqa: F401
+
         pool = ProcessPoolExecutor(max_workers=workers)
         self._res.pool = pool
         self._pool_workers = workers

@@ -14,7 +14,8 @@ Two invariants shape the code:
   is the watched :class:`~repro.core.advice.AdviceRequest` with the
   fields the caller named replaced, answered by ``mnemo profile``'s
   :func:`~repro.core.advice.advise` through the same store entries;
-  reports are memoized by the request minus its SLO.
+  reports are memoized by the request minus its SLO, and each finished
+  answer by the exact fields asked, for the snapshot's lifetime.
 - **One simulator, many threads.**  The watched ``Mnemo``'s measuring
   client memoizes per-trace state and is not thread-safe, so every use
   of it (ticks, validation replays, watched-profile reads) serialises
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import fields, replace
 
 from repro import telemetry
@@ -41,6 +43,8 @@ from repro.service.requests import is_real, is_whole, require
 
 #: Deadline checkpoint label of the replays (``advise`` owns the rest).
 CHECKPOINT_VALIDATE = "validate"
+#: Finished ``size`` answers an advisor keeps, least recently asked dropped.
+ANSWER_ENTRIES = 256
 
 
 def choice_payload(choice) -> dict:
@@ -81,6 +85,10 @@ class ServedAdvisor:
         self._loop = None
         #: report per AdviceRequest.profile_key (the request minus slo)
         self._reports: dict[tuple, object] = {}
+        #: finished ``size`` body per exact (type, value) request fields,
+        #: the last ANSWER_ENTRIES asked
+        self._answers: OrderedDict = OrderedDict()
+        self._answers_lock = threading.Lock()
 
     # -- loading -------------------------------------------------------------
 
@@ -142,9 +150,30 @@ class ServedAdvisor:
 
         The request is the watched one with the fields the caller named
         replaced (and validated); its report is profiled once through
-        the shared cache and memoized for the daemon's lifetime, so a
-        warm ``size`` is a memo lookup plus ``choose(slo)``.
+        the shared cache and memoized for the daemon's lifetime.  The
+        finished answer is a pure function of this snapshot and the
+        three fields, so it is memoized too, keyed by each value *and*
+        its type (``0.5`` and ``numpy.float64(0.5)`` are equal but echo
+        differently): a repeated ``size`` is one memo read, with no
+        request rebuilt and no ``_sim_lock``.  Only answers are kept — a
+        refused request is refused again every time.  The returned dict
+        is shared with the memo; callers copy it before changing it.
         """
+        key = (type(workload), workload, type(engine), engine,
+               type(slo), slo)
+        try:
+            with self._answers_lock:
+                body = self._answers.get(key)
+                if body is not None:
+                    self._answers.move_to_end(key)
+        except TypeError:  # unhashable: the request check below refuses it
+            body = None
+        if body is not None:
+            if deadline is not None:
+                deadline.check(CHECKPOINT_PROFILE)
+            telemetry.count("serve.size_memo_hits", memo="answer",
+                            workload=body["workload"])
+            return body
         asked = {
             k: v for k, v in
             (("workload", workload), ("engine", engine), ("slo", slo))
@@ -152,11 +181,12 @@ class ServedAdvisor:
         }
         watched = self.config.request
         request = replace(watched, **asked) if asked else watched
-        key = request.profile_key
-        is_watched = key == watched.profile_key
-        report = self._reports.get(key)
+        profile_key = request.profile_key
+        is_watched = profile_key == watched.profile_key
+        report = self._reports.get(profile_key)
         if report is not None:
-            telemetry.count("serve.size_memo_hits", workload=request.workload)
+            telemetry.count("serve.size_memo_hits", memo="report",
+                            workload=request.workload)
         elif is_watched:
             report = self.ensure_loaded(deadline)._report
         else:
@@ -165,7 +195,7 @@ class ServedAdvisor:
             deadline.check(CHECKPOINT_PROFILE)
         with self._sim_lock:
             choice = report.choose(request.slo)
-        return {
+        body = {
             "workload": request.workload,
             "engine": request.engine,
             "slo": request.slo,
@@ -180,6 +210,11 @@ class ServedAdvisor:
                 report.baselines.slow.throughput_ops_s
             ),
         }
+        with self._answers_lock:
+            self._answers[key] = body
+            if len(self._answers) > ANSWER_ENTRIES:
+                self._answers.popitem(last=False)
+        return body
 
     def validate(self, n_fast_keys: int | None = None,
                  budget_pct: float | None = None, deadline=None) -> dict:

@@ -41,6 +41,7 @@ schema.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import socket
@@ -629,11 +630,17 @@ class GuardService:
         return response
 
     def _memo_key(self, op: str, request: dict) -> str:
+        """The degraded-mode key: a fixed-size digest of the parameters.
+
+        Never the text itself — a ``drift`` sample at ``max_request_bytes``
+        would pin a megabyte per entry.
+        """
         params = {
             k: v for k, v in sorted(request.items())
             if k not in ("op", "token", "deadline_s")
         }
-        return f"{op}:{json.dumps(params, sort_keys=True, default=str)}"
+        text = f"{op}:{json.dumps(params, sort_keys=True, default=str)}"
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def _serve_advice(self, op: str, advisor, generation: int,
                       request: dict, deadline: Deadline) -> dict:

@@ -228,10 +228,11 @@ class YCSBClient:
     ):
         """Boolean per-request hit mask from the LLC model (or None).
 
-        Masks are memoized per (trace digest, LLC capacity) — the mask is
-        a pure function of those two — so only the first measurement of a
-        trace pays for the LRU replay.  On a memo hit the passed LLC
-        object is left untouched.
+        The mask is a cold-cache pass on a private :class:`LLCModel` of
+        the passed LLC's capacity: measuring never changes the system's
+        cache.  Masks are memoized per (trace digest, LLC capacity) —
+        the mask is a pure function of those two — so only the first
+        measurement of a trace pays for it.
         """
         if not self.use_llc:
             return None, 0.0
@@ -241,8 +242,8 @@ class YCSBClient:
             hits = self._hitmask_memo.get(key)
             if hits is not None:
                 return hits, llc.hit_latency_ns
-        llc.reset()
-        hits = llc.process(trace.keys, trace.record_sizes[trace.keys])
+        hits = LLCModel(llc.capacity_bytes).process(
+            trace.keys, trace.record_sizes[trace.keys])
         hits.flags.writeable = False
         if key is not None:
             self._hitmask_memo[key] = hits

@@ -759,6 +759,28 @@ class TestGracefulDegradation:
         finally:
             service._plane.close()
 
+    def test_last_good_keys_are_digests_not_requests(self, tmp_path):
+        from repro.service.serve import LAST_GOOD_ENTRIES
+
+        service = GuardService(_config(tmp_path), tick_fn=lambda: 0)
+        try:
+            service.advisor.drift = lambda **kwargs: {"n": len(kwargs["keys"])}
+            sample = list(range(16_000))  # ~ 100 KB of request text
+            for i in range(LAST_GOOD_ENTRIES + 44):
+                sample[0] = i
+                assert service._control({"op": "drift", "keys": sample})["ok"]
+            assert len(service._last_good) == LAST_GOOD_ENTRIES
+            assert sum(map(len, service._last_good)) <= LAST_GOOD_ENTRIES * 64
+
+            def broken(**kwargs):
+                raise StoreError("store on fire")
+
+            service.advisor.drift = broken
+            stale = service._control({"op": "drift", "keys": sample})
+            assert stale["stale"] is True and stale["n"] == len(sample)
+        finally:
+            service._plane.close()
+
     def test_advisor_error_without_memo_is_structured(self, tmp_path):
         service = GuardService(_config(tmp_path), tick_fn=lambda: 0)
         try:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError, WorkloadError
 from repro.kvstore import HybridDeployment, MemcachedLike, RedisLike
-from repro.memsim import HybridMemorySystem
+from repro.memsim import HybridMemorySystem, LLCModel
 from repro.ycsb import YCSBClient
 from repro.ycsb.workload import Trace
 
@@ -147,6 +147,27 @@ class TestLLCPath:
         r0 = base.execute(t, deploy([100_000] * n))
         r1 = with_llc.execute(t, deploy([100_000] * n))
         assert r1.runtime_ns == pytest.approx(r0.runtime_ns, rel=1e-6)
+
+    def test_measuring_leaves_the_systems_llc_alone(self):
+        rng = np.random.default_rng(3)
+        n = 2_000
+        t = trace_of(
+            np.minimum(rng.zipf(1.3, 20_000), n) - 1,
+            rng.random(20_000) < 0.9, rng.integers(1_000, 20_000, n),
+        )
+        system = HybridMemorySystem.testbed()
+        client = YCSBClient(repeats=1, use_llc=True)
+        profile = RedisLike(system.fast, system.slow).profile
+        client.execute_placements(t, np.ones((1, n), bool), profile, system)
+        llc = system.llc
+        assert (llc.hits, llc.misses, llc.resident_keys, llc.used_bytes) == (
+            0, 0, 0, 0,
+        )
+        (mask,) = client._hitmask_memo.values()
+        fresh = LLCModel()
+        want = fresh.process(t.keys, t.record_sizes[t.keys])
+        assert fresh.hits > 0 and fresh.misses > 0
+        np.testing.assert_array_equal(mask, want)
 
 
 class TestEngineComparison:
