@@ -5,8 +5,10 @@ shape every sensitivity sweep, validation replay and drift drill has —
 two ways:
 
 - simulate: one ``execute_placements`` call over all splits;
-- analytic: closed-form :func:`predict_placement` per split (approximate
-  by design; its runtime error against the simulator is recorded).
+- analytic: one analytic :class:`~repro.memsim.kernel.BatchKernel` per
+  trace over all splits — the same kernel at the noise mean, with the
+  reuse-time LLC hit mask (approximate by design; its runtime error
+  against the simulator is recorded).
 
 The analytic path must stay inside the 5% runtime envelope on every
 preset.  Wall-clocks are best-of-N and the summary JSON is written to
@@ -35,8 +37,8 @@ import numpy as np
 from common import emit, table, write_summary
 
 from repro.kvstore.redislike import RedisLike
-from repro.memsim.analytic import predict_placement
 from repro.memsim.cache import LLCModel
+from repro.memsim.kernel import BatchKernel
 from repro.memsim.system import HybridMemorySystem
 from repro.ycsb.client import YCSBClient
 from repro.ycsb.generator import generate_trace
@@ -77,12 +79,13 @@ def _sweep_masks(n_keys, n_placements, seed=0):
 
 
 def _bench_analytic():
-    """Sweep every preset across splits: batch simulate vs closed form.
+    """Sweep every preset across splits: batch simulate vs analytic.
 
     Both sides produce the same work product — one ``RunResult`` per
-    (preset, split) — so the wall-clocks compare like for like.  The
-    reuse-time LLC solve is memoized per trace, exactly as the
-    simulator memoizes its LLC hit mask.
+    (preset, split).  They differ in what the best round pays for its
+    LLC hit mask: the simulator recalls the exact one its client
+    memoized in the first round, while each analytic kernel solves the
+    reuse-time mask afresh (nothing memoizes it).
     """
     system = HybridMemorySystem.testbed()
     profile = RedisLike(system.fast, system.slow).profile
@@ -100,9 +103,9 @@ def _bench_analytic():
         )
         t_sim += t
         anas, t = _best_of(
-            lambda: [
-                predict_placement(tr, profile, system, m, c) for m in masks
-            ],
+            lambda: BatchKernel(
+                c, tr, profile, system, analytic=True,
+            ).run_all(masks),
             2,
         )
         t_ana += t

@@ -58,11 +58,12 @@ class Mnemo:
         uses ``"touch"`` (keys as the workload touches them).
     accuracy:
         ``"simulate"`` (default) measures the baselines through the
-        full simulator; ``"analytic"`` predicts them in closed form via
-        the Che-approximation fast path
-        (:mod:`repro.memsim.analytic`) — orders of magnitude cheaper,
-        within a few percent on the YCSB presets (see
-        ``docs/KERNEL.md`` for the error envelope).  Overridable per
+        batch kernel; ``"analytic"`` predicts them on the same kernel
+        with the noise at its mean and, with the LLC on, the
+        reuse-time hit mask of :mod:`repro.memsim.analytic` in place of
+        the exact LRU pass — within a few percent on the YCSB presets
+        (see ``docs/KERNEL.md`` for the error envelope).  With the LLC
+        off the two differ only by the noise draw.  Overridable per
         :meth:`profile` call.
     """
 
@@ -103,7 +104,8 @@ class Mnemo:
         return accuracy
 
     def _analytic_baselines(self, descriptor: WorkloadDescriptor):
-        """Closed-form baselines via the Che-approximation fast path."""
+        """Predicted baselines: the analytic kernel (noise at its mean,
+        reuse-time LLC hit mask)."""
         from repro.memsim.analytic import predict_baselines
 
         system = self.system_factory()
@@ -136,9 +138,9 @@ class Mnemo:
             below 1.0 instead of the pipeline crashing.
         accuracy:
             Override this consultant's baseline mode for one call:
-            ``"simulate"`` measures, ``"analytic"`` predicts in closed
-            form (``allow_partial`` is then irrelevant — there is no
-            measurement to fail).
+            ``"simulate"`` measures, ``"analytic"`` predicts at the
+            noise mean (``allow_partial`` is then irrelevant — there is
+            no measurement to fail).
         """
         mode = self._check_accuracy(
             accuracy if accuracy is not None else self.accuracy

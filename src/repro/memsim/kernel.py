@@ -19,6 +19,11 @@ fingerprint, so it measures the same alone, in any batch, in any
 process.  ``tests/memsim/test_kernel.py`` keeps the per-request
 :class:`~repro.memsim.timing.AccessTimer` loop as its distributional
 oracle.
+
+``accuracy="analytic"`` is the same kernel with two differences: its
+LLC hit mask is the reuse-time (AET) prediction of
+:mod:`repro.memsim.analytic` instead of the exact LRU pass, and it
+measures at the noise mean (sigma 0).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import WorkloadError
-from repro.memsim.timing import service_tables, service_times_ns
+from repro.memsim.timing import NoiseModel, service_tables, service_times_ns
 from repro.rng import derive_seed, ensure_rng
 
 
@@ -124,10 +129,9 @@ def _weighted_percentiles(
 ) -> dict[float, float]:
     """np.percentile-style linear-interpolated quantiles of a weighted sample.
 
-    ``weights`` are (possibly fractional) multiplicities; the quantile
-    is taken over the implied expanded sample, matching what
-    ``np.percentile`` computes on the materialised per-request times —
-    up to the fractional-weight smoothing the LLC hit split introduces.
+    ``weights`` are multiplicities; the quantile is taken over the
+    implied expanded sample, matching what ``np.percentile`` computes
+    on the materialised per-request times.
     *sample* is ``_weighted_sample(values, weights)``, if already made.
     """
     _, v, cum = _weighted_sample(values, weights) if sample is None else sample
@@ -184,21 +188,24 @@ def mixture_percentiles(noise, values, weights, percentiles, scales=None):
     return start
 
 
-def measure_repeats(client, trace, engine, times, counts, label, scale=None):
+def measure_repeats(client, trace, engine, times, counts, label, scale=None,
+                    noise=None):
     """*client*'s noise repeats over cells of ``counts`` requests of
     noise-free time ``times`` (``(2, cells)``: writes, reads), rooted in
-    *label*, sigma widened per cell by *scale* (jitter faults).
+    *label*, sigma widened per cell by *scale* (jitter faults), under
+    *noise* (default ``client.noise``).
 
     The noise is i.i.d. per request, so an op's total is normal with
     mean ``S = sum(count t m)`` and variance ``Q = sum(count t^2 v)``,
     ``(m, v)`` the factor's moments: repeat ``r`` draws two normals from
     ``derive_seed(seed, f"{label}/run{r}")``, reads ``S_r + sqrt(Q_r)
-    z[0]``, writes ``S_w + sqrt(Q_w) z[1]``.  Percentiles are the noise
-    mixture's (:func:`mixture_percentiles`).
+    z[0]``, writes ``S_w + sqrt(Q_w) z[1]``; at sigma 0 there is
+    nothing to draw and one noise-free total stands for every repeat.
+    Percentiles are the noise mixture's (:func:`mixture_percentiles`).
     """
     from repro.ycsb.client import RunResult  # lazy: import cycle
 
-    noise = client.noise
+    noise = client.noise if noise is None else noise
     scales = None
     if noise.sigma == 0.0:
         mean, var = 1.0, 0.0
@@ -212,7 +219,7 @@ def measure_repeats(client, trace, engine, times, counts, label, scale=None):
     weighted = counts * times
     sums = (weighted * mean).sum(axis=1)
     spread = np.sqrt((weighted * times * var).sum(axis=1))
-    z = np.array([
+    z = np.zeros((1, 2)) if noise.sigma == 0.0 else np.array([
         ensure_rng(derive_seed(client.seed, f"{label}/run{r}"))
         .standard_normal(2)[::-1] for r in range(client.repeats)
     ])
@@ -259,9 +266,16 @@ class BatchKernel:
         Dense per-key sizes defining the key space (defaults to
         ``trace.record_sizes``, which is what every deployment built
         from the trace uses).
+    analytic:
+        Predict instead of measure: the LLC hit mask is the reuse-time
+        model's (:func:`~repro.memsim.analytic.reuse_time_hit_mask`,
+        never memoized or stored) and the noise is taken at its mean,
+        so a result carries ``runtime_std_ns == 0``.  Fingerprints and
+        fault timelines stay the measured placement's.
     """
 
-    def __init__(self, client, trace, profile, system, record_sizes=None):
+    def __init__(self, client, trace, profile, system, record_sizes=None,
+                 analytic=False):
         record_sizes = np.asarray(
             trace.record_sizes if record_sizes is None else record_sizes,
             dtype=np.int64,
@@ -291,11 +305,23 @@ class BatchKernel:
         self.trace_digest = (
             None if self._live_seed else client.trace_digest(trace)
         )
-        # the LLC hit mask is placement-independent; one replay serves
-        # every placement (and the client memoizes it across kernels)
-        self._cached, self._cache_lat = client._cache_mask(
-            trace, system.llc, self.trace_digest
-        )
+        self._path = "analytic" if analytic else "batch_kernel"
+        self._noise = NoiseModel(sigma=0.0) if analytic else client.noise
+        # the LLC hit mask is placement-independent; one mask serves
+        # every placement (the client memoizes the exact one across
+        # kernels)
+        if analytic and client.use_llc:
+            from repro.memsim.analytic import reuse_time_hit_mask
+
+            llc = system.llc
+            self._cached = reuse_time_hit_mask(
+                trace.keys, trace.request_sizes, llc.capacity_bytes
+            )
+            self._cache_lat = llc.hit_latency_ns
+        else:
+            self._cached, self._cache_lat = client._cache_mask(
+                trace, system.llc, self.trace_digest
+            )
         # a placement's cells: under an active fault, the requests (its
         # timeline is indexed by time, not by key), each one request of
         # its op; else the (op, key) table entries weighted by their
@@ -397,11 +423,11 @@ class BatchKernel:
         ``fingerprint`` may be passed when the caller already computed it
         (e.g. for a cache probe) to avoid hashing the placement twice.
         """
-        telemetry.count("memsim.path", path="batch_kernel")
+        telemetry.count("memsim.path", path=self._path)
         label, times, scale = self._cells(placement, fingerprint)
         return measure_repeats(
             self.client, self.trace, self.profile.name, times, self._counts,
-            label, scale,
+            label, scale, self._noise,
         )
 
     def run_all(self, placements, fingerprints=None) -> list:

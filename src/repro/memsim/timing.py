@@ -13,7 +13,7 @@ Everything here is vectorized and operands broadcast.  The law is
 evaluated in one place, :func:`service_times_ns`.  Over the *key*
 space it is :func:`service_tables` — one ``(2, n_keys)`` table per
 tier — which the batch kernel gathers every placement from (on two
-tiers or N) and the analytic predictor selects per key.  The kernel
+tiers or N), measuring or predicting.  The kernel
 calls it over the *request* axis only under an active fault spec (its
 timeline is indexed by time); the engines' scalar clock calls it on one
 request, and :class:`AccessTimer` wraps it with noise.
@@ -202,7 +202,7 @@ class AccessTimer:
         cache_latency_ns:
             LLC hit latency.
         noisy:
-            Apply the noise model (disable for analytic ground truth).
+            Apply the noise model (disable for noise-free times).
         noise_scale:
             Optional per-request sigma multipliers (jitter bursts).
 

@@ -23,14 +23,11 @@ from repro.errors import EstimateError
 from repro.guard.drift import DriftDetector
 from repro.kvstore.profiles import REDIS_PROFILE, builtin_profiles
 from repro.kvstore.redislike import RedisLike
-from repro.memsim.analytic import (
-    _cached_hit_counts, _weighted_percentiles, predict_baselines,
-    predict_placement,
-)
+from repro.memsim.analytic import predict_baselines
+from repro.memsim.kernel import BatchKernel
 from repro.memsim.system import HybridMemorySystem
-from repro.memsim.timing import service_times_ns
 from repro.multitier import MultiTierAdvisor
-from repro.ycsb.client import RunResult, YCSBClient
+from repro.ycsb.client import YCSBClient
 from repro.ycsb.generator import generate_trace
 from repro.ycsb.presets import TABLE_III_WORKLOADS
 from repro.ycsb.sampling import distribution_distance, downsample
@@ -291,66 +288,26 @@ def oracle_retiering(trace, baselines, capacity_fraction, n_windows, bw):
     )
 
 
-def oracle_predict(trace, profile, system, mask, client):
-    """``predict_placement`` with its own per-key cost-law evaluation."""
-    reads, writes = trace.per_key_counts()
-    counts = reads + writes
-    touched = trace.record_sizes + profile.metadata_bytes
-    latency = np.where(mask, system.fast.latency_ns, system.slow.latency_ns)
-    bpns = np.where(mask, system.fast.bytes_per_ns, system.slow.bytes_per_ns)
-    scale = 1.0
-    if client.concurrency > 1:
-        scale = 1 + client.contention * (client.concurrency - 1)
-    read_miss, write_miss = (
-        service_times_ns(touched, latency, bpns, profile.passes(op) * scale,
-                         profile.cpu_ns(op))
-        for op in (True, False)
-    )
-    if client.use_llc:
-        llc = system.llc
-        hits = _cached_hit_counts(trace, llc.capacity_bytes)
-        hit_frac = np.divide(hits.astype(np.float64), counts,
-                             out=np.zeros(counts.shape), where=counts > 0)
-        read_hit = np.full(mask.shape, profile.read_cpu_ns + llc.hit_latency_ns)
-        write_hit = np.full(mask.shape,
-                            profile.write_cpu_ns + llc.hit_latency_ns)
-    else:
-        hit_frac = np.zeros(mask.shape)
-        read_hit, write_hit = read_miss, write_miss
-    read_t = (1 - hit_frac) * read_miss + hit_frac * read_hit
-    write_t = (1 - hit_frac) * write_miss + hit_frac * write_hit
-    read_total = float((reads * read_t).sum())
-    write_total = float((writes * write_t).sum())
-    n_reads, n_writes = int(reads.sum()), int(writes.sum())
-    values = np.concatenate([read_miss, read_hit, write_miss, write_hit])
-    weights = np.concatenate([
-        reads * (1 - hit_frac), reads * hit_frac,
-        writes * (1 - hit_frac), writes * hit_frac,
-    ])
-    return RunResult(
-        workload=trace.name, engine=profile.name,
-        n_requests=trace.n_requests, n_reads=n_reads, n_writes=n_writes,
-        runtime_ns=(read_total + write_total) / client.concurrency,
-        avg_read_ns=read_total / n_reads if n_reads else 0.0,
-        avg_write_ns=write_total / n_writes if n_writes else 0.0,
-        latency_percentiles_ns=_weighted_percentiles(
-            values, weights, client.percentiles
-        ),
-        repeats=client.repeats, runtime_std_ns=0.0,
-        concurrency=client.concurrency,
-    )
-
-
 @pytest.mark.parametrize("engine", sorted(builtin_profiles()))
 @pytest.mark.parametrize("concurrency", [1, 4])
 @pytest.mark.parametrize("use_llc", [False, True])
 def test_predict_placement(trace, engine, concurrency, use_llc):
+    """A prediction is the measurement at sigma 0, bit for bit: with the
+    LLC off, and with it on over a capacity the whole trace fits in —
+    the reuse-time eviction age is then infinite, so the predicted mask
+    is the exact one (every re-reference hits)."""
     profile = builtin_profiles()[engine]
-    system = HybridMemorySystem.testbed()
-    client = YCSBClient(concurrency=concurrency, use_llc=use_llc)
+    system = HybridMemorySystem.testbed(llc_bytes=trace.dataset_bytes)
+    client = YCSBClient(
+        noise_sigma=0.0, concurrency=concurrency, use_llc=use_llc,
+    )
     rng = np.random.default_rng(4)
-    for mask in (np.ones(trace.n_keys, dtype=bool),
-                 np.zeros(trace.n_keys, dtype=bool),
-                 rng.random(trace.n_keys) < 0.3):
-        got = predict_placement(trace, profile, system, mask, client)
-        assert got == oracle_predict(trace, profile, system, mask, client)
+    masks = [np.ones(trace.n_keys, dtype=bool),
+             np.zeros(trace.n_keys, dtype=bool),
+             rng.random(trace.n_keys) < 0.3]
+    measured = client.execute_placements(trace, masks, profile, system)
+    kernel = BatchKernel(client, trace, profile, system, analytic=True)
+    assert kernel.run_all(masks) == measured
+    baselines = predict_baselines(trace, profile, system, client)
+    assert [baselines.fast, baselines.slow] == measured[:2]
+    assert all(result.runtime_std_ns == 0.0 for result in measured)

@@ -1,27 +1,28 @@
-"""Tests for the analytic (Che / reuse-time) performance predictors.
+"""Tests for the analytic path: the kernel with the reuse-time hit mask.
 
 The analytic path trades exactness for closed form: its contract is a
-*tolerance*, not bit-identity.  The tolerance tests here mirror the
-ISSUE acceptance envelope — predicted runtime within 5% of the
-simulator on the YCSB presets, with and without the LLC — on downsized
-traces so the suite stays fast.
+*tolerance*, not bit-identity.  The tolerance tests here hold the
+envelope — predicted runtime within 5% of the simulator on the YCSB
+presets, with and without the LLC — on downsized traces so the suite
+stays fast.  ``tests/core/test_formula_oracles.py`` holds where the two
+paths must agree bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.mnemo import Mnemo
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkloadError
+from repro.faults import parse_faults
 from repro.kvstore.redislike import RedisLike
 from repro.memsim.analytic import (
-    che_characteristic_time,
-    che_hit_rates,
     predict_baselines,
-    predict_placement,
     reuse_time_eviction_age,
-    reuse_time_hit_counts,
+    reuse_time_hit_mask,
 )
 from repro.memsim.cache import LLCModel
+from repro.memsim.kernel import BatchKernel
 from repro.memsim.system import HybridMemorySystem
 from repro.ycsb.client import YCSBClient
 from repro.ycsb.generator import generate_trace
@@ -35,57 +36,9 @@ def small_trace(name, seed=13, n_keys=300, n_requests=3000):
     return generate_trace(spec.with_seed(seed))
 
 
-class TestCheCharacteristicTime:
-    def test_fits_entirely_means_infinite(self):
-        p = np.array([0.5, 0.5])
-        s = np.array([100.0, 100.0])
-        assert np.isinf(che_characteristic_time(p, s, 200))
-
-    def test_zero_capacity_is_zero(self):
-        assert che_characteristic_time(
-            np.array([1.0]), np.array([10.0]), 0
-        ) == 0.0
-
-    def test_capacity_constraint_holds_at_solution(self):
-        rng = np.random.default_rng(0)
-        p = rng.dirichlet(np.ones(50))
-        s = rng.integers(10, 200, 50).astype(float)
-        cap = int(s.sum() * 0.3)
-        t = che_characteristic_time(p, s, cap)
-        resident = float(-(s * np.expm1(-p * t)).sum())
-        assert resident == pytest.approx(cap, rel=1e-6)
-
-    def test_oversized_keys_excluded(self):
-        # one key larger than the cache must not count toward residency
-        p = np.array([0.5, 0.5])
-        s = np.array([50.0, 1e9])
-        assert np.isinf(che_characteristic_time(p, s, 60))
-
-
-class TestCheHitRates:
-    def test_working_set_fits_all_hit(self):
-        h = che_hit_rates(np.array([5, 3]), np.array([100, 100]), 500)
-        assert np.array_equal(h, [1.0, 1.0])
-
-    def test_oversized_and_unreferenced_get_zero(self):
-        h = che_hit_rates(np.array([5, 0, 3]), np.array([100, 50, 900]), 300)
-        assert h[1] == 0.0  # never referenced
-        assert h[2] == 0.0  # does not fit
-        assert 0.0 < h[0] <= 1.0
-
-    def test_zero_capacity_all_zero(self):
-        h = che_hit_rates(np.array([5, 3]), np.array([10, 10]), 0)
-        assert not h.any()
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ConfigurationError):
-            che_hit_rates(np.array([1, 2]), np.array([10.0]), 100)
-
-    def test_hotter_keys_hit_more(self):
-        counts = np.array([100, 10, 1])
-        sizes = np.full(3, 100)
-        h = che_hit_rates(counts, sizes, 150)
-        assert h[0] > h[1] > h[2]
+def predict_placement(trace, profile, system, mask, client):
+    """One placement on an analytic kernel."""
+    return BatchKernel(client, trace, profile, system, analytic=True).run(mask)
 
 
 class TestReuseTimeModel:
@@ -98,22 +51,23 @@ class TestReuseTimeModel:
         keys = np.array([0, 0])
         sizes = np.full(2, 10)
         assert reuse_time_eviction_age(keys, sizes, 0) == 0.0
-        hits = reuse_time_hit_counts(keys, sizes, 1, 0)
-        assert hits.sum() == 0
+        hits = reuse_time_hit_mask(keys, sizes, 0)
+        assert hits.shape == keys.shape and not hits.any()
 
     def test_first_touches_always_miss(self):
         keys = np.array([0, 1, 2, 0, 1, 2])
         sizes = np.full(6, 10)
-        hits = reuse_time_hit_counts(keys, sizes, 3, 1000)
-        assert hits.sum() == 3  # only the three re-references
+        hits = reuse_time_hit_mask(keys, sizes, 1000)
+        # only the three re-references
+        assert hits.tolist() == [False] * 3 + [True] * 3
 
     @pytest.mark.parametrize("name", PRESETS)
     def test_agrees_with_simulated_lru_on_presets(self, name):
         trace = small_trace(name)
         # a capacity that forces real evictions on these traces
         cap = int(trace.record_sizes.sum() * 0.2)
-        predicted = reuse_time_hit_counts(
-            trace.keys, trace.request_sizes, trace.n_keys, cap
+        predicted = reuse_time_hit_mask(
+            trace.keys, trace.request_sizes, cap
         ).sum()
         model = LLCModel(capacity_bytes=cap)
         actual = model.process(trace.keys, trace.request_sizes).sum()
@@ -132,12 +86,12 @@ class TestPredictPlacement:
 
     def test_bad_mask_raises(self):
         trace, profile, system, client = self._setup()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(WorkloadError):
             predict_placement(
                 trace, profile, system,
                 np.ones(trace.n_keys, dtype=np.int64), client,
             )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(WorkloadError):
             predict_placement(
                 trace, profile, system,
                 np.ones(trace.n_keys + 1, dtype=bool), client,
@@ -189,30 +143,6 @@ class TestPredictPlacement:
         assert predicted.concurrency == 4
 
 
-class TestHitCountMemo:
-    def test_memo_shared_across_predictions_and_evicted_on_gc(self):
-        import gc
-
-        from repro.memsim import analytic as mod
-
-        trace = small_trace("trending")
-        system = HybridMemorySystem.testbed()
-        profile = RedisLike(system.fast, system.slow).profile
-        client = YCSBClient(seed=3, use_llc=True)
-        before = len(mod._hit_counts_memo)
-        a = predict_placement(
-            trace, profile, system, np.ones(trace.n_keys, dtype=bool), client
-        )
-        b = predict_placement(
-            trace, profile, system, np.ones(trace.n_keys, dtype=bool), client
-        )
-        assert a == b  # the memo must not change the prediction
-        assert len(mod._hit_counts_memo) == before + 1
-        del trace
-        gc.collect()
-        assert len(mod._hit_counts_memo) == before
-
-
 class TestPredictBaselines:
     def test_flags_empty_and_ordering(self):
         trace = small_trace("timeline")
@@ -223,6 +153,56 @@ class TestPredictBaselines:
         )
         assert baselines.flags == ()
         assert baselines.fast.runtime_ns < baselines.slow.runtime_ns
+
+
+class TestAnalyticFaults:
+    """An active fault spec applies to a prediction through the kernel's
+    one fault path, on the measured placement's timeline."""
+
+    SPEC = "ramp(floor=0.4)"
+
+    def _baselines(self, faults, accuracy):
+        client = YCSBClient(seed=5, repeats=2, faults=faults)
+        trace = small_trace("trending")
+        return Mnemo(client=client).profile(trace, accuracy=accuracy).baselines
+
+    def test_faulty_prediction_tracks_faulty_measurement(self):
+        faults = parse_faults(self.SPEC)
+        clean = self._baselines(None, "analytic")
+        predicted = self._baselines(faults, "analytic")
+        measured = self._baselines(faults, "simulate")
+        assert predicted.slow.runtime_ns != clean.slow.runtime_ns
+        for side in ("fast", "slow"):
+            got = getattr(predicted, side).runtime_ns
+            want = getattr(measured, side).runtime_ns
+            assert abs(got - want) <= 0.05 * want
+        assert predicted.flags == measured.flags == (
+            "fast:faulty", "slow:faulty",
+        )
+
+
+class TestAnalyticTelemetry:
+    def test_each_profile_counts_under_its_own_path(self):
+        trace = small_trace("trending")
+        mnemo = Mnemo(client=YCSBClient(seed=5, repeats=2, use_llc=True))
+        with telemetry.session() as tel:
+            mnemo.profile(trace, accuracy="analytic")
+            mnemo.profile(trace, accuracy="simulate")
+        counts = {
+            rec["labels"]["path"]: rec["value"]
+            for rec in tel.metrics.snapshot() if rec["name"] == "memsim.path"
+        }
+        assert counts == {"analytic": 2, "batch_kernel": 2}
+
+    def test_predicted_mask_is_never_stored(self, tmp_path):
+        from repro.runner.caching import CachingClient
+
+        client = CachingClient(tmp_path / "s.db", seed=5, use_llc=True)
+        Mnemo(client=client).profile(
+            small_trace("trending"), accuracy="analytic"
+        )
+        assert client.cache.stats().entries["hitmasks"] == 0
+        assert not client._hitmask_memo
 
 
 class TestMnemoAccuracyMode:
