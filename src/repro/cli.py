@@ -22,9 +22,9 @@ Exit code 0 on success; usage and configuration errors print one clean
 line to stderr and exit 2.  The ``guard`` subcommand additionally uses
 1 (warnings) and 3 (action needed) so CI and cron jobs can react.
 ``sweep`` and ``serve`` install SIGTERM/SIGINT handlers so a kill
-releases shared memory, pools and store handles on the way out and
-exits ``128 + signum``; a closed stdout (``... | head -1``) ends any
-command quietly with 141, the same convention for SIGPIPE.
+releases worker pools and store handles on the way out and exits
+``128 + signum``; a closed stdout (``... | head -1``) ends any command
+quietly with 141, the same convention for SIGPIPE.
 """
 
 from __future__ import annotations
@@ -823,7 +823,7 @@ _COMMANDS = {
 }
 
 #: Long-running commands that own releasable resources (a warm worker
-#: pool, shared-memory trace segments, an open store): SIGTERM/SIGINT
+#: pool, an open store): SIGTERM/SIGINT
 #: must unwind their ``finally`` blocks, not kill the process mid-write.
 _GRACEFUL_COMMANDS = frozenset({"sweep", "serve"})
 

@@ -39,7 +39,6 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "NON_RETRYABLE", "ExperimentFailure", "ExperimentMeta",
         "FailureReport", "GridOutcome", "RetryPolicy",
     ],
-    "shm": ["SharedTraceHandle", "TracePlane"],
     "spec": [
         "PLACEMENTS", "ClientConfig", "ExperimentSpec", "split_fast_keys",
     ],

@@ -4,9 +4,10 @@ A batch is a run of specs sharing a (workload, engine) pair — one trace,
 one engine profile, one :class:`~repro.runner.caching.PlacementBatch`
 (cache probes, then the batch kernel on a miss).  :func:`run_batch`
 executes one, in whichever process it is called: the coordinator calls
-it in-process for serial sweeps and :meth:`ExperimentRunner.run
-<repro.runner.grid.ExperimentRunner.run>` (singleton batches), pool
-workers call it for the batches the planner cuts.  No
+it in-process for serial sweeps (one batch per group) and
+:meth:`ExperimentRunner.run <repro.runner.grid.ExperimentRunner.run>`
+(singleton batches), pool workers call it for the batches the planner
+cuts.  No
 :class:`~repro.kvstore.server.HybridDeployment` is built anywhere: a
 spec's placement is a mask.
 """
@@ -19,15 +20,13 @@ from repro import telemetry
 from repro.kvstore.profiles import profile_for
 from repro.runner.caching import PlacementBatch
 from repro.runner.outcome import ExperimentMeta
-from repro.runner.shm import attach_trace
 
 
-def run_batch(runner, specs, handle=None, chaos=None, allow_exit=False):
+def run_batch(runner, specs, chaos=None, allow_exit=False):
     """Execute *specs* (one workload, one engine) against *runner*'s client.
 
-    The trace is attached zero-copy from the shared-memory plane when a
-    *handle* is given — falling back to ``runner.trace_for`` if the
-    segment is gone — else materialised by ``runner.trace_for``.
+    The trace comes from ``runner.trace_for``, whose memo keeps it for
+    the batches after this one — in a pool worker as in process.
 
     Returns *per spec* ``(local_index, ok, payload)`` entries: a
     ``(result, meta)`` pair, or the spec's exception instead of
@@ -37,19 +36,10 @@ def run_batch(runner, specs, handle=None, chaos=None, allow_exit=False):
     own ``runner.experiment`` span.  What the batch as a whole cannot
     survive (no trace, no kernel inputs) raises.
     """
-    client = runner._client
-    trace = None
-    if handle is not None:
-        try:
-            trace = attach_trace(handle)
-            client.prime_trace_digest(trace, handle.digest)
-        except Exception:  # segment gone: degrade, never fail
-            trace = None
-            telemetry.count("runner.shm", op="fallback")
-    if trace is None:
-        trace = runner.trace_for(specs[0].workload)
+    trace = runner.trace_for(specs[0].workload)
     batch = PlacementBatch(
-        client, trace, profile_for(specs[0].engine), runner.system_factory(),
+        runner._client, trace, profile_for(specs[0].engine),
+        runner.system_factory(),
     )
     entries: list[tuple[int, bool, object]] = []
     for local, spec in enumerate(specs):

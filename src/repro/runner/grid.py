@@ -25,22 +25,19 @@ This module is the *coordinator*: it plans, dispatches and retries.
 What it dispatches is always a batch for
 :func:`repro.runner.executor.run_batch` — specs sharing a (workload,
 engine) pair, hence one trace, one engine profile and one batch kernel.
-A serial sweep runs singleton batches in process; a pooled sweep cuts
+A serial sweep runs one batch per group in process; a pooled sweep cuts
 each group into batches small enough that every worker gets a share of
-every group and ships them to workers.  Traces travel once per sweep
-through a shared-memory plane (:mod:`repro.runner.shm`) instead of once
-per task through pickles or regeneration — each one published as its
-group's first batch is submitted, so the coordinator prepares the next
-trace while the workers compute on this one; if a publish fails or a
-segment vanishes the worker materialises the trace itself.  The worker
-pool persists across retry rounds *and* across sweeps (the guard loop
-and repeated CLI sweeps stop paying pool spin-up), and per-spec failure
-attribution survives batching: worker replies are per-spec, and
-unattributable batch failures (pool death, batch timeouts)
-deterministically split the group into halves until the culprit stands
-alone.  What a sweep takes and returns — specs, client config, retry
-policy, outcome — are the value types of :mod:`repro.runner.spec` and
-:mod:`repro.runner.outcome`.
+every group and ships them to workers.  Workers generate and memoize
+their own traces (a worker's memoized runner keeps the last
+:data:`TRACE_MEMO_SIZE`), so no trace crosses the pool boundary.  The
+worker pool persists across retry rounds *and* across sweeps (the guard
+loop and repeated CLI sweeps stop paying pool spin-up, and a warm pool
+generates nothing), and per-spec failure attribution survives batching:
+worker replies are per-spec, and unattributable batch failures (pool
+death, batch timeouts) deterministically split the group into halves
+until the culprit stands alone.  What a sweep takes and returns —
+specs, client config, retry policy, outcome — are the value types of
+:mod:`repro.runner.spec` and :mod:`repro.runner.outcome`.
 """
 
 from __future__ import annotations
@@ -80,7 +77,6 @@ from repro.runner.outcome import (
     GridOutcome,
     RetryPolicy,
 )
-from repro.runner.shm import SharedTraceHandle, TracePlane
 from repro.runner.spec import ClientConfig, ExperimentSpec, split_fast_keys
 from repro.ycsb.client import RunResult
 from repro.ycsb.generator import generate_trace
@@ -105,26 +101,22 @@ def _shutdown_pool(pool, kill: bool = False) -> None:
 
 
 class _Resources:
-    """Mutable holder of a runner's persistent pool and trace plane.
+    """Mutable holder of a runner's persistent pool.
 
-    Lives outside the runner so ``weakref.finalize`` can release both
-    when the runner is collected without the finalizer keeping the
+    Lives outside the runner so ``weakref.finalize`` can release the
+    pool when the runner is collected without the finalizer keeping the
     runner itself alive.
     """
 
-    __slots__ = ("pool", "plane")
+    __slots__ = ("pool",)
 
     def __init__(self):
         self.pool = None
-        self.plane = None
 
     def release(self, kill: bool = False) -> None:
         pool, self.pool = self.pool, None
         if pool is not None:
             _shutdown_pool(pool, kill)
-        plane, self.plane = self.plane, None
-        if plane is not None:
-            plane.close()
 
 
 @dataclass
@@ -134,9 +126,7 @@ class _Sweep:
     ``results`` / ``metas`` fill in spec order as ``pending`` drains;
     ``on_result`` (the journal checkpoint, or None) runs as each result
     reaches the coordinator.  ``splits`` maps a (workload, engine) group
-    to how often its batches were halved after unattributable failures;
-    ``handles`` maps a workload to its shared-memory handle — ``None``
-    once a publish failed, so its workers materialise the trace.
+    to how often its batches were halved after unattributable failures.
     """
 
     specs: list
@@ -146,7 +136,6 @@ class _Sweep:
     pending: set
     on_result: object = None
     splits: dict = field(default_factory=dict)
-    handles: dict = field(default_factory=dict)
 
 
 class ExperimentRunner:
@@ -176,11 +165,10 @@ class ExperimentRunner:
         strikes to raised :class:`~repro.errors.FaultError`\\ s so chaos
         never kills the calling process.
 
-    The runner owns two persistent resources: a process pool that
-    survives across retry rounds and across sweeps, and the
-    shared-memory trace plane.  Both are released by :meth:`close`
-    (the runner is also a context manager) or, failing that, by a
-    finalizer at garbage collection.
+    The runner owns one persistent resource: a process pool that
+    survives across retry rounds and across sweeps.  It is released by
+    :meth:`close` (the runner is also a context manager) or, failing
+    that, by a finalizer at garbage collection.
     """
 
     def __init__(
@@ -201,19 +189,14 @@ class ExperimentRunner:
         self._client = client.build(self.cache)
         self._res = _Resources()
         self._pool_workers = 0
-        self._shm_handles: dict[str, SharedTraceHandle] = {}
         self._traces: "OrderedDict[str, Trace]" = OrderedDict()
         self._finalizer = weakref.finalize(self, _Resources.release, self._res)
 
     # -- persistent resources ----------------------------------------------------
 
     def close(self) -> None:
-        """Release the persistent pool and unlink every shm segment."""
+        """Release the persistent pool."""
         self._discard_pool()
-        self._shm_handles.clear()
-        plane, self._res.plane = self._res.plane, None
-        if plane is not None:
-            plane.close()
 
     def __enter__(self) -> "ExperimentRunner":
         return self
@@ -226,7 +209,7 @@ class ExperimentRunner:
 
         Worker processes spawn lazily on submit, so sizing the pool to
         the full worker budget costs nothing for small rounds — and a
-        warm pool (loaded modules, attached traces, memoized runners)
+        warm pool (loaded modules, memoized runners and their traces)
         is reused across retry rounds and across sweeps.
         """
         pool = self._res.pool
@@ -251,21 +234,6 @@ class ExperimentRunner:
         self._pool_workers = 0
         if pool is not None:
             _shutdown_pool(pool, kill)
-
-    def _trace_plane(self) -> TracePlane:
-        if self._res.plane is None:
-            self._res.plane = TracePlane()
-        return self._res.plane
-
-    def _publish_trace(self, workload: WorkloadSpec) -> SharedTraceHandle:
-        """Publish a workload's trace (idempotent across sweeps)."""
-        fp = workload_fingerprint(workload)
-        handle = self._shm_handles.get(fp)
-        if handle is not None and handle.digest in self._trace_plane():
-            return handle
-        handle = self._trace_plane().publish(self.trace_for(workload))
-        self._shm_handles[fp] = handle
-        return handle
 
     # -- building blocks ---------------------------------------------------------
 
@@ -357,8 +325,8 @@ class ExperimentRunner:
         is bounded by ``timeout_s`` times the batch size, preserving the
         per-experiment budget.
 
-        Results are bit-identical across serial and pooled execution,
-        every schedule, and with or without the shared-memory plane.
+        Results are bit-identical across serial and pooled execution
+        and every schedule.
 
         ``journal`` (a :class:`~repro.store.SweepJournal`) makes the
         sweep *resumable*: every completed experiment is checkpointed
@@ -504,19 +472,26 @@ class ExperimentRunner:
         )
 
     def _serial_round(self, st: _Sweep, order) -> dict[int, Exception]:
-        """One in-process attempt at every pending spec, in order.
+        """One in-process attempt at every pending spec, group by group.
 
-        Each spec is a singleton batch, so whatever its batch raises is
-        its own failure.
+        The batches are the planner's cut at one worker: a (workload,
+        engine) group holding at most half the round is one batch.
+        Replies are per spec, so attribution is as exact as for
+        singletons; what a batch raises as a whole (no trace, no kernel
+        inputs) is charged to each of its members.
         """
         failed: dict[int, Exception] = {}
-        for i in order:
+        for batch in self._plan_batches(st.specs, order, st.splits, 1):
+            members = batch[1]
             try:
-                entries = run_batch(self, (st.specs[i],), chaos=self.chaos)
+                entries = run_batch(
+                    self, tuple(st.specs[i] for i in members),
+                    chaos=self.chaos,
+                )
             except Exception as exc:
-                failed[i] = exc
+                failed.update(dict.fromkeys(members, exc))
             else:
-                self._collect_batch(st, (None, [i]), (entries, None), failed)
+                self._collect_batch(st, batch, (entries, None), failed)
         return failed
 
     # -- pooled dispatch ---------------------------------------------------------
@@ -563,32 +538,6 @@ class ExperimentRunner:
         telemetry.event(
             "runner.batch_split", workload=spec.workload.name,
             engine=spec.engine, level=splits[key], n_specs=len(members),
-        )
-
-    def _batch_payload(self, specs, batch, handles):
-        """One batch's worker payload, publishing its trace on first use.
-
-        Publishing here, at submit time, rather than up front is what
-        overlaps the coordinator's trace work for group *k+1* with the
-        workers' compute on group *k*.  A workload whose publish fails
-        keeps ``None`` in *handles*: its batches (this round and later)
-        have their workers materialise the trace, other groups are
-        unaffected.
-        """
-        key, members = batch
-        if key[0] not in handles:
-            try:
-                handles[key[0]] = self._publish_trace(
-                    specs[members[0]].workload
-                )
-            except Exception:  # shm unavailable: workers materialise
-                handles[key[0]] = None
-                telemetry.count("runner.shm", op="publish_failed")
-        root = None if self.cache is None else str(self.cache.root)
-        return (
-            tuple(specs[i] for i in members), handles[key[0]],
-            self.client_config, root, self.system_factory, self.chaos,
-            telemetry.worker_config(),
         )
 
     def _collect_batch(self, st: _Sweep, batch, reply, failed) -> None:
@@ -673,15 +622,20 @@ class ExperimentRunner:
         failed: dict[int, Exception] = {}
         batches = self._plan_batches(specs, order, st.splits, workers)
         pool = self._ensure_pool(workers)
+        settings = (
+            self.client_config,
+            None if self.cache is None else str(self.cache.root),
+            self.system_factory, self.chaos, telemetry.worker_config(),
+        )
         futs = {}
         try:
             for b, batch in enumerate(batches):
                 futs[b] = pool.submit(
                     _worker_run_batch,
-                    self._batch_payload(specs, batch, st.handles),
+                    (tuple(specs[i] for i in batch[1]), *settings),
                 )
         except BrokenProcessPool as exc:
-            # a worker died while later groups were still being published:
+            # a worker died while later batches were still being submitted:
             # the unsubmitted batches are lost like the in-flight ones
             lost = Future()
             lost.set_exception(exc)
@@ -798,9 +752,10 @@ def default_workers() -> int:
 
 #: Per-worker runner memo: a pool worker serves many batches of the same
 #: sweep (and later sweeps from the same runner), so the serial runner —
-#: whose client carries the hitmask and trace-digest memos — is rebuilt
-#: only when the configuration changes.  Holds one entry: sweeps do not
-#: interleave configurations within a worker's lifetime.
+#: whose trace memo and client hitmask / trace-digest memos make a warm
+#: worker generate and hash nothing — is rebuilt only when the
+#: configuration changes.  Holds one entry: sweeps do not interleave
+#: configurations within a worker's lifetime.
 _WORKER_RUNNERS: dict = {}
 
 
@@ -839,13 +794,11 @@ def _worker_run_batch(payload):
     per-spec entries.  Workers are reused across batches, so the
     session is always drained before returning.
     """
-    specs, handle, client_config, cache_root, system_factory, chaos, tele = (
-        payload
-    )
+    specs, client_config, cache_root, system_factory, chaos, tele = payload
     telemetry.activate_worker(tele)
     try:
         runner = _worker_runner(client_config, cache_root, system_factory)
-        entries = run_batch(runner, specs, handle, chaos, allow_exit=True)
+        entries = run_batch(runner, specs, chaos, allow_exit=True)
     finally:
         snapshot = telemetry.drain_worker()
     return entries, snapshot

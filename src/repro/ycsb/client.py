@@ -261,19 +261,6 @@ class YCSBClient:
             weakref.finalize(trace, self._trace_digest_memo.pop, key, None)
         return digest
 
-    def prime_trace_digest(self, trace: Trace, digest: str) -> None:
-        """Seed the trace-digest memo with an already-known digest.
-
-        The grouped sweep dispatcher ships each trace's content digest
-        alongside its shared-memory handle, so pool workers never
-        re-hash a trace the coordinator already fingerprinted.  The
-        caller vouches that *digest* is ``trace_fingerprint(trace)``.
-        """
-        key = id(trace)
-        if key not in self._trace_digest_memo:
-            self._trace_digest_memo[key] = digest
-            weakref.finalize(trace, self._trace_digest_memo.pop, key, None)
-
     def experiment_fingerprint(
         self, trace: Trace, deployment: HybridDeployment,
     ) -> tuple[str, str]:

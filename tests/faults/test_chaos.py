@@ -27,6 +27,11 @@ from repro.store import SQLiteStore
 #: Retries that keep test wall-clock low.
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01)
 
+#: Per-experiment timeout of the hang tests: a cold-pool batch of
+#: ``specs`` waits at most ≈ 45 ms on a 2-core host, so this leaves
+#: ≥ 20× headroom while sitting out far less than a ``hang_s`` strike.
+TIMEOUT_S = 1.0
+
 
 @pytest.fixture
 def specs(small_spec):
@@ -145,7 +150,7 @@ class TestTimeouts:
         runner = chaos_runner(
             tmp_path, config,
             dict(kill_labels=(victim,), mode="hang", hang_s=30.0),
-            retry=RetryPolicy(max_attempts=2, timeout_s=5.0,
+            retry=RetryPolicy(max_attempts=2, timeout_s=TIMEOUT_S,
                               backoff_base_s=0.01),
         )
         start = time.monotonic()
@@ -162,7 +167,7 @@ class TestTimeouts:
             tmp_path, config,
             dict(kill_labels=(victim,), mode="hang", hang_s=30.0,
                  max_strikes=10),
-            retry=RetryPolicy(max_attempts=1, timeout_s=2.0),
+            retry=RetryPolicy(max_attempts=1, timeout_s=TIMEOUT_S),
         )
         outcome = runner.sweep(specs, workers=2)
         assert not outcome.ok

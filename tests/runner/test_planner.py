@@ -1,20 +1,19 @@
-"""Sweep planner: grouped dispatch equivalence, attribution, shm hygiene.
+"""Sweep planner: grouped dispatch equivalence, attribution, trace memos.
 
-The planner's contract is strict: grouped-batch dispatch over the
-shared-memory trace plane must produce results, fingerprints and cache
-entries *bit-identical* to the serial path, attribute failures to
-individual specs even when they arrive batched, and never leak a
-shared-memory segment — including on the failure paths.
+The planner's contract is strict: grouped-batch dispatch over a worker
+pool must produce results, fingerprints and cache entries
+*bit-identical* to the serial path, attribute failures to individual
+specs even when they arrive batched, and have each worker generate a
+workload's trace at most once — a warm pool generates none.
 """
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from multiprocessing import shared_memory
 
 from repro import telemetry
 from repro.faults import ChaosPlan
@@ -24,10 +23,8 @@ from repro.runner import (
     ExperimentSpec,
     PlacementBatch,
     RetryPolicy,
-    TracePlane,
 )
 from repro.runner.fingerprint import workload_fingerprint
-from repro.runner.grid import _worker_run_batch
 from repro.store import SweepJournal
 from repro.ycsb import TABLE_III_WORKLOADS, workload_by_name
 
@@ -49,15 +46,6 @@ def _metric_total(tel, name, **labels):
             rec["labels"].get(k) == v for k, v in labels.items()
         )
     )
-
-
-def _segment_exists(name: str) -> bool:
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    seg.close()
-    return True
 
 
 @pytest.fixture
@@ -87,23 +75,6 @@ class TestEquivalence:
             grouped = runner.sweep(grid_specs, workers=2)
         assert grouped.ok
         assert grouped.results == reference.results
-
-    def test_no_shm_identical(
-        self, grid_specs, reference, tmp_path, monkeypatch,
-    ):
-        # no shared memory at all: every publish fails, every worker
-        # materialises its trace, and nothing moves
-        def no_plane(workload):
-            raise OSError("no shared memory on this host")
-
-        with telemetry.session() as tel:
-            with _runner(tmp_path, "noshm") as runner:
-                monkeypatch.setattr(runner, "_publish_trace", no_plane)
-                outcome = runner.sweep(grid_specs, workers=2)
-        assert outcome.ok
-        assert outcome.results == reference.results
-        assert _metric_total(tel, "runner.shm", op="publish_failed") == 2
-        assert _metric_total(tel, "runner.shm", op="attach") == 0
 
     def test_cache_entries_identical_across_plans(
         self, grid_specs, tmp_path,
@@ -282,90 +253,39 @@ class TestPlanner:
 
 
 class TestPipeline:
-    """Traces are published as their group is submitted, not up front."""
+    """The submit loop hands the pool one batch at a time."""
 
     @staticmethod
-    def _record(runner, monkeypatch, fail=(), break_at=None):
-        """Log ``_publish_trace`` and pool ``submit`` calls in order.
+    def _record(monkeypatch, break_at=None):
+        """Log each pool ``submit``'s workload name, in order.
 
-        Publishing any workload named in *fail* raises; the submit with
-        0-based index *break_at* finds the pool broken.
+        The submit with 0-based index *break_at* finds the pool broken.
         """
         events = []
-        publish, submit = runner._publish_trace, ProcessPoolExecutor.submit
-
-        def recording_publish(workload):
-            events.append(("publish", workload.name))
-            if workload.name in fail:
-                raise OSError("no shared memory for you")
-            return publish(workload)
+        submit = ProcessPoolExecutor.submit
 
         def recording_submit(pool, fn, *args, **kwargs):
-            events.append(("submit", args[0][0][0].workload.name))
-            if [k for k, _ in events].count("submit") - 1 == break_at:
+            events.append(args[0][0][0].workload.name)
+            if len(events) - 1 == break_at:
                 raise BrokenProcessPool("a worker died mid-submit")
             return submit(pool, fn, *args, **kwargs)
 
-        monkeypatch.setattr(runner, "_publish_trace", recording_publish)
         monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
         return events
-
-    def test_first_batch_submitted_before_last_trace_published(
-        self, grid_specs, reference, tmp_path, monkeypatch,
-    ):
-        with telemetry.session() as tel:
-            with _runner(tmp_path, "pipe") as runner:
-                events = self._record(runner, monkeypatch)
-                first = runner.sweep(grid_specs, workers=2)
-                n_first = len(events)
-                second = runner.sweep(grid_specs, workers=2)
-        assert first.results == second.results == reference.results
-        kinds = [kind for kind, _ in events[:n_first]]
-        last_publish = n_first - 1 - kinds[::-1].index("publish")
-        assert kinds.index("submit") < last_publish
-        # each group's publish sits right before its own first submit
-        assert events[:n_first] == [
-            ("publish", "small_hotspot"),
-            ("submit", "small_hotspot"), ("submit", "small_hotspot"),
-            ("publish", "small_mixed"),
-            ("submit", "small_mixed"), ("submit", "small_mixed"),
-        ]
-        # the warm runner reuses its segments: nothing is published again
-        assert _metric_total(tel, "runner.shm", op="publish") == 2
-        assert _metric_total(tel, "runner.shm", op="publish_failed") == 0
-
-    def test_failed_publish_degrades_only_its_group(
-        self, grid_specs, reference, tmp_path, monkeypatch,
-    ):
-        with telemetry.session() as tel:
-            with _runner(tmp_path, "nopub") as runner:
-                events = self._record(
-                    runner, monkeypatch, fail=("small_mixed",),
-                )
-                outcome = runner.sweep(grid_specs, workers=2)
-                assert len(runner._res.plane.segment_names) == 1
-        assert outcome.ok
-        assert outcome.results == reference.results
-        # tried once for the failing workload, though it has two batches
-        assert events.count(("publish", "small_mixed")) == 1
-        assert events.count(("submit", "small_mixed")) == 2
-        assert _metric_total(tel, "runner.shm", op="publish_failed") == 1
-        assert _metric_total(tel, "runner.shm", op="publish") == 1
-
 
     def test_pool_breaking_between_submits_is_an_uncharged_retry(
         self, grid_specs, reference, tmp_path, monkeypatch,
     ):
-        # publishing stretches the submit loop out, so a worker can die
-        # with later batches not yet submitted: they are lost with the
-        # in-flight ones and retried, and nobody's budget is charged
+        # a worker can die with later batches not yet submitted: they
+        # are lost with the in-flight ones and retried, and nobody's
+        # budget is charged
         retry = RetryPolicy(max_attempts=1, backoff_base_s=0.01)
         with _runner(tmp_path, "midsubmit", retry=retry) as runner:
-            events = self._record(runner, monkeypatch, break_at=2)
+            events = self._record(monkeypatch, break_at=2)
             outcome = runner.sweep(grid_specs, workers=2)
         assert outcome.ok
         assert outcome.results == reference.results
-        assert events.count(("publish", "small_mixed")) == 1
+        assert events[:3] == ["small_hotspot", "small_hotspot", "small_mixed"]
 
 
 class TestTraceMemo:
@@ -425,6 +345,46 @@ class TestTraceMemo:
             assert runner.cache.stats().entries["traces"] == 2
         assert set(warm.provenance) == {"cache"}
         assert warm.results == reference.results
+
+    def test_warm_pool_generates_nothing(
+        self, grid_specs, reference, tmp_path, monkeypatch,
+    ):
+        # patched before the pool forks, so every worker logs its own
+        # generations: one "pid workload" line each, appended to a file
+        import repro.runner.grid as grid
+
+        log = tmp_path / "generated.log"
+        generate = grid.generate_trace
+
+        def logging_generate(workload):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {workload.name}\n")
+            return generate(workload)
+
+        def lines():
+            return log.read_text().splitlines() if log.exists() else []
+
+        monkeypatch.setattr(grid, "generate_trace", logging_generate)
+        names = {s.workload.name for s in grid_specs}
+        with _runner(tmp_path, "warmpool") as runner:
+            cold = runner.sweep(grid_specs, workers=2)
+            cold_lines = lines()
+            warm = runner.sweep(grid_specs, workers=2)
+            warm_lines = lines()[len(cold_lines):]
+        assert cold.results == warm.results == reference.results
+        # the coordinator generates nothing; each worker generates a
+        # workload at most once, and every workload somewhere
+        pids = {line.split()[0] for line in cold_lines}
+        assert str(os.getpid()) not in pids and len(pids) <= 2
+        assert len(set(cold_lines)) == len(cold_lines)
+        assert {line.split()[1] for line in cold_lines} == names
+        # the warm sweep regenerates nothing a worker already holds (a
+        # batch goes to whichever worker is free, so a worker that got
+        # none of a workload's batches cold may generate it once now)
+        assert not set(warm_lines) & set(cold_lines)
+        assert len(set(cold_lines + warm_lines)) == len(
+            cold_lines + warm_lines
+        ) <= 2 * len(names)
 
     def test_memo_is_bounded(self, tmp_path):
         from repro.runner.grid import TRACE_MEMO_SIZE
@@ -488,83 +448,6 @@ class TestGroupedChaos:
                 assert res == ref
 
 
-class TestTracePlane:
-    def test_publish_attach_roundtrip(self, small_trace):
-        plane = TracePlane()
-        try:
-            handle = plane.publish(small_trace)
-            trace, seg = handle.attach()
-            assert trace.name == small_trace.name
-            np.testing.assert_array_equal(trace.keys, small_trace.keys)
-            np.testing.assert_array_equal(trace.is_read, small_trace.is_read)
-            np.testing.assert_array_equal(
-                trace.record_sizes, small_trace.record_sizes,
-            )
-            assert not trace.keys.flags.writeable
-            seg.close()
-        finally:
-            plane.close()
-
-    def test_publish_idempotent_per_digest(self, small_trace):
-        plane = TracePlane()
-        try:
-            first = plane.publish(small_trace)
-            second = plane.publish(small_trace)
-            assert first is second
-            assert len(plane) == 1
-        finally:
-            plane.close()
-
-    def test_close_unlinks_segments(self, small_trace):
-        plane = TracePlane()
-        handle = plane.publish(small_trace)
-        assert _segment_exists(handle.segment)
-        plane.close()
-        assert not _segment_exists(handle.segment)
-        with pytest.raises(FileNotFoundError):
-            handle.attach()
-
-    def test_worker_falls_back_when_segment_vanished(
-        self, small_spec, small_trace,
-    ):
-        # a dead handle degrades to materialising the trace — results
-        # still flow, bit-identical to an in-process run
-        plane = TracePlane()
-        handle = plane.publish(small_trace)
-        plane.close()
-        spec = ExperimentSpec(workload=small_spec, placement="slow")
-        config = ClientConfig(repeats=2, seed=7)
-        entries, _ = _worker_run_batch((
-            (spec,), handle, config, None,
-            ExperimentRunner().system_factory, None, None,
-        ))
-        assert [ok for _, ok, _ in entries] == [True]
-        expected = ExperimentRunner(cache=None, client=config).run(spec)
-        assert entries[0][2][0] == expected
-
-    def test_runner_close_removes_all_segments(self, grid_specs, tmp_path):
-        runner = _runner(tmp_path, "leak")
-        runner.sweep(grid_specs, workers=2)
-        names = runner._res.plane.segment_names
-        assert len(names) == 2  # one per workload
-        assert all(_segment_exists(n) for n in names)
-        runner.close()
-        assert all(not _segment_exists(n) for n in names)
-
-    def test_no_segment_survives_chaos(self, grid_specs, tmp_path):
-        runner = _runner(
-            tmp_path, "chaosleak",
-            chaos=ChaosPlan(
-                kill_labels=(grid_specs[0].label,), mode="exit",
-                marker_dir=str(tmp_path / "chaos"),
-            ),
-        )
-        runner.sweep(grid_specs, workers=2)
-        names = runner._res.plane.segment_names
-        runner.close()
-        assert all(not _segment_exists(n) for n in names)
-
-
 class TestPlannerTelemetry:
     def test_grouped_path_label_and_shm_counters(
         self, grid_specs, tmp_path,
@@ -578,8 +461,8 @@ class TestPlannerTelemetry:
         assert _metric_total(
             tel, "memsim.path", path="batch_kernel",
         ) == len(grid_specs)
-        assert _metric_total(tel, "runner.shm", op="publish") == 2
-        assert _metric_total(tel, "runner.shm", op="attach") >= 1
+        # workers generate their own traces: no shared-memory traffic
+        assert _metric_total(tel, "runner.shm") == 0
         sweeps = [
             s for s in tel.all_spans() if s.name == "runner.sweep"
         ]

@@ -193,8 +193,8 @@ class TestGuard:
 class TestSweep:
     @pytest.mark.parametrize("flag", [["--plan", "cell"], ["--no-shm"]])
     def test_dispatch_knobs_are_gone(self, capsys, flag):
-        # one pooled plan, automatic shm fallback: the flags that chose
-        # otherwise are argparse usage errors, not deprecated aliases
+        # one pooled plan, workers generate their own traces: the flags
+        # that chose otherwise are argparse usage errors, not aliases
         with pytest.raises(SystemExit) as exit_info:
             main(["sweep", "--workloads", "trending", *flag])
         assert exit_info.value.code == 2
