@@ -47,7 +47,9 @@ crash:
 		tests/service/test_serve.py -x -q
 
 # SLO guardrails: drift detection, recommendation validation, fallback
-# re-planning — includes the end-to-end validate-reject-fallback scenario
+# re-planning — includes the end-to-end validate-reject-fallback scenario,
+# and a clean pass run twice on one scratch store: the warm rerun recalls
+# the replayed results and must print the same bytes
 guard:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/guard \
 		tests/property/test_prop_guard_drift.py -x -q
@@ -56,6 +58,15 @@ guard:
 	PYTHONPATH=src $(PYTHON) -m repro guard --workload trending \
 		--downsample 8 --repeats 1 --seed 3 --live-rotate 3000; \
 		test $$? -eq 3
+	dir=$$(mktemp -d) && \
+	PYTHONPATH=src $(PYTHON) -m repro guard --workload trending \
+		--downsample 8 --repeats 1 --seed 3 --store $$dir/guard.db \
+		> $$dir/cold.txt && \
+	PYTHONPATH=src $(PYTHON) -m repro guard --workload trending \
+		--downsample 8 --repeats 1 --seed 3 --store $$dir/guard.db \
+		> $$dir/warm.txt && \
+	cmp $$dir/cold.txt $$dir/warm.txt; \
+	rc=$$?; rm -rf $$dir; test $$rc -eq 0
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

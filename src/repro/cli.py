@@ -265,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     guard.add_argument("--no-validate", action="store_true",
                        help="drift + margin checks only; skip the "
                             "simulator replay")
-    _add_store_option(guard, "memoize measurements and verdicts in this "
+    _add_store_option(guard, "memoize measurements (re-validation then "
+                             "recalls the replayed results) in this "
                              "result store")
     guard.add_argument("--obs", metavar="PATH",
                        help="write a telemetry event log (JSONL) here; "

@@ -182,13 +182,13 @@ class Mnemo:
         budget=None,
         thresholds=None,
         policy=None,
-        cache=None,
     ):
         """A :class:`~repro.guard.loop.GuardLoop` around this consultant.
 
         The loop reuses this instance's engines and measuring client, so
         validation replays happen under exactly the configuration the
-        baselines were measured with.  See ``docs/GUARD.md`` for the
+        baselines were measured with (and, with a store, recall what
+        it has already replayed).  See ``docs/GUARD.md`` for the
         error-budget, drift-threshold and margin parameters.
         """
         from repro.guard.loop import GuardLoop  # lazy: avoid an import cycle
@@ -198,7 +198,6 @@ class Mnemo:
             budget=budget,
             thresholds=thresholds,
             policy=policy,
-            cache=cache,
         )
 
     # -- placement --------------------------------------------------------------------

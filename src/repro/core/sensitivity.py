@@ -272,24 +272,3 @@ class SensitivityEngine:
             fast=measured["fast"], slow=measured["slow"],
             flags=tuple(sorted(flags)),
         )
-
-    def drift_between(
-        self,
-        descriptor: WorkloadDescriptor,
-        live_trace,
-        thresholds=None,
-    ):
-        """Compare a live stream against the workload the baselines cover.
-
-        Baselines (and the curve telescoped from them) describe the
-        *planning* workload; when production drifts away from it the
-        whole pipeline downstream of this engine is stale.  Returns a
-        :class:`~repro.guard.drift.WorkloadDriftReport` whose
-        ``advice`` says whether to keep the plan, widen its margin, or
-        re-run :meth:`measure`.
-        """
-        from repro.guard.drift import detect_drift  # lazy: avoid an import cycle
-
-        return detect_drift(
-            descriptor.to_trace(), live_trace, thresholds=thresholds
-        )

@@ -145,12 +145,11 @@ class GuardLoop:
         validator must measure with the same client configuration the
         baselines were measured with, or model error and configuration
         mismatch would be indistinguishable.
+        A consultant built with a store measures through a caching
+        client, so every replayed split is memoized there too.
     budget / thresholds / policy:
         The error budget, drift thresholds and margin policy; all
         default to the documented defaults (see ``docs/GUARD.md``).
-    cache:
-        Optional verdict cache; defaults to the Mnemo's cache when that
-        is a caching client, else no caching.
     """
 
     def __init__(
@@ -159,10 +158,7 @@ class GuardLoop:
         budget: ErrorBudget | None = None,
         thresholds: DriftThresholds | None = None,
         policy: MarginPolicy | None = None,
-        cache=None,
     ):
-        if cache is None:
-            cache = getattr(mnemo.client, "cache", None)
         self.mnemo = mnemo
         self.thresholds = thresholds if thresholds is not None else DriftThresholds()
         self.policy = policy if policy is not None else DEFAULT_MARGIN_POLICY
@@ -171,7 +167,6 @@ class GuardLoop:
             system_factory=mnemo.system_factory,
             client=mnemo.client,
             budget=budget,
-            cache=cache,
         )
 
     def run(

@@ -23,42 +23,30 @@ A rejected recommendation triggers :meth:`~RecommendationValidator.find_fallback
 validate (always ending at the all-FastMem safe harbour).
 
 Verdicts are deterministic — the simulator's noise is a pure function of
-the experiment fingerprint — and cacheable: with a
-:class:`~repro.store.SQLiteStore` attached, a verdict is stored
-under a fingerprint covering the live trace, the curve, the probed
-splits, the budget, and the measuring client, so re-validating the same
-recommendation is a pure cache hit with a bit-identical verdict.
+the experiment fingerprint — and a verdict is always judged afresh from
+its replayed results.  With a caching client (a consultant built with a
+store) every replayed split is memoized as a ``results`` row, so
+re-validating the same recommendation recalls those results without
+building a kernel and judges them into a bit-identical verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import ConfigurationError, GuardError
 from repro.kvstore.server import EngineFactory
 from repro.memsim.system import HybridMemorySystem
-from repro.runner.cache import ensure_cache
-from repro.runner.fingerprint import (
-    SHORT_DIGEST_LEN,
-    array_digest,
-    canonicalize,
-    client_fingerprint,
-    digest,
-    system_fingerprint,
-    trace_fingerprint,
-)
 from repro.ycsb.client import YCSBClient
 from repro.ycsb.workload import Trace
 from repro.core.estimate import EstimateCurve
 from repro.core.slo import SizingChoice, choice_at
 
-if TYPE_CHECKING:
-    from repro.store.store import SQLiteStore
-
-#: Default fraction of the key space one fallback increment spans.
+#: Fraction of the key space one validation/fallback increment spans
+#: (the ± neighbours sit one increment away).
 DEFAULT_STEP_FRACTION = 0.05
 
 #: Default bound on fallback probes before jumping to the safe harbour.
@@ -119,8 +107,7 @@ class ValidationVerdict:
     ``violating_metric`` names the budget a rejected verdict broke
     (``"throughput"`` or ``"latency"``, None otherwise).  The verdict
     carries every replayed :class:`PointCheck` so reports can show the
-    full neighbourhood, and the fingerprint it was computed (and cached)
-    under.
+    full neighbourhood.
     """
 
     status: str
@@ -132,7 +119,6 @@ class ValidationVerdict:
     violating_metric: str | None
     budget: ErrorBudget
     points: tuple[PointCheck, ...]
-    fingerprint: str
 
     @property
     def ok(self) -> bool:
@@ -157,24 +143,9 @@ class ValidationVerdict:
             body += f" — violated: {self.violating_metric}"
         return body
 
-    # -- cache (de)serialisation --------------------------------------------------
-
     def to_payload(self) -> dict:
-        """A JSON-serialisable dict (the verdict-cache payload)."""
+        """A JSON-serialisable dict (the served ``validate`` reply)."""
         return asdict(self)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ValidationVerdict":
-        """Rebuild a verdict from :meth:`to_payload` output."""
-        try:
-            body = dict(payload)
-            body["budget"] = ErrorBudget(**body["budget"])
-            body["points"] = tuple(
-                PointCheck(**p) for p in body["points"]
-            )
-            return cls(**body)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GuardError(f"malformed verdict payload: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -203,18 +174,11 @@ class RecommendationValidator:
         Builds fresh hybrid memory systems per replayed point.
     client:
         The measuring client; defaults to the profiling default (3
-        repeats, 1 % noise).  Must be fingerprintable (integer seed or
-        None) for verdicts to be cacheable.
+        repeats, 1 % noise).  A caching client memoizes every replayed
+        split, so re-validation recalls its results instead of
+        measuring them.
     budget:
         The :class:`ErrorBudget` verdicts are judged against.
-    cache:
-        Optional verdict cache (a :class:`~repro.store.SQLiteStore`
-        or the path of its file);
-        verdicts are stored under the existing content-addressed
-        fingerprint scheme, so re-validation is a bit-identical replay.
-    step_fraction:
-        Width of one validation/fallback increment as a fraction of the
-        key space (the ± neighbours sit one increment away).
     """
 
     def __init__(
@@ -223,28 +187,18 @@ class RecommendationValidator:
         system_factory: Callable[[], HybridMemorySystem] = HybridMemorySystem.testbed,
         client: YCSBClient | None = None,
         budget: ErrorBudget | None = None,
-        cache: SQLiteStore | str | None = None,
-        step_fraction: float = DEFAULT_STEP_FRACTION,
     ):
-        if not 0 < step_fraction <= 1:
-            raise ConfigurationError(
-                f"step_fraction must be in (0, 1], got {step_fraction}"
-            )
         self.engine_factory = engine_factory
         self.system_factory = system_factory
         self.client = client if client is not None else YCSBClient()
         self.budget = budget if budget is not None else ErrorBudget()
-        self.cache = ensure_cache(cache)
-        self.step_fraction = step_fraction
-        self.cache_hits = 0
-        self.cache_misses = 0
         self._profile_memo = None
 
     # -- geometry -----------------------------------------------------------------
 
     def step(self, n_keys: int) -> int:
         """One validation increment, in keys (>= 1)."""
-        return max(1, int(round(self.step_fraction * n_keys)))
+        return max(1, int(round(DEFAULT_STEP_FRACTION * n_keys)))
 
     def _neighbourhood(self, n: int, n_keys: int) -> list[int]:
         """The chosen split plus its ± one-increment neighbours."""
@@ -256,8 +210,6 @@ class RecommendationValidator:
         }
         return sorted(points)
 
-    # -- fingerprinting -----------------------------------------------------------
-
     def _profile(self):
         """The engine's cost profile (built once, lazily)."""
         if self._profile_memo is None:
@@ -266,23 +218,6 @@ class RecommendationValidator:
                 system.fast, system.slow
             ).profile
         return self._profile_memo
-
-    def verdict_fingerprint(
-        self, curve: EstimateCurve, trace: Trace, checked: list[int],
-    ) -> str:
-        """Content digest covering everything that determines a verdict."""
-        body = {
-            "trace": trace_fingerprint(trace),
-            "order": array_digest(curve.order)[:SHORT_DIGEST_LEN],
-            "runtime": array_digest(curve.runtime_ns)[:SHORT_DIGEST_LEN],
-            "n_requests": curve.n_requests,
-            "checked": list(checked),
-            "budget": canonicalize(self.budget),
-            "engine": canonicalize(self._profile()),
-            "system": system_fingerprint(self.system_factory()),
-            "client": client_fingerprint(self.client),
-        }
-        return digest(body)[:SHORT_DIGEST_LEN]
 
     # -- validation ---------------------------------------------------------------
 
@@ -293,7 +228,9 @@ class RecommendationValidator:
 
         The placement masks are the curve-order prefixes — exactly the
         splits the curve predicts — and all of them share one kernel
-        gather; no deployment is constructed.
+        gather; no deployment is constructed.  A caching client recalls
+        the splits it has already measured and builds no kernel when
+        every one of them is warm.
         """
         system = self.system_factory()
         masks = np.zeros((len(checked), trace.n_keys), dtype=bool)
@@ -332,7 +269,6 @@ class RecommendationValidator:
         curve: EstimateCurve,
         n: int,
         points: list[PointCheck],
-        fingerprint: str,
     ) -> ValidationVerdict:
         """Fold replayed points into a verdict against the budget."""
         b = self.budget
@@ -358,7 +294,6 @@ class RecommendationValidator:
             violating_metric=violating,
             budget=b,
             points=tuple(points),
-            fingerprint=fingerprint,
         )
 
     def validate(
@@ -391,21 +326,9 @@ class RecommendationValidator:
                 f"curve ({curve.n_keys})"
             )
         checked = self._neighbourhood(n, curve.n_keys)
-        fingerprint = None
-        if self.cache is not None and not isinstance(
-            self.client.seed, np.random.Generator
-        ):
-            fingerprint = self.verdict_fingerprint(curve, trace, checked)
-            payload = self.cache.get_verdict(fingerprint)
-            if payload is not None:
-                self.cache_hits += 1
-                return ValidationVerdict.from_payload(payload)
-            self.cache_misses += 1
-        points = self._replay_batch(curve, trace, checked)
-        verdict = self._judge(curve, n, points, fingerprint or "")
-        if fingerprint is not None:
-            self.cache.put_verdict(fingerprint, verdict.to_payload())
-        return verdict
+        return self._judge(
+            curve, n, self._replay_batch(curve, trace, checked)
+        )
 
     # -- fallback search ----------------------------------------------------------
 

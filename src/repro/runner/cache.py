@@ -3,8 +3,8 @@
 The on-the-wire form of everything :class:`~repro.store.SQLiteStore`
 persists, kept apart from the SQL so the bytes can be reasoned about
 (and timed) on their own.  Every entry carries a checksum of its own
-content — a JSON canonical-form digest for results and verdicts, the
-trace content fingerprint for traces, an array digest for hit masks —
+content — a JSON canonical-form digest for results, the trace content
+fingerprint for traces, an array digest for hit masks —
 so a read that fails to parse or fails its checksum is recognised as
 corruption and recomputed instead of believed.
 
@@ -30,8 +30,10 @@ from repro.ycsb.workload import Trace
 #: per-entry checksums.
 SCHEMA_VERSION = 2
 
-#: The entry kinds, in the order censuses print them.
-_KINDS = ("results", "traces", "hitmasks", "verdicts")
+#: The entry kinds, in the order censuses print them.  Rows of any
+#: other kind (older builds also wrote ``verdicts``) are neither
+#: counted nor verified; ``clear()`` still drops them.
+_KINDS = ("results", "traces", "hitmasks")
 
 
 def _json_checksum(body) -> str:
@@ -46,7 +48,7 @@ def _json_checksum(body) -> str:
 
 # -- entry codecs ----------------------------------------------------------
 #
-# Results and verdicts are checksummed JSON envelopes, traces and hit
+# Results are checksummed JSON envelopes, traces and hit
 # masks are checksummed NPZ byte strings.  Decoders return ``(value,
 # corruption_reason)``; a stale-schema envelope decodes to ``(None,
 # None)`` — a miss, not corruption — so a schema bump orphans entries
@@ -85,33 +87,6 @@ def decode_result(payload) -> "tuple[RunResult | None, str | None]":
         return RunResult(**body), None
     except (KeyError, TypeError, ValueError):
         return None, "malformed result body"
-
-
-def encode_verdict(payload: dict) -> dict:
-    """Envelope a guard-verdict payload as checksummed JSON."""
-    # round-trip through JSON so the stored checksum is computed on
-    # exactly the value a reader will re-canonicalise
-    body = json.loads(json.dumps(payload))
-    return {
-        "schema": SCHEMA_VERSION,
-        "checksum": _json_checksum(body),
-        "verdict": body,
-    }
-
-
-def decode_verdict(payload) -> "tuple[dict | None, str | None]":
-    """Validate a verdict envelope: ``(payload, corruption reason)``."""
-    if not isinstance(payload, dict):
-        return None, "payload is not an object"
-    if payload.get("schema") != SCHEMA_VERSION:
-        return None, None  # stale schema: a miss, not corruption
-    body = payload.get("verdict")
-    checksum = payload.get("checksum")
-    if not isinstance(body, dict) or not isinstance(checksum, str):
-        return None, "missing verdict/checksum fields"
-    if _json_checksum(body) != checksum:
-        return None, "checksum mismatch"
-    return body, None
 
 
 def _npz_bytes(**arrays) -> bytes:

@@ -474,15 +474,14 @@ class ExperimentRunner:
     def _serial_round(self, st: _Sweep, order) -> dict[int, Exception]:
         """One in-process attempt at every pending spec, group by group.
 
-        The batches are the planner's cut at one worker: a (workload,
-        engine) group holding at most half the round is one batch.
-        Replies are per spec, so attribution is as exact as for
+        Each (workload, engine) group is one batch — one trace, one
+        kernel.  Replies are per spec, so attribution is as exact as for
         singletons; what a batch raises as a whole (no trace, no kernel
         inputs) is charged to each of its members.
         """
         failed: dict[int, Exception] = {}
-        for batch in self._plan_batches(st.specs, order, st.splits, 1):
-            members = batch[1]
+        for batch in self._groups(st.specs, order).items():
+            _, members = batch
             try:
                 entries = run_batch(
                     self, tuple(st.specs[i] for i in members),
@@ -493,6 +492,15 @@ class ExperimentRunner:
             else:
                 self._collect_batch(st, batch, (entries, None), failed)
         return failed
+
+    @staticmethod
+    def _groups(specs, order) -> "OrderedDict[tuple, list[int]]":
+        """Pending specs by (workload, engine), in first-appearance order."""
+        groups: "OrderedDict[tuple, list[int]]" = OrderedDict()
+        for i in order:
+            key = (workload_fingerprint(specs[i].workload), specs[i].engine)
+            groups.setdefault(key, []).append(i)
+        return groups
 
     # -- pooled dispatch ---------------------------------------------------------
 
@@ -510,12 +518,8 @@ class ExperimentRunner:
         unattributable batch failures; the deterministic chunking is
         what makes failure attribution converge.
         """
-        groups: "OrderedDict[tuple, list[int]]" = OrderedDict()
-        for i in order:
-            key = (workload_fingerprint(specs[i].workload), specs[i].engine)
-            groups.setdefault(key, []).append(i)
         batches: list[tuple[tuple, list[int]]] = []
-        for key, members in groups.items():
+        for key, members in self._groups(specs, order).items():
             bound = -(-min(2 * len(members), len(order)) // (2 * workers))
             chunks = 1
             while -(-len(members) // chunks) > bound:

@@ -258,9 +258,24 @@ class _ControlServer:
         self._closed = False
         self.live = 0  # I/O threads alive now
         self.started = 0  # ... and ever started
+        # Bind beside *path* and link the socket there once it listens, so
+        # a client that connects as soon as the path exists is never
+        # refused.  A link, not a rename: like a bind, it fails on a path
+        # another daemon took after the stale-socket probe.  ".<pid>" is
+        # shorter than the "control.sock" it becomes, so it fits wherever
+        # that path does.
+        staging = Path(path).with_name(f".{os.getpid()}")
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.bind(path)
-        self._sock.listen(self.request_queue_size)
+        try:
+            staging.unlink(missing_ok=True)  # left by a SIGKILLed namesake
+            self._sock.bind(str(staging))
+            self._sock.listen(self.request_queue_size)
+            os.link(staging, path)
+        except OSError:
+            self._sock.close()
+            raise
+        finally:
+            staging.unlink(missing_ok=True)
         with self._lock:
             self._start_thread()
 

@@ -5,7 +5,7 @@ The pipeline's durability layer (``docs/STORE.md``):
 - :mod:`repro.store.db` — WAL-mode connections, single-writer
   transactions, busy-timeout + bounded-backoff lock retry;
 - :mod:`repro.store.store` — :class:`SQLiteStore`, the one result
-  store (results, traces, hit masks, verdicts, quarantine — one
+  store (results, traces, hit masks, quarantine — one
   queryable file, torn-write-proof by transaction);
 - :mod:`repro.store.oplog` — the append-only event log sweeps and the
   guard service journal into;

@@ -1,8 +1,12 @@
 """The result store: content-addressed entries in one SQLite file.
 
-:class:`SQLiteStore` memoizes what the pipeline measures — run results,
-LLC hit masks, guard verdicts — as ``(kind, fingerprint) -> body`` rows
-with an upsert.  The ``traces`` kind is still read and written by
+:class:`SQLiteStore` memoizes what the pipeline measures — run results
+and LLC hit masks — as ``(kind, fingerprint) -> body`` rows with an
+upsert.  A guard verdict is not stored: it is judged afresh from the
+replayed splits' ``results`` rows, so re-validation recalls those
+instead of measuring them (``verdicts`` rows older builds wrote are
+neither counted nor verified, and ``clear()`` drops them).  The
+``traces`` kind is still read and written by
 :meth:`~SQLiteStore.get_trace` / :meth:`~SQLiteStore.put_trace`, but
 nothing in the pipeline calls them any more (regenerating a trace costs
 less than encoding it); rows older builds wrote are counted, verified
@@ -57,11 +61,9 @@ from repro.runner.cache import (
     decode_hitmask,
     decode_result,
     decode_trace,
-    decode_verdict,
     encode_hitmask,
     encode_result,
     encode_trace,
-    encode_verdict,
 )
 from repro.store.db import Database
 from repro.store.oplog import Oplog
@@ -201,19 +203,13 @@ class SQLiteStore:
             "cache.lookup", kind=kind, outcome="hit" if hit else "miss",
         )
 
-    @staticmethod
-    def _decode_json(data: bytes, decoder):
-        try:
-            payload = json.loads(data)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None, "unparseable JSON"
-        return decoder(payload)
-
     def _decode(self, kind: str, data: bytes):
         if kind == "results":
-            return self._decode_json(data, decode_result)
-        if kind == "verdicts":
-            return self._decode_json(data, decode_verdict)
+            try:
+                payload = json.loads(data)
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                return None, "unparseable JSON"
+            return decode_result(payload)
         if kind == "traces":
             return decode_trace(data)
         if kind == "hitmasks":
@@ -265,17 +261,6 @@ class SQLiteStore:
     def put_hitmask(self, fingerprint: str, mask: np.ndarray) -> Path:
         """Persist an LLC hit mask; returns the db path."""
         return self._put("hitmasks", fingerprint, encode_hitmask(mask))
-
-    def get_verdict(self, fingerprint: str) -> dict | None:
-        """Load a cached guard-verdict payload (or None)."""
-        return self._get("verdicts", fingerprint)
-
-    def put_verdict(self, fingerprint: str, payload: dict) -> Path:
-        """Persist a guard-verdict payload; returns the db path."""
-        envelope = encode_verdict(payload)
-        return self._put(
-            "verdicts", fingerprint, json.dumps(envelope, indent=1).encode()
-        )
 
     # -- census and maintenance -----------------------------------------------
 

@@ -46,3 +46,20 @@ def guard_report(small_trace_module, guard_client):
     """One profiling report shared across the guard suite."""
     mnemo = Mnemo(engine_factory=RedisLike, client=guard_client)
     return mnemo.profile(small_trace_module)
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """Every :class:`~repro.memsim.kernel.BatchKernel` built while the
+    test runs (a warm caching client builds none)."""
+    from repro.memsim.kernel import BatchKernel
+
+    built = []
+    init = BatchKernel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchKernel, "__init__", counting_init)
+    return built

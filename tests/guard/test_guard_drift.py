@@ -142,11 +142,9 @@ class TestDetector:
 
 class TestSensitivityEngineIntegration:
     def test_drift_between_descriptor_and_live(self, small_trace):
-        from repro.core import SensitivityEngine, WorkloadDescriptor
-        from repro.kvstore import RedisLike
+        from repro.core import WorkloadDescriptor
 
-        engine = SensitivityEngine(RedisLike)
         descriptor = WorkloadDescriptor.from_trace(small_trace)
         live = rotate_hot_set(small_trace, small_trace.n_keys // 2)
-        report = engine.drift_between(descriptor, live)
+        report = detect_drift(descriptor.to_trace(), live)
         assert report.advice.action == "reprofile"

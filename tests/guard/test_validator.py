@@ -1,5 +1,7 @@
 """Tests for recommendation validation and the fallback search."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,13 @@ from repro.errors import ConfigurationError, GuardError
 from repro.guard.drift import rotate_hot_set
 from repro.guard.validator import (
     ErrorBudget,
+    PointCheck,
     RecommendationValidator,
     ValidationVerdict,
 )
 from repro.kvstore import RedisLike
+from repro.runner.caching import CachingClient
 from repro.store import SQLiteStore
-from repro.ycsb import YCSBClient
 
 
 @pytest.fixture
@@ -112,68 +115,91 @@ class TestValidate:
 
 class TestVerdictPayload:
     def test_roundtrip(self, validator, guard_report, small_trace_module):
+        # the served `validate` reply is this payload through JSON: it
+        # must carry every field of the verdict, and nothing else
         verdict = validator.validate(
             guard_report.curve, guard_report.choose(0.10), small_trace_module
         )
-        assert ValidationVerdict.from_payload(verdict.to_payload()) == verdict
-
-    def test_malformed_payload_raises(self):
-        with pytest.raises(GuardError):
-            ValidationVerdict.from_payload({"status": "pass"})
+        body = json.loads(json.dumps(verdict.to_payload()))
+        body["budget"] = ErrorBudget(**body["budget"])
+        body["points"] = tuple(PointCheck(**p) for p in body["points"])
+        assert ValidationVerdict(**body) == verdict
 
 
 class TestCaching:
+    """A verdict is judged afresh; a caching client recalls the replays."""
+
     def test_rerun_is_a_cache_hit_with_identical_verdict(
         self, tmp_path, guard_client, guard_report, small_trace_module,
+        kernel_builds,
     ):
         cache = SQLiteStore(tmp_path / "cache")
         choice = guard_report.choose(0.10)
 
         first = RecommendationValidator(
-            RedisLike, client=guard_client, cache=cache
+            RedisLike, client=CachingClient.wrap(guard_client, cache)
         )
         v1 = first.validate(guard_report.curve, choice, small_trace_module)
-        assert (first.cache_hits, first.cache_misses) == (0, 1)
+        n_points = len(v1.points)
+        assert (first.client.cache_hits, first.client.cache_misses) == (
+            0, n_points,
+        )
+        assert len(kernel_builds) == 1
 
         second = RecommendationValidator(
-            RedisLike, client=guard_client, cache=cache
+            RedisLike, client=CachingClient.wrap(guard_client, cache)
         )
         v2 = second.validate(guard_report.curve, choice, small_trace_module)
-        assert (second.cache_hits, second.cache_misses) == (1, 0)
+        # every replayed split was recalled: no measurement, no kernel
+        assert (second.client.cache_hits, second.client.cache_misses) == (
+            n_points, 0,
+        )
+        assert len(kernel_builds) == 1
         assert v1 == v2
-        assert v1.fingerprint == v2.fingerprint
+        # and caching changes nothing a cache-less replay would judge
+        plain = RecommendationValidator(RedisLike, client=guard_client)
+        assert plain.validate(
+            guard_report.curve, choice, small_trace_module
+        ) == v1
 
     def test_different_trace_changes_fingerprint(
         self, tmp_path, guard_client, guard_report, small_trace_module,
     ):
         cache = SQLiteStore(tmp_path / "cache")
         validator = RecommendationValidator(
-            RedisLike, client=guard_client, cache=cache
+            RedisLike, client=CachingClient.wrap(guard_client, cache)
         )
         choice = guard_report.choose(0.10)
         v1 = validator.validate(
             guard_report.curve, choice, small_trace_module
         )
+        planned = set(cache.fingerprints("results"))
+        assert len(planned) == len(v1.points)
         v2 = validator.validate(
             guard_report.curve, choice,
             rotate_hot_set(small_trace_module, 60),
         )
-        assert v1.fingerprint != v2.fingerprint
+        # the same splits of another trace are other experiments:
+        # fresh fingerprints, each measured, none recalled
+        assert validator.client.cache_hits == 0
+        rotated = set(cache.fingerprints("results")) - planned
+        assert len(rotated) == len(v2.points)
+        assert v1 != v2
 
     def test_generator_seeded_client_skips_cache(
         self, tmp_path, guard_report, small_trace_module,
     ):
         cache = SQLiteStore(tmp_path / "cache")
-        live_rng = YCSBClient(repeats=1, seed=np.random.default_rng(1))
-        validator = RecommendationValidator(
-            RedisLike, client=live_rng, cache=cache
+        live_rng = CachingClient(
+            cache, repeats=1, seed=np.random.default_rng(1)
         )
+        validator = RecommendationValidator(RedisLike, client=live_rng)
         verdict = validator.validate(
             guard_report.curve, guard_report.choose(0.10), small_trace_module
         )
-        assert verdict.fingerprint == ""
-        assert (validator.cache_hits, validator.cache_misses) == (0, 0)
-        assert cache.stats().entries["verdicts"] == 0
+        assert len(verdict.points) >= 2
+        assert (live_rng.cache_hits, live_rng.cache_misses) == (0, 0)
+        assert cache.stats().total_entries == 0
 
 
 class TestFallback:

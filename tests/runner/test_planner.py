@@ -232,6 +232,40 @@ class TestPlanner:
             else:  # pragma: no cover - would mean no convergence
                 raise AssertionError("group never reached singletons")
 
+    @pytest.fixture
+    def batches_built(self, monkeypatch):
+        """Every PlacementBatch the executor builds while the test runs."""
+        from repro.runner import executor
+
+        built = []
+
+        class Counting(PlacementBatch):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "PlacementBatch", Counting)
+        return built
+
+    def test_serial_sweep_is_one_batch_per_group(
+        self, small_spec, grid_specs, batches_built,
+    ):
+        splits = ExperimentRunner.grid(
+            [small_spec], placements=("split",),
+            fast_fractions=tuple(i / 13 for i in range(1, 13)),
+        )
+        runner = ExperimentRunner(client=ClientConfig(repeats=1, seed=7))
+        assert runner.sweep(splits).ok
+        assert len(batches_built) == 1
+        # two groups, two batches
+        assert runner.sweep(grid_specs).ok
+        assert len(batches_built) == 3
+
+    def test_baselines_are_one_batch(self, small_spec, batches_built):
+        runner = ExperimentRunner(client=ClientConfig(repeats=1, seed=7))
+        runner.baselines(small_spec)
+        assert len(batches_built) == 1
+
     def test_pool_persists_across_sweeps(self, grid_specs, tmp_path):
         with _runner(tmp_path, "pool") as runner:
             runner.sweep(grid_specs, workers=2)

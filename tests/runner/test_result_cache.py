@@ -80,6 +80,28 @@ class TestResults:
         overwrite(cache, "results", "fp1", "{not json")
         assert cache.get_result("fp1") is None
 
+    def test_corrupt_json_quarantined(self, cache, result):
+        cache.put_result("fp1", result)
+        overwrite(cache, "results", "fp1", "{not json")
+        assert cache.get_result("fp1") is None
+        # quarantined, not left to rot
+        assert cache.stats().entries["results"] == 0
+        assert cache.stats().quarantined["results"] == 1
+
+    def test_checksum_mismatch_rejected(self, cache, result):
+        cache.put_result("fp1", result)
+        payload = json.loads(stored(cache, "results", "fp1"))
+        payload["result"]["n_requests"] += 1
+        overwrite(cache, "results", "fp1", json.dumps(payload))
+        assert cache.get_result("fp1") is None
+
+    def test_counted_by_stats_and_verify(self, cache, result):
+        cache.put_result("fp1", result)
+        assert cache.stats().entries["results"] == 1
+        report = cache.verify()
+        assert report.ok
+        assert report.checked["results"] == 1
+
 
 def assert_traces_equal(got, want):
     assert got.name == want.name
@@ -190,39 +212,6 @@ class TestHitmasks:
         assert cache.get_hitmask("nope") is None
 
 
-class TestVerdicts:
-    PAYLOAD = {"status": "pass", "n_fast_keys": 42, "points": [1, 2, 3]}
-
-    def test_roundtrip(self, cache):
-        cache.put_verdict("v1", self.PAYLOAD)
-        assert cache.get_verdict("v1") == self.PAYLOAD
-
-    def test_missing_returns_none(self, cache):
-        assert cache.get_verdict("nope") is None
-
-    def test_corrupt_json_quarantined(self, cache):
-        cache.put_verdict("v1", self.PAYLOAD)
-        overwrite(cache, "verdicts", "v1", "{not json")
-        assert cache.get_verdict("v1") is None
-        # quarantined, not left to rot
-        assert cache.stats().entries["verdicts"] == 0
-        assert cache.stats().quarantined["verdicts"] == 1
-
-    def test_checksum_mismatch_rejected(self, cache):
-        cache.put_verdict("v1", self.PAYLOAD)
-        payload = json.loads(stored(cache, "verdicts", "v1"))
-        payload["verdict"]["status"] = "reject"
-        overwrite(cache, "verdicts", "v1", json.dumps(payload))
-        assert cache.get_verdict("v1") is None
-
-    def test_counted_by_stats_and_verify(self, cache):
-        cache.put_verdict("v1", self.PAYLOAD)
-        assert cache.stats().entries["verdicts"] == 1
-        report = cache.verify()
-        assert report.ok
-        assert report.checked["verdicts"] == 1
-
-
 class TestMaintenance:
     def test_stats_counts_kinds(self, cache, result, small_trace):
         cache.put_result("a", result)
@@ -234,7 +223,7 @@ class TestMaintenance:
         assert stats.entries["hitmasks"] == 0
         assert stats.total_entries == 3
         assert stats.total_bytes > 0
-        assert len(stats.lines()) == 5
+        assert len(stats.lines()) == 4  # three kinds and the total
 
     def test_empty_cache_stats(self, cache):
         assert cache.stats().total_entries == 0

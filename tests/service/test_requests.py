@@ -9,6 +9,7 @@ fast and deterministic.
 """
 
 import json
+import socket
 import sys
 import threading
 import time
@@ -820,6 +821,55 @@ class TestGracefulDegradation:
 
 
 class TestStaleSocket:
+    def test_socket_path_appears_already_listening(
+        self, tmp_path, monkeypatch,
+    ):
+        """A client that connects the instant the path exists is never
+        refused, even when the daemon is descheduled before it listens."""
+
+        class SlowListen(socket.socket):
+            def listen(self, *args):
+                time.sleep(0.005)
+                super().listen(*args)
+
+        monkeypatch.setattr(socket, "socket", SlowListen)
+        config = _config(tmp_path)
+        config.socket_path.parent.mkdir(parents=True, exist_ok=True)
+        refused = 0
+        for _ in range(20):
+            service = GuardService(config, tick_fn=lambda: 0)
+            opener = threading.Thread(target=service._open_socket)
+            opener.start()
+            deadline = time.monotonic() + 10.0
+            while not config.socket_path.exists():
+                assert time.monotonic() < deadline
+            try:
+                assert control_call(config.socket_path, {"op": "ping"})["ok"]
+            except ConnectionRefusedError:
+                refused += 1
+            opener.join(timeout=10)
+            service._close_socket()
+        assert refused == 0
+        # nothing is left beside the socket once it has its name
+        assert sorted(config.socket_path.parent.iterdir()) == []
+
+    def test_socket_never_takes_a_path_that_appeared_after_the_probe(
+        self, tmp_path,
+    ):
+        from repro.service.serve import _ControlServer
+
+        config = _config(tmp_path)
+        config.socket_path.parent.mkdir(parents=True, exist_ok=True)
+        config.socket_path.touch()  # another daemon won the race
+        with pytest.raises(OSError):
+            _ControlServer(
+                str(config.socket_path), GuardService(config, tick_fn=None),
+            )
+        assert config.socket_path.is_file()  # still the other one's
+        assert [p.name for p in config.socket_path.parent.iterdir()] == [
+            "control.sock"
+        ]
+
     def test_stale_socket_reclaimed_on_startup(self, tmp_path):
         config = _config(tmp_path)
         config.socket_path.parent.mkdir(parents=True, exist_ok=True)

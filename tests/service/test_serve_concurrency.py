@@ -179,6 +179,28 @@ class TestConcurrentClients:
         # and the payload round-trips through JSON unchanged
         assert json.loads(json.dumps(served["choice"])) == expected
 
+    def test_socket_validate_equals_in_process_validator(self, daemon):
+        """The served verdict is the in-process one, no field set aside."""
+        config, _service, _store = daemon
+        served = _call(config, {"op": "validate"})
+        assert served["ok"]
+
+        from repro.core.advice import advise
+        from repro.guard.validator import ErrorBudget
+
+        # cold: no store, so only the math is shared with the daemon
+        advice = advise(config.request)
+        validator = advice.consultant.guard_loop(
+            budget=ErrorBudget()
+        ).validator
+        verdict = validator.validate(
+            advice.report.curve, advice.report.choose(config.slo),
+            advice.trace,
+        )
+        assert served["verdict"] == json.loads(
+            json.dumps(verdict.to_payload())
+        )
+
     def test_reload_with_requests_in_flight(self, daemon):
         """Hot reload drops no in-flight request and answers coherently."""
         config, service, _store = daemon

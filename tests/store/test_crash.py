@@ -23,6 +23,7 @@ import pytest
 from repro.faults import ChaosPlan
 from repro.runner import ClientConfig, ExperimentRunner, RetryPolicy
 from repro.store import SQLiteStore, SweepJournal
+from repro.ycsb.client import RunResult
 
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01)
 
@@ -40,12 +41,16 @@ def _wait_for(predicate, timeout_s=30.0, interval_s=0.02):
 
 
 def _doomed_writer(path):
-    """Write verdict rows forever; each oplog line follows its row."""
+    """Write result rows forever; each oplog line follows its row."""
     store = SQLiteStore(path)
     i = 0
     while True:
         fp = f"fp-{i:05d}"
-        store.put_verdict(fp, {"i": i, "pad": "x" * 256})
+        store.put_result(fp, RunResult(
+            workload="x" * 256, engine="redis", n_requests=i + 1,
+            n_reads=i + 1, n_writes=0, runtime_ns=1e6, avg_read_ns=1.0,
+            avg_write_ns=0.0,
+        ))
         store.oplog.append("kill-run", "wrote", i=i, fingerprint=fp)
         i += 1
 
@@ -77,7 +82,7 @@ class TestWriterSigkill:
             assert store.stats().total_quarantined == 0
             acked = store.oplog.entries("kill-run", kind="wrote")
             assert len(acked) >= 20
-            rows = set(store.fingerprints("verdicts"))
+            rows = set(store.fingerprints("results"))
             # write ordering: an acknowledgement implies a durable row
             for entry in acked:
                 assert entry.payload["fingerprint"] in rows

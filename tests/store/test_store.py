@@ -6,6 +6,7 @@ quarantine-and-recompute corruption policy, durability
 censuses — and only structured errors when the file itself rots.
 """
 
+import dataclasses
 import json
 import shutil
 
@@ -63,22 +64,17 @@ class TestRoundTrips:
         store.put_hitmask("h1", mask)
         assert np.array_equal(store.get_hitmask("h1"), mask)
 
-    def test_verdict_roundtrip(self, store):
-        payload = {"status": "pass", "n_fast_keys": 42, "points": [1, 2, 3]}
-        store.put_verdict("v1", payload)
-        assert store.get_verdict("v1") == payload
-
     def test_missing_returns_none(self, store):
         assert store.get_result("nope") is None
         assert store.get_trace("nope") is None
         assert store.get_hitmask("nope") is None
-        assert store.get_verdict("nope") is None
 
     def test_overwrite_replaces(self, store, result):
-        store.put_verdict("v", {"status": "pass"})
-        store.put_verdict("v", {"status": "reject"})
-        assert store.get_verdict("v") == {"status": "reject"}
-        assert store.stats().entries["verdicts"] == 1
+        store.put_result("r", result)
+        newer = dataclasses.replace(result, n_requests=result.n_requests + 1)
+        store.put_result("r", newer)
+        assert store.get_result("r") == newer
+        assert store.stats().entries["results"] == 1
 
 
 class TestCorruption:
@@ -205,6 +201,46 @@ class TestMaintenance:
             st2.close()
 
 
+class TestLegacyVerdictRows:
+    """Older builds also stored guard verdicts; their rows still open."""
+
+    def test_verdict_row_is_not_counted_and_is_cleared(
+        self, tmp_path, result, capsys,
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "legacy.db"
+        store = SQLiteStore(path)
+        store.put_result("r", result)
+        body = json.dumps({
+            "schema": SCHEMA_VERSION, "checksum": "0" * 64,
+            "verdict": {"status": "pass", "fingerprint": "f" * 16},
+        }).encode()
+        store.db.write_txn(lambda conn: conn.execute(
+            "INSERT INTO entries (kind, fingerprint, schema, body,"
+            " created_at) VALUES ('verdicts', 'v1', ?, ?, 0.0)",
+            (SCHEMA_VERSION, body),
+        ))
+        store.close()
+
+        store = SQLiteStore(path)
+        try:
+            stats = store.stats()
+            assert "verdicts" not in stats.entries
+            assert stats.total_entries == 1 and stats.total_quarantined == 0
+            report = store.verify()
+            assert report.ok and report.total_checked == 1
+            assert "verdicts" not in report.checked
+            assert main(["cache", "stats", "--dir", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert "verdicts" not in out
+            assert "total" in out and " 1 entries" in out
+            assert store.clear() == 2
+            assert store.db.read("SELECT COUNT(*) FROM entries")[0][0] == 0
+        finally:
+            store.close()
+
+
 class TestOplog:
     def test_append_returns_monotonic_seqs(self, store):
         seqs = [store.oplog.append("r", "tick", n=i) for i in range(3)]
@@ -279,7 +315,7 @@ class TestPageRot:
             store.put_result(fp, result)
         store.put_trace("t", small_trace)
         store.put_hitmask("h", np.arange(4_000) % 3 == 0)
-        store.put_verdict("v", {"status": "pass"})
+        store.put_result("v", result)
         store.oplog.append("run", "tick", n=1)
         page_size = store.db.read("PRAGMA page_size")[0][0]
         store.close()  # checkpoints: every page now lives in the main file

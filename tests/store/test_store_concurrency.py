@@ -16,18 +16,26 @@ import pytest
 from repro.errors import ConfigurationError, StoreError
 from repro.store import SQLiteStore
 from repro.store.db import Database
+from repro.ycsb.client import RunResult
 
 N_PER_WRITER = 40
 
 
+def _result(worker, i):
+    """A run result that names the write it came from."""
+    return RunResult(
+        workload=f"w{worker}", engine="redis", n_requests=i + 1,
+        n_reads=i + 1, n_writes=0, runtime_ns=1e6, avg_read_ns=1.0,
+        avg_write_ns=0.0,
+    )
+
+
 def _writer(path, worker, n):
-    """Child-process target: write *n* verdicts + oplog entries."""
+    """Child-process target: write *n* results + oplog entries."""
     store = SQLiteStore(path, busy_timeout_ms=2_000)
     try:
         for i in range(n):
-            store.put_verdict(
-                f"w{worker}-{i:03d}", {"worker": worker, "i": i},
-            )
+            store.put_result(f"w{worker}-{i:03d}", _result(worker, i))
             store.oplog.append(f"run-w{worker}", "tick", worker=worker, i=i)
     finally:
         store.close()
@@ -49,7 +57,7 @@ class TestConcurrentWriters:
             assert p.exitcode == 0
         store = SQLiteStore(path)
         try:
-            fps = store.fingerprints("verdicts")
+            fps = store.fingerprints("results")
             expected = sorted(
                 f"w{w}-{i:03d}"
                 for w in range(2) for i in range(N_PER_WRITER)
@@ -80,9 +88,9 @@ class TestConcurrentWriters:
         store = SQLiteStore(path)
         try:
             # exactly one row survives, and it is one of the writes
-            assert store.fingerprints("verdicts") == ["shared"]
-            got = store.get_verdict("shared")
-            assert got["worker"] in (0, 1) and got["i"] == 19
+            assert store.fingerprints("results") == ["shared"]
+            got = store.get_result("shared")
+            assert got.workload in ("w0", "w1") and got.n_requests == 20
         finally:
             store.close()
 
@@ -91,7 +99,7 @@ def _clash_writer(path, worker):
     st = SQLiteStore(path, busy_timeout_ms=2_000)
     try:
         for i in range(20):
-            st.put_verdict("shared", {"worker": worker, "i": i})
+            st.put_result("shared", _result(worker, i))
     finally:
         st.close()
 
@@ -101,7 +109,7 @@ class TestLockRetry:
         """A writer blocked by a long transaction waits it out."""
         path = tmp_path / "locked.db"
         store = SQLiteStore(path, busy_timeout_ms=50)
-        store.put_verdict("seed", {"x": 0})
+        store.put_result("seed", _result(0, 0))
         blocker = sqlite3.connect(
             path, isolation_level=None, check_same_thread=False,
         )
@@ -109,8 +117,8 @@ class TestLockRetry:
         release = threading.Timer(0.3, lambda: blocker.execute("COMMIT"))
         release.start()
         try:
-            store.put_verdict("after", {"x": 1})  # retries until released
-            assert store.get_verdict("after") == {"x": 1}
+            store.put_result("after", _result(0, 1))  # retries until released
+            assert store.get_result("after") == _result(0, 1)
         finally:
             release.cancel()
             blocker.close()
@@ -122,12 +130,12 @@ class TestLockRetry:
             path, busy_timeout_ms=10, max_attempts=2,
         )
         store.db.backoff_base_s = 0.01
-        store.put_verdict("seed", {"x": 0})
+        store.put_result("seed", _result(0, 0))
         blocker = sqlite3.connect(path, isolation_level=None)
         blocker.execute("BEGIN IMMEDIATE")
         try:
             with pytest.raises(StoreError, match="stayed locked"):
-                store.put_verdict("never", {"x": 1})
+                store.put_result("never", _result(0, 1))
         finally:
             blocker.execute("ROLLBACK")
             blocker.close()
@@ -137,14 +145,14 @@ class TestLockRetry:
         """A forked child must not reuse the parent's connection."""
         path = tmp_path / "forked.db"
         store = SQLiteStore(path)
-        store.put_verdict("parent", {"x": 0})  # opens parent connection
+        store.put_result("parent", _result(0, 0))  # opens parent connection
         ctx = mp.get_context("fork")
         p = ctx.Process(target=_fork_child, args=(store,))
         p.start()
         p.join(timeout=30)
         try:
             assert p.exitcode == 0
-            assert store.get_verdict("child") == {"x": 1}
+            assert store.get_result("child") == _result(0, 1)
         finally:
             store.close()
 
@@ -156,5 +164,5 @@ class TestLockRetry:
 
 
 def _fork_child(store):
-    store.put_verdict("child", {"x": 1})
+    store.put_result("child", _result(0, 1))
     store.close()
