@@ -9,24 +9,32 @@ one.
 :class:`BatchKernel` is the one way a placement is measured.  The cost
 law is a function of (key, op, tier), tabled **once** per memory node
 (``(2, n_keys)``, row 0 writes, row 1 reads), beside the per-(key, op)
-request counts, the LLC hit mask and the trace digest.  A placement is
-then a key-long select, a fingerprint, and :func:`measure_repeats`: the
-per-request noise law in closed form over the (service time, request
-count) cells — nothing request-long, save under an active fault spec,
-whose timeline is indexed by time.  Repeat ``r`` of a placement draws
-from ``derive_seed(seed, f"{label}/run{r}")``, its label the experiment
-fingerprint, so it measures the same alone, in any batch, in any
-process.  ``tests/memsim/test_kernel.py`` keeps the per-request
+request counts, the LLC hit mask, the trace digest and each table
+entry's log-value bin (:class:`NoiseBins`).  A placement is then a
+key-long select of times and bins, a fingerprint (the constant parts'
+canonical JSON is built once per kernel), and :func:`measure_repeats`:
+the per-request noise law in closed form over the (service time,
+request count) cells — two bin sums and a solve over a few hundred bins
+per percentile, no sort of the cells and nothing request-long, save
+under an active fault spec, whose timeline is indexed by time.  Repeat
+``r`` of a placement draws from ``derive_seed(seed,
+f"{label}/run{r}")``, its label the experiment fingerprint, so it
+measures the same alone, in any batch, in any process.
+``tests/memsim/test_kernel.py`` keeps the per-request
 :class:`~repro.memsim.timing.AccessTimer` loop as its distributional
 oracle.
 
 ``accuracy="analytic"`` is the same kernel with two differences: its
 LLC hit mask is the reuse-time (AET) prediction of
 :mod:`repro.memsim.analytic` instead of the exact LRU pass, and it
-measures at the noise mean (sigma 0).
+measures at the noise mean (sigma 0).  It names no fingerprint
+(:meth:`BatchKernel.fingerprint` is None): its results are predictions,
+never the rows a store keeps under the measured placement's.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -62,19 +70,6 @@ def check_placement(placement, n_keys: int, n_tiers: int) -> np.ndarray:
     )
 
 
-def placement_fingerprint(
-    trace_digest: str, profile, placement, n_keys: int, system, client,
-) -> str:
-    """The experiment fingerprint of one placement of an *n_keys* trace:
-    its canonical form (:func:`check_placement`), hashed."""
-    from repro.runner.fingerprint import experiment_fingerprint_parts
-
-    placement = check_placement(placement, n_keys, len(system.nodes))
-    return experiment_fingerprint_parts(
-        trace_digest, profile, placement, system, client,
-    )
-
-
 def _by_tier(masks, per_tier):
     """``per_tier[k]`` where ``masks[k]`` holds, else the slowest tier's."""
     out = per_tier[-1]
@@ -85,115 +80,193 @@ def _by_tier(masks, per_tier):
 
 #: Cells go in bins 1/20 of the least sigma wide in log value; a solve
 #: reads the bins within 6 of their own sigmas of its start (Phi(6) =
-#: 1 - 1e-9) and stops on a Newton step under 1e-6 of x (the next is of
-#: its square) or after 60 steps.
+#: 1 - 1e-9) and stops on a Halley step under 0.005 of the least sigma,
+#: relative to x (the error left is of the step's cube over sigma
+#: squared: about 1e-7 sigma of x), or after 60 steps.  Without noise
+#: the bins only locate order statistics, at the width sigma 0.01 gives.
 _WINDOW_SIGMAS = 6.0
 _BINS_PER_SIGMA = 20
-_SOLVE_TOLERANCE = 1e-6
+_ORDER_WIDTH = 0.01 / _BINS_PER_SIGMA
+_SOLVE_TOLERANCE = 0.005
 _SOLVE_STEPS = 60
 
 
-def _solve_count(noise, values, weights, scales, below, target, x):
-    """The x where ``below + sum(weights P(values F <= x))`` is *target*:
-    Newton from *x*, bisecting when a step leaves the bracket
-    ``[0, max(values) (1 + 10 sigma)]``, whose ends straddle the root."""
-    lo = 0.0
-    hi = float(values.max() * (1.0 + 10.0 * noise.sigma * scales.max()))
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    for _ in range(_SOLVE_STEPS):
-        cdf, pdf = noise.cdf(x, values, scales)
-        excess = below + weights @ cdf - target
-        lo, hi = (x, hi) if excess < 0.0 else (lo, x)
-        slope = weights @ pdf
-        step = x - excess / slope if slope > 0.0 else lo
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - x) <= _SOLVE_TOLERANCE * x:
-            return float(step)
-        x = step
-    return float(x)
+class NoiseBins:
+    """The noise law's constants over one set of cells: the factor's
+    moments and the log-value bins the percentiles are solved on.
 
-
-def _weighted_sample(values: np.ndarray, weights: np.ndarray):
-    """``(index, values, cumulative weights)`` of the cells of positive
-    weight, by value (ties are equal values: their order is moot)."""
-    index = np.flatnonzero(weights > 0)
-    index = index[np.argsort(values[index])]
-    return index, values[index], np.cumsum(weights[index])
-
-
-def _weighted_percentiles(
-    values: np.ndarray, weights: np.ndarray, qs: tuple[float, ...],
-    sample=None,
-) -> dict[float, float]:
-    """np.percentile-style linear-interpolated quantiles of a weighted sample.
-
-    ``weights`` are multiplicities; the quantile is taken over the
-    implied expanded sample, matching what ``np.percentile`` computes
-    on the materialised per-request times.
-    *sample* is ``_weighted_sample(values, weights)``, if already made.
+    *kinds* are the sigma scales the cells take, ascending (None: one,
+    sigma itself).  Bin ``k`` holds the values in ``[edges[k],
+    edges[k + 1])``, ``edges`` geometric from *low* past *high* — so a
+    higher bin never holds a lower value, however the log rounds.  A
+    :class:`BatchKernel` makes one over every value its cells with
+    requests take, on every tier, and bins those once; other callers
+    bin their own cells (:meth:`over`).
     """
-    _, v, cum = _weighted_sample(values, weights) if sample is None else sample
-    total = cum[-1]
-    out: dict[float, float] = {}
-    for q in qs:
-        pos = q / 100.0 * (total - 1.0)
-        pos = min(max(pos, 0.0), total - 1.0)
-        j0, j1 = np.floor(pos), np.ceil(pos)
-        frac = pos - j0
-        v0 = v[min(np.searchsorted(cum, j0, side="right"), v.size - 1)]
-        v1 = v[min(np.searchsorted(cum, j1, side="right"), v.size - 1)]
-        out[q] = float(v0 + frac * (v1 - v0))
+
+    def __init__(self, noise, low: float, high: float, kinds=None):
+        self.noise = noise
+        self.kinds = np.ones(1) if kinds is None else kinds
+        if noise.sigma == 0.0:
+            self.moments = 1.0, 0.0
+            self.width = _ORDER_WIDTH
+        else:
+            self.moments = noise.moments() if kinds is None else \
+                noise.moments(kinds)
+            self.width = noise.sigma * self.kinds[0] / _BINS_PER_SIGMA
+        n = int(math.log(high / low) / self.width) + 3
+        self.edges = low * np.exp(self.width * np.arange(n))
+        # a window's half-width in steps: the widest kind's 6 sigmas
+        self.reach = math.ceil(
+            _WINDOW_SIGMAS * _BINS_PER_SIGMA * self.kinds[-1] / self.kinds[0]
+        ) + 1
+
+    @classmethod
+    def over(cls, noise, times, scale=None):
+        """The bins of *times* itself, sigma widened by *scale*."""
+        kinds = None if scale is None or noise.sigma == 0.0 \
+            else np.unique(scale)
+        return cls(noise, float(times.min()), float(times.max()), kinds)
+
+    def steps(self, values):
+        """Each value's bin (the log guesses it, the edges decide), for
+        values in ``[low, high]``."""
+        step = (np.log(values / self.edges[0]) / self.width).astype(np.intp)
+        step -= values < self.edges[step]
+        step += values >= self.edges[step + 1]
+        return step
+
+
+def _solve_counts(count, hi, below, target, x, tolerance):
+    """Per row, the x where ``below + count(x)[0]`` is *target*: Halley
+    from *x* (Newton where its correction is large), bisecting when a
+    step leaves the bracket ``[0, hi]``, whose ends straddle the root;
+    a row keeps its first Halley step under *tolerance* of x.  *count*
+    is a :meth:`~repro.memsim.timing.NoiseModel.counter`."""
+    lo = [0.0] * len(x)
+    x = [xi if 0.0 < xi < h else 0.5 * h for xi, h in zip(x, hi)]
+    open_rows = list(range(len(x)))
+    for _ in range(_SOLVE_STEPS):
+        sums = count([x[i] for i in open_rows], open_rows).tolist()
+        for i, c, slope, bend in zip(list(open_rows), *sums):
+            excess = below[i] + c - target[i]
+            if excess < 0.0:
+                lo[i] = x[i]
+            else:
+                hi[i] = x[i]
+            step, halley = lo[i], False
+            if slope > 0.0:
+                newton = excess / slope
+                bend = 0.5 * newton * bend / slope
+                halley = abs(bend) < 0.5
+                step = x[i] - (newton / (1.0 - bend) if halley else newton)
+            if not lo[i] < step < hi[i]:
+                step, halley = 0.5 * (lo[i] + hi[i]), False
+            if halley and abs(step - x[i]) <= tolerance * x[i]:
+                open_rows.remove(i)
+            x[i] = step
+        if not open_rows:
+            break
+    return x
+
+
+def mixture_percentiles(bins, values, weights, weighted, steps, percentiles,
+                        kind=None):
+    """Percentiles of the requests, *weights* per cell of *values* (in
+    bin *steps* of *bins*; *weighted* is their product), each times an
+    i.i.d. noise factor (sigma times ``bins.kinds[kind[i]]``).
+
+    ``np.percentile`` reads order statistic ``h = (n - 1) q / 100``.
+    Without noise that is exact: the cumulative bin weights name the bin
+    holding it, and only the cells of such bins are sorted.  With noise
+    it sits where the expected count at or below x is ``h + 1/2``,
+    solved from the noise-free quantile over the bins, each at its
+    weighted mean, within ``bins.reach`` steps of it.  A percentile in a
+    gap between cells wider than the noise keeps its noise-free value.
+    """
+    if not percentiles:
+        return {}
+    nk = bins.kinds.size
+    span = 2 * bins.reach + 1
+    # zero bins past the top, so that every window is a whole slice
+    n_steps = bins.edges.size - 1 + span
+    slot = steps if kind is None else steps * nk + kind
+    bin_w = np.bincount(slot, weights, minlength=n_steps * nk)
+    step_w = bin_w if kind is None else bin_w.reshape(n_steps, nk).sum(1)
+    cum = np.cumsum(step_w)
+    total = float(cum[-1])
+    pos = [min(max(q / 100.0 * (total - 1.0), 0.0), total - 1.0)
+           for q in percentiles]
+    ranks = [*map(math.floor, pos), *map(math.ceil, pos)]
+    # the cells of the bins holding the ranks, sorted by value: a rank
+    # in bin b is the one ``cum[b] - picked[b]`` lower among them, where
+    # *picked* counts the requests of the chosen bins up to b
+    held = np.searchsorted(cum, ranks, side="right").tolist()
+    picked, skipped = 0.0, {}
+    for b in sorted(set(held)):
+        picked += step_w[b]
+        skipped[b] = cum[b] - picked
+    chosen = np.zeros(n_steps, dtype=bool)
+    chosen[held] = True
+    cells = np.flatnonzero(chosen[steps])
+    v = values[cells]
+    order = np.argsort(v)
+    at = v[order][np.searchsorted(
+        np.cumsum(weights[cells][order]),
+        [r - skipped[b] for r, b in zip(ranks, held)], side="right",
+    )].tolist()
+    n = len(pos)
+    x0 = [v0 + (p - j0) * (v1 - v0)
+          for p, j0, v0, v1 in zip(pos, ranks, at[:n], at[n:])]
+    out = dict(zip(percentiles, x0))
+    if bins.noise.sigma == 0.0:
+        return out
+    # a window: the span of steps from reach below the noise-free value
+    # (or from the first step), its weight above *below*
+    rows, starts, below, target = [], [], [], []
+    for r, (q, step) in enumerate(zip(percentiles, (np.searchsorted(
+        bins.edges, x0, side="right") - 1).tolist())):
+        lo = max(step - bins.reach, 0)
+        under = float(cum[lo - 1]) if lo else 0.0
+        goal = q / 100.0 * (total - 1.0) + 0.5
+        if under < goal <= cum[lo + span - 1]:
+            rows.append(r)
+            starts.append(lo * nk)
+            below.append(under)
+            target.append(goal)
+    if not rows:
+        return out
+    index = np.array(starts)[:, None] + np.arange(span * nk)
+    window_w = bin_w[index]
+    # each bin at its weighted mean (an empty one at the lowest value)
+    window_v = np.bincount(slot, weighted, minlength=bin_w.size)[index]
+    empty = window_w == 0.0
+    window_v = np.where(empty, bins.edges[0], window_v) / np.where(
+        empty, 1.0, window_w
+    )
+    scales = 1.0 if kind is None else bins.kinds[index % nk]
+    x = _solve_counts(
+        bins.noise.counter(window_v, window_w, scales),
+        (window_v.max(axis=1) * (
+            1.0 + 10.0 * bins.noise.sigma * bins.kinds[-1]
+        )).tolist(),
+        below, target, [x0[r] for r in rows],
+        _SOLVE_TOLERANCE * bins.noise.sigma * bins.kinds[0],
+    )
+    for r, value in zip(rows, x):
+        out[percentiles[r]] = value
     return out
 
 
-def mixture_percentiles(noise, values, weights, percentiles, scales=None):
-    """Percentiles of the requests, *weights* per cell of *values*, each
-    times an i.i.d. *noise* factor (sigma times ``kinds[kind[i]]`` if
-    *scales* is ``(kinds, kind)``).
-
-    ``np.percentile`` reads order statistic ``h = (n - 1) q / 100``; it
-    sits where the expected count at or below x is ``h + 1/2``, solved
-    from the noise-free quantile over the cells binned by value.  A
-    percentile in a gap between cells wider than the noise keeps that
-    noise-free value.
-    """
-    sample = _weighted_sample(values, weights)
-    start = _weighted_percentiles(values, weights, percentiles, sample)
-    if noise.sigma == 0.0 or not percentiles:
-        return start
-    index, ordered, cum = sample
-    kinds, kind = scales or (np.ones(1), None)
-    # one bin per (log-value step, scale kind), at its weighted mean
-    step = np.floor(np.log(ordered / ordered[0]) * (
-        _BINS_PER_SIGMA / (noise.sigma * kinds[0])
-    )).astype(np.int64) * kinds.size
-    slot = step if kind is None else step + kind[index]
-    w = weights[index]
-    bin_w = np.bincount(slot, w)
-    full = np.flatnonzero(bin_w)
-    bin_w = bin_w[full]
-    bin_v = np.bincount(slot, w * ordered)[full] / bin_w
-    bin_s = kinds[full % kinds.size]
-    for q, x0 in start.items():
-        target = q / 100.0 * (cum[-1] - 1.0) + 0.5
-        # each bin's distance from x0 in its own noise sigmas
-        dist = np.log(bin_v / x0) / (noise.sigma * bin_s)
-        near = np.abs(dist) <= _WINDOW_SIGMAS
-        below = float(bin_w[dist < -_WINDOW_SIGMAS].sum())
-        if below < target <= below + float(bin_w[near].sum()):
-            start[q] = _solve_count(noise, bin_v[near], bin_w[near],
-                                    bin_s[near], below, target, x0)
-    return start
-
-
 def measure_repeats(client, trace, engine, times, counts, label, scale=None,
-                    noise=None):
+                    noise=None, binned=None):
     """*client*'s noise repeats over cells of ``counts`` requests of
     noise-free time ``times`` (``(2, cells)``: writes, reads), rooted in
     *label*, sigma widened per cell by *scale* (jitter faults), under
-    *noise* (default ``client.noise``).
+    *noise* (default ``client.noise``).  *binned* is ``(bins, live,
+    steps)``: a :class:`NoiseBins`, the flat indices of the cells the
+    percentiles read (those with requests) and their bins (default: all
+    cells, binned by :meth:`NoiseBins.over`).
 
     The noise is i.i.d. per request, so an op's total is normal with
     mean ``S = sum(count t m)`` and variance ``Q = sum(count t^2 v)``,
@@ -206,16 +279,16 @@ def measure_repeats(client, trace, engine, times, counts, label, scale=None,
     from repro.ycsb.client import RunResult  # lazy: import cycle
 
     noise = client.noise if noise is None else noise
-    scales = None
-    if noise.sigma == 0.0:
-        mean, var = 1.0, 0.0
-    elif scale is None:
-        mean, var = noise.moments()
-    else:
-        kinds = np.unique(scale)
-        kind = np.searchsorted(kinds, scale)
-        mean, var = (m[kind] for m in noise.moments(kinds))
-        scales = kinds, np.broadcast_to(kind, times.shape).ravel()
+    if binned is None:
+        bins = NoiseBins.over(noise, times, scale)
+        binned = bins, None, bins.steps(times).ravel()
+    bins, live, steps = binned
+    mean, var = bins.moments
+    kind = None
+    if scale is not None and noise.sigma != 0.0:
+        kind = np.searchsorted(bins.kinds, scale)
+        mean, var = mean[kind], var[kind]
+        kind = np.broadcast_to(kind, times.shape).ravel()
     weighted = counts * times
     sums = (weighted * mean).sum(axis=1)
     spread = np.sqrt((weighted * times * var).sum(axis=1))
@@ -226,9 +299,10 @@ def measure_repeats(client, trace, engine, times, counts, label, scale=None,
     write_sums, read_sums = (sums + spread * z).T
     runtimes = (read_sums + write_sums) / client.concurrency
     n_writes, n_reads = (int(n) for n in counts.sum(axis=1))
-    pct = mixture_percentiles(
-        noise, times.ravel(), counts.ravel(), client.percentiles, scales,
-    )
+    pct = mixture_percentiles(bins, *(
+        a.ravel() if live is None else a.ravel()[live]
+        for a in (times, counts, weighted)
+    ), steps, client.percentiles, kind)
     return RunResult(
         workload=trace.name,
         engine=engine,
@@ -270,8 +344,8 @@ class BatchKernel:
         Predict instead of measure: the LLC hit mask is the reuse-time
         model's (:func:`~repro.memsim.analytic.reuse_time_hit_mask`,
         never memoized or stored) and the noise is taken at its mean,
-        so a result carries ``runtime_std_ns == 0``.  Fingerprints and
-        fault timelines stay the measured placement's.
+        so a result carries ``runtime_std_ns == 0``.  Fault timelines
+        stay the measured placement's; :meth:`fingerprint` is None.
     """
 
     def __init__(self, client, trace, profile, system, record_sizes=None,
@@ -349,33 +423,75 @@ class BatchKernel:
             self._hit_times = self._cache_lat + np.array(
                 [[profile.write_cpu_ns], [profile.read_cpu_ns]]
             )
+        # as floats, the counts weigh times and bins with no conversion
+        self._counts = self._counts.astype(np.float64)
+        # the percentiles read only the cells with requests: their
+        # values on every tier go in log-value bins once (a faulty
+        # placement's cells are its requests, binned per placement)
+        if not self._faulty:
+            # each op's cells with requests, and their keys (the LLC-hit
+            # column reads as key n_keys)
+            writes, reads = map(np.flatnonzero, self._counts > 0)
+            self._live_keys = np.concatenate((writes, reads))
+            self._live = np.concatenate(
+                (writes, reads + self._counts.shape[1])
+            )
+            values = self.tables
+            if self._hit_times is not None:
+                values = np.concatenate((values, np.broadcast_to(
+                    self._hit_times, (len(values), 2, 1),
+                )), axis=2)
+            values = values.reshape(len(values), -1).take(self._live, axis=1)
+            self._bins = NoiseBins(
+                self._noise, float(values.min()), float(values.max()),
+            )
+            self._step_tables = self._bins.steps(values)
+        self._analytic = analytic
+        self._fingerprints = None
 
     def fingerprint(self, placement: np.ndarray) -> str | None:
-        """The experiment fingerprint of one placement (None if unseeded).
+        """The experiment fingerprint of one placement: None if unseeded,
+        or on an analytic kernel (a prediction is not the measurement a
+        store row under that fingerprint holds).
 
         Identical to ``client.experiment_fingerprint(trace, deployment)``
         for a deployment carrying *placement* — computed without building
         the deployment.
         """
-        if self._live_seed:
+        if self._live_seed or self._analytic:
             return None
-        return placement_fingerprint(
-            self.trace_digest, self.profile, placement,
-            self.record_sizes.size, self.system, self.client,
+        return self._label(
+            check_placement(placement, self.record_sizes.size,
+                            len(self.tables)),
+            None,
         )
 
-    def _cells(self, placement, fingerprint):
-        """``(noise label, noise-free times, sigma scale)`` of the
-        kernel's cells (``_counts`` requests each) under *placement*."""
-        n_tiers = len(self.tables)
-        placement = check_placement(placement, self.record_sizes.size, n_tiers)
+    def _label(self, placement, fingerprint):
+        """The noise and fault-timeline root of a canonical *placement*:
+        *fingerprint*, else its (measured) experiment fingerprint."""
         if self._live_seed:
             # live-generator clients are not fingerprintable; every
             # derive_seed call draws from the generator, so a static
             # label still yields fresh independent streams
-            label = self.trace.name
-        else:
-            label = fingerprint or self.fingerprint(placement)
+            return self.trace.name
+        if fingerprint:
+            return fingerprint
+        if self._fingerprints is None:
+            from repro.runner.fingerprint import experiment_fingerprinter
+
+            self._fingerprints = experiment_fingerprinter(
+                self.trace_digest, self.profile, self.system, self.client,
+            )
+        return self._fingerprints(placement)
+
+    def _cells(self, placement, fingerprint):
+        """``(noise label, noise-free times, sigma scale, binned)`` of
+        the kernel's cells (``_counts`` requests each) under *placement*;
+        *binned* is ``(bins, live cells, their bins)`` (None under
+        faults), as :func:`measure_repeats` takes it."""
+        n_tiers = len(self.tables)
+        placement = check_placement(placement, self.record_sizes.size, n_tiers)
+        label = self._label(placement, fingerprint)
         # the keys each tier but the slowest holds
         masks = ([placement] if n_tiers == 2
                  else [placement == k for k in range(n_tiers - 1)])
@@ -383,7 +499,14 @@ class BatchKernel:
             times = _by_tier(masks, self.tables)
             if self._hit_times is not None:
                 times = np.concatenate((times, self._hit_times), axis=1)
-            return label, times, None
+            # an LLC-hit cell is on no tier: any key's tier will do
+            tier = placement.take(self._live_keys, mode="clip")
+            steps = _by_tier(
+                [tier] if n_tiers == 2
+                else [tier == k for k in range(n_tiers - 1)],
+                self._step_tables,
+            )
+            return label, times, None, (self._bins, self._live, steps)
         # a fault timeline is indexed by time, not by key: the one
         # request-length evaluation of the same law; its slow-node
         # multipliers apply to every tier below FastMem
@@ -399,14 +522,15 @@ class BatchKernel:
             sizes, latency, bpns, passes, cpu,
             cached=self._cached, cache_latency_ns=self._cache_lat,
         )
-        return label, np.broadcast_to(base, self._counts.shape), noise_scale
+        return (label, np.broadcast_to(base, self._counts.shape),
+                noise_scale, None)
 
     def base_times(self, placement: np.ndarray, fingerprint: str | None = None):
         """``(label, base_ns, noise_scale)``: a placement's noise-free
         times in request order, for open-loop consumers that draw noise
         per request (:meth:`~repro.ycsb.client.YCSBClient.sample_service_times`).
         """
-        label, times, scale = self._cells(placement, fingerprint)
+        label, times, scale, _ = self._cells(placement, fingerprint)
         if self._faulty:
             return label, times[0], scale
         trace = self.trace
@@ -424,10 +548,10 @@ class BatchKernel:
         (e.g. for a cache probe) to avoid hashing the placement twice.
         """
         telemetry.count("memsim.path", path=self._path)
-        label, times, scale = self._cells(placement, fingerprint)
+        label, times, scale, binned = self._cells(placement, fingerprint)
         return measure_repeats(
             self.client, self.trace, self.profile.name, times, self._counts,
-            label, scale, self._noise,
+            label, scale, self._noise, binned,
         )
 
     def run_all(self, placements, fingerprints=None) -> list:

@@ -19,7 +19,9 @@ timeline is indexed by time); the engines' scalar clock calls it on one
 request, and :class:`AccessTimer` wraps it with noise.
 
 :class:`NoiseModel` is the noise law's one home: ``apply`` draws it per
-request, ``moments`` and ``cdf`` are the closed form the kernel uses.
+request, ``moments``, ``cdf`` and ``counter`` (``cdf`` weighted and
+summed over the bins of a percentile's window, with its derivatives)
+are the closed form the kernel uses.
 """
 
 from __future__ import annotations
@@ -104,14 +106,54 @@ class NoiseModel:
         """
         s = self.sigma * np.asarray(scale, dtype=np.float64)
         z = np.asarray((x / times_ns - 1.0) / s)
-        cdf = 0.5 * np.fromiter(
-            map(math.erfc, (z * -math.sqrt(0.5)).ravel().tolist()),
-            np.float64, z.size,
-        ).reshape(z.shape)
+        cdf = 0.5 * _erfc(z * -math.sqrt(0.5))
         pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         live = x >= FACTOR_FLOOR * times_ns
         density = np.where(live, pdf / times_ns / s, 0.0)
         return np.where(live, cdf, 0.0), density
+
+    def counter(self, times_ns, weights, scale=1.0):
+        """``count(x, rows) -> (counts, slopes, bends)``: for each row
+        ``i`` in *rows* of the 2-D *times_ns*, at its ``x``, ``sum_j
+        weights[i, j] P(times_ns[i, j] F <= x)`` and its first and
+        second derivatives in x.
+
+        :meth:`cdf`, weighted and summed, with its per-cell constants
+        worked out once for the many x a solve tries: ``-z / sqrt(2)``
+        is ``u = a - b x``, Phi is ``erfc(u) / 2``, the density
+        ``exp(-u^2) b / sqrt(pi)`` and its derivative the density times
+        ``2 u b``.
+        """
+        a = np.broadcast_to(
+            math.sqrt(0.5) / (self.sigma * np.asarray(scale, np.float64)),
+            times_ns.shape,
+        )
+        b = a / times_ns
+        slopes = weights * b / math.sqrt(math.pi)
+        # (row, cell) factors of erfc(u), exp(-u^2) and u exp(-u^2)
+        factors = np.stack((0.5 * weights, slopes, 2.0 * slopes * b))
+        lowest = (FACTOR_FLOOR * times_ns.max(axis=1)).tolist()
+
+        def count(x, rows):
+            floored = any(xi < lowest[i] for xi, i in zip(x, rows))
+            if len(rows) == len(lowest):
+                rows = slice(None)
+            at = np.array(x)[:, None]
+            u = a[rows] - b[rows] * at
+            pdf = np.exp(-u * u)
+            terms = np.stack((_erfc(u), pdf, pdf * u))
+            if floored:
+                terms *= at >= FACTOR_FLOOR * times_ns[rows]
+            return (factors[:, rows] * terms).sum(axis=2)
+
+        return count
+
+
+def _erfc(u: np.ndarray) -> np.ndarray:
+    """:func:`math.erfc` over an array."""
+    return np.fromiter(
+        map(math.erfc, u.ravel().tolist()), np.float64, u.size,
+    ).reshape(u.shape)
 
 
 def service_times_ns(

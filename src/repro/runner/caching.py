@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.runner.cache import ensure_cache
-from repro.runner.fingerprint import digest
+from repro.runner.fingerprint import digest, experiment_fingerprinter
 from repro.ycsb.client import DEFAULT_PERCENTILES, RunResult, YCSBClient
 from repro.ycsb.workload import Trace
 
@@ -71,21 +71,26 @@ class PlacementBatch:
         self._digest = (
             None if self._live_seed else client.trace_digest(trace)
         )
+        self._fingerprints = None
 
     def fingerprint(self, placement: np.ndarray) -> str | None:
         """One placement's experiment fingerprint, without a kernel.
 
         Identical to what ``BatchKernel.fingerprint`` computes; ``None``
-        for live-seeded clients.
+        for live-seeded clients.  The parts every placement shares are
+        canonicalized once per batch.
         """
         if self._live_seed:
             return None
-        from repro.memsim.kernel import placement_fingerprint
+        from repro.memsim.kernel import check_placement
 
-        return placement_fingerprint(
-            self._digest, self.profile, placement, self.trace.n_keys,
-            self.system, self.client,
-        )
+        if self._fingerprints is None:
+            self._fingerprints = experiment_fingerprinter(
+                self._digest, self.profile, self.system, self.client,
+            )
+        return self._fingerprints(check_placement(
+            placement, self.trace.n_keys, len(self.system.nodes),
+        ))
 
     def kernel(self):
         """The batch kernel, constructed on first use."""

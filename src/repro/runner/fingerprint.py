@@ -215,11 +215,46 @@ def experiment_fingerprint_parts(
     *placement* is hashed as given: its canonical form
     (:func:`~repro.memsim.kernel.check_placement`).
     """
-    body = {
+    return digest(_experiment_body(
+        trace_digest, profile, _placement_digest(placement), system, client,
+    ))[:SHORT_DIGEST_LEN]
+
+
+def experiment_fingerprinter(trace_digest: str, profile, system, client):
+    """``fingerprint(placement)``, byte-equal to
+    :func:`experiment_fingerprint_parts` with these parts.
+
+    The canonical JSON of everything but the placement is built here,
+    once, and hashed up to the placement's slot; a call hashes only the
+    placement's digest and the rest of the JSON onto a copy of that.
+    """
+    hole = "\0placement\0"
+    payload = json.dumps(canonicalize(_experiment_body(
+        trace_digest, profile, hole, system, client,
+    )), sort_keys=True, separators=(",", ":"))
+    head, tail = payload.split(json.dumps(hole))
+    head = hashlib.sha256(f'{head}"'.encode("utf-8"))
+    tail = f'"{tail}'.encode("utf-8")
+
+    def fingerprint(placement) -> str:
+        h = head.copy()
+        h.update(_placement_digest(placement).encode("ascii"))
+        h.update(tail)
+        return h.hexdigest()[:SHORT_DIGEST_LEN]
+
+    return fingerprint
+
+
+def _placement_digest(placement) -> str:
+    return array_digest(np.asarray(placement))[:SHORT_DIGEST_LEN]
+
+
+def _experiment_body(trace_digest, profile, placement_digest, system, client):
+    """What an experiment fingerprint hashes (canonicalized by digest)."""
+    return {
         "trace": trace_digest,
         "engine": canonicalize(profile),
-        "placement": array_digest(np.asarray(placement))[:SHORT_DIGEST_LEN],
+        "placement": placement_digest,
         "system": system_fingerprint(system),
         "client": client_fingerprint(client),
     }
-    return digest(body)[:SHORT_DIGEST_LEN]

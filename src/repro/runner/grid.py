@@ -495,11 +495,20 @@ class ExperimentRunner:
 
     @staticmethod
     def _groups(specs, order) -> "OrderedDict[tuple, list[int]]":
-        """Pending specs by (workload, engine), in first-appearance order."""
+        """Pending specs by (workload, engine), in first-appearance order.
+
+        Each distinct workload object is fingerprinted once: the specs
+        of a grid share them.
+        """
         groups: "OrderedDict[tuple, list[int]]" = OrderedDict()
+        fingerprints: dict[int, str] = {}
         for i in order:
-            key = (workload_fingerprint(specs[i].workload), specs[i].engine)
-            groups.setdefault(key, []).append(i)
+            workload = specs[i].workload
+            fp = fingerprints.get(id(workload))
+            if fp is None:
+                fp = workload_fingerprint(workload)
+                fingerprints[id(workload)] = fp
+            groups.setdefault((fp, specs[i].engine), []).append(i)
         return groups
 
     # -- pooled dispatch ---------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core import Mnemo, MnemoT
+from repro.faults import parse_faults
 from repro.kvstore import DynamoLike, MemcachedLike, RedisLike
 from repro.runner.fingerprint import trace_fingerprint
 from repro.ycsb import TABLE_III_WORKLOADS, YCSBClient, generate_trace
@@ -69,6 +70,43 @@ def preset_digests(index: int) -> dict[str, str]:
 def test_preset_matches_golden(index):
     golden = json.loads(GOLDEN.read_text())
     assert preset_digests(index) == golden[PRESETS[index].name]
+
+
+#: The analytic (sigma 0) profiles of :func:`analytic_digest`.  Their
+#: percentiles are exact order statistics, so no change to how the
+#: noise mixture is solved may move them; unlike GOLDEN, regenerating
+#: does not rewrite this.
+ANALYTIC_DIGEST = (
+    "fdcbc396dbd3ec667a4592d6997808eaf451110e72a92ccab7525f6fd9956a96"
+)
+
+
+def analytic_digest() -> str:
+    """One digest over the Table III presets (downsized) profiled with
+    ``accuracy="analytic"``: LLC off, LLC on, and under spikes and
+    jitter faults."""
+    h = hashlib.sha256()
+    for index, spec in enumerate(TABLE_III_WORKLOADS):
+        trace = generate_trace(
+            spec.scaled(n_keys=2000, n_requests=20000).with_seed(500 + index)
+        )
+        for use_llc, faults in ((False, None), (True, None),
+                                (False, parse_faults("spikes,jitter"))):
+            client = YCSBClient(repeats=3, seed=9, use_llc=use_llc,
+                                faults=faults)
+            report = Mnemo(
+                engine_factory=ENGINES[index % len(ENGINES)], client=client,
+            ).profile(trace, accuracy="analytic")
+            baselines, curve = report.baselines, report.curve
+            h.update(repr((baselines.fast, baselines.slow)).encode())
+            for arr in (curve.order, curve.fast_bytes, curve.cost_factor,
+                        curve.runtime_ns):
+                h.update(np.ascontiguousarray(arr).view(np.uint8).data)
+    return h.hexdigest()
+
+
+def test_analytic_profiles_match_golden():
+    assert analytic_digest() == ANALYTIC_DIGEST
 
 
 def test_golden_covers_every_preset():

@@ -180,6 +180,37 @@ class TestAnalyticFaults:
             "fast:faulty", "slow:faulty",
         )
 
+    def test_timeline_is_the_measured_placements(self):
+        """Without its public fingerprint, an analytic kernel still
+        roots the fault timeline at the measured placement's."""
+        client = YCSBClient(seed=5, repeats=2,
+                            faults=parse_faults(self.SPEC))
+        trace = small_trace("trending")
+        system = HybridMemorySystem.testbed()
+        profile = RedisLike(system.fast, system.slow).profile
+        mask = np.arange(trace.n_keys) % 3 == 0
+        measured = BatchKernel(client, trace, profile, system)
+        analytic = BatchKernel(client, trace, profile, system, analytic=True)
+        label, base, scale = analytic.base_times(mask)
+        assert label == measured.fingerprint(mask)
+        want = measured.base_times(mask)
+        assert np.array_equal(base, want[1]) and scale is want[2] is None
+
+
+class TestAnalyticFingerprint:
+    def test_an_analytic_kernel_names_no_fingerprint(self):
+        """A prediction is not the measurement a store row under the
+        measured fingerprint holds: the analytic kernel offers none."""
+        trace = small_trace("trending")
+        system = HybridMemorySystem.testbed()
+        profile = RedisLike(system.fast, system.slow).profile
+        client = YCSBClient(seed=5)
+        mask = np.arange(trace.n_keys) % 2 == 0
+        measured = BatchKernel(client, trace, profile, system)
+        analytic = BatchKernel(client, trace, profile, system, analytic=True)
+        assert isinstance(measured.fingerprint(mask), str)
+        assert analytic.fingerprint(mask) is None
+
 
 class TestAnalyticTelemetry:
     def test_each_profile_counts_under_its_own_path(self):

@@ -1037,10 +1037,63 @@ class TestNoiseLaw:
         assert not standard_normal_verdict(realised_u[0] + shift, alpha)[1]
 
 
+def law_percentiles(noise, times, counts, percentiles, scale=None):
+    """Oracle: the noise mixture's percentiles solved over every cell,
+    unbinned — ``sum(count P(t F <= x)) = (n - 1) q / 100 + 1/2`` by
+    Brent's method, Phi from SciPy's ``ndtr``."""
+    from scipy.optimize import brentq
+    from scipy.special import ndtr
+
+    t = np.asarray(times, dtype=np.float64).ravel()
+    c = np.asarray(counts, dtype=np.float64).ravel()
+    s = noise.sigma * (np.ones_like(t) if scale is None else
+                       np.broadcast_to(scale, np.shape(times)).ravel())
+    keep = c > 0
+    t, c, s = t[keep], c[keep], s[keep]
+
+    def below(x):
+        live = x >= 1e-3 * t
+        return float((c * np.where(live, ndtr((x / t - 1.0) / s), 0.0)).sum())
+
+    lo, hi = 1e-3 * t.min(), t.max() * (1.0 + 10.0 * s.max())
+    return {
+        q: brentq(lambda x: below(x) - (q / 100.0 * (c.sum() - 1.0) + 0.5),
+                  lo, hi, xtol=1e-12, rtol=1e-14)
+        for q in percentiles
+    }
+
+
 class TestMixturePercentiles:
     """On the presets at paper scale, the noise mixture's percentiles
     are within 0.1 % of the realised loop's (the noise-free quantile
-    alone misses by up to 1.5 %)."""
+    alone misses by up to 1.5 %) — at the baselines, under jitter bursts
+    (two sigma kinds) and on three tiers — and within 1e-5 of the same
+    law solved over the unbinned cells (:func:`law_percentiles`; the
+    bins cost ≤ 2e-6), also over a sweep's 12 hot-order splits.  There
+    the realised loop is no oracle at 0.1 %: a split's p99 can sit in a
+    sparse tail, where three repeats' p99 misses its own expectation by
+    up to 0.23 % (edit_thumbnail at 0.5136)."""
+
+    PERCENTILES = (0.0, 50.0, 95.0, 99.0, 100.0)
+    SPLITS = tuple(np.linspace(0.05, 0.9, 12).round(4))
+
+    @staticmethod
+    def worst(got, want):
+        """The largest relative miss of p50 / p95 / p99, after checking
+        that every percentile is finite and ordered in q."""
+        values = [got[q] for q in sorted(got)]
+        assert all(np.isfinite(values)) and values == sorted(values)
+        return max(abs(got[q] / want[q] - 1.0) for q in (50.0, 95.0, 99.0))
+
+    def law_miss(self, kernel, placement):
+        """The kernel's miss against :func:`law_percentiles` over the
+        same cells."""
+        got = kernel.run(placement).latency_percentiles_ns
+        _, times, scale, _ = kernel._cells(placement, None)
+        return self.worst(got, law_percentiles(
+            kernel.client.noise, times, kernel._counts, (50.0, 95.0, 99.0),
+            scale,
+        ))
 
     @pytest.mark.parametrize("use_llc", [False, True], ids=["llc-off",
                                                             "llc-on"])
@@ -1050,15 +1103,71 @@ class TestMixturePercentiles:
         for spec in TABLE_III_WORKLOADS:
             trace = generate_trace(spec.with_seed(7))
             client = YCSBClient(repeats=3, seed=7, use_llc=use_llc,
-                                percentiles=(0.0, 50.0, 95.0, 99.0, 100.0))
+                                percentiles=self.PERCENTILES)
             n = trace.n_keys
             for deployment in _deployments(
                 trace, [np.ones(n, dtype=bool), np.zeros(n, dtype=bool)]
             ):
                 got = client.execute(trace, deployment).latency_percentiles_ns
                 want = legacy_execute(client, trace, deployment)["pct"]
-                for q in (50.0, 95.0, 99.0):
-                    worst = max(worst, abs(got[q] / want[q] - 1.0))
-                values = [got[q] for q in sorted(got)]
-                assert all(np.isfinite(values)) and values == sorted(values)
+                worst = max(worst, self.worst(got, want))
         assert worst <= 1e-3
+
+    def test_hot_order_splits_follow_the_law(self):
+        from repro.runner.spec import split_fast_keys
+
+        system = HybridMemorySystem.testbed()
+        profile = builtin_profiles()["redis"]
+        worst = 0.0
+        for spec in TABLE_III_WORKLOADS:
+            trace = generate_trace(spec.with_seed(7))
+            kernel = BatchKernel(
+                YCSBClient(repeats=3, seed=7, percentiles=self.PERCENTILES),
+                trace, profile, system,
+            )
+            for fraction in self.SPLITS:
+                mask = np.zeros(trace.n_keys, dtype=bool)
+                mask[split_fast_keys(trace, fraction)] = True
+                worst = max(worst, self.law_miss(kernel, mask))
+        assert worst <= 1e-5
+
+    def test_jitter_bursts(self):
+        """A sixth of the requests at five times the sigma: the cells
+        bin per sigma kind."""
+        faults = FaultSpec(jitter_bursts=JitterBursts(bursts=8, width=2000))
+        realised = law = 0.0
+        for spec in TABLE_III_WORKLOADS[:3]:
+            trace = generate_trace(spec.with_seed(7))
+            client = YCSBClient(repeats=3, seed=7, faults=faults,
+                                percentiles=self.PERCENTILES)
+            masks = _masks(trace.n_keys, (0.0, 0.35))
+            for deployment, mask in zip(_deployments(trace, masks), masks):
+                got = client.execute(trace, deployment).latency_percentiles_ns
+                want = legacy_execute(client, trace, deployment)["pct"]
+                realised = max(realised, self.worst(got, want))
+                law = max(law, self.law_miss(BatchKernel(
+                    client, trace, deployment.profile, deployment.system,
+                ), mask))
+        assert realised <= 1e-3 and law <= 1e-5
+
+    def test_three_tiers(self):
+        """Tier placements on DRAM / NVM / far memory, against the
+        realised loop over the kernel's request-order times."""
+        system = HybridMemorySystem.dram_nvm_far()
+        rng = np.random.default_rng(8)
+        realised = law = 0.0
+        for spec in TABLE_III_WORKLOADS[:3]:
+            trace = generate_trace(spec.with_seed(7))
+            client = YCSBClient(repeats=3, seed=7,
+                                percentiles=self.PERCENTILES)
+            kernel = BatchKernel(client, trace, builtin_profiles()["redis"],
+                                 system)
+            for _ in range(2):
+                placement = rng.integers(0, 3, trace.n_keys).astype(np.uint8)
+                got = kernel.run(placement).latency_percentiles_ns
+                label, base, _ = kernel.base_times(placement)
+                want = oracle_measure(client, trace, "redis-like", base,
+                                      label).latency_percentiles_ns
+                realised = max(realised, self.worst(got, want))
+                law = max(law, self.law_miss(kernel, placement))
+        assert realised <= 1e-3 and law <= 1e-5

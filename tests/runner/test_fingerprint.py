@@ -16,6 +16,7 @@ from repro.runner.fingerprint import (
     digest,
     experiment_fingerprint,
     experiment_fingerprint_parts,
+    experiment_fingerprinter,
     trace_fingerprint,
     workload_fingerprint,
 )
@@ -125,3 +126,43 @@ class TestExperimentFingerprint:
                 td, deployment.profile, fast_mask,
                 deployment.system, client,
             )
+
+
+class TestExperimentFingerprinter:
+    """The per-batch splice: the canonical JSON of everything but the
+    placement built once, each placement's digest hashed into it."""
+
+    @pytest.mark.parametrize("tiers", [2, 3])
+    @pytest.mark.parametrize("faults", [None, "spikes,jitter"])
+    def test_splice_equals_parts_on_random_placements(
+        self, small_trace, tiers, faults,
+    ):
+        from repro.faults import parse_faults
+        from repro.kvstore.profiles import profile_for
+        from repro.memsim.kernel import (
+            TIER_DTYPE, BatchKernel, check_placement,
+        )
+        from repro.runner.caching import PlacementBatch
+
+        system = (HybridMemorySystem.testbed() if tiers == 2
+                  else HybridMemorySystem.dram_nvm_far())
+        client = YCSBClient(
+            seed=3, faults=None if faults is None else parse_faults(faults),
+        )
+        profile = profile_for("redis")
+        td = trace_fingerprint(small_trace)
+        splice = experiment_fingerprinter(td, profile, system, client)
+        kernel = BatchKernel(client, small_trace, profile, system)
+        batch = PlacementBatch(client, small_trace, profile, system)
+        rng = np.random.default_rng(tiers)
+        n = small_trace.n_keys
+        for _ in range(20):
+            tier = rng.integers(0, tiers, n).astype(TIER_DTYPE)
+            for spelling in (tier, tier == 0):
+                placement = check_placement(spelling, n, tiers)
+                want = experiment_fingerprint_parts(
+                    td, profile, placement, system, client,
+                )
+                assert splice(placement) == want
+                assert kernel.fingerprint(spelling) == want
+                assert batch.fingerprint(spelling) == want

@@ -24,6 +24,7 @@ from repro.runner import (
     PlacementBatch,
     RetryPolicy,
 )
+from repro.runner import grid
 from repro.runner.fingerprint import workload_fingerprint
 from repro.store import SweepJournal
 from repro.ycsb import TABLE_III_WORKLOADS, workload_by_name
@@ -141,6 +142,26 @@ class TestPlanner:
         assert [m for _, m in batches] == [
             list(range(s, s + 6)) for s in range(0, 60, 6)
         ]
+
+    def test_each_workload_is_fingerprinted_once(self, monkeypatch):
+        # 5 workloads x 12 splits: 5 digests, not 60, and the same groups
+        specs = ExperimentRunner.grid(
+            list(TABLE_III_WORKLOADS),
+            placements=("split",),
+            fast_fractions=tuple(i / 13 for i in range(1, 13)),
+        )
+        want = {(workload_fingerprint(s.workload), s.engine) for s in specs}
+        calls = []
+
+        def counted(workload):
+            calls.append(workload)
+            return workload_fingerprint(workload)
+
+        monkeypatch.setattr(grid, "workload_fingerprint", counted)
+        groups = ExperimentRunner._groups(specs, list(range(60)))
+        assert len(calls) == 5
+        assert set(groups) == want
+        assert [len(m) for m in groups.values()] == [12] * 5
 
     def test_split_levels_chunk_deterministically(
         self, grid_specs, tmp_path,

@@ -131,6 +131,49 @@ class TestAbBench:
         assert ("FAILED pair 2 change" in out) == bool(status)
 
 
+    def test_each_workload_gets_its_pairs_and_report(
+        self, monkeypatch, capsys,
+    ):
+        calls = []
+
+        def runner(roots, workload, seconds):
+            def run(side, seed):
+                calls.append((workload, side, seed))
+                return self.result(20.0 if side == "change" else 30.0)
+            return run
+
+        monkeypatch.setattr(ab_bench, "unpack", lambda rev, dest: None)
+        monkeypatch.setattr(ab_bench, "harness_runner", runner)
+        rc = ab_bench.main([
+            "--parent", "HEAD", "--workload", "profile_cold",
+            "--workload", "sweep_cold", "--pairs", "2", "--seconds", "3",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert [c[0] for c in calls] == ["profile_cold"] * 4 + \
+            ["sweep_cold"] * 4
+        assert out.index("profile_cold: 2 pairs") < \
+            out.index("sweep_cold: 2 pairs")
+
+    def test_the_bound_verdict_is_the_harness_judge(self):
+        # 12 % faster in every pair, the runs overlapping: a gain by the
+        # pairs, "unchanged" by the 25 % bound — a claim would be
+        # refused; every change run under every parent run: both agree
+        parent = [30.0, 31.0, 32.0, 33.0, 34.0, 30.5, 31.5, 32.5, 33.5, 34.5]
+        rows = {}
+        for name, change in (("faster", [p - 4.0 for p in parent]),
+                             ("apart", [p - 10.0 for p in parent]),
+                             ("slower", [p * 1.1 for p in parent])):
+            text = ab_bench.render(
+                [{"parent": self.result(p), "change": self.result(c)}
+                 for p, c in zip(parent, change)],
+                self.LOWER,
+            )
+            rows[name] = text.splitlines()[1].split()[-2:]
+        assert rows["faster"] == ["better", "unchanged"]
+        assert rows["apart"] == ["better", "better"]
+        assert rows["slower"] == ["worse", "unchanged"]
+
     LAYERS = [
         {"name": "ycsb.generate_trace_ms", "unit": "ms", "better": "lower"},
         {"name": "core.pattern.analyze_ms", "unit": "ms", "better": "lower"},

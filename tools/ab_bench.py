@@ -1,18 +1,23 @@
 #!/usr/bin/env python
 """A/B one benchmark workload between a parent revision and this tree.
 
-    python tools/ab_bench.py --parent REV --workload W [--pairs 10] [--seconds 20]
-                             [--layers]
+    python tools/ab_bench.py --parent REV --workload W [--workload W2 ...]
+                             [--pairs 10] [--seconds 20] [--layers]
 
 ``git archive`` unpacks REV into a temporary directory; each pair then
 runs ``benchmarks/perf/run.py --workload W --seed i --seconds S
 --trace 0`` once from there and once from the working tree, the side
 that goes first flipping every pair (the 2-core host drifts by ±5 %
-over minutes).  Prints, per end-to-end metric of ``BENCHMARK.json``,
-each side's median and quartiles, the pairs the change won and the
-verdict: a gain (or loss) counts only when one side wins at least nine
-tenths of the pairs — ties count for neither — and the medians differ
-by more than the distance between the parent's quartiles.
+over minutes); each ``--workload`` gets its own pairs and report, in
+the order given.  Prints, per end-to-end metric of ``BENCHMARK.json``,
+each side's median and quartiles, the pairs the change won and two
+verdicts.  The pairs verdict: a gain (or loss) counts only when one
+side wins at least nine tenths of the pairs — ties count for neither —
+and the medians differ by more than the distance between the parent's
+quartiles.  The bound verdict is ``benchmarks/perf/compare.py``'s
+``judge`` on the same runs (imported, not copied): a gain counts only
+when the median beats the metric's regression bound or every change run
+beats every parent run, so a claim needs both to read ``better``.
 
 ``--layers`` adds the other view: after the pairs, one ``--trace 1``
 run per side (seed 1), and under the verdict table every per-layer
@@ -37,6 +42,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks" / "perf"))
+import compare  # noqa: E402  (the harness's own verdict, read-only)
+
 SIDES = ("parent", "change")
 WIN_SHARE = 0.9
 #: Relative change past which a per-layer metric counts as moved.
@@ -92,8 +100,9 @@ def render(results: list[dict[str, dict]], end_to_end: list[dict]) -> str:
     """The verdict table for *results* over the *end_to_end* metrics."""
     lines = [
         f"{'metric':<14} {'parent q1/med/q3':>30} {'change q1/med/q3':>30} "
-        f"{'wins':>7}  verdict"
+        f"{'wins':>7}  {'pairs':<10} bound"
     ]
+    bounds = compare.bounds()
     for metric in end_to_end:
         name = metric["name"]
         # a failed run may carry no metrics; its pair sits out
@@ -109,12 +118,14 @@ def render(results: list[dict[str, dict]], end_to_end: list[dict]) -> str:
             for side in SIDES
         ]
         v = verdict(*columns, metric["better"])
+        driver = compare.judge(metric["better"], *columns, *bounds[name])
         spans = [
             "/".join(f"{x:.4g}" for x in v[side]).rjust(30) for side in SIDES
         ]
         lines.append(
             f"{name:<14} {spans[0]} {spans[1]} "
-            f"{v['wins']:>4}/{len(whole):<2}  {v['verdict']}"
+            f"{v['wins']:>4}/{len(whole):<2}  {v['verdict']:<10} "
+            f"{driver['verdict']}"
         )
     return "\n".join(lines)
 
@@ -176,34 +187,38 @@ def harness_runner(roots: dict[str, Path], workload: str, seconds: float,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="revision to compare")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="workload to compare (repeatable)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--layers", action="store_true",
                         help="add one traced run per side and its layer moves")
     args = parser.parse_args(argv)
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
-    traced = {}
+    bad = []
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
         parent = Path(tmp) / "parent"
         unpack(args.parent, parent)
         roots = {"parent": parent, "change": ROOT}
-        run = harness_runner(roots, args.workload, args.seconds)
-        results = run_pairs(run, args.pairs)
-        if args.layers:
-            run = harness_runner(roots, args.workload, args.seconds, trace=1)
-            traced = {side: run(side, 1) for side in SIDES}
-    print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
-          f"parent = {args.parent}")
-    print(render(results, contract["end_to_end"]))
-    if traced:
-        print()
-        print(render_layers(
-            traced["parent"], traced["change"], contract["per_layer"],
-        ))
-    bad = failed_runs(results + [traced] if traced else results)
-    for line in bad:
-        print(f"FAILED {line}")
+        for workload in args.workload:
+            run = harness_runner(roots, workload, args.seconds)
+            results = run_pairs(run, args.pairs)
+            traced = {}
+            if args.layers:
+                run = harness_runner(roots, workload, args.seconds, trace=1)
+                traced = {side: run(side, 1) for side in SIDES}
+            print(f"\n{workload}: {args.pairs} pairs of {args.seconds:g} s, "
+                  f"parent = {args.parent}")
+            print(render(results, contract["end_to_end"]))
+            if traced:
+                print()
+                print(render_layers(
+                    traced["parent"], traced["change"], contract["per_layer"],
+                ))
+            failed = failed_runs(results + [traced] if traced else results)
+            for line in failed:
+                print(f"FAILED {line}")
+            bad += failed
     return 1 if bad else 0
 
 
