@@ -6,7 +6,7 @@ already been measured and by fanning grids out over processes:
 
 - :mod:`repro.runner.fingerprint` — canonical SHA-256 fingerprints over
   everything that determines an experiment's outcome;
-- :mod:`repro.runner.cache` — the checksummed entry codecs of the
+- :mod:`repro.runner.cache` — the entry codecs of the
   content-addressed store (:mod:`repro.store`) for results, generated
   traces and LLC hit masks;
 - :mod:`repro.runner.caching` — a drop-in caching YCSB client;

@@ -1,12 +1,12 @@
 """Entry codecs and census types of the result store.
 
-The on-the-wire form of everything :class:`~repro.store.SQLiteStore`
+The payload form of everything :class:`~repro.store.SQLiteStore`
 persists, kept apart from the SQL so the bytes can be reasoned about
-(and timed) on their own.  Every entry carries a checksum of its own
-content — a JSON canonical-form digest for results, the trace content
-fingerprint for traces, an array digest for hit masks —
-so a read that fails to parse or fails its checksum is recognised as
-corruption and recomputed instead of believed.
+(and timed) on their own.  :data:`CODECS` holds one ``(encode,
+decode)`` pair per entry kind: a value becomes a payload and back.
+The store seals each payload under one SHA-256 digest and stamps the
+row with :data:`SCHEMA_VERSION`; no payload carries a checksum or a
+schema of its own.
 
 :func:`ensure_cache` is the one coercion every ``cache=`` argument in
 the library goes through.
@@ -14,79 +14,43 @@ the library goes through.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.runner.fingerprint import array_digest, trace_fingerprint
 from repro.ycsb.client import RunResult
 from repro.ycsb.workload import Trace
 
-#: Entry schema version; bump when the encoded form or the
-#: fingerprint canonicalisation changes incompatibly.  v2 added
-#: per-entry checksums.
-SCHEMA_VERSION = 2
-
-#: The entry kinds, in the order censuses print them.  Rows of any
-#: other kind (older builds also wrote ``verdicts``) are neither
-#: counted nor verified; ``clear()`` still drops them.
-_KINDS = ("results", "traces", "hitmasks")
-
-
-def _json_checksum(body) -> str:
-    """SHA-256 of a JSON value in canonical form.
-
-    Callers must pass a value that already round-tripped through JSON
-    (string keys only), so writer and reader canonicalise identically.
-    """
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+#: Entry schema version, stored in each row's ``schema`` column; bump
+#: when a payload form or the fingerprint canonicalisation changes
+#: incompatibly.  v3 moved the checksum out of the payloads into one
+#: digest over the stored bytes.
+SCHEMA_VERSION = 3
 
 
 # -- entry codecs ----------------------------------------------------------
 #
-# Results are checksummed JSON envelopes, traces and hit
-# masks are checksummed NPZ byte strings.  Decoders return ``(value,
-# corruption_reason)``; a stale-schema envelope decodes to ``(None,
-# None)`` — a miss, not corruption — so a schema bump orphans entries
-# without quarantining them.
+# Results are compact canonical JSON, traces and hit masks are NPZ byte
+# strings.  A decoder raises on a payload it cannot read; the store
+# only hands it payloads whose digest matched.
 
 
-def encode_result(result: RunResult) -> dict:
-    """Envelope a run result as schema-stamped, checksummed JSON."""
-    # round-trip through JSON so the stored checksum is computed on
-    # exactly the value a reader will re-canonicalise (string keys)
-    body = json.loads(json.dumps(asdict(result)))
-    return {
-        "schema": SCHEMA_VERSION,
-        "checksum": _json_checksum(body),
-        "result": body,
+def encode_result(result: RunResult) -> bytes:
+    """A run result's fields as compact, key-sorted JSON."""
+    return json.dumps(
+        vars(result), sort_keys=True, separators=(",", ":"),
+    ).encode()
+
+
+def decode_result(payload: bytes) -> RunResult:
+    """The run result of an :func:`encode_result` payload."""
+    body = json.loads(payload)
+    body["latency_percentiles_ns"] = {
+        float(q): v for q, v in body["latency_percentiles_ns"].items()
     }
-
-
-def decode_result(payload) -> "tuple[RunResult | None, str | None]":
-    """Validate a result envelope: ``(result, corruption reason)``."""
-    if not isinstance(payload, dict):
-        return None, "payload is not an object"
-    if payload.get("schema") != SCHEMA_VERSION:
-        return None, None  # stale schema: a miss, not corruption
-    body = payload.get("result")
-    checksum = payload.get("checksum")
-    if not isinstance(body, dict) or not isinstance(checksum, str):
-        return None, "missing result/checksum fields"
-    if _json_checksum(body) != checksum:
-        return None, "checksum mismatch"
-    body = dict(body)
-    try:
-        body["latency_percentiles_ns"] = {
-            float(q): v for q, v in body["latency_percentiles_ns"].items()
-        }
-        return RunResult(**body), None
-    except (KeyError, TypeError, ValueError):
-        return None, "malformed result body"
+    return RunResult(**body)
 
 
 def _npz_bytes(**arrays) -> bytes:
@@ -112,54 +76,45 @@ def _npz_bytes(**arrays) -> bytes:
 
 
 def encode_trace(trace: Trace) -> bytes:
-    """Serialise a trace as a checksummed compressed NPZ byte string."""
+    """A trace's arrays as a compressed NPZ byte string."""
     return _npz_bytes(
         name=trace.name,
         keys=trace.keys,
         is_read=trace.is_read,
         record_sizes=trace.record_sizes,
-        checksum=trace_fingerprint(trace),
     )
 
 
-def decode_trace(data: bytes) -> "tuple[Trace | None, str | None]":
-    """Validate a trace NPZ byte string: ``(trace, corruption reason)``."""
-    try:
-        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
-            trace = Trace(
-                name=str(npz["name"]),
-                keys=npz["keys"],
-                is_read=npz["is_read"],
-                record_sizes=npz["record_sizes"],
-            )
-            checksum = str(npz["checksum"])
-    except Exception:
-        # a rotted blob surfaces as whatever the zip, zlib or .npy header
-        # parser trips over (BadZipFile, zlib.error, NotImplementedError,
-        # TokenError, ...); at this boundary every one of them is corruption
-        return None, "truncated or unparseable NPZ"
-    if trace_fingerprint(trace) != checksum:
-        return None, "checksum mismatch"
-    return trace, None
+def decode_trace(payload: bytes) -> Trace:
+    """The trace of an :func:`encode_trace` payload."""
+    with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
+        return Trace(
+            name=str(npz["name"]),
+            keys=npz["keys"],
+            is_read=npz["is_read"],
+            record_sizes=npz["record_sizes"],
+        )
 
 
 def encode_hitmask(mask: np.ndarray) -> bytes:
-    """Serialise an LLC hit mask as a checksummed NPZ byte string."""
-    mask = np.asarray(mask, dtype=bool)
-    return _npz_bytes(mask=mask, checksum=array_digest(mask))
+    """An LLC hit mask as a compressed NPZ byte string."""
+    return _npz_bytes(mask=np.asarray(mask, dtype=bool))
 
 
-def decode_hitmask(data: bytes) -> "tuple[np.ndarray | None, str | None]":
-    """Validate a hit-mask NPZ byte string: ``(mask, corruption reason)``."""
-    try:
-        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
-            mask = npz["mask"]
-            checksum = str(npz["checksum"])
-    except Exception:  # as in decode_trace: any parse failure is corruption
-        return None, "truncated or unparseable NPZ"
-    if array_digest(mask) != checksum:
-        return None, "checksum mismatch"
-    return mask, None
+def decode_hitmask(payload: bytes) -> np.ndarray:
+    """The hit mask of an :func:`encode_hitmask` payload."""
+    with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
+        return npz["mask"]
+
+
+#: ``kind -> (encode, decode)``, in the order censuses print the kinds.
+#: Rows of any other kind (older builds also wrote ``verdicts``) are
+#: neither counted nor verified; ``clear()`` still drops them.
+CODECS = {
+    "results": (encode_result, decode_result),
+    "traces": (encode_trace, decode_trace),
+    "hitmasks": (encode_hitmask, decode_hitmask),
+}
 
 
 class CacheStats:
@@ -173,7 +128,7 @@ class CacheStats:
     ):
         self.entries = entries
         self.bytes = bytes_
-        self.quarantined = quarantined or {kind: 0 for kind in _KINDS}
+        self.quarantined = quarantined or {kind: 0 for kind in CODECS}
 
     @property
     def total_entries(self) -> int:
@@ -193,7 +148,7 @@ class CacheStats:
     def lines(self) -> list[str]:
         """Human-readable summary rows (kind, entries, size)."""
         out = []
-        for kind in _KINDS:
+        for kind in CODECS:
             out.append(
                 f"{kind:<10} {self.entries[kind]:>6} entries "
                 f"{self.bytes[kind] / 1e6:>10.2f} MB"
@@ -212,14 +167,14 @@ class CacheStats:
 
 @dataclass(frozen=True)
 class CacheVerifyReport:
-    """Result of a full checksum walk over the cache."""
+    """Result of a full digest walk over the cache."""
 
     checked: dict[str, int] = field(default_factory=dict)
     corrupt: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        """True when every checked entry passed its checksum."""
+        """True when every checked entry passed its digest check."""
         return not any(self.corrupt.values())
 
     @property
@@ -235,7 +190,7 @@ class CacheVerifyReport:
     def lines(self) -> list[str]:
         """Human-readable verification summary."""
         out = []
-        for kind in _KINDS:
+        for kind in CODECS:
             n_corrupt = len(self.corrupt.get(kind, ()))
             status = "ok" if n_corrupt == 0 else f"{n_corrupt} corrupt"
             out.append(

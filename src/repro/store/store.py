@@ -9,19 +9,22 @@ neither counted nor verified, and ``clear()`` drops them).  The
 ``traces`` kind is still read and written by
 :meth:`~SQLiteStore.get_trace` / :meth:`~SQLiteStore.put_trace`, but
 nothing in the pipeline calls them any more (regenerating a trace costs
-less than encoding it); rows older builds wrote are counted, verified
-and cleared like any other.  Fingerprints come from
+less than encoding it).  Fingerprints come from
 :mod:`repro.runner.fingerprint` and cover everything that determines an
 entry's content, so an entry is valid forever; invalidation reduces to
-three rules: bumping ``SCHEMA_VERSION`` orphans every old row (it reads
-as a miss), a changed input changes the fingerprint so the stale row is
-never looked up again, and ``clear()`` drops everything explicitly.
+three rules: every read filters on the row's ``schema`` column, so
+bumping ``SCHEMA_VERSION`` orphans every old row of every kind (it
+reads as a miss and is never verified or quarantined), a changed input
+changes the fingerprint so the stale row is never looked up again, and
+``clear()`` drops everything explicitly.
 
-Bodies are the checksummed envelopes of :mod:`repro.runner.cache`.  A
-read that fails to parse or fails its checksum (bit rot, a mangled
-copy) is *quarantined* — moved to the ``quarantine`` table with its
-reason and payload intact — and reported as a miss, so the caller
-transparently recomputes it.  ``verify()`` walks every entry up front
+A body is ``sha256(payload) ‖ payload``: 32 raw digest bytes, then the
+kind's payload from :data:`repro.runner.cache.CODECS`.  A read whose
+digest does not match the bytes after it (bit rot, a truncated or
+mangled copy), or whose payload does not decode, is *quarantined* —
+moved to the ``quarantine`` table with its reason and body intact — and
+reported as a miss, so the caller transparently recomputes it.
+``verify()`` runs the same check over every entry up front
 (``python -m repro cache verify``) and ``stats()`` counts what
 quarantine holds.
 
@@ -40,30 +43,22 @@ Schema::
     entries(kind, fingerprint, schema, body, created_at)   -- PK (kind, fingerprint)
     quarantine(kind, fingerprint, reason, body, quarantined_at)
     oplog(seq, run_id, kind, at, payload)                  -- append-only
-    meta(key, value)
 """
 
 from __future__ import annotations
 
-import json
+import hashlib
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro import telemetry
-from repro.errors import StoreError
 from repro.runner.cache import (
-    _KINDS,
+    CODECS,
     SCHEMA_VERSION,
     CacheStats,
     CacheVerifyReport,
-    decode_hitmask,
-    decode_result,
-    decode_trace,
-    encode_hitmask,
-    encode_result,
-    encode_trace,
 )
 from repro.store.db import Database
 from repro.store.oplog import Oplog
@@ -73,14 +68,13 @@ from repro.ycsb.workload import Trace
 #: Default store filename (relative to the working directory).
 DEFAULT_STORE_PATH = "mnemo.db"
 
+#: Length of the SHA-256 digest that opens every entry body.
+_DIGEST_BYTES = 32
+
 #: Schema DDL, one statement per element so creation can run inside a
 #: single retried write transaction (``executescript`` would implicitly
 #: commit and escape it).
 _SCHEMA_STATEMENTS = (
-    """CREATE TABLE IF NOT EXISTS meta (
-        key   TEXT PRIMARY KEY,
-        value TEXT NOT NULL
-    )""",
     """CREATE TABLE IF NOT EXISTS entries (
         kind        TEXT    NOT NULL,
         fingerprint TEXT    NOT NULL,
@@ -152,13 +146,15 @@ class SQLiteStore:
 
     def _row(self, kind: str, fingerprint: str):
         rows = self.db.read(
-            "SELECT body FROM entries WHERE kind = ? AND fingerprint = ?",
-            (kind, fingerprint),
+            "SELECT body FROM entries WHERE kind = ? AND fingerprint = ?"
+            " AND schema = ?", (kind, fingerprint, SCHEMA_VERSION),
         )
         return rows[0] if rows else None
 
-    def _put(self, kind: str, fingerprint: str, body: bytes) -> Path:
+    def _put(self, kind: str, fingerprint: str, value) -> Path:
         telemetry.count("cache.write", kind=kind)
+        payload = CODECS[kind][0](value)
+        body = hashlib.sha256(payload).digest() + payload
         now = time.time()
 
         def txn(conn):
@@ -203,25 +199,30 @@ class SQLiteStore:
             "cache.lookup", kind=kind, outcome="hit" if hit else "miss",
         )
 
-    def _decode(self, kind: str, data: bytes):
-        if kind == "results":
-            try:
-                payload = json.loads(data)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                return None, "unparseable JSON"
-            return decode_result(payload)
-        if kind == "traces":
-            return decode_trace(data)
-        if kind == "hitmasks":
-            return decode_hitmask(data)
-        raise StoreError(f"unknown entry kind {kind!r}")
+    @staticmethod
+    def _open(kind: str, body: bytes):
+        """Check a body's digest and decode its payload.
+
+        Returns ``(value, None)``, or ``(None, reason)`` for a body
+        that is corrupt.
+        """
+        digest, payload = body[:_DIGEST_BYTES], body[_DIGEST_BYTES:]
+        if hashlib.sha256(payload).digest() != digest:
+            return None, "digest mismatch"
+        try:
+            return CODECS[kind][1](payload), None
+        except Exception as exc:
+            # the bytes are what was written, but this build's codec
+            # cannot read them (whatever the JSON, zip or .npy parser
+            # trips over): corrupt too, a miss and never an error
+            return None, f"undecodable payload ({type(exc).__name__})"
 
     def _get(self, kind: str, fingerprint: str):
         row = self._row(kind, fingerprint)
         if row is None:
             self._lookup(kind, hit=False)
             return None
-        value, reason = self._decode(kind, row["body"])
+        value, reason = self._open(kind, row["body"])
         if reason is not None:
             # corrupt: set aside and report a miss, the caller recomputes
             self._lookup(kind, hit=False)
@@ -230,7 +231,7 @@ class SQLiteStore:
             )
             self._quarantine_row(kind, fingerprint, reason)
             return None
-        self._lookup(kind, hit=value is not None)
+        self._lookup(kind, hit=True)
         return value
 
     # -- the cache interface --------------------------------------------------
@@ -241,10 +242,7 @@ class SQLiteStore:
 
     def put_result(self, fingerprint: str, result: RunResult) -> Path:
         """Persist a run result in one transaction; returns the db path."""
-        payload = encode_result(result)
-        return self._put(
-            "results", fingerprint, json.dumps(payload, indent=1).encode()
-        )
+        return self._put("results", fingerprint, result)
 
     def get_trace(self, fingerprint: str) -> Trace | None:
         """Load a cached generated trace (or None); quarantines corruption."""
@@ -252,7 +250,7 @@ class SQLiteStore:
 
     def put_trace(self, fingerprint: str, trace: Trace) -> Path:
         """Persist a generated trace; returns the db path."""
-        return self._put("traces", fingerprint, encode_trace(trace))
+        return self._put("traces", fingerprint, trace)
 
     def get_hitmask(self, fingerprint: str) -> np.ndarray | None:
         """Load a cached LLC hit mask (or None); quarantines corruption."""
@@ -260,23 +258,23 @@ class SQLiteStore:
 
     def put_hitmask(self, fingerprint: str, mask: np.ndarray) -> Path:
         """Persist an LLC hit mask; returns the db path."""
-        return self._put("hitmasks", fingerprint, encode_hitmask(mask))
+        return self._put("hitmasks", fingerprint, mask)
 
     # -- census and maintenance -----------------------------------------------
 
     def fingerprints(self, kind: str) -> list[str]:
-        """Every stored fingerprint of *kind*, sorted (SQL census helper)."""
+        """Every current fingerprint of *kind*, sorted (SQL census helper)."""
         rows = self.db.read(
-            "SELECT fingerprint FROM entries WHERE kind = ?"
-            " ORDER BY fingerprint", (kind,),
+            "SELECT fingerprint FROM entries WHERE kind = ? AND schema = ?"
+            " ORDER BY fingerprint", (kind, SCHEMA_VERSION),
         )
         return [row["fingerprint"] for row in rows]
 
     def stats(self) -> CacheStats:
         """Entry counts, byte totals and quarantine census (current schema)."""
-        entries = {kind: 0 for kind in _KINDS}
-        bytes_ = {kind: 0 for kind in _KINDS}
-        quarantined = {kind: 0 for kind in _KINDS}
+        entries = {kind: 0 for kind in CODECS}
+        bytes_ = {kind: 0 for kind in CODECS}
+        quarantined = {kind: 0 for kind in CODECS}
         for row in self.db.read(
             "SELECT kind, COUNT(*) AS n, COALESCE(SUM(LENGTH(body)), 0)"
             " AS total FROM entries WHERE schema = ? GROUP BY kind",
@@ -293,23 +291,23 @@ class SQLiteStore:
         return CacheStats(entries, bytes_, quarantined)
 
     def verify(self, repair: bool = True) -> CacheVerifyReport:
-        """Walk every entry and validate its checksum.
+        """Walk every current entry and check its digest and payload.
 
         With ``repair=True`` (default) corrupt rows move to the
         quarantine table so subsequent runs recompute them; with
         ``repair=False`` the walk only reports.
         """
-        checked = {kind: 0 for kind in _KINDS}
+        checked = {kind: 0 for kind in CODECS}
         corrupt: dict[str, tuple[str, ...]] = {}
-        for kind in _KINDS:
+        for kind in CODECS:
             bad = []
             rows = self.db.read(
                 "SELECT fingerprint, body FROM entries WHERE kind = ?"
-                " ORDER BY fingerprint", (kind,),
+                " AND schema = ? ORDER BY fingerprint", (kind, SCHEMA_VERSION),
             )
             checked[kind] = len(rows)
             for row in rows:
-                _, reason = self._decode(kind, row["body"])
+                _, reason = self._open(kind, row["body"])
                 if reason is not None:
                     bad.append(row["fingerprint"])
                     if repair:

@@ -51,10 +51,11 @@ def small_trace(small_spec):
 
 @pytest.fixture
 def savez_compressed_blob():
-    """The NPZ bytes the trace / hit-mask codecs wrote before PR 13.
+    """The NPZ bytes ``np.savez_compressed`` (deflate 6) writes.
 
-    Old stores hold blobs from ``np.savez_compressed`` (deflate 6); the
-    codecs must keep reading them.
+    The trace and hit-mask rows of the oldest schema-2 stores hold such
+    blobs, with a ``checksum`` member; schema 3 reads them as misses.
+    Without that member they are payloads the current decoders read.
     """
     def pack(**arrays) -> bytes:
         buf = io.BytesIO()

@@ -1,6 +1,6 @@
 """Tests for the entry codecs, run through the one result store."""
 
-import json
+import hashlib
 
 import numpy as np
 import pytest
@@ -42,6 +42,11 @@ def overwrite(cache, kind, fingerprint, body) -> None:
     ))
 
 
+def seal(payload: bytes) -> bytes:
+    """A current entry body around *payload*: its digest, then itself."""
+    return hashlib.sha256(payload).digest() + payload
+
+
 @pytest.fixture
 def result():
     """A representative RunResult with float percentile keys."""
@@ -69,9 +74,10 @@ class TestResults:
 
     def test_schema_mismatch_invalidates(self, cache, result):
         cache.put_result("fp1", result)
-        payload = json.loads(stored(cache, "results", "fp1"))
-        payload["schema"] = SCHEMA_VERSION + 1
-        overwrite(cache, "results", "fp1", json.dumps(payload))
+        cache.db.write_txn(lambda conn: conn.execute(
+            "UPDATE entries SET schema = ? WHERE fingerprint = 'fp1'",
+            (SCHEMA_VERSION + 1,),
+        ))
         assert cache.get_result("fp1") is None
         assert cache.stats().total_quarantined == 0  # stale, not corrupt
 
@@ -90,9 +96,11 @@ class TestResults:
 
     def test_checksum_mismatch_rejected(self, cache, result):
         cache.put_result("fp1", result)
-        payload = json.loads(stored(cache, "results", "fp1"))
-        payload["result"]["n_requests"] += 1
-        overwrite(cache, "results", "fp1", json.dumps(payload))
+        body = stored(cache, "results", "fp1")
+        # n_requests 100 -> 101: still a well-formed result payload
+        tampered = body.replace(b'"n_requests":100', b'"n_requests":101')
+        assert tampered != body
+        overwrite(cache, "results", "fp1", tampered)
         assert cache.get_result("fp1") is None
 
     def test_counted_by_stats_and_verify(self, cache, result):
@@ -120,59 +128,56 @@ class TestNpzCodec:
             name=small_trace.name, keys=small_trace.keys,
             is_read=small_trace.is_read,
             record_sizes=small_trace.record_sizes,
-            checksum=trace_fingerprint(small_trace),
         )
         assert old != encode_trace(small_trace)
-        got, reason = decode_trace(old)
-        assert reason is None
-        assert_traces_equal(got, small_trace)
-        # ... and as an entry an older build left in the store
+        assert_traces_equal(decode_trace(old), small_trace)
+        # ... and as the payload of a current, sealed entry
         cache.put_trace("t1", small_trace)
-        overwrite(cache, "traces", "t1", old)
+        overwrite(cache, "traces", "t1", seal(old))
         assert_traces_equal(cache.get_trace("t1"), small_trace)
 
     def test_savez_compressed_hitmask_blob_still_decodes(
-        self, savez_compressed_blob,
+        self, cache, savez_compressed_blob,
     ):
         mask = np.random.default_rng(3).random(5_000) < 0.3
-        old = savez_compressed_blob(mask=mask, checksum=array_digest(mask))
-        got, reason = decode_hitmask(old)
-        assert reason is None
+        old = savez_compressed_blob(mask=mask)
+        assert old != encode_hitmask(mask)
+        got = decode_hitmask(old)
         assert got.dtype == np.bool_ and np.array_equal(got, mask)
+        cache.put_hitmask("h1", mask)
+        overwrite(cache, "hitmasks", "h1", seal(old))
+        assert np.array_equal(cache.get_hitmask("h1"), mask)
 
     def test_new_blobs_decode_to_what_the_old_ones_did(self, small_trace):
-        got, reason = decode_trace(encode_trace(small_trace))
-        assert reason is None
+        got = decode_trace(encode_trace(small_trace))
         assert_traces_equal(got, small_trace)
         assert trace_fingerprint(got) == trace_fingerprint(small_trace)
         mask = np.random.default_rng(3).random(5_000) < 0.3
-        got, reason = decode_hitmask(encode_hitmask(mask))
-        assert reason is None
+        got = decode_hitmask(encode_hitmask(mask))
         assert got.dtype == np.bool_ and np.array_equal(got, mask)
 
     @pytest.mark.parametrize("kind", ["trace", "hitmask"])
     def test_any_flipped_byte_is_corruption_or_harmless(
-        self, kind, small_trace,
+        self, kind, cache, small_trace,
     ):
-        # never an exception, never a different value: a flip either
-        # fails the parse / CRC / checksum or sits in zip metadata
-        # nothing reads
+        # never an exception, never a different value: the digest over
+        # the stored bytes makes a flip anywhere in a body corruption
         if kind == "trace":
-            value, encode, decode = small_trace, encode_trace, decode_trace
-            digest = trace_fingerprint
+            value, digest = small_trace, trace_fingerprint
+            cache.put_trace("x", value)
         else:
             value = np.random.default_rng(3).random(5_000) < 0.3
-            encode, decode = encode_hitmask, decode_hitmask
             digest = array_digest
-        blob = encode(value)
+            cache.put_hitmask("x", value)
+        blob = stored(cache, kind + "s", "x")
         reasons = set()
         for pos in range(0, len(blob), 7):
             bad = blob[:pos] + bytes([blob[pos] ^ 0xFF]) + blob[pos + 1:]
-            got, reason = decode(bad)
+            got, reason = SQLiteStore._open(kind + "s", bad)
             assert (got is None) != (reason is None)
             assert got is None or digest(got) == digest(value)
             reasons.add(reason)
-        assert "truncated or unparseable NPZ" in reasons
+        assert reasons == {"digest mismatch"}
 
     def test_flipped_byte_in_cache_entry_is_quarantined(
         self, cache, small_trace,

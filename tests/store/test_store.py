@@ -1,17 +1,21 @@
 """Tests for the durable SQLite-backed experiment store.
 
-The store's contract: checksummed entry envelopes, a
-quarantine-and-recompute corruption policy, durability
-(single-transaction writes), an append-only oplog, SQL-queryable
-censuses — and only structured errors when the file itself rots.
+The store's contract: one row format (a SHA-256 digest over the stored
+payload, under the row's ``schema`` column), a quarantine-and-recompute
+corruption policy, durability (single-transaction writes), an
+append-only oplog, SQL-queryable censuses — and only structured errors
+when the file itself rots.
 """
 
 import dataclasses
+import hashlib
 import json
 import shutil
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import ConfigurationError, ReproError, StoreError
 from repro.faults import corrupt_store_rows
@@ -19,6 +23,9 @@ from repro.runner.cache import SCHEMA_VERSION, ensure_cache
 from repro.runner.fingerprint import array_digest, trace_fingerprint
 from repro.store import SQLiteStore, SweepJournal
 from repro.ycsb.client import RunResult
+from repro.ycsb.workload import Trace
+
+KINDS = ("results", "traces", "hitmasks")
 
 
 @pytest.fixture
@@ -39,6 +46,57 @@ def result():
         latency_percentiles_ns={50.0: 900.0, 99.0: 4000.125},
         repeats=3, runtime_std_ns=12.5, concurrency=2,
     )
+
+
+def stored(store, kind, fingerprint) -> bytes:
+    """The body one current entry holds."""
+    return bytes(store._row(kind, fingerprint)["body"])
+
+
+def overwrite(store, kind, fingerprint, body) -> None:
+    """Replace one entry's body below the codec (rot, or an older build)."""
+    store.db.write_txn(lambda conn: conn.execute(
+        "UPDATE entries SET body = ? WHERE kind = ? AND fingerprint = ?",
+        (body, kind, fingerprint),
+    ))
+
+
+def seal(payload: bytes) -> bytes:
+    """A current entry body around *payload*: its digest, then itself."""
+    return hashlib.sha256(payload).digest() + payload
+
+
+def restamp(store, kind, fingerprint, schema) -> None:
+    """Move one entry to another schema through SQL, body untouched."""
+    store.db.write_txn(lambda conn: conn.execute(
+        "UPDATE entries SET schema = ? WHERE kind = ? AND fingerprint = ?",
+        (schema, kind, fingerprint),
+    ))
+
+
+def put(store, kind, fingerprint, value) -> None:
+    """Store *value* as an entry of *kind*."""
+    getattr(store, "put_" + kind[:-1])(fingerprint, value)
+
+
+def get(store, kind, fingerprint):
+    """Recall an entry of *kind* (None on a miss)."""
+    return getattr(store, "get_" + kind[:-1])(fingerprint)
+
+
+#: One small value per entry kind.
+VALUES = {
+    "results": RunResult(
+        workload="w", engine="redis", n_requests=3, n_reads=2, n_writes=1,
+        runtime_ns=-0.0, avg_read_ns=5e-324, avg_write_ns=1.5,
+        latency_percentiles_ns={0.0: 1.0, 99.9: 2.0},
+    ),
+    "traces": Trace(
+        name="t", keys=np.arange(60) % 7, is_read=np.arange(60) % 3 > 0,
+        record_sizes=np.arange(1, 8) * 100,
+    ),
+    "hitmasks": np.arange(300) % 5 == 0,
+}
 
 
 class TestRoundTrips:
@@ -111,17 +169,19 @@ class TestCorruption:
     def test_rows_written_by_the_savez_compressed_codec_still_read(
         self, store, small_trace, savez_compressed_blob,
     ):
-        # a store file written before the codec had its own NPZ writer
+        # deflate-6 NPZ payloads, sealed under the current schema, read
+        # as the codec's own deflate-1 ones do
         mask = np.arange(4_000) % 3 == 0
-        store._put("traces", "t1", savez_compressed_blob(
+        store.put_trace("t1", small_trace)
+        store.put_hitmask("h1", mask)
+        overwrite(store, "traces", "t1", seal(savez_compressed_blob(
             name=small_trace.name, keys=small_trace.keys,
             is_read=small_trace.is_read,
             record_sizes=small_trace.record_sizes,
-            checksum=trace_fingerprint(small_trace),
-        ))
-        store._put("hitmasks", "h1", savez_compressed_blob(
-            mask=mask, checksum=array_digest(mask),
-        ))
+        )))
+        overwrite(store, "hitmasks", "h1", seal(savez_compressed_blob(
+            mask=mask,
+        )))
         got = store.get_trace("t1")
         assert trace_fingerprint(got) == trace_fingerprint(small_trace)
         assert got.name == small_trace.name
@@ -141,19 +201,154 @@ class TestCorruption:
 
     def test_schema_stale_row_is_a_miss_not_corruption(self, store, result):
         store.put_result("fp1", result)
-
-        def bump(conn):
-            conn.execute(
-                "UPDATE entries SET body = ? WHERE fingerprint = 'fp1'",
-                (json.dumps(
-                    {"schema": SCHEMA_VERSION + 1, "checksum": "x",
-                     "result": {}},
-                ).encode(),),
-            )
-
-        store.db.write_txn(bump)
+        restamp(store, "results", "fp1", SCHEMA_VERSION - 1)
         assert store.get_result("fp1") is None
         assert store.stats().quarantined["results"] == 0
+
+
+class TestStaleRows:
+    """A row of another schema is a miss for every read, of every kind."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_restamped_row_is_an_unverified_miss(self, store, kind):
+        put(store, kind, "old", VALUES[kind])
+        restamp(store, kind, "old", SCHEMA_VERSION - 1)
+        assert get(store, kind, "old") is None
+        assert store.fingerprints(kind) == []
+        stats = store.stats()
+        assert stats.entries[kind] == 0 and stats.total_quarantined == 0
+        report = store.verify()
+        assert report.ok and report.checked[kind] == 0
+        assert store.stats().total_quarantined == 0  # never quarantined
+        assert store.clear() == 1
+        assert store.db.read("SELECT COUNT(*) FROM entries")[0][0] == 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_v2_row_is_a_miss_never_quarantined(
+        self, store, kind, savez_compressed_blob,
+    ):
+        # the bodies builds before the digest-sealed rows wrote
+        value = VALUES[kind]
+        if kind == "results":
+            body = json.dumps({
+                "schema": 2, "checksum": "0" * 64,
+                "result": dataclasses.asdict(value),
+            }, indent=1).encode()
+        elif kind == "traces":
+            body = savez_compressed_blob(
+                name=value.name, keys=value.keys, is_read=value.is_read,
+                record_sizes=value.record_sizes,
+                checksum=trace_fingerprint(value),
+            )
+        else:
+            body = savez_compressed_blob(
+                mask=value, checksum=array_digest(value),
+            )
+        store.db.write_txn(lambda conn: conn.execute(
+            "INSERT INTO entries (kind, fingerprint, schema, body,"
+            " created_at) VALUES (?, 'v2', 2, ?, 0.0)", (kind, body),
+        ))
+        assert get(store, kind, "v2") is None
+        assert store.verify().total_checked == 0
+        assert store.stats().total_quarantined == 0
+        # recomputed into the same key, the current row wins
+        put(store, kind, "v2", value)
+        assert get(store, kind, "v2") is not None
+        assert store.fingerprints(kind) == ["v2"]
+
+    def test_verify_checks_what_stats_counts(self, store):
+        for kind in KINDS:
+            put(store, kind, "now", VALUES[kind])
+            put(store, kind, "old", VALUES[kind])
+            restamp(store, kind, "old", SCHEMA_VERSION - 1)
+        put(store, "results", "now2", VALUES["results"])
+        store.db.write_txn(lambda conn: conn.execute(
+            "INSERT INTO entries (kind, fingerprint, schema, body,"
+            " created_at) VALUES ('verdicts', 'v1', ?, x'00', 0.0)",
+            (SCHEMA_VERSION,),
+        ))
+        entries = store.stats().entries
+        assert entries == {"results": 2, "traces": 1, "hitmasks": 1}
+        assert store.verify().checked == entries
+
+
+# -- properties of the row format ----------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+large_ints = st.integers(min_value=-(2 ** 80), max_value=2 ** 80)
+
+
+@st.composite
+def run_results(draw):
+    """Arbitrary finite run results (negative zero and subnormals too)."""
+    return RunResult(
+        workload=draw(st.text(max_size=12)),
+        engine=draw(st.text(max_size=12)),
+        n_requests=draw(large_ints),
+        n_reads=draw(large_ints),
+        n_writes=draw(large_ints),
+        runtime_ns=draw(finite),
+        avg_read_ns=draw(finite),
+        avg_write_ns=draw(finite),
+        latency_percentiles_ns=draw(st.dictionaries(
+            st.floats(min_value=0.0, max_value=100.0), finite, max_size=6,
+        )),
+        repeats=draw(large_ints),
+        runtime_std_ns=draw(finite),
+        concurrency=draw(large_ints),
+    )
+
+
+@pytest.fixture(scope="class")
+def shared_store(tmp_path_factory):
+    """One store for every example of a property."""
+    opened = SQLiteStore(tmp_path_factory.mktemp("prop") / "mnemo.db")
+    yield opened
+    opened.close()
+
+
+class TestRowProperties:
+    @given(result=run_results())
+    @settings(max_examples=150, deadline=None)
+    def test_a_stored_result_is_recalled_equal(self, shared_store, result):
+        shared_store.put_result("r", result)
+        assert shared_store.get_result("r") == result
+
+    @given(result=run_results())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_results_store_equal_bytes(self, shared_store, result):
+        # the same fields with the percentiles inserted in another order
+        twin = dataclasses.replace(result, latency_percentiles_ns=dict(
+            reversed(list(result.latency_percentiles_ns.items())),
+        ))
+        shared_store.put_result("a", result)
+        shared_store.put_result("b", twin)
+        assert stored(shared_store, "results", "a") == stored(
+            shared_store, "results", "b",
+        )
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        flip=st.integers(min_value=0, max_value=255),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_flipped_byte_or_a_truncation_is_a_quarantined_miss(
+        self, shared_store, kind, where, flip,
+    ):
+        # flip == 0 truncates the body before byte `where`, else XORs it
+        shared_store.clear()
+        put(shared_store, kind, "x", VALUES[kind])
+        body = stored(shared_store, kind, "x")
+        pos = int(where * len(body))
+        if flip:
+            body = body[:pos] + bytes([body[pos] ^ flip]) + body[pos + 1:]
+        else:
+            body = body[:pos]
+        overwrite(shared_store, kind, "x", body)
+        assert get(shared_store, kind, "x") is None
+        stats = shared_store.stats()
+        assert stats.entries[kind] == 0 and stats.quarantined[kind] == 1
 
 
 class TestMaintenance:
