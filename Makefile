@@ -25,7 +25,7 @@ verify:
 import-report:
 	PYTHONPATH=src $(PYTHON) tools/import_report.py
 
-# chaos smoke: fault injection, worker kills, store-row corruption
+# chaos smoke: fault injection, experiment strikes, store-row corruption
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/faults -x -q
 
@@ -39,9 +39,9 @@ serve-drill:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/service/test_chaos_requests.py \
 		tests/service/test_serve_concurrency.py -x -q
 
-# kill -9 drills: SIGKILL a writer / the sweep coordinator / a pool
-# worker, reopen the store, prove zero corruption and bit-identical
-# resume; plus the SIGTERM end-to-end on a live `mnemo serve`
+# kill -9 drills: SIGKILL a writer / the sweep coordinator, reopen the
+# store, prove zero corruption and bit-identical resume; plus the
+# SIGTERM end-to-end on a live `mnemo serve`
 crash:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/store/test_crash.py \
 		tests/service/test_serve.py -x -q

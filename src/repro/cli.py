@@ -10,7 +10,7 @@ the reproduction ships a CLI mirroring the paper's interface
     python -m repro profile --requests req.csv --dataset data.csv
     python -m repro compare --workload trending
     python -m repro pricing
-    python -m repro sweep --workloads trending,timeline --workers 4
+    python -m repro sweep --workloads trending,timeline
     python -m repro sweep --store mnemo.db --run-id nightly
     python -m repro sweep --store mnemo.db --resume nightly
     python -m repro cache stats --dir mnemo.db
@@ -22,7 +22,7 @@ Exit code 0 on success; usage and configuration errors print one clean
 line to stderr and exit 2.  The ``guard`` subcommand additionally uses
 1 (warnings) and 3 (action needed) so CI and cron jobs can react.
 ``sweep`` and ``serve`` install SIGTERM/SIGINT handlers so a kill
-releases worker pools and store handles on the way out and exits
+releases store handles and sockets on the way out and exits
 ``128 + signum``; a closed stdout (``... | head -1``) ends any command
 quietly with 141, the same convention for SIGPIPE.
 """
@@ -42,7 +42,7 @@ if TYPE_CHECKING:
 
 # Importing this module costs argparse, logging and repro.errors only:
 # each ``_cmd_*`` imports what it runs, so a cold ``profile`` never pays
-# for the pool, the daemon or the guard (DESIGN.md, "Import layering").
+# for the runner, the daemon or the guard (DESIGN.md, "Import layering").
 
 #: CLI diagnostics go through here (``-v``/``-q`` set the level);
 #: operator-facing reports and tables still ``print`` to stdout.
@@ -205,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep",
         help="run a workload x engine x placement grid "
-             "(parallel, cached, deterministic)",
+             "(cached, deterministic, resumable)",
     )
     sweep.add_argument("--workloads", default="trending",
                        help="comma-separated workload names, or 'all'")
@@ -216,16 +216,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(fast, slow, split)")
     sweep.add_argument("--split", type=float, default=0.2,
                        help="FastMem payload fraction for 'split' cells")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="process count (1 = serial)")
     _add_store_option(sweep, "memoize results in this result store")
     _add_request_flags(sweep, "seed")
     sweep.add_argument("--faults", metavar="SPEC",
                        help="inject deterministic faults, e.g. "
                             "'spikes,ramp(floor=0.4),jitter' "
                             "(see docs/FAULTS.md)")
-    sweep.add_argument("--timeout", type=float, default=None, metavar="S",
-                       help="per-experiment timeout in seconds")
     sweep.add_argument("--max-attempts", type=int, default=3,
                        help="attempts per experiment before giving up "
                             "(default 3)")
@@ -534,9 +530,7 @@ def _cmd_sweep(args) -> int:
     runner = ExperimentRunner(
         cache=cache,
         client=client,
-        retry=RetryPolicy(
-            max_attempts=args.max_attempts, timeout_s=args.timeout,
-        ),
+        retry=RetryPolicy(max_attempts=args.max_attempts),
     )
     specs = ExperimentRunner.grid(
         [workload_by_name(n) for n in workload_names],
@@ -549,12 +543,9 @@ def _cmd_sweep(args) -> int:
     if journal is not None:
         log.info("journaling sweep under run id %r in %s",
                  run_id, args.cache_dir)
-    log.info(
-        "sweeping %d experiment(s) across %d worker(s)",
-        len(specs), args.workers,
-    )
+    log.info("sweeping %d experiment(s)", len(specs))
     try:
-        outcome = runner.sweep(specs, workers=args.workers, journal=journal)
+        outcome = runner.sweep(specs, journal=journal)
     finally:
         runner.close()
         if cache is not None:
@@ -823,8 +814,8 @@ _COMMANDS = {
     "obs": _cmd_obs,
 }
 
-#: Long-running commands that own releasable resources (a warm worker
-#: pool, an open store): SIGTERM/SIGINT
+#: Long-running commands that own releasable resources (an open store,
+#: the daemon's socket): SIGTERM/SIGINT
 #: must unwind their ``finally`` blocks, not kill the process mid-write.
 _GRACEFUL_COMMANDS = frozenset({"sweep", "serve"})
 

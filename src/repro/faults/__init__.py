@@ -7,8 +7,8 @@ Two halves (see ``docs/FAULTS.md``):
   bursts) composable onto the memsim timing path.  Schedules are a pure
   function of (experiment fingerprint, fault spec), so faulty runs stay
   bit-reproducible and cacheable.
-- :mod:`repro.faults.chaos` — *pipeline* chaos: deterministic worker
-  kills, cache corruption, and control-socket attacks (slowloris,
+- :mod:`repro.faults.chaos` — *pipeline* chaos: deterministic
+  experiment strikes, cache corruption, and control-socket attacks (slowloris,
   request floods) used to exercise the resilient runner, the cache's
   checksum quarantine, and the served advisor's request plane.
 """

@@ -1,14 +1,14 @@
-"""Chaos harness: deterministic worker kills and cache corruption.
+"""Chaos harness: deterministic experiment strikes and cache corruption.
 
 The fault models in :mod:`repro.faults.models` perturb *measured
 numbers*; this module perturbs the *pipeline itself*, so the resilient
 runner's retry / quarantine machinery can be exercised under test:
 
-- :class:`ChaosPlan` strikes (kills or fails) workers on chosen
-  experiment labels, a bounded number of times per label, using atomic
-  marker files so the count is race-free across processes; retried
-  experiments therefore eventually succeed and — because all results
-  are content-addressed — converge to numbers bit-identical to a clean
+- :class:`ChaosPlan` strikes (fails or hangs) chosen experiment
+  labels, a bounded number of times per label, using atomic marker
+  files so the count survives a killed process; retried experiments
+  therefore eventually succeed and — because all results are
+  content-addressed — converge to numbers bit-identical to a clean
   run.
 - :func:`corrupt_store_rows` flips bytes in (or truncates) stored
   entry bodies so the checksum walk in
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +37,7 @@ from pathlib import Path
 from repro.errors import ConfigurationError, FaultError
 
 #: Strike behaviours a :class:`ChaosPlan` supports.
-CHAOS_MODES = ("exit", "raise", "hang", "sigkill")
+CHAOS_MODES = ("raise", "hang")
 
 
 @dataclass(frozen=True)
@@ -50,28 +49,23 @@ class ChaosPlan:
     kill_labels:
         Experiment labels (``spec.label``) to strike.
     mode:
-        ``"exit"`` kills the worker process outright (parallel grids
-        only — it would take the caller down in serial runs, so serial
-        execution downgrades it to ``"raise"``); ``"sigkill"`` delivers
-        an uncatchable SIGKILL to the worker instead (no atexit, no
-        cleanup — the harshest crash a process can model; also
-        downgraded to ``"raise"`` in serial runs); ``"raise"`` raises a
-        :class:`~repro.errors.FaultError` from inside the experiment;
-        ``"hang"`` sleeps ``hang_s`` seconds (to trip per-experiment
-        timeouts) and then returns normally.
+        ``"raise"`` raises a :class:`~repro.errors.FaultError` from
+        inside the experiment; ``"hang"`` sleeps ``hang_s`` seconds and
+        then returns normally (the kill -9 drill holds a sweep there
+        while it kills the process).
     max_strikes:
         Strikes delivered per label before the experiment is allowed
         to succeed.  Set it at or above the runner's attempt budget to
         make an experiment unrecoverable.
     marker_dir:
-        Directory for the atomic strike markers (shared by all worker
-        processes of a sweep).
+        Directory for the atomic strike markers (shared by every
+        process that runs the sweep, a resumed one included).
     hang_s:
         Sleep duration for ``"hang"`` strikes.
     """
 
     kill_labels: tuple[str, ...] = ()
-    mode: str = "exit"
+    mode: str = "raise"
     max_strikes: int = 1
     marker_dir: str = ".mnemo-chaos"
     hang_s: float = 5.0
@@ -99,11 +93,11 @@ class ChaosPlan:
             if self._marker(label, k).exists()
         )
 
-    def maybe_strike(self, label: str, allow_exit: bool = True) -> None:
+    def maybe_strike(self, label: str) -> None:
         """Deliver the next strike for *label*, if any remain.
 
         Claims one strike slot atomically (``O_CREAT | O_EXCL`` marker
-        file), so concurrent workers never double-count.  Once
+        file), so no two attempts claim the same strike.  Once
         ``max_strikes`` markers exist the experiment runs untouched —
         that is what lets retries converge.
         """
@@ -120,10 +114,6 @@ class ChaosPlan:
             if self.mode == "hang":
                 time.sleep(self.hang_s)
                 return
-            if self.mode == "exit" and allow_exit:
-                os._exit(17)
-            if self.mode == "sigkill" and allow_exit:
-                os.kill(os.getpid(), signal.SIGKILL)
             raise FaultError(
                 f"chaos strike {strike + 1}/{self.max_strikes} on {label!r}"
             )

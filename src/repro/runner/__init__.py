@@ -1,8 +1,9 @@
-"""Experiment runner: fingerprinting, caching, and parallel grids.
+"""Experiment runner: fingerprinting, caching, and resilient grids.
 
 The runner makes profiling cheap in the way the paper demands (Table IV:
 minutes, not instrumentation slowdowns) by never recomputing what has
-already been measured and by fanning grids out over processes:
+already been measured and by measuring a grid one batch per (workload,
+engine) group:
 
 - :mod:`repro.runner.fingerprint` — canonical SHA-256 fingerprints over
   everything that determines an experiment's outcome;
@@ -13,11 +14,9 @@ already been measured and by fanning grids out over processes:
 - :mod:`repro.runner.spec` / :mod:`repro.runner.outcome` — the value
   types a sweep takes (specs, client config) and returns (outcome,
   failure report, retry policy);
-- :mod:`repro.runner.executor` — the one batch executor, run in process
-  and in pool workers alike;
-- :mod:`repro.runner.grid` — the coordinator: workload x store x
-  placement grids over a process pool, bit-identical to serial
-  execution.
+- :mod:`repro.runner.executor` — the one batch executor;
+- :mod:`repro.runner.grid` — the sweep: workload x store x placement
+  grids in process, with retries and resumable journals.
 
 See ``docs/RUNNER.md`` for the fingerprint scheme, cache layout and the
 determinism guarantees.
@@ -34,7 +33,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "array_digest", "canonicalize", "digest", "experiment_fingerprint",
         "trace_fingerprint", "workload_fingerprint",
     ],
-    "grid": ["ExperimentRunner", "default_workers"],
+    "grid": ["ExperimentRunner"],
     "outcome": [
         "NON_RETRYABLE", "ExperimentFailure", "ExperimentMeta",
         "FailureReport", "GridOutcome", "RetryPolicy",

@@ -209,8 +209,7 @@ def ensure_cache(cache):
 
     Any path *is* the SQLite file of a
     :class:`~repro.store.SQLiteStore`, whatever its suffix (created on
-    first use) — which is what lets pool workers rebuild the
-    coordinator's store from the bare path in the task payload.  A path
+    first use).  A path
     that cannot be opened or created, an existing directory included,
     is a :class:`~repro.errors.ConfigurationError` naming it.
     """

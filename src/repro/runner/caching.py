@@ -50,9 +50,9 @@ class PlacementBatch:
     live-generator seed, which is uncacheable) every placement measures
     fresh through the kernel with provenance ``"uncached"``.
 
-    This is also the unit of work the sweep runner executes, in process
-    and in pool workers — one ``PlacementBatch`` per (trace, engine)
-    batch (:func:`repro.runner.executor.run_batch`).
+    This is also the unit of work the sweep runner executes — one
+    ``PlacementBatch`` per (trace, engine) batch
+    (:func:`repro.runner.executor.run_batch`).
     """
 
     def __init__(self, client, trace, profile, system, record_sizes=None):

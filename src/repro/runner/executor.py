@@ -3,13 +3,10 @@
 A batch is a run of specs sharing a (workload, engine) pair — one trace,
 one engine profile, one :class:`~repro.runner.caching.PlacementBatch`
 (cache probes, then the batch kernel on a miss).  :func:`run_batch`
-executes one, in whichever process it is called: the coordinator calls
-it in-process for serial sweeps (one batch per group) and
+executes one: a sweep calls it once per group and
 :meth:`ExperimentRunner.run <repro.runner.grid.ExperimentRunner.run>`
-(singleton batches), pool workers call it for the batches the planner
-cuts.  No
-:class:`~repro.kvstore.server.HybridDeployment` is built anywhere: a
-spec's placement is a mask.
+once per spec.  No :class:`~repro.kvstore.server.HybridDeployment` is
+built anywhere: a spec's placement is a mask.
 """
 
 from __future__ import annotations
@@ -22,18 +19,17 @@ from repro.runner.caching import PlacementBatch
 from repro.runner.outcome import ExperimentMeta
 
 
-def run_batch(runner, specs, chaos=None, allow_exit=False):
+def run_batch(runner, specs, chaos=None):
     """Execute *specs* (one workload, one engine) against *runner*'s client.
 
     The trace comes from ``runner.trace_for``, whose memo keeps it for
-    the batches after this one — in a pool worker as in process.
+    the workload's other batches.
 
     Returns *per spec* ``(local_index, ok, payload)`` entries: a
     ``(result, meta)`` pair, or the spec's exception instead of
     poisoning the batch — one bad spec does not block its batch-mates.
-    Chaos strikes fire per spec (``allow_exit`` lets an ``exit`` strike
-    kill the process: pool workers only), and each spec runs under its
-    own ``runner.experiment`` span.  What the batch as a whole cannot
+    Chaos strikes fire per spec, and each spec runs under its own
+    ``runner.experiment`` span.  What the batch as a whole cannot
     survive (no trace, no kernel inputs) raises.
     """
     trace = runner.trace_for(specs[0].workload)
@@ -46,7 +42,7 @@ def run_batch(runner, specs, chaos=None, allow_exit=False):
         start = time.perf_counter()
         try:
             if chaos is not None:
-                chaos.maybe_strike(spec.label, allow_exit=allow_exit)
+                chaos.maybe_strike(spec.label)
             with telemetry.span("runner.experiment", label=spec.label) as sp:
                 mask = runner.placement_mask(spec, trace)
                 result, provenance = batch.run_cached(mask)

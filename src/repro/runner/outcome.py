@@ -5,7 +5,7 @@ records how one experiment was obtained; :class:`ExperimentFailure` /
 :class:`FailureReport` explain what a sweep could not complete; and
 :class:`GridOutcome` is what :meth:`ExperimentRunner.sweep
 <repro.runner.grid.ExperimentRunner.sweep>` returns.  Plain frozen
-dataclasses — picklable, no dependency on the pool or the simulator.
+dataclasses, with no dependency on the simulator.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ class RetryPolicy:
     ----------
     max_attempts:
         Attempts per experiment (1 = no retries).
-    timeout_s:
-        Per-experiment timeout in seconds (None = unlimited).  Enforced
-        on the process-pool path; a sweep with a timeout therefore runs
-        pooled even for ``workers=1``.
     backoff_base_s / backoff_factor:
         Sleep before retry *k* (1-based) is
         ``backoff_base_s * backoff_factor**(k - 1)``, scaled by jitter.
@@ -43,7 +39,6 @@ class RetryPolicy:
     """
 
     max_attempts: int = 3
-    timeout_s: float | None = None
     backoff_base_s: float = 0.05
     backoff_factor: float = 2.0
     jitter: float = 0.25
@@ -52,10 +47,6 @@ class RetryPolicy:
         if self.max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ConfigurationError(
-                f"timeout_s must be positive, got {self.timeout_s}"
             )
         if self.backoff_base_s < 0 or self.backoff_factor < 1:
             raise ConfigurationError(
@@ -134,9 +125,9 @@ class GridOutcome:
     ``results`` preserves spec order, with ``None`` at the slots of
     failed experiments; ``report`` explains every ``None``; ``metas``
     (parallel to ``results``) records each experiment's wall-clock
-    duration and cache provenance.  ``elapsed_s`` is the sweep's true
-    elapsed wall clock on the coordinator — parallel sweeps finish in
-    far less time than the per-experiment durations sum to.
+    duration and cache provenance.  ``elapsed_s`` is the sweep's elapsed
+    wall clock, which also counts what no experiment's duration does:
+    trace generation, journal recalls and retry backoff.
     """
 
     results: tuple[RunResult | None, ...]

@@ -59,7 +59,7 @@ class ClientConfig:
     faults: object | None = None
 
     def __post_init__(self) -> None:
-        # here, not in the worker's YCSBClient: a sweep must fail before
+        # here, not in the built YCSBClient: a sweep must fail before
         # its first attempt, not once per attempt per cell
         check_seed(self.seed)
 

@@ -1,11 +1,11 @@
 """Cooperative termination: SIGTERM/SIGINT as a catchable control flow.
 
 Long-running commands (``mnemo sweep``, ``mnemo serve``) own resources
-that must be released on the way out — a warm worker pool, an open
-store.  A bare SIGTERM would skip every
+that must be released on the way out — an open store, the daemon's
+socket.  A bare SIGTERM would skip every
 ``finally`` block; :func:`handle_termination` converts it (and SIGINT)
 into a :class:`TerminationSignal` raised at the next bytecode boundary,
-so the normal unwind runs ``runner.close()`` / ``store.close()`` and
+so the normal unwind runs ``store.close()`` and
 the process can exit with the conventional ``128 + signum`` code.
 
 :class:`TerminationSignal` derives from :class:`BaseException` — like

@@ -6,8 +6,9 @@ that are safe for this codebase's process model:
 - **WAL journal mode** so readers never block the single writer and a
   SIGKILL mid-transaction leaves a consistent database (the WAL is
   rolled back or checkpointed on the next open, never half-applied);
-- **per-(pid, thread) connections** — pool workers fork from the
-  coordinator, and a forked child must never reuse the parent's
+- **per-(pid, thread) connections** — the daemon's supervised child
+  and the kill -9 drills' children fork from a process that may hold
+  an open store, and a forked child must never reuse the parent's
   connection object, so :meth:`connection` reopens lazily whenever the
   pid or thread changes.  A connection lives exactly as long as its
   thread, so a thread that writes should outlive one write: in the

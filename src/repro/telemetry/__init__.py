@@ -2,11 +2,10 @@
 
 The observability substrate under the whole pipeline: a zero-dependency
 metrics registry (:mod:`~repro.telemetry.metrics`), a span tracer on
-monotonic clocks that survives process-pool round trips
-(:mod:`~repro.telemetry.spans`), and a structured JSONL event log keyed
-by a per-run id (:mod:`~repro.telemetry.events`).  ``mnemo obs`` renders
-a run's log into a span tree, slow-span table, cache hit rate and kernel
-path mix (:mod:`~repro.telemetry.render`).
+monotonic clocks (:mod:`~repro.telemetry.spans`), and a structured
+JSONL event log keyed by a per-run id (:mod:`~repro.telemetry.events`).
+``mnemo obs`` renders a run's log into a span tree, slow-span table,
+cache hit rate and kernel path mix (:mod:`~repro.telemetry.render`).
 
 The hard design rule — tested by ``tests/telemetry/test_determinism.py``
 and gated by ``make bench-obs`` — is that telemetry is **off-path**:
@@ -57,13 +56,12 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram",
         "MetricsRegistry",
     ],
-    "session": ["TelemetrySession", "TelemetrySnapshot", "WorkerTelemetry"],
+    "session": ["TelemetrySession"],
     "spans": ["NULL_SPAN", "SpanRecord", "Tracer", "build_tree"],
 })
 __all__ += [
-    "absorb", "activate", "activate_worker", "count", "deactivate",
-    "drain_worker", "enabled", "event", "gauge", "get", "observe",
-    "session", "span", "worker_config",
+    "activate", "count", "deactivate", "enabled", "event", "gauge", "get",
+    "observe", "session", "span",
 ]
 
 #: The process-wide active session (None = telemetry disabled).
@@ -145,36 +143,3 @@ def span(name: str, **attrs):
     if _ACTIVE is None:
         return NULL_SPAN
     return _ACTIVE.span(name, **attrs)
-
-
-# -- pool-worker plumbing -----------------------------------------------------
-
-
-def worker_config() -> WorkerTelemetry | None:
-    """What to put in a task payload so a worker continues this run."""
-    if _ACTIVE is None:
-        return None
-    return _ACTIVE.worker_config()
-
-
-def activate_worker(config: WorkerTelemetry | None) -> None:
-    """Activate an in-memory worker session from a payload config.
-
-    No-op when the coordinator ran without telemetry (config None).
-    """
-    if config is not None:
-        activate(TelemetrySession(
-            run_id=config.run_id, root_id=config.parent_id,
-        ))
-
-
-def drain_worker() -> TelemetrySnapshot | None:
-    """Deactivate the worker session and export its snapshot (or None)."""
-    tel = deactivate()
-    return tel.snapshot() if tel is not None else None
-
-
-def absorb(snapshot: TelemetrySnapshot | None) -> None:
-    """Fold a worker snapshot into the active session (no-op otherwise)."""
-    if _ACTIVE is not None and snapshot is not None:
-        _ACTIVE.absorb(snapshot)

@@ -1,8 +1,8 @@
 """Zero-dependency metrics primitives: counters, gauges, histograms.
 
 The registry is deliberately small: three metric types, label support,
-snapshot/merge (so pool workers can ship their metrics back to the
-coordinating process alongside results), and Prometheus text-format
+snapshot/merge (so ``mnemo obs`` can rebuild a registry from a run's
+log), and Prometheus text-format
 rendering for the future served-advisor daemon.  Nothing here touches
 RNG streams, fingerprints or simulated numbers — metrics observe the
 pipeline, they never participate in it.
@@ -182,10 +182,10 @@ class MetricsRegistry:
         return out
 
     def merge(self, records: list[dict]) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a pool worker) into this one.
+        """Fold a :meth:`snapshot` (e.g. a run log's metrics) into this one.
 
         Counters and histograms accumulate; gauges adopt the merged-in
-        value (last write wins — worker gauges are rare and per-run).
+        value (last write wins).
         """
         for rec in records:
             cls = _KINDS[rec["type"]]

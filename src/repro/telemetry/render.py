@@ -117,9 +117,7 @@ def _fmt_ns(ns: float) -> str:
 def render_span_tree(view: RunView, max_spans: int = 200) -> list[str]:
     """The run's spans as an indented tree with durations.
 
-    Worker subtrees reassemble under their coordinator parent via the
-    parent ids carried across the pool boundary.  Sibling order is
-    (pid, start) — stable per process.
+    Sibling order is (pid, start) — stable per process.
     """
     roots, children = build_tree(view.spans)
     lines: list[str] = []

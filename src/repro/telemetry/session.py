@@ -8,73 +8,22 @@ instrumentation call is a cheap no-op — which is the normal state, and
 the reason telemetry is provably off-path: disabled instrumentation
 executes no arithmetic, touches no RNG stream and allocates nothing on
 the measurement path.
-
-Pool round trips: a worker process activates a session built from the
-:class:`WorkerTelemetry` config in its task payload, runs, and ships a
-:class:`TelemetrySnapshot` back alongside the result.  The coordinator
-:meth:`~TelemetrySession.absorb`\\ s the snapshot — spans keep their
-worker parentage (rooted at the coordinator span id in the config),
-counters and histograms accumulate, events append.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.telemetry.events import EVENT_SCHEMA_VERSION, write_jsonl
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import SpanRecord, Tracer
+from repro.telemetry.spans import Tracer
 
 
 def _default_run_id() -> str:
     """A run id unique enough for log filenames; never feeds results."""
     return f"{time.strftime('%Y%m%d-%H%M%S')}-{os.getpid()}"
-
-
-@dataclass(frozen=True)
-class TelemetrySnapshot:
-    """A picklable export of one session's collected telemetry."""
-
-    run_id: str
-    spans: tuple[SpanRecord, ...] = ()
-    events: tuple[tuple, ...] = ()  # (name, seq, pid, attrs-items) rows
-    metrics: tuple[tuple, ...] = ()  # canonicalized registry snapshot rows
-
-    @staticmethod
-    def _freeze_metric(rec: dict) -> tuple:
-        return tuple(sorted(
-            (k, tuple(v) if isinstance(v, list) else v)
-            for k, v in rec.items()
-            if k != "labels"
-        )) + (("labels", tuple(sorted(rec["labels"].items()))),)
-
-    @staticmethod
-    def _thaw_metric(row: tuple) -> dict:
-        rec = {}
-        for k, v in row:
-            if k == "labels":
-                rec[k] = dict(v)
-            elif isinstance(v, tuple):
-                rec[k] = list(v)
-            else:
-                rec[k] = v
-        return rec
-
-
-@dataclass(frozen=True)
-class WorkerTelemetry:
-    """What a pool worker needs to continue the coordinator's run.
-
-    Rides in the task payload (frozen, picklable, tiny).  ``parent_id``
-    is the coordinator span the worker's spans hang off — normally the
-    per-sweep span.
-    """
-
-    run_id: str
-    parent_id: str | None = None
 
 
 class TelemetrySession:
@@ -89,28 +38,23 @@ class TelemetrySession:
         explicitly when they want byte-stable logs).
     sink:
         Path of the JSONL event log written by :meth:`close` (None =
-        in-memory only, the worker-process mode).
-    root_id:
-        Parent span id adopted by top-level spans (worker mode).
+        in-memory only).
     """
 
     def __init__(
         self,
         run_id: str | None = None,
         sink: str | Path | None = None,
-        root_id: str | None = None,
     ):
         self.run_id = run_id or _default_run_id()
         self.sink = Path(sink) if sink is not None else None
         self.started_unix = time.time()
         self.run_attrs: dict = {}
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(root_id=root_id)
+        self.tracer = Tracer()
         self.events: list[tuple[str, int, int, dict]] = []
         self._pid = os.getpid()
         self._seq = 0
-        self._absorbed_spans: list[SpanRecord] = []
-        self._absorbed_events: list[tuple[str, int, int, dict]] = []
 
     # -- recording ------------------------------------------------------------
 
@@ -135,55 +79,7 @@ class TelemetrySession:
         """Record one histogram observation under (*name*, *labels*)."""
         self.metrics.histogram(name, **labels).observe(value)
 
-    # -- pool round trips -----------------------------------------------------
-
-    def worker_config(self) -> WorkerTelemetry:
-        """The config a pool worker continues this run with.
-
-        The parent id is the innermost span open *now* (the per-sweep
-        span when called from inside one).
-        """
-        return WorkerTelemetry(
-            run_id=self.run_id, parent_id=self.tracer.current_id(),
-        )
-
-    def snapshot(self) -> TelemetrySnapshot:
-        """Freeze everything collected so far into a picklable value."""
-        return TelemetrySnapshot(
-            run_id=self.run_id,
-            spans=tuple(self.all_spans()),
-            events=tuple(
-                (name, seq, pid, tuple(sorted(attrs.items())))
-                for name, seq, pid, attrs in self.all_events()
-            ),
-            metrics=tuple(
-                TelemetrySnapshot._freeze_metric(rec)
-                for rec in self.metrics.snapshot()
-            ),
-        )
-
-    def absorb(self, snapshot: TelemetrySnapshot | None) -> None:
-        """Fold a worker's snapshot into this session (None is a no-op)."""
-        if snapshot is None:
-            return
-        self._absorbed_spans.extend(snapshot.spans)
-        self._absorbed_events.extend(
-            (name, seq, pid, dict(attrs))
-            for name, seq, pid, attrs in snapshot.events
-        )
-        self.metrics.merge([
-            TelemetrySnapshot._thaw_metric(row) for row in snapshot.metrics
-        ])
-
     # -- access / flush -------------------------------------------------------
-
-    def all_spans(self) -> list[SpanRecord]:
-        """Own plus absorbed spans (absorbed first — they finished first)."""
-        return [*self._absorbed_spans, *self.tracer.records]
-
-    def all_events(self) -> list[tuple[str, int, int, dict]]:
-        """Own plus absorbed events."""
-        return [*self._absorbed_events, *self.events]
 
     def records(self) -> list[dict]:
         """Every JSONL record of this session, header first."""
@@ -194,9 +90,9 @@ class TelemetrySession:
             "started_unix": self.started_unix,
             "attrs": dict(self.run_attrs),
         }]
-        for span in self.all_spans():
+        for span in self.tracer.records:
             out.append({**envelope, "kind": "span", **span.to_record()})
-        for name, seq, pid, attrs in self.all_events():
+        for name, seq, pid, attrs in self.events:
             out.append({
                 **envelope, "kind": "event",
                 "name": name, "seq": seq, "pid": pid, "attrs": dict(attrs),

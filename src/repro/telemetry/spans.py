@@ -1,4 +1,4 @@
-"""Span tracing on monotonic clocks with cross-process reassembly.
+"""Span tracing on monotonic clocks.
 
 A span is one timed region of the pipeline — a sweep, one experiment,
 one validation replay.  Spans nest: the tracer keeps the current span in
@@ -6,19 +6,11 @@ a :class:`contextvars.ContextVar`, so ``with tracer.span(...)``
 automatically records its parent and the ``mnemo obs`` CLI can rebuild
 the run's tree afterwards.
 
-Two design points matter for the pipeline this instruments:
-
-- **monotonic clocks** — spans time with :func:`time.perf_counter_ns`,
-  which never goes backwards but is only comparable *within* one
-  process.  A span therefore carries its duration and its origin PID;
-  cross-process ordering comes from the tree structure, never from
-  comparing raw timestamps.
-- **pool round trips** — :class:`SpanRecord` is a frozen, picklable
-  dataclass.  A worker process runs its own tracer rooted at a parent
-  span id handed over in the task payload, and ships its finished spans
-  back inside the :class:`~repro.telemetry.session.TelemetrySnapshot`
-  that rides alongside the result — so worker spans reassemble into the
-  coordinator's tree with correct parentage.
+Spans time with :func:`time.perf_counter_ns`, which never goes
+backwards but is only comparable *within* one process.  A span
+therefore carries its duration and its origin PID; ordering across
+processes comes from the tree structure, never from comparing raw
+timestamps.
 """
 
 from __future__ import annotations
@@ -121,15 +113,14 @@ class Tracer:
     """Produces nested spans and collects the finished records.
 
     Span ids are ``"<pid hex>-<sequence>"`` — unique within a run even
-    across pool workers, with no global coordination.
+    across processes, with no global coordination.
     """
 
     def __init__(self, root_id: str | None = None):
         self.pid = os.getpid()
         self.records: list[SpanRecord] = []
         self._seq = 0
-        #: parent id applied to spans opened with no enclosing span —
-        #: how a worker's tree hangs off the coordinator's sweep span.
+        #: parent id applied to spans opened with no enclosing span
         self.root_id = root_id
         self._current: ContextVar[str | None] = ContextVar(
             f"repro-telemetry-span-{id(self)}", default=None,
@@ -155,9 +146,8 @@ class Tracer:
 def build_tree(spans: list[dict]) -> tuple[list[dict], dict[str, list[dict]]]:
     """(roots, children-by-parent) from span JSONL records.
 
-    A span whose parent id is missing from the record set is a root —
-    exactly what worker subtrees look like if their run was captured
-    without the coordinator's spans.  Sibling order is by origin
+    A span whose parent id is missing from the record set is a root.
+    Sibling order is by origin
     (pid, start_ns), which is stable and meaningful per process.
     """
     by_id = {s["span"]: s for s in spans}

@@ -165,11 +165,11 @@ class TestGridDeterminism:
         config = ClientConfig(repeats=2, seed=11, faults=faults)
 
         serial = ExperimentRunner(client=config).run_grid(specs)
-        parallel = ExperimentRunner(
+        cold = ExperimentRunner(
             cache=tmp_path / "cache", client=config,
-        ).run_grid(specs, workers=2)
+        ).run_grid(specs)
         warm = ExperimentRunner(
             cache=tmp_path / "cache", client=config,
         ).run_grid(specs)
 
-        assert serial == parallel == warm
+        assert serial == cold == warm

@@ -210,10 +210,9 @@ class TestExperimentRunner:
         warm = ExperimentRunner(
             cache=tmp_path / "c", client=config
         ).run_grid(specs)
-        parallel = ExperimentRunner(cache=None, client=config).run_grid(
-            specs, workers=2
-        )
-        assert base == cold == warm == parallel
+        one_by_one = ExperimentRunner(cache=None, client=config)
+        singles = [one_by_one.run(spec) for spec in specs]
+        assert base == cold == warm == singles
 
     def test_warm_run_skips_measurement(self, tmp_path, specs, monkeypatch):
         config = ClientConfig(repeats=2, seed=11)

@@ -1,6 +1,6 @@
 """Kill-9 drills: the store and the journaled sweep survive SIGKILL.
 
-Three escalating crashes, none of which may corrupt a byte:
+Two crashes, neither of which may corrupt a byte:
 
 - a **writer process** SIGKILLed mid-write stream — on reopen the
   database passes ``integrity_check``, nothing is quarantined, and the
@@ -8,9 +8,7 @@ Three escalating crashes, none of which may corrupt a byte:
   has its row; a row may lack its oplog line, never the reverse);
 - a **sweep coordinator** SIGKILLed mid-sweep — completed experiments
   are durable in the journal, and ``--resume`` finishes the run with
-  results bit-identical to an uninterrupted sweep;
-- a **pool worker** SIGKILLed by chaos — the resilient runner retries
-  it to convergence, exactly like the softer ``exit`` mode.
+  results bit-identical to an uninterrupted sweep.
 """
 
 import multiprocessing as mp
@@ -24,8 +22,6 @@ from repro.faults import ChaosPlan
 from repro.runner import ClientConfig, ExperimentRunner, RetryPolicy
 from repro.store import SQLiteStore, SweepJournal
 from repro.ycsb.client import RunResult
-
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01)
 
 
 def _wait_for(predicate, timeout_s=30.0, interval_s=0.02):
@@ -108,7 +104,7 @@ def _doomed_coordinator(store_path, run_id, specs, config, marker_dir):
     )
     try:
         runner.sweep(
-            specs, workers=1, journal=SweepJournal(store, run_id),
+            specs, journal=SweepJournal(store, run_id),
         )
     finally:  # pragma: no cover - SIGKILL lands inside the hang
         runner.close()
@@ -158,7 +154,7 @@ class TestCoordinatorSigkill:
             runner = ExperimentRunner(cache=store, client=config)
             try:
                 outcome = runner.sweep(
-                    specs, workers=1, journal=SweepJournal(store, "drill"),
+                    specs, journal=SweepJournal(store, "drill"),
                 )
             finally:
                 runner.close()
@@ -169,46 +165,3 @@ class TestCoordinatorSigkill:
             assert SweepJournal(store, "drill").finished()
         finally:
             store.close()
-
-
-# -- drill 3: pool worker SIGKILLed by chaos ---------------------------------
-
-
-class TestWorkerSigkill:
-    def test_sigkilled_worker_retried_to_identical_results(
-        self, tmp_path, small_spec,
-    ):
-        specs = ExperimentRunner.grid(
-            [small_spec], engines=("redis", "memcached"),
-            placements=("fast", "slow"),
-        )
-        config = ClientConfig(repeats=2, seed=11)
-        reference = ExperimentRunner(client=config).run_grid(specs)
-        victim = specs[1].label
-        runner = ExperimentRunner(
-            client=config,
-            chaos=ChaosPlan(
-                kill_labels=(victim,), mode="sigkill",
-                marker_dir=str(tmp_path / "chaos"),
-            ),
-            retry=FAST_RETRY,
-        )
-        outcome = runner.sweep(specs, workers=2)
-        assert outcome.ok
-        assert list(outcome.results) == reference
-        assert runner.chaos.strikes_delivered(victim) == 1
-
-    def test_serial_sigkill_downgrades_to_raise(self, tmp_path, small_spec):
-        # serial sweeps must never let chaos SIGKILL the caller
-        specs = ExperimentRunner.grid([small_spec], engines=("redis",))
-        config = ClientConfig(repeats=1, seed=11)
-        runner = ExperimentRunner(
-            client=config,
-            chaos=ChaosPlan(
-                kill_labels=(specs[0].label,), mode="sigkill",
-                marker_dir=str(tmp_path / "chaos"),
-            ),
-            retry=FAST_RETRY,
-        )
-        outcome = runner.sweep(specs, workers=1)
-        assert outcome.ok  # retried in-process, nobody was killed

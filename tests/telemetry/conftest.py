@@ -25,7 +25,7 @@ def tiny_specs(small_spec: WorkloadSpec) -> list[ExperimentSpec]:
 
 @pytest.fixture
 def two_workload_specs(small_spec: WorkloadSpec) -> list[ExperimentSpec]:
-    """Four cells over two workloads (enough to occupy two pool workers)."""
+    """Four cells over two workloads: two batches, two traces."""
     other = WorkloadSpec(
         name="tiny_zipf",
         distribution=DistributionSpec(name="scrambled_zipfian"),

@@ -95,17 +95,3 @@ class TestSweepLogSchema:
             assert not problems, f"line {lineno}: {problems}"
             kinds.add(obj["kind"])
         assert {"run", "span", "metric"} <= kinds
-
-    def test_pooled_sweep_log_validates_and_has_worker_pids(
-        self, two_workload_specs, tmp_path,
-    ):
-        sink = tmp_path / "run.jsonl"
-        runner = ExperimentRunner(
-            cache=str(tmp_path / "cache"), client=ClientConfig(seed=7),
-        )
-        with telemetry.session(sink=sink):
-            runner.sweep(two_workload_specs, workers=2)
-        records, problems = read_jsonl(sink)
-        assert problems == []
-        pids = {r["pid"] for r in records if r["kind"] == "span"}
-        assert len(pids) > 1, "no worker spans made it back to the log"

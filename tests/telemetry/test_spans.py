@@ -65,9 +65,7 @@ class TestDisabledHooks:
         telemetry.gauge("g", 1.0)
         telemetry.observe("h", 0.5)
         telemetry.event("e", a=1)
-        assert telemetry.worker_config() is None
-        assert telemetry.drain_worker() is None
-        telemetry.absorb(None)
+        assert telemetry.get() is None
 
 
 class TestBuildTree:

@@ -191,23 +191,17 @@ class TestGuard:
 
 
 class TestSweep:
-    @pytest.mark.parametrize("flag", [["--plan", "cell"], ["--no-shm"]])
+    @pytest.mark.parametrize("flag", [
+        ["--plan", "cell"], ["--no-shm"], ["--workers", "2"],
+        ["--timeout", "1"],
+    ])
     def test_dispatch_knobs_are_gone(self, capsys, flag):
-        # one pooled plan, workers generate their own traces: the flags
-        # that chose otherwise are argparse usage errors, not aliases
+        # one in-process sweep: the flags that chose a plan, a pool or
+        # its timeout are argparse usage errors, not aliases
         with pytest.raises(SystemExit) as exit_info:
             main(["sweep", "--workloads", "trending", *flag])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_pooled_stdout_equals_serial(self, small_workloads, capsys):
-        argv = ["sweep", "--workloads", "trending,timeline",
-                "--placements", "fast,slow,split", "--seed", "5"]
-        assert main([*argv, "--workers", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main([*argv, "--workers", "2"]) == 0
-        assert capsys.readouterr().out == serial
-        assert "timeline/redis/split0.20" in serial
 
 
 class TestUsageErrors:
