@@ -13,8 +13,7 @@ from common import shared_cache
 
 from repro.core import Mnemo
 from repro.kvstore import DynamoLike, MemcachedLike, RedisLike
-from repro.runner import CachingClient
-from repro.ycsb import TABLE_III_WORKLOADS, generate_trace
+from repro.ycsb import TABLE_III_WORKLOADS, YCSBClient, generate_trace
 
 ENGINES = {
     "redis": RedisLike,
@@ -38,8 +37,8 @@ def bench_client():
     share baselines instead of recomputing them — within a session and
     across reruns.
     """
-    return CachingClient(
-        cache=shared_cache(), repeats=3, noise_sigma=0.01, seed=2019
+    return YCSBClient(
+        repeats=3, noise_sigma=0.01, seed=2019, cache=shared_cache()
     )
 
 

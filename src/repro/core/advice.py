@@ -199,9 +199,10 @@ def advise(request: AdviceRequest, cache=None, deadline=None) -> Advice:
     module, engine = ENGINES[request.engine]
     consultant = consultant_class(
         engine_factory=getattr(import_module(module), engine),
-        client=YCSBClient(repeats=request.repeats, seed=request.seed),
+        client=YCSBClient(
+            repeats=request.repeats, seed=request.seed, cache=cache,
+        ),
         p=request.p,
-        cache=cache,
     )
     report = consultant.profile(trace)
     return Advice(

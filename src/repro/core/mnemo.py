@@ -45,14 +45,12 @@ class Mnemo:
     system_factory:
         Builds fresh hybrid memory systems (default: Table I testbed).
     client:
-        The measuring YCSB client.
+        The measuring YCSB client; give it a result store
+        (``YCSBClient(cache=...)``) and profiling the same workload
+        twice — across runs, processes or tools — recalls the baselines
+        bit-identically instead of re-measuring them.
     p:
         SlowMem per-byte price as a fraction of FastMem's (paper: 0.2).
-    cache:
-        Optional result store (its path or a
-        :class:`~repro.store.SQLiteStore`).  Profiling the same
-        workload twice — across runs, processes or tools — then recalls
-        the baselines bit-identically instead of re-measuring them.
     pattern_mode:
         Tiering-order mode for the Pattern Engine; the stand-alone tool
         uses ``"touch"`` (keys as the workload touches them).
@@ -75,17 +73,12 @@ class Mnemo:
         system_factory: Callable[[], HybridMemorySystem] = HybridMemorySystem.testbed,
         client: YCSBClient | None = None,
         p: float = DEFAULT_PRICE_FACTOR,
-        cache=None,
         accuracy: str = "simulate",
     ):
         self.accuracy = self._check_accuracy(accuracy)
         self.engine_factory = engine_factory
         self.system_factory = system_factory
-        client = client if client is not None else YCSBClient()
-        if cache is not None:
-            from repro.runner.caching import CachingClient
-            client = CachingClient.wrap(client, cache)
-        self.client = client
+        self.client = client if client is not None else YCSBClient()
         self.sensitivity = SensitivityEngine(
             engine_factory, system_factory, self.client
         )

@@ -180,14 +180,10 @@ class SensitivityEngine:
         the Table I testbed).
     client:
         The measuring client; defaults to 3 repeats at 1 % noise, as
-        the paper reports means over multiple runs.
-    cache:
-        Optional result store (a :class:`~repro.store.SQLiteStore` or
-        the path of its file).
-        When given, the client is wrapped in a
-        :class:`~repro.runner.caching.CachingClient`, so baselines
-        already measured — by any process — are recalled bit-identically
-        instead of re-executed.
+        the paper reports means over multiple runs.  A client with a
+        result store (``YCSBClient(cache=...)``) recalls baselines
+        already measured — by any process — bit-identically instead of
+        re-executing them.
     """
 
     def __init__(
@@ -195,15 +191,10 @@ class SensitivityEngine:
         engine_factory: EngineFactory,
         system_factory: SystemFactory = HybridMemorySystem.testbed,
         client: YCSBClient | None = None,
-        cache=None,
     ):
         self.engine_factory = engine_factory
         self.system_factory = system_factory
-        client = client if client is not None else YCSBClient()
-        if cache is not None:
-            from repro.runner.caching import CachingClient
-            client = CachingClient.wrap(client, cache)
-        self.client = client
+        self.client = client if client is not None else YCSBClient()
 
     def measure(
         self, descriptor: WorkloadDescriptor, allow_partial: bool = False,

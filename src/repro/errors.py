@@ -48,19 +48,9 @@ class FaultError(ReproError):
     """A fault-injection or resilience failure.
 
     Raised when an experiment could not be completed despite retries
-    (worker death, injected chaos strikes, unrecoverable fault models)
-    and by :meth:`~repro.runner.outcome.GridOutcome.raise_if_failed` when a
+    (injected chaos strikes, unrecoverable fault models) and by
+    :meth:`~repro.runner.outcome.GridOutcome.raise_if_failed` when a
     sweep finished in degraded mode.
-    """
-
-
-class ExperimentTimeoutError(FaultError, TimeoutError):
-    """An experiment exceeded its per-experiment timeout.
-
-    Also a :class:`TimeoutError` so generic timeout handling works; the
-    resilient runner retries timed-out experiments up to the retry
-    policy's attempt budget before recording them in the
-    :class:`~repro.runner.outcome.FailureReport`.
     """
 
 

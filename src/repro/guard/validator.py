@@ -24,8 +24,8 @@ validate (always ending at the all-FastMem safe harbour).
 
 Verdicts are deterministic — the simulator's noise is a pure function of
 the experiment fingerprint — and a verdict is always judged afresh from
-its replayed results.  With a caching client (a consultant built with a
-store) every replayed split is memoized as a ``results`` row, so
+its replayed results.  With a client that has a store
+(``YCSBClient(cache=...)``) every replayed split is memoized as a ``results`` row, so
 re-validating the same recommendation recalls those results without
 building a kernel and judges them into a bit-identical verdict.
 """
@@ -174,8 +174,8 @@ class RecommendationValidator:
         Builds fresh hybrid memory systems per replayed point.
     client:
         The measuring client; defaults to the profiling default (3
-        repeats, 1 % noise).  A caching client memoizes every replayed
-        split, so re-validation recalls its results instead of
+        repeats, 1 % noise).  A client with a store memoizes every
+        replayed split, so re-validation recalls its results instead of
         measuring them.
     budget:
         The :class:`ErrorBudget` verdicts are judged against.
@@ -228,8 +228,8 @@ class RecommendationValidator:
 
         The placement masks are the curve-order prefixes — exactly the
         splits the curve predicts — and all of them share one kernel
-        gather; no deployment is constructed.  A caching client recalls
-        the splits it has already measured and builds no kernel when
+        gather; no deployment is constructed.  A client with a store
+        recalls the splits it has already measured and builds no kernel when
         every one of them is warm.
         """
         system = self.system_factory()

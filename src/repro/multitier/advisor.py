@@ -87,7 +87,7 @@ class MultiTierAdvisor:
     *prices* holds one per-byte price factor per tier of *system*
     (:func:`~repro.cost.model.check_tier_prices`).  *client* measures,
     as it does for :class:`~repro.core.mnemo.Mnemo` (default: a fresh
-    :class:`~repro.ycsb.client.YCSBClient`; a caching client recalls).
+    :class:`~repro.ycsb.client.YCSBClient`; one with a store recalls).
     """
 
     def __init__(

@@ -10,7 +10,8 @@ engine) group:
 - :mod:`repro.runner.cache` — the entry codecs of the
   content-addressed store (:mod:`repro.store`) for results, generated
   traces and LLC hit masks;
-- :mod:`repro.runner.caching` — a drop-in caching YCSB client;
+- :mod:`repro.runner.caching` — the store-probing batch every client
+  measures through (``YCSBClient(cache=...)`` gives a client a store);
 - :mod:`repro.runner.spec` / :mod:`repro.runner.outcome` — the value
   types a sweep takes (specs, client config) and returns (outcome,
   failure report, retry policy);
@@ -28,7 +29,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "cache": [
         "SCHEMA_VERSION", "CacheStats", "CacheVerifyReport", "ensure_cache",
     ],
-    "caching": ["CachingClient", "PlacementBatch", "hitmask_fingerprint"],
+    "caching": ["PlacementBatch", "hitmask_fingerprint"],
     "fingerprint": [
         "array_digest", "canonicalize", "digest", "experiment_fingerprint",
         "trace_fingerprint", "workload_fingerprint",

@@ -1,15 +1,17 @@
-"""A measuring client with content-addressed memoization.
+"""Content-addressed measurement: probe the result store, then measure.
 
-:class:`CachingClient` is a drop-in :class:`~repro.ycsb.client.YCSBClient`
-that consults a :class:`~repro.store.SQLiteStore` before measuring
-and persists what it measures.  Because the base client derives its noise
-streams from the experiment fingerprint, a cached result is *bit-identical*
-to the measurement it replaced — caching changes wall-clock time, never
+:class:`PlacementBatch` is how every
+:class:`~repro.ycsb.client.YCSBClient` measures: with a store
+(``YCSBClient(cache=...)``) it consults the
+:class:`~repro.store.SQLiteStore` before measuring and persists what it
+measures.  Because the client derives its noise streams from the
+experiment fingerprint, a recalled result is *bit-identical* to the
+measurement it replaced — the store changes wall-clock time, never
 numbers.
 
 Clients seeded with a live :class:`numpy.random.Generator` are inherently
-non-reproducible, so they bypass the cache entirely (every call measures
-fresh, exactly like the base class).
+non-reproducible, so they bypass the store entirely (every call measures
+fresh).
 """
 
 from __future__ import annotations
@@ -19,13 +21,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import telemetry
-from repro.runner.cache import ensure_cache
 from repro.runner.fingerprint import digest, experiment_fingerprinter
-from repro.ycsb.client import DEFAULT_PERCENTILES, RunResult, YCSBClient
-from repro.ycsb.workload import Trace
 
 if TYPE_CHECKING:
-    from repro.store.store import SQLiteStore
+    from repro.ycsb.client import RunResult
 
 
 def hitmask_fingerprint(trace_digest: str, capacity_bytes: int) -> str:
@@ -46,13 +45,15 @@ class PlacementBatch:
     :class:`~repro.memsim.kernel.BatchKernel` lazily on the first miss,
     so warm sweeps skip the tables and the LLC replay entirely.
 
-    Works over a caching or a plain client: without a cache (or with a
-    live-generator seed, which is uncacheable) every placement measures
-    fresh through the kernel with provenance ``"uncached"``.
+    Without a store on the client (or with a live-generator seed, which
+    is uncacheable) every placement measures fresh through the kernel
+    with provenance ``"uncached"``.
 
-    This is also the unit of work the sweep runner executes — one
-    ``PlacementBatch`` per (trace, engine) batch
-    (:func:`repro.runner.executor.run_batch`).
+    It is the one measurement path: a client's
+    :meth:`~repro.ycsb.client.YCSBClient.execute_placements` is one
+    batch, and the sweep runner executes one ``PlacementBatch`` per
+    (trace, engine) batch (:func:`repro.runner.executor.run_batch`),
+    where it also wants each placement's provenance.
     """
 
     def __init__(self, client, trace, profile, system, record_sizes=None):
@@ -65,9 +66,7 @@ class PlacementBatch:
         self._live_seed = isinstance(client.seed, np.random.Generator)
         if self._live_seed:
             telemetry.count("memsim.fallback", reason="live_seed")
-        self._cache = (
-            None if self._live_seed else getattr(client, "cache", None)
-        )
+        self._cache = None if self._live_seed else client.cache
         self._digest = (
             None if self._live_seed else client.trace_digest(trace)
         )
@@ -141,100 +140,3 @@ class PlacementBatch:
         """Measure (or recall) one placement; returns (result, provenance)."""
         (entry,) = self.run_all_cached([placement])
         return entry
-
-
-class CachingClient(YCSBClient):
-    """YCSB client that memoizes measurements in the result store.
-
-    Parameters
-    ----------
-    cache:
-        A :class:`~repro.store.SQLiteStore`, the path of its file, or
-        None for a store in the default location (``mnemo.db``).  All
-        other parameters match :class:`~repro.ycsb.client.YCSBClient`.
-    """
-
-    def __init__(
-        self,
-        cache: SQLiteStore | str | None = None,
-        repeats: int = 3,
-        noise_sigma: float = 0.01,
-        use_llc: bool = False,
-        percentiles: tuple[float, ...] = DEFAULT_PERCENTILES,
-        seed=None,
-        concurrency: int = 1,
-        contention: float = 0.15,
-        faults=None,
-    ):
-        super().__init__(
-            repeats=repeats,
-            noise_sigma=noise_sigma,
-            use_llc=use_llc,
-            percentiles=percentiles,
-            seed=seed,
-            concurrency=concurrency,
-            contention=contention,
-            faults=faults,
-        )
-        if cache is None:
-            from repro.store.store import DEFAULT_STORE_PATH
-
-            cache = DEFAULT_STORE_PATH
-        self.cache = ensure_cache(cache)
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    @classmethod
-    def wrap(
-        cls, client: YCSBClient, cache: SQLiteStore | str | None,
-    ) -> "CachingClient":
-        """A caching client with the same settings as *client*.
-
-        Passing an already-caching client just repoints its cache.
-        """
-        return cls(
-            cache=cache,
-            repeats=client.repeats,
-            noise_sigma=client.noise.sigma,
-            use_llc=client.use_llc,
-            percentiles=client.percentiles,
-            seed=client.seed,
-            concurrency=client.concurrency,
-            contention=client.contention,
-            faults=getattr(client, "faults", None),
-        )
-
-    def _cache_mask(self, trace: Trace, llc, trace_digest: str | None):
-        """Hit mask lookup: in-memory memo, then disk, then the LRU."""
-        if not self.use_llc or trace_digest is None:
-            return super()._cache_mask(trace, llc, trace_digest)
-        key = (trace_digest, llc.capacity_bytes)
-        hits = self._hitmask_memo.get(key)
-        if hits is not None:
-            return hits, llc.hit_latency_ns
-        fp = hitmask_fingerprint(trace_digest, llc.capacity_bytes)
-        hits = self.cache.get_hitmask(fp)
-        if hits is None:
-            hits, _ = super()._cache_mask(trace, llc, trace_digest)
-            self.cache.put_hitmask(fp, hits)
-        else:
-            hits.flags.writeable = False
-            self._hitmask_memo[key] = hits
-        return hits, llc.hit_latency_ns
-
-    def execute_placements(
-        self, trace, placements, profile, system, record_sizes=None,
-    ):
-        """Batch measurement with batch-grained cache probes.
-
-        Each placement is looked up under its experiment fingerprint
-        (:meth:`~repro.ycsb.client.YCSBClient.execute` is the one-mask
-        case, so it shares the namespace); only the misses run through
-        the kernel — and the kernel itself (tables, counts, LLC
-        replay) is only constructed if there *is* a miss, so fully warm
-        batches cost probes alone (see :class:`PlacementBatch`).
-        """
-        batch = PlacementBatch(
-            self, trace, profile, system, record_sizes=record_sizes
-        )
-        return [result for result, _ in batch.run_all_cached(placements)]

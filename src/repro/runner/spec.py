@@ -27,7 +27,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.kvstore.profiles import profile_for
 from repro.rng import check_seed
-from repro.runner.caching import CachingClient
 from repro.ycsb.client import DEFAULT_PERCENTILES, YCSBClient
 from repro.ycsb.workload import Trace, WorkloadSpec
 
@@ -64,8 +63,8 @@ class ClientConfig:
         check_seed(self.seed)
 
     def build(self, cache: SQLiteStore | None = None) -> YCSBClient:
-        """Construct the client (caching when a cache is supplied)."""
-        kwargs = dict(
+        """Construct the client, over *cache* when one is supplied."""
+        return YCSBClient(
             repeats=self.repeats,
             noise_sigma=self.noise_sigma,
             use_llc=self.use_llc,
@@ -74,10 +73,8 @@ class ClientConfig:
             concurrency=self.concurrency,
             contention=self.contention,
             faults=self.faults,
+            cache=cache,
         )
-        if cache is not None:
-            return CachingClient(cache=cache, **kwargs)
-        return YCSBClient(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -116,12 +116,10 @@ class Tracer:
     across processes, with no global coordination.
     """
 
-    def __init__(self, root_id: str | None = None):
+    def __init__(self):
         self.pid = os.getpid()
         self.records: list[SpanRecord] = []
         self._seq = 0
-        #: parent id applied to spans opened with no enclosing span
-        self.root_id = root_id
         self._current: ContextVar[str | None] = ContextVar(
             f"repro-telemetry-span-{id(self)}", default=None,
         )
@@ -134,9 +132,8 @@ class Tracer:
         self.records.append(record)
 
     def current_id(self) -> str | None:
-        """The id of the innermost open span (or the root id)."""
-        cur = self._current.get()
-        return cur if cur is not None else self.root_id
+        """The id of the innermost open span (None outside any span)."""
+        return self._current.get()
 
     def span(self, name: str, **attrs) -> ActiveSpan:
         """Open a span as a child of the innermost open span."""

@@ -140,6 +140,12 @@ class YCSBClient:
         exactly as reproducible and cacheable as clean ones; the
         timeline is shared across repeats — device behaviour, unlike
         measurement noise, does not re-roll per repeat.
+    cache:
+        Optional result store (a :class:`~repro.store.SQLiteStore` or
+        the path of its file).  A measurement is then recalled, bit for
+        bit, under its experiment fingerprint (which the store is not
+        part of) before it is made, and stored after; ``cache_hits`` /
+        ``cache_misses`` count the probes.  Live-generator seeds bypass it.
     """
 
     def __init__(
@@ -152,6 +158,7 @@ class YCSBClient:
         concurrency: int = 1,
         contention: float = 0.15,
         faults=None,
+        cache=None,
     ):
         if repeats <= 0:
             raise ConfigurationError(f"repeats must be positive, got {repeats}")
@@ -179,6 +186,13 @@ class YCSBClient:
         self.percentiles = percentiles
         self._seed = seed
         self.faults = faults
+        if cache is not None:
+            from repro.runner.cache import ensure_cache
+
+            cache = ensure_cache(cache)
+        self.cache = cache
+        self.cache_hits = 0
+        self.cache_misses = 0
         # hit masks are a pure function of (trace, LLC capacity); memoize
         # them so repeated measurements never replay the LRU
         self._hitmask_memo: dict[tuple[str, int], np.ndarray] = {}
@@ -230,20 +244,29 @@ class YCSBClient:
 
         The mask is a cold-cache pass on a private :class:`LLCModel` of
         the passed LLC's capacity: measuring never changes the system's
-        cache.  Masks are memoized per (trace digest, LLC capacity) —
-        the mask is a pure function of those two — so only the first
-        measurement of a trace pays for it.
+        cache.  It is a pure function of (trace digest, LLC capacity),
+        so it is looked up in the in-memory memo, then in the store
+        when there is one, and only then computed (and stored): only
+        the first measurement of a trace pays for it.
         """
         if not self.use_llc:
             return None, 0.0
-        key = None
+        hits = key = fp = None
         if trace_digest is not None:
             key = (trace_digest, llc.capacity_bytes)
             hits = self._hitmask_memo.get(key)
             if hits is not None:
                 return hits, llc.hit_latency_ns
-        hits = LLCModel(llc.capacity_bytes).process(
-            trace.keys, trace.record_sizes[trace.keys])
+            if self.cache is not None:
+                from repro.runner.caching import hitmask_fingerprint
+
+                fp = hitmask_fingerprint(trace_digest, llc.capacity_bytes)
+                hits = self.cache.get_hitmask(fp)
+        if hits is None:
+            hits = LLCModel(llc.capacity_bytes).process(
+                trace.keys, trace.record_sizes[trace.keys])
+            if fp is not None:
+                self.cache.put_hitmask(fp, hits)
         hits.flags.writeable = False
         if key is not None:
             self._hitmask_memo[key] = hits
@@ -328,7 +351,9 @@ class YCSBClient:
         in any batch; the trace-dependent work (service-time tables,
         request counts, trace hashing, the LLC replay) happens once, and
         no deployments are constructed at all.  See
-        :class:`~repro.memsim.kernel.BatchKernel`.
+        :class:`~repro.memsim.kernel.BatchKernel`.  With a store, every
+        placement is probed first and the kernel is only built if one
+        misses (:class:`~repro.runner.caching.PlacementBatch`).
 
         Parameters
         ----------
@@ -344,9 +369,9 @@ class YCSBClient:
         record_sizes:
             Dense per-key sizes (defaults to ``trace.record_sizes``).
         """
-        from repro.memsim.kernel import BatchKernel
+        from repro.runner.caching import PlacementBatch
 
-        kernel = BatchKernel(
+        batch = PlacementBatch(
             self, trace, profile, system, record_sizes=record_sizes
         )
-        return kernel.run_all(placements)
+        return [result for result, _ in batch.run_all_cached(placements)]

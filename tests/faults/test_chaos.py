@@ -15,12 +15,12 @@ import pytest
 from repro.errors import FaultError
 from repro.faults import ChaosPlan, corrupt_store_rows
 from repro.runner import (
-    CachingClient,
     ClientConfig,
     ExperimentRunner,
     RetryPolicy,
 )
 from repro.store import SQLiteStore
+from repro.ycsb import YCSBClient
 
 #: Retries that keep test wall-clock low.
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01)
@@ -148,7 +148,7 @@ class TestCacheCorruption:
         self, tmp_path, small_trace,
     ):
         cache = SQLiteStore(tmp_path / "cache")
-        client = CachingClient(cache=cache, repeats=1, seed=3)
+        client = YCSBClient(cache=cache, repeats=1, seed=3)
         from repro.kvstore import RedisLike
         from repro.kvstore.server import HybridDeployment
         from repro.memsim import HybridMemorySystem

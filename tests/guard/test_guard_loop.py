@@ -42,8 +42,7 @@ def zipf_trace():
 def _mnemo(cache=None):
     return Mnemo(
         engine_factory=RedisLike,
-        client=YCSBClient(repeats=1, seed=23),
-        cache=cache,
+        client=YCSBClient(repeats=1, seed=23, cache=cache),
     )
 
 
@@ -191,7 +190,7 @@ class TestGuardLoopConstruction:
 
     def test_loop_without_cache(self, zipf_trace):
         loop = _mnemo().guard_loop()
-        assert getattr(loop.validator.client, "cache", None) is None
+        assert loop.validator.client.cache is None
 
     def test_standalone_construction(self, zipf_trace):
         mnemo = _mnemo()

@@ -14,8 +14,13 @@ from repro.guard.validator import (
     ValidationVerdict,
 )
 from repro.kvstore import RedisLike
-from repro.runner.caching import CachingClient
 from repro.store import SQLiteStore
+from repro.ycsb import YCSBClient
+
+
+def with_store(client, cache):
+    """*client*'s repeats and seed (all the guard client sets), over *cache*."""
+    return YCSBClient(repeats=client.repeats, seed=client.seed, cache=cache)
 
 
 @pytest.fixture
@@ -137,7 +142,7 @@ class TestCaching:
         choice = guard_report.choose(0.10)
 
         first = RecommendationValidator(
-            RedisLike, client=CachingClient.wrap(guard_client, cache)
+            RedisLike, client=with_store(guard_client, cache)
         )
         v1 = first.validate(guard_report.curve, choice, small_trace_module)
         n_points = len(v1.points)
@@ -147,7 +152,7 @@ class TestCaching:
         assert len(kernel_builds) == 1
 
         second = RecommendationValidator(
-            RedisLike, client=CachingClient.wrap(guard_client, cache)
+            RedisLike, client=with_store(guard_client, cache)
         )
         v2 = second.validate(guard_report.curve, choice, small_trace_module)
         # every replayed split was recalled: no measurement, no kernel
@@ -167,7 +172,7 @@ class TestCaching:
     ):
         cache = SQLiteStore(tmp_path / "cache")
         validator = RecommendationValidator(
-            RedisLike, client=CachingClient.wrap(guard_client, cache)
+            RedisLike, client=with_store(guard_client, cache)
         )
         choice = guard_report.choose(0.10)
         v1 = validator.validate(
@@ -190,8 +195,8 @@ class TestCaching:
         self, tmp_path, guard_report, small_trace_module,
     ):
         cache = SQLiteStore(tmp_path / "cache")
-        live_rng = CachingClient(
-            cache, repeats=1, seed=np.random.default_rng(1)
+        live_rng = YCSBClient(
+            repeats=1, seed=np.random.default_rng(1), cache=cache,
         )
         validator = RecommendationValidator(RedisLike, client=live_rng)
         verdict = validator.validate(

@@ -226,9 +226,7 @@ class TestAnalyticTelemetry:
         assert counts == {"analytic": 2, "batch_kernel": 2}
 
     def test_predicted_mask_is_never_stored(self, tmp_path):
-        from repro.runner.caching import CachingClient
-
-        client = CachingClient(tmp_path / "s.db", seed=5, use_llc=True)
+        client = YCSBClient(seed=5, use_llc=True, cache=tmp_path / "s.db")
         Mnemo(client=client).profile(
             small_trace("trending"), accuracy="analytic"
         )

@@ -38,7 +38,6 @@ from repro.memsim.kernel import BatchKernel, measure_repeats
 from repro.memsim.system import HybridMemorySystem
 from repro.memsim.timing import AccessTimer, NoiseModel, service_times_ns
 from repro.rng import derive_seed, ensure_rng
-from repro.runner.caching import CachingClient
 from repro.store import SQLiteStore
 from repro.ycsb import TABLE_III_WORKLOADS
 from repro.ycsb.client import RunResult, YCSBClient
@@ -742,8 +741,8 @@ class TestFanOut:
         started = thread_starts(2)
         reports = [
             Mnemo(
-                engine_factory=RedisLike, client=YCSBClient(repeats=2, seed=4),
-                cache=cache,
+                engine_factory=RedisLike,
+                client=YCSBClient(repeats=2, seed=4, cache=cache),
             ).profile(trace)
             for cache in (None, SQLiteStore(tmp_path / "s.db"))
         ]
@@ -758,12 +757,12 @@ class TestCachingBatch:
         masks = _masks(trace.n_keys)
         cache = SQLiteStore(tmp_path / "s.db")
 
-        writer = CachingClient(cache=cache, seed=6, repeats=2)
+        writer = YCSBClient(cache=cache, seed=6, repeats=2)
         batch = writer.execute_placements(trace, masks, profile, system)
         assert writer.cache_misses == len(masks)
 
         # executing a deployment must recall the batch's entries
-        reader = CachingClient(cache=cache, seed=6, repeats=2)
+        reader = YCSBClient(cache=cache, seed=6, repeats=2)
         for mask, deployment, expect in zip(
             masks, _deployments(trace, masks), batch
         ):
@@ -771,7 +770,7 @@ class TestCachingBatch:
         assert reader.cache_hits == len(masks)
 
         # and the batch recalls what execute stored
-        again = CachingClient(cache=cache, seed=6, repeats=2)
+        again = YCSBClient(cache=cache, seed=6, repeats=2)
         assert again.execute_placements(trace, masks, profile, system) == batch
         assert again.cache_hits == len(masks)
         assert again.cache_misses == 0

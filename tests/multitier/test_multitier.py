@@ -217,9 +217,7 @@ class TestMultiTierClient:
 
     def test_measure_through_a_caching_client_recalls(self, system,
                                                       mixed_trace, tmp_path):
-        from repro.runner.caching import CachingClient
-
-        client = CachingClient(tmp_path / "store.db", repeats=2, seed=7)
+        client = YCSBClient(repeats=2, seed=7, cache=tmp_path / "store.db")
         advisor = MultiTierAdvisor(system, REDIS_PROFILE, PRICES, client)
         cold = advisor.measure(mixed_trace)
         assert (client.cache_hits, client.cache_misses) == (0, 3)

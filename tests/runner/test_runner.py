@@ -1,4 +1,4 @@
-"""Tests for the caching client and the parallel experiment runner."""
+"""Tests for the client's result store and the experiment runner."""
 
 import hypothesis.strategies as st
 import numpy as np
@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from repro.core.sensitivity import PerformanceBaselines, SensitivityEngine
 from repro.core.descriptor import WorkloadDescriptor
 from repro.errors import ConfigurationError
+from repro.faults import FaultSpec, LatencySpikes
 from repro.kvstore import RedisLike
 from repro.memsim import HybridMemorySystem
 from repro.memsim.kernel import BatchKernel
 from repro.runner import (
-    CachingClient,
     ClientConfig,
     ExperimentRunner,
     ExperimentSpec,
@@ -38,11 +38,22 @@ def slow_deployment(small_trace):
     )
 
 
+#: Client settings under which a store must change no number.
+STORE_SETTINGS = {
+    "defaults": {},
+    "llc": {"use_llc": True},
+    "concurrency": {"concurrency": 2, "contention": 0.3},
+    "noiseless": {"noise_sigma": 0.0},
+    "percentiles": {"percentiles": (50.0, 99.9)},
+    "faults": {"faults": FaultSpec(latency_spikes=LatencySpikes())},
+}
+
+
 class TestCachingClient:
     def test_hit_returns_identical_result(
         self, cache, small_trace, slow_deployment,
     ):
-        client = CachingClient(cache=cache, repeats=2, seed=5)
+        client = YCSBClient(cache=cache, repeats=2, seed=5)
         first = client.execute(small_trace, slow_deployment)
         second = client.execute(small_trace, slow_deployment)
         assert first == second
@@ -54,19 +65,19 @@ class TestCachingClient:
         plain = YCSBClient(repeats=2, seed=5).execute(
             small_trace, slow_deployment
         )
-        caching = CachingClient(cache=cache, repeats=2, seed=5)
+        caching = YCSBClient(cache=cache, repeats=2, seed=5)
         assert caching.execute(small_trace, slow_deployment) == plain
         # and the recalled copy is bit-identical too
-        fresh = CachingClient(cache=cache, repeats=2, seed=5)
+        fresh = YCSBClient(cache=cache, repeats=2, seed=5)
         assert fresh.execute(small_trace, slow_deployment) == plain
 
     def test_different_seeds_do_not_alias(
         self, cache, small_trace, slow_deployment,
     ):
-        a = CachingClient(cache=cache, seed=1).execute(
+        a = YCSBClient(cache=cache, seed=1).execute(
             small_trace, slow_deployment
         )
-        b = CachingClient(cache=cache, seed=2).execute(
+        b = YCSBClient(cache=cache, seed=2).execute(
             small_trace, slow_deployment
         )
         assert a != b
@@ -74,35 +85,67 @@ class TestCachingClient:
     def test_generator_seed_bypasses_cache(
         self, cache, small_trace, slow_deployment,
     ):
-        client = CachingClient(
+        client = YCSBClient(
             cache=cache, seed=np.random.default_rng(0), repeats=1
         )
         client.execute(small_trace, slow_deployment)
         assert client.cache_hits == client.cache_misses == 0
         assert cache.stats().entries["results"] == 0
 
-    def test_wrap_preserves_settings(self, cache):
-        base = YCSBClient(
-            repeats=4, noise_sigma=0.02, use_llc=True,
-            seed=9, concurrency=2, contention=0.3,
-        )
-        wrapped = CachingClient.wrap(base, cache)
-        assert wrapped.repeats == 4
-        assert wrapped.noise.sigma == 0.02
-        assert wrapped.use_llc is True
-        assert wrapped.seed == 9
-        assert wrapped.concurrency == 2
-        assert wrapped.contention == 0.3
-
     def test_llc_hitmask_persisted_and_reused(
         self, cache, small_trace, slow_deployment,
     ):
-        client = CachingClient(cache=cache, use_llc=True, seed=5, repeats=1)
+        client = YCSBClient(cache=cache, use_llc=True, seed=5, repeats=1)
         first = client.execute(small_trace, slow_deployment)
         assert cache.stats().entries["hitmasks"] == 1
         # a fresh client in a fresh process loads the mask from disk
-        other = CachingClient(cache=cache, use_llc=True, seed=5, repeats=1)
+        other = YCSBClient(cache=cache, use_llc=True, seed=5, repeats=1)
         assert other.execute(small_trace, slow_deployment) == first
+
+    @pytest.mark.parametrize("client_settings", STORE_SETTINGS.values(),
+                             ids=list(STORE_SETTINGS))
+    def test_the_store_changes_no_number(
+        self, cache, monkeypatch, client_settings, small_spec, small_trace,
+        slow_deployment,
+    ):
+        writes = []
+        put_hitmask = cache.put_hitmask
+        monkeypatch.setattr(
+            cache, "put_hitmask",
+            lambda fp, hits: writes.append(fp) or put_hitmask(fp, hits),
+        )
+        kwargs = dict(repeats=2, seed=5, **client_settings)
+        profile, system = slow_deployment.profile, slow_deployment.system
+        n = small_trace.n_keys
+        masks = [np.ones(n, bool), np.zeros(n, bool), np.arange(n) % 3 == 0]
+
+        def measure(client):
+            return (
+                client.execute(small_trace, slow_deployment),
+                client.execute_placements(small_trace, masks, profile, system),
+            )
+
+        want = measure(YCSBClient(**kwargs))
+        stored = YCSBClient(**kwargs, cache=cache)
+        assert measure(stored) == want  # cold
+        assert (stored.cache_hits, stored.cache_misses) == (1, 3)
+        assert measure(stored) == want  # warm
+        assert (stored.cache_hits, stored.cache_misses) == (5, 3)
+        fresh = YCSBClient(**kwargs, cache=cache)
+        assert measure(fresh) == want
+        assert fresh.cache_misses == 0
+
+        spec = ExperimentSpec(
+            workload=small_spec, placement="split", fast_fraction=0.25,
+        )
+        config = ClientConfig(**kwargs)
+        want_run = ExperimentRunner(client=config).run(spec)
+        runner = ExperimentRunner(cache=cache, client=config)
+        assert runner.run(spec) == want_run  # cold
+        assert runner.run(spec) == want_run  # warm
+        fresh_runner = ExperimentRunner(cache=cache, client=config)
+        assert fresh_runner.run(spec) == want_run
+        assert len(writes) == (1 if kwargs.get("use_llc") else 0)
 
 
 class TestExperimentSpec:
@@ -254,11 +297,8 @@ class TestExperimentRunner:
 class TestSensitivityEngineCache:
     def test_cache_param_wraps_client(self, tmp_path, small_trace):
         engine = SensitivityEngine(
-            RedisLike,
-            client=YCSBClient(repeats=2, seed=4),
-            cache=tmp_path / "c",
+            RedisLike, client=YCSBClient(repeats=2, seed=4, cache=tmp_path / "c"),
         )
-        assert isinstance(engine.client, CachingClient)
         descriptor = WorkloadDescriptor.from_trace(small_trace)
         first = engine.measure(descriptor)
         assert engine.client.cache_misses == 2

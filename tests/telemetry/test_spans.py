@@ -34,12 +34,6 @@ class TestTracer:
                 raise ValueError("x")
         assert tracer.records[0].attrs["error"] == "ValueError"
 
-    def test_root_id_adopted_by_top_level_spans(self):
-        tracer = Tracer(root_id="feed-1")
-        with tracer.span("worker"):
-            pass
-        assert tracer.records[0].parent_id == "feed-1"
-
     def test_ids_unique_and_pid_prefixed(self):
         tracer = Tracer()
         with tracer.span("a"):

@@ -16,7 +16,6 @@ class TestHierarchy:
         errors.PlacementError,
         errors.PricingError,
         errors.FaultError,
-        errors.ExperimentTimeoutError,
     ])
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, errors.ReproError)
@@ -24,18 +23,11 @@ class TestHierarchy:
     def test_key_not_found_is_also_keyerror(self):
         assert issubclass(errors.KeyNotFoundError, KeyError)
 
-    def test_timeout_is_fault_and_timeout(self):
-        assert issubclass(errors.ExperimentTimeoutError, errors.FaultError)
-        assert issubclass(errors.ExperimentTimeoutError, TimeoutError)
-
     def test_catchable_as_base(self):
         with pytest.raises(errors.ReproError):
             raise errors.CapacityError("full")
 
-    @pytest.mark.parametrize("exc", [
-        errors.FaultError,
-        errors.ExperimentTimeoutError,
-    ])
+    @pytest.mark.parametrize("exc", [errors.FaultError])
     def test_new_fault_errors_catchable_as_base(self, exc):
         with pytest.raises(errors.ReproError):
             raise exc("boom")

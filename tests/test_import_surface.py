@@ -155,6 +155,20 @@ class TestFreshInterpreter:
         digest = hashlib.sha256(report.encode("utf-8")).hexdigest()
         assert digest == self.PROFILE_STDOUT_SHA256
 
+    def test_storeless_profile_never_touches_the_store(self):
+        out = run_fresh(
+            "import sys, repro.cli\n"
+            "code = repro.cli.main(['profile', '--workload', 'trending', "
+            "'--engine', 'redis', '--seed', '3'])\n"
+            "print('LOADED', code, *sorted(sys.modules))",
+        )
+        report, _, tail = out.rpartition("LOADED ")
+        code, *loaded = tail.split()
+        assert code == "0"
+        assert [m for m in loaded if m.startswith("repro.store")] == []
+        digest = hashlib.sha256(report.encode("utf-8")).hexdigest()
+        assert digest == self.PROFILE_STDOUT_SHA256
+
     def test_concurrent_first_access_yields_one_object_per_name(self):
         out = run_fresh(
             "import sys, threading\n"
