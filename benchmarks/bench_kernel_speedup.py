@@ -4,7 +4,8 @@ Times a multi-split placement sweep over every Table III preset — the
 shape every sensitivity sweep, validation replay and drift drill has —
 two ways:
 
-- simulate: one ``execute_placements`` call over all splits;
+- simulate: one ``execute_placements`` call over all splits, nested
+  (each holds the one before it on FastMem: a family, one kernel pass);
 - analytic: one analytic :class:`~repro.memsim.kernel.BatchKernel` per
   trace over all splits — the same kernel at the noise mean, with the
   reuse-time LLC hit mask (approximate by design; its runtime error
@@ -70,11 +71,12 @@ def _best_of(fn, rounds):
 
 
 def _sweep_masks(n_keys, n_placements, seed=0):
-    rng = np.random.default_rng(seed)
+    """Nested splits, a family: split i holds the first i / n of one
+    random key order on FastMem, as a hot-order sweep does."""
+    order = np.random.default_rng(seed).permutation(n_keys)
     masks = np.zeros((n_placements, n_keys), dtype=bool)
     for i in range(n_placements):
-        n_fast = (i * n_keys) // n_placements
-        masks[i, rng.choice(n_keys, n_fast, replace=False)] = True
+        masks[i, order[:(i * n_keys) // n_placements]] = True
     return masks
 
 

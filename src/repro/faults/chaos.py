@@ -250,7 +250,7 @@ def corrupt_store_rows(
     touched: list[str] = []
     for kind in kinds:
         for fingerprint in store.fingerprints(kind):
-            row = store._row(kind, fingerprint)
+            row = store._rows(kind, [fingerprint])[fingerprint]
             data = bytes(row["body"])
             if not data:
                 continue

@@ -9,18 +9,19 @@ one.
 :class:`BatchKernel` is the one way a placement is measured.  The cost
 law is a function of (key, op, tier), tabled **once** per memory node
 (``(2, n_keys)``, row 0 writes, row 1 reads), beside the per-(key, op)
-request counts, the LLC hit mask, the trace digest and each table
-entry's log-value bin (:class:`NoiseBins`).  A placement is then a
-key-long select of times and bins, a fingerprint (the constant parts'
-canonical JSON is built once per kernel), and :func:`measure_repeats`:
-the per-request noise law in closed form over the (service time,
-request count) cells — two bin sums and a solve over a few hundred bins
-per percentile, no sort of the cells and nothing request-long, save
-under an active fault spec, whose timeline is indexed by time.  Repeat
-``r`` of a placement draws from ``derive_seed(seed,
-f"{label}/run{r}")``, its label the experiment fingerprint, so it
-measures the same alone, in any batch, in any process.
-``tests/memsim/test_kernel.py`` keeps the per-request
+request counts, the LLC hit mask, the trace digest, each table entry's
+log-value bin (:class:`NoiseBins`) and its terms ``count t`` and
+``count t^2``, rounded so that every sum of them is exact
+(:func:`_exact`).  Placements are measured as families: a nested one
+— a sweep's splits, a curve's prefixes — is one ``bincount`` pass
+(:meth:`BatchKernel._family`), then the per-request noise law in
+closed form (:func:`mixture_percentiles`: two bin sums and one solve
+over a few hundred bins per percentile), nothing request-long, save
+under an active fault spec, whose timeline is indexed by time
+(:func:`measure_repeats`).  Repeat ``r`` of a placement draws from
+``derive_seed(seed, f"{label}/run{r}")``, its label the experiment
+fingerprint, so it measures the same bits alone, in any batch, in any
+process.  ``tests/memsim/test_kernel.py`` keeps the per-request
 :class:`~repro.memsim.timing.AccessTimer` loop as its distributional
 oracle.
 
@@ -120,6 +121,8 @@ class NoiseBins:
         self.reach = math.ceil(
             _WINDOW_SIGMAS * _BINS_PER_SIGMA * self.kinds[-1] / self.kinds[0]
         ) + 1
+        # zero steps past the top, so that every window is a whole slice
+        self.n_steps = n - 1 + 2 * self.reach + 1
 
     @classmethod
     def over(cls, noise, times, scale=None):
@@ -131,9 +134,18 @@ class NoiseBins:
     def steps(self, values):
         """Each value's bin (the log guesses it, the edges decide), for
         values in ``[low, high]``."""
-        step = (np.log(values / self.edges[0]) / self.width).astype(np.intp)
-        step -= values < self.edges[step]
-        step += values >= self.edges[step + 1]
+        guess = np.divide(values, self.edges[0])
+        np.log(guess, out=guess)
+        guess /= self.width
+        step = guess.astype(np.intp)
+        # in place: a value-long temporary each costs as much as a pass
+        edge, off = guess, np.empty(values.shape, dtype=bool)
+        np.less(values, self.edges.take(step, out=edge), out=off)
+        step -= off
+        step += 1
+        np.greater_equal(values, self.edges.take(step, out=edge), out=off)
+        step -= 1
+        step += off
         return step
 
 
@@ -170,11 +182,13 @@ def _solve_counts(count, hi, below, target, x, tolerance):
     return x
 
 
-def mixture_percentiles(bins, values, weights, weighted, steps, percentiles,
-                        kind=None):
-    """Percentiles of the requests, *weights* per cell of *values* (in
-    bin *steps* of *bins*; *weighted* is their product), each times an
-    i.i.d. noise factor (sigma times ``bins.kinds[kind[i]]``).
+def mixture_percentiles(bins, bin_w, bin_v, cells, percentiles):
+    """Percentiles of the requests of each row of *bin_w* — a set of
+    cells' request counts per bin of *bins* (``bins.kinds.size`` sigma
+    kinds per step) — each request times an i.i.d. noise factor.
+    *bin_v* returns the rows' weighted values per bin (read only with
+    noise), ``cells(chosen)`` each row's ``(values, weights)`` of its
+    cells in the steps its row of *chosen* marks.
 
     ``np.percentile`` reads order statistic ``h = (n - 1) q / 100``.
     Without noise that is exact: the cumulative bin weights name the bin
@@ -183,106 +197,109 @@ def mixture_percentiles(bins, values, weights, weighted, steps, percentiles,
     solved from the noise-free quantile over the bins, each at its
     weighted mean, within ``bins.reach`` steps of it.  A percentile in a
     gap between cells wider than the noise keeps its noise-free value.
+    The rows' windows share one solve, each row solved alone
+    (:func:`_solve_counts`), so a row's percentiles do not depend on
+    the others.
     """
-    if not percentiles:
-        return {}
+    m = len(bin_w)
+    if not percentiles or not m:
+        return [{} for _ in range(m)]
     nk = bins.kinds.size
     span = 2 * bins.reach + 1
-    # zero bins past the top, so that every window is a whole slice
-    n_steps = bins.edges.size - 1 + span
-    slot = steps if kind is None else steps * nk + kind
-    bin_w = np.bincount(slot, weights, minlength=n_steps * nk)
-    step_w = bin_w if kind is None else bin_w.reshape(n_steps, nk).sum(1)
-    cum = np.cumsum(step_w)
-    total = float(cum[-1])
-    pos = [min(max(q / 100.0 * (total - 1.0), 0.0), total - 1.0)
-           for q in percentiles]
-    ranks = [*map(math.floor, pos), *map(math.ceil, pos)]
-    # the cells of the bins holding the ranks, sorted by value: a rank
-    # in bin b is the one ``cum[b] - picked[b]`` lower among them, where
-    # *picked* counts the requests of the chosen bins up to b
-    held = np.searchsorted(cum, ranks, side="right").tolist()
-    picked, skipped = 0.0, {}
-    for b in sorted(set(held)):
-        picked += step_w[b]
-        skipped[b] = cum[b] - picked
-    chosen = np.zeros(n_steps, dtype=bool)
-    chosen[held] = True
-    cells = np.flatnonzero(chosen[steps])
-    v = values[cells]
-    order = np.argsort(v)
-    at = v[order][np.searchsorted(
-        np.cumsum(weights[cells][order]),
-        [r - skipped[b] for r, b in zip(ranks, held)], side="right",
-    )].tolist()
-    n = len(pos)
-    x0 = [v0 + (p - j0) * (v1 - v0)
-          for p, j0, v0, v1 in zip(pos, ranks, at[:n], at[n:])]
-    out = dict(zip(percentiles, x0))
+    step_w = bin_w if nk == 1 else bin_w.reshape(m, -1, nk).sum(2)
+    cum = np.cumsum(step_w, axis=1)
+    rows = np.arange(m)[:, None]
+    total = cum[:, -1:]
+    q = np.array(percentiles, dtype=np.float64)
+    pos = np.minimum(np.maximum(q / 100.0 * (total - 1.0), 0.0), total - 1.0)
+    ranks = np.hstack((np.floor(pos), np.ceil(pos)))
+    # the bin holding each rank: one search over the rows end to end,
+    # each lifted past every count before it
+    lift = rows * (float(total.max()) + 1.0)
+    held = np.searchsorted(
+        (cum + lift).ravel(), ranks + lift, side="right",
+    ) - rows * cum.shape[1]
+    # the cells of those bins, sorted by value: a rank in bin b is the
+    # one ``cum[b] - picked[b]`` lower among them, where *picked* counts
+    # the requests of the held bins up to b
+    chosen = np.zeros(cum.shape, dtype=bool)
+    chosen[rows, held] = True
+    picked = np.cumsum(np.where(chosen, step_w, 0.0), axis=1)
+    skipped = (cum - picked)[rows, held]
+    at = np.empty(ranks.shape)
+    for row, (v, w) in enumerate(cells(chosen)):
+        by_value = np.argsort(v)
+        at[row] = v[by_value][np.searchsorted(
+            np.cumsum(w[by_value]), ranks[row] - skipped[row], side="right",
+        )]
+    n = q.size
+    x0 = at[:, :n] + (pos - ranks[:, :n]) * (at[:, n:] - at[:, :n])
+    outs = [dict(zip(percentiles, x)) for x in x0.tolist()]
     if bins.noise.sigma == 0.0:
-        return out
+        return outs
     # a window: the span of steps from reach below the noise-free value
     # (or from the first step), its weight above *below*
-    rows, starts, below, target = [], [], [], []
-    for r, (q, step) in enumerate(zip(percentiles, (np.searchsorted(
-        bins.edges, x0, side="right") - 1).tolist())):
-        lo = max(step - bins.reach, 0)
-        under = float(cum[lo - 1]) if lo else 0.0
-        goal = q / 100.0 * (total - 1.0) + 0.5
-        if under < goal <= cum[lo + span - 1]:
-            rows.append(r)
-            starts.append(lo * nk)
-            below.append(under)
-            target.append(goal)
-    if not rows:
-        return out
-    index = np.array(starts)[:, None] + np.arange(span * nk)
-    window_w = bin_w[index]
+    lo = np.maximum(np.searchsorted(bins.edges, x0, side="right") - 1
+                    - bins.reach, 0)
+    below = np.where(lo > 0, cum[rows, lo - 1], 0.0)
+    target = q / 100.0 * (total - 1.0) + 0.5
+    row, col = np.nonzero(
+        (below < target) & (target <= cum[rows, lo + span - 1])
+    )
+    if not row.size:
+        return outs
+    index = (lo[row, col] * nk)[:, None] + np.arange(span * nk)
+    window_w = bin_w[row[:, None], index]
     # each bin at its weighted mean (an empty one at the lowest value)
-    window_v = np.bincount(slot, weighted, minlength=bin_w.size)[index]
+    window_v = bin_v()[row[:, None], index]
     empty = window_w == 0.0
     window_v = np.where(empty, bins.edges[0], window_v) / np.where(
         empty, 1.0, window_w
     )
-    scales = 1.0 if kind is None else bins.kinds[index % nk]
     x = _solve_counts(
-        bins.noise.counter(window_v, window_w, scales),
+        bins.noise.counter(window_v, window_w, bins.kinds[index % nk]),
         (window_v.max(axis=1) * (
             1.0 + 10.0 * bins.noise.sigma * bins.kinds[-1]
         )).tolist(),
-        below, target, [x0[r] for r in rows],
+        below[row, col].tolist(), target[row, col].tolist(),
+        x0[row, col].tolist(),
         _SOLVE_TOLERANCE * bins.noise.sigma * bins.kinds[0],
     )
-    for r, value in zip(rows, x):
-        out[percentiles[r]] = value
-    return out
+    for r, c, value in zip(row.tolist(), col.tolist(), x):
+        outs[r][percentiles[c]] = value
+    return outs
+
+
+def _exact(terms):
+    """*terms* (``(tiers, cells)``, non-negative), rounded in place to
+    one power-of-two quantum, so that every sum a family pass forms is
+    exact.  Each is of at most every cell's largest term, whose total is
+    under ``2^e`` (with a margin for the rounding); a quantum of
+    ``2^(e - 53)`` makes every such sum a multiple of it of at most
+    ``2^53`` of it."""
+    bound = float(terms.max(axis=0).sum()) * (1.0 + 2.0 ** -20)
+    quantum = 2.0 ** (math.frexp(bound)[1] - 53)
+    terms *= 1.0 / quantum
+    np.rint(terms, out=terms)
+    terms *= quantum
+    return terms
 
 
 def measure_repeats(client, trace, engine, times, counts, label, scale=None,
-                    noise=None, binned=None):
+                    noise=None):
     """*client*'s noise repeats over cells of ``counts`` requests of
     noise-free time ``times`` (``(2, cells)``: writes, reads), rooted in
     *label*, sigma widened per cell by *scale* (jitter faults), under
-    *noise* (default ``client.noise``).  *binned* is ``(bins, live,
-    steps)``: a :class:`NoiseBins`, the flat indices of the cells the
-    percentiles read (those with requests) and their bins (default: all
-    cells, binned by :meth:`NoiseBins.over`).
+    *noise* (default ``client.noise``); the cells are binned by
+    :meth:`NoiseBins.over`.
 
     The noise is i.i.d. per request, so an op's total is normal with
     mean ``S = sum(count t m)`` and variance ``Q = sum(count t^2 v)``,
-    ``(m, v)`` the factor's moments: repeat ``r`` draws two normals from
-    ``derive_seed(seed, f"{label}/run{r}")``, reads ``S_r + sqrt(Q_r)
-    z[0]``, writes ``S_w + sqrt(Q_w) z[1]``; at sigma 0 there is
-    nothing to draw and one noise-free total stands for every repeat.
+    ``(m, v)`` the factor's moments (:func:`_repeats` draws them).
     Percentiles are the noise mixture's (:func:`mixture_percentiles`).
     """
-    from repro.ycsb.client import RunResult  # lazy: import cycle
-
     noise = client.noise if noise is None else noise
-    if binned is None:
-        bins = NoiseBins.over(noise, times, scale)
-        binned = bins, None, bins.steps(times).ravel()
-    bins, live, steps = binned
+    bins = NoiseBins.over(noise, times, scale)
     mean, var = bins.moments
     kind = None
     if scale is not None and noise.sigma != 0.0:
@@ -290,33 +307,69 @@ def measure_repeats(client, trace, engine, times, counts, label, scale=None,
         mean, var = mean[kind], var[kind]
         kind = np.broadcast_to(kind, times.shape).ravel()
     weighted = counts * times
-    sums = (weighted * mean).sum(axis=1)
-    spread = np.sqrt((weighted * times * var).sum(axis=1))
-    z = np.zeros((1, 2)) if noise.sigma == 0.0 else np.array([
-        ensure_rng(derive_seed(client.seed, f"{label}/run{r}"))
-        .standard_normal(2)[::-1] for r in range(client.repeats)
-    ])
-    write_sums, read_sums = (sums + spread * z).T
-    runtimes = (read_sums + write_sums) / client.concurrency
-    n_writes, n_reads = (int(n) for n in counts.sum(axis=1))
-    pct = mixture_percentiles(bins, *(
-        a.ravel() if live is None else a.ravel()[live]
-        for a in (times, counts, weighted)
-    ), steps, client.percentiles, kind)
-    return RunResult(
-        workload=trace.name,
-        engine=engine,
-        n_requests=trace.n_requests,
-        n_reads=n_reads,
-        n_writes=n_writes,
-        runtime_ns=float(runtimes.mean()),
-        avg_read_ns=float(read_sums.mean() / n_reads) if n_reads else 0.0,
-        avg_write_ns=float(write_sums.mean() / n_writes) if n_writes else 0.0,
-        latency_percentiles_ns=pct,
-        repeats=client.repeats,
-        runtime_std_ns=float(runtimes.std()),
-        concurrency=client.concurrency,
+    steps = bins.steps(times).ravel()
+    slot = steps if kind is None else steps * bins.kinds.size + kind
+    size = bins.n_steps * bins.kinds.size
+
+    def cells(chosen):
+        picked = np.flatnonzero(chosen[0][steps])
+        return [(times.ravel()[picked], counts.ravel()[picked])]
+
+    (result,) = _repeats(
+        client, trace, engine, (weighted * mean).sum(axis=1)[None],
+        np.sqrt((weighted * times * var).sum(axis=1))[None], [label], noise,
+        counts.sum(axis=1), mixture_percentiles(
+            bins, np.bincount(slot, counts.ravel(), minlength=size)[None],
+            lambda: np.bincount(slot, weighted.ravel(), minlength=size)[None],
+            cells, client.percentiles,
+        ),
     )
+    return result
+
+
+def _repeats(client, trace, engine, sums, spread, labels, noise, n_ops,
+             pcts):
+    """One ``RunResult`` per row of op totals of mean ``sums`` and sd
+    ``spread`` (``(m, 2)``: writes, reads) over ``n_ops`` requests, and
+    its percentiles: repeat ``r`` of a row draws two normals from
+    ``derive_seed(seed, f"{label}/run{r}")``, reads ``S_r + sqrt(Q_r)
+    z[0]``, writes ``S_w + sqrt(Q_w) z[1]``; at sigma 0 there is nothing
+    to draw and one noise-free total stands for every repeat.  Each
+    row's statistics reduce that row alone."""
+    from repro.ycsb.client import RunResult  # lazy: import cycle
+
+    m = len(labels)
+    z = np.zeros((m, 1, 2)) if noise.sigma == 0.0 else np.array([
+        ensure_rng(derive_seed(client.seed, f"{label}/run{r}"))
+        .standard_normal(2)[::-1]
+        for label in labels for r in range(client.repeats)
+    ]).reshape(m, client.repeats, 2)
+    write_sums, read_sums = np.ascontiguousarray(
+        (sums[:, None] + spread[:, None] * z).transpose(2, 0, 1)
+    )
+    runtimes = (read_sums + write_sums) / client.concurrency
+    n_writes, n_reads = (int(n) for n in n_ops)
+    return [
+        RunResult(
+            workload=trace.name,
+            engine=engine,
+            n_requests=trace.n_requests,
+            n_reads=n_reads,
+            n_writes=n_writes,
+            runtime_ns=runtime,
+            avg_read_ns=read / n_reads if n_reads else 0.0,
+            avg_write_ns=write / n_writes if n_writes else 0.0,
+            latency_percentiles_ns=pct,
+            repeats=client.repeats,
+            runtime_std_ns=std,
+            concurrency=client.concurrency,
+        )
+        for runtime, std, read, write, pct in zip(
+            runtimes.mean(axis=1).tolist(), runtimes.std(axis=1).tolist(),
+            read_sums.mean(axis=1).tolist(), write_sums.mean(axis=1).tolist(),
+            pcts,
+        )
+    ]
 
 
 class BatchKernel:
@@ -425,29 +478,60 @@ class BatchKernel:
             )
         # as floats, the counts weigh times and bins with no conversion
         self._counts = self._counts.astype(np.float64)
-        # the percentiles read only the cells with requests: their
-        # values on every tier go in log-value bins once (a faulty
-        # placement's cells are its requests, binned per placement)
-        if not self._faulty:
-            # each op's cells with requests, and their keys (the LLC-hit
-            # column reads as key n_keys)
-            writes, reads = map(np.flatnonzero, self._counts > 0)
-            self._live_keys = np.concatenate((writes, reads))
-            self._live = np.concatenate(
-                (writes, reads + self._counts.shape[1])
-            )
-            values = self.tables
-            if self._hit_times is not None:
-                values = np.concatenate((values, np.broadcast_to(
-                    self._hit_times, (len(values), 2, 1),
-                )), axis=2)
-            values = values.reshape(len(values), -1).take(self._live, axis=1)
-            self._bins = NoiseBins(
-                self._noise, float(values.min()), float(values.max()),
-            )
-            self._step_tables = self._bins.steps(values)
         self._analytic = analytic
         self._fingerprints = None
+        if self._faulty:
+            return
+        # the family pass's tables (:meth:`_family`): over the cells with
+        # requests, then one empty cell (no requests, in the top step,
+        # which no percentile reads) that every key's cell without
+        # requests maps to, each one's value, noise bin (the values on
+        # every tier go in log-value bins once) and exact-sum terms
+        # ``count t`` and ``count t^2`` (:func:`_exact`) per tier
+        n_tiers, n_cols = len(self.tables), self._counts.shape[1]
+        values = self.tables
+        if self._hit_times is not None:
+            values = np.concatenate((values, np.broadcast_to(
+                self._hit_times, (n_tiers, 2, 1),
+            )), axis=2)
+        counts = self._counts.ravel()
+        live = np.flatnonzero(counts > 0)
+        self._n_write_cells = int(np.searchsorted(live, n_cols))
+        cells = np.append(live, live[0])
+        self._cell_keys = np.where(cells < n_cols, cells, cells - n_cols)
+        self._cell_counts = counts.take(cells)
+        self._cell_counts[-1] = 0.0
+        self._cell_values = values = values.reshape(n_tiers, -1).take(
+            cells, axis=1,
+        )
+        self._bins = bins = NoiseBins(
+            self._noise, float(values.min()), float(values.max()),
+        )
+        self._steps = bins.steps(values)
+        self._steps[:, -1] = bins.n_steps - 1
+        cell_of = np.full(counts.size, live.size)
+        cell_of[live] = np.arange(live.size)
+        self._cell_of = cell_of.reshape(2, n_cols)[:, :record_sizes.size]
+        terms = self._cell_counts * values
+        self._terms = np.stack((terms, terms * values))
+        for t in self._terms:
+            _exact(t)
+        self._bases = {}
+
+    def _base(self, tier):
+        """The sums and bin tables (:meth:`_family`) of every key on
+        *tier*, built on first use."""
+        if tier not in self._bases:
+            steps, n_steps = self._steps[tier], self._bins.n_steps
+            terms, split = self._terms[:, tier], self._n_write_cells
+            self._bases[tier] = (
+                np.array([terms[k, part].sum() for k in (0, 1)
+                          for part in (slice(split), slice(split, None))]),
+                np.bincount(steps, self._cell_counts, minlength=n_steps),
+                np.bincount(steps, terms[0], minlength=n_steps)
+                if self._noise.sigma != 0.0 else None,
+            )
+        return self._bases[tier]
 
     def fingerprint(self, placement: np.ndarray) -> str | None:
         """The experiment fingerprint of one placement: None if unseeded,
@@ -485,10 +569,9 @@ class BatchKernel:
         return self._fingerprints(placement)
 
     def _cells(self, placement, fingerprint):
-        """``(noise label, noise-free times, sigma scale, binned)`` of
-        the kernel's cells (``_counts`` requests each) under *placement*;
-        *binned* is ``(bins, live cells, their bins)`` (None under
-        faults), as :func:`measure_repeats` takes it."""
+        """``(noise label, noise-free times, sigma scale, placement)``
+        of the kernel's cells (``_counts`` requests each) under
+        *placement*, and that placement canonical."""
         n_tiers = len(self.tables)
         placement = check_placement(placement, self.record_sizes.size, n_tiers)
         label = self._label(placement, fingerprint)
@@ -499,14 +582,7 @@ class BatchKernel:
             times = _by_tier(masks, self.tables)
             if self._hit_times is not None:
                 times = np.concatenate((times, self._hit_times), axis=1)
-            # an LLC-hit cell is on no tier: any key's tier will do
-            tier = placement.take(self._live_keys, mode="clip")
-            steps = _by_tier(
-                [tier] if n_tiers == 2
-                else [tier == k for k in range(n_tiers - 1)],
-                self._step_tables,
-            )
-            return label, times, None, (self._bins, self._live, steps)
+            return label, times, None, placement
         # a fault timeline is indexed by time, not by key: the one
         # request-length evaluation of the same law; its slow-node
         # multipliers apply to every tier below FastMem
@@ -523,7 +599,7 @@ class BatchKernel:
             cached=self._cached, cache_latency_ns=self._cache_lat,
         )
         return (label, np.broadcast_to(base, self._counts.shape),
-                noise_scale, None)
+                noise_scale, placement)
 
     def base_times(self, placement: np.ndarray, fingerprint: str | None = None):
         """``(label, base_ns, noise_scale)``: a placement's noise-free
@@ -542,26 +618,132 @@ class BatchKernel:
         return label, times.ravel().take(cell), None
 
     def run(self, placement: np.ndarray, fingerprint: str | None = None):
-        """Measure one placement; returns a ``RunResult``.
+        """Measure one placement; returns a ``RunResult``: the
+        one-placement :meth:`run_all`.
 
         ``fingerprint`` may be passed when the caller already computed it
         (e.g. for a cache probe) to avoid hashing the placement twice.
         """
-        telemetry.count("memsim.path", path=self._path)
-        label, times, scale, binned = self._cells(placement, fingerprint)
-        return measure_repeats(
-            self.client, self.trace, self.profile.name, times, self._counts,
-            label, scale, self._noise, binned,
-        )
+        return self.run_all([placement], [fingerprint])[0]
 
     def run_all(self, placements, fingerprints=None) -> list:
         """Measure every placement in *placements* (rows or a sequence),
         in order; ``fingerprints``, if given, holds each one's
-        precomputed fingerprint (see :meth:`run`)."""
+        precomputed fingerprint (see :meth:`run`).
+
+        Unfaulted, the placements are measured as families
+        (:meth:`_family`) and their percentile windows in one solve;
+        under an active fault spec each is its requests' cells
+        (:func:`measure_repeats`).  Either way a placement measures what
+        it measures alone.
+        """
         masks = list(placements)
         fps = [None] * len(masks) if fingerprints is None else list(fingerprints)
         if len(fps) != len(masks):
             raise WorkloadError(
                 f"{len(masks)} placements but {len(fps)} fingerprints"
             )
-        return [self.run(mask, fp) for mask, fp in zip(masks, fps)]
+        n_keys, n_tiers = self.record_sizes.size, len(self.tables)
+        masks = [check_placement(mask, n_keys, n_tiers) for mask in masks]
+        if masks:
+            telemetry.count("memsim.path", len(masks), path=self._path)
+        engine = self.profile.name
+        if self._faulty:
+            return [measure_repeats(
+                self.client, self.trace, engine, times, self._counts, label,
+                scale, self._noise,
+            ) for label, times, scale, _ in map(self._cells, masks, fps)]
+        sums, squares, weights, weighted = self._family(masks)
+        n_cells, hit = self._cell_keys.size, (
+            n_keys if self._hit_times is not None else -1)
+
+        def cells(chosen):
+            # per row, the cells in its chosen steps whose key its
+            # placement puts on their tier (an LLC-hit cell is on no
+            # tier: it counts on the slowest)
+            at = np.flatnonzero(chosen.any(axis=0)[self._steps])
+            tier, cell = np.divmod(at, n_cells)
+            key = self._cell_keys.take(cell)
+            steps, hits = self._steps.ravel().take(at), key == hit
+            for placement, marks in zip(masks, chosen):
+                held = placement.take(key, mode="clip")
+                on = tier == (~held if n_tiers == 2 else held)
+                picked = at[marks.take(steps) & np.where(
+                    hits, tier == n_tiers - 1, on)]
+                yield (self._cell_values.ravel().take(picked),
+                       self._cell_counts.take(picked % n_cells))
+
+        mean, var = self._bins.moments
+        return _repeats(
+            self.client, self.trace, engine, sums * mean,
+            np.sqrt(squares * var), list(map(self._label, masks, fps)),
+            self._noise, self._counts.sum(axis=1), mixture_percentiles(
+                self._bins, weights, lambda: weighted, cells,
+                self.client.percentiles,
+            ),
+        )
+
+    def _family(self, placements):
+        """Per canonical placement, its noise-free sums ``S`` and ``Q``
+        (``(m, 2)`` each: writes, reads), bin weights and bin-weighted
+        times (``(m, n_steps)`` each; the latter None without noise).
+
+        A family is a chain of placements from a base, the tier its
+        first placement puts the most keys on: each later one keeps
+        every key its predecessor moved off the base where it was, so
+        its tables are its predecessor's plus the deltas of the keys it
+        moves (their new tier's terms in, the base's out), each key's
+        taken once.  A placement that cannot extend the chain, or would
+        move more keys than from its own base, starts a new one.  Every
+        term is a multiple of the kernel's quantum (:func:`_exact`), so
+        every sum is exact in any order: a placement measures the same
+        bits alone as in a family, and from any base.
+        """
+        n_tiers, n_keys = len(self.tables), self.record_sizes.size
+        n_cells, n_steps = self._cell_keys.size, self._bins.n_steps
+        terms, steps = self._terms.reshape(2, -1), self._steps.ravel()
+        noisy = self._noise.sigma != 0.0
+        sums = np.empty((len(placements), 4))
+        weights = np.empty((len(placements), n_steps))
+        weighted = np.empty_like(weights) if noisy else None
+        for row, placement in enumerate(placements):
+            if n_tiers == 2:
+                fast = np.count_nonzero(placement)
+                per_tier = [fast, n_keys - fast]
+            else:
+                per_tier = np.bincount(placement, minlength=n_tiers).tolist()
+            held = max(per_tier)
+            own = n_tiers - 1 - per_tier[::-1].index(held)
+            moved = None
+            if row and not (off & (placement != prev)).any():
+                now_off = placement != base if n_tiers > 2 else (
+                    placement ^ (base == 0))
+                new = np.flatnonzero(now_off > off)
+                if new.size <= n_keys - held:
+                    moved, off = new, now_off
+            if moved is None:
+                base = own
+                sq, w, v = (t if t is None else t.copy()
+                            for t in self._base(base))
+                off = placement != base if n_tiers > 2 else (
+                    placement ^ (base == 0))
+                moved = np.flatnonzero(off)
+            prev = placement
+            if moved.size:
+                cell = self._cell_of.take(moved, axis=1).ravel()
+                tier = 1 - base if n_tiers == 2 else np.tile(
+                    placement.take(moved), 2).astype(np.intp)
+                to, fro = cell + tier * n_cells, cell + base * n_cells
+                t_to, t_fro = terms.take(to, axis=1), terms.take(fro, axis=1)
+                sq += (t_to - t_fro).reshape(4, -1).sum(axis=1)
+                to, fro = steps.take(to), steps.take(fro)
+                count = self._cell_counts.take(cell)
+                w += (np.bincount(to, count, minlength=n_steps)
+                      - np.bincount(fro, count, minlength=n_steps))
+                if noisy:
+                    v += (np.bincount(to, t_to[0], minlength=n_steps)
+                          - np.bincount(fro, t_fro[0], minlength=n_steps))
+            sums[row], weights[row] = sq, w
+            if noisy:
+                weighted[row] = v
+        return sums[:, :2], sums[:, 2:], weights, weighted

@@ -133,6 +133,8 @@ class NoiseModel:
         # (row, cell) factors of erfc(u), exp(-u^2) and u exp(-u^2)
         factors = np.stack((0.5 * weights, slopes, 2.0 * slopes * b))
         lowest = (FACTOR_FLOOR * times_ns.max(axis=1)).tolist()
+        # Phi only where a cell weighs: elsewhere its term is 0 whatever
+        weighs = weights != 0.0
 
         def count(x, rows):
             floored = any(xi < lowest[i] for xi, i in zip(x, rows))
@@ -141,7 +143,10 @@ class NoiseModel:
             at = np.array(x)[:, None]
             u = a[rows] - b[rows] * at
             pdf = np.exp(-u * u)
-            terms = np.stack((_erfc(u), pdf, pdf * u))
+            phi = np.zeros_like(u)
+            live = weighs[rows]
+            phi[live] = _erfc(u[live])
+            terms = np.stack((phi, pdf, pdf * u))
             if floored:
                 terms *= at >= FACTOR_FLOOR * times_ns[rows]
             return (factors[:, rows] * terms).sum(axis=2)

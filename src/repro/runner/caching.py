@@ -102,28 +102,29 @@ class PlacementBatch:
             )
         return self._kernel
 
-    def run_all_cached(self, placements) -> list[tuple[RunResult, str]]:
+    def run_all_cached(self, placements, fingerprints=None
+                       ) -> list[tuple[RunResult, str]]:
         """Measure (or recall) placements; ``(result, provenance)`` each.
 
-        Every fingerprint is probed first; the misses (each distinct
-        fingerprint once) go to the kernel's
-        :meth:`~repro.memsim.kernel.BatchKernel.run_all` in one call, and
-        their results are stored after it returns.  Hit and miss counts
-        are those of probing the masks one at a time.
+        Every fingerprint (*fingerprints*, if given, holds them, as
+        :meth:`fingerprint` computes them) is probed in one read; the
+        misses (each distinct fingerprint once) go to the kernel's
+        :meth:`~repro.memsim.kernel.BatchKernel.run_all` in one call,
+        and their results are stored in one transaction after it
+        returns.  Hit and miss counts are those of probing the masks one
+        at a time.
         """
         masks = list(placements)
+        fps = ([self.fingerprint(mask) for mask in masks]
+               if fingerprints is None else list(fingerprints))
         if self._cache is None:
-            return [(r, "uncached") for r in self.kernel().run_all(masks)]
-        fps = [self.fingerprint(mask) for mask in masks]
-        found: dict[str, tuple[RunResult, str]] = {}
+            return [(r, "uncached") for r in self.kernel().run_all(masks, fps)]
+        found = {fp: (result, "cache")
+                 for fp, result in self._cache.get_results(fps).items()}
         misses: dict[str, np.ndarray] = {}
         for fp, mask in zip(fps, masks):
-            if fp not in found and fp not in misses:
-                result = self._cache.get_result(fp)
-                if result is None:
-                    misses[fp] = mask
-                else:
-                    found[fp] = (result, "cache")
+            if fp not in found:
+                misses.setdefault(fp, mask)
         self.client.cache_hits += len(masks) - len(misses)
         self.client.cache_misses += len(misses)
         if misses:
@@ -131,12 +132,7 @@ class PlacementBatch:
             results = self.kernel().run_all(
                 list(misses.values()), list(misses),
             )
-            for fp, result in zip(misses, results):
-                self._cache.put_result(fp, result)
-                found[fp] = (result, "computed")
+            self._cache.put_results(zip(misses, results))
+            found.update((fp, (result, "computed"))
+                         for fp, result in zip(misses, results))
         return [found[fp] for fp in fps]
-
-    def run_cached(self, placement: np.ndarray) -> tuple[RunResult, str]:
-        """Measure (or recall) one placement; returns (result, provenance)."""
-        (entry,) = self.run_all_cached([placement])
-        return entry

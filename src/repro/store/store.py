@@ -71,6 +71,10 @@ DEFAULT_STORE_PATH = "mnemo.db"
 #: Length of the SHA-256 digest that opens every entry body.
 _DIGEST_BYTES = 32
 
+#: Fingerprints one ``SELECT … IN`` reads, under SQLite's oldest limit
+#: on bound parameters (999).
+_IN_CHUNK = 900
+
 #: Schema DDL, one statement per element so creation can run inside a
 #: single retried write transaction (``executescript`` would implicitly
 #: commit and escape it).
@@ -144,27 +148,42 @@ class SQLiteStore:
         """Flush and close this process's connection (idempotent)."""
         self.db.close()
 
-    def _row(self, kind: str, fingerprint: str):
-        rows = self.db.read(
-            "SELECT body FROM entries WHERE kind = ? AND fingerprint = ?"
-            " AND schema = ?", (kind, fingerprint, SCHEMA_VERSION),
-        )
-        return rows[0] if rows else None
+    def _rows(self, kind: str, fingerprints) -> dict:
+        """The current rows of *fingerprints* under *kind*, by
+        fingerprint: one ``SELECT … IN`` per :data:`_IN_CHUNK` of them."""
+        fps = list(dict.fromkeys(fingerprints))
+        rows = {}
+        for at in range(0, len(fps), _IN_CHUNK):
+            chunk = fps[at:at + _IN_CHUNK]
+            rows.update((row["fingerprint"], row) for row in self.db.read(
+                "SELECT fingerprint, body FROM entries WHERE kind = ?"
+                " AND schema = ? AND fingerprint IN"
+                f" ({', '.join('?' * len(chunk))})",
+                (kind, SCHEMA_VERSION, *chunk),
+            ))
+        return rows
 
-    def _put(self, kind: str, fingerprint: str, value) -> Path:
-        telemetry.count("cache.write", kind=kind)
-        payload = CODECS[kind][0](value)
-        body = hashlib.sha256(payload).digest() + payload
+    def _put(self, kind: str, items) -> Path:
+        """Upsert every ``(fingerprint, value)`` of *items* in one
+        transaction."""
         now = time.time()
+        rows = []
+        for fingerprint, value in items:
+            payload = CODECS[kind][0](value)
+            rows.append((
+                kind, fingerprint, SCHEMA_VERSION,
+                hashlib.sha256(payload).digest() + payload, now,
+            ))
+        telemetry.count("cache.write", len(rows), kind=kind)
 
         def txn(conn):
-            conn.execute(
+            conn.executemany(
                 "INSERT INTO entries (kind, fingerprint, schema, body,"
                 " created_at) VALUES (?, ?, ?, ?, ?)"
                 " ON CONFLICT (kind, fingerprint) DO UPDATE SET"
                 " schema = excluded.schema, body = excluded.body,"
                 " created_at = excluded.created_at",
-                (kind, fingerprint, SCHEMA_VERSION, body, now),
+                rows,
             )
 
         self.db.write_txn(txn)
@@ -193,13 +212,6 @@ class SQLiteStore:
         self.db.write_txn(txn)
 
     @staticmethod
-    def _lookup(kind: str, hit: bool) -> None:
-        """Count one cache probe's outcome (off-path telemetry)."""
-        telemetry.count(
-            "cache.lookup", kind=kind, outcome="hit" if hit else "miss",
-        )
-
-    @staticmethod
     def _open(kind: str, body: bytes):
         """Check a body's digest and decode its payload.
 
@@ -217,48 +229,62 @@ class SQLiteStore:
             # trips over): corrupt too, a miss and never an error
             return None, f"undecodable payload ({type(exc).__name__})"
 
-    def _get(self, kind: str, fingerprint: str):
-        row = self._row(kind, fingerprint)
-        if row is None:
-            self._lookup(kind, hit=False)
-            return None
-        value, reason = self._open(kind, row["body"])
-        if reason is not None:
-            # corrupt: set aside and report a miss, the caller recomputes
-            self._lookup(kind, hit=False)
+    def _get(self, kind: str, fingerprints) -> dict:
+        """The value of each of *fingerprints* stored under *kind*, by
+        fingerprint, from one read; a missing one is absent, and so is a
+        corrupt one, which is quarantined (the caller recomputes it)."""
+        rows = self._rows(kind, fingerprints)
+        found = {}
+        for fingerprint, row in rows.items():
+            value, reason = self._open(kind, row["body"])
+            if reason is None:
+                found[fingerprint] = value
+                continue
             telemetry.event(
                 "cache.corrupt", kind=kind, entry=fingerprint, reason=reason,
             )
             self._quarantine_row(kind, fingerprint, reason)
-            return None
-        self._lookup(kind, hit=True)
-        return value
+        probes = len(set(fingerprints))
+        for outcome, n in (("hit", len(found)), ("miss", probes - len(found))):
+            if n:
+                telemetry.count("cache.lookup", n, kind=kind, outcome=outcome)
+        return found
 
     # -- the cache interface --------------------------------------------------
 
     def get_result(self, fingerprint: str) -> RunResult | None:
         """Load a cached run result (or None); quarantines corruption."""
-        return self._get("results", fingerprint)
+        return self.get_results([fingerprint]).get(fingerprint)
+
+    def get_results(self, fingerprints) -> dict[str, RunResult]:
+        """The cached run results of *fingerprints* that are stored, by
+        fingerprint, from one read; quarantines corruption."""
+        return self._get("results", fingerprints)
 
     def put_result(self, fingerprint: str, result: RunResult) -> Path:
         """Persist a run result in one transaction; returns the db path."""
-        return self._put("results", fingerprint, result)
+        return self.put_results([(fingerprint, result)])
+
+    def put_results(self, items) -> Path:
+        """Persist every ``(fingerprint, result)`` of *items* in one
+        transaction; returns the db path."""
+        return self._put("results", items)
 
     def get_trace(self, fingerprint: str) -> Trace | None:
         """Load a cached generated trace (or None); quarantines corruption."""
-        return self._get("traces", fingerprint)
+        return self._get("traces", [fingerprint]).get(fingerprint)
 
     def put_trace(self, fingerprint: str, trace: Trace) -> Path:
         """Persist a generated trace; returns the db path."""
-        return self._put("traces", fingerprint, trace)
+        return self._put("traces", [(fingerprint, trace)])
 
     def get_hitmask(self, fingerprint: str) -> np.ndarray | None:
         """Load a cached LLC hit mask (or None); quarantines corruption."""
-        return self._get("hitmasks", fingerprint)
+        return self._get("hitmasks", [fingerprint]).get(fingerprint)
 
     def put_hitmask(self, fingerprint: str, mask: np.ndarray) -> Path:
         """Persist an LLC hit mask; returns the db path."""
-        return self._put("hitmasks", fingerprint, mask)
+        return self._put("hitmasks", [(fingerprint, mask)])
 
     # -- census and maintenance -----------------------------------------------
 

@@ -49,8 +49,11 @@ class SpanRecord:
 class ActiveSpan:
     """A span being timed; usable as a context manager.
 
-    ``set(key, value)`` attaches attributes while the span is open —
-    e.g. the cache provenance of an experiment, known only at the end.
+    ``set(key, value)`` attaches attributes — e.g. the cache provenance
+    of an experiment, known only at the end.  The record a closed span
+    leaves holds the same attributes, so a ``set`` after the close still
+    reaches it: the runner names each experiment's provenance once its
+    batch is measured, after the experiment's own span.
     """
 
     __slots__ = ("_tracer", "name", "span_id", "parent_id", "attrs",

@@ -64,15 +64,17 @@ class TestAllowPartial:
         """Make measuring the named extreme(s) raise a FaultError."""
         from repro.memsim.kernel import BatchKernel
 
-        run = BatchKernel.run
+        run_all = BatchKernel.run_all
 
-        def faulty_run(kernel, fast_mask, fingerprint=None):
-            side = "fast" if fast_mask.all() else "slow"
-            if side in sides:
-                raise FaultError(f"{side} node offline")
-            return run(kernel, fast_mask, fingerprint)
+        def faulty_run_all(kernel, fast_masks, fingerprints=None):
+            fast_masks = list(fast_masks)
+            for fast_mask in fast_masks:
+                side = "fast" if fast_mask.all() else "slow"
+                if side in sides:
+                    raise FaultError(f"{side} node offline")
+            return run_all(kernel, fast_masks, fingerprints)
 
-        monkeypatch.setattr(BatchKernel, "run", faulty_run)
+        monkeypatch.setattr(BatchKernel, "run_all", faulty_run_all)
 
     @pytest.mark.parametrize("lost, kept", [("fast", "slow"), ("slow", "fast")])
     def test_one_side_failing_is_estimated_and_flagged(

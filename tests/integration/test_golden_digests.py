@@ -9,9 +9,11 @@ it*; a change that moves results on purpose regenerates it in the same
 commit (``PYTHONPATH=src python tests/integration/test_golden_digests.py``)
 and says so.
 
-The file was last regenerated when the kernel's noise went to closed
-form (two normal draws per repeat, mixture percentiles): every
-``"trace"`` entry stayed byte-equal and every report entry moved.
+The file was last regenerated when the kernel's sums became exact (each
+term rounded to one power-of-two quantum per kernel, so a placement
+measures the same bits alone or in a family): every ``"trace"`` entry
+stayed byte-equal and every report entry moved, runtimes and averages
+by at most 8e-14 and the noisy percentiles by at most 1.2e-13.
 """
 
 import hashlib
@@ -75,9 +77,12 @@ def test_preset_matches_golden(index):
 #: The analytic (sigma 0) profiles of :func:`analytic_digest`.  Their
 #: percentiles are exact order statistics, so no change to how the
 #: noise mixture is solved may move them; unlike GOLDEN, regenerating
-#: does not rewrite this.
+#: does not rewrite this.  Last re-pinned when the kernel's sums became
+#: exact (one quantum per kernel): every percentile, ``curve.order``,
+#: ``fast_bytes`` and ``cost_factor`` stayed bit-equal, and only the
+#: runtimes and averages moved (by at most 5e-15).
 ANALYTIC_DIGEST = (
-    "fdcbc396dbd3ec667a4592d6997808eaf451110e72a92ccab7525f6fd9956a96"
+    "332ea4e66297ceafe252afc9c4846c73526ff735c14b205a9463853b56c8dc09"
 )
 
 

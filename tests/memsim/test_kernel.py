@@ -750,6 +750,96 @@ class TestFanOut:
         assert not started
 
 
+def _placement_list(rng, kinds, n_keys, n_tiers):
+    """Placements of *kinds*: ``nested`` extends a chain (keys leave the
+    slowest tier for a random faster one, in one random order),
+    ``unrelated`` is random, ``duplicate`` repeats an earlier one,
+    ``empty`` / ``full`` hold every key on the slowest / fastest tier.
+    On two tiers every other one is spelled as a FastMem mask."""
+    slowest = n_tiers - 1
+    order = rng.permutation(n_keys)
+    chain = np.full(n_keys, slowest, dtype=np.uint8)
+    moved, out = 0, []
+    for kind in kinds:
+        if kind == "nested":
+            step = int(rng.integers(0, n_keys // 3 + 1))
+            keys = order[moved:moved + step]
+            chain[keys] = rng.integers(0, slowest, keys.size)
+            moved += step
+            tiers = chain.copy()
+        elif kind == "unrelated":
+            tiers = rng.integers(0, n_tiers, n_keys).astype(np.uint8)
+        elif kind == "duplicate" and out:
+            tiers = out[int(rng.integers(len(out)))][1]
+        elif kind == "full":
+            tiers = np.zeros(n_keys, dtype=np.uint8)
+        else:
+            tiers = np.full(n_keys, slowest, dtype=np.uint8)
+        spelled = tiers == 0 if n_tiers == 2 and len(out) % 2 else tiers
+        out.append((spelled, tiers))
+    return [spelled for spelled, _ in out]
+
+
+class TestExactFamilies:
+    """Every sum a family pass forms is exact (one power-of-two quantum
+    per kernel), so a placement measures the same bits alone, in a
+    family, in any sub-list and in any order — and within 1e-12 of the
+    plain float64 sums over its cells (:func:`measure_repeats`)."""
+
+    @given(
+        n_tiers=st.sampled_from([2, 3]),
+        sigma=st.sampled_from([0.0, 0.01]),
+        use_llc=st.booleans(),
+        concurrency=st.sampled_from([1, 4]),
+        mixed_sizes=st.booleans(),
+        kinds=st.lists(st.sampled_from(
+            ["nested", "unrelated", "duplicate", "empty", "full"],
+        ), min_size=1, max_size=7),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_family_is_its_members_alone(
+        self, n_tiers, sigma, use_llc, concurrency, mixed_sizes, kinds,
+        seed, data,
+    ):
+        rng = np.random.default_rng(seed)
+        trace = _synthetic_trace(rng, 120, 1500, 0.7, mixed_sizes)
+        system = (HybridMemorySystem.testbed(llc_bytes=64 * 1024)
+                  if n_tiers == 2 else HybridMemorySystem.dram_nvm_far())
+        client = YCSBClient(
+            repeats=2, seed=9, use_llc=use_llc, concurrency=concurrency,
+            noise_sigma=sigma, percentiles=(0.0, 50.0, 95.0, 99.0, 100.0),
+        )
+        kernel = BatchKernel(
+            client, trace, builtin_profiles()["redis"], system,
+        )
+        placements = _placement_list(rng, kinds, trace.n_keys, n_tiers)
+        family = kernel.run_all(placements)
+        assert family == [kernel.run(p) for p in placements]
+        picked = data.draw(st.lists(
+            st.integers(0, len(placements) - 1), max_size=len(placements),
+        ))
+        assert kernel.run_all([placements[i] for i in picked]) == [
+            family[i] for i in picked
+        ]
+        for placement, got in zip(placements, family):
+            label, times, _, _ = kernel._cells(placement, None)
+            want = measure_repeats(
+                client, trace, "redis-like", times, kernel._counts, label,
+            )
+            for field in ("runtime_ns", "avg_read_ns", "avg_write_ns"):
+                assert getattr(got, field) == pytest.approx(
+                    getattr(want, field), rel=1e-12, abs=0.0,
+                )
+            assert abs(got.runtime_std_ns - want.runtime_std_ns) <= (
+                1e-12 * want.runtime_ns
+            )
+            if sigma == 0.0:
+                assert got.latency_percentiles_ns == \
+                    want.latency_percentiles_ns
+
+
 class TestCachingBatch:
     def test_batch_shares_cache_with_execute(self, trace, tmp_path):
         system = HybridMemorySystem.testbed()

@@ -29,7 +29,7 @@ def cache(tmp_path):
 
 def stored(cache, kind, fingerprint) -> bytes:
     """The encoded bytes one entry holds."""
-    return bytes(cache._row(kind, fingerprint)["body"])
+    return bytes(cache._rows(kind, [fingerprint])[fingerprint]["body"])
 
 
 def overwrite(cache, kind, fingerprint, body) -> None:

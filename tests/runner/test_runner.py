@@ -294,6 +294,93 @@ class TestExperimentRunner:
         assert got.slow == want.slow
 
 
+class TestOnePassPerGroup:
+    """A sweep measures each (workload, engine) group of 12 hot-order
+    splits in one kernel pass, from one store read and into one commit;
+    a struck spec leaves its batch-mates measured in that same pass."""
+
+    SPLITS = tuple(np.linspace(0.05, 0.9, 12).round(4))
+
+    @pytest.fixture
+    def specs(self, small_spec, mixed_spec):
+        return ExperimentRunner.grid(
+            [small_spec, mixed_spec], engines=("redis", "memcached"),
+            placements=("split",), fast_fractions=self.SPLITS,
+        )
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """How many placements each ``run_all`` call measured."""
+        calls = []
+        run_all = BatchKernel.run_all
+
+        def counted(kernel, placements, fingerprints=None):
+            placements = list(placements)
+            calls.append(len(placements))
+            return run_all(kernel, placements, fingerprints)
+
+        monkeypatch.setattr(BatchKernel, "run_all", counted)
+        return calls
+
+    @staticmethod
+    def one_by_one(specs):
+        runner = ExperimentRunner(
+            cache=None, client=ClientConfig(repeats=2, seed=11),
+        )
+        return [runner.run(spec) for spec in specs]
+
+    def test_a_group_is_one_pass_one_read_one_commit(
+        self, tmp_path, specs, passes, monkeypatch,
+    ):
+        from repro import telemetry
+        from repro.store.db import Database
+
+        runner = ExperimentRunner(
+            cache=tmp_path / "s.db", client=ClientConfig(repeats=2, seed=11),
+        )
+        io = {"read": 0, "write_txn": 0}
+        for name in io:
+            real = getattr(Database, name)
+
+            def counted(db, *args, _real=real, _name=name, **kwargs):
+                io[_name] += 1
+                return _real(db, *args, **kwargs)
+
+            monkeypatch.setattr(Database, name, counted)
+        with telemetry.session() as tel:
+            outcome = runner.sweep(specs)
+        assert outcome.ok
+        assert passes == [12] * 4
+        assert io == {"read": 4, "write_txn": 4}
+        assert set(outcome.provenance) == {"computed"}
+        # each spec's span gets its provenance once its group is measured
+        spans = [r for r in tel.tracer.records if r.name == "runner.experiment"]
+        assert sorted(r.attrs["label"] for r in spans) == sorted(
+            spec.label for spec in specs)
+        assert {r.attrs["provenance"] for r in spans} == {"computed"}
+        monkeypatch.undo()
+        assert list(outcome.results) == self.one_by_one(specs)
+
+    def test_a_strike_leaves_its_batch_mates_in_the_pass(
+        self, tmp_path, specs, passes,
+    ):
+        from repro.faults import ChaosPlan
+
+        struck = specs[3]
+        runner = ExperimentRunner(
+            cache=None, client=ClientConfig(repeats=2, seed=11),
+            chaos=ChaosPlan(kill_labels=(struck.label,),
+                            marker_dir=str(tmp_path / "chaos")),
+        )
+        outcome = runner.sweep(specs)
+        assert outcome.ok
+        # the struck group's 11 others in its first pass, then itself
+        assert passes == [11, 12, 12, 12, 1]
+        assert list(outcome.results) == self.one_by_one(specs)
+        metas = {meta.label: meta for meta in outcome.metas}
+        assert all(meta.duration_s > 0.0 for meta in metas.values())
+
+
 class TestSensitivityEngineCache:
     def test_cache_param_wraps_client(self, tmp_path, small_trace):
         engine = SensitivityEngine(

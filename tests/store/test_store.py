@@ -50,7 +50,7 @@ def result():
 
 def stored(store, kind, fingerprint) -> bytes:
     """The body one current entry holds."""
-    return bytes(store._row(kind, fingerprint)["body"])
+    return bytes(store._rows(kind, [fingerprint])[fingerprint]["body"])
 
 
 def overwrite(store, kind, fingerprint, body) -> None:
@@ -133,6 +133,38 @@ class TestRoundTrips:
         store.put_result("r", newer)
         assert store.get_result("r") == newer
         assert store.stats().entries["results"] == 1
+
+
+class TestBatchRows:
+    """A batch's results are one read and one transaction."""
+
+    def test_many_rows_in_one_read_and_one_commit(
+        self, store, result, monkeypatch,
+    ):
+        io = {"read": 0, "write_txn": 0}
+        for name in io:
+            real = getattr(store.db, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                io[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(store.db, name, counted)
+        rows = {f"fp{k}": dataclasses.replace(result, n_requests=k)
+                for k in range(1, 1001)}
+        store.put_results(rows.items())
+        assert io == {"read": 0, "write_txn": 1}
+        got = store.get_results(["none", *rows, "fp7"])
+        assert got == rows
+        # 1,002 fingerprints (1,001 distinct) in chunks of 900
+        assert io == {"read": 2, "write_txn": 1}
+
+    def test_a_corrupt_row_leaves_its_batch_mates(self, store, result):
+        store.put_results([("good", result), ("bad", result)])
+        overwrite(store, "results", "bad", seal(b"not json"))
+        assert store.get_results(["good", "bad"]) == {"good": result}
+        assert store.stats().quarantined["results"] == 1
+        assert store.get_results(["good", "bad"]) == {"good": result}
 
 
 class TestCorruption:
