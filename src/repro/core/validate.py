@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.cost.model import DEFAULT_PRICE_FACTOR, cost_reduction_factor
 from repro.errors import ConfigurationError
-from repro.kvstore.server import EngineFactory, HybridDeployment
+from repro.kvstore.server import EngineFactory, check_capacity
 from repro.memsim.system import HybridMemorySystem
 from repro.ycsb.client import RunResult, YCSBClient
 from repro.ycsb.workload import Trace
@@ -52,42 +52,51 @@ def measure_curve(
 ) -> list[MeasuredPoint]:
     """Execute *trace* at each tiering prefix in *counts*.
 
-    Each point deploys the first ``counts[i]`` keys of *order* on FastMem
-    (a :class:`HybridDeployment`, so each prefix is capacity-checked) and
-    runs the full workload against it; the points' masks are measured
-    as one :meth:`~repro.ycsb.client.YCSBClient.execute_placements`
-    batch, which gives each the numbers it measures alone.
+    Each point puts the first ``counts[i]`` keys of *order* on FastMem
+    (a key repeated in *order* once), checks that placement against both
+    nodes' capacities, as a :class:`HybridDeployment` would (the same
+    errors, at the first point that fails), and runs the full workload
+    against it; the points' masks are measured as one
+    :meth:`~repro.ycsb.client.YCSBClient.execute_placements` batch,
+    which gives each the numbers it measures alone.
     """
     client = client if client is not None else YCSBClient()
     order = np.asarray(order, dtype=np.int64)
+    sizes = np.asarray(trace.record_sizes, dtype=np.int64)
     system = system_factory()
-    deployments = []
+    # a prefix reaching a key outside the key space is an error; below
+    # that, each key's first place in *order*, and each prefix's FastMem
+    # bytes from one cumsum over the keys at their first place
+    n_valid = int(np.argmin(np.append((order >= 0) & (order < sizes.size),
+                                      False)))
+    keys, first = np.unique(order[:n_valid], return_index=True)
+    place = np.full(sizes.size, n_valid)
+    place[keys] = first
+    fast_bytes = np.zeros(n_valid + 1, dtype=np.int64)
+    fast_bytes[first + 1] = sizes[keys]
+    fast_bytes = np.cumsum(fast_bytes).tolist()
+    total = int(sizes.sum())
     for n_fast in counts:
         if not 0 <= n_fast <= order.size:
             raise ConfigurationError(
                 f"prefix {n_fast} outside [0, {order.size}]"
             )
-        deployments.append(HybridDeployment(
-            engine_factory, system, trace.record_sizes,
-            fast_keys=order[:n_fast],
-        ))
+        if n_fast > n_valid:
+            raise ConfigurationError("fast_keys outside the key space")
+        check_capacity(system, fast_bytes[n_fast], total)
     results = client.execute_placements(
-        trace, [d.fast_mask for d in deployments],
+        trace, [place < n_fast for n_fast in counts],
         engine_factory(system.fast, system.slow).profile, system,
     )
-    total = int(trace.record_sizes.sum())
-    points = []
-    for n_fast, deployment, result in zip(counts, deployments, results):
-        fast_bytes = deployment.fast_bytes()
-        points.append(
-            MeasuredPoint(
-                n_fast_keys=int(n_fast),
-                fast_bytes=fast_bytes,
-                cost_factor=float(cost_reduction_factor(fast_bytes, total, p)),
-                result=result,
-            )
+    return [
+        MeasuredPoint(
+            n_fast_keys=int(n_fast), fast_bytes=fast_bytes[n_fast],
+            cost_factor=float(
+                cost_reduction_factor(fast_bytes[n_fast], total, p)),
+            result=result,
         )
-    return points
+        for n_fast, result in zip(counts, results)
+    ]
 
 
 def estimate_errors(

@@ -22,6 +22,20 @@ from repro.memsim.system import HybridMemorySystem
 EngineFactory = Callable[..., KVEngine]
 
 
+def check_capacity(system: HybridMemorySystem, fast_bytes: int,
+                   total_bytes: int) -> None:
+    """Raise :class:`CapacityError` unless FastMem holds *fast_bytes* of
+    payload and SlowMem the rest of *total_bytes* (record headers not
+    counted), FastMem checked first."""
+    for node, payload in ((system.fast, fast_bytes),
+                          (system.slow, total_bytes - fast_bytes)):
+        if payload > node.capacity_bytes:
+            raise CapacityError(
+                f"{node.name}: placement needs {payload} B but the node "
+                f"has {node.capacity_bytes} B"
+            )
+
+
 class HybridDeployment:
     """FastServer + SlowServer: record sizes and the FastMem mask.
 
@@ -68,14 +82,7 @@ class HybridDeployment:
         self.record_sizes = record_sizes
         self.fast_mask = np.zeros(record_sizes.size, dtype=bool)
         self.fast_mask[fast_keys] = True
-        fast = self.fast_bytes()
-        for node, payload in ((system.fast, fast),
-                              (system.slow, int(record_sizes.sum()) - fast)):
-            if payload > node.capacity_bytes:
-                raise CapacityError(
-                    f"{node.name}: placement needs {payload} B but the node "
-                    f"has {node.capacity_bytes} B"
-                )
+        check_capacity(system, self.fast_bytes(), int(record_sizes.sum()))
         self.profile = engine_factory(system.fast, system.slow).profile
 
     @classmethod

@@ -187,8 +187,9 @@ def mixture_percentiles(bins, bin_w, bin_v, cells, percentiles):
     cells' request counts per bin of *bins* (``bins.kinds.size`` sigma
     kinds per step) — each request times an i.i.d. noise factor.
     *bin_v* returns the rows' weighted values per bin (read only with
-    noise), ``cells(chosen)`` each row's ``(values, weights)`` of its
-    cells in the steps its row of *chosen* marks.
+    noise), ``cells(rows, steps)`` the ``(rows, values, weights)`` of
+    the cells in each ``steps[i]`` of row ``rows[i]`` (rows ascending),
+    flat and row after row.
 
     ``np.percentile`` reads order statistic ``h = (n - 1) q / 100``.
     Without noise that is exact: the cumulative bin weights name the bin
@@ -198,8 +199,8 @@ def mixture_percentiles(bins, bin_w, bin_v, cells, percentiles):
     weighted mean, within ``bins.reach`` steps of it.  A percentile in a
     gap between cells wider than the noise keeps its noise-free value.
     The rows' windows share one solve, each row solved alone
-    (:func:`_solve_counts`), so a row's percentiles do not depend on
-    the others.
+    (:func:`_solve_counts`) over its bins with requests, so a row's
+    percentiles do not depend on the others.
     """
     m = len(bin_w)
     if not percentiles or not m:
@@ -219,19 +220,27 @@ def mixture_percentiles(bins, bin_w, bin_v, cells, percentiles):
     held = np.searchsorted(
         (cum + lift).ravel(), ranks + lift, side="right",
     ) - rows * cum.shape[1]
-    # the cells of those bins, sorted by value: a rank in bin b is the
-    # one ``cum[b] - picked[b]`` lower among them, where *picked* counts
-    # the requests of the held bins up to b
-    chosen = np.zeros(cum.shape, dtype=bool)
-    chosen[rows, held] = True
-    picked = np.cumsum(np.where(chosen, step_w, 0.0), axis=1)
-    skipped = (cum - picked)[rows, held]
-    at = np.empty(ranks.shape)
-    for row, (v, w) in enumerate(cells(chosen)):
-        by_value = np.argsort(v)
-        at[row] = v[by_value][np.searchsorted(
-            np.cumsum(w[by_value]), ranks[row] - skipped[row], side="right",
-        )]
+    # the cells of a row's held bins, sorted by value: a rank in bin b
+    # is the one ``cum[b] - picked`` lower among them, where *picked*
+    # counts the requests of its distinct held bins up to b
+    same = held[:, :, None] == held[:, None, :]
+    distinct = ~(same & np.tri(held.shape[1], k=-1, dtype=bool)).any(axis=2)
+    picked = ((step_w[rows, held] * distinct)[:, :, None]
+              * (held[:, :, None] <= held[:, None, :])).sum(axis=1)
+    skipped = cum[rows, held] - picked
+    pair_row, pair_col = np.nonzero(distinct)
+    row_of, values, weights = cells(pair_row, held[pair_row, pair_col])
+    # by value, then (stably: a radix sort on small ints) by row
+    by_value = np.argsort(values)
+    by_value = by_value.take(np.argsort(
+        row_of.take(by_value).astype(np.min_scalar_type(m)), kind="stable",
+    ))
+    through = np.cumsum(weights[by_value])
+    first = np.searchsorted(row_of[by_value], np.arange(m))
+    before = np.where(first > 0, through[first - 1], 0.0)[:, None]
+    at = values[by_value][np.searchsorted(
+        through, before + (ranks - skipped), side="right",
+    )]
     n = q.size
     x0 = at[:, :n] + (pos - ranks[:, :n]) * (at[:, n:] - at[:, :n])
     outs = [dict(zip(percentiles, x)) for x in x0.tolist()]
@@ -248,17 +257,19 @@ def mixture_percentiles(bins, bin_w, bin_v, cells, percentiles):
     )
     if not row.size:
         return outs
-    index = (lo[row, col] * nk)[:, None] + np.arange(span * nk)
-    window_w = bin_w[row[:, None], index]
-    # each bin at its weighted mean (an empty one at the lowest value)
-    window_v = bin_v()[row[:, None], index]
-    empty = window_w == 0.0
-    window_v = np.where(empty, bins.edges[0], window_v) / np.where(
-        empty, 1.0, window_w
-    )
+    # the windows' bins with requests (at least one each), flat, window
+    # after window, each at its weighted mean
+    index = (row * bin_w.shape[1] + lo[row, col] * nk)[:, None] \
+        + np.arange(span * nk)
+    window_w = bin_w.ravel().take(index).ravel()
+    live = np.flatnonzero(window_w)
+    index, window_w = index.ravel().take(live), window_w.take(live)
+    window_v = bin_v().ravel().take(index) / window_w
+    starts = np.searchsorted(live, np.arange(row.size + 1) * (span * nk))
     x = _solve_counts(
-        bins.noise.counter(window_v, window_w, bins.kinds[index % nk]),
-        (window_v.max(axis=1) * (
+        bins.noise.counter(window_v, window_w, bins.kinds[index % nk],
+                           starts),
+        (np.maximum.reduceat(window_v, starts[:-1]) * (
             1.0 + 10.0 * bins.noise.sigma * bins.kinds[-1]
         )).tolist(),
         below[row, col].tolist(), target[row, col].tolist(),
@@ -311,9 +322,12 @@ def measure_repeats(client, trace, engine, times, counts, label, scale=None,
     slot = steps if kind is None else steps * bins.kinds.size + kind
     size = bins.n_steps * bins.kinds.size
 
-    def cells(chosen):
-        picked = np.flatnonzero(chosen[0][steps])
-        return [(times.ravel()[picked], counts.ravel()[picked])]
+    def cells(rows, wanted):
+        marked = np.zeros(bins.n_steps, dtype=bool)
+        marked[wanted] = True
+        picked = np.flatnonzero(marked.take(steps))
+        return (np.zeros(picked.size, dtype=np.intp),
+                times.ravel().take(picked), counts.ravel().take(picked))
 
     (result,) = _repeats(
         client, trace, engine, (weighted * mean).sum(axis=1)[None],
@@ -657,21 +671,35 @@ class BatchKernel:
         n_cells, hit = self._cell_keys.size, (
             n_keys if self._hit_times is not None else -1)
 
-        def cells(chosen):
-            # per row, the cells in its chosen steps whose key its
-            # placement puts on their tier (an LLC-hit cell is on no
-            # tier: it counts on the slowest)
-            at = np.flatnonzero(chosen.any(axis=0)[self._steps])
+        def cells(rows, wanted):
+            # the cells of each (row, step) whose key its placement puts
+            # on their tier (an LLC-hit cell is on no tier: it counts on
+            # the slowest): the marked steps' cells, by step, then each
+            # pair's run of them
+            steps = self._steps.ravel()
+            marked = np.zeros(self._bins.n_steps, dtype=bool)
+            marked[wanted] = True
+            at = np.flatnonzero(marked.take(steps))
+            at = at.take(np.argsort(steps.take(at).astype(
+                np.min_scalar_type(len(marked))), kind="stable"))
+            at_steps = steps.take(at)
+            start = np.searchsorted(at_steps, wanted)
+            n = np.searchsorted(at_steps, wanted, side="right") - start
+            ends = np.cumsum(n)
+            at = at.take(np.arange(ends[-1]) + np.repeat(start - ends + n, n))
+            row = np.repeat(rows, n)
             tier, cell = np.divmod(at, n_cells)
             key = self._cell_keys.take(cell)
-            steps, hits = self._steps.ravel().take(at), key == hit
-            for placement, marks in zip(masks, chosen):
-                held = placement.take(key, mode="clip")
-                on = tier == (~held if n_tiers == 2 else held)
-                picked = at[marks.take(steps) & np.where(
-                    hits, tier == n_tiers - 1, on)]
-                yield (self._cell_values.ravel().take(picked),
-                       self._cell_counts.take(picked % n_cells))
+            bounds = np.searchsorted(row, np.arange(len(masks) + 1))
+            held = np.concatenate([
+                placement.take(key[a:b], mode="clip")
+                for placement, a, b in zip(masks, bounds, bounds[1:])
+            ])
+            keep = np.where(key == hit, tier == n_tiers - 1,
+                            tier == (~held if n_tiers == 2 else held))
+            at = at[keep]
+            return (row[keep], self._cell_values.ravel().take(at),
+                    self._cell_counts.take(at % n_cells))
 
         mean, var = self._bins.moments
         return _repeats(

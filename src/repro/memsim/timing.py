@@ -26,6 +26,7 @@ are the closed form the kernel uses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,27 +103,28 @@ class NoiseModel:
 
         Both are 0 below ``FACTOR_FLOOR t``; above, ``t F <= x`` is
         ``z <= (x / t - 1) / s``.  Phi is :func:`math.erfc` per point
-        (callers pass a few hundred): SciPy stays off the import path.
+        (a kernel calls it once): SciPy stays off the import path.
         """
         s = self.sigma * np.asarray(scale, dtype=np.float64)
         z = np.asarray((x / times_ns - 1.0) / s)
-        cdf = 0.5 * _erfc(z * -math.sqrt(0.5))
+        cdf = 0.5 * np.array(_math_erfc(z * -math.sqrt(0.5)), np.float64)
         pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         live = x >= FACTOR_FLOOR * times_ns
         density = np.where(live, pdf / times_ns / s, 0.0)
         return np.where(live, cdf, 0.0), density
 
-    def counter(self, times_ns, weights, scale=1.0):
+    def counter(self, times_ns, weights, scale, starts):
         """``count(x, rows) -> (counts, slopes, bends)``: for each row
-        ``i`` in *rows* of the 2-D *times_ns*, at its ``x``, ``sum_j
-        weights[i, j] P(times_ns[i, j] F <= x)`` and its first and
-        second derivatives in x.
+        ``i`` in *rows* (ascending), at its ``x``, ``sum_j weights[j]
+        P(times_ns[j] F <= x)`` over its cells ``starts[i]:starts[i +
+        1]`` of the flat *times_ns*, *weights* and *scale* (at least
+        one a row), and its first and second derivatives in x.
 
         :meth:`cdf`, weighted and summed, with its per-cell constants
         worked out once for the many x a solve tries: ``-z / sqrt(2)``
-        is ``u = a - b x``, Phi is ``erfc(u) / 2``, the density
-        ``exp(-u^2) b / sqrt(pi)`` and its derivative the density times
-        ``2 u b``.
+        is ``u = a - b x``, Phi is ``erfc(u) / 2`` (:func:`_erfc`), the
+        density ``exp(-u^2) b / sqrt(pi)`` and its derivative the
+        density times ``2 u b``, over the open rows' cells only.
         """
         a = np.broadcast_to(
             math.sqrt(0.5) / (self.sigma * np.asarray(scale, np.float64)),
@@ -130,35 +132,74 @@ class NoiseModel:
         )
         b = a / times_ns
         slopes = weights * b / math.sqrt(math.pi)
-        # (row, cell) factors of erfc(u), exp(-u^2) and u exp(-u^2)
+        # per cell, the factors of erfc(u), exp(-u^2) and u exp(-u^2)
         factors = np.stack((0.5 * weights, slopes, 2.0 * slopes * b))
-        lowest = (FACTOR_FLOOR * times_ns.max(axis=1)).tolist()
-        # Phi only where a cell weighs: elsewhere its term is 0 whatever
-        weighs = weights != 0.0
+        floors = FACTOR_FLOOR * times_ns
+        lowest = np.maximum.reduceat(floors, starts[:-1]).tolist()
+        sizes = np.diff(starts)
 
         def count(x, rows):
-            floored = any(xi < lowest[i] for xi, i in zip(x, rows))
-            if len(rows) == len(lowest):
-                rows = slice(None)
-            at = np.array(x)[:, None]
-            u = a[rows] - b[rows] * at
+            n, first, per_cell = sizes, starts[:-1], (a, b, factors, floors)
+            if len(rows) < sizes.size:
+                n = sizes[rows]
+                first = np.cumsum(n) - n
+                cell = np.arange(first[-1] + n[-1]) + np.repeat(
+                    starts[rows] - first, n)
+                per_cell = [v.take(cell, axis=-1) for v in per_cell]
+            a_at, b_at, factors_at, floors_at = per_cell
+            at = np.repeat(x, n)
+            u = a_at - b_at * at
             pdf = np.exp(-u * u)
-            phi = np.zeros_like(u)
-            live = weighs[rows]
-            phi[live] = _erfc(u[live])
-            terms = np.stack((phi, pdf, pdf * u))
-            if floored:
-                terms *= at >= FACTOR_FLOOR * times_ns[rows]
-            return (factors[:, rows] * terms).sum(axis=2)
+            terms = np.stack((_erfc(u), pdf, pdf * u)) * factors_at
+            if any(xi < lowest[i] for xi, i in zip(x, rows)):
+                terms *= at >= floors_at
+            return np.add.reduceat(terms, first, axis=1)
 
         return count
 
 
+_math_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+@functools.cache
+def _erfc_table() -> np.ndarray:
+    """erfc's quintic Hermite table, built on first use: per interval
+    of 1/64 on [-6.5, 6.5] (beyond, erfc is 2 or 0 within 3.8e-20), row
+    ``k`` the coefficients of ``t^k`` (``t`` from 0 to 1 across it) of
+    the quintic that takes erfc (exact :func:`math.erfc` knots) and its
+    analytic first two derivatives at both ends; then 0 from 6.5 up."""
+    u = np.arange(-416, 417) / 64.0
+    f = np.array(_math_erfc(u), np.float64)
+    # the derivatives in t: in u, times the knot gap once and twice
+    d1 = -2.0 / math.sqrt(math.pi) / 64.0 * np.exp(-u * u)
+    d2 = -2.0 / 64.0 * u * d1
+    rest = f[1:] - f[:-1] - d1[:-1] - 0.5 * d2[:-1]
+    slope = d1[1:] - d1[:-1] - d2[:-1]
+    bend = d2[1:] - d2[:-1]
+    table = np.zeros((6, u.size))
+    table[:, :-1] = (
+        f[:-1], d1[:-1], 0.5 * d2[:-1],
+        10.0 * rest - 4.0 * slope + 0.5 * bend,
+        -15.0 * rest + 7.0 * slope - bend,
+        6.0 * rest - 3.0 * slope + 0.5 * bend,
+    )
+    table.flags.writeable = False
+    return table
+
+
 def _erfc(u: np.ndarray) -> np.ndarray:
-    """:func:`math.erfc` over an array."""
-    return np.fromiter(
-        map(math.erfc, u.ravel().tolist()), np.float64, u.size,
-    ).reshape(u.shape)
+    """erfc over an array from its table (:func:`_erfc_table`): within
+    1.2e-14 of :func:`math.erfc` everywhere, and no Python per value."""
+    table = _erfc_table()
+    at = (u + 6.5) * 64.0
+    np.clip(at, 0.0, table.shape[1] - 1, out=at)
+    knot = at.astype(np.intp)
+    at -= knot
+    out = table[5].take(knot)
+    for k in (4, 3, 2, 1, 0):
+        out *= at
+        out += table[k].take(knot)
+    return out
 
 
 def service_times_ns(

@@ -27,8 +27,9 @@ from repro.ycsb.workload import Trace
 #: when a payload form or the fingerprint canonicalisation changes
 #: incompatibly.  v3 moved the checksum out of the payloads into one
 #: digest over the stored bytes; v4 orphans the results measured before
-#: the kernel's sums became exact (their last bits differ).
-SCHEMA_VERSION = 4
+#: the kernel's sums became exact, v5 those whose percentiles took Phi
+#: from :func:`math.erfc` per value (their last bits differ).
+SCHEMA_VERSION = 5
 
 
 # -- entry codecs ----------------------------------------------------------

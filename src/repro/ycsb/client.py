@@ -37,7 +37,7 @@ import numpy as np
 from repro import telemetry
 from repro.errors import ConfigurationError
 from repro.kvstore.server import HybridDeployment
-from repro.memsim.cache import LLCModel
+from repro.memsim.cache import LLCModel, lru_hit_mask
 from repro.memsim.timing import NoiseModel
 from repro.rng import SeedLike, check_seed, derive_seed, ensure_rng
 from repro.units import NS_PER_S
@@ -242,8 +242,8 @@ class YCSBClient:
     ):
         """Boolean per-request hit mask from the LLC model (or None).
 
-        The mask is a cold-cache pass on a private :class:`LLCModel` of
-        the passed LLC's capacity: measuring never changes the system's
+        The mask is a cold-cache pass (:func:`lru_hit_mask`) at the
+        passed LLC's capacity: measuring never changes the system's
         cache.  It is a pure function of (trace digest, LLC capacity),
         so it is looked up in the in-memory memo, then in the store
         when there is one, and only then computed (and stored): only
@@ -263,8 +263,12 @@ class YCSBClient:
                 fp = hitmask_fingerprint(trace_digest, llc.capacity_bytes)
                 hits = self.cache.get_hitmask(fp)
         if hits is None:
-            hits = LLCModel(llc.capacity_bytes).process(
-                trace.keys, trace.record_sizes[trace.keys])
+            keys, capacity = trace.keys, llc.capacity_bytes
+            sizes = trace.record_sizes[keys]
+            # the pass sums bytes in float64: beyond 2**53, the replay
+            hits = (lru_hit_mask(keys, sizes, capacity)[0]
+                    if keys.size * capacity < 2**53
+                    else LLCModel(capacity).process(keys, sizes))
             if fp is not None:
                 self.cache.put_hitmask(fp, hits)
         hits.flags.writeable = False

@@ -31,6 +31,7 @@ from repro.ycsb.client import YCSBClient
 from repro.ycsb.generator import generate_trace
 from repro.ycsb.presets import TABLE_III_WORKLOADS
 from repro.ycsb.sampling import distribution_distance, downsample
+from repro.ycsb.workload import Trace
 
 
 def oracle_counts(trace):
@@ -88,6 +89,22 @@ class TestCounts:
     def test_hot_order(self, trace):
         order, cum_bytes = trace.hot_order
         expect = np.argsort(-oracle_counts(trace), kind="stable")
+        assert np.array_equal(order, expect)
+        assert np.array_equal(cum_bytes,
+                              np.cumsum(trace.record_sizes[expect]))
+
+    @given(keys=st.lists(st.integers(0, 40), min_size=1, max_size=400),
+           untouched=st.integers(0, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_hot_order_under_heavy_ties(self, keys, untouched):
+        # a few counts over many keys, untouched ones all tied at 0
+        n_keys = max(keys) + 1 + untouched
+        trace = Trace("ties", np.array(keys, dtype=np.int64),
+                      np.zeros(len(keys), dtype=bool),
+                      np.arange(1, n_keys + 1, dtype=np.int64))
+        order, cum_bytes = trace.hot_order
+        expect = np.argsort(-oracle_counts(trace), kind="stable")
+        assert order.dtype == expect.dtype
         assert np.array_equal(order, expect)
         assert np.array_equal(cum_bytes,
                               np.cumsum(trace.record_sizes[expect]))

@@ -1,5 +1,7 @@
 """Tests for the validation helpers (measured points vs estimate)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,43 @@ from repro.core import (
     measure_curve,
     prefix_counts,
 )
-from repro.errors import ConfigurationError
-from repro.kvstore import RedisLike
+from repro.core.validate import MeasuredPoint
+from repro.cost.model import cost_reduction_factor
+from repro.errors import CapacityError, ConfigurationError
+from repro.kvstore import HybridDeployment, RedisLike
+from repro.memsim import HybridMemorySystem
 from repro.ycsb import YCSBClient
+
+
+def deployment_curve(trace, order, engine_factory, counts, client,
+                     system_factory=HybridMemorySystem.testbed, p=0.2):
+    """Oracle: the curve as measured through one capacity-checked
+    :class:`HybridDeployment` per point."""
+    order = np.asarray(order, dtype=np.int64)
+    system = system_factory()
+    deployments = []
+    for n_fast in counts:
+        if not 0 <= n_fast <= order.size:
+            raise ConfigurationError(
+                f"prefix {n_fast} outside [0, {order.size}]"
+            )
+        deployments.append(HybridDeployment(
+            engine_factory, system, trace.record_sizes,
+            fast_keys=order[:n_fast],
+        ))
+    results = client.execute_placements(
+        trace, [d.fast_mask for d in deployments],
+        engine_factory(system.fast, system.slow).profile, system,
+    )
+    total = int(trace.record_sizes.sum())
+    return [
+        MeasuredPoint(
+            n_fast_keys=int(n_fast), fast_bytes=d.fast_bytes(),
+            cost_factor=float(cost_reduction_factor(d.fast_bytes(), total, p)),
+            result=result,
+        )
+        for n_fast, d, result in zip(counts, deployments, results)
+    ]
 
 
 @pytest.fixture
@@ -61,6 +97,63 @@ class TestMeasureCurve:
         with pytest.raises(ConfigurationError):
             measure_curve(small_trace, report.pattern.order, RedisLike,
                           [small_trace.n_keys + 1], client=quiet_client)
+
+
+class TestCurveWithoutDeployments:
+    """A curve checks its prefixes' bytes against the nodes instead of
+    building a deployment per point: the same points, the same errors."""
+
+    @pytest.mark.parametrize("repeated", [False, True])
+    def test_points_equal_the_deployment_path(self, small_trace, repeated):
+        order = np.random.default_rng(4).permutation(small_trace.n_keys)
+        if repeated:
+            # a key named again counts once, wherever it comes back
+            order = np.concatenate((order[:50], order[10:30], order[50:]))
+        counts = prefix_counts(order.size, 11)
+        client = YCSBClient(repeats=3, seed=2)
+        got = measure_curve(small_trace, order, RedisLike, counts,
+                            client=client)
+        want = deployment_curve(small_trace, order, RedisLike, counts,
+                                client)
+        assert got == want
+        assert [type(p.fast_bytes) for p in got] == [int] * len(got)
+
+    @staticmethod
+    def systems(small_trace):
+        total = int(small_trace.record_sizes.sum())
+        return {
+            "fast_full": lambda: HybridMemorySystem.testbed(
+                fast_capacity_bytes=total // 3),
+            "slow_full": lambda: HybridMemorySystem.testbed(
+                slow_capacity_bytes=total // 3),
+        }
+
+    CASES = {
+        "past_the_order": (None, [0, 10**6], "testbed"),
+        "negative_prefix": (None, [5, -1], "testbed"),
+        "negative_key": (-1, [0, 5, 6], "testbed"),
+        "key_past_the_space": ("n", [0, 5, 6, 200], "testbed"),
+        "bad_key_after_the_range_error": (-1, [10**6, 6], "testbed"),
+        "fast_node_full": (None, [0, 50, 200], "fast_full"),
+        "slow_node_full": (None, [200, 0], "slow_full"),
+        "the_first_failing_point": (None, [0, 200, 10**6], "fast_full"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_errors_match_case_by_case(self, small_trace, case):
+        bad, counts, system = self.CASES[case]
+        order = np.arange(small_trace.n_keys)
+        if bad is not None:
+            order[5] = small_trace.n_keys if bad == "n" else bad
+        factory = self.systems(small_trace).get(
+            system, HybridMemorySystem.testbed)
+        client = YCSBClient(repeats=1, noise_sigma=0.0)
+        with pytest.raises((ConfigurationError, CapacityError)) as want:
+            deployment_curve(small_trace, order, RedisLike, counts, client,
+                             system_factory=factory)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            measure_curve(small_trace, order, RedisLike, counts,
+                          client=client, system_factory=factory)
 
 
 class TestEstimateErrors:

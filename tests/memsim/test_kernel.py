@@ -36,6 +36,7 @@ from repro.kvstore.redislike import RedisLike
 from repro.kvstore.server import HybridDeployment
 from repro.memsim.kernel import BatchKernel, measure_repeats
 from repro.memsim.system import HybridMemorySystem
+from repro.memsim import timing
 from repro.memsim.timing import AccessTimer, NoiseModel, service_times_ns
 from repro.rng import derive_seed, ensure_rng
 from repro.store import SQLiteStore
@@ -1238,6 +1239,61 @@ class TestMixturePercentiles:
                     client, trace, deployment.profile, deployment.system,
                 ), mask))
         assert realised <= 1e-3 and law <= 1e-5
+
+    @staticmethod
+    def math_erfc(u):
+        return np.fromiter(map(math.erfc, u.ravel().tolist()), np.float64,
+                           u.size).reshape(u.shape)
+
+    def test_the_erfc_table_moves_percentiles_under_1e12(self, monkeypatch):
+        """The solve with Phi from its table against the same solve with
+        :func:`math.erfc` per value, at sigma 0.01: the presets' 12
+        hot-order splits with the LLC off and on, under jitter bursts
+        and on three tiers."""
+        from repro.runner.spec import split_fast_keys
+
+        profile = builtin_profiles()["redis"]
+        traces = [generate_trace(spec.with_seed(7))
+                  for spec in TABLE_III_WORKLOADS]
+        faults = FaultSpec(jitter_bursts=JitterBursts(bursts=8, width=2000))
+        rng = np.random.default_rng(8)
+        tiers = [rng.integers(0, 3, (2, t.n_keys)).astype(np.uint8)
+                 for t in traces[:3]]
+
+        def measured():
+            out = []
+            for i, trace in enumerate(traces):
+                splits = np.zeros((len(self.SPLITS), trace.n_keys), bool)
+                for row, fraction in zip(splits, self.SPLITS):
+                    row[split_fast_keys(trace, fraction)] = True
+                runs = [
+                    (YCSBClient(repeats=3, seed=7, use_llc=llc,
+                                percentiles=self.PERCENTILES),
+                     HybridMemorySystem.testbed(), splits)
+                    for llc in (False, True)
+                ]
+                if i < 3:
+                    runs += [
+                        (YCSBClient(repeats=3, seed=7, faults=faults,
+                                    percentiles=self.PERCENTILES),
+                         HybridMemorySystem.testbed(), splits[[0, 5]]),
+                        (YCSBClient(repeats=3, seed=7,
+                                    percentiles=self.PERCENTILES),
+                         HybridMemorySystem.dram_nvm_far(), tiers[i]),
+                    ]
+                for client, system, placements in runs:
+                    out += [r.latency_percentiles_ns for r in BatchKernel(
+                        client, trace, profile, system,
+                    ).run_all(placements)]
+            return out
+
+        tabled = measured()
+        monkeypatch.setattr(timing, "_erfc", self.math_erfc)
+        exact = measured()
+        assert len(tabled) == 5 * 24 + 3 * 4
+        worst = max(abs(got[q] / want[q] - 1.0)
+                    for got, want in zip(tabled, exact) for q in want)
+        assert worst <= 1e-12
 
     def test_three_tiers(self):
         """Tier placements on DRAM / NVM / far memory, against the

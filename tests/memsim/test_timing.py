@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.memsim import AccessTimer, NoiseModel
+from repro.memsim import timing
 
 
 def times(timer, sizes, lat=100.0, bpns=1.0, passes=1.0, cpu=0.0, **kw):
@@ -76,6 +77,29 @@ class TestNoiseClosedForm:
             assert ((density > 0) == (x >= 1e-3 * times)).all()
         # below the floor nothing runs: both are 0
         assert noise.cdf(0.05, times)[0].tolist() == [0.0, 0.0]
+
+
+class TestErfcTable:
+    """Phi in the percentile solve is erfc from a quintic Hermite table
+    (``timing._erfc``): knots 1/64 apart on [-6.5, 6.5], clamped
+    beyond."""
+
+    def test_within_2e_14_of_math_erfc(self):
+        knots = np.arange(-416, 417) / 64.0
+        grid = np.concatenate((
+            np.linspace(-8.0, 8.0, 200_001), knots, knots[:-1] + 1 / 128,
+            [6.5, -6.5, 6.5 + 1e-12, -6.5 - 1e-12, 7.0, -7.0, 40.0, -40.0,
+             1e300, -1e300, 0.0, -0.0],
+        ))
+        got = timing._erfc(grid)
+        want = np.array([math.erfc(u) for u in grid.tolist()])
+        assert np.abs(got - want).max() <= 2e-14
+
+    def test_clamps_to_the_limits_and_keeps_its_input(self):
+        u = np.array([6.5 + 1e-9, 9.0, 1e300, -6.5 - 1e-9, -9.0, -1e300])
+        assert timing._erfc(u).tolist() == [0.0] * 3 + [2.0] * 3
+        assert u[1] == 9.0
+        assert timing._erfc(np.array([0.0, -0.0])).tolist() == [1.0, 1.0]
 
 
 class TestAccessTimer:

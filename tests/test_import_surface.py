@@ -121,9 +121,23 @@ class TestFreshInterpreter:
             "repro repro._lazy repro.cli repro.errors", "False",
         ]
 
+    def test_importing_timing_builds_no_table(self):
+        # Phi's erfc table is built on first use, never on the import
+        # every ``setup`` pays for, and the module pulls in nothing new
+        out = run_fresh(
+            "import sys, dataclasses, numpy, repro.errors, repro.rng\n"
+            "before = set(sys.modules)\n"
+            "import repro.memsim.timing as timing\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+            "print(timing._erfc_table.cache_info().currsize == 0)"
+        )
+        assert out.splitlines() == [
+            "repro.memsim repro.memsim.timing", "True",
+        ]
+
     #: What a cold ``profile`` must not pay for: the pool, the daemon,
     #: the guard, analysis extras, and SciPy (the kernel's noise
-    #: closed form takes Phi from ``math.erfc``).
+    #: closed form takes Phi from ``math.erfc`` and its table).
     NOT_ON_THE_PROFILE_PATH = (
         "repro.runner.grid", "repro.guard", "repro.service.serve",
         "repro.service.requests", "repro.service.signals",

@@ -170,6 +170,52 @@ class TestLLCPath:
         np.testing.assert_array_equal(mask, want)
 
 
+    #: One spec per LLC regime and read/write mix: the working set
+    #: overflows the 12 MB LLC (four), fits it, or is one record size.
+    LLC_REGIMES = (
+        ("trending_preview", None), ("edit_thumbnail", None),
+        ("write_burst", 50_000), ("uniform_cache", 50_000),
+        ("feed_scroll", 1_000), ("constant", None),
+    )
+
+    @pytest.mark.parametrize("name,n_keys", LLC_REGIMES,
+                             ids=[name for name, _ in LLC_REGIMES])
+    def test_mask_is_the_cold_replay_on_every_regime(self, name, n_keys):
+        from repro.ycsb import generate_trace, workload_by_name
+        from repro.ycsb.distributions import DistributionSpec
+        from repro.ycsb.sizes import SizeModel
+        from repro.ycsb.workload import WorkloadSpec
+
+        if name == "constant":
+            spec = WorkloadSpec(
+                name="constant_10k",
+                distribution=DistributionSpec(name="scrambled_zipfian"),
+                read_fraction=0.9,
+                size_model=SizeModel(name="constant_10k",
+                                     median_bytes=10_240, sigma=0.0),
+                n_keys=20_000, seed=5,
+            )
+        else:
+            spec = workload_by_name(name).with_seed(5)
+            if n_keys is not None:
+                spec = spec.scaled(n_keys=n_keys)
+        t = generate_trace(spec)
+        llc = HybridMemorySystem.testbed().llc
+        hits, latency = YCSBClient(use_llc=True)._cache_mask(t, llc, None)
+        want = LLCModel(llc.capacity_bytes).process(
+            t.keys, t.record_sizes[t.keys])
+        assert 0 < want.sum() and latency == llc.hit_latency_ns
+        assert hits.dtype == want.dtype and not hits.flags.writeable
+        np.testing.assert_array_equal(hits, want)
+
+    def test_mask_beyond_the_pass_is_the_replay(self):
+        # n * capacity >= 2**53: the frontier pass refuses, the replay runs
+        t = trace_of([0, 1, 0, 2, 1, 0], [True] * 6, [10, 20, 30])
+        llc = LLCModel(capacity_bytes=2**51)
+        hits, _ = YCSBClient(use_llc=True)._cache_mask(t, llc, None)
+        assert hits.tolist() == [False, False, True, False, True, True]
+
+
 class TestEngineComparison:
     def test_memcached_less_sensitive_than_redis(self, quiet_client):
         """Fig 8b ordering on a minimal workload."""
