@@ -45,7 +45,6 @@ import hashlib
 import json
 import os
 import socket
-import socketserver
 import sys
 import threading
 import time
@@ -99,6 +98,11 @@ JOURNAL_QUEUE_S = 0.002
 
 #: Parameter sets whose last good reply is kept for degraded service (LRU).
 LAST_GOOD_ENTRIES = 256
+
+#: What a parameter set that keys its last good reply as itself holds:
+#: at most 4 fields, each a number, a bool, null or a short string.
+_KEY_FIELDS, _KEY_CHARS = 4, 128
+_KEY_SCALARS = frozenset({int, float, bool, type(None)})
 
 
 @dataclass(frozen=True)
@@ -187,50 +191,6 @@ class ServeConfig:
 
 
 # -- control socket ------------------------------------------------------------
-
-
-class _ControlHandler(socketserver.StreamRequestHandler):
-    """One JSON request line in, one JSON response line out.
-
-    The read is bounded in both time (``read_timeout_s`` — a slowloris
-    client that never finishes its line is answered ``read_timeout``
-    and dropped) and size (``max_request_bytes`` — an endless line is
-    answered ``request_too_large``), so one bad client can never pin a
-    handler thread or buffer unbounded garbage.
-    """
-
-    def handle(self) -> None:  # pragma: no cover - exercised via requests
-        service = self.server.service  # type: ignore[attr-defined]
-        config = service.config
-        self.connection.settimeout(config.read_timeout_s)
-        try:
-            line = self.rfile.readline(config.max_request_bytes + 2)
-        except OSError:  # timeout: the client stalled mid-line
-            telemetry.count("serve.slow_reads")
-            self._respond({
-                "ok": False, "error": "read_timeout",
-                "read_timeout_s": config.read_timeout_s,
-            })
-            return
-        if len(line) > config.max_request_bytes:
-            self._respond({
-                "ok": False, "error": "request_too_large",
-                "max_request_bytes": config.max_request_bytes,
-            })
-            return
-        try:
-            text = line.decode("utf-8").strip()
-            request = json.loads(text) if text else {}
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
-            request = None  # incl. a line nested deeper than the parser goes
-        self._respond(service._control(request))
-
-    def _respond(self, response: dict) -> None:
-        self.server.replying()
-        try:
-            self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
-        except (OSError, ValueError):  # client already gone
-            pass
 
 
 class _ControlServer:
@@ -324,24 +284,62 @@ class _ControlServer:
                 self._waiting += 1
 
     def _serve(self, conn: socket.socket) -> None:
+        """One JSON request line in, one JSON response line out.
+
+        The line ends at the first newline (what follows is ignored) or
+        at EOF, and the read is bounded in both time (``read_timeout_s``
+        per ``recv`` — a slowloris client that never finishes its line
+        is answered ``read_timeout`` and dropped) and size
+        (``max_request_bytes``, the newline included — an endless line
+        is answered ``request_too_large``), so one bad client can never
+        pin a thread or buffer unbounded garbage.
+        """
+        config = self.service.config
+        limit = config.max_request_bytes
         try:
-            _ControlHandler(conn, None, self)
-        except Exception as exc:  # noqa: BLE001 - a handler that raises
+            conn.settimeout(config.read_timeout_s)
+            line = b""
+            try:
+                while b"\n" not in line and len(line) <= limit:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    line += chunk
+            except OSError:  # timeout: the client stalled mid-line
+                telemetry.count("serve.slow_reads")
+                response = {
+                    "ok": False, "error": "read_timeout",
+                    "read_timeout_s": config.read_timeout_s,
+                }
+            else:
+                line = line[:line.find(b"\n") + 1 or None]  # to a newline
+                if len(line) > limit:
+                    response = {
+                        "ok": False, "error": "request_too_large",
+                        "max_request_bytes": limit,
+                    }
+                else:
+                    try:
+                        text = line.decode("utf-8").strip()
+                        request = json.loads(text) if text else {}
+                    except (UnicodeDecodeError, json.JSONDecodeError,
+                            RecursionError):
+                        request = None  # incl. a line nested too deep
+                    response = self.service._control(request)
+            self.replying()
+            reply = json.dumps(response).encode("utf-8") + b"\n"
+        except Exception as exc:  # noqa: BLE001 - a request that raises
             # still owes its client an answer, not a dropped connection
             traceback.print_exc()
             telemetry.count("serve.handler_errors")
-            reply = {
+            reply = json.dumps({
                 "ok": False, "error": "internal_error", "detail": str(exc),
-            }
-            try:
-                conn.sendall(json.dumps(reply).encode("utf-8") + b"\n")
-            except OSError:
-                pass
+            }).encode("utf-8") + b"\n"
+        try:
+            conn.sendall(reply)
+        except OSError:  # client already gone
+            pass
         finally:
-            try:
-                conn.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
             conn.close()
 
     def close(self) -> None:
@@ -644,16 +642,26 @@ class GuardService:
         )
         return response
 
-    def _memo_key(self, op: str, request: dict) -> str:
-        """The degraded-mode key: a fixed-size digest of the parameters.
+    def _memo_key(self, op: str, request: dict) -> tuple | str:
+        """The degraded-mode key: the parameters, or a digest of them.
 
-        Never the text itself — a ``drift`` sample at ``max_request_bytes``
-        would pin a megabyte per entry.
+        A few short scalars (a ``size``, a ``validate``) are the key
+        themselves, each beside its type so that ``1``, ``1.0`` and
+        ``true`` stay three keys as they are three JSON texts.  Anything
+        else gets a fixed-size digest, never the text itself — a
+        ``drift`` sample at ``max_request_bytes`` would pin a megabyte
+        per entry.
         """
-        params = {
-            k: v for k, v in sorted(request.items())
+        params = [
+            (k, type(v), v) for k, v in sorted(request.items())
             if k not in ("op", "token", "deadline_s")
-        }
+        ]
+        if len(params) <= _KEY_FIELDS and all(
+            t in _KEY_SCALARS or (t is str and len(v) <= _KEY_CHARS)
+            for _, t, v in params
+        ):
+            return (op, *params)
+        params = {k: v for k, _, v in params}
         text = f"{op}:{json.dumps(params, sort_keys=True, default=str)}"
         return hashlib.sha256(text.encode()).hexdigest()
 
@@ -707,7 +715,7 @@ class GuardService:
                 self._last_good.popitem(last=False)
         return response
 
-    def _degrade(self, op: str, key: str, exc: ReproError) -> dict:
+    def _degrade(self, op: str, key, exc: ReproError) -> dict:
         """Serve the last good answer, honestly flagged stale."""
         telemetry.count("serve.degraded", op=op)
         memo = self._last_good.get(key)

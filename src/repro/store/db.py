@@ -27,9 +27,11 @@ that are safe for this codebase's process model:
   the file, from :meth:`Database.write_txn` and :meth:`Database.read`
   alike.
 
-Writes always run inside a single ``BEGIN IMMEDIATE`` transaction:
-SQLite serialises writers, so every row is either fully present or
-absent — the property the crash drills in ``tests/store`` assert.
+Writes run inside a single ``BEGIN IMMEDIATE`` transaction, or — a
+write that is one statement, like an oplog append — as that statement
+alone, which SQLite commits on its own: SQLite serialises writers, so
+every row is either fully present or absent — the property the crash
+drills in ``tests/store`` assert.
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ class Database:
             )
         return StoreError(msg)
 
-    def write_txn(self, fn):
+    def write_txn(self, fn, atomic: bool = True):
         """Run ``fn(conn)`` in a single-writer transaction, retrying locks.
 
         ``BEGIN IMMEDIATE`` takes the write lock up front, so the whole
@@ -192,7 +194,9 @@ class Database:
         that outlasts ``busy_timeout`` is retried with exponential
         backoff up to ``max_attempts`` times, then raised as
         :class:`~repro.errors.StoreError` — as is, at once, any other
-        database error.  Returns ``fn``'s result.
+        database error.  Returns ``fn``'s result.  ``atomic=False`` is
+        for a body of one write statement: SQLite commits it on its own
+        (autocommit) before it returns, with no BEGIN / COMMIT around it.
         """
         conn = self.connection()
         last: sqlite3.DatabaseError | None = None
@@ -201,6 +205,8 @@ class Database:
                 telemetry.count("store.lock_retry")
                 time.sleep(self._backoff_s(attempt - 1))
             try:
+                if not (atomic or conn.in_transaction):
+                    return fn(conn)
                 conn.execute("BEGIN IMMEDIATE")
             except sqlite3.DatabaseError as exc:
                 if not _is_locked(exc):

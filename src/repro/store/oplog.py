@@ -14,10 +14,11 @@ appended to.  Three consumers ride on it:
 - **operators** — ``SELECT kind, COUNT(*) FROM oplog GROUP BY kind``
   style censuses over run history, with no log files to scrape.
 
-Appends run inside the store's single-writer transactions, so an entry
-is either fully durable or absent — the crash drills in
-``tests/store/test_crash.py`` SIGKILL writers mid-append and assert
-exactly that.
+An append is one ``INSERT``, committed by SQLite on its own before it
+returns (no ``BEGIN`` / ``COMMIT`` round trips), under the store's
+lock retry, so an entry is either fully durable or absent — the crash
+drills in ``tests/store/test_crash.py`` SIGKILL writers mid-append and
+assert exactly that.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ SERVICE_REQUEST_KINDS = (
     KIND_REQUEST_SERVED,
     KIND_CONFIG_RELOADED,
 )
+
+
+_APPEND = "INSERT INTO oplog (run_id, kind, at, payload) VALUES (?, ?, ?, ?)"
 
 
 @dataclass(frozen=True)
@@ -69,21 +73,13 @@ class Oplog:
     def append(self, run_id: str, kind: str, **payload) -> int:
         """Durably append one entry; returns its sequence number.
 
-        The payload must be JSON-serialisable; the append commits in
-        its own single-writer transaction (atomic under SIGKILL).
+        The payload must be JSON-serialisable; the append is one
+        statement, committed before this returns (atomic under SIGKILL).
         """
-        body = json.dumps(payload, sort_keys=True)
-        now = time.time()
-
-        def txn(conn):
-            cur = conn.execute(
-                "INSERT INTO oplog (run_id, kind, at, payload)"
-                " VALUES (?, ?, ?, ?)",
-                (run_id, kind, now, body),
-            )
-            return cur.lastrowid
-
-        return self.db.write_txn(txn)
+        row = (run_id, kind, time.time(), json.dumps(payload, sort_keys=True))
+        return self.db.write_txn(
+            lambda conn: conn.execute(_APPEND, row).lastrowid, atomic=False,
+        )
 
     def entries(
         self, run_id: str | None = None, kind: str | None = None,

@@ -28,8 +28,9 @@ reported as a miss, so the caller transparently recomputes it.
 (``python -m repro cache verify``) and ``stats()`` counts what
 quarantine holds.
 
-- every write is one WAL-mode ``BEGIN IMMEDIATE`` transaction
-  (:mod:`repro.store.db`), so a SIGKILL mid-write can never leave a
+- every write is one WAL-mode ``BEGIN IMMEDIATE`` transaction, or one
+  statement SQLite commits on its own (an oplog append;
+  :mod:`repro.store.db`), so a SIGKILL mid-write can never leave a
   torn entry — the row is either fully there or absent;
 - concurrent runners on one volume contend on SQLite's write lock,
   with ``busy_timeout`` plus bounded-backoff retry absorbing the

@@ -2,8 +2,8 @@
 
 The registry is deliberately small: three metric types, label support,
 snapshot/merge (so ``mnemo obs`` can rebuild a registry from a run's
-log), and Prometheus text-format
-rendering for the future served-advisor daemon.  Nothing here touches
+log), and Prometheus text-format rendering for the served advisor's
+``metrics`` op (``mnemo serve``).  Nothing here touches
 RNG streams, fingerprints or simulated numbers — metrics observe the
 pipeline, they never participate in it.
 
@@ -137,16 +137,31 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, LabelsKey], Counter | Gauge | Histogram] = {}
+        #: (name, *labels.items()) as a caller passed them -> the metric
+        #: its canonical key names.  Only all-``str`` label values get an
+        #: entry: ``1 == 1.0 == True`` render three ways, equal ``str``s
+        #: one (a ``str`` subclass that renders otherwise may still hit)
+        self._fast: dict[tuple, Counter | Gauge | Histogram] = {}
 
     def __len__(self) -> int:
         return len(self._metrics)
 
     def _get(self, cls, name: str, labels: dict, **kwargs):
-        key = (name, labels_key(labels))
-        metric = self._metrics.get(key)
+        fast = (name, *labels.items())
+        try:
+            metric = self._fast.get(fast)
+        except TypeError:  # an unhashable label value: canonical key only
+            metric = fast = None
         if metric is None:
-            # one atomic insert: threads that race to create it share one
-            metric = self._metrics.setdefault(key, cls(**kwargs))
+            key = (name, labels_key(labels))
+            metric = self._metrics.get(key)
+            if metric is None:
+                # one atomic insert: threads that race to create it share one
+                metric = self._metrics.setdefault(key, cls(**kwargs))
+            if fast is not None and all(
+                type(v) is str for v in labels.values()
+            ):
+                self._fast[fast] = metric
         if not isinstance(metric, cls):
             raise ConfigurationError(
                 f"metric {name!r} already registered as {metric.kind}"

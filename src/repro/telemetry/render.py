@@ -4,7 +4,8 @@ Takes the JSONL records a :class:`~repro.telemetry.session.TelemetrySession`
 flushed and produces operator-facing text: the reassembled span tree,
 the top-N slow spans, the cache hit rate, the kernel path mix (as ASCII
 bars via :mod:`repro.analysis.asciiplot`), and a Prometheus text-format
-export of the final metrics for the future served-advisor daemon.
+export of the final metrics (the same text the served advisor's
+``metrics`` op returns).
 """
 
 from __future__ import annotations

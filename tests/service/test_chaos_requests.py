@@ -421,6 +421,73 @@ class TestSlowloris:
             )["ok"]
 
 
+def _padded_ping(total: int) -> bytes:
+    """A ping request line of exactly *total* bytes, newline included."""
+    stub = b'{"op": "ping", "pad": ""}\n'
+    line = stub.replace(b'""', b'"' + b"x" * (total - len(stub)) + b'"')
+    assert len(line) == total
+    return line
+
+
+class TestRequestLine:
+    """What the daemon reads as the request line: up to and including
+    the first newline, or up to EOF, and never past the size limit
+    (``max_request_bytes`` counts the newline)."""
+
+    LIMIT = 64
+
+    def _ask(self, daemon, payload: bytes, close_write: bool = False):
+        sock = _connect(daemon.config.socket_path, payload)
+        if close_write:
+            sock.shutdown(socket.SHUT_WR)
+        return _reply(sock)
+
+    def test_line_without_newline_then_eof_is_served(self, tmp_path):
+        with _Daemon(tmp_path, max_request_bytes=self.LIMIT) as daemon:
+            reply = self._ask(daemon, b'{"op": "ping"}', close_write=True)
+            assert reply["ok"] is True and reply["op"] == "ping"
+
+    def test_bytes_after_the_newline_are_ignored(self, tmp_path):
+        with _Daemon(tmp_path, max_request_bytes=self.LIMIT) as daemon:
+            reply = self._ask(daemon, b'{"op": "ping"}\n{"op": "shutd')
+            assert reply["ok"] is True and reply["op"] == "ping"
+            reply = self._ask(daemon, b'{"op": "ping"}\n\xff' * 2,
+                              close_write=True)
+            assert reply["ok"] is True and reply["op"] == "ping"
+            assert control_call(
+                daemon.config.socket_path, {"op": "ping"},
+            )["ok"]
+
+    def test_a_line_at_the_limit_is_accepted(self, tmp_path):
+        with _Daemon(tmp_path, max_request_bytes=self.LIMIT) as daemon:
+            reply = self._ask(daemon, _padded_ping(self.LIMIT))
+            assert reply["ok"] is True and reply["op"] == "ping"
+            reply = self._ask(daemon, _padded_ping(self.LIMIT)[:-1],
+                              close_write=True)
+            assert reply["ok"] is True and reply["op"] == "ping"
+
+    def test_one_byte_past_the_limit_is_too_large(self, tmp_path):
+        with _Daemon(tmp_path, max_request_bytes=self.LIMIT) as daemon:
+            for payload, close_write in (
+                (_padded_ping(self.LIMIT + 1), False),
+                (_padded_ping(self.LIMIT + 2)[:-1], True),
+            ):
+                reply = self._ask(daemon, payload, close_write)
+                assert reply == {
+                    "ok": False, "error": "request_too_large",
+                    "max_request_bytes": self.LIMIT,
+                }
+
+    def test_a_line_that_is_not_utf8_gets_the_json_error(self, tmp_path):
+        with _Daemon(tmp_path, max_request_bytes=self.LIMIT) as daemon:
+            reply = self._ask(daemon, b'{"op": "ping", "x": "\xff"}\n')
+            assert reply["ok"] is False
+            assert "JSON" in reply["error"]
+            assert control_call(
+                daemon.config.socket_path, {"op": "ping"},
+            )["ok"]
+
+
 class TestFlood:
     def test_flood_past_admission_queue_sheds_cleanly(self, tmp_path):
         with _Daemon(tmp_path, workers=1, queue_depth=1) as daemon:

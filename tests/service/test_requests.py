@@ -782,6 +782,32 @@ class TestGracefulDegradation:
         finally:
             service._plane.close()
 
+    def test_last_good_keys_tell_json_texts_apart(self, tmp_path):
+        """Parameters that print as different JSON are different keys,
+        and a long string field is digested, not kept."""
+        service = GuardService(_config(tmp_path), tick_fn=lambda: 0)
+        try:
+            service.advisor.size = lambda **kwargs: {"slo": kwargs["slo"]}
+            for slo in (1.0, "1"):
+                assert service._control({"op": "size", "slo": slo})["ok"]
+            long_field = {"op": "size", "slo": 1.0, "note": "x" * 100_000}
+            assert service._control(long_field)["ok"]
+            assert sum(len(repr(k)) for k in service._last_good) < 1_000
+
+            def broken(**kwargs):
+                raise StoreError("store on fire")
+
+            service.advisor.size = broken
+            for slo in (1.0, "1"):
+                reply = service._control({"op": "size", "slo": slo})
+                assert reply["stale"] is True and reply["slo"] == slo
+            assert service._control(long_field)["stale"] is True
+            for slo in (1, True):
+                reply = service._control({"op": "size", "slo": slo})
+                assert reply["error"] == "advisor_error"
+        finally:
+            service._plane.close()
+
     def test_advisor_error_without_memo_is_structured(self, tmp_path):
         service = GuardService(_config(tmp_path), tick_fn=lambda: 0)
         try:

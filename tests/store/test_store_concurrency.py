@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro import telemetry
 from repro.errors import ConfigurationError, StoreError
 from repro.store import SQLiteStore
 from repro.store.db import Database
@@ -139,6 +140,50 @@ class TestLockRetry:
         finally:
             blocker.execute("ROLLBACK")
             blocker.close()
+            store.close()
+
+    def test_held_lock_is_retried_by_an_oplog_append(self, tmp_path):
+        """An append is one autocommitted INSERT, not a ``BEGIN IMMEDIATE``
+        transaction, and still waits a long transaction out: through
+        the same retry loop once ``busy_timeout`` runs out."""
+        path = tmp_path / "locked-oplog.db"
+        store = SQLiteStore(path, busy_timeout_ms=50)
+        store.oplog.append("run", "seed")
+        blocker = sqlite3.connect(
+            path, isolation_level=None, check_same_thread=False,
+        )
+        blocker.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.3, lambda: blocker.execute("COMMIT"))
+        release.start()
+        try:
+            with telemetry.session() as tel:
+                seq = store.oplog.append("run", "after", i=1)
+            assert tel.metrics.counter("store.lock_retry").value >= 1
+            last = store.oplog.entries("run")[-1]
+            assert (last.seq, last.kind, last.payload) == (
+                seq, "after", {"i": 1},
+            )
+        finally:
+            release.cancel()
+            blocker.close()
+            store.close()
+
+    def test_exhausted_retries_fail_an_oplog_append(self, tmp_path):
+        path = tmp_path / "stuck-oplog.db"
+        store = SQLiteStore(path, busy_timeout_ms=10, max_attempts=2)
+        store.db.backoff_base_s = 0.01
+        store.oplog.append("run", "seed")
+        blocker = sqlite3.connect(path, isolation_level=None)
+        blocker.execute("BEGIN IMMEDIATE")
+        try:
+            with pytest.raises(StoreError, match="stayed locked"):
+                store.oplog.append("run", "never")
+        finally:
+            blocker.execute("ROLLBACK")
+            blocker.close()
+        try:
+            assert [e.kind for e in store.oplog.entries("run")] == ["seed"]
+        finally:
             store.close()
 
     def test_fork_reopens_connection(self, tmp_path):

@@ -121,3 +121,49 @@ class TestRegistry:
         assert 'dur_bucket{le="+Inf"} 1' in text
         assert "dur_sum 1.5" in text
         assert "dur_count 1" in text
+
+
+class TestLookupFastPath:
+    """A metric is found by the labels as its caller passed them; the
+    canonical (sorted, stringified) key still decides which series that
+    is.  Every case runs twice, so the second round takes the fast
+    path."""
+
+    @staticmethod
+    def _one_series(reg, name, value) -> dict:
+        snap = reg.snapshot()
+        assert len(snap) == 1 and snap[0]["value"] == value
+        lines = reg.to_prometheus().splitlines()
+        assert sum(line.startswith(name + "{") for line in lines) == 1
+        return snap[0]["labels"]
+
+    def test_kwargs_in_either_order_are_one_series(self):
+        reg = MetricsRegistry()
+        for _ in range(2):
+            reg.counter("x", a="1", b="2").inc()
+            reg.counter("x", b="2", a="1").inc()
+        assert self._one_series(reg, "x", 4) == {"a": "1", "b": "2"}
+
+    @pytest.mark.parametrize("first, second", [(1, "1"), ("1", 1)])
+    def test_an_int_and_its_string_are_one_series(self, first, second):
+        reg = MetricsRegistry()
+        for _ in range(2):
+            reg.counter("x", v=first).inc()
+            reg.counter("x", v=second).inc()
+        assert self._one_series(reg, "x", 4) == {"v": "1"}
+
+    def test_equal_values_that_render_apart_stay_apart(self):
+        reg = MetricsRegistry()
+        for _ in range(2):
+            for v in ("1", 1, 1.0, True):
+                reg.counter("x", v=v).inc()
+        assert {
+            rec["labels"]["v"]: rec["value"] for rec in reg.snapshot()
+        } == {"1": 4, "1.0": 2, "True": 2}
+
+    def test_an_unhashable_label_value_is_still_counted(self):
+        reg = MetricsRegistry()
+        for _ in range(2):
+            reg.counter("x", v=[1, 2]).inc()
+            reg.counter("x", v="[1, 2]").inc()
+        assert self._one_series(reg, "x", 4) == {"v": "[1, 2]"}
