@@ -18,7 +18,7 @@ from repro.baselines import (
     MLBaselineProfiler,
     train_fast_baseline_model,
 )
-from repro.core import Mnemo, WorkloadDescriptor
+from repro.core import Mnemo
 from repro.kvstore import RedisLike
 from repro.ycsb.distributions import DistributionSpec
 from repro.ycsb.sizes import SizeModel
@@ -47,19 +47,19 @@ def training_specs():
 
 
 def run(paper_traces, redis_reports, client):
-    descriptor = WorkloadDescriptor.from_trace(paper_traces["trending"])
+    trace = paper_traces["trending"]
     real = redis_reports["trending"].baselines
 
     # device-only prediction of the fast baseline
     xmem = InstrumentedProfiler(RedisLike, client=client)
     micro = xmem.run_microbenchmarks()
-    device_fast = xmem.predict_runtime_ns(descriptor, micro, "fast")
+    device_fast = xmem.predict_runtime_ns(trace, micro, "fast")
 
     # ML-inferred fast baseline
     model = train_fast_baseline_model(training_specs(), RedisLike,
                                       client=client)
     tahoe = MLBaselineProfiler(model, RedisLike, client=client)
-    ml_fast = tahoe.profile(descriptor).baselines.fast.runtime_ns
+    ml_fast = tahoe.profile(trace).baselines.fast.runtime_ns
 
     truth = real.fast_runtime_ns
     return {

@@ -16,7 +16,7 @@ served from FastMem at a fixed 25 % capacity.
 import numpy as np
 
 from repro.baselines import knapsack_tiering
-from repro.core import EstimateEngine, PatternEngine, WorkloadDescriptor
+from repro.core import EstimateEngine, PatternEngine
 from repro.core.sensitivity import SensitivityEngine
 from repro.kvstore import RedisLike
 
@@ -25,16 +25,15 @@ from common import emit, pct, table
 
 def run(paper_traces, client):
     trace = paper_traces["trending_preview"]
-    descriptor = WorkloadDescriptor.from_trace(trace)
-    baselines = SensitivityEngine(RedisLike, client=client).measure(descriptor)
+    baselines = SensitivityEngine(RedisLike, client=client).measure(trace)
 
-    touch = PatternEngine(mode="touch").analyze(descriptor)
-    weight = PatternEngine(mode="weight").analyze(descriptor)
+    touch = PatternEngine(mode="touch").analyze(trace)
+    weight = PatternEngine(mode="weight").analyze(trace)
 
     accesses = weight.accesses_per_key
     acc_order = np.argsort(-accesses, kind="stable").astype(np.int64)
     acc_only = PatternEngine(mode="external").analyze(
-        descriptor, external_order=acc_order
+        trace, external_order=acc_order
     )
 
     engine = EstimateEngine()

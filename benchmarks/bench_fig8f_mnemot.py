@@ -15,15 +15,14 @@ from common import emit, pct, table
 
 
 def run(paper_traces, client):
-    from repro.core import EstimateEngine, PatternEngine, WorkloadDescriptor
+    from repro.core import EstimateEngine, PatternEngine
 
     trace = paper_traces["timeline"]
-    descriptor = WorkloadDescriptor.from_trace(trace)
     tiered = MnemoT(engine_factory=RedisLike, client=client).profile(trace)
     # the untiered comparator: split the scrambled key space in key-ID
     # order (what a fixed Fast:Slow ratio gives you without tiering)
     untier_pattern = PatternEngine(mode="external").analyze(
-        descriptor, external_order=np.arange(trace.n_keys, dtype=np.int64)
+        trace, external_order=np.arange(trace.n_keys, dtype=np.int64)
     )
     untiered_curve = EstimateEngine().estimate(tiered.baselines,
                                                untier_pattern)

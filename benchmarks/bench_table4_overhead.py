@@ -17,7 +17,7 @@ from repro.baselines import (
     MLBaselineProfiler,
     train_fast_baseline_model,
 )
-from repro.core import MnemoT, WorkloadDescriptor
+from repro.core import MnemoT
 from repro.kvstore import RedisLike
 from repro.units import ns_to_s
 from repro.ycsb.distributions import DistributionSpec
@@ -47,24 +47,24 @@ def training_specs():
 
 
 def run_comparison(paper_traces, bench_client):
-    descriptor = WorkloadDescriptor.from_trace(paper_traces["trending"])
+    trace = paper_traces["trending"]
 
     # MnemoT: both baselines are real runs; weights are free
     mnemot = MnemoT(engine_factory=RedisLike, client=bench_client)
-    report = mnemot.profile(descriptor)
+    report = mnemot.profile(trace)
     mnemot_cost = (report.baselines.fast.runtime_ns
                    + report.baselines.slow.runtime_ns)
 
     # X-Mem-like
     xmem = InstrumentedProfiler(RedisLike, client=bench_client)
-    xmem_cost = xmem.profile(descriptor).cost
+    xmem_cost = xmem.profile(trace).cost
 
     # Tahoe-like
     model = train_fast_baseline_model(
         training_specs(), RedisLike, client=bench_client,
     )
     tahoe = MLBaselineProfiler(model, RedisLike, client=bench_client)
-    tahoe_cost = tahoe.profile(descriptor).cost
+    tahoe_cost = tahoe.profile(trace).cost
 
     return mnemot_cost, xmem_cost, tahoe_cost
 

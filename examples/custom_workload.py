@@ -17,8 +17,13 @@ Run:  python examples/custom_workload.py
 import tempfile
 from pathlib import Path
 
-from repro import MnemoT, RedisLike, WorkloadDescriptor
-from repro.ycsb import downsample, generate_trace, save_trace_csv
+from repro import MnemoT, RedisLike
+from repro.ycsb import (
+    downsample,
+    generate_trace,
+    load_trace_csv,
+    save_trace_csv,
+)
 from repro.ycsb.distributions import DistributionSpec
 from repro.ycsb.sampling import distribution_distance
 from repro.ycsb.sizes import SizeModel
@@ -49,7 +54,7 @@ def main() -> None:
         req_path, data_path = save_trace_csv(trace, tmp)
         print(f"saved descriptor: {Path(req_path).name}, "
               f"{Path(data_path).name}")
-        descriptor = WorkloadDescriptor.from_csv(req_path, data_path)
+        descriptor = load_trace_csv(req_path, data_path)
     print(f"loaded {descriptor.n_requests:,} requests over "
           f"{descriptor.n_keys:,} keys "
           f"({descriptor.dataset_bytes / 1e6:.0f} MB dataset)\n")

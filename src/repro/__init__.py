@@ -35,7 +35,6 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "core.estimate": ["EstimateCurve"],
     "core.slo": ["SizingChoice"],
     "core.sensitivity": ["PerformanceBaselines"],
-    "core.descriptor": ["WorkloadDescriptor"],
     "memsim.system": ["HybridMemorySystem"],
     "kvstore.redislike": ["RedisLike"],
     "kvstore.memcachedlike": ["MemcachedLike"],

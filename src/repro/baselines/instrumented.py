@@ -29,7 +29,7 @@ from repro.errors import ConfigurationError
 from repro.kvstore.server import EngineFactory, HybridDeployment
 from repro.memsim.system import HybridMemorySystem
 from repro.ycsb.client import YCSBClient
-from repro.core.descriptor import WorkloadDescriptor
+from repro.ycsb.workload import Trace
 from repro.core.pattern import KeyAccessPattern, PatternEngine
 
 
@@ -135,9 +135,8 @@ class InstrumentedProfiler:
             microbench_ns=micro_ns,
         )
 
-    def instrumented_execution_ns(self, descriptor: WorkloadDescriptor) -> float:
+    def instrumented_execution_ns(self, trace: Trace) -> float:
         """Simulated time of one fully instrumented workload execution."""
-        trace = descriptor.to_trace()
         deployment = HybridDeployment.all_fast(
             self.engine_factory, self.system_factory(), trace.record_sizes
         )
@@ -146,15 +145,15 @@ class InstrumentedProfiler:
 
     # -- profiling ------------------------------------------------------------------
 
-    def profile(self, descriptor: WorkloadDescriptor) -> InstrumentedResult:
+    def profile(self, trace: Trace) -> InstrumentedResult:
         """Run the full instrumentation-based pipeline."""
         micro = self.run_microbenchmarks()
-        tiering_ns = self.instrumented_execution_ns(descriptor)
+        tiering_ns = self.instrumented_execution_ns(trace)
 
         # the instrumented run observes every access, so the resulting
         # ordering matches the accesses/size weights MnemoT computes
-        # directly from the descriptor
-        pattern = PatternEngine("weight").analyze(descriptor)
+        # directly from the trace
+        pattern = PatternEngine("weight").analyze(trace)
         cost = ProfilingCost(
             input_prep_ns=self.source_instrumentation_ns,
             baselines_ns=micro.microbench_ns,
@@ -164,8 +163,7 @@ class InstrumentedProfiler:
         return InstrumentedResult(pattern=pattern, microbench=micro, cost=cost)
 
     def predict_runtime_ns(
-        self, descriptor: WorkloadDescriptor, micro: MicrobenchBaselines,
-        node: str,
+        self, trace: Trace, micro: MicrobenchBaselines, node: str,
     ) -> float:
         """Device-model runtime prediction for an all-*node* placement.
 
@@ -174,7 +172,6 @@ class InstrumentedProfiler:
         why this methodology mispredicts end-to-end throughput (see the
         baseline ablation bench).
         """
-        trace = descriptor.to_trace()
         sizes = trace.record_sizes[trace.keys].astype(np.float64)
         if node == "fast":
             lat, bpns = micro.fast_latency_ns, micro.fast_bytes_per_ns

@@ -28,7 +28,6 @@ from repro.ycsb.client import RunResult, YCSBClient
 from repro.ycsb.generator import generate_trace
 from repro.ycsb.workload import Trace, WorkloadSpec
 from repro.baselines.instrumented import ProfilingCost
-from repro.core.descriptor import WorkloadDescriptor
 from repro.core.sensitivity import PerformanceBaselines, SensitivityEngine
 
 
@@ -97,7 +96,7 @@ def train_fast_baseline_model(
     training_cost = 0.0
     for spec in training_specs:
         trace = generate_trace(spec)
-        baselines = engine.measure(WorkloadDescriptor.from_trace(trace))
+        baselines = engine.measure(trace)
         rows.append(_features(baselines.slow, trace))
         y_read.append(baselines.fast.avg_read_ns)
         y_write.append(baselines.fast.avg_write_ns)
@@ -140,11 +139,10 @@ class MLBaselineProfiler:
         self.client = client if client is not None else YCSBClient()
         self.amortize_training = amortize_training
 
-    def profile(self, descriptor: WorkloadDescriptor) -> MLProfileResult:
+    def profile(self, trace: Trace) -> MLProfileResult:
         """Measure SlowMem-only, infer FastMem-only."""
         from repro.kvstore.server import HybridDeployment  # local to avoid cycle
 
-        trace = descriptor.to_trace()
         slow_dep = HybridDeployment.all_slow(
             self.engine_factory, self.system_factory(), trace.record_sizes
         )

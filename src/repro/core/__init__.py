@@ -13,6 +13,10 @@ The four engines of Figure 6:
 Facades: :class:`~repro.core.mnemo.Mnemo` (stand-alone, Fig 2a),
 :class:`~repro.core.mnemo.ExternalTieringMnemo` (Fig 2b) and
 :class:`~repro.core.mnemot.MnemoT` (Fig 2c).
+
+The paper's workload descriptor (Section IV) is a
+:class:`~repro.ycsb.workload.Trace`; every engine takes the caller's
+trace as given.
 """
 
 from repro._lazy import attach

@@ -26,7 +26,6 @@ from repro.kvstore.server import EngineFactory, HybridDeployment
 from repro.memsim.system import HybridMemorySystem
 from repro.ycsb.client import YCSBClient
 from repro.ycsb.workload import Trace
-from repro.core.descriptor import WorkloadDescriptor
 from repro.core.estimate import EstimateEngine
 from repro.core.pattern import PatternEngine
 from repro.core.placement import PlacementEngine
@@ -96,20 +95,18 @@ class Mnemo:
             )
         return accuracy
 
-    def _analytic_baselines(self, descriptor: WorkloadDescriptor):
+    def _analytic_baselines(self, trace: Trace):
         """Predicted baselines: the analytic kernel (noise at its mean,
         reuse-time LLC hit mask)."""
         from repro.memsim.analytic import predict_baselines
 
         system = self.system_factory()
         profile = self.engine_factory(system.fast, system.slow).profile
-        return predict_baselines(
-            descriptor.to_trace(), profile, system, self.client
-        )
+        return predict_baselines(trace, profile, system, self.client)
 
     def profile(
         self,
-        workload: Trace | WorkloadDescriptor,
+        trace: Trace,
         external_order: np.ndarray | None = None,
         allow_partial: bool = False,
         accuracy: str | None = None,
@@ -118,8 +115,11 @@ class Mnemo:
 
         Parameters
         ----------
-        workload:
-            A generated trace or a user-supplied descriptor.
+        trace:
+            The workload descriptor of Section IV — the key sequence,
+            request types and record sizes — used as given: no copy is
+            made, so its memos (:attr:`~repro.ycsb.workload.Trace.digest`,
+            per-key counts, hot order) serve every later call on it.
         external_order:
             A key ordering from an existing tiering solution (the
             Fig 2b configuration); only valid when ``pattern_mode`` is
@@ -138,30 +138,25 @@ class Mnemo:
         mode = self._check_accuracy(
             accuracy if accuracy is not None else self.accuracy
         )
-        descriptor = (
-            workload
-            if isinstance(workload, WorkloadDescriptor)
-            else WorkloadDescriptor.from_trace(workload)
-        )
         with telemetry.span(
-            "mnemo.profile", workload=descriptor.name, accuracy=mode,
+            "mnemo.profile", workload=trace.name, accuracy=mode,
         ):
             if mode == "analytic":
-                baselines = self._analytic_baselines(descriptor)
+                baselines = self._analytic_baselines(trace)
             else:
                 baselines = self.sensitivity.measure(
-                    descriptor, allow_partial=allow_partial
+                    trace, allow_partial=allow_partial
                 )
             if baselines.flags:
                 telemetry.event(
                     "mnemo.degraded_baselines",
-                    workload=descriptor.name,
+                    workload=trace.name,
                     flags=[str(f) for f in baselines.flags],
                 )
-            pattern = self.pattern_engine.analyze(descriptor, external_order)
+            pattern = self.pattern_engine.analyze(trace, external_order)
             curve = self.estimate_engine.estimate(baselines, pattern)
         return MnemoReport(
-            workload=descriptor.name,
+            workload=trace.name,
             engine=curve.engine,
             baselines=baselines,
             pattern=pattern,

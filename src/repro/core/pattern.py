@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.core.descriptor import WorkloadDescriptor
+from repro.ycsb.workload import Trace
 
 _MODES = ("touch", "weight", "external")
 
@@ -106,7 +106,7 @@ class KeyAccessPattern:
 
 
 class PatternEngine:
-    """Builds a :class:`KeyAccessPattern` from a workload descriptor.
+    """Builds a :class:`KeyAccessPattern` from a workload trace.
 
     Parameters
     ----------
@@ -121,10 +121,10 @@ class PatternEngine:
 
     def analyze(
         self,
-        descriptor: WorkloadDescriptor,
+        trace: Trace,
         external_order: np.ndarray | None = None,
     ) -> KeyAccessPattern:
-        """Analyze the request access pattern of *descriptor*.
+        """Analyze the request access pattern of *trace*.
 
         Parameters
         ----------
@@ -136,7 +136,6 @@ class PatternEngine:
             raise ConfigurationError(
                 "external_order must be given exactly when mode='external'"
             )
-        trace = descriptor.to_trace()
         reads, writes = trace.per_key_counts()
         sizes = trace.record_sizes
 
@@ -150,7 +149,7 @@ class PatternEngine:
         return KeyAccessPattern(
             mode=self.mode,
             order=order,
-            reads_per_key=reads.astype(np.int64),
-            writes_per_key=writes.astype(np.int64),
+            reads_per_key=reads,
+            writes_per_key=writes,
             sizes=sizes,
         )

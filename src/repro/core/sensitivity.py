@@ -19,7 +19,7 @@ from repro.kvstore.profiles import EngineProfile
 from repro.kvstore.server import EngineFactory
 from repro.memsim.system import HybridMemorySystem
 from repro.ycsb.client import RunResult, YCSBClient
-from repro.core.descriptor import WorkloadDescriptor
+from repro.ycsb.workload import Trace
 
 SystemFactory = Callable[[], HybridMemorySystem]
 
@@ -197,7 +197,7 @@ class SensitivityEngine:
         self.client = client if client is not None else YCSBClient()
 
     def measure(
-        self, descriptor: WorkloadDescriptor, allow_partial: bool = False,
+        self, trace: Trace, allow_partial: bool = False,
     ) -> PerformanceBaselines:
         """Execute the workload in both extreme configurations.
 
@@ -214,7 +214,6 @@ class SensitivityEngine:
         Both failing still raises.  Without ``allow_partial`` any
         failure propagates unchanged.
         """
-        trace = descriptor.to_trace()
         system = self.system_factory()
         profile = self.engine_factory(system.fast, system.slow).profile
         masks = {

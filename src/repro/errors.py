@@ -29,7 +29,7 @@ class ConfigurationError(ReproError):
 
 
 class WorkloadError(ReproError):
-    """A workload descriptor or trace is malformed."""
+    """A workload trace (the paper's descriptor) is malformed."""
 
 
 class EstimateError(ReproError):

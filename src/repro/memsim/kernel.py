@@ -443,9 +443,7 @@ class BatchKernel:
             [n.bytes_per_ns for n in nodes], client.pass_scale,
         )
         self._live_seed = isinstance(client.seed, np.random.Generator)
-        self.trace_digest = (
-            None if self._live_seed else client.trace_digest(trace)
-        )
+        self.trace_digest = None if self._live_seed else trace.digest
         self._path = "analytic" if analytic else "batch_kernel"
         self._noise = NoiseModel(sigma=0.0) if analytic else client.noise
         # the LLC hit mask is placement-independent; one mask serves

@@ -67,9 +67,7 @@ class PlacementBatch:
         if self._live_seed:
             telemetry.count("memsim.fallback", reason="live_seed")
         self._cache = None if self._live_seed else client.cache
-        self._digest = (
-            None if self._live_seed else client.trace_digest(trace)
-        )
+        self._digest = None if self._live_seed else trace.digest
         self._fingerprints = None
 
     def fingerprint(self, placement: np.ndarray) -> str | None:

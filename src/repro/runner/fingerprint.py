@@ -116,7 +116,7 @@ def workload_fingerprint(workload) -> str:
     """
     if hasattr(workload, "distribution"):  # WorkloadSpec
         return digest(workload)[:SHORT_DIGEST_LEN]
-    return trace_fingerprint(workload)
+    return workload.digest
 
 
 def system_fingerprint(system) -> dict:

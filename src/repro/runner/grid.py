@@ -170,7 +170,7 @@ class ExperimentRunner:
         and roots the noise streams at; sweep journals checkpoint by it.
         """
         return experiment_fingerprint_parts(
-            self._client.trace_digest(trace),
+            trace.digest,
             profile_for(spec.engine),
             self.placement_mask(spec, trace),
             self.system_factory(),

@@ -85,6 +85,13 @@ DEFAULT_RUNDIR = ".mnemo-serve"
 #: Ops that run on the request plane (queued, deadline-checked).
 ADVICE_OPS = ("size", "validate", "drift")
 
+#: Every op ``_control`` dispatches; any other op is counted under
+#: ``op="unknown"``, so junk ops add no metric series.
+CONTROL_OPS = frozenset({
+    "ping", "status", "metrics", "shutdown", "register", "revoke",
+    "reload", *ADVICE_OPS,
+})
+
 #: ServeConfig fields a ``reload`` request may change.  Identity and
 #: filesystem layout (rundir, run id, store path) stay fixed for the
 #: daemon's lifetime — changing those is a restart, not a reload.
@@ -481,14 +488,15 @@ class GuardService:
         if not isinstance(request, dict) or "op" not in request:
             return {"ok": False, "error": "expected one JSON line with 'op'"}
         op = str(request["op"])
-        telemetry.count("serve.control", op=op)
+        label = op if op in CONTROL_OPS else "unknown"
+        telemetry.count("serve.control", op=label)
         if op == "ping":
             return {
                 "ok": True, "op": "ping", "pid": os.getpid(),
                 "auth_active": self._auth.active,
             }
         if not self._auth.authorize(request.get("token")):
-            telemetry.count("serve.unauthorized", op=op)
+            telemetry.count("serve.unauthorized", op=label)
             return {"ok": False, "op": op, "error": "unauthorized"}
         if op == "status":
             return {"ok": True, **self.status()}

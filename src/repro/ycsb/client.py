@@ -29,7 +29,6 @@ noise realisations.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,11 +195,6 @@ class YCSBClient:
         # hit masks are a pure function of (trace, LLC capacity); memoize
         # them so repeated measurements never replay the LRU
         self._hitmask_memo: dict[tuple[str, int], np.ndarray] = {}
-        # trace-digest memo: sweeps measure the same trace object against
-        # many placements, and hashing the full trace every time is
-        # pure overhead.  Keyed by object id with a weakref finalizer
-        # evicting dead entries, so a recycled id can never alias.
-        self._trace_digest_memo: dict[int, str] = {}
 
     @property
     def seed(self) -> SeedLike:
@@ -276,18 +270,6 @@ class YCSBClient:
             self._hitmask_memo[key] = hits
         return hits, llc.hit_latency_ns
 
-    def trace_digest(self, trace: Trace) -> str:
-        """Memoized content digest of *trace* (hashed once per object)."""
-        key = id(trace)
-        digest = self._trace_digest_memo.get(key)
-        if digest is None:
-            from repro.runner.fingerprint import trace_fingerprint
-
-            digest = trace_fingerprint(trace)
-            self._trace_digest_memo[key] = digest
-            weakref.finalize(trace, self._trace_digest_memo.pop, key, None)
-        return digest
-
     def experiment_fingerprint(
         self, trace: Trace, deployment: HybridDeployment,
     ) -> tuple[str, str]:
@@ -302,8 +284,9 @@ class YCSBClient:
         """
         from repro.runner.fingerprint import experiment_fingerprint
 
-        digest = self.trace_digest(trace)
-        return digest, experiment_fingerprint(digest, deployment, self)
+        return trace.digest, experiment_fingerprint(
+            trace.digest, deployment, self
+        )
 
     # -- execution --------------------------------------------------------------------
 

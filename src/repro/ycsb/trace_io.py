@@ -135,8 +135,6 @@ def save_trace_npz(trace: Trace, path: str | Path) -> Path:
     :func:`load_trace_npz` can detect silent truncation or bit rot, not
     just unreadable archives.
     """
-    from repro.runner.fingerprint import trace_fingerprint
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
@@ -146,7 +144,7 @@ def save_trace_npz(trace: Trace, path: str | Path) -> Path:
             keys=trace.keys,
             is_read=trace.is_read,
             record_sizes=trace.record_sizes,
-            checksum=np.asarray(trace_fingerprint(trace)),
+            checksum=np.asarray(trace.digest),
         )
     return path
 
@@ -158,8 +156,6 @@ def load_trace_npz(path: str | Path) -> Trace:
     missing, truncated, missing arrays, or fails its checksum.
     """
     import zipfile  # np.load needs it for any archive; nothing else here does
-
-    from repro.runner.fingerprint import trace_fingerprint
 
     path = Path(path)
     try:
@@ -184,7 +180,7 @@ def load_trace_npz(path: str | Path) -> Trace:
         raise WorkloadError(
             f"{path}: truncated or unreadable trace archive ({exc})"
         ) from exc
-    if stored is not None and trace_fingerprint(trace) != stored:
+    if stored is not None and trace.digest != stored:
         raise WorkloadError(
             f"{path}: trace archive failed its checksum (corrupt content)"
         )

@@ -3,7 +3,8 @@
 A :class:`WorkloadSpec` is the declarative description (distribution,
 read:write ratio, size model, scale); :func:`~repro.ycsb.generator.generate_trace`
 turns it into a concrete :class:`Trace` — the "key sequence and request
-types" artefact Mnemo takes as its workload descriptor input.
+types" artefact Mnemo takes as its workload descriptor input (Section
+IV): every engine takes the caller's trace as given.
 """
 
 from __future__ import annotations
@@ -172,6 +173,15 @@ class Trace:
                             minlength=2 * self.n_keys)
         writes, reads = table.astype(np.int64, copy=False).reshape(-1, 2).T
         return reads.copy(), writes.copy()
+
+    @cached_property
+    def digest(self) -> str:
+        """Content digest (:func:`~repro.runner.fingerprint.trace_fingerprint`),
+        hashed once per trace: every fingerprint, store key and noise
+        root of a measurement of this trace starts from it."""
+        from repro.runner.fingerprint import trace_fingerprint
+
+        return trace_fingerprint(self)
 
     @cached_property
     def _per_key_counts(self) -> tuple[np.ndarray, np.ndarray]:

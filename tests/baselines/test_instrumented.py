@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import InstrumentedProfiler
-from repro.core import Mnemo, MnemoT, WorkloadDescriptor
+from repro.core import Mnemo, MnemoT
 from repro.errors import ConfigurationError
 from repro.kvstore import RedisLike
 
@@ -12,11 +12,6 @@ from repro.kvstore import RedisLike
 @pytest.fixture
 def profiler(quiet_client):
     return InstrumentedProfiler(RedisLike, client=quiet_client)
-
-
-@pytest.fixture
-def descriptor(small_trace):
-    return WorkloadDescriptor.from_trace(small_trace)
 
 
 class TestMicrobenchmarks:
@@ -39,32 +34,32 @@ class TestMicrobenchmarks:
 
 
 class TestProfilingCost:
-    def test_overhead_dominates(self, profiler, descriptor, quiet_client):
+    def test_overhead_dominates(self, profiler, small_trace, quiet_client):
         """Table IV: instrumentation costs ~40x one workload execution."""
-        result = profiler.profile(descriptor)
+        result = profiler.profile(small_trace)
         plain = Mnemo(engine_factory=RedisLike,
-                      client=quiet_client).profile(descriptor)
+                      client=quiet_client).profile(small_trace)
         one_run = plain.baselines.fast.runtime_ns
         assert result.cost.tiering_ns == pytest.approx(40 * one_run, rel=0.01)
 
-    def test_requires_source_instrumentation(self, profiler, descriptor):
-        assert profiler.profile(descriptor).cost.requires_source_instrumentation
+    def test_requires_source_instrumentation(self, profiler, small_trace):
+        assert profiler.profile(small_trace).cost.requires_source_instrumentation
 
-    def test_total_is_sum(self, profiler, descriptor):
-        cost = profiler.profile(descriptor).cost
+    def test_total_is_sum(self, profiler, small_trace):
+        cost = profiler.profile(small_trace).cost
         assert cost.total_ns == pytest.approx(
             cost.input_prep_ns + cost.baselines_ns + cost.tiering_ns
         )
 
-    def test_overhead_configurable(self, descriptor, quiet_client):
+    def test_overhead_configurable(self, small_trace, quiet_client):
         cheap = InstrumentedProfiler(
             RedisLike, client=quiet_client, instrumentation_overhead=10.0
         )
         pricey = InstrumentedProfiler(
             RedisLike, client=quiet_client, instrumentation_overhead=40.0
         )
-        assert (cheap.profile(descriptor).cost.tiering_ns
-                < pricey.profile(descriptor).cost.tiering_ns)
+        assert (cheap.profile(small_trace).cost.tiering_ns
+                < pricey.profile(small_trace).cost.tiering_ns)
 
     def test_invalid_overhead(self):
         with pytest.raises(ConfigurationError):
@@ -72,23 +67,23 @@ class TestProfilingCost:
 
 
 class TestOrderingQuality:
-    def test_matches_mnemot_ordering(self, profiler, descriptor,
+    def test_matches_mnemot_ordering(self, profiler, small_trace,
                                      quiet_client):
         """The expensive instrumented run recovers exactly the ordering
-        MnemoT computes for free from the descriptor (Table IV's point)."""
-        result = profiler.profile(descriptor)
+        MnemoT computes for free from the trace (Table IV's point)."""
+        result = profiler.profile(small_trace)
         tiered = MnemoT(engine_factory=RedisLike,
-                        client=quiet_client).profile(descriptor)
+                        client=quiet_client).profile(small_trace)
         assert np.array_equal(result.pattern.order, tiered.pattern.order)
 
 
 class TestDevicePrediction:
-    def test_misses_cpu_component(self, profiler, descriptor, quiet_client):
+    def test_misses_cpu_component(self, profiler, small_trace, quiet_client):
         """Microbenchmark baselines see only device time, so they badly
         underpredict end-to-end runtime (why Mnemo measures instead)."""
         micro = profiler.run_microbenchmarks()
-        predicted = profiler.predict_runtime_ns(descriptor, micro, "fast")
+        predicted = profiler.predict_runtime_ns(small_trace, micro, "fast")
         real = Mnemo(engine_factory=RedisLike, client=quiet_client).profile(
-            descriptor
+            small_trace
         ).baselines.fast.runtime_ns
         assert predicted < 0.25 * real

@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 
 from repro.baselines import MLBaselineProfiler, train_fast_baseline_model
-from repro.core import EstimateEngine, Mnemo, PatternEngine, WorkloadDescriptor
+from repro.core import EstimateEngine, Mnemo, PatternEngine
 from repro.errors import ConfigurationError
 from repro.kvstore import RedisLike
 from repro.ycsb.distributions import DistributionSpec
@@ -57,7 +57,7 @@ class TestInference:
     def test_predicted_fast_baseline_close(self, model, small_trace,
                                            quiet_client):
         profiler = MLBaselineProfiler(model, RedisLike, client=quiet_client)
-        result = profiler.profile(WorkloadDescriptor.from_trace(small_trace))
+        result = profiler.profile(small_trace)
         real = Mnemo(engine_factory=RedisLike,
                      client=quiet_client).profile(small_trace)
         predicted = result.baselines.fast.runtime_ns
@@ -68,7 +68,7 @@ class TestInference:
     def test_slow_baseline_is_measured(self, model, small_trace,
                                        quiet_client):
         profiler = MLBaselineProfiler(model, RedisLike, client=quiet_client)
-        result = profiler.profile(WorkloadDescriptor.from_trace(small_trace))
+        result = profiler.profile(small_trace)
         real = Mnemo(engine_factory=RedisLike,
                      client=quiet_client).profile(small_trace)
         assert result.baselines.slow.runtime_ns == pytest.approx(
@@ -79,9 +79,8 @@ class TestInference:
                                       quiet_client):
         """Tahoe-style baselines drop into the Estimate Engine."""
         profiler = MLBaselineProfiler(model, RedisLike, client=quiet_client)
-        descriptor = WorkloadDescriptor.from_trace(small_trace)
-        result = profiler.profile(descriptor)
-        pattern = PatternEngine(mode="weight").analyze(descriptor)
+        result = profiler.profile(small_trace)
+        pattern = PatternEngine(mode="weight").analyze(small_trace)
         curve = EstimateEngine().estimate(result.baselines, pattern)
         assert curve.n_keys == small_trace.n_keys
 
@@ -90,9 +89,7 @@ class TestCostAccounting:
     def test_training_cost_included_by_default(self, model, small_trace,
                                                quiet_client):
         profiler = MLBaselineProfiler(model, RedisLike, client=quiet_client)
-        cost = profiler.profile(
-            WorkloadDescriptor.from_trace(small_trace)
-        ).cost
+        cost = profiler.profile(small_trace).cost
         assert cost.baselines_ns > model.training_cost_ns
 
     def test_amortized_excludes_training(self, model, small_trace,
@@ -100,15 +97,11 @@ class TestCostAccounting:
         profiler = MLBaselineProfiler(
             model, RedisLike, client=quiet_client, amortize_training=True
         )
-        cost = profiler.profile(
-            WorkloadDescriptor.from_trace(small_trace)
-        ).cost
+        cost = profiler.profile(small_trace).cost
         assert cost.baselines_ns < model.training_cost_ns
 
     def test_no_source_instrumentation(self, model, small_trace,
                                        quiet_client):
         profiler = MLBaselineProfiler(model, RedisLike, client=quiet_client)
-        cost = profiler.profile(
-            WorkloadDescriptor.from_trace(small_trace)
-        ).cost
+        cost = profiler.profile(small_trace).cost
         assert not cost.requires_source_instrumentation

@@ -1,38 +1,17 @@
-"""Tests for WorkloadDescriptor."""
+"""Tests for the WorkloadDescriptor name: the descriptor is the trace.
 
-import numpy as np
+A trace's dataset bytes and its CSV loading are checked in
+``tests/ycsb/test_workload.py`` and ``tests/ycsb/test_trace_io.py``.
+"""
+
+import dataclasses
 
 from repro.core import WorkloadDescriptor
-from repro.ycsb import save_trace_csv
 
 
 class TestFromTrace:
-    def test_wraps_trace(self, small_trace):
-        d = WorkloadDescriptor.from_trace(small_trace)
-        assert d.name == small_trace.name
-        assert np.array_equal(d.keys, small_trace.keys)
-        assert d.n_keys == small_trace.n_keys
-        assert d.n_requests == small_trace.n_requests
-
-    def test_roundtrip_to_trace(self, small_trace):
-        d = WorkloadDescriptor.from_trace(small_trace)
-        t = d.to_trace()
-        assert np.array_equal(t.keys, small_trace.keys)
-        assert np.array_equal(t.record_sizes, small_trace.record_sizes)
-
-    def test_dataset_bytes_is_total_capacity(self, small_trace):
-        d = WorkloadDescriptor.from_trace(small_trace)
-        assert d.dataset_bytes == int(small_trace.record_sizes.sum())
-
-
-class TestFromCsv:
-    def test_loads_saved_trace(self, small_trace, tmp_path):
-        req, data = save_trace_csv(small_trace, tmp_path)
-        d = WorkloadDescriptor.from_csv(req, data)
-        assert np.array_equal(d.keys, small_trace.keys)
-        assert np.array_equal(d.is_read, small_trace.is_read)
-
-    def test_name_from_file(self, small_trace, tmp_path):
-        req, data = save_trace_csv(small_trace, tmp_path)
-        d = WorkloadDescriptor.from_csv(req, data)
-        assert d.name == small_trace.name
+    def test_from_trace_is_the_trace(self, small_trace):
+        assert WorkloadDescriptor.from_trace(small_trace) is small_trace
+        assert not dataclasses.is_dataclass(WorkloadDescriptor)
+        assert not hasattr(WorkloadDescriptor, "to_trace")
+        assert not hasattr(WorkloadDescriptor, "from_csv")

@@ -3,29 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    EstimateEngine,
-    PatternEngine,
-    SensitivityEngine,
-    WorkloadDescriptor,
-)
+from repro.core import EstimateEngine, PatternEngine, SensitivityEngine
 from repro.errors import EstimateError
 from repro.kvstore import RedisLike
 
 
 @pytest.fixture
 def pipeline(small_trace, quiet_client):
-    descriptor = WorkloadDescriptor.from_trace(small_trace)
-    baselines = SensitivityEngine(RedisLike, client=quiet_client).measure(descriptor)
-    pattern = PatternEngine(mode="touch").analyze(descriptor)
+    baselines = SensitivityEngine(RedisLike, client=quiet_client).measure(
+        small_trace
+    )
+    pattern = PatternEngine(mode="touch").analyze(small_trace)
     curve = EstimateEngine(p=0.2).estimate(baselines, pattern)
-    return descriptor, baselines, pattern, curve
+    return small_trace, baselines, pattern, curve
 
 
 class TestCurveStructure:
     def test_point_count(self, pipeline):
-        descriptor, _, _, curve = pipeline
-        n = descriptor.n_keys
+        trace, _, _, curve = pipeline
+        n = trace.n_keys
         assert curve.n_keys == n
         for arr in (curve.fast_bytes, curve.cost_factor, curve.runtime_ns):
             assert arr.shape == (n + 1,)
@@ -71,7 +67,7 @@ class TestEstimateFollowsDistribution:
     def test_hot_prefix_captures_most_gain(self, pipeline):
         """Fig 5a: the curve follows the access CDF — the hotspot's hot
         set recovers most of the throughput gap early."""
-        descriptor, baselines, pattern, curve = pipeline
+        trace, baselines, pattern, curve = pipeline
         thr = curve.throughput_ops_s
         total_gain = thr[-1] - thr[0]
         # prefix covering 30 % of keys (hot set is 20 % + touch noise)
@@ -137,7 +133,7 @@ class TestErrors:
     def test_mismatched_baselines_detected(self, pipeline):
         """A nonsensical negative-runtime sweep must raise."""
         from dataclasses import replace
-        descriptor, baselines, pattern, _ = pipeline
+        trace, baselines, pattern, _ = pipeline
         broken = replace(
             baselines.slow,
             avg_read_ns=baselines.slow.avg_read_ns * 100,

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from repro.analysis.cdf import coverage_fraction, key_space_cdf
 from repro.baselines.instrumented import InstrumentedProfiler
 from repro.baselines.knapsack import greedy_knapsack
-from repro.core.descriptor import WorkloadDescriptor
 from repro.core.drift import analyze_drift, window_counts
 from repro.core.dynamic import simulate_periodic_retiering
 from repro.core.pattern import PatternEngine, budget_mask, weight_order
@@ -135,9 +134,7 @@ class TestCounts:
 
 class TestWeightOrderCallers:
     def test_pattern_engine(self, trace):
-        pattern = PatternEngine("weight").analyze(
-            WorkloadDescriptor.from_trace(trace)
-        )
+        pattern = PatternEngine("weight").analyze(trace)
         reads, writes = trace.per_key_counts()
         expect = np.argsort(-((reads + writes) / trace.record_sizes),
                             kind="stable").astype(np.int64)
@@ -148,7 +145,7 @@ class TestWeightOrderCallers:
         profiler = InstrumentedProfiler(
             RedisLike, client=YCSBClient(repeats=1, noise_sigma=0.0)
         )
-        pattern = profiler.profile(WorkloadDescriptor.from_trace(trace)).pattern
+        pattern = profiler.profile(trace).pattern
         reads, writes = trace.per_key_counts()
         weights = (reads + writes) / trace.record_sizes
         assert pattern.mode == "weight"

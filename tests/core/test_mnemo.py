@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import ExternalTieringMnemo, Mnemo, MnemoReport
+from repro.core import ExternalTieringMnemo, Mnemo, MnemoReport, MnemoT
 from repro.kvstore import RedisLike
+from repro.ycsb import YCSBClient, generate_trace
+from repro.ycsb.workload import Trace
 
 
 @pytest.fixture
@@ -22,12 +24,14 @@ class TestProfile:
         assert report.curve.n_keys == small_trace.n_keys
 
     def test_accepts_descriptor(self, small_trace, quiet_client):
-        from repro.core import WorkloadDescriptor
-
-        d = WorkloadDescriptor.from_trace(small_trace)
+        """The paper's workload descriptor is the trace, used as given:
+        the pattern's counts are the trace's own cached arrays."""
         report = Mnemo(engine_factory=RedisLike,
-                       client=quiet_client).profile(d)
+                       client=quiet_client).profile(small_trace)
         assert report.workload == small_trace.name
+        reads, writes = small_trace.per_key_counts()
+        assert report.pattern.reads_per_key is reads
+        assert report.pattern.writes_per_key is writes
 
     def test_price_factor_propagates(self, small_trace, quiet_client):
         report = Mnemo(engine_factory=RedisLike, client=quiet_client,
@@ -49,6 +53,52 @@ class TestProfile:
         choice = report.choose(0.10)
         assert choice.workload == report.workload
         assert choice.max_slowdown == 0.10
+
+
+class TestProfileCopiesNothing:
+    """A profile builds no second trace and hashes a trace object once."""
+
+    @pytest.mark.parametrize("facade", [Mnemo, MnemoT])
+    @pytest.mark.parametrize("how", [
+        {"accuracy": "simulate"},
+        {"accuracy": "analytic"},
+        {"allow_partial": True},
+    ], ids=["simulate", "analytic", "partial"])
+    def test_no_trace_is_built(self, small_spec, facade, how, monkeypatch):
+        trace = generate_trace(small_spec)
+        built = []
+        post_init = Trace.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Trace, "__post_init__", counting)
+        mnemo = facade(engine_factory=RedisLike,
+                       client=YCSBClient(repeats=1, seed=3))
+        mnemo.profile(trace, **how)
+        assert built == []
+
+    def test_second_profile_hashes_nothing(self, small_spec, monkeypatch):
+        from repro.runner import fingerprint
+
+        trace = generate_trace(small_spec)
+        calls = []
+        original = fingerprint.trace_fingerprint
+
+        def counting(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(fingerprint, "trace_fingerprint", counting)
+        Mnemo(engine_factory=RedisLike,
+              client=YCSBClient(repeats=1, seed=3)).profile(trace)
+        assert calls == [trace]
+        calls.clear()
+        for facade in (Mnemo, MnemoT):
+            facade(engine_factory=RedisLike,
+                   client=YCSBClient(repeats=1, seed=3)).profile(trace)
+        assert calls == []
 
 
 class TestExternalTiering:

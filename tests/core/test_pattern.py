@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import PatternEngine, WorkloadDescriptor
+from repro.core import PatternEngine
 from repro.core.pattern import KeyAccessPattern
 from repro.errors import ConfigurationError
-
-
-@pytest.fixture
-def descriptor(small_trace):
-    return WorkloadDescriptor.from_trace(small_trace)
+from repro.ycsb.workload import Trace
 
 
 class TestModes:
@@ -18,51 +14,49 @@ class TestModes:
         with pytest.raises(ConfigurationError):
             PatternEngine(mode="random")
 
-    def test_touch_mode_order(self, descriptor):
-        pattern = PatternEngine(mode="touch").analyze(descriptor)
-        trace = descriptor.to_trace()
-        assert np.array_equal(pattern.order, trace.first_touch_order())
+    def test_touch_mode_order(self, small_trace):
+        pattern = PatternEngine(mode="touch").analyze(small_trace)
+        assert np.array_equal(pattern.order, small_trace.first_touch_order())
         assert pattern.mode == "touch"
 
-    def test_weight_mode_orders_by_density(self, descriptor):
-        pattern = PatternEngine(mode="weight").analyze(descriptor)
+    def test_weight_mode_orders_by_density(self, small_trace):
+        pattern = PatternEngine(mode="weight").analyze(small_trace)
         w = pattern.weights()[pattern.order]
         assert (np.diff(w) <= 1e-12).all()  # non-increasing
 
-    def test_external_mode_requires_order(self, descriptor):
+    def test_external_mode_requires_order(self, small_trace):
         with pytest.raises(ConfigurationError):
-            PatternEngine(mode="external").analyze(descriptor)
+            PatternEngine(mode="external").analyze(small_trace)
 
-    def test_external_order_rejected_in_touch_mode(self, descriptor):
+    def test_external_order_rejected_in_touch_mode(self, small_trace):
         with pytest.raises(ConfigurationError):
             PatternEngine(mode="touch").analyze(
-                descriptor, external_order=np.arange(descriptor.n_keys)
+                small_trace, external_order=np.arange(small_trace.n_keys)
             )
 
-    def test_external_mode_uses_given_order(self, descriptor):
-        order = np.arange(descriptor.n_keys)[::-1].copy()
+    def test_external_mode_uses_given_order(self, small_trace):
+        order = np.arange(small_trace.n_keys)[::-1].copy()
         pattern = PatternEngine(mode="external").analyze(
-            descriptor, external_order=order
+            small_trace, external_order=order
         )
         assert np.array_equal(pattern.order, order)
 
 
 class TestPatternContents:
-    def test_counts_match_trace(self, descriptor):
-        pattern = PatternEngine().analyze(descriptor)
-        trace = descriptor.to_trace()
-        reads, writes = trace.per_key_counts()
+    def test_counts_match_trace(self, small_trace):
+        pattern = PatternEngine().analyze(small_trace)
+        reads, writes = small_trace.per_key_counts()
         assert np.array_equal(pattern.reads_per_key, reads)
         assert np.array_equal(pattern.writes_per_key, writes)
-        assert pattern.accesses_per_key.sum() == trace.n_requests
+        assert pattern.accesses_per_key.sum() == small_trace.n_requests
 
-    def test_order_is_permutation(self, descriptor):
-        pattern = PatternEngine(mode="weight").analyze(descriptor)
+    def test_order_is_permutation(self, small_trace):
+        pattern = PatternEngine(mode="weight").analyze(small_trace)
         assert np.array_equal(np.sort(pattern.order),
-                              np.arange(descriptor.n_keys))
+                              np.arange(small_trace.n_keys))
 
-    def test_ordered_views_align(self, descriptor):
-        pattern = PatternEngine(mode="weight").analyze(descriptor)
+    def test_ordered_views_align(self, small_trace):
+        pattern = PatternEngine(mode="weight").analyze(small_trace)
         k0 = pattern.order[0]
         assert pattern.ordered_reads()[0] == pattern.reads_per_key[k0]
         assert pattern.ordered_sizes()[0] == pattern.sizes[k0]
@@ -74,30 +68,30 @@ class TestWeightOrdering:
         (Section V-A): hot keys lead regardless of key id."""
         keys = np.array([7] * 50 + [2] * 30 + [5] * 5, dtype=np.int64)
         sizes = np.full(10, 1_000, dtype=np.int64)
-        d = WorkloadDescriptor(
+        trace = Trace(
             name="x", keys=keys, is_read=np.ones(keys.size, bool),
             record_sizes=sizes,
         )
-        pattern = PatternEngine(mode="weight").analyze(d)
+        pattern = PatternEngine(mode="weight").analyze(trace)
         assert pattern.order[:3].tolist() == [7, 2, 5]
 
     def test_small_keys_advantaged(self):
         """Equal access counts: smaller records get FastMem priority."""
         keys = np.array([0, 1], dtype=np.int64)
         sizes = np.array([100_000, 1_000], dtype=np.int64)
-        d = WorkloadDescriptor(
+        trace = Trace(
             name="x", keys=keys, is_read=np.ones(2, bool), record_sizes=sizes,
         )
-        pattern = PatternEngine(mode="weight").analyze(d)
+        pattern = PatternEngine(mode="weight").analyze(trace)
         assert pattern.order[0] == 1
 
     def test_untouched_keys_last(self):
         keys = np.array([1, 1], dtype=np.int64)
         sizes = np.full(3, 1_000, dtype=np.int64)
-        d = WorkloadDescriptor(
+        trace = Trace(
             name="x", keys=keys, is_read=np.ones(2, bool), record_sizes=sizes,
         )
-        pattern = PatternEngine(mode="weight").analyze(d)
+        pattern = PatternEngine(mode="weight").analyze(trace)
         assert pattern.order[0] == 1
         assert set(pattern.order[1:].tolist()) == {0, 2}
 

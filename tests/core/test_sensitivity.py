@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SensitivityEngine, WorkloadDescriptor
+from repro.core import SensitivityEngine
 from repro.core.sensitivity import ESTIMATED_PENALTY, estimate_counterpart
 from repro.errors import FaultError
 from repro.kvstore import MemcachedLike, RedisLike
@@ -12,7 +12,7 @@ from repro.ycsb import YCSBClient
 @pytest.fixture
 def baselines(small_trace, quiet_client):
     engine = SensitivityEngine(RedisLike, client=quiet_client)
-    return engine.measure(WorkloadDescriptor.from_trace(small_trace))
+    return engine.measure(small_trace)
 
 
 class TestBaselines:
@@ -38,18 +38,17 @@ class TestBaselines:
 
     def test_mixed_workload_write_delta(self, mixed_trace, quiet_client):
         engine = SensitivityEngine(RedisLike, client=quiet_client)
-        b = engine.measure(WorkloadDescriptor.from_trace(mixed_trace))
+        b = engine.measure(mixed_trace)
         assert b.write_delta_ns > 0
         assert b.write_delta_ns < b.read_delta_ns  # writes less exposed
 
 
 class TestEngineVariation:
     def test_memcached_smaller_gap(self, small_trace, quiet_client):
-        descriptor = WorkloadDescriptor.from_trace(small_trace)
         redis = SensitivityEngine(RedisLike, client=quiet_client)
         memc = SensitivityEngine(MemcachedLike, client=quiet_client)
-        assert (memc.measure(descriptor).throughput_gap
-                < redis.measure(descriptor).throughput_gap)
+        assert (memc.measure(small_trace).throughput_gap
+                < redis.measure(small_trace).throughput_gap)
 
     def test_default_client_created(self):
         engine = SensitivityEngine(RedisLike)
@@ -81,12 +80,11 @@ class TestAllowPartial:
         self, small_trace, quiet_client, monkeypatch, lost, kept,
     ):
         engine = SensitivityEngine(RedisLike, client=quiet_client)
-        descriptor = WorkloadDescriptor.from_trace(small_trace)
-        clean = engine.measure(descriptor)
+        clean = engine.measure(small_trace)
         self._fail_sides(monkeypatch, lost)
         with pytest.raises(FaultError, match=f"{lost} node offline"):
-            engine.measure(descriptor)
-        partial = engine.measure(descriptor, allow_partial=True)
+            engine.measure(small_trace)
+        partial = engine.measure(small_trace, allow_partial=True)
         assert partial.flags == (f"{lost}:estimated",)
         assert partial.confidence == ESTIMATED_PENALTY
         assert getattr(partial, kept) == getattr(clean, kept)
@@ -102,14 +100,11 @@ class TestAllowPartial:
         engine = SensitivityEngine(RedisLike, client=quiet_client)
         self._fail_sides(monkeypatch, "fast", "slow")
         with pytest.raises(FaultError, match="both extreme baselines failed"):
-            engine.measure(
-                WorkloadDescriptor.from_trace(small_trace), allow_partial=True,
-            )
+            engine.measure(small_trace, allow_partial=True)
 
     def test_clean_partial_run_equals_strict_run(self, mixed_trace):
         from repro.faults import FaultSpec, LatencySpikes
 
-        descriptor = WorkloadDescriptor.from_trace(mixed_trace)
         for faults, flags in (
             (None, ()),
             (FaultSpec(latency_spikes=LatencySpikes()),
@@ -118,6 +113,6 @@ class TestAllowPartial:
             engine = SensitivityEngine(
                 RedisLike, client=YCSBClient(repeats=2, seed=5, faults=faults),
             )
-            strict = engine.measure(descriptor)
-            assert engine.measure(descriptor, allow_partial=True) == strict
+            strict = engine.measure(mixed_trace)
+            assert engine.measure(mixed_trace, allow_partial=True) == strict
             assert strict.flags == flags

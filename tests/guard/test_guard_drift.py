@@ -142,9 +142,6 @@ class TestDetector:
 
 class TestSensitivityEngineIntegration:
     def test_drift_between_descriptor_and_live(self, small_trace):
-        from repro.core import WorkloadDescriptor
-
-        descriptor = WorkloadDescriptor.from_trace(small_trace)
         live = rotate_hot_set(small_trace, small_trace.n_keys // 2)
-        report = detect_drift(descriptor.to_trace(), live)
+        report = detect_drift(small_trace, live)
         assert report.advice.action == "reprofile"

@@ -8,10 +8,10 @@ measured run — crossing every package boundary in one test.
 import numpy as np
 import pytest
 
-from repro.core import Mnemo, MnemoT, WorkloadDescriptor
+from repro.core import Mnemo, MnemoT
 from repro.kvstore import RedisLike
 from repro.memsim import HybridMemorySystem
-from repro.ycsb import YCSBClient, save_trace_csv
+from repro.ycsb import YCSBClient, load_trace_csv, save_trace_csv
 from repro.ycsb.adapters import from_requests
 
 
@@ -40,7 +40,7 @@ class TestOperatorStory:
 
         # 2. persist + reload the descriptor (team hand-off artefact)
         req_path, data_path = save_trace_csv(trace, tmp_path)
-        descriptor = WorkloadDescriptor.from_csv(req_path, data_path)
+        descriptor = load_trace_csv(req_path, data_path)
 
         # 3. profile with MnemoT (the recommended configuration)
         client = YCSBClient(repeats=2, noise_sigma=0.01, seed=21)
@@ -61,12 +61,12 @@ class TestOperatorStory:
             deployment.system.fast.capacity_bytes
 
         # 6. the recommendation holds against a measured run
-        measured = client.execute(descriptor.to_trace(), deployment)
+        measured = client.execute(descriptor, deployment)
         ideal = report.baselines.fast.throughput_ops_s
         assert measured.throughput_ops_s >= 0.88 * ideal  # 10 % SLO + noise
 
         # 7. and the drift guardrail signs off on static placement
-        drift = report.drift_check(descriptor.to_trace())
+        drift = report.drift_check(descriptor)
         assert drift.stationary
 
     def test_stand_alone_vs_tiered_consistency(self, raw_log):

@@ -39,6 +39,7 @@ from repro.memsim.system import HybridMemorySystem
 from repro.memsim import timing
 from repro.memsim.timing import AccessTimer, NoiseModel, service_times_ns
 from repro.rng import derive_seed, ensure_rng
+from repro.runner.fingerprint import trace_fingerprint
 from repro.store import SQLiteStore
 from repro.ycsb import TABLE_III_WORKLOADS
 from repro.ycsb.client import RunResult, YCSBClient
@@ -462,8 +463,7 @@ def request_space_base(client, trace, profile, system, record_sizes, mask,
     )
     mem = passes * (latency + sizes.astype(np.float64) / bpns)
     if client.use_llc:
-        digest = client.trace_digest(trace)
-        hits, hit_ns = client._cache_mask(trace, system.llc, digest)
+        hits, hit_ns = client._cache_mask(trace, system.llc, trace.digest)
         mem = np.where(hits, hit_ns, mem)
     return cpu + mem, noise_scale
 
@@ -867,26 +867,67 @@ class TestCachingBatch:
         assert again.cache_misses == 0
 
 
+def _small_trace(seed=1):
+    spec = workload_by_name("trending").scaled(n_keys=50, n_requests=500)
+    return generate_trace(spec.with_seed(seed))
+
+
 class TestFingerprintMemo:
     def test_memoized_fingerprint_is_stable(self, trace):
         client = YCSBClient(seed=2)
         (deployment,) = _deployments(trace, _masks(trace.n_keys, (0.3,)))
         first = client.experiment_fingerprint(trace, deployment)
         assert client.experiment_fingerprint(trace, deployment) == first
-        # the trace is hashed once: its digest is memoized by identity
-        assert client._trace_digest_memo[id(trace)] == first[0]
+        # the trace keeps its own digest: the content hash, memoized
+        assert trace.digest == first[0] == trace_fingerprint(trace)
 
     def test_memo_entries_evict_on_gc(self):
         import gc
+        import weakref
 
         client = YCSBClient(seed=2)
-        spec = workload_by_name("trending").scaled(n_keys=50, n_requests=500)
-        local = generate_trace(spec.with_seed(1))
-        client.trace_digest(local)
-        assert len(client._trace_digest_memo) == 1
-        del local
+        local = _small_trace()
+        (deployment,) = _deployments(local, _masks(local.n_keys, (0.3,)))
+        client.experiment_fingerprint(local, deployment)
+        assert "digest" in vars(local)
+        # the memo lives on the trace: the client keeps nothing alive
+        alive = weakref.ref(local)
+        del local, deployment
         gc.collect()
-        assert len(client._trace_digest_memo) == 0
+        assert alive() is None
+
+    def test_one_trace_object_is_hashed_once(self, monkeypatch):
+        from repro.runner import fingerprint
+
+        calls = []
+        original = fingerprint.trace_fingerprint
+        monkeypatch.setattr(
+            fingerprint, "trace_fingerprint",
+            lambda t: calls.append(t) or original(t),
+        )
+        local = _small_trace()
+        system = HybridMemorySystem.testbed()
+        profile = builtin_profiles()["redis"]
+        mask = np.ones(local.n_keys, dtype=bool)
+        # a live-generator client has no fingerprint, so it hashes nothing
+        live = YCSBClient(seed=np.random.default_rng(2))
+        live.execute_placements(local, [mask], profile, system)
+        assert calls == []
+        for client in (YCSBClient(seed=2), YCSBClient(seed=3)):
+            client.execute_placements(local, [mask], profile, system)
+        BatchKernel(YCSBClient(seed=4), local, profile, system)
+        assert calls == [local]
+
+    def test_replaced_trace_gets_its_own_digest(self):
+        from dataclasses import replace
+
+        local = _small_trace()
+        renamed = replace(local, name="renamed")
+        assert local.digest != renamed.digest
+        assert renamed.digest == trace_fingerprint(renamed)
+        same = replace(local)
+        assert "digest" not in vars(same)
+        assert same.digest == local.digest
 
     def test_distinct_deployments_distinct_fingerprints(self, trace):
         client = YCSBClient(seed=2)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.sensitivity import PerformanceBaselines, SensitivityEngine
-from repro.core.descriptor import WorkloadDescriptor
 from repro.errors import ConfigurationError
 from repro.faults import FaultSpec, LatencySpikes
 from repro.kvstore import RedisLike
@@ -289,7 +288,7 @@ class TestExperimentRunner:
             RedisLike, client=YCSBClient(repeats=2, seed=4)
         )
         trace = runner.trace_for(small_spec)
-        want = engine.measure(WorkloadDescriptor.from_trace(trace))
+        want = engine.measure(trace)
         assert got.fast == want.fast
         assert got.slow == want.slow
 
@@ -386,9 +385,8 @@ class TestSensitivityEngineCache:
         engine = SensitivityEngine(
             RedisLike, client=YCSBClient(repeats=2, seed=4, cache=tmp_path / "c"),
         )
-        descriptor = WorkloadDescriptor.from_trace(small_trace)
-        first = engine.measure(descriptor)
+        first = engine.measure(small_trace)
         assert engine.client.cache_misses == 2
-        second = engine.measure(descriptor)
+        second = engine.measure(small_trace)
         assert engine.client.cache_hits == 2
         assert first == second

@@ -461,6 +461,44 @@ class TestAuthGating:
         finally:
             service._plane.close()
 
+    def test_junk_ops_share_one_metric_series(self, tmp_path):
+        service = GuardService(_config(tmp_path), tick_fn=lambda: 0)
+
+        def series(tel):
+            return {
+                (rec["name"], rec["labels"]["op"]): rec["value"]
+                for rec in tel.metrics.snapshot()
+                if rec["name"] in ("serve.control", "serve.unauthorized")
+            }
+
+        try:
+            with telemetry.session(run_id="junk-ops") as tel:
+                service._control({"op": "ping"})
+                service._control({"op": "status"})
+                known = series(tel)
+                for i in range(1000):
+                    reply = service._control({"op": f"junk-{i}"})
+                    assert reply["error"] == f"unknown op 'junk-{i}'"
+                after = series(tel)
+                assert len(after) - len(known) <= 1
+                assert after[("serve.control", "unknown")] == 1000
+                assert after[("serve.control", "ping")] == 1
+                assert after[("serve.control", "status")] == 1
+                # behind a token, junk is counted unauthorized, still once
+                service._control(
+                    {"op": "register", "new_token": "junk-token-1"}
+                )
+                for i in range(1000):
+                    service._control({"op": f"locked-{i}"})
+                service._control({"op": "status"})
+                locked = series(tel)
+                assert locked[("serve.unauthorized", "unknown")] == 1000
+                assert locked[("serve.unauthorized", "status")] == 1
+                assert not any(op.startswith(("junk", "locked"))
+                               for _, op in locked)
+        finally:
+            service._plane.close()
+
     def test_register_and_revoke_journaled(self, tmp_path):
         store = SQLiteStore(tmp_path / "s.db")
         try:

@@ -153,7 +153,7 @@ class TestConcurrentClients:
 
         # the exact `mnemo profile` path, with a cold cache so nothing
         # is shared with the daemon but the math
-        from repro.core import Mnemo, WorkloadDescriptor
+        from repro.core import Mnemo
         from repro.kvstore import RedisLike
         from repro.ycsb import (
             YCSBClient,
@@ -166,11 +166,10 @@ class TestConcurrentClients:
         trace = downsample(
             trace, factor=config.downsample, seed=config.seed,
         )
-        descriptor = WorkloadDescriptor.from_trace(trace)
         report = Mnemo(
             engine_factory=RedisLike,
             client=YCSBClient(repeats=config.repeats, seed=config.seed),
-        ).profile(descriptor)
+        ).profile(trace)
         expected = choice_payload(report.choose(config.slo))
 
         assert served["choice"] == expected
